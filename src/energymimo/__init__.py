@@ -63,10 +63,11 @@ from .precoding import (
     PrecoderSolution,
     los_allocation_precoder,
     min_pa_precoder,
-    min_pa_precoder_narrowband,
+    min_pa_precoders,
     single_user_narrowband_precoder,
     single_user_saturating_precoder,
     zf_precoder,
+    zf_precoders,
 )
 
 __all__ = [
@@ -108,7 +109,7 @@ __all__ = [
     "mc_inverse_wishart_trace",
     "min_ma_power_constraint",
     "min_pa_precoder",
-    "min_pa_precoder_narrowband",
+    "min_pa_precoders",
     "optimal_ma_constrained",
     "optimal_ma_unconstrained",
     "pa_consumed_power",
@@ -121,6 +122,7 @@ __all__ = [
     "target_sinr",
     "trace_term",
     "zf_precoder",
+    "zf_precoders",
 ]
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ import os
 import sys
 
 from .config import load_config
-from .errors import ConfigError, InfeasibleError
+from .errors import ConfigError, InfeasibleError, SingularChannelError
 from .experiments import (
     ExperimentResult,
     asymptotic_experiment,
@@ -122,7 +122,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except InfeasibleError as exc:
+    except (InfeasibleError, SingularChannelError) as exc:
         print(f"infeasible scenario: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,18 @@ class DomainError(EnergyMimoError, ValueError):
 
 
 class SingularChannelError(EnergyMimoError):
-    """The user-side Gram matrix is rank deficient or too ill-conditioned."""
+    """The user-side Gram matrix is rank deficient or too ill-conditioned.
+
+    ``realization`` is the index of the offending instance when the solve
+    covered several (the message then starts with it); ``reason`` is the
+    message without that prefix.
+    """
+
+    def __init__(self, reason, *, realization=None):
+        message = reason if realization is None else f"realization {realization}: {reason}"
+        super().__init__(message)
+        self.reason = reason
+        self.realization = realization
 
 
 class InfeasibleError(EnergyMimoError):

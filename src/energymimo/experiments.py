@@ -3,7 +3,8 @@
 Each realization draws its randomness from an independent stream seeded by
 master seed + realization index, so results are identical regardless of how
 the realization pool is scheduled; rows are buffered and emitted in
-realization order.
+realization order. ``run`` solves its realizations in fixed-size blocks
+through the stacked solvers; the pool maps over those blocks.
 """
 
 from __future__ import annotations
@@ -33,14 +34,21 @@ from .channel import (
     target_sinr,
 )
 from .config import AS1_PRECODERS, ExperimentConfig
-from .errors import EnergyMimoError, InfeasibleError, OracleSizeError
+from .errors import EnergyMimoError, InfeasibleError, OracleSizeError, SingularChannelError
 from .model import bs_consumed_power, gain_metrics, pa_consumed_power
 from .precoding import (
     FixedPointConfig,
     min_pa_precoder,
+    min_pa_precoders,
     single_user_saturating_precoder,
     zf_precoder,
+    zf_precoders,
 )
+
+# Channel entries (Q * K * M per realization) that ``run`` stacks into one
+# solver block. Block boundaries depend only on the scenario, never on the
+# thread count, so the output does not either.
+BLOCK_ELEMENTS = 32768
 
 RUN_FIELDS = (
     "seed", "realization", "solver", "p_tx", "p_pas", "p_bs",
@@ -89,25 +97,40 @@ def _draw_channel(cfg: ExperimentConfig, beta, rng: np.random.Generator) -> Chan
     )
 
 
-def _solve(name: str, channel: ChannelRealization, qos: QosTargets, cfg: ExperimentConfig):
+def _solve_block(name: str, channels, qos_list, cfg: ExperimentConfig):
     if name == "zf":
-        return zf_precoder(channel, qos)
+        return zf_precoders(channels, qos_list)
     if name == "min_pa":
-        return min_pa_precoder(channel, qos, cfg.fixed_point())
+        return min_pa_precoders(channels, qos_list, cfg.fixed_point())
     if name == "saturating":
-        h = channel.per_subcarrier[0, 0, :]
-        return single_user_saturating_precoder(
-            h, float(qos.gamma[0]), qos.noise_std, cfg.scenario.p_max_watts
-        )
+        return [
+            single_user_saturating_precoder(
+                channel.per_subcarrier[0, 0, :], float(qos.gamma[0]), qos.noise_std,
+                cfg.scenario.p_max_watts,
+            )
+            for channel, qos in zip(channels, qos_list)
+        ]
     raise EnergyMimoError(f"unknown solver {name!r}")
 
 
-def _map_realizations(cfg: ExperimentConfig, worker):
-    indices = range(cfg.realizations)
+def _map(cfg: ExperimentConfig, worker, items):
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(worker, indices))
-    return [worker(i) for i in indices]
+            return list(pool.map(worker, items))
+    return [worker(item) for item in items]
+
+
+def _map_realizations(cfg: ExperimentConfig, worker):
+    return _map(cfg, worker, range(cfg.realizations))
+
+
+def _realization_blocks(cfg: ExperimentConfig) -> list[range]:
+    sc = cfg.scenario
+    size = max(1, BLOCK_ELEMENTS // (sc.subcarriers * sc.k_users * sc.m_antennas))
+    return [
+        range(start, min(start + size, cfg.realizations))
+        for start in range(0, cfg.realizations, size)
+    ]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -116,11 +139,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     bs = cfg.scenario.bs_model()
     p_max = cfg.scenario.p_max_watts
 
-    def worker(index: int):
-        rng = _realization_rng(cfg, index)
-        beta, qos = _draw_targets(cfg, rng)
-        channel = _draw_channel(cfg, beta, rng)
-        solutions = {name: _solve(name, channel, qos, cfg) for name in cfg.precoders}
+    def report_rows(index: int, solutions: dict):
         reports = {name: bs_consumed_power(sol.powers, pa, bs) for name, sol in solutions.items()}
         discarded = False
         if cfg.discard_over_pmax:
@@ -151,7 +170,24 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             })
         return rows
 
-    nested = _map_realizations(cfg, worker)
+    def solve_block(block: range):
+        channels, qos_list = [], []
+        for index in block:
+            rng = _realization_rng(cfg, index)
+            beta, qos = _draw_targets(cfg, rng)
+            channels.append(_draw_channel(cfg, beta, rng))
+            qos_list.append(qos)
+        try:
+            solved = {name: _solve_block(name, channels, qos_list, cfg) for name in cfg.precoders}
+        except SingularChannelError as exc:
+            raise SingularChannelError(exc.reason, realization=block[exc.realization]) from exc
+        return [
+            row
+            for j, index in enumerate(block)
+            for row in report_rows(index, {name: sols[j] for name, sols in solved.items()})
+        ]
+
+    nested = _map(cfg, solve_block, _realization_blocks(cfg))
     rows = [row for group in nested for row in group]
     summary = {"realizations": cfg.realizations}
     kept = [r for r in rows if not r["discarded"]]
@@ -179,7 +215,10 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         rng = _realization_rng(cfg, index)
         beta, qos = _draw_targets(cfg, rng)
         channel = _draw_channel(cfg, beta, rng)
-        solution = min_pa_precoder(channel, qos, cfg.fixed_point(record_history=True))
+        try:
+            solution = min_pa_precoder(channel, qos, cfg.fixed_point(record_history=True))
+        except SingularChannelError as exc:
+            raise SingularChannelError(exc.reason, realization=index) from exc
         gt_powers = None
         if cfg.oracle:
             if cfg.scenario.k_users == 1 and cfg.scenario.subcarriers == 1:

@@ -3,12 +3,18 @@
 ``zf_precoder`` is the conventional per-subcarrier zero-forcing solution
 minimizing transmit power. ``min_pa_precoder`` minimizes the square-root PA
 consumption under the same QoS constraints by iterating the fixed-point
-power equations; the closed-form narrowband, single-user and LOS special
-cases have dedicated entry points.
+power equations; the closed-form single-user and LOS special cases have
+dedicated entry points.
+
+Both iterative solvers run on one core that works on stacks of shape
+(R, Q, K, M) holding R realizations: ``zf_precoders`` and
+``min_pa_precoders`` solve a list of instances at once, and the one-instance
+entry points are R=1 views onto them. Each realization gets exactly the
+arithmetic it would get alone, so stacking never changes a result.
 
 All Gram solves use a Hermitian (Cholesky) factorization followed by
 forward/backward substitution on the K x K user-side matrix; the optimal
-precoder is then assembled from the weighted channel adjoint.
+precoder is then assembled from the contiguous weighted channel adjoint.
 """
 
 from __future__ import annotations
@@ -92,7 +98,7 @@ def _finish_solution(matrices, iterations, converged, residual, history=None) ->
     )
 
 
-def _check_instance(channel: ChannelRealization, qos: QosTargets):
+def _check_instance(channel: ChannelRealization, qos: QosTargets, realization: int):
     if qos.k_users != channel.k_users:
         raise DimensionError(
             f"QoS targets cover {qos.k_users} users, channel has {channel.k_users}"
@@ -103,53 +109,237 @@ def _check_instance(channel: ChannelRealization, qos: QosTargets):
         )
     if channel.m_antennas < channel.k_users:
         raise SingularChannelError(
-            f"zero forcing needs M >= K, got M={channel.m_antennas}, K={channel.k_users}"
+            f"zero forcing needs M >= K, got M={channel.m_antennas}, K={channel.k_users}",
+            realization=realization,
         )
 
 
-def _weighted_zf_matrices(h, rhs_diag, sqrt_powers=None, ridge=0.0):
-    """Solve W_q = D_p^(1/2) H_q^H (H_q D_p^(1/2) H_q^H)^(-1) diag(rhs).
+def _stacks(channels: list, qos_list: list):
+    """Group a list of instances into stacks of equal channel shape and dtype.
 
-    ``h`` is the (Q, K, M) channel stack; ``sqrt_powers`` the length-M vector
-    of p_m^(1/2) (identity weighting when None, which yields plain ZF).
+    Yields ``(index, h, rhs)``: the list positions of the stack, the
+    (R, Q, K, M) channel stack and the (R, 1, K, K) diagonal right-hand
+    sides diag((gamma_k / Q)^(1/2) sigma), shared by all Q subcarriers.
     """
-    q, k, _ = h.shape
-    if sqrt_powers is None:
-        b = h
-        quarter = None
-    else:
-        quarter = np.sqrt(sqrt_powers)
-        b = h * quarter[None, None, :]
-    gram = b @ b.conj().transpose(0, 2, 1)
+    if len(channels) != len(qos_list):
+        raise DimensionError(f"{len(channels)} channels but {len(qos_list)} QoS targets")
+    groups: dict[tuple, list[int]] = {}
+    for i, (channel, qos) in enumerate(zip(channels, qos_list)):
+        _check_instance(channel, qos, i)
+        h = channel.per_subcarrier
+        groups.setdefault((h.shape, h.dtype), []).append(i)
+    for members in groups.values():
+        h = np.stack([channels[i].per_subcarrier for i in members])
+        k = h.shape[2]
+        rhs = np.zeros((len(members), 1, k, k), dtype=complex)
+        rhs[:, 0, np.arange(k), np.arange(k)] = [
+            np.sqrt(qos_list[i].per_subcarrier_gamma) * qos_list[i].noise_std for i in members
+        ]
+        yield np.array(members), h, rhs
+
+
+def _gram_solve(gram, rhs, index, ridge=0.0):
+    """Solve G X = diag(rhs) for a (R, Q, K, K) stack of Gram matrices.
+
+    A Cholesky factorization followed by two substitutions with
+    ``np.linalg.solve``; every slice gets the LAPACK calls it would get
+    alone. The condition guard is taken per realization, over its Q * K
+    Cholesky diagonal. ``index`` names each realization in errors.
+    """
+    n, q, k, _ = gram.shape
     if ridge > 0.0:
-        trace = np.einsum("qkk->q", gram).real
-        gram = gram + (ridge * trace / k)[:, None, None] * np.eye(k)
+        trace = np.einsum("...kk->...", gram).real
+        gram = gram + (ridge * trace / k)[..., None, None] * np.eye(k)
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
-        raise SingularChannelError("user-side Gram matrix is not positive definite") from exc
-    diag = np.abs(np.diagonal(chol, axis1=1, axis2=2))
-    cond_est = (diag.max() / diag.min()) ** 2 if diag.min() > 0.0 else np.inf
-    if cond_est > GRAM_CONDITION_LIMIT:
+        bad = next(r for r in range(n) if not _positive_definite(gram[r]))
         raise SingularChannelError(
-            f"Gram condition estimate {cond_est:.3e} exceeds {GRAM_CONDITION_LIMIT:.1e}"
+            "user-side Gram matrix is not positive definite", realization=int(index[bad])
+        ) from exc
+    # A successful Cholesky factorization has a positive diagonal.
+    diag = abs(chol.diagonal(axis1=-2, axis2=-1)).reshape(n, q * k)
+    cond_est = (diag.max(axis=1) / diag.min(axis=1)) ** 2
+    refused = cond_est > GRAM_CONDITION_LIMIT
+    if refused.any():
+        bad = int(np.argmax(refused))
+        raise SingularChannelError(
+            f"Gram condition estimate {cond_est[bad]:.3e} exceeds {GRAM_CONDITION_LIMIT:.1e}",
+            realization=int(index[bad]),
         )
-    rhs = np.zeros((q, k, k), dtype=complex)
-    rhs[:, np.arange(k), np.arange(k)] = rhs_diag
     y = np.linalg.solve(chol, rhs)
-    x = np.linalg.solve(chol.conj().transpose(0, 2, 1), y)
-    w = b.conj().transpose(0, 2, 1) @ x
-    if quarter is not None:
-        w = w * quarter[None, :, None]
-    return w
+    return np.linalg.solve(chol.conj().swapaxes(-1, -2), y)
+
+
+def _positive_definite(matrices) -> bool:
+    try:
+        np.linalg.cholesky(matrices)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _weighted_zf_groups(h_by_antenna, rhs, index, rows, p, active, groups, ridge):
+    """W = D_p^(1/2) H^H (H D_p^(1/2) H^H)^(-1) diag(rhs) on the active antennas.
+
+    ``p`` and ``active`` hold the powers and active masks of the stack
+    realizations ``rows``; each group (positions into ``rows``) shares one
+    active-antenna count A, so its active channels form one (G, Q, K, A)
+    stack, and the Gram solves of all groups then run as one stack.
+    ``h_by_antenna`` is the channel stack in antenna-major (R, M, Q, K)
+    memory, which the gathered channels keep behind their (G, Q, K, A) view:
+    for K=1 the Gram product is a BLAS dot whose rounding depends on the
+    stride, and this order fixes it. Returns ``(cols, w)`` per group: the
+    (G, A) active columns and the (G, Q, A, K) precoders on them.
+    """
+    parts = []
+    for group in groups:
+        cols = active[group].nonzero()[1].reshape(group.size, -1)
+        quarter = np.sqrt(np.sqrt(p[group[:, None], cols]))
+        b = h_by_antenna[rows[group, None], cols].transpose(0, 2, 3, 1)
+        b = b * quarter[:, None, None, :]
+        b_adj = np.ascontiguousarray(b.conj().swapaxes(-1, -2))
+        parts.append((cols, quarter, b_adj, b @ b_adj))
+    if len(groups) == 1:
+        every, gram = rows[groups[0]], parts[0][3]
+    else:
+        every = rows[np.concatenate(groups)]
+        gram = np.concatenate([part[3] for part in parts])
+    x = _gram_solve(gram, rhs[every], index[every], ridge)
+    solved = []
+    start = 0
+    for group, (cols, quarter, b_adj, _) in zip(groups, parts):
+        w = (b_adj @ x[start:start + group.size]) * quarter[:, None, :, None]
+        solved.append((cols, w))
+        start += group.size
+    return solved
+
+
+def _by_active_count(counts):
+    """Split realizations into groups of equal active-antenna ``counts``."""
+    if (counts == counts[0]).all():
+        return [np.arange(counts.size)]
+    order = np.argsort(counts, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(counts[order])) + 1)
+
+
+def _fixed_point(h, rhs, index, cfg: FixedPointConfig) -> list[PrecoderSolution]:
+    """Fixed-point power iteration on a (R, Q, K, M) stack.
+
+    Each realization keeps its own powers, active mask, residual, iteration
+    count and stopping test, and leaves the working set once it converges.
+    Realizations with the same active-antenna count are solved together.
+    ``p`` and ``active`` hold the working set, realizations ``work``; a
+    realization's final state moves to ``p_final`` / ``active_final`` as it
+    leaves.
+    """
+    n, q, k, m = h.shape
+    h_by_antenna = np.ascontiguousarray(np.moveaxis(h, 3, 1))
+    p = np.full((n, m), cfg.initial_power)
+    active = np.ones((n, m), dtype=bool)
+    p_final, active_final = p.copy(), active.copy()
+    iterations = np.full(n, cfg.max_iterations)
+    converged = np.zeros(n, dtype=bool)
+    residual = np.full(n, np.inf)
+    history = [[row.copy()] for row in p] if cfg.record_history else None
+    work = np.arange(n)
+
+    for iteration in range(1, cfg.max_iterations + 1):
+        dying = active & (p < cfg.dead_antenna_floor)
+        p[dying] = 0.0
+        active[dying] = False
+        counts = active.sum(axis=1)
+        if (counts < k).any():
+            raise SingularChannelError(
+                "fewer active antennas than users; cannot hold the ZF constraint",
+                realization=int(index[work[np.argmax(counts < k)]]),
+            )
+        groups = _by_active_count(counts)
+        solved = _weighted_zf_groups(
+            h_by_antenna, rhs, index, work, p, active, groups, cfg.regularization
+        )
+        p_new = np.zeros_like(p)
+        for group, (cols, w_act) in zip(groups, solved):
+            p_new[group[:, None], cols] = (np.abs(w_act) ** 2).sum(axis=(1, 3))
+        step = abs(p_new - p).max(axis=1)
+        p = p_new
+        if history is not None:
+            for r, row in zip(work, p_new):
+                history[r].append(row.copy())
+        done = step <= cfg.tolerance
+        if iteration == cfg.max_iterations:
+            done[:] = True
+        elif not done.any():
+            continue
+        leaving = work[done]
+        p_final[leaving], active_final[leaving] = p[done], active[done]
+        residual[leaving] = step[done]
+        converged[leaving] = step[done] <= cfg.tolerance
+        iterations[leaving] = iteration
+        keep = ~done
+        work, p, active = work[keep], p[keep], active[keep]
+        if not work.size:
+            break
+
+    # Substitute the final power diagonal back to obtain the precoders.
+    matrices = [None] * n
+    every = np.arange(n)
+    groups = _by_active_count(active_final.sum(axis=1))
+    solved = _weighted_zf_groups(
+        h_by_antenna, rhs, index, every, p_final, active_final, groups, cfg.regularization
+    )
+    for group, (cols, w_act) in zip(groups, solved):
+        for r, w_r, cols_r in zip(group, w_act, cols):
+            w = np.zeros((q, m, k), dtype=complex)
+            w[:, cols_r, :] = w_r
+            matrices[r] = w
+    return [
+        _finish_solution(
+            matrices[r], int(iterations[r]), bool(converged[r]), residual[r],
+            history[r] if history is not None else None,
+        )
+        for r in range(n)
+    ]
+
+
+def zf_precoders(channels, qos_list) -> list[PrecoderSolution]:
+    """Zero-forcing precoders for a list of instances, solved as stacks.
+
+    Instances of equal channel shape are solved together; the result for
+    each equals :func:`zf_precoder` on that instance alone.
+    """
+    channels, qos_list = list(channels), list(qos_list)
+    solutions = [None] * len(channels)
+    for index, h, rhs in _stacks(channels, qos_list):
+        h_adj = np.ascontiguousarray(h.conj().swapaxes(-1, -2))
+        w = h_adj @ _gram_solve(h @ h_adj, rhs, index)
+        for i, w_i in zip(index, w):
+            solutions[i] = _finish_solution(w_i, iterations=0, converged=True, residual=0.0)
+    return solutions
+
+
+def min_pa_precoders(
+    channels, qos_list, cfg: FixedPointConfig | None = None
+) -> list[PrecoderSolution]:
+    """Consumption-minimizing precoders for a list of instances, solved as stacks.
+
+    Instances of equal channel shape iterate together; the result for each,
+    history included, equals :func:`min_pa_precoder` on that instance alone.
+    A :class:`SingularChannelError` names the list position of the
+    offending instance in ``realization``.
+    """
+    cfg = cfg or FixedPointConfig()
+    channels, qos_list = list(channels), list(qos_list)
+    solutions = [None] * len(channels)
+    for index, h, rhs in _stacks(channels, qos_list):
+        for i, solution in zip(index, _fixed_point(h, rhs, index, cfg)):
+            solutions[i] = solution
+    return solutions
 
 
 def zf_precoder(channel: ChannelRealization, qos: QosTargets) -> PrecoderSolution:
     """Per-subcarrier zero-forcing precoder minimizing total transmit power."""
-    _check_instance(channel, qos)
-    rhs = np.sqrt(qos.per_subcarrier_gamma) * qos.noise_std
-    w = _weighted_zf_matrices(channel.per_subcarrier, rhs)
-    return _finish_solution(w, iterations=0, converged=True, residual=0.0)
+    return zf_precoders([channel], [qos])[0]
 
 
 def min_pa_precoder(
@@ -167,66 +357,7 @@ def min_pa_precoder(
     than damped). Antennas driven below the dead floor are clamped to zero
     and their columns leave the active Gram solve.
     """
-    cfg = cfg or FixedPointConfig()
-    _check_instance(channel, qos)
-    h = channel.per_subcarrier
-    m = channel.m_antennas
-    k = channel.k_users
-    rhs = np.sqrt(qos.per_subcarrier_gamma) * qos.noise_std
-
-    p = np.full(m, cfg.initial_power)
-    active = np.ones(m, dtype=bool)
-    history = [p.copy()] if cfg.record_history else None
-    converged = False
-    residual = np.inf
-    iterations = 0
-
-    for iterations in range(1, cfg.max_iterations + 1):
-        dying = active & (p < cfg.dead_antenna_floor)
-        if np.any(dying):
-            p[dying] = 0.0
-            active[dying] = False
-        if np.count_nonzero(active) < k:
-            raise SingularChannelError(
-                "fewer active antennas than users; cannot hold the ZF constraint"
-            )
-        w_act = _weighted_zf_matrices(
-            h[:, :, active], rhs, sqrt_powers=np.sqrt(p[active]), ridge=cfg.regularization
-        )
-        p_new = np.zeros(m)
-        p_new[active] = np.sum(np.abs(w_act) ** 2, axis=(0, 2))
-        residual = float(np.max(np.abs(p_new - p)))
-        p = p_new
-        if history is not None:
-            history.append(p.copy())
-        if residual <= cfg.tolerance:
-            converged = True
-            break
-
-    # Substitute the final power diagonal back to obtain the precoders.
-    w = np.zeros((channel.subcarriers, m, k), dtype=complex)
-    w[:, active, :] = _weighted_zf_matrices(
-        h[:, :, active], rhs, sqrt_powers=np.sqrt(p[active]), ridge=cfg.regularization
-    )
-    return _finish_solution(w, iterations, converged, residual, history)
-
-
-def min_pa_precoder_narrowband(
-    h_matrix,
-    qos: QosTargets,
-    cfg: FixedPointConfig | None = None,
-) -> PrecoderSolution:
-    """Narrowband (Q=1) consumption-minimizing precoder for a K x M channel."""
-    h = np.atleast_2d(np.asarray(h_matrix, dtype=complex))
-    if h.ndim != 2:
-        raise DimensionError(f"expected a K x M matrix, got shape {h.shape}")
-    if qos.subcarriers != 1:
-        raise DomainError("narrowband solver requires QoS targets with subcarriers=1")
-    kind = "los" if np.allclose(np.abs(h), 1.0, atol=1e-12) else "rayleigh"
-    channel = ChannelRealization(
-        per_subcarrier=h[None, :, :], large_scale=np.ones(h.shape[0]), kind=kind
-    )
-    return min_pa_precoder(channel, qos, cfg)
+    return min_pa_precoders([channel], [qos], cfg)[0]
 
 
 def _check_scalar_targets(gamma: float, noise_std: float):

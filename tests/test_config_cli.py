@@ -8,8 +8,11 @@ from energymimo.config import (
     parse_config_text,
     with_scenario,
 )
-from energymimo.errors import ConfigError
-from energymimo.experiments import run_experiment, validate_suite
+from energymimo.errors import ConfigError, SingularChannelError
+from energymimo.experiments import _realization_blocks, run_experiment, validate_suite
+
+# Q * K * M = 32768 channel entries: one realization per solver block.
+WIDEBAND_CFG = "m_antennas = 32\nk_users = 4\nsubcarriers = 256\nrealizations = 3\nseed = 8\n"
 
 
 def test_dbm_conversion():
@@ -150,6 +153,53 @@ def test_cli_threads_do_not_change_bytes(tmp_path, monkeypatch):
     monkeypatch.setenv("ENERGYMIMO_THREADS", "4")
     assert main(["run", "--config", str(cfgfile), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_blocks_and_threads_do_not_change_bytes(tmp_path, monkeypatch):
+    cfgfile = tmp_path / "wide.cfg"
+    cfgfile.write_text(WIDEBAND_CFG)
+    blocks = _realization_blocks(load_config(str(cfgfile)))
+    assert blocks == [range(0, 1), range(1, 2), range(2, 3)]
+    out1 = tmp_path / "a.csv"
+    out2 = tmp_path / "b.csv"
+    assert main(["run", "--config", str(cfgfile), "--out", str(out1), "--threads", "1"]) == 0
+    monkeypatch.setenv("ENERGYMIMO_THREADS", "3")
+    assert main(["run", "--config", str(cfgfile), "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_singular_channel_exit_code(tmp_path, monkeypatch, capsys):
+    import energymimo.experiments as exps
+
+    real = exps.min_pa_precoders
+    calls = []
+
+    def failing_third_block(channels, qos_list, cfg):
+        calls.append(len(channels))
+        if len(calls) == 3:
+            raise SingularChannelError("stub Gram failure", realization=0)
+        return real(channels, qos_list, cfg)
+
+    monkeypatch.setattr(exps, "min_pa_precoders", failing_third_block)
+    cfgfile = tmp_path / "wide.cfg"
+    cfgfile.write_text(WIDEBAND_CFG)
+    assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "o.csv")]) == 2
+    assert calls == [1, 1, 1]
+    assert "infeasible scenario: realization 2: stub Gram failure" in capsys.readouterr().err
+
+    solves = []
+
+    def failing_second_solve(channel, qos, cfg):
+        solves.append(1)
+        if len(solves) == 2:
+            raise SingularChannelError("stub Gram failure")
+        return real([channel], [qos], cfg)[0]
+
+    monkeypatch.setattr(exps, "min_pa_precoder", failing_second_solve)
+    conv = tmp_path / "conv.cfg"
+    conv.write_text("m_antennas = 8\nk_users = 2\nrealizations = 3\nseed = 2\noracle = false\n")
+    assert main(["convergence", "--config", str(conv), "--out", str(tmp_path / "c.csv")]) == 2
+    assert "infeasible scenario: realization 1: stub Gram failure" in capsys.readouterr().err
 
 
 def test_cli_config_error_exit_code(tmp_path):

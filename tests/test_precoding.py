@@ -7,15 +7,17 @@ from energymimo import (
     QosTargets,
     los_allocation_precoder,
     min_pa_precoder,
-    min_pa_precoder_narrowband,
+    min_pa_precoders,
     pa_consumed_power,
     per_antenna_powers,
     single_user_narrowband_precoder,
     single_user_saturating_precoder,
     zf_precoder,
+    zf_precoders,
 )
 from energymimo.channel import draw_los_channel
 from energymimo.errors import DimensionError, DomainError, InfeasibleError, SingularChannelError
+from energymimo.precoding import GRAM_CONDITION_LIMIT, ZF_TOLERANCE
 
 from conftest import draw_cell_instance
 
@@ -139,28 +141,180 @@ def test_min_pa_zf_residual_holds(table_pa):
     assert zf_residual(channel, qos, sol) <= 1e-9
 
 
-def test_narrowband_wrapper_matches_core():
+def test_min_pa_narrowband_matches_stacked_core():
+    # A K x M matrix is the Q=1 channel stack; its solve equals the stacked one.
     rng = np.random.default_rng(26)
     h = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
     qos = QosTargets(gamma=[2.0, 3.0], noise_power=1.0)
-    direct = min_pa_precoder_narrowband(h, qos)
-    stacked = min_pa_precoder(
-        ChannelRealization(per_subcarrier=h[None], large_scale=np.ones(2), kind="rayleigh"),
-        qos,
-    )
-    assert direct.powers == pytest.approx(stacked.powers)
-    with pytest.raises(DomainError):
-        min_pa_precoder_narrowband(h, QosTargets(gamma=[2.0, 3.0], noise_power=1.0, subcarriers=4))
+    direct = min_pa_precoder(narrowband_channel(h), qos)
+    stacked = min_pa_precoders([narrowband_channel(h)], [qos])[0]
+    assert np.array_equal(direct.powers, stacked.powers)
+    with pytest.raises(DimensionError):
+        min_pa_precoder(
+            narrowband_channel(h), QosTargets(gamma=[2.0, 3.0], noise_power=1.0, subcarriers=4)
+        )
 
 
-def test_narrowband_wrapper_single_user_closed_form():
+def test_min_pa_narrowband_single_user_closed_form():
     rng = np.random.default_rng(27)
     h = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     qos = QosTargets(gamma=[6.0], noise_power=1.0)
     cfg = FixedPointConfig(tolerance=1e-12, max_iterations=50_000)
-    iterated = min_pa_precoder_narrowband(h[None, :], qos, cfg)
+    iterated = min_pa_precoder(narrowband_channel(h[None, :]), qos, cfg)
     closed = single_user_narrowband_precoder(h, 6.0, 1.0)
     assert iterated.powers == pytest.approx(closed.powers, rel=1e-5, abs=1e-9)
+
+
+def unit_instance(seed, subcarriers, m_antennas=6):
+    rng = np.random.default_rng(seed)
+    shape = (subcarriers, 2, m_antennas)
+    h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    channel = ChannelRealization(per_subcarrier=h, large_scale=np.ones(2), kind="rayleigh")
+    return channel, QosTargets(gamma=[2.0, 3.0], noise_power=1.0, subcarriers=subcarriers)
+
+
+def assert_same_solution(stacked, alone):
+    assert np.array_equal(stacked.matrices, alone.matrices)
+    assert np.array_equal(stacked.powers, alone.powers)
+    assert stacked.iterations == alone.iterations
+    assert stacked.converged == alone.converged
+    assert stacked.residual == alone.residual
+    assert np.array_equal(stacked.active_set, alone.active_set)
+
+
+def test_stacked_min_pa_equals_one_at_a_time():
+    # Narrowband instances that prune (seeds 40, 43, 48) and one that needs
+    # ~1500 iterations (seed 42) share a stack; the Q=4 ones form another.
+    cfg = FixedPointConfig(tolerance=1e-10, max_iterations=300, record_history=True)
+    instances = [
+        unit_instance(40, 1), unit_instance(44, 4), unit_instance(42, 1),
+        unit_instance(43, 1), unit_instance(45, 4), unit_instance(48, 1),
+    ]
+    channels = [channel for channel, _ in instances]
+    targets = [qos for _, qos in instances]
+    stacked = min_pa_precoders(channels, targets, cfg)
+    assert len(stacked) == len(instances)
+    for channel, qos, solution in zip(channels, targets, stacked):
+        alone = min_pa_precoder(channel, qos, cfg)
+        assert_same_solution(solution, alone)
+        assert all(np.array_equal(a, b) for a, b in zip(solution.history, alone.history))
+        assert zf_residual(channel, qos, solution) <= ZF_TOLERANCE
+    slow = stacked[2]
+    assert not slow.converged
+    assert slow.iterations == cfg.max_iterations
+    fast = [s for i, s in enumerate(stacked) if i != 2]
+    assert all(s.converged and s.iterations < cfg.max_iterations for s in fast)
+    assert len({s.iterations for s in fast}) == len(fast)
+    pruned = [stacked[i] for i in (0, 3, 5)]
+    assert all(np.count_nonzero(s.powers == 0.0) > 0 for s in pruned)
+    assert len({len(s.active_set) for s in pruned}) > 1
+
+
+def reference_min_pa(channel, qos, cfg):
+    """The fixed point as a plain one-realization loop on the active columns."""
+    h = channel.per_subcarrier
+    q, k, m = h.shape
+    rhs = np.zeros((q, k, k), dtype=complex)
+    rhs[:, np.arange(k), np.arange(k)] = np.sqrt(qos.per_subcarrier_gamma) * qos.noise_std
+
+    def weighted_zf(active, p):
+        quarter = np.sqrt(np.sqrt(p[active]))
+        b = h[:, :, active] * quarter[None, None, :]
+        gram = b @ b.conj().transpose(0, 2, 1)
+        if cfg.regularization > 0.0:
+            trace = np.einsum("qkk->q", gram).real
+            gram = gram + (cfg.regularization * trace / k)[:, None, None] * np.eye(k)
+        chol = np.linalg.cholesky(gram)
+        x = np.linalg.solve(chol.conj().transpose(0, 2, 1), np.linalg.solve(chol, rhs))
+        return (b.conj().transpose(0, 2, 1) @ x) * quarter[None, :, None]
+
+    p = np.full(m, cfg.initial_power)
+    active = np.ones(m, dtype=bool)
+    for iterations in range(1, cfg.max_iterations + 1):
+        dying = active & (p < cfg.dead_antenna_floor)
+        p[dying] = 0.0
+        active[dying] = False
+        p_new = np.zeros(m)
+        p_new[active] = np.sum(np.abs(weighted_zf(active, p)) ** 2, axis=(0, 2))
+        residual = float(np.max(np.abs(p_new - p)))
+        p = p_new
+        if residual <= cfg.tolerance:
+            break
+    w = np.zeros((q, m, k), dtype=complex)
+    w[:, active, :] = weighted_zf(active, p)
+    return w, iterations, residual
+
+
+def test_stacked_min_pa_equals_reference_loop():
+    # Same arithmetic as the plain loop, to the bit, including K=1 with Q>1
+    # (a strided BLAS dot in the Gram) and a ridge.
+    rng = np.random.default_rng(39)
+    instances = [draw_cell_instance(12, 1, 8, rng) for _ in range(3)]
+    instances += [draw_cell_instance(16, 3, 1, rng) for _ in range(3)]
+    instances += [draw_cell_instance(10, 2, 4, rng) for _ in range(2)]
+    for cfg in (FixedPointConfig(), FixedPointConfig(regularization=1e-3, max_iterations=40)):
+        solutions = min_pa_precoders(*zip(*instances), cfg)
+        for (channel, qos), solution in zip(instances, solutions):
+            w, iterations, residual = reference_min_pa(channel, qos, cfg)
+            assert np.array_equal(solution.matrices, w)
+            assert solution.iterations == iterations
+            assert solution.residual == residual
+
+
+def test_stacked_zf_equals_one_at_a_time():
+    rng = np.random.default_rng(37)
+    instances = [draw_cell_instance(8, 2, q, rng) for q in (1, 3, 1, 3, 1)]
+    channels = [channel for channel, _ in instances]
+    targets = [qos for _, qos in instances]
+    for channel, qos, solution in zip(channels, targets, zf_precoders(channels, targets)):
+        assert_same_solution(solution, zf_precoder(channel, qos))
+
+
+def test_condition_guard_is_per_realization():
+    # A weak, nearly collinear pair of users next to a strong, well-spread
+    # pair: each passes the guard alone, a guard pooled over both would not.
+    rng = np.random.default_rng(36)
+
+    def gaussian(shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+    g = gaussian((1, 2, 8))
+    g[0, 1] = g[0, 0] + 1e-4 * gaussian(8)
+    weak = ChannelRealization(
+        per_subcarrier=np.sqrt(1e-13) * g, large_scale=np.full(2, 1e-13), kind="rayleigh"
+    )
+    strong = ChannelRealization(
+        per_subcarrier=np.sqrt(1e-7) * gaussian((1, 2, 8)),
+        large_scale=np.full(2, 1e-7),
+        kind="rayleigh",
+    )
+    pooled = np.concatenate([
+        np.abs(np.diagonal(np.linalg.cholesky(h @ h.conj().transpose(0, 2, 1)), axis1=1, axis2=2))
+        for h in (weak.per_subcarrier, strong.per_subcarrier)
+    ], axis=None)
+    assert (pooled.max() / pooled.min()) ** 2 > GRAM_CONDITION_LIMIT
+
+    qos = QosTargets(gamma=[4.0, 6.0], noise_power=10.0 ** (-12.6))
+    cfg = FixedPointConfig(max_iterations=50)
+    channels = [weak, strong, weak]
+    stacked = min_pa_precoders(channels, [qos] * 3, cfg)
+    for channel, solution in zip(channels, stacked):
+        assert_same_solution(solution, min_pa_precoder(channel, qos, cfg))
+    for channel, solution in zip(channels, zf_precoders(channels, [qos] * 3)):
+        assert_same_solution(solution, zf_precoder(channel, qos))
+
+
+def test_stacked_errors_name_the_realization():
+    rng = np.random.default_rng(38)
+    good, qos = draw_cell_instance(4, 2, 1, rng)
+    deficient = narrowband_channel(np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]]))
+    for solve in (zf_precoders, min_pa_precoders):
+        with pytest.raises(SingularChannelError) as err:
+            solve([good, good, deficient, good], [qos] * 4)
+        assert err.value.realization == 2
+        assert str(err.value).startswith("realization 2: ")
+    with pytest.raises(DimensionError):
+        min_pa_precoders([good, good], [qos])
 
 
 def test_single_user_narrowband_examples():
