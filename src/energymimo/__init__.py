@@ -15,7 +15,6 @@ from .asymptotic import (
     feasibility_check,
     min_ma_power_constraint,
     optimal_ma_constrained,
-    optimal_ma_unconstrained,
     solve_quartic_ma,
     trace_term,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "min_pa_precoder",
     "min_pa_precoders",
     "optimal_ma_constrained",
-    "optimal_ma_unconstrained",
     "pa_consumed_power",
     "pa_efficiency",
     "per_antenna_powers",

@@ -162,31 +162,6 @@ def _round_by_objective(y: float, objective) -> int:
     return floor_y if objective(floor_y) <= objective(ceil_y) else ceil_y
 
 
-def optimal_ma_unconstrained(
-    m_antennas: int, k_users: int, trace: float, pa: PaModel, bs: BsModel
-) -> int:
-    """Integer count minimizing the asymptotic BS power without power caps.
-
-    The continuous quartic root is clamped to [K+1, M] first; the ceil-floor
-    rounding under the BS power objective is applied only when the clamped
-    value is interior.
-    """
-    if m_antennas <= k_users:
-        raise InfeasibleError(
-            f"zero forcing needs M > K, got M={m_antennas}, K={k_users}"
-        )
-    if trace == 0.0:
-        return k_users + 1  # no PA term: circuits dominate outright
-    x = solve_quartic_ma(k_users, _stationarity_t(k_users, trace, pa, bs), bs.circuit_per_antenna)
-    if x <= k_users + 1:
-        return k_users + 1
-    if x >= m_antennas:
-        return m_antennas
-    return _round_by_objective(
-        x, lambda n: asymptotic_bs_power(n, k_users, trace, pa, bs)
-    )
-
-
 def optimal_ma_constrained(
     m_antennas: int,
     k_users: int,
@@ -200,7 +175,9 @@ def optimal_ma_constrained(
     Takes the larger of the unconstrained quartic optimum and the
     power-constraint lower bound, then applies the bound checks before the
     ceil-floor rounding. Raises :class:`InfeasibleError` carrying the
-    minimal feasible M when even the full array violates the caps.
+    minimal feasible M when even the full array violates the caps. With
+    ``p_max = math.inf`` the bound is K and ``m_dagger`` is the uncapped
+    optimum.
     """
     if m_antennas <= k_users:
         raise InfeasibleError(

@@ -20,8 +20,6 @@ PATHLOSS_SLOPE_DB = 37.6
 # gamma_dB = 5 log10(beta / SINR_REF_COEFF). Overridable per call.
 SINR_REF_COEFF = 4.86e-14
 
-CHANNEL_KINDS = ("rayleigh", "los")
-
 
 @dataclass(frozen=True)
 class CellGeometry:
@@ -97,14 +95,11 @@ class ChannelRealization:
 
     per_subcarrier: np.ndarray
     large_scale: np.ndarray
-    kind: str
 
     def __post_init__(self):
         h = np.asarray(self.per_subcarrier)
         if h.ndim != 3:
             raise DimensionError(f"expected (Q, K, M) channel stack, got shape {h.shape}")
-        if self.kind not in CHANNEL_KINDS:
-            raise DomainError(f"unknown channel kind {self.kind!r}")
         beta = np.atleast_1d(np.asarray(self.large_scale, dtype=float))
         if beta.shape[0] != h.shape[1]:
             raise DimensionError("large_scale length must match the user count")
@@ -195,7 +190,7 @@ def draw_rayleigh_channel(
         )
         g = np.tensordot(phase, c, axes=(1, 0))
     h = np.sqrt(beta)[None, :, None] * g
-    return ChannelRealization(per_subcarrier=h, large_scale=beta, kind="rayleigh")
+    return ChannelRealization(per_subcarrier=h, large_scale=beta)
 
 
 def draw_los_channel(
@@ -215,6 +210,4 @@ def draw_los_channel(
         h = np.exp(2j * np.pi * rng.random(shape))
     else:
         h = np.ones(shape, dtype=complex)
-    return ChannelRealization(
-        per_subcarrier=h, large_scale=np.ones(k_users), kind="los"
-    )
+    return ChannelRealization(per_subcarrier=h, large_scale=np.ones(k_users))

@@ -8,7 +8,6 @@ and nowhere else in the library.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, replace
 
 from .channel import SINR_REF_COEFF, CellGeometry
@@ -23,12 +22,6 @@ ASYM_MODES = ("k_sweep", "q_error", "ma_curve")
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(watts: float) -> float:
-    if watts <= 0.0:
-        raise ValueError("power must be positive for a dBm conversion")
-    return 10.0 * math.log10(watts) + 30.0
 
 
 @dataclass(frozen=True)
@@ -84,9 +77,7 @@ class ExperimentConfig:
     # Fixed-point iteration.
     epsilon: float = 1e-4
     max_iterations: int = 2000
-    initial_power: float = 1.0
     dead_antenna_floor: float = 1e-12
-    regularization: float = 0.0
     # Convergence-command oracle.
     oracle: bool = True
     oracle_max_m: int = 8
@@ -103,9 +94,7 @@ class ExperimentConfig:
         return FixedPointConfig(
             tolerance=self.epsilon,
             max_iterations=self.max_iterations,
-            initial_power=self.initial_power,
             dead_antenna_floor=self.dead_antenna_floor,
-            regularization=self.regularization,
             record_history=record_history,
         )
 
@@ -122,7 +111,7 @@ _FLOAT_KEYS = {
     "freq_decay", "p_max_watts", "eta_max", "backoff", "noise_dbm",
     "p_fix_watts", "circuit_watts", "active_threshold_watts",
     "u_min_m", "u_max_m", "sinr_ref",
-    "epsilon", "initial_power", "dead_antenna_floor", "regularization",
+    "epsilon", "dead_antenna_floor",
 }
 _BOOL_KEYS = {"discard_over_pmax", "oracle"}
 _STR_KEYS = {"channel", "asym_mode", "out"}

@@ -24,7 +24,6 @@ from .asymptotic import (
     trace_term,
 )
 from .channel import (
-    ChannelRealization,
     FreqCorrelation,
     QosTargets,
     draw_los_channel,
@@ -34,7 +33,9 @@ from .channel import (
     target_sinr,
 )
 from .config import AS1_PRECODERS, ExperimentConfig
-from .errors import EnergyMimoError, InfeasibleError, OracleSizeError, SingularChannelError
+from .errors import (
+    ConfigError, EnergyMimoError, InfeasibleError, OracleSizeError, SingularChannelError,
+)
 from .model import bs_consumed_power, gain_metrics, pa_consumed_power
 from .precoding import (
     FixedPointConfig,
@@ -78,23 +79,26 @@ def _realization_rng(cfg: ExperimentConfig, index: int) -> np.random.Generator:
     return np.random.default_rng(cfg.scenario.seed + index)
 
 
-def _draw_targets(cfg: ExperimentConfig, rng: np.random.Generator):
+def _draw_users(cfg: ExperimentConfig, rng: np.random.Generator, k_users: int):
+    """Large-scale fading and SINR targets of ``k_users`` users dropped in the cell."""
     sc = cfg.scenario
-    u = draw_user_distances(sc.k_users, sc.geometry(), rng)
-    beta = large_scale_fading(u)
-    gamma = target_sinr(beta, sc.sinr_ref)
-    qos = QosTargets(gamma=gamma, noise_power=sc.noise_power, subcarriers=sc.subcarriers)
-    return np.atleast_1d(beta), qos
+    beta = large_scale_fading(draw_user_distances(k_users, sc.geometry(), rng))
+    return beta, target_sinr(beta, sc.sinr_ref)
 
 
-def _draw_channel(cfg: ExperimentConfig, beta, rng: np.random.Generator) -> ChannelRealization:
+def _draw_scenario(cfg: ExperimentConfig, rng: np.random.Generator, subcarriers: int):
+    """One realization over ``subcarriers``: its channel and its QoS targets."""
     sc = cfg.scenario
+    beta, gamma = _draw_users(cfg, rng, sc.k_users)
+    qos = QosTargets(gamma=gamma, noise_power=sc.noise_power, subcarriers=subcarriers)
     if sc.channel == "los":
-        return draw_los_channel(sc.m_antennas, sc.k_users, sc.subcarriers, rng)
-    correlation = FreqCorrelation(sc.freq_taps, sc.freq_decay) if sc.freq_taps > 0 else None
-    return draw_rayleigh_channel(
-        sc.m_antennas, sc.k_users, sc.subcarriers, beta, rng, correlation
-    )
+        channel = draw_los_channel(sc.m_antennas, sc.k_users, subcarriers, rng)
+    else:
+        correlation = FreqCorrelation(sc.freq_taps, sc.freq_decay) if sc.freq_taps > 0 else None
+        channel = draw_rayleigh_channel(
+            sc.m_antennas, sc.k_users, subcarriers, beta, rng, correlation
+        )
+    return channel, qos
 
 
 def _solve_block(name: str, channels, qos_list, cfg: ExperimentConfig):
@@ -174,8 +178,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         channels, qos_list = [], []
         for index in block:
             rng = _realization_rng(cfg, index)
-            beta, qos = _draw_targets(cfg, rng)
-            channels.append(_draw_channel(cfg, beta, rng))
+            channel, qos = _draw_scenario(cfg, rng, cfg.scenario.subcarriers)
+            channels.append(channel)
             qos_list.append(qos)
         try:
             solved = {name: _solve_block(name, channels, qos_list, cfg) for name in cfg.precoders}
@@ -213,8 +217,7 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     def worker(index: int):
         rng = _realization_rng(cfg, index)
-        beta, qos = _draw_targets(cfg, rng)
-        channel = _draw_channel(cfg, beta, rng)
+        channel, qos = _draw_scenario(cfg, rng, cfg.scenario.subcarriers)
         try:
             solution = min_pa_precoder(channel, qos, cfg.fixed_point(record_history=True))
         except SingularChannelError as exc:
@@ -274,6 +277,9 @@ def asymptotic_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Asymptotic sweeps: antenna plans vs K, finite-Q error, or BS curve."""
     if cfg.asym_mode == "k_sweep":
         return _asymptotic_k_sweep(cfg)
+    sc = cfg.scenario
+    if sc.m_antennas <= sc.k_users:
+        raise InfeasibleError(f"zero forcing needs M > K, got M={sc.m_antennas}, K={sc.k_users}")
     if cfg.asym_mode == "q_error":
         return _asymptotic_q_error(cfg)
     return _asymptotic_ma_curve(cfg)
@@ -283,16 +289,12 @@ def _asymptotic_k_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     sc = cfg.scenario
     pa = sc.pa_model()
     bs = sc.bs_model()
-    geometry = sc.geometry()
     m = sc.m_antennas
 
     def worker(index: int):
-        rng = _realization_rng(cfg, index)
         # One nested user drop per realization: user k's position is shared
         # by every K >= k, which keeps the sweep coupled across loads.
-        u_all = draw_user_distances(cfg.k_max, geometry, rng)
-        beta_all = np.atleast_1d(large_scale_fading(u_all))
-        gamma_all = np.atleast_1d(target_sinr(beta_all, sc.sinr_ref))
+        beta_all, gamma_all = _draw_users(cfg, _realization_rng(cfg, index), cfg.k_max)
         rows = []
         for k in range(cfg.k_min, cfg.k_max + 1):
             trace = trace_term(beta_all[:k], gamma_all[:k], sc.noise_power)
@@ -337,23 +339,21 @@ def _asymptotic_q_error(cfg: ExperimentConfig) -> ExperimentResult:
     # The asymptotic-regime precoder is the per-subcarrier ZF, so the
     # finite-Q consumption is simulated with it; the consumption-minimizing
     # iteration keeps a small optimality gap below the asymptote that is not
-    # what the deterministic formula models.
+    # what the deterministic formula models. The formula's inverse-Wishart
+    # trace holds only for i.i.d. Rayleigh subcarriers.
     sc = cfg.scenario
+    if sc.channel != "rayleigh" or sc.freq_taps > 0:
+        raise ConfigError("q_error needs channel = rayleigh and freq_taps = 0")
     pa = sc.pa_model()
     rows = []
     summary = {"realizations": cfg.realizations, "q_list": cfg.q_list}
     for q in cfg.q_list:
         def worker(index: int, q=q):
-            rng = _realization_rng(cfg, index)
-            u = draw_user_distances(sc.k_users, sc.geometry(), rng)
-            beta = np.atleast_1d(large_scale_fading(u))
-            gamma = np.atleast_1d(target_sinr(beta, sc.sinr_ref))
-            qos = QosTargets(gamma=gamma, noise_power=sc.noise_power, subcarriers=q)
-            channel = draw_rayleigh_channel(sc.m_antennas, sc.k_users, q, beta, rng)
+            channel, qos = _draw_scenario(cfg, _realization_rng(cfg, index), q)
             solution = zf_precoder(channel, qos)
             over_cap = bool(np.any(solution.powers > sc.p_max_watts))
             p_sim = pa_consumed_power(solution.powers, pa)
-            trace = trace_term(beta, gamma, sc.noise_power)
+            trace = trace_term(channel.large_scale, qos.gamma, sc.noise_power)
             p_asym = asymptotic_pa_power(sc.m_antennas, sc.k_users, trace, pa)
             return p_sim, p_asym, over_cap
 
@@ -382,10 +382,7 @@ def _asymptotic_ma_curve(cfg: ExperimentConfig) -> ExperimentResult:
     k = sc.k_users
 
     def worker(index: int):
-        rng = _realization_rng(cfg, index)
-        u = draw_user_distances(k, sc.geometry(), rng)
-        beta = np.atleast_1d(large_scale_fading(u))
-        gamma = np.atleast_1d(target_sinr(beta, sc.sinr_ref))
+        beta, gamma = _draw_users(cfg, _realization_rng(cfg, index), k)
         return trace_term(beta, gamma, sc.noise_power)
 
     traces = _map_realizations(cfg, worker)

@@ -1,7 +1,8 @@
 """Power-consumption models of the base station and its amplifiers.
 
-Everything here works in linear Watts; dB conversions belong to the CLI
-boundary. All functions are pure and safe for concurrent use.
+Everything here works in linear Watts; dB conversions happen once, when
+``config`` loads an experiment. All functions are pure and safe for
+concurrent use.
 """
 
 from __future__ import annotations

@@ -30,6 +30,10 @@ from .model import DEFAULT_ACTIVE_POWER_THRESHOLD, per_antenna_powers
 # Condition-number estimate beyond which the Gram solve is refused.
 GRAM_CONDITION_LIMIT = 1e12
 
+# Uniform start of the fixed point, in Watts. The first weighted-ZF iterate
+# does not depend on the scale of a uniform start.
+INITIAL_POWER = 1.0
+
 # Tolerance on max |[H_q W_q]_{k',k} - delta * (gamma_k/Q)^(1/2) sigma| that
 # every returned solution is expected to satisfy.
 ZF_TOLERANCE = 1e-9
@@ -42,16 +46,12 @@ class FixedPointConfig:
     ``tolerance`` is the absolute stopping threshold on the largest
     per-antenna power change between iterations, in Watts. Antennas whose
     power falls below ``dead_antenna_floor`` are clamped to zero and removed
-    from subsequent Gram solves. ``regularization`` adds a relative ridge
-    (times trace/K) to the Gram matrix; zero by default and documented as a
-    deviation knob for near-singular instances.
+    from subsequent Gram solves.
     """
 
     tolerance: float = 1e-4
     max_iterations: int = 2000
-    initial_power: float = 1.0
     dead_antenna_floor: float = 1e-12
-    regularization: float = 0.0
     record_history: bool = False
 
     def __post_init__(self):
@@ -59,10 +59,8 @@ class FixedPointConfig:
             raise DomainError("tolerance must be positive")
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be >= 1")
-        if self.initial_power <= 0.0:
-            raise DomainError("initial_power must be positive")
-        if self.dead_antenna_floor < 0.0 or self.regularization < 0.0:
-            raise DomainError("floors and ridge must be >= 0")
+        if self.dead_antenna_floor < 0.0:
+            raise DomainError("dead_antenna_floor must be >= 0")
 
 
 @dataclass
@@ -138,7 +136,7 @@ def _stacks(channels: list, qos_list: list):
         yield np.array(members), h, rhs
 
 
-def _gram_solve(gram, rhs, index, ridge=0.0):
+def _gram_solve(gram, rhs, index):
     """Solve G X = diag(rhs) for a (R, Q, K, K) stack of Gram matrices.
 
     A Cholesky factorization followed by two substitutions with
@@ -147,9 +145,6 @@ def _gram_solve(gram, rhs, index, ridge=0.0):
     Cholesky diagonal. ``index`` names each realization in errors.
     """
     n, q, k, _ = gram.shape
-    if ridge > 0.0:
-        trace = np.einsum("...kk->...", gram).real
-        gram = gram + (ridge * trace / k)[..., None, None] * np.eye(k)
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
@@ -179,7 +174,7 @@ def _positive_definite(matrices) -> bool:
     return True
 
 
-def _weighted_zf_groups(h_by_antenna, rhs, index, rows, p, active, groups, ridge):
+def _weighted_zf_groups(h_by_antenna, rhs, index, rows, p, active, groups):
     """W = D_p^(1/2) H^H (H D_p^(1/2) H^H)^(-1) diag(rhs) on the active antennas.
 
     ``p`` and ``active`` hold the powers and active masks of the stack
@@ -205,7 +200,7 @@ def _weighted_zf_groups(h_by_antenna, rhs, index, rows, p, active, groups, ridge
     else:
         every = rows[np.concatenate(groups)]
         gram = np.concatenate([part[3] for part in parts])
-    x = _gram_solve(gram, rhs[every], index[every], ridge)
+    x = _gram_solve(gram, rhs[every], index[every])
     solved = []
     start = 0
     for group, (cols, quarter, b_adj, _) in zip(groups, parts):
@@ -235,7 +230,7 @@ def _fixed_point(h, rhs, index, cfg: FixedPointConfig) -> list[PrecoderSolution]
     """
     n, q, k, m = h.shape
     h_by_antenna = np.ascontiguousarray(np.moveaxis(h, 3, 1))
-    p = np.full((n, m), cfg.initial_power)
+    p = np.full((n, m), INITIAL_POWER)
     active = np.ones((n, m), dtype=bool)
     p_final, active_final = p.copy(), active.copy()
     iterations = np.full(n, cfg.max_iterations)
@@ -255,9 +250,7 @@ def _fixed_point(h, rhs, index, cfg: FixedPointConfig) -> list[PrecoderSolution]
                 realization=int(index[work[np.argmax(counts < k)]]),
             )
         groups = _by_active_count(counts)
-        solved = _weighted_zf_groups(
-            h_by_antenna, rhs, index, work, p, active, groups, cfg.regularization
-        )
+        solved = _weighted_zf_groups(h_by_antenna, rhs, index, work, p, active, groups)
         p_new = np.zeros_like(p)
         for group, (cols, w_act) in zip(groups, solved):
             p_new[group[:, None], cols] = (np.abs(w_act) ** 2).sum(axis=(1, 3))
@@ -285,9 +278,7 @@ def _fixed_point(h, rhs, index, cfg: FixedPointConfig) -> list[PrecoderSolution]
     matrices = [None] * n
     every = np.arange(n)
     groups = _by_active_count(active_final.sum(axis=1))
-    solved = _weighted_zf_groups(
-        h_by_antenna, rhs, index, every, p_final, active_final, groups, cfg.regularization
-    )
+    solved = _weighted_zf_groups(h_by_antenna, rhs, index, every, p_final, active_final, groups)
     for group, (cols, w_act) in zip(groups, solved):
         for r, w_r, cols_r in zip(group, w_act, cols):
             w = np.zeros((q, m, k), dtype=complex)

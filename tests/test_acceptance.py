@@ -324,7 +324,7 @@ def test_criterion_13_property_suite(table_pa):
     h = (rng.standard_normal((2, 2, 6)) + 1j * rng.standard_normal((2, 2, 6))) / np.sqrt(2)
     from energymimo import ChannelRealization
 
-    channel = ChannelRealization(per_subcarrier=h, large_scale=np.ones(2), kind="rayleigh")
+    channel = ChannelRealization(per_subcarrier=h, large_scale=np.ones(2))
     gamma = np.array([3.0, 7.0])
     a = min_pa_precoder(
         channel,
@@ -346,7 +346,7 @@ def test_criterion_13_property_suite(table_pa):
     # phase covariance
     phases = np.exp(2j * np.pi * rng.random(2))
     rotated = ChannelRealization(
-        per_subcarrier=phases[None, :, None] * h, large_scale=np.ones(2), kind="rayleigh"
+        per_subcarrier=phases[None, :, None] * h, large_scale=np.ones(2)
     )
     qos = QosTargets(gamma=gamma, noise_power=1.0, subcarriers=2)
     np.testing.assert_allclose(

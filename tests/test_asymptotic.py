@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from energymimo import (
     feasibility_check,
     min_ma_power_constraint,
     optimal_ma_constrained,
-    optimal_ma_unconstrained,
     solve_quartic_ma,
     trace_term,
 )
@@ -138,18 +139,18 @@ def test_feasibility_check_examples():
         feasibility_check(4, 4, 1.0, 1.0)
 
 
-def test_optimal_ma_unconstrained_regimes(table_pa):
+def test_optimal_ma_uncapped_regimes(table_pa):
     from energymimo import BsModel
 
     # huge circuit cost: circuits power-limited regime -> K+1
     expensive = BsModel(p_fix=0.0, circuit_per_antenna=1e9)
-    assert optimal_ma_unconstrained(64, 4, 1.0, table_pa, expensive) == 5
+    assert optimal_ma_constrained(64, 4, 1.0, table_pa, expensive, math.inf).m_dagger == 5
     # negligible circuit cost: PAs power-limited regime -> M
     cheap = BsModel(p_fix=0.0, circuit_per_antenna=1e-12)
-    assert optimal_ma_unconstrained(64, 4, 1.0, table_pa, cheap) == 64
+    assert optimal_ma_constrained(64, 4, 1.0, table_pa, cheap, math.inf).m_dagger == 64
 
 
-def test_optimal_ma_unconstrained_interior_matches_grid(table_pa, table_bs):
+def test_optimal_ma_uncapped_interior_matches_grid(table_pa, table_bs):
     rng = np.random.default_rng(44)
     for _ in range(40):
         k = int(rng.integers(1, 13))
@@ -158,7 +159,8 @@ def test_optimal_ma_unconstrained_interior_matches_grid(table_pa, table_bs):
         counts = np.arange(k + 1, m + 1)
         values = [asymptotic_bs_power(n, k, trace, table_pa, table_bs) for n in counts]
         expected = int(counts[int(np.argmin(values))])
-        assert optimal_ma_unconstrained(m, k, trace, table_pa, table_bs) == expected
+        plan = optimal_ma_constrained(m, k, trace, table_pa, table_bs, math.inf)
+        assert plan.m_dagger == expected
 
 
 def test_optimal_ma_constrained_branches(table_pa, table_bs):

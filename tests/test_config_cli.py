@@ -49,6 +49,11 @@ def test_parse_config_reports_line_numbers():
     with pytest.raises(ConfigError) as err3:
         parse_config_text("k_users = four\n")
     assert err3.value.line == 1
+    # Removed solver knobs are unknown keys now.
+    for removed in ("regularization = 0", "initial_power = 1"):
+        with pytest.raises(ConfigError, match="unknown key") as err4:
+            parse_config_text(f"m_antennas = 32\n{removed}\n")
+        assert err4.value.line == 2
 
 
 def test_load_config_with_overrides(tmp_path):
@@ -279,6 +284,33 @@ def test_cli_asymptotic_ma_curve_mode(tmp_path):
     assert lines[0] == "m_active,p_pas_bar,p_bs_bar,is_m_star"
     assert len(lines) == 1 + (12 - 3)  # counts K+1 .. M
     assert sum(1 for  line in lines[1:] if line.endswith(",1")) == 1
+
+
+@pytest.mark.parametrize("mode", ["q_error", "ma_curve"])
+def test_cli_asymptotic_square_array_is_infeasible(tmp_path, capsys, mode):
+    # M == K passes config validation, but zero forcing needs M > K.
+    cfgfile = tmp_path / "square.cfg"
+    cfgfile.write_text(
+        f"m_antennas = 4\nk_users = 4\nrealizations = 2\nasym_mode = {mode}\nq_list = 2\n"
+    )
+    out = tmp_path / "square.csv"
+    assert main(["asymptotic", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert "zero forcing needs M > K" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", ["channel = los", "freq_taps = 3"])
+def test_cli_q_error_needs_iid_rayleigh(tmp_path, capsys, scenario):
+    # The inverse-Wishart reference holds only for i.i.d. Rayleigh channels.
+    cfgfile = tmp_path / "qerr.cfg"
+    cfgfile.write_text(
+        f"m_antennas = 16\nk_users = 2\nrealizations = 2\nasym_mode = q_error\n"
+        f"q_list = 2\n{scenario}\n"
+    )
+    out = tmp_path / "qerr.csv"
+    assert main(["asymptotic", "--config", str(cfgfile), "--out", str(out)]) == 1
+    assert "q_error needs channel = rayleigh and freq_taps = 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_convergence_warns_when_oracle_guard_exceeded(tmp_path, capsys):

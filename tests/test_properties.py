@@ -24,7 +24,7 @@ from conftest import draw_cell_instance
 def _instance(seed, m=6, k=2, q=2):
     rng = np.random.default_rng(seed)
     h = (rng.standard_normal((q, k, m)) + 1j * rng.standard_normal((q, k, m))) / np.sqrt(2)
-    channel = ChannelRealization(per_subcarrier=h, large_scale=np.ones(k), kind="rayleigh")
+    channel = ChannelRealization(per_subcarrier=h, large_scale=np.ones(k))
     gamma = rng.uniform(1.0, 10.0, size=k)
     return channel, gamma
 
@@ -60,7 +60,6 @@ def test_phase_covariance_of_powers(seed):
     rotated = ChannelRealization(
         per_subcarrier=phases[None, :, None] * channel.per_subcarrier,
         large_scale=channel.large_scale,
-        kind="rayleigh",
     )
     for solver in (zf_precoder, min_pa_precoder):
         a = solver(channel, qos)
