@@ -15,6 +15,7 @@ from .asymptotic import (
     feasibility_check,
     min_ma_power_constraint,
     optimal_ma_constrained,
+    optimal_ma_plans,
     solve_quartic_ma,
     trace_term,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "min_pa_precoder",
     "min_pa_precoders",
     "optimal_ma_constrained",
+    "optimal_ma_plans",
     "pa_consumed_power",
     "pa_efficiency",
     "per_antenna_powers",

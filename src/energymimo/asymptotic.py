@@ -5,20 +5,27 @@ so the whole design reduces to deterministic formulas in the large-scale
 quantities. No instantaneous CSI enters this module: everything is a pure
 function of (beta_k, gamma_k, noise power) through the single trace term
 sum_k gamma_k sigma^2 / beta_k.
+
+The planner works on arrays: :func:`optimal_ma_plans` plans every (K, trace)
+pair of two equal-shape arrays at once, and the power formulas and the
+quartic solver take scalars or arrays alike. :func:`optimal_ma_constrained`
+is its one-instance view.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DomainError, InfeasibleError
 from .model import BsModel, PaModel
 
-# Relative residual demanded of the quartic root.
+# Relative residual demanded of the quartic root, and the safeguarded-Newton
+# steps allowed before a root that has neither met it nor been pinned between
+# two adjacent doubles counts as not converged.
 QUARTIC_RTOL = 1e-12
+QUARTIC_MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -28,15 +35,19 @@ class AsymptoticPlan:
     ``m_tilde`` is the unconstrained continuous optimum, ``m_hat`` the
     minimal count honoring the per-antenna power cap, ``m_dagger`` the final
     integer choice. The power fields are evaluated at ``m_dagger``.
+
+    :func:`optimal_ma_constrained` fills the fields with scalars for one
+    instance, :func:`optimal_ma_plans` with one array entry per (K, trace)
+    pair.
     """
 
-    m_tilde: float
-    m_hat: int
-    m_dagger: int
-    p_bar: float
-    p_pas_bar: float
-    p_bs_bar: float
-    feasible: bool
+    m_tilde: float | np.ndarray
+    m_hat: int | np.ndarray
+    m_dagger: int | np.ndarray
+    p_bar: float | np.ndarray
+    p_pas_bar: float | np.ndarray
+    p_bs_bar: float | np.ndarray
+    feasible: bool | np.ndarray
 
 
 def trace_term(beta, gamma, noise_power: float) -> float:
@@ -50,29 +61,34 @@ def trace_term(beta, gamma, noise_power: float) -> float:
     return float(np.sum(gamma * noise_power / beta))
 
 
-def asymptotic_per_antenna_power(m_active: int, k_users: int, trace: float) -> float:
-    """Deterministic per-antenna transmit power trace / (M_a (M_a - K))."""
-    if m_active <= k_users:
+def _check_power_args(m_active, k_users, trace):
+    if np.any(np.less_equal(m_active, k_users)):
+        m_active, k_users = np.broadcast_arrays(m_active, k_users)
+        i = int(np.argmax(m_active <= k_users))
         raise DomainError(
-            f"zero forcing needs M_a > K, got M_a={m_active}, K={k_users}"
+            f"zero forcing needs M_a > K, got M_a={m_active.flat[i]}, K={k_users.flat[i]}"
         )
-    if trace < 0.0:
+    if np.any(np.less(trace, 0.0)):
         raise DomainError("trace term must be non-negative")
+
+
+def asymptotic_per_antenna_power(m_active, k_users, trace):
+    """Deterministic per-antenna transmit power trace / (M_a (M_a - K)).
+
+    Arguments are scalars or broadcastable arrays, as for the other power
+    formulas below.
+    """
+    _check_power_args(m_active, k_users, trace)
     return trace / (m_active * (m_active - k_users))
 
 
-def asymptotic_pa_power(m_active: int, k_users: int, trace: float, pa: PaModel) -> float:
+def asymptotic_pa_power(m_active, k_users, trace, pa: PaModel):
     """Asymptotic PA consumption alpha (M_a/(M_a - K) * trace)^(1/2)."""
-    if m_active <= k_users:
-        raise DomainError(
-            f"zero forcing needs M_a > K, got M_a={m_active}, K={k_users}"
-        )
-    return float(pa.alpha * math.sqrt(m_active / (m_active - k_users) * trace))
+    _check_power_args(m_active, k_users, trace)
+    return pa.alpha * np.sqrt(m_active / (m_active - k_users) * trace)
 
 
-def asymptotic_bs_power(
-    m_active: int, k_users: int, trace: float, pa: PaModel, bs: BsModel
-) -> float:
+def asymptotic_bs_power(m_active, k_users, trace, pa: PaModel, bs: BsModel):
     """Asymptotic BS consumption: PA term plus fixed and circuit power."""
     return (
         asymptotic_pa_power(m_active, k_users, trace, pa)
@@ -81,53 +97,77 @@ def asymptotic_bs_power(
     )
 
 
-def solve_quartic_ma(k_users: int, t: float, circuit: float) -> float:
-    """Unique root x > K of x (x - K)^3 = t K / (2 C).
+def solve_quartic_ma(k_users, t, circuit: float):
+    """Unique root x > K of x (x - K)^3 = t K / (2 C), elementwise.
 
     The left side is strictly increasing from 0 to infinity on (K, inf), so
     a safeguarded Newton iteration on a sign-changing bracket converges to
-    the single admissible root.
+    the single admissible root. ``k_users`` and ``t`` are scalars (the
+    root is a float) or equal-shape arrays; each element keeps its own
+    bracket and leaves the iteration once its residual is within
+    ``QUARTIC_RTOL`` of its target, or once its bracket has closed to two
+    adjacent doubles. The second test matters for roots close to K: there
+    one ulp of x moves the residual by more than ``QUARTIC_RTOL`` of the
+    target, so no double may meet the first, and the bracketed root is
+    exact to one ulp. Raises :class:`DomainError` naming (K, t) of an
+    element that has done neither after ``QUARTIC_MAX_ITERATIONS`` steps.
     """
-    if t <= 0.0 or circuit <= 0.0 or k_users < 1:
+    k_users, t = np.broadcast_arrays(np.asarray(k_users), np.asarray(t, dtype=float))
+    if not np.all(t > 0.0) or circuit <= 0.0 or np.any(k_users < 1):
         raise DomainError("need t > 0, circuit > 0 and k_users >= 1")
-    k = float(k_users)
-    target = t * k / (2.0 * circuit)
+    k = k_users.astype(float).ravel()
+    target = t.ravel() * k / (2.0 * circuit)
+    if not np.all(np.isfinite(target)):
+        raise DomainError("the quartic target t K / (2 C) must be finite")
 
-    def f(x):
-        return x * (x - k) ** 3 - target
-
-    def fprime(x):
-        return (x - k) ** 2 * (4.0 * x - k)
+    # Products, not **: numpy's array power does not round like Python's.
+    def f(x, k, target):
+        d = x - k
+        return x * (d * d * d) - target
 
     lo = k
-    hi = k + max(target**0.25, 1e-12)
-    while f(hi) < 0.0:
-        hi = k + 2.0 * (hi - k)
+    hi = k + np.maximum(np.sqrt(np.sqrt(target)), 1e-12)
+    short = f(hi, k, target) < 0.0
+    while short.any():
+        hi = np.where(short, k + 2.0 * (hi - k), hi)
+        short = f(hi, k, target) < 0.0
     x = 0.5 * (lo + hi)
-    for _ in range(200):
-        fx = f(x)
-        if fx > 0.0:
-            hi = x
-        else:
-            lo = x
-        step = fx / fprime(x)
-        x_new = x - step
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(f(x_new)) <= QUARTIC_RTOL * target:
-            return float(x_new)
-        x = x_new
-    return float(x)
+    roots = np.empty_like(x)
+    pending = np.arange(x.size)
+    for _ in range(QUARTIC_MAX_ITERATIONS):
+        fx = f(x, k, target)
+        above = fx > 0.0
+        hi = np.where(above, x, hi)
+        lo = np.where(above, lo, x)
+        d = x - k
+        x_new = x - fx / (d * d * (4.0 * x - k))
+        x_new = np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi))
+        done = np.abs(f(x_new, k, target)) <= QUARTIC_RTOL * target
+        done |= np.nextafter(lo, hi) >= hi
+        roots[pending[done]] = x_new[done]
+        left = ~done
+        if not left.any():
+            break
+        pending, x, lo, hi, k, target = (
+            a[left] for a in (pending, x_new, lo, hi, k, target)
+        )
+    else:
+        i = pending[0]
+        raise DomainError(
+            f"quartic root not converged after {QUARTIC_MAX_ITERATIONS} iterations at "
+            f"K={int(k_users.flat[i])}, t={float(t.flat[i])!r}"
+        )
+    return float(roots[0]) if k_users.ndim == 0 else roots.reshape(k_users.shape)
 
 
-def min_ma_power_constraint(k_users: int, trace: float, p_max: float) -> int:
+def min_ma_power_constraint(k_users, trace, p_max: float):
     """Minimal integer antenna count keeping the per-antenna power <= p_max."""
     if p_max <= 0.0:
         raise DomainError(f"p_max must be positive, got {p_max}")
-    if trace < 0.0:
+    if np.any(np.less(trace, 0.0)):
         raise DomainError("trace term must be non-negative")
-    bound = 0.5 * (k_users + math.sqrt(k_users**2 + 4.0 * trace / p_max))
-    return int(math.ceil(bound))
+    bound = 0.5 * (k_users + np.sqrt(k_users * k_users + 4.0 * trace / p_max))
+    return np.ceil(bound).astype(np.int64)
 
 
 def feasibility_check(m_antennas: int, k_users: int, trace: float, p_max: float) -> bool:
@@ -139,7 +179,7 @@ def feasibility_check(m_antennas: int, k_users: int, trace: float, p_max: float)
     return asymptotic_per_antenna_power(m_antennas, k_users, trace) <= p_max
 
 
-def _stationarity_t(k_users: int, trace: float, pa: PaModel, bs: BsModel) -> float:
+def _stationarity_t(k_users, trace, pa: PaModel, bs: BsModel):
     """Normal-form t-argument of the quartic stationarity condition.
 
     Zeroing the derivative of the continuous BS-power objective gives
@@ -150,16 +190,68 @@ def _stationarity_t(k_users: int, trace: float, pa: PaModel, bs: BsModel) -> flo
     return pa.alpha**2 * trace * k_users / (2.0 * bs.circuit_per_antenna)
 
 
-def _round_by_objective(y: float, objective) -> int:
-    """Ceil-floor operator: whichever neighbor minimizes ``objective``.
+def optimal_ma_plans(
+    m_antennas: int,
+    k_users,
+    trace,
+    pa: PaModel,
+    bs: BsModel,
+    p_max: float,
+) -> AsymptoticPlan:
+    """BS-power-minimizing active-antenna counts for arrays of (K, trace).
 
-    Exact ties go to the smaller antenna count (fewer circuits).
+    ``k_users`` and ``trace`` are equal-shape arrays; every field of the
+    returned plan has their shape. Each pair takes the larger of the
+    unconstrained quartic optimum and the power-constraint lower bound,
+    clamps it to [K+1, M] and otherwise rounds it to whichever neighboring
+    integer gives the lower BS power (exact ties go to the smaller count,
+    fewer circuits). Pairs with K >= M, or whose cap is violated even with
+    all M antennas active, come back with ``feasible`` False, NaN in the
+    float fields and 0 in ``m_dagger``; ``m_hat`` is always filled. With
+    ``p_max = math.inf`` the bound is K and ``m_dagger`` is the uncapped
+    optimum.
     """
-    floor_y = int(math.floor(y))
-    ceil_y = int(math.ceil(y))
-    if floor_y == ceil_y:
-        return floor_y
-    return floor_y if objective(floor_y) <= objective(ceil_y) else ceil_y
+    k_all = np.asarray(k_users, dtype=np.int64)
+    trace_all = np.asarray(trace, dtype=float)
+    m_hat = min_ma_power_constraint(k_all, trace_all, p_max)
+    feasible = k_all < m_antennas
+    feasible[feasible] = (
+        asymptotic_per_antenna_power(m_antennas, k_all[feasible], trace_all[feasible]) <= p_max
+    )
+    k, trace = k_all[feasible], trace_all[feasible]
+
+    m_tilde = k.astype(float)  # trace = 0: degenerate limit of the quartic root
+    solve = trace > 0.0
+    if solve.any():
+        m_tilde[solve] = solve_quartic_ma(
+            k[solve], _stationarity_t(k[solve], trace[solve], pa, bs), bs.circuit_per_antenna
+        )
+    y = np.maximum(m_tilde, m_hat[feasible])
+    m_dagger = np.where(y <= k + 1, k + 1, m_antennas)
+    inner = (y > k + 1) & (y < m_antennas)
+    below, above = np.floor(y[inner]), np.ceil(y[inner])
+    k_in, trace_in = k[inner], trace[inner]
+    m_dagger[inner] = np.where(
+        asymptotic_bs_power(below, k_in, trace_in, pa, bs)
+        <= asymptotic_bs_power(above, k_in, trace_in, pa, bs),
+        below,
+        above,
+    )
+
+    def spread(values, fill):
+        out = np.full(k_all.shape, fill, dtype=values.dtype)
+        out[feasible] = values
+        return out
+
+    return AsymptoticPlan(
+        m_tilde=spread(m_tilde, np.nan),
+        m_hat=m_hat,
+        m_dagger=spread(m_dagger, 0),
+        p_bar=spread(asymptotic_per_antenna_power(m_dagger, k, trace), np.nan),
+        p_pas_bar=spread(asymptotic_pa_power(m_dagger, k, trace, pa), np.nan),
+        p_bs_bar=spread(asymptotic_bs_power(m_dagger, k, trace, pa, bs), np.nan),
+        feasible=feasible,
+    )
 
 
 def optimal_ma_constrained(
@@ -172,46 +264,20 @@ def optimal_ma_constrained(
 ) -> AsymptoticPlan:
     """Active-antenna count minimizing BS power under per-antenna caps.
 
-    Takes the larger of the unconstrained quartic optimum and the
-    power-constraint lower bound, then applies the bound checks before the
-    ceil-floor rounding. Raises :class:`InfeasibleError` carrying the
-    minimal feasible M when even the full array violates the caps. With
-    ``p_max = math.inf`` the bound is K and ``m_dagger`` is the uncapped
-    optimum.
+    One-instance view of :func:`optimal_ma_plans`. Raises
+    :class:`InfeasibleError` when M <= K, and, carrying the minimal
+    feasible M, when even the full array violates the caps.
     """
     if m_antennas <= k_users:
         raise InfeasibleError(
             f"zero forcing needs M > K, got M={m_antennas}, K={k_users}"
         )
-    m_hat = min_ma_power_constraint(k_users, trace, p_max)
-    if not feasibility_check(m_antennas, k_users, trace, p_max):
-        min_feasible = max(m_hat, k_users + 1)
+    plans = optimal_ma_plans(m_antennas, [k_users], [trace], pa, bs, p_max)
+    if not plans.feasible[0]:
+        min_feasible = max(int(plans.m_hat[0]), k_users + 1)
         raise InfeasibleError(
             f"per-antenna power cap violated even with all {m_antennas} antennas; "
             f"need at least M={min_feasible}",
             min_feasible_m=min_feasible,
         )
-    if trace == 0.0:
-        m_tilde = float(k_users)  # degenerate limit of the quartic root
-    else:
-        m_tilde = solve_quartic_ma(
-            k_users, _stationarity_t(k_users, trace, pa, bs), bs.circuit_per_antenna
-        )
-    y = max(m_tilde, float(m_hat))
-    if y <= k_users + 1:
-        m_dagger = k_users + 1
-    elif y >= m_antennas:
-        m_dagger = m_antennas
-    else:
-        m_dagger = _round_by_objective(
-            y, lambda n: asymptotic_bs_power(n, k_users, trace, pa, bs)
-        )
-    return AsymptoticPlan(
-        m_tilde=m_tilde,
-        m_hat=m_hat,
-        m_dagger=m_dagger,
-        p_bar=asymptotic_per_antenna_power(m_dagger, k_users, trace),
-        p_pas_bar=asymptotic_pa_power(m_dagger, k_users, trace, pa),
-        p_bs_bar=asymptotic_bs_power(m_dagger, k_users, trace, pa, bs),
-        feasible=True,
-    )
+    return AsymptoticPlan(**{f.name: getattr(plans, f.name)[0].item() for f in fields(plans)})

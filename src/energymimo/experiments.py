@@ -4,7 +4,9 @@ Each realization draws its randomness from an independent stream seeded by
 master seed + realization index, so results are identical regardless of how
 the realization pool is scheduled; rows are buffered and emitted in
 realization order. ``run`` solves its realizations in fixed-size blocks
-through the stacked solvers; the pool maps over those blocks.
+through the stacked solvers, and ``asymptotic`` k_sweep plans blocks of
+realizations through the array antenna-count planner; the pool maps over
+those blocks.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .asymptotic import (
     asymptotic_bs_power,
     asymptotic_pa_power,
     optimal_ma_constrained,
+    optimal_ma_plans,
     solve_quartic_ma,
     trace_term,
 )
@@ -50,6 +53,9 @@ from .precoding import (
 # solver block. Block boundaries depend only on the scenario, never on the
 # thread count, so the output does not either.
 BLOCK_ELEMENTS = 32768
+# (realization, K) pairs that ``asymptotic`` k_sweep plans and turns into rows
+# at once; it bounds the arrays and column lists held beside the rows.
+PLAN_BLOCK = 2048
 
 RUN_FIELDS = (
     "seed", "realization", "solver", "p_tx", "p_pas", "p_bs",
@@ -128,13 +134,16 @@ def _map_realizations(cfg: ExperimentConfig, worker):
     return _map(cfg, worker, range(cfg.realizations))
 
 
+def _blocks(count: int, size: int) -> list[range]:
+    size = max(1, size)
+    return [range(start, min(start + size, count)) for start in range(0, count, size)]
+
+
 def _realization_blocks(cfg: ExperimentConfig) -> list[range]:
     sc = cfg.scenario
-    size = max(1, BLOCK_ELEMENTS // (sc.subcarriers * sc.k_users * sc.m_antennas))
-    return [
-        range(start, min(start + size, cfg.realizations))
-        for start in range(0, cfg.realizations, size)
-    ]
+    return _blocks(
+        cfg.realizations, BLOCK_ELEMENTS // (sc.subcarriers * sc.k_users * sc.m_antennas)
+    )
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -290,39 +299,44 @@ def _asymptotic_k_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     pa = sc.pa_model()
     bs = sc.bs_model()
     m = sc.m_antennas
+    loads = list(range(cfg.k_min, cfg.k_max + 1))
 
-    def worker(index: int):
-        # One nested user drop per realization: user k's position is shared
-        # by every K >= k, which keeps the sweep coupled across loads.
-        beta_all, gamma_all = _draw_users(cfg, _realization_rng(cfg, index), cfg.k_max)
-        rows = []
-        for k in range(cfg.k_min, cfg.k_max + 1):
-            trace = trace_term(beta_all[:k], gamma_all[:k], sc.noise_power)
-            row = {"k_users": k, "realization": index, "trace": trace}
-            try:
-                plan = optimal_ma_constrained(m, k, trace, pa, bs, sc.p_max_watts)
-                p_bs_full = asymptotic_bs_power(m, k, trace, pa, bs)
-                p_bs_minimal = asymptotic_bs_power(k + 1, k, trace, pa, bs)
-                row.update({
-                    "m_tilde": plan.m_tilde,
-                    "m_hat": plan.m_hat,
-                    "m_dagger": plan.m_dagger,
-                    "p_bar": plan.p_bar,
-                    "p_pas_bar": plan.p_pas_bar,
-                    "p_bs_dagger": plan.p_bs_bar,
-                    "p_bs_full": p_bs_full,
-                    "p_bs_minimal": p_bs_minimal,
-                    "gain_vs_full": p_bs_full / plan.p_bs_bar,
-                    "gain_vs_minimal": p_bs_minimal / plan.p_bs_bar,
-                    "feasible": 1,
-                })
-            except InfeasibleError:
-                row.update({key: None for key in K_SWEEP_FIELDS if key not in row})
-                row["feasible"] = 0
-            rows.append(row)
-        return rows
+    def plan_block(block: range):
+        traces = []
+        for index in block:
+            # One nested user drop per realization: user k's position is shared
+            # by every K >= k, which keeps the sweep coupled across loads.
+            beta, gamma = _draw_users(cfg, _realization_rng(cfg, index), cfg.k_max)
+            terms = gamma * sc.noise_power / beta
+            # Each prefix is summed on its own: np.sum adds pairwise, so a
+            # running cumsum would change the last bits of the trace.
+            traces.append([terms[:k].sum() for k in loads])
+        k = np.tile(loads, len(block))
+        trace = np.array(traces).ravel()
+        plan = optimal_ma_plans(m, k, trace, pa, bs, sc.p_max_watts)
+        feasible = plan.feasible
+        p_bs_full = np.full(trace.shape, np.nan)
+        p_bs_minimal = np.full(trace.shape, np.nan)
+        p_bs_full[feasible] = asymptotic_bs_power(m, k[feasible], trace[feasible], pa, bs)
+        p_bs_minimal[feasible] = asymptotic_bs_power(
+            k[feasible] + 1, k[feasible], trace[feasible], pa, bs
+        )
+        columns = (
+            plan.m_tilde, plan.m_hat, plan.m_dagger, plan.p_bar, plan.p_pas_bar,
+            plan.p_bs_bar, p_bs_full, p_bs_minimal,
+            p_bs_full / plan.p_bs_bar, p_bs_minimal / plan.p_bs_bar,
+        )
+        empty = (None,) * len(columns)
+        realization = np.repeat(np.arange(block.start, block.stop), len(loads))
+        return [
+            dict(zip(K_SWEEP_FIELDS, (k_users, index, trace_k, *(cells if ok else empty), int(ok))))
+            for k_users, index, trace_k, ok, *cells in zip(
+                k.tolist(), realization.tolist(), trace.tolist(), feasible.tolist(),
+                *(column.tolist() for column in columns),
+            )
+        ]
 
-    nested = _map_realizations(cfg, worker)
+    nested = _map(cfg, plan_block, _blocks(cfg.realizations, PLAN_BLOCK // len(loads)))
     rows = [row for group in nested for row in group]
     summary = {"realizations": cfg.realizations, "k_range": (cfg.k_min, cfg.k_max)}
     feasible = [r for r in rows if r["feasible"]]
@@ -387,17 +401,14 @@ def _asymptotic_ma_curve(cfg: ExperimentConfig) -> ExperimentResult:
 
     traces = _map_realizations(cfg, worker)
     trace = float(np.mean(traces))
-    counts = list(range(k + 1, sc.m_antennas + 1))
-    values = [asymptotic_bs_power(n, k, trace, pa, bs) for n in counts]
-    star = counts[int(np.argmin(values))]
+    counts = np.arange(k + 1, sc.m_antennas + 1)
+    p_bs = asymptotic_bs_power(counts, k, trace, pa, bs)
+    star = int(counts[np.argmin(p_bs)])  # the first minimum: ties go to fewer antennas
     rows = [
-        {
-            "m_active": n,
-            "p_pas_bar": asymptotic_pa_power(n, k, trace, pa),
-            "p_bs_bar": value,
-            "is_m_star": int(n == star),
-        }
-        for n, value in zip(counts, values)
+        {"m_active": n, "p_pas_bar": p_pas, "p_bs_bar": value, "is_m_star": int(n == star)}
+        for n, p_pas, value in zip(
+            counts.tolist(), asymptotic_pa_power(counts, k, trace, pa).tolist(), p_bs.tolist()
+        )
     ]
     summary = {"trace": trace, "m_star": star, "realizations": cfg.realizations}
     return ExperimentResult(MA_CURVE_FIELDS, rows, summary)

@@ -4,16 +4,25 @@ import numpy as np
 import pytest
 
 from energymimo import (
+    asymptotic,
     asymptotic_bs_power,
     asymptotic_pa_power,
     asymptotic_per_antenna_power,
     feasibility_check,
     min_ma_power_constraint,
     optimal_ma_constrained,
+    optimal_ma_plans,
     solve_quartic_ma,
     trace_term,
 )
+from energymimo.config import ExperimentConfig, with_scenario
 from energymimo.errors import DomainError, InfeasibleError
+from energymimo.experiments import (
+    K_SWEEP_FIELDS,
+    _draw_users,
+    _realization_rng,
+    asymptotic_experiment,
+)
 from energymimo.oracle import grid_min_bs, solve_quartic_closed_form
 
 
@@ -218,3 +227,173 @@ def test_constrained_matches_grid_on_random_scenarios(table_pa, table_bs):
         plan = optimal_ma_constrained(m, k, trace, table_pa, table_bs, p_max)
         assert plan.m_dagger == grid_min_bs(m, k, trace, table_pa, table_bs, p_max)
         checked += 1
+
+
+def test_array_quartic_equals_one_at_a_time():
+    rng = np.random.default_rng(46)
+    k = rng.integers(1, 65, size=(20, 30))
+    t = 10.0 ** rng.uniform(-3, 4, size=(20, 30))
+    roots = solve_quartic_ma(k, t, 0.7)
+    assert roots.shape == (20, 30)
+    expected = [solve_quartic_ma(int(a), float(b), 0.7) for a, b in zip(k.flat, t.flat)]
+    assert np.array_equal(roots.ravel(), expected)
+
+
+def test_quartic_root_pinned_between_adjacent_doubles_is_converged(monkeypatch):
+    # Near K no double meets even a zero residual, but the bracket closes to
+    # two adjacent doubles around the root: that root is exact to one ulp.
+    monkeypatch.setattr(asymptotic, "QUARTIC_RTOL", 0.0)
+    x = solve_quartic_ma(3, 1e-12, 1.0)
+    target = 1.5e-12
+
+    def f(v):
+        return v * (v - 3.0) ** 3 - target
+
+    below, above = math.nextafter(x, 0.0), math.nextafter(x, math.inf)
+    assert f(below) < 0.0 < f(above)
+
+
+def test_quartic_nonconvergence_raises_naming_the_instance(monkeypatch, table_pa, table_bs):
+    monkeypatch.setattr(asymptotic, "QUARTIC_MAX_ITERATIONS", 2)
+    with pytest.raises(DomainError, match=r"not converged after 2 iterations at K=2, t=32\.0"):
+        solve_quartic_ma(2, 32.0, 1.0)
+    with pytest.raises(DomainError, match="not converged"):
+        optimal_ma_plans(64, np.array([1, 4]), np.array([2.0, 3.0]), table_pa, table_bs, 1.0)
+
+
+def test_quartic_rejects_non_finite_targets():
+    with pytest.raises(DomainError):
+        solve_quartic_ma(2, math.inf, 1.0)
+    with pytest.raises(DomainError):
+        solve_quartic_ma([2, 3], [1.0, math.nan], 1.0)
+
+
+def test_array_planner_flags_infeasible_pairs_without_raising(table_pa, table_bs):
+    k = np.array([2, 2, 8, 9, 4])
+    trace = np.array([1.0, 1000.0, 1.0, 1.0, 0.0])
+    plans = optimal_ma_plans(8, k, trace, table_pa, table_bs, 1.0)
+    assert plans.feasible.tolist() == [True, False, False, False, True]
+    assert plans.m_hat.tolist() == [
+        min_ma_power_constraint(int(a), float(b), 1.0) for a, b in zip(k, trace)
+    ]
+    assert plans.m_dagger.tolist() == [
+        optimal_ma_constrained(8, 2, 1.0, table_pa, table_bs, 1.0).m_dagger, 0, 0, 0, 5
+    ]
+    assert np.isnan(plans.p_bs_bar[1:4]).all() and np.isnan(plans.m_tilde[1:4]).all()
+    assert plans.m_tilde[4] == 4.0
+
+
+def test_array_planner_equals_one_instance_view(table_pa, table_bs):
+    rng = np.random.default_rng(47)
+    k = rng.integers(1, 40, size=300)
+    trace = rng.uniform(0.05, 60.0, size=300)
+    plans = optimal_ma_plans(64, k, trace, table_pa, table_bs, 1.0)
+    for i, (a, b) in enumerate(zip(k.tolist(), trace.tolist())):
+        try:
+            plan = optimal_ma_constrained(64, a, b, table_pa, table_bs, 1.0)
+        except InfeasibleError:
+            assert not plans.feasible[i]
+            continue
+        for name in ("m_tilde", "m_hat", "m_dagger", "p_bar", "p_pas_bar", "p_bs_bar"):
+            assert getattr(plan, name) == getattr(plans, name)[i]
+
+
+def scalar_bs_power(n, k, trace, pa, bs):
+    return float(pa.alpha * math.sqrt(n / (n - k) * trace)) + bs.p_fix + bs.circuit_per_antenna * n
+
+
+def reference_plan(m, k, trace, pa, bs, p_max):
+    """The scalar planner: a Newton solve with Python float powers, then the
+    ceil-floor rounding by objective; ``None`` when infeasible."""
+    if m <= k:
+        return None
+    m_hat = int(math.ceil(0.5 * (k + math.sqrt(k**2 + 4.0 * trace / p_max))))
+    if trace / (m * (m - k)) > p_max:
+        return None
+
+    def bs_power(n):
+        return scalar_bs_power(n, k, trace, pa, bs)
+
+    if trace == 0.0:
+        m_tilde = float(k)
+    else:
+        t = pa.alpha**2 * trace * k / (2.0 * bs.circuit_per_antenna)
+        target = t * k / (2.0 * bs.circuit_per_antenna)
+        lo, hi = float(k), k + max(target**0.25, 1e-12)
+        while hi * (hi - k) ** 3 - target < 0.0:
+            hi = k + 2.0 * (hi - k)
+        x = 0.5 * (lo + hi)
+        for _ in range(200):
+            fx = x * (x - k) ** 3 - target
+            if fx > 0.0:
+                hi = x
+            else:
+                lo = x
+            x_new = x - fx / ((x - k) ** 2 * (4.0 * x - k))
+            if not lo < x_new < hi:
+                x_new = 0.5 * (lo + hi)
+            x = x_new
+            if abs(x * (x - k) ** 3 - target) <= 1e-12 * target:
+                break
+        m_tilde = float(x)
+    y = max(m_tilde, float(m_hat))
+    if y <= k + 1:
+        m_dagger = k + 1
+    elif y >= m:
+        m_dagger = m
+    else:
+        low, high = math.floor(y), math.ceil(y)
+        m_dagger = low if low == high or bs_power(low) <= bs_power(high) else high
+    p_pas = float(pa.alpha * math.sqrt(m_dagger / (m_dagger - k) * trace))
+    return m_tilde, m_hat, m_dagger, trace / (m_dagger * (m_dagger - k)), p_pas, bs_power(m_dagger)
+
+
+def reference_k_sweep(cfg):
+    """The k_sweep as one plan per (realization, K), in a plain loop."""
+    sc = cfg.scenario
+    pa, bs, m = sc.pa_model(), sc.bs_model(), sc.m_antennas
+    rows = []
+    for index in range(cfg.realizations):
+        beta, gamma = _draw_users(cfg, _realization_rng(cfg, index), cfg.k_max)
+        for k in range(cfg.k_min, cfg.k_max + 1):
+            trace = trace_term(beta[:k], gamma[:k], sc.noise_power)
+            row = dict.fromkeys(K_SWEEP_FIELDS)
+            row.update({"k_users": k, "realization": index, "trace": trace, "feasible": 0})
+            plan = reference_plan(m, k, trace, pa, bs, sc.p_max_watts)
+            if plan is not None:
+                p_bs_full = scalar_bs_power(m, k, trace, pa, bs)
+                p_bs_minimal = scalar_bs_power(k + 1, k, trace, pa, bs)
+                row.update(zip(K_SWEEP_FIELDS[3:9], plan))
+                row.update({
+                    "p_bs_full": p_bs_full,
+                    "p_bs_minimal": p_bs_minimal,
+                    "gain_vs_full": p_bs_full / plan[5],
+                    "gain_vs_minimal": p_bs_minimal / plan[5],
+                    "feasible": 1,
+                })
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "sweep, scenario",
+    [
+        ({"realizations": 100, "k_min": 1, "k_max": 40}, {"m_antennas": 64, "seed": 5101}),
+        ({"realizations": 20, "k_min": 1, "k_max": 6}, {"m_antennas": 16, "p_max_watts": 1e-12}),
+        ({"realizations": 30, "k_min": 1, "k_max": 10}, {"m_antennas": 8, "seed": 9}),
+    ],
+    ids=["bench_shape", "all_infeasible", "k_max_above_m"],
+)
+def test_k_sweep_equals_reference_loop(sweep, scenario):
+    cfg = with_scenario(ExperimentConfig(asym_mode="k_sweep", **sweep), **scenario)
+    rows = asymptotic_experiment(cfg).rows
+    expected = reference_k_sweep(cfg)
+    assert len(rows) == len(expected)
+    for row, ref in zip(rows, expected):
+        assert list(row) == list(K_SWEEP_FIELDS)
+        for name in K_SWEEP_FIELDS:
+            assert type(row[name]) is type(ref[name]), (name, row, ref)
+            if name == "m_tilde" and ref[name] is not None:
+                assert math.isclose(row[name], ref[name], rel_tol=1e-14), (row, ref)
+            else:
+                assert row[name] == ref[name], (name, row, ref)

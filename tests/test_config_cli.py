@@ -9,7 +9,9 @@ from energymimo.config import (
     with_scenario,
 )
 from energymimo.errors import ConfigError, SingularChannelError
-from energymimo.experiments import _realization_blocks, run_experiment, validate_suite
+from energymimo.experiments import (
+    PLAN_BLOCK, _blocks, _realization_blocks, run_experiment, validate_suite,
+)
 
 # Q * K * M = 32768 channel entries: one realization per solver block.
 WIDEBAND_CFG = "m_antennas = 32\nk_users = 4\nsubcarriers = 256\nrealizations = 3\nseed = 8\n"
@@ -245,6 +247,19 @@ def test_cli_asymptotic_k_sweep(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("k_users,realization,trace,m_tilde,m_hat,m_dagger")
     assert len(lines) == 1 + 3 * 4
+
+
+def test_cli_asymptotic_k_sweep_threads_do_not_change_bytes(tmp_path):
+    cfgfile = tmp_path / "asym.cfg"
+    cfgfile.write_text(
+        "m_antennas = 16\nrealizations = 600\nseed = 7\nasym_mode = k_sweep\nk_min = 1\nk_max = 8\n"
+    )
+    assert len(_blocks(600, PLAN_BLOCK // 8)) == 3
+    out1 = tmp_path / "a.csv"
+    out2 = tmp_path / "b.csv"
+    assert main(["asymptotic", "--config", str(cfgfile), "--out", str(out1), "--threads", "1"]) == 0
+    assert main(["asymptotic", "--config", str(cfgfile), "--out", str(out2), "--threads", "3"]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_cli_asymptotic_infeasible_rows_flagged(tmp_path):
