@@ -205,11 +205,12 @@ def optimal_ma_plans(
     unconstrained quartic optimum and the power-constraint lower bound,
     clamps it to [K+1, M] and otherwise rounds it to whichever neighboring
     integer gives the lower BS power (exact ties go to the smaller count,
-    fewer circuits). Pairs with K >= M, or whose cap is violated even with
-    all M antennas active, come back with ``feasible`` False, NaN in the
-    float fields and 0 in ``m_dagger``; ``m_hat`` is always filled. With
-    ``p_max = math.inf`` the bound is K and ``m_dagger`` is the uncapped
-    optimum.
+    fewer circuits). With ``circuit_per_antenna = 0`` there is no quartic:
+    ``m_tilde`` is inf and ``m_dagger`` is M wherever trace > 0. Pairs with
+    K >= M, or whose cap is violated even with all M antennas active, come
+    back with ``feasible`` False, NaN in the float fields and 0 in
+    ``m_dagger``; ``m_hat`` is always filled. With ``p_max = math.inf`` the
+    bound is K and ``m_dagger`` is the uncapped optimum.
     """
     k_all = np.asarray(k_users, dtype=np.int64)
     trace_all = np.asarray(trace, dtype=float)
@@ -222,7 +223,10 @@ def optimal_ma_plans(
 
     m_tilde = k.astype(float)  # trace = 0: degenerate limit of the quartic root
     solve = trace > 0.0
-    if solve.any():
+    if bs.circuit_per_antenna == 0.0:
+        # Free circuits: the BS power falls strictly with M_a, so the whole array wins.
+        m_tilde[solve] = np.inf
+    elif solve.any():
         m_tilde[solve] = solve_quartic_ma(
             k[solve], _stationarity_t(k[solve], trace[solve], pa, bs), bs.circuit_per_antenna
         )

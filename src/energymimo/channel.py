@@ -146,6 +146,8 @@ def target_sinr(beta, ref_coeff: float = SINR_REF_COEFF):
     beta_arr = np.asarray(beta, dtype=float)
     if np.any(beta_arr <= 0.0):
         raise DomainError("large-scale coefficients must be positive")
+    if not ref_coeff > 0.0:
+        raise DomainError(f"reference coefficient must be positive, got {ref_coeff}")
     gamma_db = 5.0 * np.log10(beta_arr / ref_coeff)
     gamma = 10.0 ** (gamma_db / 10.0)
     return float(gamma) if np.isscalar(beta) or beta_arr.ndim == 0 else gamma

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
-from .channel import SINR_REF_COEFF, CellGeometry
-from .errors import ConfigError
+from .channel import SINR_REF_COEFF, CellGeometry, FreqCorrelation
+from .errors import ConfigError, DomainError
 from .model import BsModel, PaModel
 from .precoding import FixedPointConfig
 
@@ -101,48 +101,35 @@ class ExperimentConfig:
 
 _SCENARIO_FIELDS = {f.name: f.type for f in fields(ScenarioConfig)}
 
-_INT_KEYS = {
-    "m_antennas", "k_users", "subcarriers", "freq_taps", "seed",
-    "realizations", "threads", "max_iterations",
-    "oracle_max_m", "oracle_max_k", "oracle_max_q", "oracle_starts",
-    "k_min", "k_max",
-}
-_FLOAT_KEYS = {
-    "freq_decay", "p_max_watts", "eta_max", "backoff", "noise_dbm",
-    "p_fix_watts", "circuit_watts", "active_threshold_watts",
-    "u_min_m", "u_max_m", "sinr_ref",
-    "epsilon", "dead_antenna_floor",
-}
-_BOOL_KEYS = {"discard_over_pmax", "oracle"}
-_STR_KEYS = {"channel", "asym_mode", "out"}
-_LIST_KEYS = {"precoders", "q_list"}
+
+def _parse_bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("true", "1", "yes", "on"):
+        return True
+    if lowered in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_value(key: str, raw: str, line: int):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
-            lowered = raw.lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if key == "precoders":
-            return tuple(part.strip() for part in raw.split(",") if part.strip())
-        if key == "q_list":
-            return tuple(int(part) for part in raw.split(",") if part.strip())
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {exc}", line=line) from exc
+# Parser of each config key, by the annotation of its config field.
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "str": str,
+    "str | None": str,
+    "tuple[str, ...]": lambda raw: tuple(part.strip() for part in raw.split(",") if part.strip()),
+    "tuple[int, ...]": lambda raw: tuple(int(part) for part in raw.split(",") if part.strip()),
+}
+_KEY_PARSERS = {
+    f.name: _PARSERS[f.type]
+    for f in fields(ScenarioConfig) + fields(ExperimentConfig)
+    if f.name != "scenario"
+}
 
 
 def parse_config_text(text: str) -> dict:
     """Parse config text into a key -> value dict, validating every key."""
-    known = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS | _LIST_KEYS
     values: dict = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -151,9 +138,12 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"expected key=value, got {raw_line.strip()!r}", line=lineno)
         key, raw_value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in _KEY_PARSERS:
             raise ConfigError(f"unknown key {key!r}", line=lineno)
-        values[key] = _parse_value(key, raw_value, lineno)
+        try:
+            values[key] = _KEY_PARSERS[key](raw_value)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r}: {exc}", line=lineno) from exc
     return values
 
 
@@ -182,10 +172,26 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(f"channel must be rayleigh or los, got {sc.channel!r}")
     if cfg.asym_mode not in ASYM_MODES:
         raise ConfigError(f"asym_mode must be one of {ASYM_MODES}, got {cfg.asym_mode!r}")
-    if cfg.realizations < 1:
-        raise ConfigError("realizations must be >= 1")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
+    for name, count in (
+        ("m_antennas", sc.m_antennas), ("k_users", sc.k_users), ("subcarriers", sc.subcarriers),
+        ("realizations", cfg.realizations), ("threads", cfg.threads),
+        ("oracle_starts", cfg.oracle_starts),
+    ):
+        if count < 1:
+            raise ConfigError(f"{name} must be >= 1")
+    if any(q < 1 for q in cfg.q_list):
+        raise ConfigError(f"every q_list entry must be >= 1, got {cfg.q_list}")
+    if sc.freq_taps < 0:
+        raise ConfigError("freq_taps must be >= 0")
+    if not sc.sinr_ref > 0.0:
+        raise ConfigError(f"sinr_ref must be positive, got {sc.sinr_ref}")
+    try:
+        for build in (sc.pa_model, sc.bs_model, sc.geometry, cfg.fixed_point):
+            build()
+        if sc.freq_taps > 0:
+            FreqCorrelation(sc.freq_taps, sc.freq_decay)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
     for name in cfg.precoders:
         if name not in KNOWN_PRECODERS:
             raise ConfigError(f"unknown precoder {name!r}, expected one of {KNOWN_PRECODERS}")

@@ -2,17 +2,19 @@
 
 Each realization draws its randomness from an independent stream seeded by
 master seed + realization index, so results are identical regardless of how
-the realization pool is scheduled; rows are buffered and emitted in
-realization order. ``run`` solves its realizations in fixed-size blocks
-through the stacked solvers, and ``asymptotic`` k_sweep plans blocks of
-realizations through the array antenna-count planner; the pool maps over
-those blocks.
+the realizations are scheduled; rows are buffered and emitted in
+realization order. Every Monte-Carlo command works on fixed-size blocks of
+realizations: ``run``, ``convergence`` and ``asymptotic`` q_error draw a
+block and solve it with one call to the stacked solvers, and ``asymptotic``
+k_sweep plans a block through the array antenna-count planner. The thread
+pool maps over those blocks, whose boundaries depend only on the scenario.
 """
 
 from __future__ import annotations
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,16 +44,14 @@ from .errors import (
 from .model import bs_consumed_power, gain_metrics, pa_consumed_power
 from .precoding import (
     FixedPointConfig,
-    min_pa_precoder,
     min_pa_precoders,
     single_user_saturating_precoder,
-    zf_precoder,
     zf_precoders,
 )
 
-# Channel entries (Q * K * M per realization) that ``run`` stacks into one
-# solver block. Block boundaries depend only on the scenario, never on the
-# thread count, so the output does not either.
+# Channel entries (Q * K * M per realization) stacked into one solver block.
+# Block boundaries depend only on the scenario, never on the thread count, so
+# the output does not either.
 BLOCK_ELEMENTS = 32768
 # (realization, K) pairs that ``asymptotic`` k_sweep plans and turns into rows
 # at once; it bounds the arrays and column lists held beside the rows.
@@ -107,6 +107,20 @@ def _draw_scenario(cfg: ExperimentConfig, rng: np.random.Generator, subcarriers:
     return channel, qos
 
 
+def _draw_block(cfg: ExperimentConfig, block: range, subcarriers: int):
+    """Channels and QoS targets of the realizations in ``block``, each on its own stream."""
+    return zip(*(_draw_scenario(cfg, _realization_rng(cfg, index), subcarriers) for index in block))
+
+
+@contextmanager
+def _global_index(block: range):
+    """Re-label a stacked solve's SingularChannelError with the realization index."""
+    try:
+        yield
+    except SingularChannelError as exc:
+        raise SingularChannelError(exc.reason, realization=block[exc.realization]) from exc
+
+
 def _solve_block(name: str, channels, qos_list, cfg: ExperimentConfig):
     if name == "zf":
         return zf_precoders(channels, qos_list)
@@ -123,15 +137,14 @@ def _solve_block(name: str, channels, qos_list, cfg: ExperimentConfig):
     raise EnergyMimoError(f"unknown solver {name!r}")
 
 
-def _map(cfg: ExperimentConfig, worker, items):
+def _map(cfg: ExperimentConfig, worker, blocks: list[range]) -> list:
+    """The lists ``worker(block)`` returns, joined in block order."""
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(worker, items))
-    return [worker(item) for item in items]
-
-
-def _map_realizations(cfg: ExperimentConfig, worker):
-    return _map(cfg, worker, range(cfg.realizations))
+            parts = list(pool.map(worker, blocks))
+    else:
+        parts = map(worker, blocks)
+    return [item for part in parts for item in part]
 
 
 def _blocks(count: int, size: int) -> list[range]:
@@ -139,11 +152,9 @@ def _blocks(count: int, size: int) -> list[range]:
     return [range(start, min(start + size, count)) for start in range(0, count, size)]
 
 
-def _realization_blocks(cfg: ExperimentConfig) -> list[range]:
+def _realization_blocks(cfg: ExperimentConfig, subcarriers: int) -> list[range]:
     sc = cfg.scenario
-    return _blocks(
-        cfg.realizations, BLOCK_ELEMENTS // (sc.subcarriers * sc.k_users * sc.m_antennas)
-    )
+    return _blocks(cfg.realizations, BLOCK_ELEMENTS // (subcarriers * sc.k_users * sc.m_antennas))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -184,24 +195,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         return rows
 
     def solve_block(block: range):
-        channels, qos_list = [], []
-        for index in block:
-            rng = _realization_rng(cfg, index)
-            channel, qos = _draw_scenario(cfg, rng, cfg.scenario.subcarriers)
-            channels.append(channel)
-            qos_list.append(qos)
-        try:
+        channels, qos_list = _draw_block(cfg, block, cfg.scenario.subcarriers)
+        with _global_index(block):
             solved = {name: _solve_block(name, channels, qos_list, cfg) for name in cfg.precoders}
-        except SingularChannelError as exc:
-            raise SingularChannelError(exc.reason, realization=block[exc.realization]) from exc
         return [
             row
             for j, index in enumerate(block)
             for row in report_rows(index, {name: sols[j] for name, sols in solved.items()})
         ]
 
-    nested = _map(cfg, solve_block, _realization_blocks(cfg))
-    rows = [row for group in nested for row in group]
+    rows = _map(cfg, solve_block, _realization_blocks(cfg, cfg.scenario.subcarriers))
     summary = {"realizations": cfg.realizations}
     kept = [r for r in rows if not r["discarded"]]
     summary["discarded"] = sum(
@@ -221,54 +224,54 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Per-iteration residuals and squared distance to the oracle optimum."""
-    pa = cfg.scenario.pa_model()
+    sc = cfg.scenario
+    pa = sc.pa_model()
     warned = [False]
 
-    def worker(index: int):
-        rng = _realization_rng(cfg, index)
-        channel, qos = _draw_scenario(cfg, rng, cfg.scenario.subcarriers)
+    def oracle_powers(index: int, channel, qos):
+        if sc.k_users == 1 and sc.subcarriers == 1:
+            return oracle.analytic_single_user(channel.per_subcarrier[0, 0, :], qos, pa).powers
         try:
-            solution = min_pa_precoder(channel, qos, cfg.fixed_point(record_history=True))
-        except SingularChannelError as exc:
-            raise SingularChannelError(exc.reason, realization=index) from exc
-        gt_powers = None
-        if cfg.oracle:
-            if cfg.scenario.k_users == 1 and cfg.scenario.subcarriers == 1:
-                gt = oracle.analytic_single_user(channel.per_subcarrier[0, 0, :], qos, pa)
-                gt_powers = gt.powers
-            else:
-                try:
-                    gt = oracle.solve_min_pa_bruteforce(
-                        channel, qos, pa,
-                        starts=cfg.oracle_starts,
-                        rng=np.random.default_rng(cfg.scenario.seed + 10_000 + index),
-                        max_m=cfg.oracle_max_m,
-                        max_k=cfg.oracle_max_k,
-                        max_q=cfg.oracle_max_q,
-                    )
-                    gt_powers = gt.powers
-                except OracleSizeError as exc:
-                    if not warned[0]:
-                        warned[0] = True
-                        print(f"warning: oracle skipped ({exc})", file=sys.stderr)
-        history = solution.history
-        rows = []
-        for i in range(1, len(history)):
-            dist = (
-                float(np.sum((history[i] - gt_powers) ** 2))
-                if gt_powers is not None
-                else None
-            )
-            rows.append({
-                "realization": index,
-                "iteration": i,
-                "residual": float(np.max(np.abs(history[i] - history[i - 1]))),
-                "dist_sq_oracle": dist,
-            })
-        final_dist = rows[-1]["dist_sq_oracle"] if rows else None
-        return rows, solution.iterations, solution.converged, final_dist
+            return oracle.solve_min_pa_bruteforce(
+                channel, qos, pa,
+                starts=cfg.oracle_starts,
+                rng=np.random.default_rng(sc.seed + 10_000 + index),
+                max_m=cfg.oracle_max_m,
+                max_k=cfg.oracle_max_k,
+                max_q=cfg.oracle_max_q,
+            ).powers
+        except OracleSizeError as exc:
+            if not warned[0]:
+                warned[0] = True
+                print(f"warning: oracle skipped ({exc})", file=sys.stderr)
+            return None
 
-    results = _map_realizations(cfg, worker)
+    def solve_block(block: range):
+        channels, qos_list = _draw_block(cfg, block, sc.subcarriers)
+        with _global_index(block):
+            solutions = min_pa_precoders(channels, qos_list, cfg.fixed_point(record_history=True))
+        results = []
+        for index, channel, qos, solution in zip(block, channels, qos_list, solutions):
+            gt_powers = oracle_powers(index, channel, qos) if cfg.oracle else None
+            history = solution.history
+            rows = []
+            for i in range(1, len(history)):
+                dist = (
+                    float(np.sum((history[i] - gt_powers) ** 2))
+                    if gt_powers is not None
+                    else None
+                )
+                rows.append({
+                    "realization": index,
+                    "iteration": i,
+                    "residual": float(np.max(np.abs(history[i] - history[i - 1]))),
+                    "dist_sq_oracle": dist,
+                })
+            final_dist = rows[-1]["dist_sq_oracle"] if rows else None
+            results.append((rows, solution.iterations, solution.converged, final_dist))
+        return results
+
+    results = _map(cfg, solve_block, _realization_blocks(cfg, sc.subcarriers))
     rows = [row for group, _, _, _ in results for row in group]
     iteration_counts = [n for _, n, _, _ in results]
     final_dists = [d for _, _, _, d in results if d is not None]
@@ -336,8 +339,7 @@ def _asymptotic_k_sweep(cfg: ExperimentConfig) -> ExperimentResult:
             )
         ]
 
-    nested = _map(cfg, plan_block, _blocks(cfg.realizations, PLAN_BLOCK // len(loads)))
-    rows = [row for group in nested for row in group]
+    rows = _map(cfg, plan_block, _blocks(cfg.realizations, PLAN_BLOCK // len(loads)))
     summary = {"realizations": cfg.realizations, "k_range": (cfg.k_min, cfg.k_max)}
     feasible = [r for r in rows if r["feasible"]]
     for k in (cfg.k_min, cfg.k_max):
@@ -362,16 +364,19 @@ def _asymptotic_q_error(cfg: ExperimentConfig) -> ExperimentResult:
     rows = []
     summary = {"realizations": cfg.realizations, "q_list": cfg.q_list}
     for q in cfg.q_list:
-        def worker(index: int, q=q):
-            channel, qos = _draw_scenario(cfg, _realization_rng(cfg, index), q)
-            solution = zf_precoder(channel, qos)
-            over_cap = bool(np.any(solution.powers > sc.p_max_watts))
-            p_sim = pa_consumed_power(solution.powers, pa)
-            trace = trace_term(channel.large_scale, qos.gamma, sc.noise_power)
-            p_asym = asymptotic_pa_power(sc.m_antennas, sc.k_users, trace, pa)
-            return p_sim, p_asym, over_cap
+        def solve_block(block: range, q=q):
+            channels, qos_list = _draw_block(cfg, block, q)
+            with _global_index(block):
+                solutions = zf_precoders(channels, qos_list)
+            results = []
+            for channel, qos, solution in zip(channels, qos_list, solutions):
+                trace = trace_term(channel.large_scale, qos.gamma, sc.noise_power)
+                p_asym = asymptotic_pa_power(sc.m_antennas, sc.k_users, trace, pa)
+                over_cap = bool(np.any(solution.powers > sc.p_max_watts))
+                results.append((pa_consumed_power(solution.powers, pa), p_asym, over_cap))
+            return results
 
-        results = _map_realizations(cfg, worker)
+        results = _map(cfg, solve_block, _realization_blocks(cfg, q))
         kept = [r for r in results if not (cfg.discard_over_pmax and r[2])]
         discarded = len(results) - len(kept)
         errors = np.array([abs(p_sim - p_asym) for p_sim, p_asym, _ in kept])
@@ -395,12 +400,10 @@ def _asymptotic_ma_curve(cfg: ExperimentConfig) -> ExperimentResult:
     bs = sc.bs_model()
     k = sc.k_users
 
-    def worker(index: int):
-        beta, gamma = _draw_users(cfg, _realization_rng(cfg, index), k)
-        return trace_term(beta, gamma, sc.noise_power)
-
-    traces = _map_realizations(cfg, worker)
-    trace = float(np.mean(traces))
+    trace = float(np.mean([
+        trace_term(*_draw_users(cfg, _realization_rng(cfg, index), k), sc.noise_power)
+        for index in range(cfg.realizations)
+    ]))
     counts = np.arange(k + 1, sc.m_antennas + 1)
     p_bs = asymptotic_bs_power(counts, k, trace, pa, bs)
     star = int(counts[np.argmin(p_bs)])  # the first minimum: ties go to fewer antennas
@@ -424,8 +427,9 @@ def validate_suite(cfg: ExperimentConfig) -> ExperimentResult:
     rng = np.random.default_rng(cfg.scenario.seed)
     rows = []
 
-    # Fixed point vs null-space descent on small random instances.
-    worst_rel = 0.0
+    # Fixed point vs null-space descent on small random instances. The oracle
+    # draws its starts from the same stream, so it runs right after each draw.
+    drawn = []
     instances = 12
     for _ in range(instances):
         m = int(rng.integers(4, 7))
@@ -435,12 +439,15 @@ def validate_suite(cfg: ExperimentConfig) -> ExperimentResult:
         gamma = rng.uniform(2.0, 40.0, size=k)
         qos = QosTargets(gamma=gamma, noise_power=cfg.scenario.noise_power, subcarriers=q)
         channel = draw_rayleigh_channel(m, k, q, beta, rng)
-        solution = min_pa_precoder(
-            channel, qos, FixedPointConfig(tolerance=1e-10, max_iterations=20000)
-        )
-        objective = pa_consumed_power(solution.powers, pa)
         reference = oracle.solve_min_pa_bruteforce(channel, qos, pa, starts=4, rng=rng)
-        worst_rel = max(worst_rel, abs(objective - reference.objective) / reference.objective)
+        drawn.append((channel, qos, reference.objective))
+    channels, qos_list, references = zip(*drawn)
+    solutions = min_pa_precoders(
+        channels, qos_list, FixedPointConfig(tolerance=1e-10, max_iterations=20000)
+    )
+    worst_rel = max(
+        abs(pa_consumed_power(sol.powers, pa) - ref) / ref for sol, ref in zip(solutions, references)
+    )
     rows.append({
         "check": "bruteforce_equivalence",
         "passed": int(worst_rel <= 1e-3),

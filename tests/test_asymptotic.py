@@ -17,6 +17,7 @@ from energymimo import (
 )
 from energymimo.config import ExperimentConfig, with_scenario
 from energymimo.errors import DomainError, InfeasibleError
+from energymimo.model import BsModel
 from energymimo.experiments import (
     K_SWEEP_FIELDS,
     _draw_users,
@@ -227,6 +228,24 @@ def test_constrained_matches_grid_on_random_scenarios(table_pa, table_bs):
         plan = optimal_ma_constrained(m, k, trace, table_pa, table_bs, p_max)
         assert plan.m_dagger == grid_min_bs(m, k, trace, table_pa, table_bs, p_max)
         checked += 1
+
+
+def test_free_circuits_plan_the_whole_array(table_pa):
+    # With zero circuit power the BS power falls strictly with M_a: no quartic
+    # to solve, the plan is the full array (trace = 0 keeps the K+1 tie rule).
+    free = BsModel(p_fix=15.0, circuit_per_antenna=0.0)
+    rng = np.random.default_rng(47)
+    m = 48
+    k = rng.integers(1, 12, size=60)
+    trace = rng.uniform(0.05, 60.0, size=60)
+    trace[:5] = 0.0
+    plan = optimal_ma_plans(m, k, trace, table_pa, free, 2.0)
+    assert plan.feasible.all()
+    assert np.isinf(plan.m_tilde[5:]).all()
+    for k_i, t_i, m_dagger in zip(k.tolist(), trace.tolist(), plan.m_dagger.tolist()):
+        assert m_dagger == grid_min_bs(m, k_i, t_i, table_pa, free, 2.0)
+    assert (plan.m_dagger[5:] == m).all()
+    assert (plan.m_dagger[:5] == k[:5] + 1).all()
 
 
 def test_array_quartic_equals_one_at_a_time():

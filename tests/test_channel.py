@@ -59,6 +59,12 @@ def test_target_sinr_reference_point():
     assert target_sinr(4.86e-14) == pytest.approx(1.0)
 
 
+def test_target_sinr_rejects_non_positive_reference():
+    for ref_coeff in (0.0, -4.86e-14):
+        with pytest.raises(DomainError, match="reference coefficient"):
+            target_sinr(1e-10, ref_coeff)
+
+
 def test_target_sinr_range_and_monotonicity():
     beta_near = large_scale_fading(35.0)
     beta_far = large_scale_fading(250.0)

@@ -1,5 +1,6 @@
 import pytest
 
+from energymimo.channel import ChannelRealization
 from energymimo.cli import main
 from energymimo.config import (
     ExperimentConfig,
@@ -165,7 +166,7 @@ def test_cli_threads_do_not_change_bytes(tmp_path, monkeypatch):
 def test_cli_blocks_and_threads_do_not_change_bytes(tmp_path, monkeypatch):
     cfgfile = tmp_path / "wide.cfg"
     cfgfile.write_text(WIDEBAND_CFG)
-    blocks = _realization_blocks(load_config(str(cfgfile)))
+    blocks = _realization_blocks(load_config(str(cfgfile)), 256)
     assert blocks == [range(0, 1), range(1, 2), range(2, 3)]
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -196,17 +197,84 @@ def test_cli_singular_channel_exit_code(tmp_path, monkeypatch, capsys):
 
     solves = []
 
-    def failing_second_solve(channel, qos, cfg):
-        solves.append(1)
+    def failing_second_block(channels, qos_list, cfg):
+        solves.append(len(channels))
         if len(solves) == 2:
-            raise SingularChannelError("stub Gram failure")
-        return real([channel], [qos], cfg)[0]
+            raise SingularChannelError("stub Gram failure", realization=0)
+        return real(channels, qos_list, cfg)
 
-    monkeypatch.setattr(exps, "min_pa_precoder", failing_second_solve)
+    # Q * K * M = 16 entries per realization: one realization per block.
+    monkeypatch.setattr(exps, "BLOCK_ELEMENTS", 16)
+    monkeypatch.setattr(exps, "min_pa_precoders", failing_second_block)
     conv = tmp_path / "conv.cfg"
     conv.write_text("m_antennas = 8\nk_users = 2\nrealizations = 3\nseed = 2\noracle = false\n")
     assert main(["convergence", "--config", str(conv), "--out", str(tmp_path / "c.csv")]) == 2
+    assert solves == [1, 1]
     assert "infeasible scenario: realization 1: stub Gram failure" in capsys.readouterr().err
+
+
+def test_cli_q_error_singular_channel_names_the_realization(tmp_path, monkeypatch, capsys):
+    # Realization 3 gets two identical users, so its Gram matrix is singular.
+    # It is the second member of the second block of two.
+    import energymimo.experiments as exps
+
+    real = exps.draw_rayleigh_channel
+    draws = []
+
+    def repeated_user_in_fourth_draw(m, k, q, beta, rng, correlation=None):
+        channel = real(m, k, q, beta, rng, correlation)
+        draws.append(1)
+        if len(draws) != 4:
+            return channel
+        h = channel.per_subcarrier.copy()
+        h[:, 1, :] = h[:, 0, :]
+        return ChannelRealization(per_subcarrier=h, large_scale=channel.large_scale)
+
+    monkeypatch.setattr(exps, "BLOCK_ELEMENTS", 2 * 2 * 2 * 8)
+    monkeypatch.setattr(exps, "draw_rayleigh_channel", repeated_user_in_fourth_draw)
+    cfgfile = tmp_path / "qerr.cfg"
+    cfgfile.write_text(
+        "m_antennas = 8\nk_users = 2\nrealizations = 4\nseed = 6\n"
+        "asym_mode = q_error\nq_list = 2\n"
+    )
+    assert main(["asymptotic", "--config", str(cfgfile), "--out", str(tmp_path / "q.csv")]) == 2
+    assert "infeasible scenario: realization 3: " in capsys.readouterr().err
+
+
+CONVERGENCE_CFG = (
+    "m_antennas = 8\nk_users = 2\nsubcarriers = 2\nrealizations = 4\nseed = 9\n"
+    "oracle_starts = 2\n"
+)
+Q_ERROR_CFG = (
+    "m_antennas = 8\nk_users = 2\nrealizations = 7\nseed = 9\n"
+    "asym_mode = q_error\nq_list = 2,16\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [("convergence", CONVERGENCE_CFG), ("asymptotic", Q_ERROR_CFG)],
+    ids=["convergence", "q_error"],
+)
+def test_cli_blocks_and_threads_do_not_change_bytes_of_other_commands(
+    tmp_path, monkeypatch, command, text
+):
+    import energymimo.experiments as exps
+
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(text)
+    outputs = []
+    for block_elements in (exps.BLOCK_ELEMENTS, 1):
+        monkeypatch.setattr(exps, "BLOCK_ELEMENTS", block_elements)
+        for threads in ("1", "3"):
+            out = tmp_path / f"{block_elements}-{threads}.csv"
+            argv = [command, "--config", str(cfgfile), "--out", str(out), "--threads", threads]
+            assert main(argv) == 0
+            outputs.append(out.read_bytes())
+    # BLOCK_ELEMENTS = 1 puts each realization in a block of its own.
+    cfg = load_config(str(cfgfile))
+    assert len(_realization_blocks(cfg, 2)) == cfg.realizations
+    assert all(output == outputs[0] for output in outputs)
 
 
 def test_cli_config_error_exit_code(tmp_path):
@@ -214,6 +282,28 @@ def test_cli_config_error_exit_code(tmp_path):
     bad.write_text("not a config line\n")
     assert main(["run", "--config", str(bad)]) == 1
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
+
+
+@pytest.mark.parametrize("line", [
+    "p_max_watts = 0",
+    "u_min_m = 300",
+    "eta_max = 2",
+    "epsilon = 0",
+    "max_iterations = 0",
+    "k_users = 0",
+    "subcarriers = 0",
+    "q_list = 0,4",
+    "sinr_ref = -1",
+    "freq_taps = -1",
+    "oracle_starts = 0",
+])
+def test_cli_out_of_domain_value_is_config_error(tmp_path, capsys, line):
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(f"m_antennas = 8\nrealizations = 2\n{line}\n")
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
 
 
 def test_cli_unwritable_output_is_config_error(tmp_path):
@@ -260,6 +350,19 @@ def test_cli_asymptotic_k_sweep_threads_do_not_change_bytes(tmp_path):
     assert main(["asymptotic", "--config", str(cfgfile), "--out", str(out1), "--threads", "1"]) == 0
     assert main(["asymptotic", "--config", str(cfgfile), "--out", str(out2), "--threads", "3"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_asymptotic_k_sweep_free_circuits(tmp_path):
+    cfgfile = tmp_path / "asym.cfg"
+    cfgfile.write_text(
+        "m_antennas = 16\nrealizations = 3\nasym_mode = k_sweep\nk_min = 1\nk_max = 4\n"
+        "circuit_watts = 0\n"
+    )
+    out = tmp_path / "asym.csv"
+    assert main(["asymptotic", "--config", str(cfgfile), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 3 * 4
+    assert all(row[3] == "inf" and row[5] == "16" for row in rows)  # m_tilde, m_dagger
 
 
 def test_cli_asymptotic_infeasible_rows_flagged(tmp_path):
