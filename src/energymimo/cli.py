@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 config or I/O error, 2 infeasible scenario,
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -32,20 +31,18 @@ DEFAULT_OUT = {
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, float):
         return f"{value:.9g}"
     return str(value)
 
 
 def write_csv(path: str, result: ExperimentResult):
+    """Comma-separated, CRLF-terminated, unquoted: no cell holds a comma or a newline."""
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(result.fieldnames)
+            fh.write(",".join(result.fieldnames) + "\r\n")
             for row in result.rows:
-                writer.writerow([_format_cell(row.get(name)) for name in result.fieldnames])
+                fh.write(",".join(map(_format_cell, row)) + "\r\n")
     except OSError as exc:
         raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
 
@@ -111,9 +108,8 @@ def main(argv=None) -> int:
             write_csv(out, result)
             print(f"wrote {len(result.rows)} rows to {out}")
         if args.command == "validate":
-            for row in result.rows:
-                status = "PASS" if row["passed"] else "FAIL"
-                print(f"[{status}] {row['check']}: {row['detail']}")
+            for check, passed, detail in result.rows:
+                print(f"[{'PASS' if passed else 'FAIL'}] {check}: {detail}")
             if not result.summary["passed"]:
                 return 3
         else:

@@ -179,19 +179,30 @@ def _validate(cfg: ExperimentConfig):
     ):
         if count < 1:
             raise ConfigError(f"{name} must be >= 1")
+    for name, entries in (("precoders", cfg.precoders), ("q_list", cfg.q_list)):
+        if not entries or len(set(entries)) < len(entries):
+            raise ConfigError(f"{name} must be a non-empty list without repeats, got {entries}")
     if any(q < 1 for q in cfg.q_list):
         raise ConfigError(f"every q_list entry must be >= 1, got {cfg.q_list}")
     if sc.freq_taps < 0:
         raise ConfigError("freq_taps must be >= 0")
     if not sc.sinr_ref > 0.0:
         raise ConfigError(f"sinr_ref must be positive, got {sc.sinr_ref}")
-    try:
-        for build in (sc.pa_model, sc.bs_model, sc.geometry, cfg.fixed_point):
+    # Each model checks its own fields; the message names the keys that feed it.
+    for keys, build in (
+        ("p_max_watts, eta_max, backoff", sc.pa_model),
+        ("p_fix_watts, circuit_watts, active_threshold_watts", sc.bs_model),
+        ("u_min_m, u_max_m", sc.geometry),
+        ("epsilon, max_iterations, dead_antenna_floor", cfg.fixed_point),
+        (
+            "freq_taps, freq_decay",
+            lambda: sc.freq_taps > 0 and FreqCorrelation(sc.freq_taps, sc.freq_decay),
+        ),
+    ):
+        try:
             build()
-        if sc.freq_taps > 0:
-            FreqCorrelation(sc.freq_taps, sc.freq_decay)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+        except DomainError as exc:
+            raise ConfigError(f"{keys}: {exc}") from exc
     for name in cfg.precoders:
         if name not in KNOWN_PRECODERS:
             raise ConfigError(f"unknown precoder {name!r}, expected one of {KNOWN_PRECODERS}")

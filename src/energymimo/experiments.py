@@ -8,6 +8,10 @@ realizations: ``run``, ``convergence`` and ``asymptotic`` q_error draw a
 block and solve it with one call to the stacked solvers, and ``asymptotic``
 k_sweep plans a block through the array antenna-count planner. The thread
 pool maps over those blocks, whose boundaries depend only on the scenario.
+
+A command returns an :class:`ExperimentResult` whose rows are tuples of cells
+in ``fieldnames`` order, ``None`` for an empty cell; summaries come from
+``zip(*rows)`` columns or from numbers the command holds.
 """
 
 from __future__ import annotations
@@ -76,8 +80,10 @@ MA_CURVE_FIELDS = ("m_active", "p_pas_bar", "p_bs_bar", "is_m_star")
 
 @dataclass
 class ExperimentResult:
+    """Rows are tuples of cells in ``fieldnames`` order; ``None`` is an empty cell."""
+
     fieldnames: tuple[str, ...]
-    rows: list[dict]
+    rows: list[tuple]
     summary: dict
 
 
@@ -165,33 +171,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     def report_rows(index: int, solutions: dict):
         reports = {name: bs_consumed_power(sol.powers, pa, bs) for name, sol in solutions.items()}
-        discarded = False
-        if cfg.discard_over_pmax:
-            discarded = any(
-                np.any(solutions[name].powers > p_max)
-                for name in cfg.precoders
-                if name in AS1_PRECODERS
-            )
+        discarded = int(cfg.discard_over_pmax and any(
+            np.any(solutions[name].powers > p_max)
+            for name in cfg.precoders
+            if name in AS1_PRECODERS
+        ))
         reference = reports.get("zf")
         rows = []
         for name in cfg.precoders:
             report = reports[name]
-            if reference is not None:
-                gain_pas, gain_bs = gain_metrics(reference, report)
-            else:
-                gain_pas = gain_bs = None
-            rows.append({
-                "seed": cfg.scenario.seed,
-                "realization": index,
-                "solver": name,
-                "p_tx": report.p_tx,
-                "p_pas": report.p_pas,
-                "p_bs": report.p_bs,
-                "m_active": report.m_active,
-                "gain_pas": gain_pas,
-                "gain_bs": gain_bs,
-                "discarded": int(discarded),
-            })
+            gains = gain_metrics(reference, report) if reference is not None else (None, None)
+            rows.append((
+                cfg.scenario.seed, index, name, report.p_tx, report.p_pas, report.p_bs,
+                report.m_active, *gains, discarded,
+            ))
         return rows
 
     def solve_block(block: range):
@@ -205,20 +198,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         ]
 
     rows = _map(cfg, solve_block, _realization_blocks(cfg, cfg.scenario.subcarriers))
-    summary = {"realizations": cfg.realizations}
-    kept = [r for r in rows if not r["discarded"]]
-    summary["discarded"] = sum(
-        1 for r in rows if r["discarded"] and r["solver"] == cfg.precoders[0]
-    )
-    for name in cfg.precoders:
-        solver_rows = [r for r in kept if r["solver"] == name]
-        if solver_rows and solver_rows[0]["gain_pas"] is not None:
-            summary[f"mean_gain_pas[{name}]"] = float(
-                np.mean([r["gain_pas"] for r in solver_rows])
-            )
-            summary[f"mean_gain_bs[{name}]"] = float(
-                np.mean([r["gain_bs"] for r in solver_rows])
-            )
+    column = dict(zip(RUN_FIELDS, zip(*rows)))
+    # Each realization has one row per precoder, in ``cfg.precoders`` order.
+    solvers = len(cfg.precoders)
+    discarded = column["discarded"][::solvers]
+    summary = {"realizations": cfg.realizations, "discarded": sum(discarded)}
+    if "zf" in cfg.precoders:
+        for j, name in enumerate(cfg.precoders):
+            for field in ("gain_pas", "gain_bs"):
+                kept = [g for g, d in zip(column[field][j::solvers], discarded) if not d]
+                if kept:
+                    summary[f"mean_{field}[{name}]"] = float(np.mean(kept))
     return ExperimentResult(RUN_FIELDS, rows, summary)
 
 
@@ -261,13 +251,9 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     if gt_powers is not None
                     else None
                 )
-                rows.append({
-                    "realization": index,
-                    "iteration": i,
-                    "residual": float(np.max(np.abs(history[i] - history[i - 1]))),
-                    "dist_sq_oracle": dist,
-                })
-            final_dist = rows[-1]["dist_sq_oracle"] if rows else None
+                residual = float(np.max(np.abs(history[i] - history[i - 1])))
+                rows.append((index, i, residual, dist))
+            final_dist = rows[-1][-1] if rows else None
             results.append((rows, solution.iterations, solution.converged, final_dist))
         return results
 
@@ -332,7 +318,7 @@ def _asymptotic_k_sweep(cfg: ExperimentConfig) -> ExperimentResult:
         empty = (None,) * len(columns)
         realization = np.repeat(np.arange(block.start, block.stop), len(loads))
         return [
-            dict(zip(K_SWEEP_FIELDS, (k_users, index, trace_k, *(cells if ok else empty), int(ok))))
+            (k_users, index, trace_k, *(cells if ok else empty), int(ok))
             for k_users, index, trace_k, ok, *cells in zip(
                 k.tolist(), realization.tolist(), trace.tolist(), feasible.tolist(),
                 *(column.tolist() for column in columns),
@@ -341,13 +327,15 @@ def _asymptotic_k_sweep(cfg: ExperimentConfig) -> ExperimentResult:
 
     rows = _map(cfg, plan_block, _blocks(cfg.realizations, PLAN_BLOCK // len(loads)))
     summary = {"realizations": cfg.realizations, "k_range": (cfg.k_min, cfg.k_max)}
-    feasible = [r for r in rows if r["feasible"]]
+    column = dict(zip(K_SWEEP_FIELDS, zip(*rows)))
     for k in (cfg.k_min, cfg.k_max):
-        k_rows = [r for r in feasible if r["k_users"] == k]
-        if k_rows:
-            summary[f"mean_gain_vs_full[K={k}]"] = float(
-                np.mean([r["gain_vs_full"] for r in k_rows])
-            )
+        gains = [
+            gain
+            for load, gain, ok in zip(column["k_users"], column["gain_vs_full"], column["feasible"])
+            if ok and load == k
+        ]
+        if gains:
+            summary[f"mean_gain_vs_full[K={k}]"] = float(np.mean(gains))
     return ExperimentResult(K_SWEEP_FIELDS, rows, summary)
 
 
@@ -379,18 +367,15 @@ def _asymptotic_q_error(cfg: ExperimentConfig) -> ExperimentResult:
         results = _map(cfg, solve_block, _realization_blocks(cfg, q))
         kept = [r for r in results if not (cfg.discard_over_pmax and r[2])]
         discarded = len(results) - len(kept)
-        errors = np.array([abs(p_sim - p_asym) for p_sim, p_asym, _ in kept])
-        rows.append({
-            "subcarriers": q,
-            "realizations": len(kept),
-            "discarded": discarded,
-            "mean_abs_error": float(errors.mean()) if kept else None,
-            "var_abs_error": float(errors.var()) if kept else None,
-            "mean_p_pas_sim": float(np.mean([r[0] for r in kept])) if kept else None,
-            "mean_p_pas_asym": float(np.mean([r[1] for r in kept])) if kept else None,
-        })
+        stats = (None,) * 4
         if kept:
-            summary[f"mean_abs_error[Q={q}]"] = float(errors.mean())
+            p_sim, p_asym, _ = (np.array(values) for values in zip(*kept))
+            errors = np.abs(p_sim - p_asym)
+            stats = (
+                float(errors.mean()), float(errors.var()), float(p_sim.mean()), float(p_asym.mean())
+            )
+            summary[f"mean_abs_error[Q={q}]"] = stats[0]
+        rows.append((q, len(kept), discarded, *stats))
     return ExperimentResult(Q_ERROR_FIELDS, rows, summary)
 
 
@@ -408,7 +393,7 @@ def _asymptotic_ma_curve(cfg: ExperimentConfig) -> ExperimentResult:
     p_bs = asymptotic_bs_power(counts, k, trace, pa, bs)
     star = int(counts[np.argmin(p_bs)])  # the first minimum: ties go to fewer antennas
     rows = [
-        {"m_active": n, "p_pas_bar": p_pas, "p_bs_bar": value, "is_m_star": int(n == star)}
+        (n, p_pas, value, int(n == star))
         for n, p_pas, value in zip(
             counts.tolist(), asymptotic_pa_power(counts, k, trace, pa).tolist(), p_bs.tolist()
         )
@@ -448,11 +433,10 @@ def validate_suite(cfg: ExperimentConfig) -> ExperimentResult:
     worst_rel = max(
         abs(pa_consumed_power(sol.powers, pa) - ref) / ref for sol, ref in zip(solutions, references)
     )
-    rows.append({
-        "check": "bruteforce_equivalence",
-        "passed": int(worst_rel <= 1e-3),
-        "detail": f"worst relative objective gap {worst_rel:.3e} over {instances} instances",
-    })
+    rows.append((
+        "bruteforce_equivalence", int(worst_rel <= 1e-3),
+        f"worst relative objective gap {worst_rel:.3e} over {instances} instances",
+    ))
 
     # Inverse-Wishart trace expectation.
     m, k = 16, 4
@@ -461,11 +445,10 @@ def validate_suite(cfg: ExperimentConfig) -> ExperimentResult:
     estimate = oracle.mc_inverse_wishart_trace(m, k, beta, gamma, 1.0, 10_000, rng)
     expected = trace_term(beta, gamma, 1.0) / (m - k)
     wishart_rel = abs(estimate - expected) / expected
-    rows.append({
-        "check": "wishart_identity",
-        "passed": int(wishart_rel <= 0.02),
-        "detail": f"relative error {wishart_rel:.4f} at 1e4 draws",
-    })
+    rows.append((
+        "wishart_identity", int(wishart_rel <= 0.02),
+        f"relative error {wishart_rel:.4f} at 1e4 draws",
+    ))
 
     # Antenna-count optimum vs exhaustive grid.
     mismatches = 0
@@ -479,11 +462,10 @@ def validate_suite(cfg: ExperimentConfig) -> ExperimentResult:
         plan = optimal_ma_constrained(m, k, trace, pa, bs, p_max)
         if plan.m_dagger != oracle.grid_min_bs(m, k, trace, pa, bs, p_max):
             mismatches += 1
-    rows.append({
-        "check": "grid_equivalence",
-        "passed": int(mismatches == 0),
-        "detail": f"{mismatches} mismatches over 100 random scenarios",
-    })
+    rows.append((
+        "grid_equivalence", int(mismatches == 0),
+        f"{mismatches} mismatches over 100 random scenarios",
+    ))
 
     # Newton quartic vs closed form.
     worst_quartic = 0.0
@@ -494,11 +476,10 @@ def validate_suite(cfg: ExperimentConfig) -> ExperimentResult:
         newton = solve_quartic_ma(k, t, c)
         closed = oracle.solve_quartic_closed_form(k, t, c)
         worst_quartic = max(worst_quartic, abs(newton - closed) / closed)
-    rows.append({
-        "check": "quartic_closed_form",
-        "passed": int(worst_quartic <= 1e-6),
-        "detail": f"worst relative root gap {worst_quartic:.3e} over 100 draws",
-    })
+    rows.append((
+        "quartic_closed_form", int(worst_quartic <= 1e-6),
+        f"worst relative root gap {worst_quartic:.3e} over 100 draws",
+    ))
 
-    summary = {"passed": all(r["passed"] for r in rows)}
+    summary = {"passed": all(passed for _, passed, _ in rows)}
     return ExperimentResult(VALIDATION_FIELDS, rows, summary)

@@ -274,7 +274,8 @@ def test_criterion_11_asymptotic_savings():
         m_antennas=64, seed=42,
     )
     res = asymptotic_experiment(cfg)
-    rows = [r for r in res.rows if r["feasible"]]
+    rows = [dict(zip(res.fieldnames, row)) for row in res.rows]
+    rows = [r for r in rows if r["feasible"]]
     gains = {}
     for k in (1, 10):
         gains[k] = float(np.mean([r["gain_vs_full"] for r in rows if r["k_users"] == k]))

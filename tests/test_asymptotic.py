@@ -405,11 +405,13 @@ def reference_k_sweep(cfg):
 )
 def test_k_sweep_equals_reference_loop(sweep, scenario):
     cfg = with_scenario(ExperimentConfig(asym_mode="k_sweep", **sweep), **scenario)
-    rows = asymptotic_experiment(cfg).rows
+    result = asymptotic_experiment(cfg)
     expected = reference_k_sweep(cfg)
-    assert len(rows) == len(expected)
-    for row, ref in zip(rows, expected):
-        assert list(row) == list(K_SWEEP_FIELDS)
+    assert result.fieldnames == K_SWEEP_FIELDS
+    assert len(result.rows) == len(expected)
+    for cells, ref in zip(result.rows, expected):
+        assert len(cells) == len(K_SWEEP_FIELDS)
+        row = dict(zip(result.fieldnames, cells))
         for name in K_SWEEP_FIELDS:
             assert type(row[name]) is type(ref[name]), (name, row, ref)
             if name == "m_tilde" and ref[name] is not None:

@@ -1,7 +1,12 @@
+import csv
+import io
+import math
+
+import numpy as np
 import pytest
 
 from energymimo.channel import ChannelRealization
-from energymimo.cli import main
+from energymimo.cli import main, write_csv
 from energymimo.config import (
     ExperimentConfig,
     dbm_to_watts,
@@ -11,7 +16,14 @@ from energymimo.config import (
 )
 from energymimo.errors import ConfigError, SingularChannelError
 from energymimo.experiments import (
-    PLAN_BLOCK, _blocks, _realization_blocks, run_experiment, validate_suite,
+    PLAN_BLOCK,
+    ExperimentResult,
+    _blocks,
+    _realization_blocks,
+    asymptotic_experiment,
+    convergence_experiment,
+    run_experiment,
+    validate_suite,
 )
 
 # Q * K * M = 32768 channel entries: one realization per solver block.
@@ -88,7 +100,8 @@ def test_run_experiment_rows_and_discard_column():
     result = run_experiment(cfg)
     assert len(result.rows) == 10  # one row per realization per solver
     assert set(result.fieldnames) >= {"solver", "p_pas", "gain_bs", "discarded"}
-    zf_rows = [r for r in result.rows if r["solver"] == "zf"]
+    rows = [dict(zip(result.fieldnames, row)) for row in result.rows]
+    zf_rows = [r for r in rows if r["solver"] == "zf"]
     assert all(r["gain_pas"] == pytest.approx(1.0) for r in zf_rows)
 
 
@@ -100,12 +113,12 @@ def test_discard_rule_triggers_on_as1_solvers_only():
         m_antennas=8, k_users=1, seed=12, p_max_watts=1e-6,
     )
     result = run_experiment(cfg)
-    assert all(r["discarded"] == 1 for r in result.rows)
+    assert all(dict(zip(result.fieldnames, r))["discarded"] == 1 for r in result.rows)
     assert result.summary["discarded"] == 4
 
     relaxed = with_scenario(cfg, p_max_watts=1e9)
     result2 = run_experiment(relaxed)
-    assert all(r["discarded"] == 0 for r in result2.rows)
+    assert all(dict(zip(result2.fieldnames, r))["discarded"] == 0 for r in result2.rows)
 
 
 def test_saturating_solver_respects_cap():
@@ -114,7 +127,8 @@ def test_saturating_solver_respects_cap():
         m_antennas=8, k_users=1, seed=12,
     )
     result = run_experiment(cfg)
-    sat = [r for r in result.rows if r["solver"] == "saturating"]
+    rows = [dict(zip(result.fieldnames, row)) for row in result.rows]
+    sat = [r for r in rows if r["solver"] == "saturating"]
     assert len(sat) == 4
     assert all(r["p_tx"] <= 8 * cfg.scenario.p_max_watts + 1e-9 for r in sat)
 
@@ -296,13 +310,23 @@ def test_cli_config_error_exit_code(tmp_path):
     "sinr_ref = -1",
     "freq_taps = -1",
     "oracle_starts = 0",
+    "circuit_watts = -1",
+    "freq_taps = 2\nfreq_decay = -1",
+    "precoders =",
+    "precoders = zf, min_pa, zf",
+    "q_list =",
+    "q_list = 4,4",
 ])
 def test_cli_out_of_domain_value_is_config_error(tmp_path, capsys, line):
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text(f"m_antennas = 8\nrealizations = 2\n{line}\n")
     out = tmp_path / "o.csv"
     assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    # The message names the config key, not the model field it feeds.
+    key = line.splitlines()[-1].split("=")[0].strip()
+    assert key in err
     assert not out.exists()
 
 
@@ -450,7 +474,7 @@ def test_cli_validate_exit_codes(monkeypatch, capsys):
     from energymimo.experiments import ExperimentResult, VALIDATION_FIELDS
 
     def fake_suite(cfg, passed):
-        row = {"check": "stub", "passed": int(passed), "detail": "stub"}
+        row = ("stub", int(passed), "stub")
         return ExperimentResult(VALIDATION_FIELDS, [row], {"passed": passed})
 
     monkeypatch.setattr(cli, "validate_suite", lambda cfg: fake_suite(cfg, True))
@@ -465,7 +489,7 @@ def test_validate_suite_passes_and_detects_faults(monkeypatch):
     cfg = ExperimentConfig()
     result = validate_suite(cfg)
     assert result.summary["passed"]
-    assert all(r["passed"] for r in result.rows)
+    assert all(dict(zip(result.fieldnames, r))["passed"] for r in result.rows)
 
     # fault injection: a wrong consumption coefficient must fail the
     # PA-consumption cross-check
@@ -475,5 +499,65 @@ def test_validate_suite_passes_and_detects_faults(monkeypatch):
     monkeypatch.setattr(exps, "pa_consumed_power", lambda p, pa: 1.5 * real(p, pa))
     broken = validate_suite(cfg)
     assert not broken.summary["passed"]
-    names = {r["check"]: r["passed"] for r in broken.rows}
+    rows = [dict(zip(broken.fieldnames, row)) for row in broken.rows]
+    names = {r["check"]: r["passed"] for r in rows}
     assert not names["bruteforce_equivalence"]
+
+
+def reference_csv(result) -> bytes:
+    """The CSV as ``csv.writer`` wrote it from dict rows, cell by cell."""
+
+    def format_cell(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return str(int(value))
+        if isinstance(value, float):
+            return f"{value:.9g}"
+        return str(value)
+
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(result.fieldnames)
+    for cells in result.rows:
+        row = dict(zip(result.fieldnames, cells))
+        writer.writerow([format_cell(row.get(name)) for name in result.fieldnames])
+    return buffer.getvalue().encode("utf-8")
+
+
+def _synthetic_result():
+    floats = (
+        math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 123456789.0, 0.1, 2.0 / 3.0,
+        np.float64(-1.5e-12), np.float64(math.nan),
+    )
+    rows = [(None, 7, "zf", value, np.int64(-3)) for value in floats]
+    rows.append(("min_pa", None, "", None, 0))
+    return ExperimentResult(("a", "b", "c", "d", "e"), rows, {})
+
+
+def _tiny(scenario, **changes):
+    return with_scenario(ExperimentConfig(realizations=3, **changes), seed=4, **scenario)
+
+
+@pytest.mark.parametrize("build, has_empty_cells", [
+    (_synthetic_result, True),
+    (lambda: run_experiment(_tiny({"m_antennas": 8, "k_users": 2}, precoders=("min_pa",))), True),
+    (lambda: convergence_experiment(_tiny({"m_antennas": 16, "k_users": 2})), True),
+    (lambda: asymptotic_experiment(_tiny({"m_antennas": 8}, k_max=10)), True),
+    (lambda: asymptotic_experiment(
+        _tiny({"m_antennas": 8, "k_users": 2}, asym_mode="q_error", q_list=(2, 4))
+    ), False),
+    (lambda: asymptotic_experiment(
+        _tiny({"m_antennas": 12, "k_users": 3}, asym_mode="ma_curve")
+    ), False),
+    (lambda: validate_suite(ExperimentConfig()), False),
+], ids=[
+    "synthetic", "run_min_pa", "convergence_no_oracle", "k_sweep_infeasible", "q_error",
+    "ma_curve", "validate",
+])
+def test_write_csv_equals_csv_module_reference(tmp_path, build, has_empty_cells):
+    result = build()
+    assert any(None in row for row in result.rows) == has_empty_cells
+    out = tmp_path / "out.csv"
+    write_csv(str(out), result)
+    assert out.read_bytes() == reference_csv(result)
