@@ -196,7 +196,7 @@ def _validate(cfg: ExperimentConfig):
         ("epsilon, max_iterations, dead_antenna_floor", cfg.fixed_point),
         (
             "freq_taps, freq_decay",
-            lambda: sc.freq_taps > 0 and FreqCorrelation(sc.freq_taps, sc.freq_decay),
+            lambda: FreqCorrelation(max(1, sc.freq_taps), sc.freq_decay),
         ),
     ):
         try:

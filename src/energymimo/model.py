@@ -94,7 +94,6 @@ class PowerReport:
     consumption; the entries sum to 1 whenever the total is positive.
     """
 
-    per_antenna: np.ndarray
     p_tx: float
     p_pas: float
     p_bs: float
@@ -172,7 +171,6 @@ def bs_consumed_power(powers, pa: PaModel, bs: BsModel) -> PowerReport:
     else:
         shares = (0.0, 0.0, 0.0)
     return PowerReport(
-        per_antenna=p,
         p_tx=p_tx,
         p_pas=p_pas,
         p_bs=p_bs,

@@ -6,11 +6,15 @@ consumption under the same QoS constraints by iterating the fixed-point
 power equations; the closed-form single-user and LOS special cases have
 dedicated entry points.
 
-Both iterative solvers run on one core that works on stacks of shape
-(R, Q, K, M) holding R realizations: ``zf_precoders`` and
-``min_pa_precoders`` solve a list of instances at once, and the one-instance
-entry points are R=1 views onto them. Each realization gets exactly the
-arithmetic it would get alone, so stacking never changes a result.
+Both iterative solvers run on one weighted zero-forcing kernel,
+W_q = D_p^(1/2) H_q^H (H_q D_p^(1/2) H_q^H)^(-1) D_q, over all M antennas of
+a stack of shape (R, Q, K, M) holding R realizations. Zero forcing is the
+kernel at uniform power, which is also the fixed point's first iterate; an
+antenna the fixed point switches off is a zero power and gets a zero row.
+``zf_precoders`` and ``min_pa_precoders`` solve a list of instances at once,
+and the one-instance entry points are R=1 views onto them. Each realization
+gets exactly the arithmetic it would get alone, so stacking never changes a
+result.
 
 All Gram solves use a Hermitian (Cholesky) factorization followed by
 forward/backward substitution on the K x K user-side matrix; the optimal
@@ -31,7 +35,8 @@ from .model import DEFAULT_ACTIVE_POWER_THRESHOLD, per_antenna_powers
 GRAM_CONDITION_LIMIT = 1e12
 
 # Uniform start of the fixed point, in Watts. The first weighted-ZF iterate
-# does not depend on the scale of a uniform start.
+# does not depend on the scale of a uniform start; at 1 W the kernel's
+# weights are exactly one, so zero forcing runs on the unweighted channel.
 INITIAL_POWER = 1.0
 
 # Tolerance on max |[H_q W_q]_{k',k} - delta * (gamma_k/Q)^(1/2) sigma| that
@@ -45,8 +50,9 @@ class FixedPointConfig:
 
     ``tolerance`` is the absolute stopping threshold on the largest
     per-antenna power change between iterations, in Watts. Antennas whose
-    power falls below ``dead_antenna_floor`` are clamped to zero and removed
-    from subsequent Gram solves.
+    power falls below ``dead_antenna_floor`` are clamped to zero power; the
+    Gram solves run over all M antennas, where a zero power gives a zero
+    row.
     """
 
     tolerance: float = 1e-4
@@ -174,65 +180,34 @@ def _positive_definite(matrices) -> bool:
     return True
 
 
-def _weighted_zf_groups(h_by_antenna, rhs, index, rows, p, active, groups):
-    """W = D_p^(1/2) H^H (H D_p^(1/2) H^H)^(-1) diag(rhs) on the active antennas.
+def _weighted_zf(h, rhs, index, p):
+    """W = D_p^(1/2) H^H (H D_p^(1/2) H^H)^(-1) diag(rhs) on a (R, Q, K, M) stack.
 
-    ``p`` and ``active`` hold the powers and active masks of the stack
-    realizations ``rows``; each group (positions into ``rows``) shares one
-    active-antenna count A, so its active channels form one (G, Q, K, A)
-    stack, and the Gram solves of all groups then run as one stack.
-    ``h_by_antenna`` is the channel stack in antenna-major (R, M, Q, K)
-    memory, which the gathered channels keep behind their (G, Q, K, A) view:
-    for K=1 the Gram product is a BLAS dot whose rounding depends on the
-    stride, and this order fixes it. Returns ``(cols, w)`` per group: the
-    (G, A) active columns and the (G, Q, A, K) precoders on them.
+    ``p`` holds the (R, M) per-antenna powers. The product runs over all M
+    antennas: one with p_m = 0 has a zero column in H D_p^(1/4) and gets a
+    zero row in W, so a switched-off antenna needs no mask. Returns the
+    (R, Q, M, K) precoders.
     """
-    parts = []
-    for group in groups:
-        cols = active[group].nonzero()[1].reshape(group.size, -1)
-        quarter = np.sqrt(np.sqrt(p[group[:, None], cols]))
-        b = h_by_antenna[rows[group, None], cols].transpose(0, 2, 3, 1)
-        b = b * quarter[:, None, None, :]
-        b_adj = np.ascontiguousarray(b.conj().swapaxes(-1, -2))
-        parts.append((cols, quarter, b_adj, b @ b_adj))
-    if len(groups) == 1:
-        every, gram = rows[groups[0]], parts[0][3]
-    else:
-        every = rows[np.concatenate(groups)]
-        gram = np.concatenate([part[3] for part in parts])
-    x = _gram_solve(gram, rhs[every], index[every])
-    solved = []
-    start = 0
-    for group, (cols, quarter, b_adj, _) in zip(groups, parts):
-        w = (b_adj @ x[start:start + group.size]) * quarter[:, None, :, None]
-        solved.append((cols, w))
-        start += group.size
-    return solved
-
-
-def _by_active_count(counts):
-    """Split realizations into groups of equal active-antenna ``counts``."""
-    if (counts == counts[0]).all():
-        return [np.arange(counts.size)]
-    order = np.argsort(counts, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(counts[order])) + 1)
+    quarter = np.sqrt(np.sqrt(p))[:, None, None, :]
+    b = h * quarter
+    b_adj = np.ascontiguousarray(b.conj().swapaxes(-1, -2))
+    return (b_adj @ _gram_solve(b @ b_adj, rhs, index)) * quarter.swapaxes(-1, -2)
 
 
 def _fixed_point(h, rhs, index, cfg: FixedPointConfig) -> list[PrecoderSolution]:
     """Fixed-point power iteration on a (R, Q, K, M) stack.
 
-    Each realization keeps its own powers, active mask, residual, iteration
-    count and stopping test, and leaves the working set once it converges.
-    Realizations with the same active-antenna count are solved together.
-    ``p`` and ``active`` hold the working set, realizations ``work``; a
-    realization's final state moves to ``p_final`` / ``active_final`` as it
-    leaves.
+    Each realization keeps its own powers, residual, iteration count and
+    stopping test, and leaves the working set once it converges: its row
+    goes from ``h``, ``rhs``, ``index`` and ``p`` together, so ``index``
+    still names each remaining realization in errors. ``work`` holds the
+    stack rows of the working set; a realization's final powers move to
+    ``p_final`` as it leaves. A dead antenna is a zero power.
     """
-    n, q, k, m = h.shape
-    h_by_antenna = np.ascontiguousarray(np.moveaxis(h, 3, 1))
+    n, _, k, m = h.shape
+    stack = h, rhs, index
     p = np.full((n, m), INITIAL_POWER)
-    active = np.ones((n, m), dtype=bool)
-    p_final, active_final = p.copy(), active.copy()
+    p_final = p.copy()
     iterations = np.full(n, cfg.max_iterations)
     converged = np.zeros(n, dtype=bool)
     residual = np.full(n, np.inf)
@@ -240,20 +215,14 @@ def _fixed_point(h, rhs, index, cfg: FixedPointConfig) -> list[PrecoderSolution]
     work = np.arange(n)
 
     for iteration in range(1, cfg.max_iterations + 1):
-        dying = active & (p < cfg.dead_antenna_floor)
-        p[dying] = 0.0
-        active[dying] = False
-        counts = active.sum(axis=1)
-        if (counts < k).any():
+        p[p < cfg.dead_antenna_floor] = 0.0
+        short = np.count_nonzero(p, axis=1) < k
+        if short.any():
             raise SingularChannelError(
                 "fewer active antennas than users; cannot hold the ZF constraint",
-                realization=int(index[work[np.argmax(counts < k)]]),
+                realization=int(index[np.argmax(short)]),
             )
-        groups = _by_active_count(counts)
-        solved = _weighted_zf_groups(h_by_antenna, rhs, index, work, p, active, groups)
-        p_new = np.zeros_like(p)
-        for group, (cols, w_act) in zip(groups, solved):
-            p_new[group[:, None], cols] = (np.abs(w_act) ** 2).sum(axis=(1, 3))
+        p_new = (np.abs(_weighted_zf(h, rhs, index, p)) ** 2).sum(axis=(1, 3))
         step = abs(p_new - p).max(axis=1)
         p = p_new
         if history is not None:
@@ -265,25 +234,17 @@ def _fixed_point(h, rhs, index, cfg: FixedPointConfig) -> list[PrecoderSolution]
         elif not done.any():
             continue
         leaving = work[done]
-        p_final[leaving], active_final[leaving] = p[done], active[done]
+        p_final[leaving] = p[done]
         residual[leaving] = step[done]
         converged[leaving] = step[done] <= cfg.tolerance
         iterations[leaving] = iteration
         keep = ~done
-        work, p, active = work[keep], p[keep], active[keep]
+        work, h, rhs, index, p = work[keep], h[keep], rhs[keep], index[keep], p[keep]
         if not work.size:
             break
 
     # Substitute the final power diagonal back to obtain the precoders.
-    matrices = [None] * n
-    every = np.arange(n)
-    groups = _by_active_count(active_final.sum(axis=1))
-    solved = _weighted_zf_groups(h_by_antenna, rhs, index, every, p_final, active_final, groups)
-    for group, (cols, w_act) in zip(groups, solved):
-        for r, w_r, cols_r in zip(group, w_act, cols):
-            w = np.zeros((q, m, k), dtype=complex)
-            w[:, cols_r, :] = w_r
-            matrices[r] = w
+    matrices = _weighted_zf(*stack, p_final)
     return [
         _finish_solution(
             matrices[r], int(iterations[r]), bool(converged[r]), residual[r],
@@ -296,15 +257,16 @@ def _fixed_point(h, rhs, index, cfg: FixedPointConfig) -> list[PrecoderSolution]
 def zf_precoders(channels, qos_list) -> list[PrecoderSolution]:
     """Zero-forcing precoders for a list of instances, solved as stacks.
 
-    Instances of equal channel shape are solved together; the result for
-    each equals :func:`zf_precoder` on that instance alone.
+    Zero forcing is the weighted-ZF kernel at uniform power, the fixed
+    point's first iterate. Instances of equal channel shape are solved
+    together; the result for each equals :func:`zf_precoder` on that
+    instance alone.
     """
     channels, qos_list = list(channels), list(qos_list)
     solutions = [None] * len(channels)
     for index, h, rhs in _stacks(channels, qos_list):
-        h_adj = np.ascontiguousarray(h.conj().swapaxes(-1, -2))
-        w = h_adj @ _gram_solve(h @ h_adj, rhs, index)
-        for i, w_i in zip(index, w):
+        uniform = np.full((h.shape[0], h.shape[3]), INITIAL_POWER)
+        for i, w_i in zip(index, _weighted_zf(h, rhs, index, uniform)):
             solutions[i] = _finish_solution(w_i, iterations=0, converged=True, residual=0.0)
     return solutions
 
@@ -346,7 +308,8 @@ def min_pa_precoder(
     change drops below the tolerance or the iteration budget is exhausted
     (in which case the solution is returned with ``converged=False`` rather
     than damped). Antennas driven below the dead floor are clamped to zero
-    and their columns leave the active Gram solve.
+    power, which keeps them at zero: a dead antenna is a zero power in the
+    weighted Gram, not a column that leaves it.
     """
     return min_pa_precoders([channel], [qos], cfg)[0]
 

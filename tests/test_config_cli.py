@@ -312,6 +312,7 @@ def test_cli_config_error_exit_code(tmp_path):
     "oracle_starts = 0",
     "circuit_watts = -1",
     "freq_taps = 2\nfreq_decay = -1",
+    "freq_decay = -1",
     "precoders =",
     "precoders = zf, min_pa, zf",
     "q_list =",

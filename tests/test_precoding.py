@@ -17,6 +17,7 @@ from energymimo import (
 )
 from energymimo.channel import draw_los_channel
 from energymimo.errors import DimensionError, DomainError, InfeasibleError, SingularChannelError
+from energymimo.model import DEFAULT_ACTIVE_POWER_THRESHOLD
 from energymimo.precoding import GRAM_CONDITION_LIMIT, ZF_TOLERANCE
 
 from conftest import draw_cell_instance
@@ -242,19 +243,50 @@ def reference_min_pa(channel, qos, cfg):
 
 
 def test_stacked_min_pa_equals_reference_loop():
-    # Same arithmetic as the plain loop, to the bit, including K=1 with Q>1
-    # (a strided BLAS dot in the Gram) and runs cut off by the iteration budget.
+    # The kernel runs over all M antennas, the loop over the active columns
+    # only. For K >= 2 a dead antenna's zero column adds exact zeros to
+    # zgemm's sequential sums, so the two agree to the bit. For K = 1 the
+    # Gram is a BLAS dot whose multi-accumulator rounding moves with the zero
+    # columns, by a few eps of the largest entry; the discrete outcome stays
+    # equal. Runs cut off by the iteration budget are included.
     rng = np.random.default_rng(39)
     instances = [draw_cell_instance(12, 1, 8, rng) for _ in range(3)]
     instances += [draw_cell_instance(16, 3, 1, rng) for _ in range(3)]
     instances += [draw_cell_instance(10, 2, 4, rng) for _ in range(2)]
+    eps = np.finfo(float).eps
     for cfg in (FixedPointConfig(), FixedPointConfig(max_iterations=40)):
         solutions = min_pa_precoders(*zip(*instances), cfg)
         for (channel, qos), solution in zip(instances, solutions):
             w, iterations, residual = reference_min_pa(channel, qos, cfg)
-            assert np.array_equal(solution.matrices, w)
+            powers = per_antenna_powers(w)
             assert solution.iterations == iterations
-            assert solution.residual == residual
+            assert solution.converged == (residual <= cfg.tolerance)
+            assert np.array_equal(
+                solution.active_set, np.flatnonzero(powers > DEFAULT_ACTIVE_POWER_THRESHOLD)
+            )
+            if channel.k_users > 1:
+                assert np.array_equal(solution.matrices, w)
+                assert solution.residual == residual
+            else:
+                assert np.abs(solution.matrices - w).max() <= 16 * eps * np.abs(w).max()
+                assert abs(solution.residual - residual) <= 16 * eps * powers.max()
+
+
+def test_zf_is_the_fixed_points_first_iterate():
+    # Zero forcing is the weighted-ZF kernel at the fixed point's uniform
+    # start, so its powers are the first iterate, bit for bit, K=1 included.
+    instances = [
+        draw_cell_instance(12, 1, 8, np.random.default_rng(3)),
+        draw_cell_instance(64, 1, 1, np.random.default_rng(4)),
+        draw_cell_instance(16, 3, 1, np.random.default_rng(5)),
+        draw_cell_instance(10, 2, 4, np.random.default_rng(6)),
+        draw_cell_instance(12, 1, 8, np.random.default_rng(7)),
+    ]
+    channels, targets = zip(*instances)
+    cfg = FixedPointConfig(max_iterations=1, record_history=True)
+    first = min_pa_precoders(channels, targets, cfg)
+    for zf, iterate in zip(zf_precoders(channels, targets), first):
+        assert np.array_equal(zf.powers, iterate.history[1])
 
 
 def test_stacked_zf_equals_one_at_a_time():
@@ -310,6 +342,19 @@ def test_stacked_errors_name_the_realization():
         assert str(err.value).startswith("realization 2: ")
     with pytest.raises(DimensionError):
         min_pa_precoders([good, good], [qos])
+
+
+def test_error_names_the_realization_after_others_converge():
+    # The two unit-noise instances reach their exact 1 W ZF powers at
+    # iteration 1 and leave the working set; the faint one then loses every
+    # antenna to the floor, and the error still names its list position.
+    eye = narrowband_channel(np.eye(2))
+    unit = QosTargets(gamma=[1.0, 1.0], noise_power=1.0)
+    faint = QosTargets(gamma=[1.0, 1.0], noise_power=1e-6)
+    cfg = FixedPointConfig(dead_antenna_floor=1e-3)
+    with pytest.raises(SingularChannelError) as err:
+        min_pa_precoders([eye, eye, eye], [unit, unit, faint], cfg)
+    assert err.value.realization == 2
 
 
 def test_single_user_narrowband_examples():
