@@ -12,7 +12,6 @@ from .asymptotic import (
     asymptotic_bs_power,
     asymptotic_pa_power,
     asymptotic_per_antenna_power,
-    feasibility_check,
     min_ma_power_constraint,
     optimal_ma_constrained,
     optimal_ma_plans,
@@ -99,7 +98,6 @@ __all__ = [
     "draw_rayleigh_channel",
     "draw_user_distances",
     "estimate_flops",
-    "feasibility_check",
     "gain_metrics",
     "grid_min_bs",
     "ideal_pa_consumed_power",

@@ -170,15 +170,6 @@ def min_ma_power_constraint(k_users, trace, p_max: float):
     return np.ceil(bound).astype(np.int64)
 
 
-def feasibility_check(m_antennas: int, k_users: int, trace: float, p_max: float) -> bool:
-    """Whether activating all M antennas satisfies the per-antenna cap."""
-    if m_antennas <= k_users:
-        raise InfeasibleError(
-            f"zero forcing needs M > K, got M={m_antennas}, K={k_users}"
-        )
-    return asymptotic_per_antenna_power(m_antennas, k_users, trace) <= p_max
-
-
 def _stationarity_t(k_users, trace, pa: PaModel, bs: BsModel):
     """Normal-form t-argument of the quartic stationarity condition.
 

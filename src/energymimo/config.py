@@ -40,7 +40,6 @@ class ScenarioConfig:
     noise_dbm: float = -96.0
     p_fix_watts: float = 15.0
     circuit_watts: float = 0.7
-    active_threshold_watts: float = 1e-9
     u_min_m: float = 35.0
     u_max_m: float = 250.0
     sinr_ref: float = SINR_REF_COEFF
@@ -54,11 +53,7 @@ class ScenarioConfig:
         return PaModel.from_p_max(self.p_max_watts, self.eta_max, self.backoff)
 
     def bs_model(self) -> BsModel:
-        return BsModel(
-            p_fix=self.p_fix_watts,
-            circuit_per_antenna=self.circuit_watts,
-            active_power_threshold=self.active_threshold_watts,
-        )
+        return BsModel(p_fix=self.p_fix_watts, circuit_per_antenna=self.circuit_watts)
 
     def geometry(self) -> CellGeometry:
         return CellGeometry(u_min=self.u_min_m, u_max=self.u_max_m)
@@ -191,7 +186,7 @@ def _validate(cfg: ExperimentConfig):
     # Each model checks its own fields; the message names the keys that feed it.
     for keys, build in (
         ("p_max_watts, eta_max, backoff", sc.pa_model),
-        ("p_fix_watts, circuit_watts, active_threshold_watts", sc.bs_model),
+        ("p_fix_watts, circuit_watts", sc.bs_model),
         ("u_min_m, u_max_m", sc.geometry),
         ("epsilon, max_iterations, dead_antenna_floor", cfg.fixed_point),
         (

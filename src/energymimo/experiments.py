@@ -10,8 +10,10 @@ k_sweep plans a block through the array antenna-count planner. The thread
 pool maps over those blocks, whose boundaries depend only on the scenario.
 
 A command returns an :class:`ExperimentResult` whose rows are tuples of cells
-in ``fieldnames`` order, ``None`` for an empty cell; summaries come from
-``zip(*rows)`` columns or from numbers the command holds.
+in ``fieldnames`` order, ``None`` for an empty cell. Each block is accounted
+as arrays (one entry per realization, or per iteration for ``convergence``)
+and its rows are zipped from their ``.tolist()`` columns; summaries come from
+``zip(*rows)`` columns or from arrays the command holds.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -169,37 +172,38 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     bs = cfg.scenario.bs_model()
     p_max = cfg.scenario.p_max_watts
 
-    def report_rows(index: int, solutions: dict):
-        reports = {name: bs_consumed_power(sol.powers, pa, bs) for name, sol in solutions.items()}
-        discarded = int(cfg.discard_over_pmax and any(
-            np.any(solutions[name].powers > p_max)
-            for name in cfg.precoders
-            if name in AS1_PRECODERS
-        ))
-        reference = reports.get("zf")
-        rows = []
-        for name in cfg.precoders:
-            report = reports[name]
-            gains = gain_metrics(reference, report) if reference is not None else (None, None)
-            rows.append((
-                cfg.scenario.seed, index, name, report.p_tx, report.p_pas, report.p_bs,
-                report.m_active, *gains, discarded,
-            ))
-        return rows
-
     def solve_block(block: range):
         channels, qos_list = _draw_block(cfg, block, cfg.scenario.subcarriers)
+        # Every solve runs before the ZF result is dropped: freeing that buffer first
+        # changes how glibc allocates the fixed point's temporaries, about 30% slower.
         with _global_index(block):
             solved = {name: _solve_block(name, channels, qos_list, cfg) for name in cfg.precoders}
-        return [
-            row
-            for j, index in enumerate(block)
-            for row in report_rows(index, {name: sols[j] for name, sols in solved.items()})
-        ]
+        powers = {name: np.stack([sol.powers for sol in sols]) for name, sols in solved.items()}
+        discarded = np.zeros(len(block), dtype=int)
+        for name in AS1_PRECODERS:
+            if cfg.discard_over_pmax and name in powers:
+                discarded |= np.any(powers[name] > p_max, axis=1)
+        discarded = discarded.tolist()
+        reports = {name: bs_consumed_power(stack, pa, bs) for name, stack in powers.items()}
+        reference = reports.get("zf")
+        no_gain = [None] * len(block)
+        by_solver = []
+        for name in cfg.precoders:
+            report = reports[name]
+            gains = (
+                [gain.tolist() for gain in gain_metrics(reference, report)]
+                if reference is not None else (no_gain, no_gain)
+            )
+            by_solver.append(zip(
+                repeat(cfg.scenario.seed), block, repeat(name),
+                report.p_tx.tolist(), report.p_pas.tolist(), report.p_bs.tolist(),
+                report.m_active.tolist(), *gains, discarded,
+            ))
+        # One row per precoder for each realization, in ``cfg.precoders`` order.
+        return [row for rows in zip(*by_solver) for row in rows]
 
     rows = _map(cfg, solve_block, _realization_blocks(cfg, cfg.scenario.subcarriers))
     column = dict(zip(RUN_FIELDS, zip(*rows)))
-    # Each realization has one row per precoder, in ``cfg.precoders`` order.
     solvers = len(cfg.precoders)
     discarded = column["discarded"][::solvers]
     summary = {"realizations": cfg.realizations, "discarded": sum(discarded)}
@@ -221,52 +225,55 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     def oracle_powers(index: int, channel, qos):
         if sc.k_users == 1 and sc.subcarriers == 1:
             return oracle.analytic_single_user(channel.per_subcarrier[0, 0, :], qos, pa).powers
-        try:
-            return oracle.solve_min_pa_bruteforce(
-                channel, qos, pa,
-                starts=cfg.oracle_starts,
-                rng=np.random.default_rng(sc.seed + 10_000 + index),
-                max_m=cfg.oracle_max_m,
-                max_k=cfg.oracle_max_k,
-                max_q=cfg.oracle_max_q,
-            ).powers
-        except OracleSizeError as exc:
-            if not warned[0]:
-                warned[0] = True
-                print(f"warning: oracle skipped ({exc})", file=sys.stderr)
-            return None
+        return oracle.solve_min_pa_bruteforce(
+            channel, qos, pa,
+            starts=cfg.oracle_starts,
+            rng=np.random.default_rng(sc.seed + 10_000 + index),
+            max_m=cfg.oracle_max_m,
+            max_k=cfg.oracle_max_k,
+            max_q=cfg.oracle_max_q,
+        ).powers
 
     def solve_block(block: range):
         channels, qos_list = _draw_block(cfg, block, sc.subcarriers)
         with _global_index(block):
             solutions = min_pa_precoders(channels, qos_list, cfg.fixed_point(record_history=True))
-        results = []
-        for index, channel, qos, solution in zip(block, channels, qos_list, solutions):
-            gt_powers = oracle_powers(index, channel, qos) if cfg.oracle else None
-            history = solution.history
-            rows = []
-            for i in range(1, len(history)):
-                dist = (
-                    float(np.sum((history[i] - gt_powers) ** 2))
-                    if gt_powers is not None
-                    else None
-                )
-                residual = float(np.max(np.abs(history[i] - history[i - 1])))
-                rows.append((index, i, residual, dist))
-            final_dist = rows[-1][-1] if rows else None
-            results.append((rows, solution.iterations, solution.converged, final_dist))
-        return results
+        # The histories, realization after realization, as one (sum of lengths, M)
+        # array; each holds the start and then one iterate per iteration.
+        iterations = np.array([sol.iterations for sol in solutions])
+        history = np.array([p for sol in solutions for p in sol.history])
+        first = np.cumsum(iterations + 1) - (iterations + 1)
+        iteration = np.arange(len(history)) - np.repeat(first, iterations + 1)
+        step = iteration > 0
+        residual = np.abs(np.diff(history, axis=0)).max(axis=1)[step[1:]]
+        optimum = None
+        if cfg.oracle:
+            try:
+                optimum = np.array([oracle_powers(*args) for args in zip(block, channels, qos_list)])
+            except OracleSizeError as exc:
+                if not warned[0]:
+                    warned[0] = True
+                    print(f"warning: oracle skipped ({exc})", file=sys.stderr)
+        dist, final_dist = repeat(None), np.zeros(0)
+        if optimum is not None:
+            dist_all = np.sum((history - np.repeat(optimum, iterations + 1, axis=0)) ** 2, axis=1)
+            dist, final_dist = dist_all[step].tolist(), dist_all[first + iterations][iterations > 0]
+        realization = np.repeat(np.arange(block.start, block.stop), iterations)
+        rows = list(zip(realization.tolist(), iteration[step].tolist(), residual.tolist(), dist))
+        converged = np.array([sol.converged for sol in solutions])
+        return [(rows, iterations, converged, final_dist)]
 
-    results = _map(cfg, solve_block, _realization_blocks(cfg, sc.subcarriers))
-    rows = [row for group, _, _, _ in results for row in group]
-    iteration_counts = [n for _, n, _, _ in results]
-    final_dists = [d for _, _, _, d in results if d is not None]
+    parts = _map(cfg, solve_block, _realization_blocks(cfg, sc.subcarriers))
+    rows = [row for block_rows, _, _, _ in parts for row in block_rows]
+    iterations, converged, final_dists = (
+        np.concatenate(columns) for columns in list(zip(*parts))[1:]
+    )
     summary = {
-        "mean_iterations": float(np.mean(iteration_counts)),
-        "converged": sum(1 for _, _, ok, _ in results if ok),
+        "mean_iterations": float(np.mean(iterations)),
+        "converged": int(np.count_nonzero(converged)),
         "realizations": cfg.realizations,
     }
-    if final_dists:
+    if final_dists.size:
         summary["mean_final_dist_sq"] = float(np.mean(final_dists))
     return ExperimentResult(CONVERGENCE_FIELDS, rows, summary)
 
@@ -355,27 +362,31 @@ def _asymptotic_q_error(cfg: ExperimentConfig) -> ExperimentResult:
         def solve_block(block: range, q=q):
             channels, qos_list = _draw_block(cfg, block, q)
             with _global_index(block):
-                solutions = zf_precoders(channels, qos_list)
-            results = []
-            for channel, qos, solution in zip(channels, qos_list, solutions):
-                trace = trace_term(channel.large_scale, qos.gamma, sc.noise_power)
-                p_asym = asymptotic_pa_power(sc.m_antennas, sc.k_users, trace, pa)
-                over_cap = bool(np.any(solution.powers > sc.p_max_watts))
-                results.append((pa_consumed_power(solution.powers, pa), p_asym, over_cap))
-            return results
+                powers = np.stack([sol.powers for sol in zf_precoders(channels, qos_list)])
+            trace = np.array([
+                trace_term(channel.large_scale, qos.gamma, sc.noise_power)
+                for channel, qos in zip(channels, qos_list)
+            ])
+            return [(
+                pa_consumed_power(powers, pa),
+                asymptotic_pa_power(sc.m_antennas, sc.k_users, trace, pa),
+                np.any(powers > sc.p_max_watts, axis=1),
+            )]
 
-        results = _map(cfg, solve_block, _realization_blocks(cfg, q))
-        kept = [r for r in results if not (cfg.discard_over_pmax and r[2])]
-        discarded = len(results) - len(kept)
+        p_sim, p_asym, over_cap = (
+            np.concatenate(columns)
+            for columns in zip(*_map(cfg, solve_block, _realization_blocks(cfg, q)))
+        )
+        kept = ~(over_cap & cfg.discard_over_pmax)
+        p_sim, p_asym = p_sim[kept], p_asym[kept]
         stats = (None,) * 4
-        if kept:
-            p_sim, p_asym, _ = (np.array(values) for values in zip(*kept))
+        if kept.any():
             errors = np.abs(p_sim - p_asym)
             stats = (
                 float(errors.mean()), float(errors.var()), float(p_sim.mean()), float(p_asym.mean())
             )
             summary[f"mean_abs_error[Q={q}]"] = stats[0]
-        rows.append((q, len(kept), discarded, *stats))
+        rows.append((q, len(p_sim), len(kept) - len(p_sim), *stats))
     return ExperimentResult(Q_ERROR_FIELDS, rows, summary)
 
 

@@ -13,9 +13,11 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 
-# Fixed-point iterates drive dead antennas to numerically tiny, not exactly
-# zero, powers; anything below this floor counts as switched off.
-DEFAULT_ACTIVE_POWER_THRESHOLD = 1e-9  # W
+# An antenna counts as active above this power, in every report and active
+# set. The fixed point prunes a dead antenna to an exact zero; the threshold
+# only hides antennas still decaying when the iteration stops, about 3.5 per
+# realization in (0, 1e-9] W on a narrowband M=64, K=4, Q=1 run.
+ACTIVE_POWER_THRESHOLD = 1e-9  # W
 
 FLOP_SYSTEMS = ("wideband", "narrowband", "asymptotic")
 FLOP_SOLVERS = ("proposed", "conventional")
@@ -75,23 +77,22 @@ class BsModel:
 
     p_fix: float = 15.0
     circuit_per_antenna: float = 0.7
-    active_power_threshold: float = DEFAULT_ACTIVE_POWER_THRESHOLD
 
     def __post_init__(self):
         if self.p_fix < 0.0:
             raise DomainError(f"p_fix must be >= 0, got {self.p_fix}")
         if self.circuit_per_antenna < 0.0:
             raise DomainError(f"circuit_per_antenna must be >= 0, got {self.circuit_per_antenna}")
-        if self.active_power_threshold < 0.0:
-            raise DomainError("active_power_threshold must be >= 0")
 
 
 @dataclass(frozen=True)
 class PowerReport:
-    """Full power accounting of one precoder solution.
+    """Full power accounting of one precoder solution, or of a stack of them.
 
-    ``shares`` is the (amplifier, circuit, fixed) split of the total BS
-    consumption; the entries sum to 1 whenever the total is positive.
+    Every field is a scalar for one length-M power vector and a length-R
+    array for an (R, M) stack. ``shares`` is the (amplifier, circuit, fixed)
+    split of the total BS consumption; the entries sum to 1 whenever the
+    total is positive.
     """
 
     p_tx: float
@@ -102,53 +103,37 @@ class PowerReport:
 
 
 def _as_power_array(powers) -> np.ndarray:
+    """A (..., M) array of per-antenna powers, the antennas on the last axis."""
     p = np.atleast_1d(np.asarray(powers, dtype=float))
-    if p.ndim != 1:
-        raise DimensionError(f"powers must be one-dimensional, got shape {p.shape}")
     if np.any(p < 0.0):
         raise DomainError("antenna powers must be non-negative")
     return p
 
 
-def per_antenna_powers(matrices, m_antennas: int | None = None) -> np.ndarray:
-    """Per-antenna transmit powers of a stack of per-subcarrier precoders.
-
-    ``matrices`` is either a (Q, M, K) complex array or a sequence of Q
-    matrices of identical shape (M, K). Returns the length-M vector of
-    p_m = sum_{k,q} |w_{m,k,q}|^2.
-    """
-    if isinstance(matrices, np.ndarray) and matrices.ndim == 3:
-        stack = matrices
-    else:
-        mats = [np.atleast_2d(np.asarray(w)) for w in matrices]
-        if not mats:
-            raise DimensionError("need at least one precoding matrix")
-        shape = mats[0].shape
-        for q, w in enumerate(mats):
-            if w.shape != shape:
-                raise DimensionError(
-                    f"subcarrier {q} has shape {w.shape}, expected {shape}"
-                )
-        stack = np.stack(mats)
-    if m_antennas is not None and stack.shape[1] != m_antennas:
-        raise DimensionError(
-            f"precoders have {stack.shape[1]} antenna rows, expected {m_antennas}"
-        )
-    return np.sum(np.abs(stack) ** 2, axis=(0, 2))
+def _scalar_or_array(value):
+    """A Python scalar for one power vector, the array itself for a stack."""
+    return value.item() if np.ndim(value) == 0 else value
 
 
-def pa_consumed_power(powers, pa: PaModel) -> float:
-    """Total amplifier consumption alpha * sum_m p_m^(1/2)."""
+def per_antenna_powers(matrices: np.ndarray) -> np.ndarray:
+    """Per-antenna transmit powers p_m = sum_{k,q} |w_{m,k,q}|^2 of (Q, M, K) precoders."""
+    if np.ndim(matrices) != 3:
+        raise DimensionError(f"precoders must have shape (Q, M, K), got {np.shape(matrices)}")
+    return np.sum(np.abs(matrices) ** 2, axis=(0, 2))
+
+
+def pa_consumed_power(powers, pa: PaModel):
+    """Total amplifier consumption alpha * sum_m p_m^(1/2), per power vector."""
     p = _as_power_array(powers)
-    return float(pa.alpha * np.sum(np.sqrt(p)))
+    return _scalar_or_array(pa.alpha * np.sum(np.sqrt(p), axis=-1))
 
 
-def ideal_pa_consumed_power(powers, eta: float) -> float:
-    """Consumption under a fixed-efficiency amplifier: p_tx / eta."""
+def ideal_pa_consumed_power(powers, eta: float):
+    """Consumption under a fixed-efficiency amplifier: p_tx / eta, per power vector."""
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta must be in (0, 1], got {eta}")
     p = _as_power_array(powers)
-    return float(np.sum(p) / eta)
+    return _scalar_or_array(np.sum(p, axis=-1) / eta)
 
 
 def pa_efficiency(p: float, pa: PaModel) -> float:
@@ -159,29 +144,37 @@ def pa_efficiency(p: float, pa: PaModel) -> float:
 
 
 def bs_consumed_power(powers, pa: PaModel, bs: BsModel) -> PowerReport:
-    """Assemble the whole-BS power report for a per-antenna power vector."""
+    """Whole-BS power report of a length-M power vector or an (R, M) stack.
+
+    Each stack row gets exactly the arithmetic its vector gets alone.
+    """
     p = _as_power_array(powers)
-    p_tx = float(np.sum(p))
-    p_pas = float(pa.alpha * np.sum(np.sqrt(p)))
-    m_active = int(np.count_nonzero(p > bs.active_power_threshold))
+    p_tx = np.sum(p, axis=-1)
+    p_pas = pa.alpha * np.sum(np.sqrt(p), axis=-1)
+    m_active = np.count_nonzero(p > ACTIVE_POWER_THRESHOLD, axis=-1)
     circuit = bs.circuit_per_antenna * m_active
     p_bs = p_pas + bs.p_fix + circuit
-    if p_bs > 0.0:
-        shares = (p_pas / p_bs, circuit / p_bs, bs.p_fix / p_bs)
-    else:
-        shares = (0.0, 0.0, 0.0)
+    positive = p_bs > 0.0
+    total = np.where(positive, p_bs, 1.0)
+    shares = tuple(
+        _scalar_or_array(np.where(positive, part / total, 0.0))
+        for part in (p_pas, circuit, bs.p_fix)
+    )
     return PowerReport(
-        p_tx=p_tx,
-        p_pas=p_pas,
-        p_bs=p_bs,
-        m_active=m_active,
+        p_tx=_scalar_or_array(p_tx),
+        p_pas=_scalar_or_array(p_pas),
+        p_bs=_scalar_or_array(p_bs),
+        m_active=_scalar_or_array(m_active),
         shares=shares,
     )
 
 
-def gain_metrics(reference: PowerReport, candidate: PowerReport) -> tuple[float, float]:
-    """Consumption ratios (reference / candidate) for the PAs and the BS."""
-    if candidate.p_pas <= 0.0 or candidate.p_bs <= 0.0:
+def gain_metrics(reference: PowerReport, candidate: PowerReport):
+    """Consumption ratios (reference / candidate) for the PAs and the BS.
+
+    Scalars for one-vector reports, arrays for stacked ones.
+    """
+    if np.any(candidate.p_pas <= 0.0) or np.any(candidate.p_bs <= 0.0):
         raise ZeroDivisionError("candidate report has zero consumption")
     return reference.p_pas / candidate.p_pas, reference.p_bs / candidate.p_bs
 

@@ -39,7 +39,6 @@ class OracleResult:
 
     powers: np.ndarray
     objective: float
-    method: str
     certificate: tuple[float, float]
 
 
@@ -148,7 +147,6 @@ def solve_min_pa_bruteforce(
     return OracleResult(
         powers=powers,
         objective=float(pa.alpha * np.sum(np.sqrt(powers))),
-        method="nullspace_descent",
         certificate=(residual, float(np.linalg.norm(grad))),
     )
 
@@ -167,7 +165,6 @@ def analytic_single_user(h, qos: QosTargets, pa: PaModel) -> OracleResult:
     return OracleResult(
         powers=powers,
         objective=float(pa.alpha * np.sqrt(powers[m_hat])),
-        method="analytic",
         certificate=(0.0, 0.0),
     )
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import ChannelRealization, QosTargets
 from .errors import DimensionError, DomainError, InfeasibleError, SingularChannelError
-from .model import DEFAULT_ACTIVE_POWER_THRESHOLD, per_antenna_powers
+from .model import ACTIVE_POWER_THRESHOLD, per_antenna_powers
 
 # Condition-number estimate beyond which the Gram solve is refused.
 GRAM_CONDITION_LIMIT = 1e12
@@ -90,7 +90,7 @@ class PrecoderSolution:
 
 def _finish_solution(matrices, iterations, converged, residual, history=None) -> PrecoderSolution:
     powers = per_antenna_powers(matrices)
-    active = np.flatnonzero(powers > DEFAULT_ACTIVE_POWER_THRESHOLD)
+    active = np.flatnonzero(powers > ACTIVE_POWER_THRESHOLD)
     return PrecoderSolution(
         matrices=matrices,
         powers=powers,

@@ -8,7 +8,7 @@ from energymimo import (
     asymptotic_bs_power,
     asymptotic_pa_power,
     asymptotic_per_antenna_power,
-    feasibility_check,
+    experiments,
     min_ma_power_constraint,
     optimal_ma_constrained,
     optimal_ma_plans,
@@ -17,14 +17,16 @@ from energymimo import (
 )
 from energymimo.config import ExperimentConfig, with_scenario
 from energymimo.errors import DomainError, InfeasibleError
-from energymimo.model import BsModel
 from energymimo.experiments import (
     K_SWEEP_FIELDS,
+    _draw_scenario,
     _draw_users,
     _realization_rng,
     asymptotic_experiment,
 )
+from energymimo.model import BsModel, pa_consumed_power
 from energymimo.oracle import grid_min_bs, solve_quartic_closed_form
+from energymimo.precoding import zf_precoder
 
 
 def test_trace_term_hand_value():
@@ -138,15 +140,6 @@ def test_min_ma_power_constraint_inverts_per_antenna_power():
         m_hat = min_ma_power_constraint(k, trace, p_max)
         if m_hat > k:
             assert asymptotic_per_antenna_power(m_hat, k, trace) <= p_max + 1e-12
-
-
-def test_feasibility_check_examples():
-    assert feasibility_check(8, 2, 0.0, 1.0)
-    # M = K+1 with trace = p_max (K+1): equality boundary
-    assert feasibility_check(5, 4, 1.0 * 5.0, 1.0)
-    assert not feasibility_check(8, 2, 1e6, 1e-9)
-    with pytest.raises(InfeasibleError):
-        feasibility_check(4, 4, 1.0, 1.0)
 
 
 def test_optimal_ma_uncapped_regimes(table_pa):
@@ -300,6 +293,8 @@ def test_array_planner_flags_infeasible_pairs_without_raising(table_pa, table_bs
     ]
     assert np.isnan(plans.p_bs_bar[1:4]).all() and np.isnan(plans.m_tilde[1:4]).all()
     assert plans.m_tilde[4] == 4.0
+    # Equality boundary: at M = K+1 and trace = p_max (K+1) the cap holds exactly.
+    assert optimal_ma_plans(5, [4], [5.0], table_pa, table_bs, 1.0).feasible.tolist() == [True]
 
 
 def test_array_planner_equals_one_instance_view(table_pa, table_bs):
@@ -418,3 +413,51 @@ def test_k_sweep_equals_reference_loop(sweep, scenario):
                 assert math.isclose(row[name], ref[name], rel_tol=1e-14), (row, ref)
             else:
                 assert row[name] == ref[name], (name, row, ref)
+
+
+def reference_q_error(cfg):
+    """The q_error rows, one ZF solve and one result tuple per realization."""
+    sc = cfg.scenario
+    pa = sc.pa_model()
+    rows = []
+    for q in cfg.q_list:
+        results = []
+        for index in range(cfg.realizations):
+            channel, qos = _draw_scenario(cfg, _realization_rng(cfg, index), q)
+            powers = zf_precoder(channel, qos).powers
+            trace = trace_term(channel.large_scale, qos.gamma, sc.noise_power)
+            results.append((
+                pa_consumed_power(powers, pa),
+                asymptotic_pa_power(sc.m_antennas, sc.k_users, trace, pa),
+                bool(np.any(powers > sc.p_max_watts)),
+            ))
+        kept = [r for r in results if not (cfg.discard_over_pmax and r[2])]
+        stats = (None,) * 4
+        if kept:
+            p_sim, p_asym, _ = (np.array(values) for values in zip(*kept))
+            errors = np.abs(p_sim - p_asym)
+            stats = (
+                float(errors.mean()), float(errors.var()), float(p_sim.mean()), float(p_asym.mean())
+            )
+        rows.append((q, len(kept), len(results) - len(kept), *stats))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "p_max, discard",
+    [(1.0, True), (0.03, True), (0.01, True), (0.03, False)],
+    ids=["none_discarded", "some_discarded", "nearly_all_discarded", "discard_off"],
+)
+def test_q_error_equals_reference_loop(monkeypatch, p_max, discard):
+    cfg = with_scenario(
+        ExperimentConfig(
+            asym_mode="q_error", realizations=20, q_list=(1, 2, 8), discard_over_pmax=discard
+        ),
+        m_antennas=16, k_users=3, seed=3, p_max_watts=p_max,
+    )
+    # Blocks of three realizations at Q = 8.
+    monkeypatch.setattr(experiments, "BLOCK_ELEMENTS", 3 * 8 * 3 * 16)
+    rows = asymptotic_experiment(cfg).rows
+    expected = reference_q_error(cfg)
+    assert rows == expected
+    assert [tuple(map(type, row)) for row in rows] == [tuple(map(type, row)) for row in expected]

@@ -5,26 +5,33 @@ import math
 import numpy as np
 import pytest
 
+from energymimo import experiments, oracle
 from energymimo.channel import ChannelRealization
 from energymimo.cli import main, write_csv
 from energymimo.config import (
+    AS1_PRECODERS,
     ExperimentConfig,
     dbm_to_watts,
     load_config,
     parse_config_text,
     with_scenario,
 )
-from energymimo.errors import ConfigError, SingularChannelError
+from energymimo.errors import ConfigError, OracleSizeError, SingularChannelError
 from energymimo.experiments import (
     PLAN_BLOCK,
     ExperimentResult,
     _blocks,
+    _draw_scenario,
     _realization_blocks,
+    _realization_rng,
+    _solve_block,
     asymptotic_experiment,
     convergence_experiment,
     run_experiment,
     validate_suite,
 )
+from energymimo.model import bs_consumed_power, gain_metrics
+from energymimo.precoding import min_pa_precoder
 
 # Q * K * M = 32768 channel entries: one realization per solver block.
 WIDEBAND_CFG = "m_antennas = 32\nk_users = 4\nsubcarriers = 256\nrealizations = 3\nseed = 8\n"
@@ -64,8 +71,8 @@ def test_parse_config_reports_line_numbers():
     with pytest.raises(ConfigError) as err3:
         parse_config_text("k_users = four\n")
     assert err3.value.line == 1
-    # Removed solver knobs are unknown keys now.
-    for removed in ("regularization = 0", "initial_power = 1"):
+    # Removed knobs are unknown keys now.
+    for removed in ("regularization = 0", "initial_power = 1", "active_threshold_watts = 1e-9"):
         with pytest.raises(ConfigError, match="unknown key") as err4:
             parse_config_text(f"m_antennas = 32\n{removed}\n")
         assert err4.value.line == 2
@@ -131,6 +138,127 @@ def test_saturating_solver_respects_cap():
     sat = [r for r in rows if r["solver"] == "saturating"]
     assert len(sat) == 4
     assert all(r["p_tx"] <= 8 * cfg.scenario.p_max_watts + 1e-9 for r in sat)
+
+
+def reference_run(cfg):
+    """``run`` as one report and one gain pair per row, one realization at a time."""
+    sc = cfg.scenario
+    pa, bs = sc.pa_model(), sc.bs_model()
+    rows = []
+    for index in range(cfg.realizations):
+        channel, qos = _draw_scenario(cfg, _realization_rng(cfg, index), sc.subcarriers)
+        powers = {
+            name: _solve_block(name, [channel], [qos], cfg)[0].powers for name in cfg.precoders
+        }
+        reports = {name: bs_consumed_power(p, pa, bs) for name, p in powers.items()}
+        discarded = int(cfg.discard_over_pmax and any(
+            np.any(powers[name] > sc.p_max_watts) for name in cfg.precoders
+            if name in AS1_PRECODERS
+        ))
+        reference = reports.get("zf")
+        for name in cfg.precoders:
+            report = reports[name]
+            gains = gain_metrics(reference, report) if reference is not None else (None, None)
+            rows.append((
+                sc.seed, index, name, report.p_tx, report.p_pas, report.p_bs,
+                report.m_active, *gains, discarded,
+            ))
+    return rows
+
+
+def reference_convergence(cfg):
+    """``convergence`` rows and summary, one iteration at a time."""
+    sc = cfg.scenario
+    pa = sc.pa_model()
+    rows, iterations, final_dists = [], [], []
+    converged = 0
+    for index in range(cfg.realizations):
+        channel, qos = _draw_scenario(cfg, _realization_rng(cfg, index), sc.subcarriers)
+        solution = min_pa_precoder(channel, qos, cfg.fixed_point(record_history=True))
+        optimum = None
+        if cfg.oracle and sc.k_users == 1 and sc.subcarriers == 1:
+            optimum = oracle.analytic_single_user(channel.per_subcarrier[0, 0, :], qos, pa).powers
+        elif cfg.oracle:
+            try:
+                optimum = oracle.solve_min_pa_bruteforce(
+                    channel, qos, pa, starts=cfg.oracle_starts,
+                    rng=np.random.default_rng(sc.seed + 10_000 + index),
+                    max_m=cfg.oracle_max_m, max_k=cfg.oracle_max_k, max_q=cfg.oracle_max_q,
+                ).powers
+            except OracleSizeError:
+                pass
+        history = solution.history
+        dist = None
+        for i in range(1, len(history)):
+            if optimum is not None:
+                dist = float(np.sum((history[i] - optimum) ** 2))
+            residual = float(np.max(np.abs(history[i] - history[i - 1])))
+            rows.append((index, i, residual, dist))
+        if dist is not None:
+            final_dists.append(dist)
+        iterations.append(solution.iterations)
+        converged += solution.converged
+    summary = {
+        "mean_iterations": float(np.mean(iterations)),
+        "converged": converged,
+        "realizations": cfg.realizations,
+    }
+    if final_dists:
+        summary["mean_final_dist_sq"] = float(np.mean(final_dists))
+    return rows, summary
+
+
+def assert_same_cells(rows, expected):
+    """Equal rows whose cells also have equal types (1 == 1.0 == True otherwise)."""
+    assert rows == expected
+    assert [tuple(map(type, row)) for row in rows] == [tuple(map(type, row)) for row in expected]
+
+
+@pytest.mark.parametrize(
+    "precoders, scenario",
+    [
+        (("zf", "min_pa", "saturating"), {"m_antennas": 8, "k_users": 1, "seed": 5}),
+        (("min_pa",), {"m_antennas": 8, "k_users": 2, "subcarriers": 2, "seed": 6}),
+        (("zf", "min_pa"), {"m_antennas": 16, "k_users": 2, "p_max_watts": 1e-6, "seed": 7}),
+    ],
+    ids=["three_solvers", "min_pa_alone", "all_discarded"],
+)
+def test_run_equals_reference_loop(monkeypatch, precoders, scenario):
+    cfg = with_scenario(ExperimentConfig(realizations=12, precoders=precoders), **scenario)
+    sc = cfg.scenario
+    # Blocks of five realizations, so the rows cross block boundaries.
+    monkeypatch.setattr(
+        experiments, "BLOCK_ELEMENTS", 5 * sc.subcarriers * sc.k_users * sc.m_antennas
+    )
+    result = run_experiment(cfg)
+    assert_same_cells(result.rows, reference_run(cfg))
+    if "saturating" in precoders:
+        assert 0 < result.summary["discarded"] < cfg.realizations
+    if sc.p_max_watts < 1e-3:
+        assert result.summary["discarded"] == cfg.realizations
+
+
+@pytest.mark.parametrize(
+    "knobs, scenario, has_oracle",
+    [
+        ({"oracle_starts": 1}, {"m_antennas": 6, "k_users": 2, "subcarriers": 2}, True),
+        ({"oracle": False}, {"m_antennas": 16, "k_users": 3, "subcarriers": 4}, False),
+        ({}, {"m_antennas": 12, "k_users": 1}, True),
+        ({}, {"m_antennas": 16, "k_users": 2}, False),
+    ],
+    ids=["oracle_on", "oracle_off", "analytic_oracle", "oracle_skipped"],
+)
+def test_convergence_equals_reference_loop(monkeypatch, knobs, scenario, has_oracle):
+    cfg = with_scenario(ExperimentConfig(realizations=5, **knobs), seed=4, **scenario)
+    sc = cfg.scenario
+    monkeypatch.setattr(
+        experiments, "BLOCK_ELEMENTS", 2 * sc.subcarriers * sc.k_users * sc.m_antennas
+    )
+    result = convergence_experiment(cfg)
+    rows, summary = reference_convergence(cfg)
+    assert_same_cells(result.rows, rows)
+    assert result.summary == summary
+    assert ("mean_final_dist_sq" in summary) == has_oracle
 
 
 def test_cli_infeasible_scenario_exit_code(tmp_path):

@@ -44,7 +44,7 @@ def test_pa_model_validation(kwargs):
 
 
 def test_per_antenna_powers_scalar_case():
-    assert per_antenna_powers([np.array([[2.0]])]) == pytest.approx([4.0])
+    assert per_antenna_powers(np.array([[[2.0]]])) == pytest.approx([4.0])
 
 
 def test_per_antenna_powers_zero_case():
@@ -53,15 +53,14 @@ def test_per_antenna_powers_zero_case():
 
 
 def test_per_antenna_powers_sums_over_subcarriers():
-    w = [np.array([[1.0]]), np.array([[1.0]])]
-    assert per_antenna_powers(w) == pytest.approx([2.0])
+    assert per_antenna_powers(np.ones((2, 1, 1))) == pytest.approx([2.0])
 
 
 def test_per_antenna_powers_shape_mismatch():
     with pytest.raises(DimensionError):
-        per_antenna_powers([np.ones((2, 1)), np.ones((3, 1))])
+        per_antenna_powers(np.ones((2, 1)))
     with pytest.raises(DimensionError):
-        per_antenna_powers(np.ones((2, 2, 1)), m_antennas=4)
+        per_antenna_powers(np.ones((2, 2, 1, 1)))
 
 
 def test_pa_consumed_power_table_values():
@@ -129,6 +128,37 @@ def test_gain_metrics():
     idle = bs_consumed_power([0.0], pa, BsModel(p_fix=0.0, circuit_per_antenna=0.0))
     with pytest.raises(ZeroDivisionError):
         gain_metrics(report, idle)
+    # A stack with one idle row raises as well.
+    free = BsModel(p_fix=0.0, circuit_per_antenna=0.0)
+    stacked = bs_consumed_power([[0.5, 0.5], [0.0, 0.0]], pa, free)
+    with pytest.raises(ZeroDivisionError):
+        gain_metrics(stacked, stacked)
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 64, 300])
+def test_stacked_power_accounting_equals_one_row_calls(m):
+    """An (R, M) stack gives length-R arrays that equal R one-row calls bit for bit."""
+    rng = np.random.default_rng(m)
+    pa = PaModel.from_p_max(1.0)
+    bs = BsModel()
+    powers = rng.uniform(0.0, 1e-3, size=(25, m)) ** 2
+    powers[:, 1::3] = 0.0  # switched-off antennas
+    powers[3] = 1e-12  # every antenna below the active threshold
+    stacked = bs_consumed_power(powers, pa, bs)
+    rows = [bs_consumed_power(row, pa, bs) for row in powers]
+    for name in ("p_tx", "p_pas", "p_bs", "m_active"):
+        column = getattr(stacked, name)
+        assert column.shape == (len(powers),)
+        cells = column.tolist()
+        assert all(type(cell) is type(getattr(row, name)) for cell, row in zip(cells, rows))
+        assert cells == [getattr(row, name) for row in rows], name
+    for j in range(3):
+        assert stacked.shares[j].tolist() == [row.shares[j] for row in rows]
+    assert pa_consumed_power(powers, pa).tolist() == [pa_consumed_power(row, pa) for row in powers]
+    gains = gain_metrics(stacked, bs_consumed_power(powers[::-1], pa, bs))
+    assert [g.tolist() for g in gains] == [
+        list(pair) for pair in zip(*(gain_metrics(a, b) for a, b in zip(rows, rows[::-1])))
+    ]
 
 
 def test_estimate_flops_conventional_hand_value():

@@ -17,7 +17,7 @@ from energymimo import (
 )
 from energymimo.channel import draw_los_channel
 from energymimo.errors import DimensionError, DomainError, InfeasibleError, SingularChannelError
-from energymimo.model import DEFAULT_ACTIVE_POWER_THRESHOLD
+from energymimo.model import ACTIVE_POWER_THRESHOLD
 from energymimo.precoding import GRAM_CONDITION_LIMIT, ZF_TOLERANCE
 
 from conftest import draw_cell_instance
@@ -262,7 +262,7 @@ def test_stacked_min_pa_equals_reference_loop():
             assert solution.iterations == iterations
             assert solution.converged == (residual <= cfg.tolerance)
             assert np.array_equal(
-                solution.active_set, np.flatnonzero(powers > DEFAULT_ACTIVE_POWER_THRESHOLD)
+                solution.active_set, np.flatnonzero(powers > ACTIVE_POWER_THRESHOLD)
             )
             if channel.k_users > 1:
                 assert np.array_equal(solution.matrices, w)
