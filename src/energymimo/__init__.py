@@ -63,7 +63,6 @@ from .precoding import (
     los_allocation_precoder,
     min_pa_precoder,
     min_pa_precoders,
-    single_user_narrowband_precoder,
     single_user_saturating_precoder,
     zf_precoder,
     zf_precoders,
@@ -113,7 +112,6 @@ __all__ = [
     "pa_consumed_power",
     "pa_efficiency",
     "per_antenna_powers",
-    "single_user_narrowband_precoder",
     "single_user_saturating_precoder",
     "solve_min_pa_bruteforce",
     "solve_quartic_ma",

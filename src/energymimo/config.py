@@ -8,6 +8,7 @@ and nowhere else in the library.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .channel import SINR_REF_COEFF, CellGeometry, FreqCorrelation
@@ -106,10 +107,17 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 # Parser of each config key, by the annotation of its config field.
 _PARSERS = {
     "int": int,
-    "float": float,
+    "float": _parse_float,
     "bool": _parse_bool,
     "str": str,
     "str | None": str,
@@ -179,6 +187,8 @@ def _validate(cfg: ExperimentConfig):
             raise ConfigError(f"{name} must be a non-empty list without repeats, got {entries}")
     if any(q < 1 for q in cfg.q_list):
         raise ConfigError(f"every q_list entry must be >= 1, got {cfg.q_list}")
+    if sc.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {sc.seed}")
     if sc.freq_taps < 0:
         raise ConfigError("freq_taps must be >= 0")
     if not sc.sinr_ref > 0.0:

@@ -48,9 +48,10 @@ from .config import AS1_PRECODERS, ExperimentConfig
 from .errors import (
     ConfigError, EnergyMimoError, InfeasibleError, OracleSizeError, SingularChannelError,
 )
-from .model import bs_consumed_power, gain_metrics, pa_consumed_power
+from .model import bs_consumed_power, gain_metrics, pa_consumed_power, per_antenna_powers
 from .precoding import (
     FixedPointConfig,
+    PrecoderSolution,
     min_pa_precoders,
     single_user_saturating_precoder,
     zf_precoders,
@@ -130,19 +131,22 @@ def _global_index(block: range):
         raise SingularChannelError(exc.reason, realization=block[exc.realization]) from exc
 
 
-def _solve_block(name: str, channels, qos_list, cfg: ExperimentConfig):
+def _solve_block(name: str, channels, qos_list, cfg: ExperimentConfig) -> PrecoderSolution:
+    """One solver's stacked solution of a block; its ``powers`` are (R, M)."""
     if name == "zf":
         return zf_precoders(channels, qos_list)
     if name == "min_pa":
         return min_pa_precoders(channels, qos_list, cfg.fixed_point())
     if name == "saturating":
-        return [
-            single_user_saturating_precoder(
+        # The closed form takes one K=1, Q=1 instance at a time; its (1, M, 1)
+        # precoders fill the block's rows.
+        matrices = np.zeros((len(channels), 1, cfg.scenario.m_antennas, 1), dtype=complex)
+        for w, channel, qos in zip(matrices, channels, qos_list):
+            w[...] = single_user_saturating_precoder(
                 channel.per_subcarrier[0, 0, :], float(qos.gamma[0]), qos.noise_std,
                 cfg.scenario.p_max_watts,
-            )
-            for channel, qos in zip(channels, qos_list)
-        ]
+            ).matrices
+        return PrecoderSolution(matrices, per_antenna_powers(matrices))
     raise EnergyMimoError(f"unknown solver {name!r}")
 
 
@@ -178,7 +182,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         # changes how glibc allocates the fixed point's temporaries, about 30% slower.
         with _global_index(block):
             solved = {name: _solve_block(name, channels, qos_list, cfg) for name in cfg.precoders}
-        powers = {name: np.stack([sol.powers for sol in sols]) for name, sols in solved.items()}
+        powers = {name: solution.powers for name, solution in solved.items()}
         discarded = np.zeros(len(block), dtype=int)
         for name in AS1_PRECODERS:
             if cfg.discard_over_pmax and name in powers:
@@ -237,11 +241,10 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     def solve_block(block: range):
         channels, qos_list = _draw_block(cfg, block, sc.subcarriers)
         with _global_index(block):
-            solutions = min_pa_precoders(channels, qos_list, cfg.fixed_point(record_history=True))
+            solution = min_pa_precoders(channels, qos_list, cfg.fixed_point(record_history=True))
         # The histories, realization after realization, as one (sum of lengths, M)
         # array; each holds the start and then one iterate per iteration.
-        iterations = np.array([sol.iterations for sol in solutions])
-        history = np.array([p for sol in solutions for p in sol.history])
+        iterations, history = solution.iterations, solution.history
         first = np.cumsum(iterations + 1) - (iterations + 1)
         iteration = np.arange(len(history)) - np.repeat(first, iterations + 1)
         step = iteration > 0
@@ -260,8 +263,7 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             dist, final_dist = dist_all[step].tolist(), dist_all[first + iterations][iterations > 0]
         realization = np.repeat(np.arange(block.start, block.stop), iterations)
         rows = list(zip(realization.tolist(), iteration[step].tolist(), residual.tolist(), dist))
-        converged = np.array([sol.converged for sol in solutions])
-        return [(rows, iterations, converged, final_dist)]
+        return [(rows, iterations, solution.converged, final_dist)]
 
     parts = _map(cfg, solve_block, _realization_blocks(cfg, sc.subcarriers))
     rows = [row for block_rows, _, _, _ in parts for row in block_rows]
@@ -362,7 +364,7 @@ def _asymptotic_q_error(cfg: ExperimentConfig) -> ExperimentResult:
         def solve_block(block: range, q=q):
             channels, qos_list = _draw_block(cfg, block, q)
             with _global_index(block):
-                powers = np.stack([sol.powers for sol in zf_precoders(channels, qos_list)])
+                powers = zf_precoders(channels, qos_list).powers
             trace = np.array([
                 trace_term(channel.large_scale, qos.gamma, sc.noise_power)
                 for channel, qos in zip(channels, qos_list)
@@ -423,9 +425,11 @@ def validate_suite(cfg: ExperimentConfig) -> ExperimentResult:
     rng = np.random.default_rng(cfg.scenario.seed)
     rows = []
 
-    # Fixed point vs null-space descent on small random instances. The oracle
-    # draws its starts from the same stream, so it runs right after each draw.
-    drawn = []
+    # Fixed point vs null-space descent on small random instances of mixed
+    # shapes, one solve each. The oracle draws its starts from the same stream,
+    # so it runs right after each draw.
+    fixed_point = FixedPointConfig(tolerance=1e-10, max_iterations=20000)
+    worst_rel = 0.0
     instances = 12
     for _ in range(instances):
         m = int(rng.integers(4, 7))
@@ -435,15 +439,9 @@ def validate_suite(cfg: ExperimentConfig) -> ExperimentResult:
         gamma = rng.uniform(2.0, 40.0, size=k)
         qos = QosTargets(gamma=gamma, noise_power=cfg.scenario.noise_power, subcarriers=q)
         channel = draw_rayleigh_channel(m, k, q, beta, rng)
-        reference = oracle.solve_min_pa_bruteforce(channel, qos, pa, starts=4, rng=rng)
-        drawn.append((channel, qos, reference.objective))
-    channels, qos_list, references = zip(*drawn)
-    solutions = min_pa_precoders(
-        channels, qos_list, FixedPointConfig(tolerance=1e-10, max_iterations=20000)
-    )
-    worst_rel = max(
-        abs(pa_consumed_power(sol.powers, pa) - ref) / ref for sol, ref in zip(solutions, references)
-    )
+        ref = oracle.solve_min_pa_bruteforce(channel, qos, pa, starts=4, rng=rng).objective
+        powers = min_pa_precoders([channel], [qos], fixed_point).powers[0]
+        worst_rel = max(worst_rel, abs(pa_consumed_power(powers, pa) - ref) / ref)
     rows.append((
         "bruteforce_equivalence", int(worst_rel <= 1e-3),
         f"worst relative objective gap {worst_rel:.3e} over {instances} instances",

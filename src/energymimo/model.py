@@ -13,10 +13,10 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 
-# An antenna counts as active above this power, in every report and active
-# set. The fixed point prunes a dead antenna to an exact zero; the threshold
-# only hides antennas still decaying when the iteration stops, about 3.5 per
-# realization in (0, 1e-9] W on a narrowband M=64, K=4, Q=1 run.
+# An antenna counts as active above this power in every power report's
+# ``m_active``. The fixed point prunes a dead antenna to an exact zero; the
+# threshold only hides antennas still decaying when the iteration stops, about
+# 3.5 per realization in (0, 1e-9] W on a narrowband M=64, K=4, Q=1 run.
 ACTIVE_POWER_THRESHOLD = 1e-9  # W
 
 FLOP_SYSTEMS = ("wideband", "narrowband", "asymptotic")
@@ -116,10 +116,14 @@ def _scalar_or_array(value):
 
 
 def per_antenna_powers(matrices: np.ndarray) -> np.ndarray:
-    """Per-antenna transmit powers p_m = sum_{k,q} |w_{m,k,q}|^2 of (Q, M, K) precoders."""
-    if np.ndim(matrices) != 3:
-        raise DimensionError(f"precoders must have shape (Q, M, K), got {np.shape(matrices)}")
-    return np.sum(np.abs(matrices) ** 2, axis=(0, 2))
+    """Per-antenna transmit powers p_m = sum_{k,q} |w_{m,k,q}|^2 of (..., Q, M, K) precoders.
+
+    A (Q, M, K) solution gives (M,) powers and an (R, Q, M, K) stack gives
+    (R, M) powers, each row equal to its slice alone bit for bit.
+    """
+    if np.ndim(matrices) < 3:
+        raise DimensionError(f"precoders must have shape (..., Q, M, K), got {np.shape(matrices)}")
+    return np.sum(np.abs(matrices) ** 2, axis=(-3, -1))
 
 
 def pa_consumed_power(powers, pa: PaModel):

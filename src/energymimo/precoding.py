@@ -11,10 +11,11 @@ W_q = D_p^(1/2) H_q^H (H_q D_p^(1/2) H_q^H)^(-1) D_q, over all M antennas of
 a stack of shape (R, Q, K, M) holding R realizations. Zero forcing is the
 kernel at uniform power, which is also the fixed point's first iterate; an
 antenna the fixed point switches off is a zero power and gets a zero row.
-``zf_precoders`` and ``min_pa_precoders`` solve a list of instances at once,
-and the one-instance entry points are R=1 views onto them. Each realization
-gets exactly the arithmetic it would get alone, so stacking never changes a
-result.
+``zf_precoders`` and ``min_pa_precoders`` solve a list of instances of one
+channel shape at once and return one :class:`PrecoderSolution` whose fields
+carry the block axis; the one-instance entry points return row 0 of an R=1
+solve. Each realization gets exactly the arithmetic it would get alone, so
+stacking never changes a result.
 
 All Gram solves use a Hermitian (Cholesky) factorization followed by
 forward/backward substitution on the K x K user-side matrix; the optimal
@@ -29,7 +30,7 @@ import numpy as np
 
 from .channel import ChannelRealization, QosTargets
 from .errors import DimensionError, DomainError, InfeasibleError, SingularChannelError
-from .model import ACTIVE_POWER_THRESHOLD, per_antenna_powers
+from .model import per_antenna_powers
 
 # Condition-number estimate beyond which the Gram solve is refused.
 GRAM_CONDITION_LIMIT = 1e12
@@ -61,11 +62,11 @@ class FixedPointConfig:
     record_history: bool = False
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
+        if not self.tolerance > 0.0:
             raise DomainError("tolerance must be positive")
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be >= 1")
-        if self.dead_antenna_floor < 0.0:
+        if not self.dead_antenna_floor >= 0.0:
             raise DomainError("dead_antenna_floor must be >= 0")
 
 
@@ -73,33 +74,23 @@ class FixedPointConfig:
 class PrecoderSolution:
     """Per-subcarrier precoding matrices plus convergence diagnostics.
 
+    One realization has (Q, M, K) ``matrices``, (M,) ``powers`` and scalar
+    diagnostics; a block of R has (R, Q, M, K) ``matrices``, (R, M)
+    ``powers`` and length-R ``iterations``, ``converged`` and ``residual``.
     ``powers`` always equals the per-antenna powers recomputed from
     ``matrices``; ``residual`` is the last max absolute inter-iteration power
-    change (zero for closed-form solutions). ``history`` holds the power
-    iterates when requested via :class:`FixedPointConfig`.
+    change (zero for closed-form solutions). ``history``, when requested via
+    :class:`FixedPointConfig`, holds the power iterates as one
+    (sum_r (iterations_r + 1), M) array, realization after realization: the
+    uniform start, then one row per iteration.
     """
 
     matrices: np.ndarray
     powers: np.ndarray
-    iterations: int
-    converged: bool
-    residual: float
-    active_set: np.ndarray
-    history: list[np.ndarray] | None = None
-
-
-def _finish_solution(matrices, iterations, converged, residual, history=None) -> PrecoderSolution:
-    powers = per_antenna_powers(matrices)
-    active = np.flatnonzero(powers > ACTIVE_POWER_THRESHOLD)
-    return PrecoderSolution(
-        matrices=matrices,
-        powers=powers,
-        iterations=iterations,
-        converged=converged,
-        residual=float(residual),
-        active_set=active,
-        history=history,
-    )
+    iterations: int | np.ndarray = 0
+    converged: bool | np.ndarray = True
+    residual: float | np.ndarray = 0.0
+    history: np.ndarray | None = None
 
 
 def _check_instance(channel: ChannelRealization, qos: QosTargets, realization: int):
@@ -118,28 +109,34 @@ def _check_instance(channel: ChannelRealization, qos: QosTargets, realization: i
         )
 
 
-def _stacks(channels: list, qos_list: list):
-    """Group a list of instances into stacks of equal channel shape and dtype.
+def _stack(channels, qos_list):
+    """The (R, Q, K, M) channel stack of a list of instances and its right-hand sides.
 
-    Yields ``(index, h, rhs)``: the list positions of the stack, the
-    (R, Q, K, M) channel stack and the (R, 1, K, K) diagonal right-hand
-    sides diag((gamma_k / Q)^(1/2) sigma), shared by all Q subcarriers.
+    The instances must share one channel shape and dtype. The (R, 1, K, K)
+    right-hand sides diag((gamma_k / Q)^(1/2) sigma) are shared by all Q
+    subcarriers.
     """
+    channels, qos_list = list(channels), list(qos_list)
     if len(channels) != len(qos_list):
         raise DimensionError(f"{len(channels)} channels but {len(qos_list)} QoS targets")
-    groups: dict[tuple, list[int]] = {}
+    if not channels:
+        raise DimensionError("no instances to solve")
+    first = channels[0].per_subcarrier
     for i, (channel, qos) in enumerate(zip(channels, qos_list)):
         _check_instance(channel, qos, i)
         h = channel.per_subcarrier
-        groups.setdefault((h.shape, h.dtype), []).append(i)
-    for members in groups.values():
-        h = np.stack([channels[i].per_subcarrier for i in members])
-        k = h.shape[2]
-        rhs = np.zeros((len(members), 1, k, k), dtype=complex)
-        rhs[:, 0, np.arange(k), np.arange(k)] = [
-            np.sqrt(qos_list[i].per_subcarrier_gamma) * qos_list[i].noise_std for i in members
-        ]
-        yield np.array(members), h, rhs
+        if (h.shape, h.dtype) != (first.shape, first.dtype):
+            raise DimensionError(
+                f"instance {i} has a {h.dtype} channel of shape {h.shape}, instance 0 a "
+                f"{first.dtype} one of shape {first.shape}; a stacked solve needs one of each"
+            )
+    h = np.stack([channel.per_subcarrier for channel in channels])
+    k = h.shape[2]
+    rhs = np.zeros((len(channels), 1, k, k), dtype=complex)
+    rhs[:, 0, np.arange(k), np.arange(k)] = [
+        np.sqrt(qos.per_subcarrier_gamma) * qos.noise_std for qos in qos_list
+    ]
+    return h, rhs
 
 
 def _gram_solve(gram, rhs, index):
@@ -194,7 +191,7 @@ def _weighted_zf(h, rhs, index, p):
     return (b_adj @ _gram_solve(b @ b_adj, rhs, index)) * quarter.swapaxes(-1, -2)
 
 
-def _fixed_point(h, rhs, index, cfg: FixedPointConfig) -> list[PrecoderSolution]:
+def _fixed_point(h, rhs, cfg: FixedPointConfig) -> PrecoderSolution:
     """Fixed-point power iteration on a (R, Q, K, M) stack.
 
     Each realization keeps its own powers, residual, iteration count and
@@ -202,17 +199,20 @@ def _fixed_point(h, rhs, index, cfg: FixedPointConfig) -> list[PrecoderSolution]
     goes from ``h``, ``rhs``, ``index`` and ``p`` together, so ``index``
     still names each remaining realization in errors. ``work`` holds the
     stack rows of the working set; a realization's final powers move to
-    ``p_final`` as it leaves. A dead antenna is a zero power.
+    ``p_final`` as it leaves. A dead antenna is a zero power. The history
+    records each iterate with the stack rows it covers and is sorted into
+    realization order once, at the end.
     """
     n, _, k, m = h.shape
+    index = np.arange(n)
     stack = h, rhs, index
     p = np.full((n, m), INITIAL_POWER)
     p_final = p.copy()
     iterations = np.full(n, cfg.max_iterations)
     converged = np.zeros(n, dtype=bool)
     residual = np.full(n, np.inf)
-    history = [[row.copy()] for row in p] if cfg.record_history else None
-    work = np.arange(n)
+    work = index
+    trail, trail_rows = ([p.copy()], [work]) if cfg.record_history else (None, None)
 
     for iteration in range(1, cfg.max_iterations + 1):
         p[p < cfg.dead_antenna_floor] = 0.0
@@ -222,12 +222,12 @@ def _fixed_point(h, rhs, index, cfg: FixedPointConfig) -> list[PrecoderSolution]
                 "fewer active antennas than users; cannot hold the ZF constraint",
                 realization=int(index[np.argmax(short)]),
             )
-        p_new = (np.abs(_weighted_zf(h, rhs, index, p)) ** 2).sum(axis=(1, 3))
+        p_new = per_antenna_powers(_weighted_zf(h, rhs, index, p))
         step = abs(p_new - p).max(axis=1)
         p = p_new
-        if history is not None:
-            for r, row in zip(work, p_new):
-                history[r].append(row.copy())
+        if trail is not None:
+            trail.append(p_new.copy())
+            trail_rows.append(work)
         done = step <= cfg.tolerance
         if iteration == cfg.max_iterations:
             done[:] = True
@@ -243,56 +243,57 @@ def _fixed_point(h, rhs, index, cfg: FixedPointConfig) -> list[PrecoderSolution]
         if not work.size:
             break
 
+    history = None
+    if trail is not None:
+        # A stable sort by realization keeps each realization's iterates in order.
+        history = np.concatenate(trail)[np.argsort(np.concatenate(trail_rows), kind="stable")]
     # Substitute the final power diagonal back to obtain the precoders.
     matrices = _weighted_zf(*stack, p_final)
-    return [
-        _finish_solution(
-            matrices[r], int(iterations[r]), bool(converged[r]), residual[r],
-            history[r] if history is not None else None,
-        )
-        for r in range(n)
-    ]
+    return PrecoderSolution(
+        matrices, per_antenna_powers(matrices), iterations, converged, residual, history
+    )
 
 
-def zf_precoders(channels, qos_list) -> list[PrecoderSolution]:
-    """Zero-forcing precoders for a list of instances, solved as stacks.
+def zf_precoders(channels, qos_list) -> PrecoderSolution:
+    """Zero-forcing precoders for a list of instances of one channel shape.
 
     Zero forcing is the weighted-ZF kernel at uniform power, the fixed
-    point's first iterate. Instances of equal channel shape are solved
-    together; the result for each equals :func:`zf_precoder` on that
-    instance alone.
+    point's first iterate. Returns one stacked solution; row r equals
+    :func:`zf_precoder` on instance r alone.
     """
-    channels, qos_list = list(channels), list(qos_list)
-    solutions = [None] * len(channels)
-    for index, h, rhs in _stacks(channels, qos_list):
-        uniform = np.full((h.shape[0], h.shape[3]), INITIAL_POWER)
-        for i, w_i in zip(index, _weighted_zf(h, rhs, index, uniform)):
-            solutions[i] = _finish_solution(w_i, iterations=0, converged=True, residual=0.0)
-    return solutions
+    h, rhs = _stack(channels, qos_list)
+    n, m = h.shape[0], h.shape[3]
+    matrices = _weighted_zf(h, rhs, np.arange(n), np.full((n, m), INITIAL_POWER))
+    return PrecoderSolution(
+        matrices, per_antenna_powers(matrices),
+        np.zeros(n, dtype=int), np.ones(n, dtype=bool), np.zeros(n),
+    )
 
 
 def min_pa_precoders(
     channels, qos_list, cfg: FixedPointConfig | None = None
-) -> list[PrecoderSolution]:
-    """Consumption-minimizing precoders for a list of instances, solved as stacks.
+) -> PrecoderSolution:
+    """Consumption-minimizing precoders for a list of instances of one channel shape.
 
-    Instances of equal channel shape iterate together; the result for each,
-    history included, equals :func:`min_pa_precoder` on that instance alone.
-    A :class:`SingularChannelError` names the list position of the
-    offending instance in ``realization``.
+    The instances iterate together and the result is one stacked solution;
+    row r, and realization r's history rows, equal :func:`min_pa_precoder`
+    on instance r alone. A :class:`SingularChannelError` names the list
+    position of the offending instance in ``realization``.
     """
-    cfg = cfg or FixedPointConfig()
-    channels, qos_list = list(channels), list(qos_list)
-    solutions = [None] * len(channels)
-    for index, h, rhs in _stacks(channels, qos_list):
-        for i, solution in zip(index, _fixed_point(h, rhs, index, cfg)):
-            solutions[i] = solution
-    return solutions
+    return _fixed_point(*_stack(channels, qos_list), cfg or FixedPointConfig())
+
+
+def _row0(solution: PrecoderSolution) -> PrecoderSolution:
+    """The one realization of an R=1 solve, with scalar diagnostics."""
+    return PrecoderSolution(
+        solution.matrices[0], solution.powers[0], int(solution.iterations[0]),
+        bool(solution.converged[0]), float(solution.residual[0]), solution.history,
+    )
 
 
 def zf_precoder(channel: ChannelRealization, qos: QosTargets) -> PrecoderSolution:
     """Per-subcarrier zero-forcing precoder minimizing total transmit power."""
-    return zf_precoders([channel], [qos])[0]
+    return _row0(zf_precoders([channel], [qos]))
 
 
 def min_pa_precoder(
@@ -311,7 +312,7 @@ def min_pa_precoder(
     power, which keeps them at zero: a dead antenna is a zero power in the
     weighted Gram, not a column that leaves it.
     """
-    return min_pa_precoders([channel], [qos], cfg)[0]
+    return _row0(min_pa_precoders([channel], [qos], cfg))
 
 
 def _check_scalar_targets(gamma: float, noise_std: float):
@@ -321,25 +322,6 @@ def _check_scalar_targets(gamma: float, noise_std: float):
         raise DomainError(f"noise standard deviation must be positive, got {noise_std}")
 
 
-def single_user_narrowband_precoder(h, gamma: float, noise_std: float) -> PrecoderSolution:
-    """Closed-form single-user narrowband optimum: strongest antenna only.
-
-    Puts all power on m_hat = argmax |h_m| (lowest index on ties), with the
-    conjugate phase and the exact gain meeting the SINR target.
-    """
-    h = np.atleast_1d(np.asarray(h, dtype=complex))
-    if h.ndim != 1:
-        raise DimensionError(f"expected a length-M vector, got shape {h.shape}")
-    _check_scalar_targets(gamma, noise_std)
-    gains = np.abs(h)
-    if not np.any(gains > 0.0):
-        raise InfeasibleError("all-zero channel cannot meet any SINR target")
-    m_hat = int(np.argmax(gains))
-    w = np.zeros(h.shape[0], dtype=complex)
-    w[m_hat] = noise_std * np.sqrt(gamma) * np.conj(h[m_hat]) / gains[m_hat] ** 2
-    return _finish_solution(w[None, :, None], iterations=0, converged=True, residual=0.0)
-
-
 def single_user_saturating_precoder(
     h, gamma: float, noise_std: float, p_max: float
 ) -> PrecoderSolution:
@@ -347,9 +329,13 @@ def single_user_saturating_precoder(
 
     Saturates antennas in order of decreasing channel gain until the QoS sum
     sum_m |h_m| p_m^(1/2) reaches noise_std * gamma^(1/2); the last recruited
-    antenna gets the partial power closing the gap exactly.
+    antenna gets the partial power closing the gap exactly. With
+    ``p_max = inf`` this is the uncapped optimum: all power on the strongest
+    antenna (the lowest index on ties), conjugate-phased to meet the target.
     """
     h = np.atleast_1d(np.asarray(h, dtype=complex))
+    if h.ndim != 1:
+        raise DimensionError(f"expected a length-M vector, got shape {h.shape}")
     if p_max <= 0.0:
         raise DomainError(f"p_max must be positive, got {p_max}")
     _check_scalar_targets(gamma, noise_std)
@@ -375,7 +361,8 @@ def single_user_saturating_precoder(
     w = np.zeros(h.shape[0], dtype=complex)
     hot = powers > 0.0
     w[hot] = np.sqrt(powers[hot]) * np.conj(h[hot]) / gains[hot]
-    return _finish_solution(w[None, :, None], iterations=0, converged=True, residual=0.0)
+    w = w[None, :, None]
+    return PrecoderSolution(w, per_antenna_powers(w))
 
 
 def los_allocation_precoder(
@@ -410,4 +397,5 @@ def los_allocation_precoder(
     denom = np.abs(h) ** 2 @ sqrt_p
     scale = noise_std * np.sqrt(gamma / q)
     w = scale * sqrt_p[None, :] * np.conj(h) / denom[:, None]
-    return _finish_solution(w[:, :, None], iterations=0, converged=True, residual=0.0)
+    w = w[:, :, None]
+    return PrecoderSolution(w, per_antenna_powers(w))

@@ -148,7 +148,7 @@ def reference_run(cfg):
     for index in range(cfg.realizations):
         channel, qos = _draw_scenario(cfg, _realization_rng(cfg, index), sc.subcarriers)
         powers = {
-            name: _solve_block(name, [channel], [qos], cfg)[0].powers for name in cfg.precoders
+            name: _solve_block(name, [channel], [qos], cfg).powers[0] for name in cfg.precoders
         }
         reports = {name: bs_consumed_power(p, pa, bs) for name, p in powers.items()}
         discarded = int(cfg.discard_over_pmax and any(
@@ -445,6 +445,16 @@ def test_cli_config_error_exit_code(tmp_path):
     "precoders = zf, min_pa, zf",
     "q_list =",
     "q_list = 4,4",
+    "noise_dbm = nan",
+    "p_max_watts = inf",
+    "p_fix_watts = nan",
+    "circuit_watts = inf",
+    "freq_taps = 3\nfreq_decay = inf",
+    "u_max_m = inf",
+    "sinr_ref = inf",
+    "epsilon = nan",
+    "dead_antenna_floor = nan",
+    "seed = -5",
 ])
 def test_cli_out_of_domain_value_is_config_error(tmp_path, capsys, line):
     cfgfile = tmp_path / "exp.cfg"
@@ -456,6 +466,14 @@ def test_cli_out_of_domain_value_is_config_error(tmp_path, capsys, line):
     # The message names the config key, not the model field it feeds.
     key = line.splitlines()[-1].split("=")[0].strip()
     assert key in err
+    assert not out.exists()
+
+
+def test_cli_negative_seed_flag_is_config_error(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert main(["run", "--realizations", "2", "--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "seed" in err
     assert not out.exists()
 
 

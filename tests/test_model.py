@@ -60,7 +60,18 @@ def test_per_antenna_powers_shape_mismatch():
     with pytest.raises(DimensionError):
         per_antenna_powers(np.ones((2, 1)))
     with pytest.raises(DimensionError):
-        per_antenna_powers(np.ones((2, 2, 1, 1)))
+        per_antenna_powers(np.ones(3))
+
+
+@pytest.mark.parametrize("shape", [(5, 1, 64, 4), (3, 256, 32, 4), (4, 8, 16, 1), (2, 3, 5, 2)])
+def test_per_antenna_powers_of_a_stack_equal_slice_calls(shape):
+    rng = np.random.default_rng(sum(shape))
+    w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    w *= 10.0 ** rng.uniform(-8.0, 0.0, size=shape)
+    stacked = per_antenna_powers(w)
+    assert stacked.shape == (shape[0], shape[2])
+    for r in range(shape[0]):
+        assert np.array_equal(stacked[r], per_antenna_powers(w[r]))
 
 
 def test_pa_consumed_power_table_values():

@@ -6,7 +6,7 @@ from energymimo import (
     QosTargets,
     min_pa_precoder,
     pa_consumed_power,
-    single_user_narrowband_precoder,
+    single_user_saturating_precoder,
     zf_precoder,
 )
 from energymimo.channel import draw_los_channel
@@ -24,8 +24,8 @@ def test_bruteforce_matches_single_user_closed_form(table_pa):
     rng = np.random.default_rng(50)
     channel, qos = draw_cell_instance(5, 1, 1, rng)
     result = solve_min_pa_bruteforce(channel, qos, table_pa, starts=4, rng=rng)
-    closed = single_user_narrowband_precoder(
-        channel.per_subcarrier[0, 0, :], float(qos.gamma[0]), qos.noise_std
+    closed = single_user_saturating_precoder(
+        channel.per_subcarrier[0, 0, :], float(qos.gamma[0]), qos.noise_std, np.inf
     )
     assert result.objective == pytest.approx(
         pa_consumed_power(closed.powers, table_pa), rel=1e-5

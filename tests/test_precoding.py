@@ -10,7 +10,6 @@ from energymimo import (
     min_pa_precoders,
     pa_consumed_power,
     per_antenna_powers,
-    single_user_narrowband_precoder,
     single_user_saturating_precoder,
     zf_precoder,
     zf_precoders,
@@ -67,6 +66,12 @@ def test_zf_rejects_rank_deficient_channel():
         zf_precoder(narrowband_channel(h), qos)
 
 
+def test_fixed_point_config_rejects_nan():
+    for kwargs in ({"tolerance": float("nan")}, {"dead_antenna_floor": float("nan")}):
+        with pytest.raises(DomainError):
+            FixedPointConfig(**kwargs)
+
+
 def test_zf_rejects_underdetermined():
     qos = QosTargets(gamma=[1.0, 1.0], noise_power=1.0)
     with pytest.raises(SingularChannelError):
@@ -81,7 +86,7 @@ def test_min_pa_single_user_strongest_antenna():
     assert sol.converged
     assert sol.powers[0] == pytest.approx(1.0, rel=1e-6)
     assert sol.powers[1] <= 1e-9
-    assert list(sol.active_set) == [0]
+    assert np.flatnonzero(sol.powers > ACTIVE_POWER_THRESHOLD).tolist() == [0]
 
 
 def test_min_pa_wideband_los_manifold():
@@ -128,8 +133,7 @@ def test_min_pa_history_recording():
     qos = QosTargets(gamma=[4.0], noise_power=1.0)
     cfg = FixedPointConfig(record_history=True)
     sol = min_pa_precoder(narrowband_channel([[2.0, 1.0]]), qos, cfg)
-    assert sol.history is not None
-    assert len(sol.history) == sol.iterations + 1
+    assert sol.history.shape == (sol.iterations + 1, 2)
     assert np.all(sol.history[0] == 1.0)  # uniform 1 W start
     deltas = np.max(np.abs(sol.history[-1] - sol.history[-2]))
     assert deltas == pytest.approx(sol.residual)
@@ -148,8 +152,8 @@ def test_min_pa_narrowband_matches_stacked_core():
     h = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
     qos = QosTargets(gamma=[2.0, 3.0], noise_power=1.0)
     direct = min_pa_precoder(narrowband_channel(h), qos)
-    stacked = min_pa_precoders([narrowband_channel(h)], [qos])[0]
-    assert np.array_equal(direct.powers, stacked.powers)
+    stacked = min_pa_precoders([narrowband_channel(h)], [qos])
+    assert np.array_equal(direct.powers, stacked.powers[0])
     with pytest.raises(DimensionError):
         min_pa_precoder(
             narrowband_channel(h), QosTargets(gamma=[2.0, 3.0], noise_power=1.0, subcarriers=4)
@@ -162,7 +166,7 @@ def test_min_pa_narrowband_single_user_closed_form():
     qos = QosTargets(gamma=[6.0], noise_power=1.0)
     cfg = FixedPointConfig(tolerance=1e-12, max_iterations=50_000)
     iterated = min_pa_precoder(narrowband_channel(h[None, :]), qos, cfg)
-    closed = single_user_narrowband_precoder(h, 6.0, 1.0)
+    closed = single_user_saturating_precoder(h, 6.0, 1.0, np.inf)
     assert iterated.powers == pytest.approx(closed.powers, rel=1e-5, abs=1e-9)
 
 
@@ -174,13 +178,31 @@ def unit_instance(seed, subcarriers, m_antennas=6):
     return channel, QosTargets(gamma=[2.0, 3.0], noise_power=1.0, subcarriers=subcarriers)
 
 
-def assert_same_solution(stacked, alone):
-    assert np.array_equal(stacked.matrices, alone.matrices)
-    assert np.array_equal(stacked.powers, alone.powers)
-    assert stacked.iterations == alone.iterations
-    assert stacked.converged == alone.converged
-    assert stacked.residual == alone.residual
-    assert np.array_equal(stacked.active_set, alone.active_set)
+def history_rows(stacked, r):
+    """Realization r's rows of a stacked history."""
+    lengths = stacked.iterations + 1
+    assert len(stacked.history) == lengths.sum()
+    start = lengths[:r].sum()
+    return stacked.history[start:start + lengths[r]]
+
+
+def assert_same_row(stacked, r, alone):
+    """Row r of a stacked solution equals the one-instance solve, history included."""
+    assert np.array_equal(stacked.matrices[r], alone.matrices)
+    assert np.array_equal(stacked.powers[r], alone.powers)
+    assert stacked.iterations[r] == alone.iterations
+    assert stacked.converged[r] == alone.converged
+    assert stacked.residual[r] == alone.residual
+    if alone.history is not None:
+        assert np.array_equal(history_rows(stacked, r), alone.history)
+
+
+def groups_by_shape(instances):
+    """The instances split into lists of equal channel shape, in first-seen order."""
+    groups = {}
+    for channel, qos in instances:
+        groups.setdefault(channel.per_subcarrier.shape, []).append((channel, qos))
+    return list(groups.values())
 
 
 def test_stacked_min_pa_equals_one_at_a_time():
@@ -191,24 +213,25 @@ def test_stacked_min_pa_equals_one_at_a_time():
         unit_instance(40, 1), unit_instance(44, 4), unit_instance(42, 1),
         unit_instance(43, 1), unit_instance(45, 4), unit_instance(48, 1),
     ]
-    channels = [channel for channel, _ in instances]
-    targets = [qos for _, qos in instances]
-    stacked = min_pa_precoders(channels, targets, cfg)
-    assert len(stacked) == len(instances)
-    for channel, qos, solution in zip(channels, targets, stacked):
-        alone = min_pa_precoder(channel, qos, cfg)
-        assert_same_solution(solution, alone)
-        assert all(np.array_equal(a, b) for a, b in zip(solution.history, alone.history))
-        assert zf_residual(channel, qos, solution) <= ZF_TOLERANCE
-    slow = stacked[2]
-    assert not slow.converged
-    assert slow.iterations == cfg.max_iterations
-    fast = [s for i, s in enumerate(stacked) if i != 2]
-    assert all(s.converged and s.iterations < cfg.max_iterations for s in fast)
-    assert len({s.iterations for s in fast}) == len(fast)
-    pruned = [stacked[i] for i in (0, 3, 5)]
-    assert all(np.count_nonzero(s.powers == 0.0) > 0 for s in pruned)
-    assert len({len(s.active_set) for s in pruned}) > 1
+    narrowband, wideband = groups_by_shape(instances)  # seeds 40, 42, 43, 48 | 44, 45
+    stacks = [min_pa_precoders(*zip(*group), cfg) for group in (narrowband, wideband)]
+    for group, stacked in zip((narrowband, wideband), stacks):
+        assert stacked.matrices.shape[0] == len(group)
+        for r, (channel, qos) in enumerate(group):
+            alone = min_pa_precoder(channel, qos, cfg)
+            assert_same_row(stacked, r, alone)
+            assert zf_residual(channel, qos, alone) <= ZF_TOLERANCE
+    narrow, wide = stacks
+    assert not narrow.converged[1]
+    assert narrow.iterations[1] == cfg.max_iterations
+    fast = [0, 2, 3]
+    assert narrow.converged[fast].all() and wide.converged.all()
+    iterations = np.concatenate([narrow.iterations[fast], wide.iterations])
+    assert np.all(iterations < cfg.max_iterations)
+    assert len(set(iterations.tolist())) == len(iterations)
+    pruned = narrow.powers[fast]
+    assert np.all(np.count_nonzero(pruned == 0.0, axis=1) > 0)
+    assert len(set(np.count_nonzero(pruned > ACTIVE_POWER_THRESHOLD, axis=1).tolist())) > 1
 
 
 def reference_min_pa(channel, qos, cfg):
@@ -255,21 +278,22 @@ def test_stacked_min_pa_equals_reference_loop():
     instances += [draw_cell_instance(10, 2, 4, rng) for _ in range(2)]
     eps = np.finfo(float).eps
     for cfg in (FixedPointConfig(), FixedPointConfig(max_iterations=40)):
-        solutions = min_pa_precoders(*zip(*instances), cfg)
-        for (channel, qos), solution in zip(instances, solutions):
-            w, iterations, residual = reference_min_pa(channel, qos, cfg)
-            powers = per_antenna_powers(w)
-            assert solution.iterations == iterations
-            assert solution.converged == (residual <= cfg.tolerance)
-            assert np.array_equal(
-                solution.active_set, np.flatnonzero(powers > ACTIVE_POWER_THRESHOLD)
-            )
-            if channel.k_users > 1:
-                assert np.array_equal(solution.matrices, w)
-                assert solution.residual == residual
-            else:
-                assert np.abs(solution.matrices - w).max() <= 16 * eps * np.abs(w).max()
-                assert abs(solution.residual - residual) <= 16 * eps * powers.max()
+        for group in groups_by_shape(instances):
+            stacked = min_pa_precoders(*zip(*group), cfg)
+            for r, (channel, qos) in enumerate(group):
+                w, iterations, residual = reference_min_pa(channel, qos, cfg)
+                powers = per_antenna_powers(w)
+                assert stacked.iterations[r] == iterations
+                assert stacked.converged[r] == (residual <= cfg.tolerance)
+                assert np.array_equal(
+                    stacked.powers[r] > ACTIVE_POWER_THRESHOLD, powers > ACTIVE_POWER_THRESHOLD
+                )
+                if channel.k_users > 1:
+                    assert np.array_equal(stacked.matrices[r], w)
+                    assert stacked.residual[r] == residual
+                else:
+                    assert np.abs(stacked.matrices[r] - w).max() <= 16 * eps * np.abs(w).max()
+                    assert abs(stacked.residual[r] - residual) <= 16 * eps * powers.max()
 
 
 def test_zf_is_the_fixed_points_first_iterate():
@@ -282,20 +306,21 @@ def test_zf_is_the_fixed_points_first_iterate():
         draw_cell_instance(10, 2, 4, np.random.default_rng(6)),
         draw_cell_instance(12, 1, 8, np.random.default_rng(7)),
     ]
-    channels, targets = zip(*instances)
     cfg = FixedPointConfig(max_iterations=1, record_history=True)
-    first = min_pa_precoders(channels, targets, cfg)
-    for zf, iterate in zip(zf_precoders(channels, targets), first):
-        assert np.array_equal(zf.powers, iterate.history[1])
+    for group in groups_by_shape(instances):
+        channels, targets = zip(*group)
+        first = min_pa_precoders(channels, targets, cfg)
+        # Each realization's history is its start and then its first iterate.
+        assert np.array_equal(zf_precoders(channels, targets).powers, first.history[1::2])
 
 
 def test_stacked_zf_equals_one_at_a_time():
     rng = np.random.default_rng(37)
     instances = [draw_cell_instance(8, 2, q, rng) for q in (1, 3, 1, 3, 1)]
-    channels = [channel for channel, _ in instances]
-    targets = [qos for _, qos in instances]
-    for channel, qos, solution in zip(channels, targets, zf_precoders(channels, targets)):
-        assert_same_solution(solution, zf_precoder(channel, qos))
+    for group in groups_by_shape(instances):
+        stacked = zf_precoders(*zip(*group))
+        for r, (channel, qos) in enumerate(group):
+            assert_same_row(stacked, r, zf_precoder(channel, qos))
 
 
 def test_condition_guard_is_per_realization():
@@ -325,10 +350,11 @@ def test_condition_guard_is_per_realization():
     cfg = FixedPointConfig(max_iterations=50)
     channels = [weak, strong, weak]
     stacked = min_pa_precoders(channels, [qos] * 3, cfg)
-    for channel, solution in zip(channels, stacked):
-        assert_same_solution(solution, min_pa_precoder(channel, qos, cfg))
-    for channel, solution in zip(channels, zf_precoders(channels, [qos] * 3)):
-        assert_same_solution(solution, zf_precoder(channel, qos))
+    for r, channel in enumerate(channels):
+        assert_same_row(stacked, r, min_pa_precoder(channel, qos, cfg))
+    stacked = zf_precoders(channels, [qos] * 3)
+    for r, channel in enumerate(channels):
+        assert_same_row(stacked, r, zf_precoder(channel, qos))
 
 
 def test_stacked_errors_name_the_realization():
@@ -342,6 +368,26 @@ def test_stacked_errors_name_the_realization():
         assert str(err.value).startswith("realization 2: ")
     with pytest.raises(DimensionError):
         min_pa_precoders([good, good], [qos])
+
+
+def test_stacked_solvers_need_one_channel_shape_and_dtype():
+    rng = np.random.default_rng(38)
+    narrow, qos = draw_cell_instance(6, 2, 1, rng)
+    other_m, _ = draw_cell_instance(7, 2, 1, rng)
+    wide, wide_qos = draw_cell_instance(6, 2, 3, rng)
+    single = ChannelRealization(
+        per_subcarrier=narrow.per_subcarrier.astype(np.complex64),
+        large_scale=narrow.large_scale,
+    )
+    for solve in (zf_precoders, min_pa_precoders):
+        for channels, targets in (
+            ([narrow, other_m], [qos, qos]),
+            ([narrow, wide], [qos, wide_qos]),
+            ([narrow, single], [qos, qos]),
+            ([], []),
+        ):
+            with pytest.raises(DimensionError):
+                solve(channels, targets)
 
 
 def test_error_names_the_realization_after_others_converge():
@@ -358,12 +404,13 @@ def test_error_names_the_realization_after_others_converge():
 
 
 def test_single_user_narrowband_examples():
-    sol = single_user_narrowband_precoder([1.0], 4.0, 1.0)
+    # Without a cap the saturating precoder is the narrowband optimum.
+    sol = single_user_saturating_precoder([1.0], 4.0, 1.0, np.inf)
     assert sol.matrices.ravel() == pytest.approx([2.0])
-    sol2 = single_user_narrowband_precoder([2.0, 1.0], 4.0, 1.0)
+    sol2 = single_user_saturating_precoder([2.0, 1.0], 4.0, 1.0, np.inf)
     assert sol2.powers == pytest.approx([1.0, 0.0])
-    tie = single_user_narrowband_precoder([1.0, 1.0], 4.0, 1.0)
-    assert list(tie.active_set) == [0]
+    tie = single_user_saturating_precoder([1.0, 1.0], 4.0, 1.0, np.inf)
+    assert np.flatnonzero(tie.powers).tolist() == [0]
     # selecting the other tied antenna consumes exactly the same power
     manual = np.zeros(2, dtype=complex)
     manual[1] = 2.0
@@ -371,13 +418,15 @@ def test_single_user_narrowband_examples():
         np.sqrt(per_antenna_powers(manual[None, :, None]).sum())
     )
     with pytest.raises(InfeasibleError):
-        single_user_narrowband_precoder([0.0, 0.0], 4.0, 1.0)
+        single_user_saturating_precoder([0.0, 0.0], 4.0, 1.0, np.inf)
+    with pytest.raises(DimensionError):
+        single_user_saturating_precoder(np.ones((2, 2)), 4.0, 1.0, np.inf)
 
 
 def test_saturating_matches_unconstrained_when_slack():
     rng = np.random.default_rng(28)
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    free = single_user_narrowband_precoder(h, 2.0, 0.5)
+    free = single_user_saturating_precoder(h, 2.0, 0.5, np.inf)
     capped = single_user_saturating_precoder(h, 2.0, 0.5, p_max=1e9)
     assert capped.powers == pytest.approx(free.powers)
 
@@ -409,7 +458,7 @@ def test_saturating_meets_qos():
     achieved = abs(h @ sol.matrices[0, :, 0])
     assert achieved == pytest.approx(sigma * np.sqrt(gamma), rel=1e-12)
     assert np.max(sol.powers) <= 1.0 + 1e-15
-    assert len(sol.active_set) > 1
+    assert np.count_nonzero(sol.powers) > 1
 
 
 def test_los_allocation_corner_and_uniform():
