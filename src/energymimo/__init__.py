@@ -13,7 +13,6 @@ from .asymptotic import (
     asymptotic_pa_power,
     asymptotic_per_antenna_power,
     min_ma_power_constraint,
-    optimal_ma_constrained,
     optimal_ma_plans,
     solve_quartic_ma,
     trace_term,
@@ -61,10 +60,8 @@ from .precoding import (
     FixedPointConfig,
     PrecoderSolution,
     los_allocation_precoder,
-    min_pa_precoder,
     min_pa_precoders,
     single_user_saturating_precoder,
-    zf_precoder,
     zf_precoders,
 )
 
@@ -105,9 +102,7 @@ __all__ = [
     "los_allocation_precoder",
     "mc_inverse_wishart_trace",
     "min_ma_power_constraint",
-    "min_pa_precoder",
     "min_pa_precoders",
-    "optimal_ma_constrained",
     "optimal_ma_plans",
     "pa_consumed_power",
     "pa_efficiency",
@@ -117,7 +112,6 @@ __all__ = [
     "solve_quartic_ma",
     "target_sinr",
     "trace_term",
-    "zf_precoder",
     "zf_precoders",
 ]
 

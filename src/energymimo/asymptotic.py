@@ -7,18 +7,18 @@ function of (beta_k, gamma_k, noise power) through the single trace term
 sum_k gamma_k sigma^2 / beta_k.
 
 The planner works on arrays: :func:`optimal_ma_plans` plans every (K, trace)
-pair of two equal-shape arrays at once, and the power formulas and the
-quartic solver take scalars or arrays alike. :func:`optimal_ma_constrained`
-is its one-instance view.
+pair of two equal-shape arrays at once, and flags an infeasible pair rather
+than raising. The power formulas and the quartic solver take scalars or
+arrays alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError
+from .errors import DomainError
 from .model import BsModel, PaModel
 
 # Relative residual demanded of the quartic root, and the safeguarded-Newton
@@ -32,22 +32,19 @@ QUARTIC_MAX_ITERATIONS = 200
 class AsymptoticPlan:
     """Outcome of the constrained active-antenna-count optimization.
 
-    ``m_tilde`` is the unconstrained continuous optimum, ``m_hat`` the
-    minimal count honoring the per-antenna power cap, ``m_dagger`` the final
-    integer choice. The power fields are evaluated at ``m_dagger``.
-
-    :func:`optimal_ma_constrained` fills the fields with scalars for one
-    instance, :func:`optimal_ma_plans` with one array entry per (K, trace)
-    pair.
+    Every field is an array with one entry per (K, trace) pair. ``m_tilde``
+    is the unconstrained continuous optimum, ``m_hat`` the minimal count
+    honoring the per-antenna power cap, ``m_dagger`` the final integer
+    choice. The power fields are evaluated at ``m_dagger``.
     """
 
-    m_tilde: float | np.ndarray
-    m_hat: int | np.ndarray
-    m_dagger: int | np.ndarray
-    p_bar: float | np.ndarray
-    p_pas_bar: float | np.ndarray
-    p_bs_bar: float | np.ndarray
-    feasible: bool | np.ndarray
+    m_tilde: np.ndarray
+    m_hat: np.ndarray
+    m_dagger: np.ndarray
+    p_bar: np.ndarray
+    p_pas_bar: np.ndarray
+    p_bs_bar: np.ndarray
+    feasible: np.ndarray
 
 
 def trace_term(beta, gamma, noise_power: float) -> float:
@@ -248,31 +245,3 @@ def optimal_ma_plans(
         feasible=feasible,
     )
 
-
-def optimal_ma_constrained(
-    m_antennas: int,
-    k_users: int,
-    trace: float,
-    pa: PaModel,
-    bs: BsModel,
-    p_max: float,
-) -> AsymptoticPlan:
-    """Active-antenna count minimizing BS power under per-antenna caps.
-
-    One-instance view of :func:`optimal_ma_plans`. Raises
-    :class:`InfeasibleError` when M <= K, and, carrying the minimal
-    feasible M, when even the full array violates the caps.
-    """
-    if m_antennas <= k_users:
-        raise InfeasibleError(
-            f"zero forcing needs M > K, got M={m_antennas}, K={k_users}"
-        )
-    plans = optimal_ma_plans(m_antennas, [k_users], [trace], pa, bs, p_max)
-    if not plans.feasible[0]:
-        min_feasible = max(int(plans.m_hat[0]), k_users + 1)
-        raise InfeasibleError(
-            f"per-antenna power cap violated even with all {m_antennas} antennas; "
-            f"need at least M={min_feasible}",
-            min_feasible_m=min_feasible,
-        )
-    return AsymptoticPlan(**{f.name: getattr(plans, f.name)[0].item() for f in fields(plans)})

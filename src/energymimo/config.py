@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .channel import SINR_REF_COEFF, CellGeometry, FreqCorrelation
+from .channel import SINR_REF_COEFF, CellGeometry, FreqCorrelation, large_scale_fading
 from .errors import ConfigError, DomainError
 from .model import BsModel, PaModel
 from .precoding import FixedPointConfig
@@ -208,6 +208,17 @@ def _validate(cfg: ExperimentConfig):
             build()
         except DomainError as exc:
             raise ConfigError(f"{keys}: {exc}") from exc
+    # The draws need a positive, finite noise power and far-edge fading.
+    for key, quantity, compute in (
+        ("noise_dbm", "noise power", lambda: sc.noise_power),
+        ("u_max_m", "far-edge large-scale fading", lambda: large_scale_fading(sc.u_max_m)),
+    ):
+        try:
+            value = compute()
+        except OverflowError:
+            value = math.inf
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"{key}: the {quantity} {value} is not positive and finite")
     for name in cfg.precoders:
         if name not in KNOWN_PRECODERS:
             raise ConfigError(f"unknown precoder {name!r}, expected one of {KNOWN_PRECODERS}")

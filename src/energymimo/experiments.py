@@ -30,7 +30,6 @@ from . import oracle
 from .asymptotic import (
     asymptotic_bs_power,
     asymptotic_pa_power,
-    optimal_ma_constrained,
     optimal_ma_plans,
     solve_quartic_ma,
     trace_term,
@@ -459,18 +458,20 @@ def validate_suite(cfg: ExperimentConfig) -> ExperimentResult:
         f"relative error {wishart_rel:.4f} at 1e4 draws",
     ))
 
-    # Antenna-count optimum vs exhaustive grid.
+    # Antenna-count optimum vs exhaustive grid. An infeasible plan has
+    # m_dagger 0, so it matches only a grid that finds no admissible count.
     mismatches = 0
     for _ in range(100):
         k = int(rng.integers(1, 17))
         m = int(rng.integers(k + 2, 257))
         trace = float(rng.uniform(0.05, 50.0))
         p_max = float(rng.uniform(0.2, 5.0))
-        if trace / (m * (m - k)) > p_max:
-            continue
-        plan = optimal_ma_constrained(m, k, trace, pa, bs, p_max)
-        if plan.m_dagger != oracle.grid_min_bs(m, k, trace, pa, bs, p_max):
-            mismatches += 1
+        plan = optimal_ma_plans(m, [k], [trace], pa, bs, p_max)
+        try:
+            grid = oracle.grid_min_bs(m, k, trace, pa, bs, p_max)
+        except InfeasibleError:
+            grid = 0
+        mismatches += int(plan.m_dagger[0] != grid)
     rows.append((
         "grid_equivalence", int(mismatches == 0),
         f"{mismatches} mismatches over 100 random scenarios",

@@ -1,21 +1,19 @@
 """Downlink precoder solvers.
 
-``zf_precoder`` is the conventional per-subcarrier zero-forcing solution
-minimizing transmit power. ``min_pa_precoder`` minimizes the square-root PA
-consumption under the same QoS constraints by iterating the fixed-point
-power equations; the closed-form single-user and LOS special cases have
-dedicated entry points.
+``zf_precoders`` computes the conventional per-subcarrier zero-forcing
+solution minimizing transmit power. ``min_pa_precoders`` minimizes the
+square-root PA consumption under the same QoS constraints by iterating the
+fixed-point power equations. Both solve a list of instances of one channel
+shape at once and return one :class:`PrecoderSolution` whose fields carry
+the block axis; row r equals the solve of instance r alone, bit for bit.
+The closed-form single-user and LOS special cases have their own entry
+points.
 
 Both iterative solvers run on one weighted zero-forcing kernel,
 W_q = D_p^(1/2) H_q^H (H_q D_p^(1/2) H_q^H)^(-1) D_q, over all M antennas of
 a stack of shape (R, Q, K, M) holding R realizations. Zero forcing is the
 kernel at uniform power, which is also the fixed point's first iterate; an
 antenna the fixed point switches off is a zero power and gets a zero row.
-``zf_precoders`` and ``min_pa_precoders`` solve a list of instances of one
-channel shape at once and return one :class:`PrecoderSolution` whose fields
-carry the block axis; the one-instance entry points return row 0 of an R=1
-solve. Each realization gets exactly the arithmetic it would get alone, so
-stacking never changes a result.
 
 All Gram solves use a Hermitian (Cholesky) factorization followed by
 forward/backward substitution on the K x K user-side matrix; the optimal
@@ -74,9 +72,10 @@ class FixedPointConfig:
 class PrecoderSolution:
     """Per-subcarrier precoding matrices plus convergence diagnostics.
 
-    One realization has (Q, M, K) ``matrices``, (M,) ``powers`` and scalar
-    diagnostics; a block of R has (R, Q, M, K) ``matrices``, (R, M)
-    ``powers`` and length-R ``iterations``, ``converged`` and ``residual``.
+    The stacked solvers return a block of R: (R, Q, M, K) ``matrices``,
+    (R, M) ``powers`` and length-R ``iterations``, ``converged`` and
+    ``residual``. The closed forms return one realization, with (Q, M, K)
+    ``matrices``, (M,) ``powers`` and the scalar defaults.
     ``powers`` always equals the per-antenna powers recomputed from
     ``matrices``; ``residual`` is the last max absolute inter-iteration power
     change (zero for closed-form solutions). ``history``, when requested via
@@ -197,11 +196,11 @@ def _fixed_point(h, rhs, cfg: FixedPointConfig) -> PrecoderSolution:
     Each realization keeps its own powers, residual, iteration count and
     stopping test, and leaves the working set once it converges: its row
     goes from ``h``, ``rhs``, ``index`` and ``p`` together, so ``index``
-    still names each remaining realization in errors. ``work`` holds the
-    stack rows of the working set; a realization's final powers move to
-    ``p_final`` as it leaves. A dead antenna is a zero power. The history
-    records each iterate with the stack rows it covers and is sorted into
-    realization order once, at the end.
+    holds the stack rows of the working set and names each remaining
+    realization in errors. A realization's final powers move to ``p_final``
+    as it leaves. A dead antenna is a zero power. The history records each
+    iterate with the stack rows it covers and is sorted into realization
+    order once, at the end.
     """
     n, _, k, m = h.shape
     index = np.arange(n)
@@ -211,8 +210,7 @@ def _fixed_point(h, rhs, cfg: FixedPointConfig) -> PrecoderSolution:
     iterations = np.full(n, cfg.max_iterations)
     converged = np.zeros(n, dtype=bool)
     residual = np.full(n, np.inf)
-    work = index
-    trail, trail_rows = ([p.copy()], [work]) if cfg.record_history else (None, None)
+    trail, trail_rows = ([p.copy()], [index]) if cfg.record_history else (None, None)
 
     for iteration in range(1, cfg.max_iterations + 1):
         p[p < cfg.dead_antenna_floor] = 0.0
@@ -227,20 +225,20 @@ def _fixed_point(h, rhs, cfg: FixedPointConfig) -> PrecoderSolution:
         p = p_new
         if trail is not None:
             trail.append(p_new.copy())
-            trail_rows.append(work)
+            trail_rows.append(index)
         done = step <= cfg.tolerance
         if iteration == cfg.max_iterations:
             done[:] = True
         elif not done.any():
             continue
-        leaving = work[done]
+        leaving = index[done]
         p_final[leaving] = p[done]
         residual[leaving] = step[done]
         converged[leaving] = step[done] <= cfg.tolerance
         iterations[leaving] = iteration
         keep = ~done
-        work, h, rhs, index, p = work[keep], h[keep], rhs[keep], index[keep], p[keep]
-        if not work.size:
+        h, rhs, index, p = h[keep], rhs[keep], index[keep], p[keep]
+        if not index.size:
             break
 
     history = None
@@ -255,11 +253,12 @@ def _fixed_point(h, rhs, cfg: FixedPointConfig) -> PrecoderSolution:
 
 
 def zf_precoders(channels, qos_list) -> PrecoderSolution:
-    """Zero-forcing precoders for a list of instances of one channel shape.
+    """Per-subcarrier zero-forcing precoders minimizing total transmit power.
 
-    Zero forcing is the weighted-ZF kernel at uniform power, the fixed
-    point's first iterate. Returns one stacked solution; row r equals
-    :func:`zf_precoder` on instance r alone.
+    ``channels`` and ``qos_list`` are instances of one channel shape and
+    dtype. Zero forcing is the weighted-ZF kernel at uniform power, the
+    fixed point's first iterate. Returns one stacked solution; row r equals
+    the solve of ``[channels[r]]`` alone.
     """
     h, rhs = _stack(channels, qos_list)
     n, m = h.shape[0], h.shape[3]
@@ -273,46 +272,24 @@ def zf_precoders(channels, qos_list) -> PrecoderSolution:
 def min_pa_precoders(
     channels, qos_list, cfg: FixedPointConfig | None = None
 ) -> PrecoderSolution:
-    """Consumption-minimizing precoders for a list of instances of one channel shape.
-
-    The instances iterate together and the result is one stacked solution;
-    row r, and realization r's history rows, equal :func:`min_pa_precoder`
-    on instance r alone. A :class:`SingularChannelError` names the list
-    position of the offending instance in ``realization``.
-    """
-    return _fixed_point(*_stack(channels, qos_list), cfg or FixedPointConfig())
-
-
-def _row0(solution: PrecoderSolution) -> PrecoderSolution:
-    """The one realization of an R=1 solve, with scalar diagnostics."""
-    return PrecoderSolution(
-        solution.matrices[0], solution.powers[0], int(solution.iterations[0]),
-        bool(solution.converged[0]), float(solution.residual[0]), solution.history,
-    )
-
-
-def zf_precoder(channel: ChannelRealization, qos: QosTargets) -> PrecoderSolution:
-    """Per-subcarrier zero-forcing precoder minimizing total transmit power."""
-    return _row0(zf_precoders([channel], [qos]))
-
-
-def min_pa_precoder(
-    channel: ChannelRealization,
-    qos: QosTargets,
-    cfg: FixedPointConfig | None = None,
-) -> PrecoderSolution:
-    """Precoder minimizing the square-root PA consumption under ZF QoS.
+    """Precoders minimizing the square-root PA consumption under ZF QoS.
 
     Runs the fixed-point power iteration from a uniform initial allocation:
     each sweep recomputes the weighted ZF solution for the current power
     diagonal and reads back the per-antenna powers, until the largest power
     change drops below the tolerance or the iteration budget is exhausted
-    (in which case the solution is returned with ``converged=False`` rather
-    than damped). Antennas driven below the dead floor are clamped to zero
+    (then the realization is returned with ``converged`` False rather than
+    damped). Antennas driven below the dead floor are clamped to zero
     power, which keeps them at zero: a dead antenna is a zero power in the
     weighted Gram, not a column that leaves it.
+
+    ``channels`` and ``qos_list`` are instances of one channel shape and
+    dtype; they iterate together and the result is one stacked solution.
+    Row r, and realization r's history rows, equal the solve of
+    ``[channels[r]]`` alone. A :class:`SingularChannelError` names the list
+    position of the offending instance in ``realization``.
     """
-    return _row0(min_pa_precoders([channel], [qos], cfg))
+    return _fixed_point(*_stack(channels, qos_list), cfg or FixedPointConfig())
 
 
 def _check_scalar_targets(gamma: float, noise_std: float):

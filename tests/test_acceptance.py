@@ -18,12 +18,12 @@ from energymimo import (
     asymptotic_per_antenna_power,
     bs_consumed_power,
     gain_metrics,
-    min_pa_precoder,
-    optimal_ma_constrained,
+    min_pa_precoders,
+    optimal_ma_plans,
     pa_consumed_power,
     solve_quartic_ma,
     trace_term,
-    zf_precoder,
+    zf_precoders,
 )
 from energymimo.channel import draw_los_channel
 from energymimo.config import ExperimentConfig, with_scenario
@@ -53,10 +53,10 @@ def test_criterion_01_zf_correctness(table_pa):
         k = int(rng.integers(1, min(m, 8) + 1))
         q = int(rng.integers(1, 129))
         channel, qos = draw_cell_instance(m, k, q, rng)
-        sol = zf_precoder(channel, qos)
+        matrices = zf_precoders([channel], [qos]).matrices[0]
         target = np.zeros((k, k), dtype=complex)
         np.fill_diagonal(target, np.sqrt(qos.per_subcarrier_gamma) * qos.noise_std)
-        res = float(np.max(np.abs(channel.per_subcarrier @ sol.matrices - target)))
+        res = float(np.max(np.abs(channel.per_subcarrier @ matrices - target)))
         worst = max(worst, res)
     elapsed = time.time() - start
     assert worst <= 1e-9
@@ -73,17 +73,18 @@ def test_criterion_02_single_user_exactness(table_pa):
         rng = np.random.default_rng(11_000 + r)
         m = int(rng.integers(2, 33))
         channel, qos = draw_cell_instance(m, 1, 1, rng)
-        sol = min_pa_precoder(channel, qos, cfg)
-        assert sol.converged
+        sol = min_pa_precoders([channel], [qos], cfg)
+        assert sol.converged[0]
+        powers = sol.powers[0]
         h = channel.per_subcarrier[0, 0, :]
         m_hat = int(np.argmax(np.abs(h)))
-        assert int(np.argmax(sol.powers)) == m_hat
+        assert int(np.argmax(powers)) == m_hat
         expected = table_pa.alpha * qos.noise_std * np.sqrt(qos.gamma[0]) / np.abs(h[m_hat])
-        got = pa_consumed_power(sol.powers, table_pa)
+        got = pa_consumed_power(powers, table_pa)
         worst_rel = max(worst_rel, abs(got - expected) / expected)
-        others = np.delete(sol.powers, m_hat)
+        others = np.delete(powers, m_hat)
         if others.size:
-            worst_leak = max(worst_leak, float(others.max() / sol.powers[m_hat]))
+            worst_leak = max(worst_leak, float(others.max() / powers[m_hat]))
     assert worst_rel <= 1e-3
     assert worst_leak < 1e-6
     _report(2, f"worst consumption error {worst_rel:.2e}, worst leakage {worst_leak:.2e}")
@@ -99,8 +100,8 @@ def test_criterion_03_oracle_equivalence(table_pa):
         k = int(rng.integers(1, min(m, 3) + 1))
         q = int(rng.integers(1, 5))
         channel, qos = draw_cell_instance(m, k, q, rng)
-        sol = min_pa_precoder(channel, qos, cfg)
-        objective = pa_consumed_power(sol.powers, table_pa)
+        powers = min_pa_precoders([channel], [qos], cfg).powers[0]
+        objective = pa_consumed_power(powers, table_pa)
         reference = solve_min_pa_bruteforce(
             channel, qos, table_pa, starts=3, rng=np.random.default_rng(9000 + i)
         )
@@ -131,24 +132,22 @@ def test_criterion_05_convergence_profile(table_pa):
     """Iteration counts and oracle distance of the fixed point at Q=1, M=32."""
     stats = {}
     for k_users, lo, hi in ((1, 100, 400), (8, 25, 100)):
-        counts = []
+        instances = [
+            draw_cell_instance(32, k_users, 1, np.random.default_rng(42 + r)) for r in range(100)
+        ]
+        sol = min_pa_precoders(*zip(*instances))  # defaults: eps=1e-4, I_max=2000
         dists = []
-        for r in range(100):
-            rng = np.random.default_rng(42 + r)
-            channel, qos = draw_cell_instance(32, k_users, 1, rng)
-            sol = min_pa_precoder(channel, qos)  # defaults: eps=1e-4, I_max=2000
-            counts.append(sol.iterations)
+        for r, (channel, qos) in enumerate(instances):
             if k_users == 1:
                 gt = analytic_single_user(channel.per_subcarrier[0, 0, :], qos, table_pa)
-                dists.append(float(np.sum((sol.powers - gt.powers) ** 2)))
             else:
                 gt = solve_min_pa_bruteforce(
                     channel, qos, table_pa,
                     starts=1, rng=np.random.default_rng(7000 + r),
                     max_m=32, max_k=8, max_q=1,
                 )
-                dists.append(float(np.sum((sol.powers - gt.powers) ** 2)))
-        mean_iters = float(np.mean(counts))
+            dists.append(float(np.sum((sol.powers[r] - gt.powers) ** 2)))
+        mean_iters = float(np.mean(sol.iterations))
         mean_dist = float(np.mean(dists))
         assert lo <= mean_iters <= hi, f"K={k_users}: mean {mean_iters}"
         assert mean_dist < 1e-2
@@ -162,25 +161,22 @@ def test_criterion_05_convergence_profile(table_pa):
 
 def test_criterion_06_wideband_uniformity(table_pa, table_bs):
     """At Q=256 every antenna is active and the gains collapse to 1.00."""
-    cv_lo, cv_hi = [], []
-    for r in range(5):
-        powers = {}
-        for q in (4, 256):
-            rng = np.random.default_rng(606 + r)
-            channel, qos = draw_cell_instance(32, 4, q, rng)
-            sol = min_pa_precoder(channel, qos)
-            powers[q] = sol.powers
-            if q == 256:
-                report = bs_consumed_power(sol.powers, table_pa, table_bs)
-                assert report.m_active == 32
-                zf = zf_precoder(channel, qos)
-                gains = gain_metrics(bs_consumed_power(zf.powers, table_pa, table_bs), report)
-                assert 0.99 <= gains[0] <= 1.01
-                assert 0.99 <= gains[1] <= 1.01
-        cv = lambda p: float(np.std(p) / np.mean(p))
-        assert cv(powers[256]) < cv(powers[4])
-        cv_lo.append(cv(powers[256]))
-        cv_hi.append(cv(powers[4]))
+    instances = {
+        q: list(zip(*(
+            draw_cell_instance(32, 4, q, np.random.default_rng(606 + r)) for r in range(5)
+        )))
+        for q in (4, 256)
+    }
+    powers = {q: min_pa_precoders(*instances[q]).powers for q in instances}
+    report = bs_consumed_power(powers[256], table_pa, table_bs)
+    assert np.all(report.m_active == 32)
+    zf = zf_precoders(*instances[256])
+    for gains in gain_metrics(bs_consumed_power(zf.powers, table_pa, table_bs), report):
+        assert np.all((0.99 <= gains) & (gains <= 1.01))
+    cv = lambda p: float(np.std(p) / np.mean(p))
+    cv_lo = [cv(p) for p in powers[256]]
+    cv_hi = [cv(p) for p in powers[4]]
+    assert all(lo < hi for lo, hi in zip(cv_lo, cv_hi))
     _report(
         6,
         f"all 32 antennas active; CV(Q=256)~{np.mean(cv_lo):.2f} < CV(Q=4)~{np.mean(cv_hi):.2f}",
@@ -222,12 +218,14 @@ def test_criterion_08_finite_q_accuracy(table_pa):
     """Asymptotic PA-power formula within 0.1 W of the Q=128 simulation."""
     errors = {}
     for k_users in (1, 4, 8):
+        instances = [
+            draw_cell_instance(32, k_users, 128, np.random.default_rng(808 + r))
+            for r in range(100)
+        ]
+        sol = zf_precoders(*zip(*instances))  # the asymptotic-regime precoder
         errs = []
-        for r in range(100):
-            rng = np.random.default_rng(808 + r)
-            channel, qos = draw_cell_instance(32, k_users, 128, rng)
-            sol = zf_precoder(channel, qos)  # the asymptotic-regime precoder
-            p_sim = pa_consumed_power(sol.powers, table_pa)
+        for (channel, qos), powers in zip(instances, sol.powers):
+            p_sim = pa_consumed_power(powers, table_pa)
             trace = trace_term(channel.large_scale, qos.gamma, qos.noise_power)
             p_asym = asymptotic_pa_power(32, k_users, trace, table_pa)
             errs.append(abs(p_sim - p_asym))
@@ -259,8 +257,8 @@ def test_criterion_10_antenna_count_grid_match(table_pa, table_bs):
         p_max = float(rng.uniform(0.1, 4.0))
         if trace / (m * (m - k)) > p_max:
             continue
-        plan = optimal_ma_constrained(m, k, trace, table_pa, table_bs, p_max)
-        assert plan.m_dagger == grid_min_bs(m, k, trace, table_pa, table_bs, p_max)
+        plan = optimal_ma_plans(m, [k], [trace], table_pa, table_bs, p_max)
+        assert plan.m_dagger[0] == grid_min_bs(m, k, trace, table_pa, table_bs, p_max)
         checked += 1
     _report(10, "exact integer match on 100 random feasible scenarios")
 
@@ -325,15 +323,15 @@ def test_criterion_13_property_suite(table_pa):
 
     channel = ChannelRealization(per_subcarrier=h, large_scale=np.ones(2))
     gamma = np.array([3.0, 7.0])
-    a = min_pa_precoder(
-        channel,
-        QosTargets(gamma=gamma, noise_power=1.0, subcarriers=2),
+    a = min_pa_precoders(
+        [channel],
+        [QosTargets(gamma=gamma, noise_power=1.0, subcarriers=2)],
         FixedPointConfig(tolerance=1e-9, max_iterations=20_000),
     )
     c = 5.0
-    b = min_pa_precoder(
-        channel,
-        QosTargets(gamma=gamma, noise_power=c**2, subcarriers=2),
+    b = min_pa_precoders(
+        [channel],
+        [QosTargets(gamma=gamma, noise_power=c**2, subcarriers=2)],
         FixedPointConfig(
             tolerance=1e-9 * c**2,
             max_iterations=20_000,
@@ -348,12 +346,8 @@ def test_criterion_13_property_suite(table_pa):
         per_subcarrier=phases[None, :, None] * h, large_scale=np.ones(2)
     )
     qos = QosTargets(gamma=gamma, noise_power=1.0, subcarriers=2)
-    np.testing.assert_allclose(
-        min_pa_precoder(rotated, qos).powers,
-        min_pa_precoder(channel, qos).powers,
-        rtol=1e-9,
-        atol=1e-14,
-    )
+    turned, plain = min_pa_precoders([rotated, channel], [qos, qos]).powers
+    np.testing.assert_allclose(turned, plain, rtol=1e-9, atol=1e-14)
 
     # quartic residual
     for _ in range(100):
@@ -373,7 +367,7 @@ def test_criterion_13_property_suite(table_pa):
     r2 = np.random.default_rng(99)
     ch1, qos1 = draw_cell_instance(16, 4, 4, r1)
     ch2, qos2 = draw_cell_instance(16, 4, 4, r2)
-    s1 = min_pa_precoder(ch1, qos1)
-    s2 = min_pa_precoder(ch2, qos2)
+    s1 = min_pa_precoders([ch1], [qos1])
+    s2 = min_pa_precoders([ch2], [qos2])
     assert np.array_equal(s1.matrices, s2.matrices)
     _report(13, "covariances, quartic residuals, monotonicity and determinism hold")

@@ -10,13 +10,12 @@ from energymimo import (
     asymptotic_per_antenna_power,
     experiments,
     min_ma_power_constraint,
-    optimal_ma_constrained,
     optimal_ma_plans,
     solve_quartic_ma,
     trace_term,
 )
 from energymimo.config import ExperimentConfig, with_scenario
-from energymimo.errors import DomainError, InfeasibleError
+from energymimo.errors import DomainError
 from energymimo.experiments import (
     K_SWEEP_FIELDS,
     _draw_scenario,
@@ -26,7 +25,7 @@ from energymimo.experiments import (
 )
 from energymimo.model import BsModel, pa_consumed_power
 from energymimo.oracle import grid_min_bs, solve_quartic_closed_form
-from energymimo.precoding import zf_precoder
+from energymimo.precoding import zf_precoders
 
 
 def test_trace_term_hand_value():
@@ -147,10 +146,10 @@ def test_optimal_ma_uncapped_regimes(table_pa):
 
     # huge circuit cost: circuits power-limited regime -> K+1
     expensive = BsModel(p_fix=0.0, circuit_per_antenna=1e9)
-    assert optimal_ma_constrained(64, 4, 1.0, table_pa, expensive, math.inf).m_dagger == 5
+    assert optimal_ma_plans(64, [4], [1.0], table_pa, expensive, math.inf).m_dagger[0] == 5
     # negligible circuit cost: PAs power-limited regime -> M
     cheap = BsModel(p_fix=0.0, circuit_per_antenna=1e-12)
-    assert optimal_ma_constrained(64, 4, 1.0, table_pa, cheap, math.inf).m_dagger == 64
+    assert optimal_ma_plans(64, [4], [1.0], table_pa, cheap, math.inf).m_dagger[0] == 64
 
 
 def test_optimal_ma_uncapped_interior_matches_grid(table_pa, table_bs):
@@ -162,40 +161,35 @@ def test_optimal_ma_uncapped_interior_matches_grid(table_pa, table_bs):
         counts = np.arange(k + 1, m + 1)
         values = [asymptotic_bs_power(n, k, trace, table_pa, table_bs) for n in counts]
         expected = int(counts[int(np.argmin(values))])
-        plan = optimal_ma_constrained(m, k, trace, table_pa, table_bs, math.inf)
-        assert plan.m_dagger == expected
+        plan = optimal_ma_plans(m, [k], [trace], table_pa, table_bs, math.inf)
+        assert plan.m_dagger[0] == expected
 
 
-def test_optimal_ma_constrained_branches(table_pa, table_bs):
+def test_optimal_ma_plans_branches(table_pa, table_bs):
     # y <= K+1 -> use as few antennas as possible
-    plan = optimal_ma_constrained(64, 2, 1e-6, table_pa, table_bs, p_max=1.0)
-    assert plan.m_dagger == 3
+    plan = optimal_ma_plans(64, [2], [1e-6], table_pa, table_bs, p_max=1.0)
+    assert plan.m_dagger[0] == 3
     # y >= M -> use as many antennas as possible (power-constraint driven)
-    plan2 = optimal_ma_constrained(16, 2, 220.0, table_pa, table_bs, p_max=1.0)
-    assert plan2.m_hat >= 16
-    assert plan2.m_dagger == 16
-    assert plan2.feasible
+    plan2 = optimal_ma_plans(16, [2], [220.0], table_pa, table_bs, p_max=1.0)
+    assert plan2.m_hat[0] >= 16
+    assert plan2.m_dagger[0] == 16
+    assert plan2.feasible[0]
 
 
-def test_optimal_ma_constrained_infeasible_reports_minimum(table_pa, table_bs):
-    with pytest.raises(InfeasibleError) as err:
-        optimal_ma_constrained(8, 2, 1000.0, table_pa, table_bs, p_max=1.0)
-    assert err.value.min_feasible_m == min_ma_power_constraint(2, 1000.0, 1.0)
-
-
-def test_optimal_ma_constrained_fills_plan(table_pa, table_bs):
-    plan = optimal_ma_constrained(64, 4, 4.5, table_pa, table_bs, p_max=1.0)
-    assert 5 <= plan.m_dagger <= 64
-    assert plan.p_bar == pytest.approx(
-        asymptotic_per_antenna_power(plan.m_dagger, 4, 4.5)
+def test_optimal_ma_plans_fills_plan(table_pa, table_bs):
+    plan = optimal_ma_plans(64, [4], [4.5], table_pa, table_bs, p_max=1.0)
+    m_dagger = plan.m_dagger[0]
+    assert 5 <= m_dagger <= 64
+    assert plan.p_bar[0] == pytest.approx(
+        asymptotic_per_antenna_power(m_dagger, 4, 4.5)
     )
-    assert plan.p_pas_bar == pytest.approx(
-        asymptotic_pa_power(plan.m_dagger, 4, 4.5, table_pa)
+    assert plan.p_pas_bar[0] == pytest.approx(
+        asymptotic_pa_power(m_dagger, 4, 4.5, table_pa)
     )
-    assert plan.p_bs_bar == pytest.approx(
-        asymptotic_bs_power(plan.m_dagger, 4, 4.5, table_pa, table_bs)
+    assert plan.p_bs_bar[0] == pytest.approx(
+        asymptotic_bs_power(m_dagger, 4, 4.5, table_pa, table_bs)
     )
-    assert plan.p_bar <= 1.0
+    assert plan.p_bar[0] <= 1.0
 
 
 def test_grid_oracle_ties_and_edges(table_pa):
@@ -218,8 +212,8 @@ def test_constrained_matches_grid_on_random_scenarios(table_pa, table_bs):
         p_max = float(rng.uniform(0.2, 4.0))
         if trace / (m * (m - k)) > p_max:
             continue
-        plan = optimal_ma_constrained(m, k, trace, table_pa, table_bs, p_max)
-        assert plan.m_dagger == grid_min_bs(m, k, trace, table_pa, table_bs, p_max)
+        plan = optimal_ma_plans(m, [k], [trace], table_pa, table_bs, p_max)
+        assert plan.m_dagger[0] == grid_min_bs(m, k, trace, table_pa, table_bs, p_max)
         checked += 1
 
 
@@ -289,7 +283,7 @@ def test_array_planner_flags_infeasible_pairs_without_raising(table_pa, table_bs
         min_ma_power_constraint(int(a), float(b), 1.0) for a, b in zip(k, trace)
     ]
     assert plans.m_dagger.tolist() == [
-        optimal_ma_constrained(8, 2, 1.0, table_pa, table_bs, 1.0).m_dagger, 0, 0, 0, 5
+        reference_plan(8, 2, 1.0, table_pa, table_bs, 1.0)[2], 0, 0, 0, 5
     ]
     assert np.isnan(plans.p_bs_bar[1:4]).all() and np.isnan(plans.m_tilde[1:4]).all()
     assert plans.m_tilde[4] == 4.0
@@ -303,13 +297,13 @@ def test_array_planner_equals_one_instance_view(table_pa, table_bs):
     trace = rng.uniform(0.05, 60.0, size=300)
     plans = optimal_ma_plans(64, k, trace, table_pa, table_bs, 1.0)
     for i, (a, b) in enumerate(zip(k.tolist(), trace.tolist())):
-        try:
-            plan = optimal_ma_constrained(64, a, b, table_pa, table_bs, 1.0)
-        except InfeasibleError:
-            assert not plans.feasible[i]
+        plan = reference_plan(64, a, b, table_pa, table_bs, 1.0)
+        assert plans.feasible[i] == (plan is not None)
+        if plan is None:
             continue
-        for name in ("m_tilde", "m_hat", "m_dagger", "p_bar", "p_pas_bar", "p_bs_bar"):
-            assert getattr(plan, name) == getattr(plans, name)[i]
+        assert math.isclose(plans.m_tilde[i], plan[0], rel_tol=1e-14)
+        for name, value in zip(("m_hat", "m_dagger", "p_bar", "p_pas_bar", "p_bs_bar"), plan[1:]):
+            assert getattr(plans, name)[i] == value, name
 
 
 def scalar_bs_power(n, k, trace, pa, bs):
@@ -424,7 +418,7 @@ def reference_q_error(cfg):
         results = []
         for index in range(cfg.realizations):
             channel, qos = _draw_scenario(cfg, _realization_rng(cfg, index), q)
-            powers = zf_precoder(channel, qos).powers
+            powers = zf_precoders([channel], [qos]).powers[0]
             trace = trace_term(channel.large_scale, qos.gamma, sc.noise_power)
             results.append((
                 pa_consumed_power(powers, pa),

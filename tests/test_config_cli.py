@@ -16,7 +16,7 @@ from energymimo.config import (
     parse_config_text,
     with_scenario,
 )
-from energymimo.errors import ConfigError, OracleSizeError, SingularChannelError
+from energymimo.errors import ConfigError, InfeasibleError, OracleSizeError, SingularChannelError
 from energymimo.experiments import (
     PLAN_BLOCK,
     ExperimentResult,
@@ -31,7 +31,7 @@ from energymimo.experiments import (
     validate_suite,
 )
 from energymimo.model import bs_consumed_power, gain_metrics
-from energymimo.precoding import min_pa_precoder
+from energymimo.precoding import min_pa_precoders
 
 # Q * K * M = 32768 channel entries: one realization per solver block.
 WIDEBAND_CFG = "m_antennas = 32\nk_users = 4\nsubcarriers = 256\nrealizations = 3\nseed = 8\n"
@@ -174,7 +174,7 @@ def reference_convergence(cfg):
     converged = 0
     for index in range(cfg.realizations):
         channel, qos = _draw_scenario(cfg, _realization_rng(cfg, index), sc.subcarriers)
-        solution = min_pa_precoder(channel, qos, cfg.fixed_point(record_history=True))
+        solution = min_pa_precoders([channel], [qos], cfg.fixed_point(record_history=True))
         optimum = None
         if cfg.oracle and sc.k_users == 1 and sc.subcarriers == 1:
             optimum = oracle.analytic_single_user(channel.per_subcarrier[0, 0, :], qos, pa).powers
@@ -196,8 +196,8 @@ def reference_convergence(cfg):
             rows.append((index, i, residual, dist))
         if dist is not None:
             final_dists.append(dist)
-        iterations.append(solution.iterations)
-        converged += solution.converged
+        iterations.append(int(solution.iterations[0]))
+        converged += bool(solution.converged[0])
     summary = {
         "mean_iterations": float(np.mean(iterations)),
         "converged": converged,
@@ -455,6 +455,10 @@ def test_cli_config_error_exit_code(tmp_path):
     "epsilon = nan",
     "dead_antenna_floor = nan",
     "seed = -5",
+    "noise_dbm = 4000",
+    "noise_dbm = -4000",
+    "u_max_m = 1e300",
+    "u_max_m = 1e100",
 ])
 def test_cli_out_of_domain_value_is_config_error(tmp_path, capsys, line):
     cfgfile = tmp_path / "exp.cfg"
@@ -649,6 +653,35 @@ def test_validate_suite_passes_and_detects_faults(monkeypatch):
     rows = [dict(zip(broken.fieldnames, row)) for row in broken.rows]
     names = {r["check"]: r["passed"] for r in rows}
     assert not names["bruteforce_equivalence"]
+
+
+def test_validate_grid_check_covers_infeasible_scenarios(monkeypatch):
+    # At seed 12 the planner flags one of the 100 grid scenarios infeasible.
+    # It passes because the grid finds no admissible count either; a grid
+    # that always finds one makes it the only mismatch.
+    cfg = with_scenario(ExperimentConfig(), seed=12)
+    plans = []
+    real_plans, real_grid = experiments.optimal_ma_plans, oracle.grid_min_bs
+
+    def recording_plans(*args):
+        plans.append(real_plans(*args))
+        return plans[-1]
+
+    def grid_without_infeasible(m, *args):
+        try:
+            return real_grid(m, *args)
+        except InfeasibleError:
+            return m
+
+    monkeypatch.setattr(experiments, "optimal_ma_plans", recording_plans)
+    rows = {check: (passed, detail) for check, passed, detail in validate_suite(cfg).rows}
+    assert len(plans) == 100
+    assert sum(not plan.feasible[0] for plan in plans) == 1
+    assert rows["grid_equivalence"] == (1, "0 mismatches over 100 random scenarios")
+
+    monkeypatch.setattr(oracle, "grid_min_bs", grid_without_infeasible)
+    rows = {check: (passed, detail) for check, passed, detail in validate_suite(cfg).rows}
+    assert rows["grid_equivalence"] == (0, "1 mismatches over 100 random scenarios")
 
 
 def reference_csv(result) -> bytes:

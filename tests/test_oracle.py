@@ -4,10 +4,10 @@ import pytest
 from energymimo import (
     FixedPointConfig,
     QosTargets,
-    min_pa_precoder,
+    min_pa_precoders,
     pa_consumed_power,
     single_user_saturating_precoder,
-    zf_precoder,
+    zf_precoders,
 )
 from energymimo.channel import draw_los_channel
 from energymimo.errors import DomainError, OracleSizeError
@@ -45,11 +45,11 @@ def test_bruteforce_los_objective(table_pa):
 def test_bruteforce_matches_fixed_point(table_pa):
     rng = np.random.default_rng(52)
     channel, qos = draw_cell_instance(4, 2, 2, rng)
-    solution = min_pa_precoder(
-        channel, qos, FixedPointConfig(tolerance=1e-11, max_iterations=50_000)
+    solution = min_pa_precoders(
+        [channel], [qos], FixedPointConfig(tolerance=1e-11, max_iterations=50_000)
     )
     result = solve_min_pa_bruteforce(channel, qos, table_pa, starts=4, rng=rng)
-    assert pa_consumed_power(solution.powers, table_pa) == pytest.approx(
+    assert pa_consumed_power(solution.powers[0], table_pa) == pytest.approx(
         result.objective, rel=1e-3
     )
 
@@ -58,8 +58,8 @@ def test_bruteforce_never_beats_feasibility(table_pa):
     rng = np.random.default_rng(53)
     channel, qos = draw_cell_instance(6, 2, 2, rng)
     result = solve_min_pa_bruteforce(channel, qos, table_pa, starts=2, rng=rng)
-    zf = zf_precoder(channel, qos)
-    assert result.objective <= pa_consumed_power(zf.powers, table_pa) + 1e-9
+    zf = zf_precoders([channel], [qos])
+    assert result.objective <= pa_consumed_power(zf.powers[0], table_pa) + 1e-9
 
 
 def test_bruteforce_size_guard(table_pa):

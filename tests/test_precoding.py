@@ -6,12 +6,10 @@ from energymimo import (
     FixedPointConfig,
     QosTargets,
     los_allocation_precoder,
-    min_pa_precoder,
     min_pa_precoders,
     pa_consumed_power,
     per_antenna_powers,
     single_user_saturating_precoder,
-    zf_precoder,
     zf_precoders,
 )
 from energymimo.channel import draw_los_channel
@@ -29,41 +27,41 @@ def narrowband_channel(h_rows):
     )
 
 
-def zf_residual(channel, qos, solution):
+def zf_residual(channel, qos, matrices):
     target = np.zeros((qos.k_users, qos.k_users), dtype=complex)
     np.fill_diagonal(target, np.sqrt(qos.per_subcarrier_gamma) * qos.noise_std)
-    prods = channel.per_subcarrier @ solution.matrices
+    prods = channel.per_subcarrier @ matrices
     return float(np.max(np.abs(prods - target[None, :, :])))
 
 
 def test_zf_scalar_case():
     qos = QosTargets(gamma=[4.0], noise_power=1.0)
-    sol = zf_precoder(narrowband_channel([[1.0]]), qos)
+    sol = zf_precoders([narrowband_channel([[1.0]])], [qos])
     assert sol.matrices.ravel() == pytest.approx([2.0 + 0.0j])
     assert sol.powers.sum() == pytest.approx(4.0)
 
 
 def test_zf_two_antenna_pseudo_inverse():
     qos = QosTargets(gamma=[4.0], noise_power=1.0)
-    sol = zf_precoder(narrowband_channel([[1.0, 1.0]]), qos)
+    sol = zf_precoders([narrowband_channel([[1.0, 1.0]])], [qos])
     assert sol.matrices.ravel() == pytest.approx([1.0, 1.0])
     assert sol.powers.sum() == pytest.approx(2.0)
 
 
 def test_zf_residual_on_random_instances():
     rng = np.random.default_rng(21)
-    for _ in range(5):
-        channel, qos = draw_cell_instance(16, 4, 8, rng)
-        sol = zf_precoder(channel, qos)
-        assert zf_residual(channel, qos, sol) <= 1e-9
-        assert sol.powers == pytest.approx(per_antenna_powers(sol.matrices), rel=1e-10)
+    instances = [draw_cell_instance(16, 4, 8, rng) for _ in range(5)]
+    sol = zf_precoders(*zip(*instances))
+    for r, (channel, qos) in enumerate(instances):
+        assert zf_residual(channel, qos, sol.matrices[r]) <= 1e-9
+    assert sol.powers == pytest.approx(per_antenna_powers(sol.matrices), rel=1e-10)
 
 
 def test_zf_rejects_rank_deficient_channel():
     h = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
     qos = QosTargets(gamma=[2.0, 2.0], noise_power=1.0)
     with pytest.raises(SingularChannelError):
-        zf_precoder(narrowband_channel(h), qos)
+        zf_precoders([narrowband_channel(h)], [qos])
 
 
 def test_fixed_point_config_rejects_nan():
@@ -75,18 +73,19 @@ def test_fixed_point_config_rejects_nan():
 def test_zf_rejects_underdetermined():
     qos = QosTargets(gamma=[1.0, 1.0], noise_power=1.0)
     with pytest.raises(SingularChannelError):
-        zf_precoder(narrowband_channel(np.ones((2, 1))), qos)
+        zf_precoders([narrowband_channel(np.ones((2, 1)))], [qos])
 
 
 def test_min_pa_single_user_strongest_antenna():
     # h = [2, 1]: everything lands on the first antenna, p0 = gamma sigma^2 / 4.
     qos = QosTargets(gamma=[4.0], noise_power=1.0)
     cfg = FixedPointConfig(tolerance=1e-12, max_iterations=50_000)
-    sol = min_pa_precoder(narrowband_channel([[2.0, 1.0]]), qos, cfg)
-    assert sol.converged
-    assert sol.powers[0] == pytest.approx(1.0, rel=1e-6)
-    assert sol.powers[1] <= 1e-9
-    assert np.flatnonzero(sol.powers > ACTIVE_POWER_THRESHOLD).tolist() == [0]
+    sol = min_pa_precoders([narrowband_channel([[2.0, 1.0]])], [qos], cfg)
+    assert sol.converged[0]
+    powers = sol.powers[0]
+    assert powers[0] == pytest.approx(1.0, rel=1e-6)
+    assert powers[1] <= 1e-9
+    assert np.flatnonzero(powers > ACTIVE_POWER_THRESHOLD).tolist() == [0]
 
 
 def test_min_pa_wideband_los_manifold():
@@ -94,69 +93,67 @@ def test_min_pa_wideband_los_manifold():
     rng = np.random.default_rng(22)
     channel = draw_los_channel(6, 1, 8, rng)
     qos = QosTargets(gamma=[9.0], noise_power=4.0, subcarriers=8)
-    sol = min_pa_precoder(channel, qos)
-    assert sol.converged
-    assert np.sum(np.sqrt(sol.powers)) == pytest.approx(2.0 * 3.0, rel=1e-4)
-    assert zf_residual(channel, qos, sol) <= 1e-9
+    sol = min_pa_precoders([channel], [qos])
+    assert sol.converged[0]
+    assert np.sum(np.sqrt(sol.powers[0])) == pytest.approx(2.0 * 3.0, rel=1e-4)
+    assert zf_residual(channel, qos, sol.matrices[0]) <= 1e-9
 
 
 def test_min_pa_square_channel_matches_zf():
     # K = M: the ZF point is the only feasible one.
     rng = np.random.default_rng(23)
     channel, qos = draw_cell_instance(3, 3, 1, rng)
-    zf = zf_precoder(channel, qos)
-    mp = min_pa_precoder(channel, qos)
+    zf = zf_precoders([channel], [qos])
+    mp = min_pa_precoders([channel], [qos])
     assert mp.powers == pytest.approx(zf.powers, rel=1e-8)
 
 
 def test_min_pa_never_worse_than_zf(table_pa):
     rng = np.random.default_rng(24)
-    for _ in range(5):
-        channel, qos = draw_cell_instance(12, 3, 2, rng)
-        zf = zf_precoder(channel, qos)
-        mp = min_pa_precoder(channel, qos)
-        lhs = pa_consumed_power(mp.powers, table_pa)
-        rhs = pa_consumed_power(zf.powers, table_pa)
-        assert lhs <= rhs + 1e-4
+    channels, targets = zip(*(draw_cell_instance(12, 3, 2, rng) for _ in range(5)))
+    lhs = pa_consumed_power(min_pa_precoders(channels, targets).powers, table_pa)
+    rhs = pa_consumed_power(zf_precoders(channels, targets).powers, table_pa)
+    assert np.all(lhs <= rhs + 1e-4)
 
 
 def test_min_pa_honors_iteration_budget():
     qos = QosTargets(gamma=[4.0], noise_power=1.0)
     cfg = FixedPointConfig(tolerance=1e-15, max_iterations=3)
-    sol = min_pa_precoder(narrowband_channel([[2.0, 1.9]]), qos, cfg)
-    assert not sol.converged
-    assert sol.iterations == 3
-    assert sol.residual > 1e-15
+    sol = min_pa_precoders([narrowband_channel([[2.0, 1.9]])], [qos], cfg)
+    assert not sol.converged[0]
+    assert sol.iterations[0] == 3
+    assert sol.residual[0] > 1e-15
 
 
 def test_min_pa_history_recording():
     qos = QosTargets(gamma=[4.0], noise_power=1.0)
     cfg = FixedPointConfig(record_history=True)
-    sol = min_pa_precoder(narrowband_channel([[2.0, 1.0]]), qos, cfg)
-    assert sol.history.shape == (sol.iterations + 1, 2)
+    sol = min_pa_precoders([narrowband_channel([[2.0, 1.0]])], [qos], cfg)
+    assert sol.history.shape == (sol.iterations[0] + 1, 2)
     assert np.all(sol.history[0] == 1.0)  # uniform 1 W start
     deltas = np.max(np.abs(sol.history[-1] - sol.history[-2]))
-    assert deltas == pytest.approx(sol.residual)
+    assert deltas == pytest.approx(sol.residual[0])
 
 
 def test_min_pa_zf_residual_holds(table_pa):
     rng = np.random.default_rng(25)
     channel, qos = draw_cell_instance(8, 2, 4, rng)
-    sol = min_pa_precoder(channel, qos)
-    assert zf_residual(channel, qos, sol) <= 1e-9
+    sol = min_pa_precoders([channel], [qos])
+    assert zf_residual(channel, qos, sol.matrices[0]) <= 1e-9
 
 
 def test_min_pa_narrowband_matches_stacked_core():
-    # A K x M matrix is the Q=1 channel stack; its solve equals the stacked one.
+    # A K x M matrix is the Q=1 channel stack; its solve alone equals its row
+    # in a larger stack.
     rng = np.random.default_rng(26)
     h = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
     qos = QosTargets(gamma=[2.0, 3.0], noise_power=1.0)
-    direct = min_pa_precoder(narrowband_channel(h), qos)
-    stacked = min_pa_precoders([narrowband_channel(h)], [qos])
-    assert np.array_equal(direct.powers, stacked.powers[0])
+    direct = min_pa_precoders([narrowband_channel(h)], [qos])
+    stacked = min_pa_precoders([narrowband_channel(h.conj()), narrowband_channel(h)], [qos] * 2)
+    assert np.array_equal(direct.powers[0], stacked.powers[1])
     with pytest.raises(DimensionError):
-        min_pa_precoder(
-            narrowband_channel(h), QosTargets(gamma=[2.0, 3.0], noise_power=1.0, subcarriers=4)
+        min_pa_precoders(
+            [narrowband_channel(h)], [QosTargets(gamma=[2.0, 3.0], noise_power=1.0, subcarriers=4)]
         )
 
 
@@ -165,9 +162,9 @@ def test_min_pa_narrowband_single_user_closed_form():
     h = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     qos = QosTargets(gamma=[6.0], noise_power=1.0)
     cfg = FixedPointConfig(tolerance=1e-12, max_iterations=50_000)
-    iterated = min_pa_precoder(narrowband_channel(h[None, :]), qos, cfg)
+    iterated = min_pa_precoders([narrowband_channel(h[None, :])], [qos], cfg)
     closed = single_user_saturating_precoder(h, 6.0, 1.0, np.inf)
-    assert iterated.powers == pytest.approx(closed.powers, rel=1e-5, abs=1e-9)
+    assert iterated.powers[0] == pytest.approx(closed.powers, rel=1e-5, abs=1e-9)
 
 
 def unit_instance(seed, subcarriers, m_antennas=6):
@@ -187,12 +184,9 @@ def history_rows(stacked, r):
 
 
 def assert_same_row(stacked, r, alone):
-    """Row r of a stacked solution equals the one-instance solve, history included."""
-    assert np.array_equal(stacked.matrices[r], alone.matrices)
-    assert np.array_equal(stacked.powers[r], alone.powers)
-    assert stacked.iterations[r] == alone.iterations
-    assert stacked.converged[r] == alone.converged
-    assert stacked.residual[r] == alone.residual
+    """Row r of a stacked solution equals the R=1 solve ``alone``, history included."""
+    for name in ("matrices", "powers", "iterations", "converged", "residual"):
+        assert np.array_equal(getattr(stacked, name)[r], getattr(alone, name)[0]), name
     if alone.history is not None:
         assert np.array_equal(history_rows(stacked, r), alone.history)
 
@@ -218,9 +212,9 @@ def test_stacked_min_pa_equals_one_at_a_time():
     for group, stacked in zip((narrowband, wideband), stacks):
         assert stacked.matrices.shape[0] == len(group)
         for r, (channel, qos) in enumerate(group):
-            alone = min_pa_precoder(channel, qos, cfg)
+            alone = min_pa_precoders([channel], [qos], cfg)
             assert_same_row(stacked, r, alone)
-            assert zf_residual(channel, qos, alone) <= ZF_TOLERANCE
+            assert zf_residual(channel, qos, alone.matrices[0]) <= ZF_TOLERANCE
     narrow, wide = stacks
     assert not narrow.converged[1]
     assert narrow.iterations[1] == cfg.max_iterations
@@ -320,7 +314,7 @@ def test_stacked_zf_equals_one_at_a_time():
     for group in groups_by_shape(instances):
         stacked = zf_precoders(*zip(*group))
         for r, (channel, qos) in enumerate(group):
-            assert_same_row(stacked, r, zf_precoder(channel, qos))
+            assert_same_row(stacked, r, zf_precoders([channel], [qos]))
 
 
 def test_condition_guard_is_per_realization():
@@ -351,10 +345,10 @@ def test_condition_guard_is_per_realization():
     channels = [weak, strong, weak]
     stacked = min_pa_precoders(channels, [qos] * 3, cfg)
     for r, channel in enumerate(channels):
-        assert_same_row(stacked, r, min_pa_precoder(channel, qos, cfg))
+        assert_same_row(stacked, r, min_pa_precoders([channel], [qos], cfg))
     stacked = zf_precoders(channels, [qos] * 3)
     for r, channel in enumerate(channels):
-        assert_same_row(stacked, r, zf_precoder(channel, qos))
+        assert_same_row(stacked, r, zf_precoders([channel], [qos]))
 
 
 def test_stacked_errors_name_the_realization():
@@ -518,6 +512,6 @@ def test_qos_channel_mismatch_raises():
     rng = np.random.default_rng(35)
     channel, _ = draw_cell_instance(4, 2, 2, rng)
     with pytest.raises(DimensionError):
-        zf_precoder(channel, QosTargets(gamma=[1.0], noise_power=1.0, subcarriers=2))
+        zf_precoders([channel], [QosTargets(gamma=[1.0], noise_power=1.0, subcarriers=2)])
     with pytest.raises(DimensionError):
-        zf_precoder(channel, QosTargets(gamma=[1.0, 2.0], noise_power=1.0, subcarriers=8))
+        zf_precoders([channel], [QosTargets(gamma=[1.0, 2.0], noise_power=1.0, subcarriers=8)])

@@ -10,10 +10,10 @@ from energymimo import (
     FixedPointConfig,
     QosTargets,
     estimate_flops,
-    min_pa_precoder,
+    min_pa_precoders,
     pa_consumed_power,
     solve_quartic_ma,
-    zf_precoder,
+    zf_precoders,
 )
 from energymimo.channel import draw_los_channel, draw_rayleigh_channel
 from energymimo.precoding import los_allocation_precoder
@@ -43,8 +43,8 @@ def test_scale_covariance_of_fixed_point(seed, scale):
         max_iterations=20_000,
         dead_antenna_floor=1e-12 * scale**2,
     )
-    a = min_pa_precoder(channel, base, cfg)
-    b = min_pa_precoder(channel, scaled, cfg_scaled)
+    a = min_pa_precoders([channel], [base], cfg)
+    b = min_pa_precoders([channel], [scaled], cfg_scaled)
     np.testing.assert_allclose(b.matrices, scale * a.matrices, rtol=1e-7, atol=1e-12)
     np.testing.assert_allclose(b.powers, scale**2 * a.powers, rtol=1e-7, atol=1e-14)
 
@@ -61,10 +61,9 @@ def test_phase_covariance_of_powers(seed):
         per_subcarrier=phases[None, :, None] * channel.per_subcarrier,
         large_scale=channel.large_scale,
     )
-    for solver in (zf_precoder, min_pa_precoder):
-        a = solver(channel, qos)
-        b = solver(rotated, qos)
-        np.testing.assert_allclose(b.powers, a.powers, rtol=1e-9, atol=1e-14)
+    for solver in (zf_precoders, min_pa_precoders):
+        a, b = solver([channel, rotated], [qos, qos]).powers
+        np.testing.assert_allclose(b, a, rtol=1e-9, atol=1e-14)
 
 
 @given(
@@ -121,11 +120,11 @@ def test_solver_determinism_by_seed():
     rng2 = np.random.default_rng(77)
     ch1, qos1 = draw_cell_instance(8, 2, 2, rng1)
     ch2, qos2 = draw_cell_instance(8, 2, 2, rng2)
-    s1 = min_pa_precoder(ch1, qos1)
-    s2 = min_pa_precoder(ch2, qos2)
+    s1 = min_pa_precoders([ch1], [qos1])
+    s2 = min_pa_precoders([ch2], [qos2])
     assert np.array_equal(s1.powers, s2.powers)
     assert np.array_equal(s1.matrices, s2.matrices)
-    assert s1.iterations == s2.iterations
+    assert np.array_equal(s1.iterations, s2.iterations)
 
 
 def test_wideband_power_spread_shrinks_with_q():
@@ -134,6 +133,6 @@ def test_wideband_power_spread_shrinks_with_q():
     for q in (4, 256):
         rng = np.random.default_rng(4242)
         channel, qos = draw_cell_instance(32, 4, q, rng)
-        sol = min_pa_precoder(channel, qos)
-        cvs[q] = float(np.std(sol.powers) / np.mean(sol.powers))
+        powers = min_pa_precoders([channel], [qos]).powers[0]
+        cvs[q] = float(np.std(powers) / np.mean(powers))
     assert cvs[256] < cvs[4]
