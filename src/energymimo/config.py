@@ -79,6 +79,7 @@ class ExperimentConfig:
     oracle_max_m: int = 8
     oracle_max_k: int = 4
     oracle_max_q: int = 8
+    # Parsed and validated, but read by nothing: the oracle takes no random starts.
     oracle_starts: int = 8
     # Asymptotic-command sweep.
     asym_mode: str = "k_sweep"

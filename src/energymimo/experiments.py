@@ -225,13 +225,11 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     pa = sc.pa_model()
     warned = [False]
 
-    def oracle_powers(index: int, channel, qos):
+    def oracle_powers(channel, qos):
         if sc.k_users == 1 and sc.subcarriers == 1:
             return oracle.analytic_single_user(channel.per_subcarrier[0, 0, :], qos, pa).powers
         return oracle.solve_min_pa_bruteforce(
             channel, qos, pa,
-            starts=cfg.oracle_starts,
-            rng=np.random.default_rng(sc.seed + 10_000 + index),
             max_m=cfg.oracle_max_m,
             max_k=cfg.oracle_max_k,
             max_q=cfg.oracle_max_q,
@@ -251,7 +249,7 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         optimum = None
         if cfg.oracle:
             try:
-                optimum = np.array([oracle_powers(*args) for args in zip(block, channels, qos_list)])
+                optimum = np.array(list(map(oracle_powers, channels, qos_list)))
             except OracleSizeError as exc:
                 if not warned[0]:
                     warned[0] = True
@@ -421,24 +419,27 @@ def validate_suite(cfg: ExperimentConfig) -> ExperimentResult:
     """Cross-check the main solvers against the independent oracles."""
     pa = cfg.scenario.pa_model()
     bs = cfg.scenario.bs_model()
-    rng = np.random.default_rng(cfg.scenario.seed)
+    # Each check draws from its own child stream of the seed, so that what one
+    # check draws does not shift the scenarios of the next.
+    bruteforce_rng, wishart_rng, grid_rng, quartic_rng = (
+        np.random.default_rng(child) for child in np.random.SeedSequence(cfg.scenario.seed).spawn(4)
+    )
     rows = []
 
-    # Fixed point vs null-space descent on small random instances of mixed
-    # shapes, one solve each. The oracle draws its starts from the same stream,
-    # so it runs right after each draw.
+    # Fixed point vs the cone-program oracle on small random instances of
+    # mixed shapes, one solve each.
     fixed_point = FixedPointConfig(tolerance=1e-10, max_iterations=20000)
     worst_rel = 0.0
     instances = 12
     for _ in range(instances):
-        m = int(rng.integers(4, 7))
-        k = int(rng.integers(1, 4))
-        q = int(rng.integers(1, 5))
+        m = int(bruteforce_rng.integers(4, 7))
+        k = int(bruteforce_rng.integers(1, 4))
+        q = int(bruteforce_rng.integers(1, 5))
         beta = np.full(k, 1e-11)
-        gamma = rng.uniform(2.0, 40.0, size=k)
+        gamma = bruteforce_rng.uniform(2.0, 40.0, size=k)
         qos = QosTargets(gamma=gamma, noise_power=cfg.scenario.noise_power, subcarriers=q)
-        channel = draw_rayleigh_channel(m, k, q, beta, rng)
-        ref = oracle.solve_min_pa_bruteforce(channel, qos, pa, starts=4, rng=rng).objective
+        channel = draw_rayleigh_channel(m, k, q, beta, bruteforce_rng)
+        ref = oracle.solve_min_pa_bruteforce(channel, qos, pa).objective
         powers = min_pa_precoders([channel], [qos], fixed_point).powers[0]
         worst_rel = max(worst_rel, abs(pa_consumed_power(powers, pa) - ref) / ref)
     rows.append((
@@ -448,9 +449,9 @@ def validate_suite(cfg: ExperimentConfig) -> ExperimentResult:
 
     # Inverse-Wishart trace expectation.
     m, k = 16, 4
-    beta = rng.uniform(0.5, 2.0, size=k)
-    gamma = rng.uniform(2.0, 40.0, size=k)
-    estimate = oracle.mc_inverse_wishart_trace(m, k, beta, gamma, 1.0, 10_000, rng)
+    beta = wishart_rng.uniform(0.5, 2.0, size=k)
+    gamma = wishart_rng.uniform(2.0, 40.0, size=k)
+    estimate = oracle.mc_inverse_wishart_trace(m, k, beta, gamma, 1.0, 10_000, wishart_rng)
     expected = trace_term(beta, gamma, 1.0) / (m - k)
     wishart_rel = abs(estimate - expected) / expected
     rows.append((
@@ -462,10 +463,10 @@ def validate_suite(cfg: ExperimentConfig) -> ExperimentResult:
     # m_dagger 0, so it matches only a grid that finds no admissible count.
     mismatches = 0
     for _ in range(100):
-        k = int(rng.integers(1, 17))
-        m = int(rng.integers(k + 2, 257))
-        trace = float(rng.uniform(0.05, 50.0))
-        p_max = float(rng.uniform(0.2, 5.0))
+        k = int(grid_rng.integers(1, 17))
+        m = int(grid_rng.integers(k + 2, 257))
+        trace = float(grid_rng.uniform(0.05, 50.0))
+        p_max = float(grid_rng.uniform(0.2, 5.0))
         plan = optimal_ma_plans(m, [k], [trace], pa, bs, p_max)
         try:
             grid = oracle.grid_min_bs(m, k, trace, pa, bs, p_max)
@@ -480,9 +481,9 @@ def validate_suite(cfg: ExperimentConfig) -> ExperimentResult:
     # Newton quartic vs closed form.
     worst_quartic = 0.0
     for _ in range(100):
-        k = int(rng.integers(1, 65))
-        t = float(10.0 ** rng.uniform(-3, 4))
-        c = float(10.0 ** rng.uniform(-2, 2))
+        k = int(quartic_rng.integers(1, 65))
+        t = float(10.0 ** quartic_rng.uniform(-3, 4))
+        c = float(10.0 ** quartic_rng.uniform(-2, 2))
         newton = solve_quartic_ma(k, t, c)
         closed = oracle.solve_quartic_closed_form(k, t, c)
         worst_quartic = max(worst_quartic, abs(newton - closed) / closed)

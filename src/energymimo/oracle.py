@@ -1,10 +1,11 @@
 """Independent desk-scale solvers used as ground truth in tests.
 
-Nothing here shares machinery with :mod:`precoding` or :mod:`asymptotic`:
-the consumption minimizer is a null-space descent, the Wishart expectation a
-Monte-Carlo estimate, the antenna-count optimum an exhaustive grid scan and
-the quartic a closed-form resolvent-cubic solve. They may be orders of
-magnitude slower than the main paths; that is the point.
+Nothing here shares machinery with :mod:`precoding` or :mod:`asymptotic`,
+and nothing here needs more than numpy: the consumption minimizer is an
+interior-point method on the dual second-order cone program, the Wishart
+expectation a Monte-Carlo estimate, the antenna-count optimum an exhaustive
+grid scan and the quartic a closed-form resolvent-cubic solve. They may be
+orders of magnitude slower than the main paths; that is the point.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channel import ChannelRealization, QosTargets
 from .errors import DomainError, InfeasibleError, OracleSizeError
@@ -24,17 +24,28 @@ ORACLE_MAX_M = 8
 ORACLE_MAX_K = 4
 ORACLE_MAX_Q = 8
 
-# Smoothing continuation: relative levels multiplying the squared
-# per-antenna amplitude scale of the instance.
-_SMOOTHING_LEVELS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14)
+# Interior-point schedule of the consumption minimizer. The barrier weight t
+# grows by _BARRIER_GROWTH per centering; a centering ends once the squared
+# Newton decrement is at most _CENTERING_TOL; the solve ends once the certified
+# relative duality gap is at most GAP_TOL, or after _MAX_NEWTON_STEPS.
+_BARRIER_GROWTH = 50.0
+_CENTERING_TOL = 0.1
+GAP_TOL = 1e-10
+_MAX_NEWTON_STEPS = 300
+# Armijo fraction of the backtracking line search, and the share of the
+# largest feasible step it starts from.
+_ARMIJO = 0.25
+_BOUNDARY_SHARE = 0.99
 
 
 @dataclass(frozen=True)
 class OracleResult:
     """Powers and objective found by an oracle, plus its certificate.
 
-    ``certificate`` is (max ZF residual, final gradient norm); the gradient
-    norm is zero for analytic and grid methods.
+    ``certificate`` is (max ZF residual, relative duality gap); the gap bounds
+    how far ``objective`` can lie above the optimum,
+    ``objective / (1 + gap) <= optimum <= objective``. It is zero for the
+    analytic and grid methods.
     """
 
     powers: np.ndarray
@@ -42,51 +53,96 @@ class OracleResult:
     certificate: tuple[float, float]
 
 
-def _zf_base_and_nullspace(h, rhs_diag):
-    """Pseudo-inverse feasible point and null-space bases, per subcarrier."""
-    bases = []
-    nulls = []
-    k = h.shape[1]
-    for hq in h:
-        bases.append(np.linalg.pinv(hq) @ np.diag(rhs_diag))
-        _, _, vh = np.linalg.svd(hq, full_matrices=True)
-        nulls.append(vh[k:].conj().T)
-    return np.stack(bases), np.stack(nulls)
+def _row_norms(w):
+    """||w_m|| of a (Q, M, K) stack, over subcarriers and users."""
+    return np.sqrt((w.real**2 + w.imag**2).sum(axis=(0, 2)))
 
 
-def _objective_and_grad(z, w0, nulls, mu):
-    """Smoothed objective sum_m (p_m + mu)^(1/2) and its real gradient."""
-    q, m, k = w0.shape
-    free = nulls.shape[2]
-    zc = (z[: z.size // 2] + 1j * z[z.size // 2 :]).reshape(q, free, k)
-    w = w0 + nulls @ zc
-    powers = np.sum(np.abs(w) ** 2, axis=(0, 2))
-    sqrt_terms = np.sqrt(powers + mu)
-    value = float(np.sum(sqrt_terms))
-    scaled = w / (2.0 * sqrt_terms)[None, :, None]
-    grad_c = nulls.conj().transpose(0, 2, 1) @ scaled
-    grad = np.concatenate([2.0 * grad_c.real.ravel(), 2.0 * grad_c.imag.ravel()])
-    return value, grad
+def _newton_step(h, h_adj, eye, g, slack, t):
+    """Newton direction of the dual barrier -t Re tr(Lambda) - sum_m log s_m.
+
+    Its Hessian acts on Lambda_q as S_q Lambda_q with S_q = H_q diag(2/s) H_q^H,
+    plus one real rank-one term (4/s_m^2) Re<U_m, .> U_m per antenna, where
+    U_m stacks h_qm g_qm^T over q. The M rank-one terms are folded in by the
+    Woodbury identity, an M x M solve next to Q solves of size K. Returns the
+    direction and the squared Newton decrement.
+    """
+    m = h.shape[2]
+    weights = 2.0 / slack
+    residual = t * eye - h @ (weights[:, None] * g)  # minus the gradient
+    solved = np.linalg.solve((h * weights) @ h_adj, np.concatenate([h, residual], axis=2))
+    projected = h_adj @ solved
+    capacitance = (projected[..., :m] * (g.conj() @ g.transpose(0, 2, 1))).real.sum(axis=0)
+    capacitance.flat[:: m + 1] += 0.25 * slack * slack
+    coupling = (projected[..., m:] * g.conj()).real.sum(axis=(0, 2))
+    z = np.linalg.solve(capacitance, coupling)
+    step = solved[..., m:] - solved[..., :m] @ (z[:, None] * g)
+    return step, float(np.vdot(residual, step).real)
+
+
+def _step_length(g, g_step, slack, t, trace_step, decrement):
+    """Backtracking step that keeps every ||g_m|| < 1 and decreases the barrier."""
+    quad = (g_step.real**2 + g_step.imag**2).sum(axis=(0, 2))
+    lin = (g.real * g_step.real + g.imag * g_step.imag).sum(axis=(0, 2))
+    # Largest step with ||g_m + a d_m||^2 < 1: the positive root, in the form
+    # that does not cancel.
+    denom = lin + np.sqrt(lin * lin + quad * slack)
+    roots = np.divide(slack, denom, out=np.full_like(slack, np.inf), where=denom > 0.0)
+    alpha = min(1.0, _BOUNDARY_SHARE * float(roots.min()))
+    while alpha > 1e-12:
+        new_slack = slack - alpha * (2.0 * lin + alpha * quad)
+        if np.all(new_slack > 0.0) and (
+            t * alpha * trace_step + np.log(new_slack / slack).sum()
+            >= _ARMIJO * alpha * decrement
+        ):
+            return alpha
+        alpha *= 0.5
+    return 0.0
+
+
+def _recover_primal(h, pinv, eye, g, slack, t):
+    """Primal precoder at a centered dual point, projected onto H W = I.
+
+    On the central path w_m = c_m g_m with c_m = 2 / (t s_m), and
+    sum_m c_m h_m g_m^T = I per subcarrier. On an active antenna s_m is tiny
+    and 1 - ||g_m||^2 leaves it with a large relative rounding error, so c is
+    moved by the least change, weighted by that error (c_m / s_m), that makes
+    the sum equal I; the pseudo-inverse removes what is left.
+    """
+    m = h.shape[2]
+    c = 2.0 / (t * slack)
+    spread = c / slack
+    columns = (h[:, :, None, :] * g.transpose(0, 2, 1)[:, None, :, :]).reshape(-1, m) * spread
+    target = (eye - h @ (c[:, None] * g)).ravel()
+    shift = np.linalg.lstsq(
+        np.concatenate([columns.real, columns.imag]),
+        np.concatenate([target.real, target.imag]),
+        rcond=None,
+    )[0]
+    w = (c + spread * shift)[:, None] * g
+    return w + pinv @ (eye - h @ w)
 
 
 def solve_min_pa_bruteforce(
     channel: ChannelRealization,
     qos: QosTargets,
     pa: PaModel,
-    starts: int = 8,
-    rng: np.random.Generator | None = None,
     max_m: int = ORACLE_MAX_M,
     max_k: int = ORACLE_MAX_K,
     max_q: int = ORACLE_MAX_Q,
 ) -> OracleResult:
     """Globally minimize the PA consumption over all ZF-feasible precoders.
 
-    Every feasible precoder is W_q = W_q^base + N_q Z_q with N_q spanning the
-    null space of H_q, so the problem becomes the unconstrained minimization
-    of the convex sum of row norms over the free variables Z_q. That is
-    solved by multi-start quasi-Newton descent on a smoothed surrogate with
-    the smoothing level driven to zero; convexity makes every converged
-    start a certificate of the global optimum.
+    The problem min sum_m ||w_m|| subject to H_q W_q = D_q is a second-order
+    cone program. Its dual is max sum_q Re tr(Lambda_q^H D_q) subject to
+    ||g_m|| <= 1, where g_m stacks row m of H_q^H Lambda_q over q. A
+    log-barrier Newton method follows the dual central path from the strictly
+    feasible Lambda = 0, after normalizing the rows by D and the channel to
+    unit RMS. Each centered point yields a primal precoder
+    (:func:`_recover_primal`), and the solve stops once that precoder's
+    objective and the dual value are within ``GAP_TOL`` of each other. The
+    method is deterministic; the certified gap makes it ground truth. A gap
+    above ``GAP_TOL`` in the certificate means the step limit ended the solve.
     """
     m, k, q = channel.m_antennas, channel.k_users, channel.subcarriers
     if m > max_m or k > max_k or q > max_q:
@@ -96,50 +152,47 @@ def solve_min_pa_bruteforce(
         )
     if qos.k_users != k or qos.subcarriers != q:
         raise DomainError("QoS targets do not match the channel dimensions")
-    rng = rng or np.random.default_rng(0)
     rhs_diag = np.sqrt(qos.per_subcarrier_gamma) * qos.noise_std
-    w0, nulls = _zf_base_and_nullspace(channel.per_subcarrier, rhs_diag)
-    free = m - k
-    dim = 2 * q * free * k
+    # Rows normalized by D, so that the constraint reads H_q W_q = I; in
+    # these units W is `scale` times the precoder.
+    h = channel.per_subcarrier / rhs_diag[:, None]
+    scale = float(np.sqrt(np.mean(np.abs(h) ** 2)))
+    h = h / scale
+    h_adj = h.conj().transpose(0, 2, 1)
+    eye = np.eye(k)
+    pinv = np.linalg.pinv(h)
+    if np.max(np.abs(h @ pinv - eye)) > 1e-6:
+        raise InfeasibleError("the channel has rank below K: no zero-forcing precoder exists")
 
-    base_powers = np.sum(np.abs(w0) ** 2, axis=(0, 2))
-    amp_scale = float(np.sqrt(base_powers.sum() / m))  # typical row amplitude
-    best_value = np.inf
-    best_z = None
-    if free == 0 or dim == 0:
-        best_z = np.zeros(0)
-        best_value, _ = _objective_and_grad(best_z, w0, nulls, 0.0)
-        starts = 0
-    for start in range(starts):
-        if start == 0:
-            z = np.zeros(dim)
-        else:
-            z = rng.standard_normal(dim) * amp_scale
-        for level in _SMOOTHING_LEVELS:
-            mu = level * amp_scale**2
-            res = minimize(
-                _objective_and_grad,
-                z,
-                args=(w0, nulls, mu),
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxiter": 200 * max(dim, 1), "ftol": 1e-16, "gtol": 1e-12},
-            )
-            z = res.x
-        value, _ = _objective_and_grad(z, w0, nulls, 0.0)
-        if value < best_value:
-            best_value = value
-            best_z = z
+    # The first barrier weight puts the central path's gap bound M / t at
+    # the pseudo-inverse precoder's objective.
+    t = m / float(np.sum(_row_norms(pinv)))
+    lam = np.zeros((q, k, k), dtype=complex)
+    g = np.zeros((q, m, k), dtype=complex)
+    slack = np.ones(m)
+    steps = 0
+    while True:
+        decrement = np.inf
+        while decrement > _CENTERING_TOL and steps < _MAX_NEWTON_STEPS:
+            step, decrement = _newton_step(h, h_adj, eye, g, slack, t)
+            trace_step = float(np.trace(step, axis1=1, axis2=2).real.sum())
+            lam = lam + _step_length(g, h_adj @ step, slack, t, trace_step, decrement) * step
+            g = h_adj @ lam
+            norms = _row_norms(g)
+            slack = 1.0 - norms * norms
+            steps += 1
+        dual = float(np.trace(lam, axis1=1, axis2=2).real.sum())
+        out_of_steps = steps >= _MAX_NEWTON_STEPS
+        # On the central path the gap is (2/t) sum_m ||g_m|| / (1 + ||g_m||);
+        # the primal is recovered and certified once that reaches the target.
+        if out_of_steps or 2.0 / t * float((norms / (1.0 + norms)).sum()) <= GAP_TOL * dual:
+            w = _recover_primal(h, pinv, eye, g, slack, t)
+            primal = float(_row_norms(w).sum())
+            if out_of_steps or primal - dual <= GAP_TOL * dual:
+                break
+        t *= _BARRIER_GROWTH
 
-    mu_final = _SMOOTHING_LEVELS[-1] * amp_scale**2
-    _, grad = _objective_and_grad(best_z, w0, nulls, mu_final)
-    if best_z.size:
-        zc = (best_z[: best_z.size // 2] + 1j * best_z[best_z.size // 2 :]).reshape(
-            q, free, k
-        )
-        w = w0 + nulls @ zc
-    else:
-        w = w0
+    w = w / scale
     powers = np.sum(np.abs(w) ** 2, axis=(0, 2))
     residual = float(
         np.max(np.abs(channel.per_subcarrier @ w - np.diag(rhs_diag)[None, :, :]))
@@ -147,7 +200,7 @@ def solve_min_pa_bruteforce(
     return OracleResult(
         powers=powers,
         objective=float(pa.alpha * np.sum(np.sqrt(powers))),
-        certificate=(residual, float(np.linalg.norm(grad))),
+        certificate=(residual, (primal - dual) / dual),
     )
 
 

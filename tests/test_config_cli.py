@@ -181,8 +181,7 @@ def reference_convergence(cfg):
         elif cfg.oracle:
             try:
                 optimum = oracle.solve_min_pa_bruteforce(
-                    channel, qos, pa, starts=cfg.oracle_starts,
-                    rng=np.random.default_rng(sc.seed + 10_000 + index),
+                    channel, qos, pa,
                     max_m=cfg.oracle_max_m, max_k=cfg.oracle_max_k, max_q=cfg.oracle_max_q,
                 ).powers
             except OracleSizeError:
@@ -241,7 +240,7 @@ def test_run_equals_reference_loop(monkeypatch, precoders, scenario):
 @pytest.mark.parametrize(
     "knobs, scenario, has_oracle",
     [
-        ({"oracle_starts": 1}, {"m_antennas": 6, "k_users": 2, "subcarriers": 2}, True),
+        ({}, {"m_antennas": 6, "k_users": 2, "subcarriers": 2}, True),
         ({"oracle": False}, {"m_antennas": 16, "k_users": 3, "subcarriers": 4}, False),
         ({}, {"m_antennas": 12, "k_users": 1}, True),
         ({}, {"m_antennas": 16, "k_users": 2}, False),
@@ -656,10 +655,10 @@ def test_validate_suite_passes_and_detects_faults(monkeypatch):
 
 
 def test_validate_grid_check_covers_infeasible_scenarios(monkeypatch):
-    # At seed 12 the planner flags one of the 100 grid scenarios infeasible.
+    # At seed 13 the planner flags one of the 100 grid scenarios infeasible.
     # It passes because the grid finds no admissible count either; a grid
     # that always finds one makes it the only mismatch.
-    cfg = with_scenario(ExperimentConfig(), seed=12)
+    cfg = with_scenario(ExperimentConfig(), seed=13)
     plans = []
     real_plans, real_grid = experiments.optimal_ma_plans, oracle.grid_min_bs
 

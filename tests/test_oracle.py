@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,8 +14,8 @@ from energymimo import (
     single_user_saturating_precoder,
     zf_precoders,
 )
-from energymimo.channel import draw_los_channel
-from energymimo.errors import DomainError, OracleSizeError
+from energymimo.channel import ChannelRealization, draw_los_channel
+from energymimo.errors import DomainError, InfeasibleError, OracleSizeError
 from energymimo.oracle import (
     analytic_single_user,
     mc_inverse_wishart_trace,
@@ -23,7 +28,7 @@ from conftest import draw_cell_instance
 def test_bruteforce_matches_single_user_closed_form(table_pa):
     rng = np.random.default_rng(50)
     channel, qos = draw_cell_instance(5, 1, 1, rng)
-    result = solve_min_pa_bruteforce(channel, qos, table_pa, starts=4, rng=rng)
+    result = solve_min_pa_bruteforce(channel, qos, table_pa)
     closed = single_user_saturating_precoder(
         channel.per_subcarrier[0, 0, :], float(qos.gamma[0]), qos.noise_std, np.inf
     )
@@ -37,7 +42,7 @@ def test_bruteforce_los_objective(table_pa):
     rng = np.random.default_rng(51)
     channel = draw_los_channel(4, 1, 2, rng)
     qos = QosTargets(gamma=[5.0], noise_power=2.0, subcarriers=2)
-    result = solve_min_pa_bruteforce(channel, qos, table_pa, starts=4, rng=rng)
+    result = solve_min_pa_bruteforce(channel, qos, table_pa)
     expected = table_pa.alpha * np.sqrt(2.0) * np.sqrt(5.0)
     assert result.objective == pytest.approx(expected, rel=1e-6)
 
@@ -48,7 +53,7 @@ def test_bruteforce_matches_fixed_point(table_pa):
     solution = min_pa_precoders(
         [channel], [qos], FixedPointConfig(tolerance=1e-11, max_iterations=50_000)
     )
-    result = solve_min_pa_bruteforce(channel, qos, table_pa, starts=4, rng=rng)
+    result = solve_min_pa_bruteforce(channel, qos, table_pa)
     assert pa_consumed_power(solution.powers[0], table_pa) == pytest.approx(
         result.objective, rel=1e-3
     )
@@ -57,7 +62,7 @@ def test_bruteforce_matches_fixed_point(table_pa):
 def test_bruteforce_never_beats_feasibility(table_pa):
     rng = np.random.default_rng(53)
     channel, qos = draw_cell_instance(6, 2, 2, rng)
-    result = solve_min_pa_bruteforce(channel, qos, table_pa, starts=2, rng=rng)
+    result = solve_min_pa_bruteforce(channel, qos, table_pa)
     zf = zf_precoders([channel], [qos])
     assert result.objective <= pa_consumed_power(zf.powers[0], table_pa) + 1e-9
 
@@ -68,17 +73,85 @@ def test_bruteforce_size_guard(table_pa):
     with pytest.raises(OracleSizeError):
         solve_min_pa_bruteforce(channel, qos, table_pa)
     # explicit override admits the instance
-    result = solve_min_pa_bruteforce(channel, qos, table_pa, starts=1, rng=rng, max_m=12)
+    result = solve_min_pa_bruteforce(channel, qos, table_pa, max_m=12)
     assert result.objective > 0.0
 
 
-def test_bruteforce_deterministic_given_seed(table_pa):
+@pytest.mark.parametrize("subcarriers", [1, 2, 4, 8])
+def test_bruteforce_certifies_its_optimum(table_pa, subcarriers):
+    rng = np.random.default_rng(60 + subcarriers)
+    for _ in range(3):
+        channel, qos = draw_cell_instance(8, 4, subcarriers, rng)
+        result = solve_min_pa_bruteforce(channel, qos, table_pa)
+        residual, gap = result.certificate
+        assert 0.0 <= gap <= 1e-8
+        assert residual <= 1e-9 * qos.noise_std * np.sqrt(qos.per_subcarrier_gamma.max())
+        # weak duality: the dual bound lies below every feasible consumption
+        bound = result.objective / (1.0 + gap)
+        zf = zf_precoders([channel], [qos]).powers[0]
+        min_pa = min_pa_precoders(
+            [channel], [qos], FixedPointConfig(tolerance=1e-11, max_iterations=50_000)
+        ).powers[0]
+        assert bound <= pa_consumed_power(zf, table_pa)
+        assert bound <= pa_consumed_power(min_pa, table_pa)
+
+
+def test_bruteforce_scales_with_the_channel(table_pa):
+    rng = np.random.default_rng(65)
+    channel, qos = draw_cell_instance(6, 3, 2, rng)
+    scaled = ChannelRealization(3.7 * channel.per_subcarrier, channel.large_scale)
+    base = solve_min_pa_bruteforce(channel, qos, table_pa).powers
+    powers = solve_min_pa_bruteforce(scaled, qos, table_pa).powers
+    np.testing.assert_allclose(powers, base / 3.7**2, rtol=1e-9, atol=1e-9 * base.max())
+
+
+def test_bruteforce_square_channel_is_the_inverse(table_pa):
+    rng = np.random.default_rng(66)
+    channel, qos = draw_cell_instance(3, 3, 2, rng)
+    rhs = np.diag(np.sqrt(qos.per_subcarrier_gamma) * qos.noise_std)
+    inverse = np.linalg.pinv(channel.per_subcarrier) @ rhs
+    result = solve_min_pa_bruteforce(channel, qos, table_pa)
+    np.testing.assert_allclose(
+        result.powers, np.sum(np.abs(inverse) ** 2, axis=(0, 2)), rtol=1e-10
+    )
+
+
+def test_bruteforce_single_user_uses_one_antenna(table_pa):
+    rng = np.random.default_rng(67)
+    for _ in range(5):
+        channel, qos = draw_cell_instance(8, 1, 1, rng)
+        powers = solve_min_pa_bruteforce(channel, qos, table_pa).powers
+        strongest = int(np.argmax(np.abs(channel.per_subcarrier[0, 0])))
+        assert np.all(np.delete(powers, strongest) <= 1e-12 * powers.sum())
+
+
+def test_bruteforce_repeated_calls_bit_identical(table_pa):
     rng = np.random.default_rng(55)
     channel, qos = draw_cell_instance(4, 2, 2, rng)
-    a = solve_min_pa_bruteforce(channel, qos, table_pa, starts=3, rng=np.random.default_rng(9))
-    b = solve_min_pa_bruteforce(channel, qos, table_pa, starts=3, rng=np.random.default_rng(9))
+    a = solve_min_pa_bruteforce(channel, qos, table_pa)
+    b = solve_min_pa_bruteforce(channel, qos, table_pa)
     assert np.array_equal(a.powers, b.powers)
     assert a.objective == b.objective
+    assert a.certificate == b.certificate
+
+
+def test_bruteforce_rejects_rank_deficient_channel(table_pa):
+    rng = np.random.default_rng(68)
+    channel, qos = draw_cell_instance(5, 2, 1, rng)
+    h = channel.per_subcarrier.copy()
+    h[:, 1] = h[:, 0]
+    with pytest.raises(InfeasibleError):
+        solve_min_pa_bruteforce(ChannelRealization(h, channel.large_scale), qos, table_pa)
+
+
+def test_import_does_not_load_scipy():
+    probe = "import sys, energymimo; print('scipy' in sys.modules)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_analytic_single_user_guard(table_pa):
