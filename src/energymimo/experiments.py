@@ -178,7 +178,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     def solve_block(block: range):
         channels, qos_list = _draw_block(cfg, block, cfg.scenario.subcarriers)
         # Every solve runs before the ZF result is dropped: freeing that buffer first
-        # changes how glibc allocates the fixed point's temporaries, about 30% slower.
+        # changes how glibc allocates the temporaries that follow, about 5% slower
+        # on wideband blocks.
         with _global_index(block):
             solved = {name: _solve_block(name, channels, qos_list, cfg) for name in cfg.precoders}
         powers = {name: solution.powers for name, solution in solved.items()}

@@ -9,20 +9,26 @@ the block axis; row r equals the solve of instance r alone, bit for bit.
 The closed-form single-user and LOS special cases have their own entry
 points.
 
-Both iterative solvers run on one weighted zero-forcing kernel,
-W_q = D_p^(1/2) H_q^H (H_q D_p^(1/2) H_q^H)^(-1) D_q, over all M antennas of
-a stack of shape (R, Q, K, M) holding R realizations. Zero forcing is the
-kernel at uniform power, which is also the fixed point's first iterate; an
-antenna the fixed point switches off is a zero power and gets a zero row.
+Both iterative solvers return precoders from one weighted zero-forcing
+kernel, W_q = D_p^(1/2) H_q^H (H_q D_p^(1/2) H_q^H)^(-1) D_q, over all M
+antennas of a stack of shape (R, Q, K, M) holding R realizations. Zero
+forcing is the kernel at uniform power; an antenna the fixed point switches
+off is a zero power and gets a zero row.
 
-All Gram solves use a Hermitian (Cholesky) factorization followed by
-forward/backward substitution on the K x K user-side matrix; the optimal
-precoder is then assembled from the contiguous weighted channel adjoint.
+The fixed point itself needs only the powers, p_m <- p_m sum_q h_qm^H A_q
+h_qm with A_q = G_q^(-1) D_q^2 G_q^(-1) and G_q = H_q D_p^(1/2) H_q^H. It
+iterates that lifted map on the K^2 distinct reals of each h_qm h_qm^H,
+packed once per solve, so an iteration is two stacked real products and a
+K x K inverse per subcarrier; its first iterate is zero forcing up to
+rounding. The kernel's Gram solves use a Hermitian (Cholesky) factorization
+followed by forward/backward substitution on the K x K user-side matrix.
+Both Gram paths refuse an ill-conditioned realization through one guard.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,8 +56,8 @@ class FixedPointConfig:
     ``tolerance`` is the absolute stopping threshold on the largest
     per-antenna power change between iterations, in Watts. Antennas whose
     power falls below ``dead_antenna_floor`` are clamped to zero power; the
-    Gram solves run over all M antennas, where a zero power gives a zero
-    row.
+    lifted power map runs over all M antennas, where a zero power adds
+    nothing to the Gram matrices and maps to zero again.
     """
 
     tolerance: float = 1e-4
@@ -138,13 +144,13 @@ def _stack(channels, qos_list):
     return h, rhs
 
 
-def _gram_solve(gram, rhs, index):
-    """Solve G X = diag(rhs) for a (R, Q, K, K) stack of Gram matrices.
+def _guard_gram(gram, index):
+    """Refuse a (R, Q, K, K) Gram stack that is not safely positive definite.
 
-    A Cholesky factorization followed by two substitutions with
-    ``np.linalg.solve``; every slice gets the LAPACK calls it would get
-    alone. The condition guard is taken per realization, over its Q * K
-    Cholesky diagonal. ``index`` names each realization in errors.
+    Raises :class:`SingularChannelError` naming ``index[r]`` for the first
+    realization r whose Cholesky factorization fails or whose condition
+    estimate, taken over its own Q * K Cholesky diagonal, exceeds
+    ``GRAM_CONDITION_LIMIT``. Returns the Cholesky factors.
     """
     n, q, k, _ = gram.shape
     try:
@@ -164,6 +170,17 @@ def _gram_solve(gram, rhs, index):
             f"Gram condition estimate {cond_est[bad]:.3e} exceeds {GRAM_CONDITION_LIMIT:.1e}",
             realization=int(index[bad]),
         )
+    return chol
+
+
+def _gram_solve(gram, rhs, index):
+    """Solve G X = diag(rhs) for a (R, Q, K, K) stack of Gram matrices.
+
+    The Cholesky factors of :func:`_guard_gram` followed by two
+    substitutions with ``np.linalg.solve``; every slice gets the LAPACK
+    calls it would get alone. ``index`` names each realization in errors.
+    """
+    chol = _guard_gram(gram, index)
     y = np.linalg.solve(chol, rhs)
     return np.linalg.solve(chol.conj().swapaxes(-1, -2), y)
 
@@ -190,21 +207,115 @@ def _weighted_zf(h, rhs, index, p):
     return (b_adj @ _gram_solve(b @ b_adj, rhs, index)) * quarter.swapaxes(-1, -2)
 
 
+@lru_cache(maxsize=8)
+def _packing(k):
+    """Index maps between packed K^2 reals and the interleaved K x K complex entries.
+
+    A packed row holds the K diagonal entries, then Re and then Im of the
+    K (K - 1) / 2 entries (k, l) with k < l. ``gather`` picks a matrix's
+    packed row out of its interleaved (re, im) floats. ``spread`` and
+    ``sign`` rebuild a Hermitian matrix's interleaved floats from a packed
+    row whose off-diagonal part is doubled: the diagonal's imaginary part
+    is zero, and the lower triangle is the conjugate of the upper one.
+    """
+    rows, cols = np.triu_indices(k, 1)
+    pairs = rows.size
+    diagonal = np.arange(k) * (k + 1)
+    upper, lower = rows * k + cols, cols * k + rows
+    gather = np.concatenate([2 * diagonal, 2 * upper, 2 * upper + 1])
+    spread = np.zeros(2 * k * k, dtype=int)
+    sign = np.zeros(2 * k * k)
+    spread[2 * diagonal], sign[2 * diagonal] = np.arange(k), 1.0
+    re, im = k + np.arange(pairs), k + pairs + np.arange(pairs)
+    spread[2 * upper], spread[2 * lower], sign[2 * upper], sign[2 * lower] = re, re, 0.5, 0.5
+    spread[2 * upper + 1], spread[2 * lower + 1] = im, im
+    sign[2 * upper + 1], sign[2 * lower + 1] = 0.5, -0.5
+    for shared in (gather, spread, sign):
+        shared.flags.writeable = False
+    return gather, spread, sign
+
+
+def _packed_products(h):
+    """The real (R, Q * K^2, M) packed products of each antenna's channel column.
+
+    For subcarrier q and antenna m the K^2 reals of h_qm h_qm^H in the
+    :func:`_packing` order, with the off-diagonal entries doubled, so that
+    the Gram stack is this array times sqrt(p) and the power map is a
+    packed K x K matrix times it. One (R, Q, M) complex buffer serves every
+    pair of users.
+    """
+    n, q, k, m = h.shape
+    packed = np.empty((n, q, k * k, m))
+    z = np.empty((n, q, m), dtype=complex)
+    rows, cols = np.triu_indices(k, 1)
+    pairs = rows.size
+    for a in range(k):
+        np.conjugate(h[:, :, a], out=z)
+        np.multiply(h[:, :, a], z, out=z)
+        packed[:, :, a] = z.real
+    for j, (a, b) in enumerate(zip(rows.tolist(), cols.tolist())):
+        np.conjugate(h[:, :, b], out=z)
+        np.multiply(h[:, :, a], z, out=z)
+        np.multiply(z.real, 2.0, out=packed[:, :, k + j])
+        np.multiply(z.imag, 2.0, out=packed[:, :, k + pairs + j])
+    return packed.reshape(n, q * k * k, m)
+
+
+def _power_map(packed, targets, p, index):
+    """One sweep of the lifted power map on a working set of R realizations.
+
+    ``packed`` holds the (R, Q * K^2, M) products of :func:`_packed_products`,
+    ``targets`` the (R, 1, K, 1) squared ZF targets d_k^2 and ``p`` the
+    (R, M) powers. Forms G_q = H_q D_p^(1/2) H_q^H as one product with
+    sqrt(p), refuses it through :func:`_guard_gram` (naming ``index[r]``),
+    and returns the (R, M) powers p_m sum_q h_qm^H G_q^(-1) D_q^2 G_q^(-1)
+    h_qm, clipped at zero: the per-antenna powers of the weighted-ZF kernel
+    at ``p``, up to rounding. A zero power maps to zero.
+    """
+    n = p.shape[0]
+    k = targets.shape[-2]
+    q = packed.shape[1] // (k * k)
+    gather, spread, sign = _packing(k)
+    packed_gram = (packed @ np.sqrt(p)[:, :, None]).reshape(n, q, k * k)
+    gram = (np.take(packed_gram, spread, axis=-1) * sign).view(complex).reshape(n, q, k, k)
+    _guard_gram(gram, index)
+    inverse = np.linalg.inv(gram)
+    lifted = (inverse @ (targets * inverse)).reshape(n, q, k * k).view(float)
+    coefficients = np.take(lifted, gather, axis=-1).reshape(n, 1, q * k * k)
+    p_new = p * (coefficients @ packed)[:, 0]
+    return np.maximum(p_new, 0.0, out=p_new)
+
+
+def _compact(array, rows):
+    """``array[rows]`` for increasing ``rows``, moved down in place."""
+    for i, r in enumerate(rows.tolist()):
+        if i != r:
+            array[i] = array[r]
+    return array[:len(rows)]
+
+
 def _fixed_point(h, rhs, cfg: FixedPointConfig) -> PrecoderSolution:
     """Fixed-point power iteration on a (R, Q, K, M) stack.
 
+    The loop iterates the lifted power map (:func:`_power_map`) on powers
+    alone: it packs the channel products once, and never builds a (Q, K, M)
+    array or a precoder. Only the final substitution assembles precoders,
+    through the weighted-ZF kernel.
+
     Each realization keeps its own powers, residual, iteration count and
     stopping test, and leaves the working set once it converges: its row
-    goes from ``h``, ``rhs``, ``index`` and ``p`` together, so ``index``
-    holds the stack rows of the working set and names each remaining
-    realization in errors. A realization's final powers move to ``p_final``
-    as it leaves. A dead antenna is a zero power. The history records each
-    iterate with the stack rows it covers and is sorted into realization
-    order once, at the end.
+    goes from the packed products, the squared targets, ``index`` and ``p``
+    together, so ``index`` holds the stack rows of the working set and
+    names each remaining realization in errors. A realization's final
+    powers move to ``p_final`` as it leaves. A dead antenna is a zero power
+    and maps to zero. The history records each iterate with the stack rows
+    it covers and is sorted into realization order once, at the end.
     """
     n, _, k, m = h.shape
     index = np.arange(n)
     stack = h, rhs, index
+    packed = _packed_products(h)
+    targets = np.square(rhs.diagonal(axis1=-2, axis2=-1).real)[..., None]
     p = np.full((n, m), INITIAL_POWER)
     p_final = p.copy()
     iterations = np.full(n, cfg.max_iterations)
@@ -220,7 +331,7 @@ def _fixed_point(h, rhs, cfg: FixedPointConfig) -> PrecoderSolution:
                 "fewer active antennas than users; cannot hold the ZF constraint",
                 realization=int(index[np.argmax(short)]),
             )
-        p_new = per_antenna_powers(_weighted_zf(h, rhs, index, p))
+        p_new = _power_map(packed, targets, p, index)
         step = abs(p_new - p).max(axis=1)
         p = p_new
         if trail is not None:
@@ -237,9 +348,11 @@ def _fixed_point(h, rhs, cfg: FixedPointConfig) -> PrecoderSolution:
         converged[leaving] = step[done] <= cfg.tolerance
         iterations[leaving] = iteration
         keep = ~done
-        h, rhs, index, p = h[keep], rhs[keep], index[keep], p[keep]
+        targets, index, p = targets[keep], index[keep], p[keep]
         if not index.size:
             break
+        packed = _compact(packed, np.flatnonzero(keep))
+    del packed
 
     history = None
     if trail is not None:
@@ -256,9 +369,9 @@ def zf_precoders(channels, qos_list) -> PrecoderSolution:
     """Per-subcarrier zero-forcing precoders minimizing total transmit power.
 
     ``channels`` and ``qos_list`` are instances of one channel shape and
-    dtype. Zero forcing is the weighted-ZF kernel at uniform power, the
-    fixed point's first iterate. Returns one stacked solution; row r equals
-    the solve of ``[channels[r]]`` alone.
+    dtype. Zero forcing is the weighted-ZF kernel at uniform power; its
+    powers are the fixed point's first iterate up to rounding. Returns one
+    stacked solution; row r equals the solve of ``[channels[r]]`` alone.
     """
     h, rhs = _stack(channels, qos_list)
     n, m = h.shape[0], h.shape[3]
@@ -275,11 +388,12 @@ def min_pa_precoders(
     """Precoders minimizing the square-root PA consumption under ZF QoS.
 
     Runs the fixed-point power iteration from a uniform initial allocation:
-    each sweep recomputes the weighted ZF solution for the current power
-    diagonal and reads back the per-antenna powers, until the largest power
-    change drops below the tolerance or the iteration budget is exhausted
-    (then the realization is returned with ``converged`` False rather than
-    damped). Antennas driven below the dead floor are clamped to zero
+    each sweep maps the current power diagonal to the per-antenna powers of
+    its weighted ZF solution, through a lifted power map that never
+    assembles that solution, until the largest power change drops below
+    the tolerance or the iteration budget is exhausted (then the
+    realization is returned with ``converged`` False rather than damped).
+    Antennas driven below the dead floor are clamped to zero
     power, which keeps them at zero: a dead antenna is a zero power in the
     weighted Gram, not a column that leaves it.
 

@@ -15,7 +15,14 @@ from energymimo import (
 from energymimo.channel import draw_los_channel
 from energymimo.errors import DimensionError, DomainError, InfeasibleError, SingularChannelError
 from energymimo.model import ACTIVE_POWER_THRESHOLD
-from energymimo.precoding import GRAM_CONDITION_LIMIT, ZF_TOLERANCE
+from energymimo.precoding import (
+    GRAM_CONDITION_LIMIT,
+    ZF_TOLERANCE,
+    _packed_products,
+    _power_map,
+    _stack,
+    _weighted_zf,
+)
 
 from conftest import draw_cell_instance
 
@@ -260,12 +267,12 @@ def reference_min_pa(channel, qos, cfg):
 
 
 def test_stacked_min_pa_equals_reference_loop():
-    # The kernel runs over all M antennas, the loop over the active columns
-    # only. For K >= 2 a dead antenna's zero column adds exact zeros to
-    # zgemm's sequential sums, so the two agree to the bit. For K = 1 the
-    # Gram is a BLAS dot whose multi-accumulator rounding moves with the zero
-    # columns, by a few eps of the largest entry; the discrete outcome stays
-    # equal. Runs cut off by the iteration budget are included.
+    # The solver iterates the lifted power map over all M antennas, the
+    # loop reads the powers back from precoders on the active columns only.
+    # The two round differently, by a few eps of the largest entry, so the
+    # matrices and residuals agree to 16 eps; the discrete outcome
+    # (iterations, convergence, active set) stays equal. Runs cut off by the
+    # iteration budget are included.
     rng = np.random.default_rng(39)
     instances = [draw_cell_instance(12, 1, 8, rng) for _ in range(3)]
     instances += [draw_cell_instance(16, 3, 1, rng) for _ in range(3)]
@@ -282,17 +289,14 @@ def test_stacked_min_pa_equals_reference_loop():
                 assert np.array_equal(
                     stacked.powers[r] > ACTIVE_POWER_THRESHOLD, powers > ACTIVE_POWER_THRESHOLD
                 )
-                if channel.k_users > 1:
-                    assert np.array_equal(stacked.matrices[r], w)
-                    assert stacked.residual[r] == residual
-                else:
-                    assert np.abs(stacked.matrices[r] - w).max() <= 16 * eps * np.abs(w).max()
-                    assert abs(stacked.residual[r] - residual) <= 16 * eps * powers.max()
+                assert np.abs(stacked.matrices[r] - w).max() <= 16 * eps * np.abs(w).max()
+                assert abs(stacked.residual[r] - residual) <= 16 * eps * powers.max()
 
 
 def test_zf_is_the_fixed_points_first_iterate():
     # Zero forcing is the weighted-ZF kernel at the fixed point's uniform
-    # start, so its powers are the first iterate, bit for bit, K=1 included.
+    # start; the first iterate is the lifted power map there, which reads
+    # the same powers up to rounding, K=1 included.
     instances = [
         draw_cell_instance(12, 1, 8, np.random.default_rng(3)),
         draw_cell_instance(64, 1, 1, np.random.default_rng(4)),
@@ -300,12 +304,107 @@ def test_zf_is_the_fixed_points_first_iterate():
         draw_cell_instance(10, 2, 4, np.random.default_rng(6)),
         draw_cell_instance(12, 1, 8, np.random.default_rng(7)),
     ]
+    eps = np.finfo(float).eps
     cfg = FixedPointConfig(max_iterations=1, record_history=True)
     for group in groups_by_shape(instances):
         channels, targets = zip(*group)
         first = min_pa_precoders(channels, targets, cfg)
         # Each realization's history is its start and then its first iterate.
-        assert np.array_equal(zf_precoders(channels, targets).powers, first.history[1::2])
+        zf = zf_precoders(channels, targets).powers
+        scale = zf.max(axis=1, keepdims=True)
+        assert np.all(np.abs(zf - first.history[1::2]) <= 16 * eps * scale)
+
+
+def squared_targets(rhs):
+    """The (R, 1, K, 1) squared ZF targets d_k^2 of a stack's right-hand sides."""
+    return np.square(rhs.diagonal(axis1=-2, axis2=-1).real)[..., None]
+
+
+def dead_antenna_powers(rng, realizations, m_antennas):
+    """Powers with five dead antennas per realization, each realization its own set."""
+    p = rng.uniform(0.5, 2.0, (realizations, m_antennas))
+    for r in range(realizations):
+        p[r, (r + 3 * np.arange(5)) % m_antennas] = 0.0
+    return p
+
+
+def gram_condition(h, p):
+    """The largest condition number of the weighted Gram matrices of a stack."""
+    b = h * np.sqrt(np.sqrt(p))[:, None, None, :]
+    return np.linalg.cond(b @ b.conj().swapaxes(-1, -2)).max()
+
+
+@pytest.mark.parametrize("subcarriers", [1, 4])
+@pytest.mark.parametrize("k_users", [1, 3, 8])
+def test_power_map_is_the_kernels_power_readback(k_users, subcarriers):
+    # One sweep of the lifted map against the powers read back from the
+    # weighted-ZF kernel's precoders. Both round by about eps times the
+    # Gram condition number, so the 16 eps clause takes unit-variance
+    # channels with 27 of 32 antennas alive (condition numbers near 10);
+    # cell instances, whose users' path losses differ, get the same clause
+    # scaled by their condition number.
+    rng = np.random.default_rng(60 + 10 * k_users + subcarriers)
+    eps = np.finfo(float).eps
+    shape = (subcarriers, k_users, 32)
+    unit = [
+        ChannelRealization(
+            per_subcarrier=(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            / np.sqrt(2),
+            large_scale=np.ones(k_users),
+        )
+        for _ in range(3)
+    ]
+    targets = [QosTargets(rng.uniform(1.0, 8.0, k_users), 1.0, subcarriers) for _ in range(3)]
+    cell = [draw_cell_instance(32, k_users, subcarriers, rng) for _ in range(3)]
+    index = np.arange(3)
+    for (h, rhs), scaled in ((_stack(unit, targets), False), (_stack(*zip(*cell)), True)):
+        p = dead_antenna_powers(rng, 3, 32)
+        packed, d2 = _packed_products(h), squared_targets(rhs)
+        mapped = _power_map(packed, d2, p, index)
+        readback = per_antenna_powers(_weighted_zf(h, rhs, index, p))
+        bound = 16 * eps * (gram_condition(h, p) if scaled else 1.0)
+        assert np.all(np.abs(mapped - readback) <= bound * readback.max(axis=1, keepdims=True))
+        assert np.all(mapped[p == 0.0] == 0.0)
+        assert np.all(mapped[p > 0.0] > 0.0)
+        for r in index:
+            alone = _power_map(packed[r:r + 1].copy(), d2[r:r + 1], p[r:r + 1], index[r:r + 1])
+            assert np.array_equal(alone[0], mapped[r])
+
+
+def test_power_map_just_inside_the_condition_limit():
+    # Two nearly collinear users, moved apart until the Gram condition
+    # estimate sits just below GRAM_CONDITION_LIMIT, so the guard passes
+    # it. Antenna 0 points along the Gram's strong eigenvector: its exact
+    # power is tiny, and the map's cancellation-prone sum for it is rounding
+    # of either sign. It must come out finite and nonnegative.
+    def near_limit_channel(seed):
+        rng = np.random.default_rng(seed)
+        g = (rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))) / np.sqrt(2)
+
+        def channel_with(delta):
+            h = np.stack([g[0], g[0] + delta * g[1]])
+            h[:, 0] = np.linalg.eigh(h[:, 1:] @ h[:, 1:].conj().T)[1][:, -1]
+            return h[None]
+
+        delta = 1e-3
+        for _ in range(3):
+            delta *= np.sqrt(condition_estimate(channel_with(delta)) / (0.8 * GRAM_CONDITION_LIMIT))
+        return ChannelRealization(per_subcarrier=channel_with(delta), large_scale=np.ones(2))
+
+    def condition_estimate(h):
+        chol = np.linalg.cholesky(h @ h.conj().transpose(0, 2, 1))
+        diag = np.abs(np.diagonal(chol, axis1=1, axis2=2))
+        return (diag.max() / diag.min()) ** 2
+
+    channels = [near_limit_channel(seed) for seed in range(61, 69)]
+    for channel in channels:
+        estimate = condition_estimate(channel.per_subcarrier)
+        assert 0.5 * GRAM_CONDITION_LIMIT < estimate < GRAM_CONDITION_LIMIT
+    h, rhs = _stack(channels, [QosTargets(gamma=[4.0, 4.0], noise_power=1.0)] * len(channels))
+    p = np.ones((len(channels), 8))
+    mapped = _power_map(_packed_products(h), squared_targets(rhs), p, np.arange(len(channels)))
+    assert np.all(np.isfinite(mapped)) and np.all(mapped >= 0.0)
+    assert np.all(mapped[:, 1:] > 0.0)
 
 
 def test_stacked_zf_equals_one_at_a_time():
