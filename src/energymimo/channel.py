@@ -50,10 +50,12 @@ class QosTargets:
     def __post_init__(self):
         gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
         object.__setattr__(self, "gamma", gamma)
-        if np.any(gamma <= 0.0):
+        if not np.all(gamma > 0.0):
             raise DomainError("all SINR targets must be positive")
-        if self.noise_power <= 0.0:
-            raise DomainError(f"noise power must be positive, got {self.noise_power}")
+        if not np.all(np.isfinite(gamma)):
+            raise DomainError("all SINR targets must be finite")
+        if not 0.0 < self.noise_power < np.inf:
+            raise DomainError(f"noise power must be positive and finite, got {self.noise_power}")
         if self.subcarriers < 1:
             raise DomainError(f"subcarriers must be >= 1, got {self.subcarriers}")
 

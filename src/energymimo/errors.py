@@ -31,15 +31,12 @@ class SingularChannelError(EnergyMimoError):
 class InfeasibleError(EnergyMimoError):
     """The QoS targets cannot be met under the given power constraints.
 
-    Attributes carry whatever diagnostic is available: ``deficit`` for a
-    power shortfall, ``min_feasible_m`` for the smallest antenna count that
-    would make the scenario feasible.
+    ``deficit`` carries the power shortfall when one is known.
     """
 
-    def __init__(self, message, *, deficit=None, min_feasible_m=None):
+    def __init__(self, message, *, deficit=None):
         super().__init__(message)
         self.deficit = deficit
-        self.min_feasible_m = min_feasible_m
 
 
 class OracleSizeError(EnergyMimoError, ValueError):

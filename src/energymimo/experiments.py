@@ -47,7 +47,7 @@ from .config import AS1_PRECODERS, ExperimentConfig
 from .errors import (
     ConfigError, EnergyMimoError, InfeasibleError, OracleSizeError, SingularChannelError,
 )
-from .model import bs_consumed_power, gain_metrics, pa_consumed_power, per_antenna_powers
+from .model import bs_consumed_power, gain_metrics, pa_consumed_power
 from .precoding import (
     FixedPointConfig,
     PrecoderSolution,
@@ -145,7 +145,7 @@ def _solve_block(name: str, channels, qos_list, cfg: ExperimentConfig) -> Precod
                 channel.per_subcarrier[0, 0, :], float(qos.gamma[0]), qos.noise_std,
                 cfg.scenario.p_max_watts,
             ).matrices
-        return PrecoderSolution(matrices, per_antenna_powers(matrices))
+        return PrecoderSolution(matrices)
     raise EnergyMimoError(f"unknown solver {name!r}")
 
 
@@ -177,9 +177,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     def solve_block(block: range):
         channels, qos_list = _draw_block(cfg, block, cfg.scenario.subcarriers)
-        # Every solve runs before the ZF result is dropped: freeing that buffer first
-        # changes how glibc allocates the temporaries that follow, about 5% slower
-        # on wideband blocks.
         with _global_index(block):
             solved = {name: _solve_block(name, channels, qos_list, cfg) for name in cfg.precoders}
         powers = {name: solution.powers for name, solution in solved.items()}

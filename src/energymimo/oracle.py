@@ -279,10 +279,7 @@ def grid_min_bs(
     lower_bound = math.ceil(0.5 * (k_users + math.sqrt(k_users**2 + 4.0 * trace / p_max)))
     lo = max(k_users + 1, lower_bound)
     if lo > m_antennas:
-        raise InfeasibleError(
-            f"no admissible antenna count in [{lo}, {m_antennas}]",
-            min_feasible_m=lo,
-        )
+        raise InfeasibleError(f"no admissible antenna count in [{lo}, {m_antennas}]")
     counts = np.arange(lo, m_antennas + 1, dtype=float)
     values = (
         pa.alpha * np.sqrt(counts / (counts - k_users) * trace)

@@ -10,19 +10,18 @@ The closed-form single-user and LOS special cases have their own entry
 points.
 
 Both iterative solvers return precoders from one weighted zero-forcing
-kernel, W_q = D_p^(1/2) H_q^H (H_q D_p^(1/2) H_q^H)^(-1) D_q, over all M
-antennas of a stack of shape (R, Q, K, M) holding R realizations. Zero
-forcing is the kernel at uniform power; an antenna the fixed point switches
-off is a zero power and gets a zero row.
+kernel, W_q = D_p^(1/2) H_q^H G_q^(-1) D_q with G_q = H_q D_p^(1/2) H_q^H,
+over all M antennas of a stack of shape (R, Q, K, M) holding R
+realizations. Zero forcing is the kernel at uniform power; an antenna the
+fixed point switches off is a zero power and gets a zero row.
 
 The fixed point itself needs only the powers, p_m <- p_m sum_q h_qm^H A_q
-h_qm with A_q = G_q^(-1) D_q^2 G_q^(-1) and G_q = H_q D_p^(1/2) H_q^H. It
-iterates that lifted map on the K^2 distinct reals of each h_qm h_qm^H,
-packed once per solve, so an iteration is two stacked real products and a
-K x K inverse per subcarrier; its first iterate is zero forcing up to
-rounding. The kernel's Gram solves use a Hermitian (Cholesky) factorization
-followed by forward/backward substitution on the K x K user-side matrix.
-Both Gram paths refuse an ill-conditioned realization through one guard.
+h_qm with A_q = G_q^(-1) D_q^2 G_q^(-1). It iterates that lifted map on
+the K^2 distinct reals of each h_qm h_qm^H, packed once per solve, so an
+iteration is two stacked real products and a K x K inverse per subcarrier;
+its first iterate is zero forcing up to rounding. The kernel and the map
+invert the Gram stack in one place, :func:`_guard_gram`: a Cholesky
+factorization that only checks the conditioning, then ``np.linalg.inv``.
 """
 
 from __future__ import annotations
@@ -78,24 +77,27 @@ class FixedPointConfig:
 class PrecoderSolution:
     """Per-subcarrier precoding matrices plus convergence diagnostics.
 
-    The stacked solvers return a block of R: (R, Q, M, K) ``matrices``,
-    (R, M) ``powers`` and length-R ``iterations``, ``converged`` and
-    ``residual``. The closed forms return one realization, with (Q, M, K)
-    ``matrices``, (M,) ``powers`` and the scalar defaults.
-    ``powers`` always equals the per-antenna powers recomputed from
-    ``matrices``; ``residual`` is the last max absolute inter-iteration power
-    change (zero for closed-form solutions). ``history``, when requested via
-    :class:`FixedPointConfig`, holds the power iterates as one
-    (sum_r (iterations_r + 1), M) array, realization after realization: the
-    uniform start, then one row per iteration.
+    The stacked solvers return a block of R: (R, Q, M, K) ``matrices`` and
+    length-R ``iterations``, ``converged`` and ``residual``. The closed
+    forms return one realization, with (Q, M, K) ``matrices`` and the
+    scalar defaults. ``powers`` is derived from ``matrices``: (R, M) for a
+    block, (M,) for one realization. ``residual`` is the last max absolute
+    inter-iteration power change (zero for closed-form solutions).
+    ``history``, when requested via :class:`FixedPointConfig`, holds the
+    power iterates as one (sum_r (iterations_r + 1), M) array, realization
+    after realization: the uniform start, then one row per iteration.
     """
 
     matrices: np.ndarray
-    powers: np.ndarray
     iterations: int | np.ndarray = 0
     converged: bool | np.ndarray = True
     residual: float | np.ndarray = 0.0
     history: np.ndarray | None = None
+
+    @property
+    def powers(self) -> np.ndarray:
+        """Per-antenna transmit powers sum_{q,k} |w_qmk|^2 of ``matrices``."""
+        return per_antenna_powers(self.matrices)
 
 
 def _check_instance(channel: ChannelRealization, qos: QosTargets, realization: int):
@@ -112,6 +114,8 @@ def _check_instance(channel: ChannelRealization, qos: QosTargets, realization: i
             f"zero forcing needs M >= K, got M={channel.m_antennas}, K={channel.k_users}",
             realization=realization,
         )
+    if not np.isfinite(channel.per_subcarrier).all():
+        raise DomainError(f"instance {realization} has a non-finite channel entry")
 
 
 def _stack(channels, qos_list):
@@ -145,12 +149,14 @@ def _stack(channels, qos_list):
 
 
 def _guard_gram(gram, index):
-    """Refuse a (R, Q, K, K) Gram stack that is not safely positive definite.
+    """The inverse of a (R, Q, K, K) Gram stack that is safely positive definite.
 
     Raises :class:`SingularChannelError` naming ``index[r]`` for the first
     realization r whose Cholesky factorization fails or whose condition
-    estimate, taken over its own Q * K Cholesky diagonal, exceeds
-    ``GRAM_CONDITION_LIMIT``. Returns the Cholesky factors.
+    estimate, taken over its own Q * K Cholesky diagonal, is not at most
+    ``GRAM_CONDITION_LIMIT``; a NaN estimate, from a NaN or overflowed Gram,
+    is refused too. The factors serve only this check: the return value is
+    ``np.linalg.inv(gram)``.
     """
     n, q, k, _ = gram.shape
     try:
@@ -160,29 +166,17 @@ def _guard_gram(gram, index):
         raise SingularChannelError(
             "user-side Gram matrix is not positive definite", realization=int(index[bad])
         ) from exc
-    # A successful Cholesky factorization has a positive diagonal.
+    # A successful Cholesky factorization of a finite Gram has a positive diagonal.
     diag = abs(chol.diagonal(axis1=-2, axis2=-1)).reshape(n, q * k)
     cond_est = (diag.max(axis=1) / diag.min(axis=1)) ** 2
-    refused = cond_est > GRAM_CONDITION_LIMIT
+    refused = ~(cond_est <= GRAM_CONDITION_LIMIT)
     if refused.any():
         bad = int(np.argmax(refused))
         raise SingularChannelError(
             f"Gram condition estimate {cond_est[bad]:.3e} exceeds {GRAM_CONDITION_LIMIT:.1e}",
             realization=int(index[bad]),
         )
-    return chol
-
-
-def _gram_solve(gram, rhs, index):
-    """Solve G X = diag(rhs) for a (R, Q, K, K) stack of Gram matrices.
-
-    The Cholesky factors of :func:`_guard_gram` followed by two
-    substitutions with ``np.linalg.solve``; every slice gets the LAPACK
-    calls it would get alone. ``index`` names each realization in errors.
-    """
-    chol = _guard_gram(gram, index)
-    y = np.linalg.solve(chol, rhs)
-    return np.linalg.solve(chol.conj().swapaxes(-1, -2), y)
+    return np.linalg.inv(gram)
 
 
 def _positive_definite(matrices) -> bool:
@@ -196,15 +190,17 @@ def _positive_definite(matrices) -> bool:
 def _weighted_zf(h, rhs, index, p):
     """W = D_p^(1/2) H^H (H D_p^(1/2) H^H)^(-1) diag(rhs) on a (R, Q, K, M) stack.
 
-    ``p`` holds the (R, M) per-antenna powers. The product runs over all M
-    antennas: one with p_m = 0 has a zero column in H D_p^(1/4) and gets a
-    zero row in W, so a switched-off antenna needs no mask. Returns the
-    (R, Q, M, K) precoders.
+    ``p`` holds the (R, M) per-antenna powers. The Gram G = (H sqrt(p)) H^H
+    runs over all M antennas: one with p_m = 0 adds nothing to G and gets a
+    zero row in W, so a switched-off antenna needs no mask. The inverse
+    comes from :func:`_guard_gram`; scaling its columns by diag(rhs) gives
+    G^(-1) D. Returns the (R, Q, M, K) precoders.
     """
-    quarter = np.sqrt(np.sqrt(p))[:, None, None, :]
-    b = h * quarter
-    b_adj = np.ascontiguousarray(b.conj().swapaxes(-1, -2))
-    return (b_adj @ _gram_solve(b @ b_adj, rhs, index)) * quarter.swapaxes(-1, -2)
+    root = np.sqrt(p)[:, None, None, :]
+    h_adj = np.ascontiguousarray(h.conj().swapaxes(-1, -2))
+    inverse = _guard_gram((h * root) @ h_adj, index)
+    solved = inverse * rhs.diagonal(axis1=-2, axis2=-1)[..., None, :]
+    return (h_adj @ solved) * root.swapaxes(-1, -2)
 
 
 @lru_cache(maxsize=8)
@@ -267,10 +263,11 @@ def _power_map(packed, targets, p, index):
     ``packed`` holds the (R, Q * K^2, M) products of :func:`_packed_products`,
     ``targets`` the (R, 1, K, 1) squared ZF targets d_k^2 and ``p`` the
     (R, M) powers. Forms G_q = H_q D_p^(1/2) H_q^H as one product with
-    sqrt(p), refuses it through :func:`_guard_gram` (naming ``index[r]``),
-    and returns the (R, M) powers p_m sum_q h_qm^H G_q^(-1) D_q^2 G_q^(-1)
-    h_qm, clipped at zero: the per-antenna powers of the weighted-ZF kernel
-    at ``p``, up to rounding. A zero power maps to zero.
+    sqrt(p), inverts it through :func:`_guard_gram` (which names
+    ``index[r]`` when it refuses a realization), and returns the (R, M)
+    powers p_m sum_q h_qm^H G_q^(-1) D_q^2 G_q^(-1) h_qm, clipped at zero:
+    the per-antenna powers of the weighted-ZF kernel at ``p``, up to
+    rounding. A zero power maps to zero.
     """
     n = p.shape[0]
     k = targets.shape[-2]
@@ -278,8 +275,7 @@ def _power_map(packed, targets, p, index):
     gather, spread, sign = _packing(k)
     packed_gram = (packed @ np.sqrt(p)[:, :, None]).reshape(n, q, k * k)
     gram = (np.take(packed_gram, spread, axis=-1) * sign).view(complex).reshape(n, q, k, k)
-    _guard_gram(gram, index)
-    inverse = np.linalg.inv(gram)
+    inverse = _guard_gram(gram, index)
     lifted = (inverse @ (targets * inverse)).reshape(n, q, k * k).view(float)
     coefficients = np.take(lifted, gather, axis=-1).reshape(n, 1, q * k * k)
     p_new = p * (coefficients @ packed)[:, 0]
@@ -360,9 +356,7 @@ def _fixed_point(h, rhs, cfg: FixedPointConfig) -> PrecoderSolution:
         history = np.concatenate(trail)[np.argsort(np.concatenate(trail_rows), kind="stable")]
     # Substitute the final power diagonal back to obtain the precoders.
     matrices = _weighted_zf(*stack, p_final)
-    return PrecoderSolution(
-        matrices, per_antenna_powers(matrices), iterations, converged, residual, history
-    )
+    return PrecoderSolution(matrices, iterations, converged, residual, history)
 
 
 def zf_precoders(channels, qos_list) -> PrecoderSolution:
@@ -376,10 +370,7 @@ def zf_precoders(channels, qos_list) -> PrecoderSolution:
     h, rhs = _stack(channels, qos_list)
     n, m = h.shape[0], h.shape[3]
     matrices = _weighted_zf(h, rhs, np.arange(n), np.full((n, m), INITIAL_POWER))
-    return PrecoderSolution(
-        matrices, per_antenna_powers(matrices),
-        np.zeros(n, dtype=int), np.ones(n, dtype=bool), np.zeros(n),
-    )
+    return PrecoderSolution(matrices, np.zeros(n, dtype=int), np.ones(n, dtype=bool), np.zeros(n))
 
 
 def min_pa_precoders(
@@ -453,7 +444,7 @@ def single_user_saturating_precoder(
     hot = powers > 0.0
     w[hot] = np.sqrt(powers[hot]) * np.conj(h[hot]) / gains[hot]
     w = w[None, :, None]
-    return PrecoderSolution(w, per_antenna_powers(w))
+    return PrecoderSolution(w)
 
 
 def los_allocation_precoder(
@@ -489,4 +480,4 @@ def los_allocation_precoder(
     scale = noise_std * np.sqrt(gamma / q)
     w = scale * sqrt_p[None, :] * np.conj(h) / denom[:, None]
     w = w[:, :, None]
-    return PrecoderSolution(w, per_antenna_powers(w))
+    return PrecoderSolution(w)

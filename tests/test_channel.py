@@ -144,6 +144,15 @@ def test_qos_targets_validation():
         QosTargets(gamma=[1.0], noise_power=0.0)
     with pytest.raises(DomainError):
         QosTargets(gamma=[1.0], noise_power=1.0, subcarriers=0)
+    for gamma, noise_power in (
+        ([float("nan")], 1.0),
+        ([2.0, float("nan")], 1.0),
+        ([float("inf")], 1.0),
+        ([1.0], float("nan")),
+        ([1.0], float("inf")),
+    ):
+        with pytest.raises(DomainError):
+            QosTargets(gamma=gamma, noise_power=noise_power)
 
 
 def test_geometry_validation():

@@ -18,6 +18,7 @@ from energymimo.model import ACTIVE_POWER_THRESHOLD
 from energymimo.precoding import (
     GRAM_CONDITION_LIMIT,
     ZF_TOLERANCE,
+    _guard_gram,
     _packed_products,
     _power_map,
     _stack,
@@ -400,11 +401,21 @@ def test_power_map_just_inside_the_condition_limit():
     for channel in channels:
         estimate = condition_estimate(channel.per_subcarrier)
         assert 0.5 * GRAM_CONDITION_LIMIT < estimate < GRAM_CONDITION_LIMIT
-    h, rhs = _stack(channels, [QosTargets(gamma=[4.0, 4.0], noise_power=1.0)] * len(channels))
+    targets = [QosTargets(gamma=[4.0, 4.0], noise_power=1.0)] * len(channels)
+    h, rhs = _stack(channels, targets)
     p = np.ones((len(channels), 8))
     mapped = _power_map(_packed_products(h), squared_targets(rhs), p, np.arange(len(channels)))
     assert np.all(np.isfinite(mapped)) and np.all(mapped >= 0.0)
     assert np.all(mapped[:, 1:] > 0.0)
+
+    # The kernel inverts the same Grams: its ZF residual |HW - D| / |D| stays
+    # within rounding of the condition estimate.
+    eps = np.finfo(float).eps
+    zf = zf_precoders(channels, targets)
+    for channel, w, d in zip(channels, zf.matrices, rhs):
+        residual = np.linalg.norm(channel.per_subcarrier @ w - d) / np.linalg.norm(d)
+        assert np.isfinite(residual)
+        assert residual <= 16 * eps * condition_estimate(channel.per_subcarrier)
 
 
 def test_stacked_zf_equals_one_at_a_time():
@@ -461,6 +472,41 @@ def test_stacked_errors_name_the_realization():
         assert str(err.value).startswith("realization 2: ")
     with pytest.raises(DimensionError):
         min_pa_precoders([good, good], [qos])
+
+
+def test_non_finite_channel_entry_names_the_instance():
+    rng = np.random.default_rng(39)
+    instances = [draw_cell_instance(6, 2, 3, rng) for _ in range(3)]
+    qos_list = [qos for _, qos in instances]
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        h = instances[1][0].per_subcarrier.copy()
+        h[2, 1, 4] = bad
+        channels = [instances[0][0], ChannelRealization(h, instances[1][0].large_scale),
+                    instances[2][0]]
+        for solve in (zf_precoders, min_pa_precoders):
+            with pytest.raises(DomainError, match="instance 1 "):
+                solve(channels, qos_list)
+
+
+def test_guard_refuses_an_overflowed_gram():
+    # Finite channel entries near 1e160 overflow the Gram's products, which
+    # come out NaN; the guard must refuse that realization, not pass it on.
+    rng = np.random.default_rng(40)
+    good, qos = draw_cell_instance(4, 2, 1, rng)
+    huge = ChannelRealization(1e160 * good.per_subcarrier / good.per_subcarrier[0, 0, 0],
+                              good.large_scale)
+    channels = [good, huge, good]
+    h = np.stack([channel.per_subcarrier for channel in channels])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = h @ h.conj().swapaxes(-1, -2)
+        assert not np.all(np.isfinite(gram[1]))
+        with pytest.raises(SingularChannelError) as err:
+            _guard_gram(gram, np.array([7, 8, 9]))
+        assert err.value.realization == 8
+        for solve in (zf_precoders, min_pa_precoders):
+            with pytest.raises(SingularChannelError) as err:
+                solve(channels, [qos] * 3)
+            assert err.value.realization == 1
 
 
 def test_stacked_solvers_need_one_channel_shape_and_dtype():
