@@ -59,9 +59,9 @@ from .oracle import (
 from .precoding import (
     FixedPointConfig,
     PrecoderSolution,
-    los_allocation_precoder,
+    los_allocation_precoders,
     min_pa_precoders,
-    single_user_saturating_precoder,
+    saturating_precoders,
     zf_precoders,
 )
 
@@ -99,7 +99,7 @@ __all__ = [
     "ideal_pa_consumed_power",
     "large_scale_fading",
     "load_config",
-    "los_allocation_precoder",
+    "los_allocation_precoders",
     "mc_inverse_wishart_trace",
     "min_ma_power_constraint",
     "min_pa_precoders",
@@ -107,7 +107,7 @@ __all__ = [
     "pa_consumed_power",
     "pa_efficiency",
     "per_antenna_powers",
-    "single_user_saturating_precoder",
+    "saturating_precoders",
     "solve_min_pa_bruteforce",
     "solve_quartic_ma",
     "target_sinr",

@@ -202,16 +202,7 @@ def draw_los_channel(
     k_users: int,
     subcarriers: int,
     rng: np.random.Generator,
-    random_phases: bool = True,
 ) -> ChannelRealization:
-    """Pure line-of-sight channel with unit-modulus entries.
-
-    Phases are uniform on [0, 2pi) by default; ``random_phases=False`` gives
-    the all-ones matrix for deterministic tests.
-    """
-    shape = (subcarriers, k_users, m_antennas)
-    if random_phases:
-        h = np.exp(2j * np.pi * rng.random(shape))
-    else:
-        h = np.ones(shape, dtype=complex)
+    """Pure line-of-sight channel with unit-modulus entries, phases uniform on [0, 2pi)."""
+    h = np.exp(2j * np.pi * rng.random((subcarriers, k_users, m_antennas)))
     return ChannelRealization(per_subcarrier=h, large_scale=np.ones(k_users))

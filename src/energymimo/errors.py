@@ -29,14 +29,7 @@ class SingularChannelError(EnergyMimoError):
 
 
 class InfeasibleError(EnergyMimoError):
-    """The QoS targets cannot be met under the given power constraints.
-
-    ``deficit`` carries the power shortfall when one is known.
-    """
-
-    def __init__(self, message, *, deficit=None):
-        super().__init__(message)
-        self.deficit = deficit
+    """The QoS targets cannot be met under the given power constraints."""
 
 
 class OracleSizeError(EnergyMimoError, ValueError):

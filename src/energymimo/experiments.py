@@ -52,7 +52,7 @@ from .precoding import (
     FixedPointConfig,
     PrecoderSolution,
     min_pa_precoders,
-    single_user_saturating_precoder,
+    saturating_precoders,
     zf_precoders,
 )
 
@@ -137,15 +137,7 @@ def _solve_block(name: str, channels, qos_list, cfg: ExperimentConfig) -> Precod
     if name == "min_pa":
         return min_pa_precoders(channels, qos_list, cfg.fixed_point())
     if name == "saturating":
-        # The closed form takes one K=1, Q=1 instance at a time; its (1, M, 1)
-        # precoders fill the block's rows.
-        matrices = np.zeros((len(channels), 1, cfg.scenario.m_antennas, 1), dtype=complex)
-        for w, channel, qos in zip(matrices, channels, qos_list):
-            w[...] = single_user_saturating_precoder(
-                channel.per_subcarrier[0, 0, :], float(qos.gamma[0]), qos.noise_std,
-                cfg.scenario.p_max_watts,
-            ).matrices
-        return PrecoderSolution(matrices)
+        return saturating_precoders(channels, qos_list, cfg.scenario.p_max_watts)
     raise EnergyMimoError(f"unknown solver {name!r}")
 
 

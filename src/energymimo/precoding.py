@@ -6,14 +6,16 @@ square-root PA consumption under the same QoS constraints by iterating the
 fixed-point power equations. Both solve a list of instances of one channel
 shape at once and return one :class:`PrecoderSolution` whose fields carry
 the block axis; row r equals the solve of instance r alone, bit for bit.
-The closed-form single-user and LOS special cases have their own entry
-points.
+The closed-form single-user special cases, ``saturating_precoders`` (the
+capped narrowband fill) and ``los_allocation_precoders`` (a chosen LOS
+power split), take and return the same.
 
-Both iterative solvers return precoders from one weighted zero-forcing
-kernel, W_q = D_p^(1/2) H_q^H G_q^(-1) D_q with G_q = H_q D_p^(1/2) H_q^H,
-over all M antennas of a stack of shape (R, Q, K, M) holding R
-realizations. Zero forcing is the kernel at uniform power; an antenna the
-fixed point switches off is a zero power and gets a zero row.
+Both iterative solvers and the LOS split return precoders from one
+weighted zero-forcing kernel, W_q = D_p^(1/2) H_q^H G_q^(-1) D_q with
+G_q = H_q D_p^(1/2) H_q^H, over all M antennas of a stack of shape
+(R, Q, K, M) holding R realizations. Zero forcing is the kernel at uniform
+power; an antenna the fixed point switches off is a zero power and gets a
+zero row.
 
 The fixed point itself needs only the powers, p_m <- p_m sum_q h_qm^H A_q
 h_qm with A_q = G_q^(-1) D_q^2 G_q^(-1). It iterates that lifted map on
@@ -77,21 +79,20 @@ class FixedPointConfig:
 class PrecoderSolution:
     """Per-subcarrier precoding matrices plus convergence diagnostics.
 
-    The stacked solvers return a block of R: (R, Q, M, K) ``matrices`` and
-    length-R ``iterations``, ``converged`` and ``residual``. The closed
-    forms return one realization, with (Q, M, K) ``matrices`` and the
-    scalar defaults. ``powers`` is derived from ``matrices``: (R, M) for a
-    block, (M,) for one realization. ``residual`` is the last max absolute
-    inter-iteration power change (zero for closed-form solutions).
+    Every solver returns a block of R: (R, Q, M, K) ``matrices`` and
+    length-R ``iterations``, ``converged`` and ``residual``; ``powers`` is
+    the (R, M) array derived from ``matrices``. ``residual`` is the last max
+    absolute inter-iteration power change (zero for closed-form solutions,
+    which take no iteration and count as converged).
     ``history``, when requested via :class:`FixedPointConfig`, holds the
     power iterates as one (sum_r (iterations_r + 1), M) array, realization
     after realization: the uniform start, then one row per iteration.
     """
 
     matrices: np.ndarray
-    iterations: int | np.ndarray = 0
-    converged: bool | np.ndarray = True
-    residual: float | np.ndarray = 0.0
+    iterations: np.ndarray
+    converged: np.ndarray
+    residual: np.ndarray
     history: np.ndarray | None = None
 
     @property
@@ -154,9 +155,9 @@ def _guard_gram(gram, index):
     Raises :class:`SingularChannelError` naming ``index[r]`` for the first
     realization r whose Cholesky factorization fails or whose condition
     estimate, taken over its own Q * K Cholesky diagonal, is not at most
-    ``GRAM_CONDITION_LIMIT``; a NaN estimate, from a NaN or overflowed Gram,
-    is refused too. The factors serve only this check: the return value is
-    ``np.linalg.inv(gram)``.
+    ``GRAM_CONDITION_LIMIT``; a non-finite estimate, from a NaN or
+    overflowed Gram, is refused too, with a message that says so. The
+    factors serve only this check: the return value is ``np.linalg.inv(gram)``.
     """
     n, q, k, _ = gram.shape
     try:
@@ -172,10 +173,12 @@ def _guard_gram(gram, index):
     refused = ~(cond_est <= GRAM_CONDITION_LIMIT)
     if refused.any():
         bad = int(np.argmax(refused))
-        raise SingularChannelError(
-            f"Gram condition estimate {cond_est[bad]:.3e} exceeds {GRAM_CONDITION_LIMIT:.1e}",
-            realization=int(index[bad]),
+        reason = (
+            f"Gram condition estimate {cond_est[bad]:.3e} exceeds {GRAM_CONDITION_LIMIT:.1e}"
+            if np.isfinite(cond_est[bad])
+            else "Gram condition estimate is not finite (NaN or overflowed Gram entries)"
         )
+        raise SingularChannelError(reason, realization=int(index[bad]))
     return np.linalg.inv(gram)
 
 
@@ -359,6 +362,12 @@ def _fixed_point(h, rhs, cfg: FixedPointConfig) -> PrecoderSolution:
     return PrecoderSolution(matrices, iterations, converged, residual, history)
 
 
+def _closed_form(matrices) -> PrecoderSolution:
+    """The solution of a block of (R, Q, M, K) ``matrices`` that took no iteration."""
+    n = matrices.shape[0]
+    return PrecoderSolution(matrices, np.zeros(n, dtype=int), np.ones(n, dtype=bool), np.zeros(n))
+
+
 def zf_precoders(channels, qos_list) -> PrecoderSolution:
     """Per-subcarrier zero-forcing precoders minimizing total transmit power.
 
@@ -369,8 +378,7 @@ def zf_precoders(channels, qos_list) -> PrecoderSolution:
     """
     h, rhs = _stack(channels, qos_list)
     n, m = h.shape[0], h.shape[3]
-    matrices = _weighted_zf(h, rhs, np.arange(n), np.full((n, m), INITIAL_POWER))
-    return PrecoderSolution(matrices, np.zeros(n, dtype=int), np.ones(n, dtype=bool), np.zeros(n))
+    return _closed_form(_weighted_zf(h, rhs, np.arange(n), np.full((n, m), INITIAL_POWER)))
 
 
 def min_pa_precoders(
@@ -397,87 +405,75 @@ def min_pa_precoders(
     return _fixed_point(*_stack(channels, qos_list), cfg or FixedPointConfig())
 
 
-def _check_scalar_targets(gamma: float, noise_std: float):
-    if gamma <= 0.0:
-        raise DomainError(f"SINR target must be positive, got {gamma}")
-    if noise_std <= 0.0:
-        raise DomainError(f"noise standard deviation must be positive, got {noise_std}")
+def saturating_precoders(channels, qos_list, p_max: float) -> PrecoderSolution:
+    """Single-user narrowband precoders under a per-antenna cap, in closed form.
 
-
-def single_user_saturating_precoder(
-    h, gamma: float, noise_std: float, p_max: float
-) -> PrecoderSolution:
-    """Single-user narrowband solution under binding per-antenna caps.
-
-    Saturates antennas in order of decreasing channel gain until the QoS sum
-    sum_m |h_m| p_m^(1/2) reaches noise_std * gamma^(1/2); the last recruited
-    antenna gets the partial power closing the gap exactly. With
-    ``p_max = inf`` this is the uncapped optimum: all power on the strongest
-    antenna (the lowest index on ties), conjugate-phased to meet the target.
+    ``channels`` and ``qos_list`` are K=1, Q=1 instances of one channel shape
+    and dtype. In each, antennas saturate at ``p_max`` in order of decreasing
+    channel gain until the QoS sum sum_m |h_m| p_m^(1/2) reaches
+    noise_std * gamma^(1/2); the last recruited antenna gets the partial
+    power closing the gap exactly. With ``p_max = inf`` this is the uncapped
+    optimum: all power on the strongest antenna (the lowest index on ties),
+    conjugate-phased to meet the target. Raises :class:`InfeasibleError` for
+    the first instance whose saturated sum falls short of its target.
     """
-    h = np.atleast_1d(np.asarray(h, dtype=complex))
-    if h.ndim != 1:
-        raise DimensionError(f"expected a length-M vector, got shape {h.shape}")
-    if p_max <= 0.0:
+    if not p_max > 0.0:
         raise DomainError(f"p_max must be positive, got {p_max}")
-    _check_scalar_targets(gamma, noise_std)
+    h, rhs = _stack(channels, qos_list)
+    n, q, k, m = h.shape
+    if (q, k) != (1, 1):
+        raise DimensionError(f"the saturating precoder needs K=1 and Q=1, got K={k}, Q={q}")
+    h, target = h[:, 0, 0], rhs[:, 0, 0, 0].real
     gains = np.abs(h)
-    target = noise_std * np.sqrt(gamma)
-    order = np.argsort(-gains, kind="stable")
-    order = order[gains[order] > 0.0]
-    contrib = gains[order] * np.sqrt(p_max)
-    cumulative = np.cumsum(contrib)
-    total = cumulative[-1] if cumulative.size else 0.0
-    if total < target:
+    order = np.argsort(-gains, axis=1, kind="stable")
+    ranked = np.take_along_axis(gains, order, axis=1)
+    # A zero-gain antenna adds an exact 0, not 0 * inf.
+    contrib = np.multiply(ranked, np.sqrt(p_max), out=np.zeros((n, m)), where=ranked > 0.0)
+    cumulative = np.cumsum(contrib, axis=1)
+    total = cumulative[:, -1]
+    short = total < target
+    if short.any():
+        r = int(np.argmax(short))
         raise InfeasibleError(
             f"QoS unreachable even with all antennas saturated: "
-            f"sum |h_m| p_max^(1/2) = {total:.6g} < target {target:.6g} "
-            f"(deficit {target - total:.6g})",
-            deficit=float(target - total),
+            f"sum |h_m| p_max^(1/2) = {total[r]:.6g} < target {target[r]:.6g} "
+            f"(deficit {target[r] - total[r]:.6g})"
         )
-    last = int(np.searchsorted(cumulative, target))
-    powers = np.zeros(h.shape[0])
-    powers[order[:last]] = p_max
-    already = cumulative[last - 1] if last > 0 else 0.0
-    powers[order[last]] = ((target - already) / gains[order[last]]) ** 2
-    w = np.zeros(h.shape[0], dtype=complex)
-    hot = powers > 0.0
-    w[hot] = np.sqrt(powers[hot]) * np.conj(h[hot]) / gains[hot]
-    w = w[None, :, None]
-    return PrecoderSolution(w)
+    rows = np.arange(n)
+    last = np.argmax(cumulative >= target[:, None], axis=1)
+    already = np.where(last > 0, cumulative[rows, last - 1], 0.0)
+    ranked_powers = np.where(np.arange(m) < last[:, None], p_max, 0.0)
+    ranked_powers[rows, last] = ((target - already) / ranked[rows, last]) ** 2
+    powers = np.empty((n, m))
+    np.put_along_axis(powers, order, ranked_powers, axis=1)
+    w = np.zeros((n, m), dtype=complex)
+    np.divide(np.sqrt(powers) * h.conj(), gains, out=w, where=powers > 0.0)
+    return _closed_form(w[:, None, :, None])
 
 
-def los_allocation_precoder(
-    channel: ChannelRealization,
-    gamma: float,
-    noise_std: float,
-    weights,
-) -> PrecoderSolution:
-    """Single-user LOS precoder realizing a chosen power split.
+def los_allocation_precoders(channels, qos_list, weights) -> PrecoderSolution:
+    """Single-user LOS precoders realizing chosen power splits.
 
-    Any nonnegative ``weights`` summing to one give an optimal solution:
-    p_m^(1/2) = weights_m * noise_std * gamma^(1/2), so the PA consumption is
-    invariant to the split. Phases are conjugate-matched per subcarrier.
+    ``channels`` and ``qos_list`` are K=1 instances of one channel shape and
+    dtype with unit-modulus channel entries. Row r of the (R, M) ``weights``
+    is nonnegative, sums to one and sets p_m^(1/2) = weights_m * noise_std *
+    gamma^(1/2) in instance r. Every such split is optimal, so the PA
+    consumption is invariant to it. The precoders are the weighted-ZF kernel
+    at powers ``weights**2``: at K=1 on a LOS channel that kernel is this
+    split, conjugate-phased on each subcarrier.
     """
-    if channel.k_users != 1:
+    h, rhs = _stack(channels, qos_list)
+    n, _, k, m = h.shape
+    if k != 1:
         raise DimensionError("LOS allocation precoder is single-user only")
-    _check_scalar_targets(gamma, noise_std)
-    h = channel.per_subcarrier[:, 0, :]
     if not np.allclose(np.abs(h), 1.0, atol=1e-9):
         raise DomainError("channel entries are not unit modulus; not a LOS channel")
-    weights = np.atleast_1d(np.asarray(weights, dtype=float))
-    if weights.shape[0] != channel.m_antennas:
-        raise DimensionError("weights length must match the antenna count")
-    if np.any(weights < 0.0):
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (n, m):
+        raise DimensionError(f"weights must have shape (R, M) = ({n}, {m}), got {weights.shape}")
+    if not np.all(weights >= 0.0):
         raise DomainError("weights must be non-negative")
-    if abs(weights.sum() - 1.0) > 1e-9:
-        raise DomainError(f"weights must sum to 1, got {weights.sum()!r}")
-    q = channel.subcarriers
-    sqrt_p = weights * noise_std * np.sqrt(gamma)
-    # Per-subcarrier normalization keeps the QoS product exact even under
-    # floating-point weight rounding.
-    denom = np.abs(h) ** 2 @ sqrt_p
-    scale = noise_std * np.sqrt(gamma / q)
-    w = scale * sqrt_p[None, :] * np.conj(h) / denom[:, None]
-    w = w[:, :, None]
-    return PrecoderSolution(w)
+    sums = weights.sum(axis=1)
+    if not np.all(abs(sums - 1.0) <= 1e-9):
+        raise DomainError(f"each row of weights must sum to 1, got {sums!r}")
+    return _closed_form(_weighted_zf(h, rhs, np.arange(n), np.square(weights)))

@@ -34,7 +34,7 @@ from energymimo.oracle import (
     mc_inverse_wishart_trace,
     solve_min_pa_bruteforce,
 )
-from energymimo.precoding import los_allocation_precoder
+from energymimo.precoding import los_allocation_precoders
 
 from conftest import NOISE_POWER, draw_cell_instance
 
@@ -115,14 +115,14 @@ def test_criterion_04_los_invariance(table_pa):
     gamma, sigma = 6.5, np.sqrt(NOISE_POWER)
     expected = table_pa.alpha * sigma * np.sqrt(gamma)
     qos_scale = sigma * np.sqrt(gamma / 4.0)
-    for _ in range(20):
-        w = rng.random(8)
-        w /= w.sum()
-        sol = los_allocation_precoder(channel, gamma, sigma, w)
-        value = pa_consumed_power(sol.powers, table_pa)
+    qos = QosTargets(gamma=[gamma], noise_power=NOISE_POWER, subcarriers=4)
+    w = rng.random((20, 8))
+    w /= w.sum(axis=1, keepdims=True)
+    sol = los_allocation_precoders([channel] * 20, [qos] * 20, w)
+    for value in pa_consumed_power(sol.powers, table_pa):
         assert value == pytest.approx(expected, rel=1e-12)
-        prods = channel.per_subcarrier @ sol.matrices
-        assert np.allclose(np.abs(prods), qos_scale, rtol=1e-9)
+    prods = channel.per_subcarrier @ sol.matrices
+    assert np.allclose(np.abs(prods), qos_scale, rtol=1e-9)
     _report(4, f"p_PAs invariant at {expected:.6g} W across 20 random splits")
 
 

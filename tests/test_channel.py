@@ -127,12 +127,6 @@ def test_los_channel_unit_modulus():
     assert np.sum(np.abs(ch.per_subcarrier[0, 0]) ** 2) == pytest.approx(4.0)
 
 
-def test_los_channel_phase_zero_option():
-    rng = np.random.default_rng(18)
-    ch = draw_los_channel(3, 2, 2, rng, random_phases=False)
-    assert np.allclose(ch.per_subcarrier, 1.0)
-
-
 def test_qos_targets_validation():
     qos = QosTargets(gamma=[2.0, 4.0], noise_power=1e-12, subcarriers=4)
     assert qos.k_users == 2

@@ -11,7 +11,7 @@ from energymimo import (
     QosTargets,
     min_pa_precoders,
     pa_consumed_power,
-    single_user_saturating_precoder,
+    saturating_precoders,
     zf_precoders,
 )
 from energymimo.channel import ChannelRealization, draw_los_channel
@@ -29,11 +29,9 @@ def test_bruteforce_matches_single_user_closed_form(table_pa):
     rng = np.random.default_rng(50)
     channel, qos = draw_cell_instance(5, 1, 1, rng)
     result = solve_min_pa_bruteforce(channel, qos, table_pa)
-    closed = single_user_saturating_precoder(
-        channel.per_subcarrier[0, 0, :], float(qos.gamma[0]), qos.noise_std, np.inf
-    )
+    closed = saturating_precoders([channel], [qos], np.inf)
     assert result.objective == pytest.approx(
-        pa_consumed_power(closed.powers, table_pa), rel=1e-5
+        pa_consumed_power(closed.powers[0], table_pa), rel=1e-5
     )
     assert result.certificate[0] <= 1e-8
 

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,11 @@ from energymimo import (
     ChannelRealization,
     FixedPointConfig,
     QosTargets,
-    los_allocation_precoder,
+    los_allocation_precoders,
     min_pa_precoders,
     pa_consumed_power,
     per_antenna_powers,
-    single_user_saturating_precoder,
+    saturating_precoders,
     zf_precoders,
 )
 from energymimo.channel import draw_los_channel
@@ -33,6 +35,15 @@ def narrowband_channel(h_rows):
     return ChannelRealization(
         per_subcarrier=h[None, :, :], large_scale=np.ones(h.shape[0])
     )
+
+
+uncapped_saturating = partial(saturating_precoders, p_max=np.inf)
+
+
+def saturating(h, gamma, noise_std, p_max):
+    """The saturating fill of one narrowband K=1 channel ``h``, as an R=1 stack."""
+    qos = QosTargets(gamma=[gamma], noise_power=noise_std**2)
+    return saturating_precoders([narrowband_channel(h)], [qos], p_max)
 
 
 def zf_residual(channel, qos, matrices):
@@ -171,8 +182,8 @@ def test_min_pa_narrowband_single_user_closed_form():
     qos = QosTargets(gamma=[6.0], noise_power=1.0)
     cfg = FixedPointConfig(tolerance=1e-12, max_iterations=50_000)
     iterated = min_pa_precoders([narrowband_channel(h[None, :])], [qos], cfg)
-    closed = single_user_saturating_precoder(h, 6.0, 1.0, np.inf)
-    assert iterated.powers[0] == pytest.approx(closed.powers, rel=1e-5, abs=1e-9)
+    closed = uncapped_saturating([narrowband_channel(h[None, :])], [qos])
+    assert iterated.powers[0] == pytest.approx(closed.powers[0], rel=1e-5, abs=1e-9)
 
 
 def unit_instance(seed, subcarriers, m_antennas=6):
@@ -425,6 +436,16 @@ def test_stacked_zf_equals_one_at_a_time():
         stacked = zf_precoders(*zip(*group))
         for r, (channel, qos) in enumerate(group):
             assert_same_row(stacked, r, zf_precoders([channel], [qos]))
+    # The saturating closed form too, with the cap slack and with it binding
+    # in every row (a third of the smallest uncapped peak power).
+    channels, targets = zip(*(draw_cell_instance(8, 1, 1, rng) for _ in range(5)))
+    cap = uncapped_saturating(channels, targets).powers.max(axis=1).min() / 3
+    for p_max in (np.inf, cap):
+        stacked = saturating_precoders(channels, targets, p_max)
+        active = np.count_nonzero(stacked.powers, axis=1)
+        assert np.all(active == 1) if p_max == np.inf else np.all(active > 1)
+        for r, (channel, qos) in enumerate(zip(channels, targets)):
+            assert_same_row(stacked, r, saturating_precoders([channel], [qos], p_max))
 
 
 def test_condition_guard_is_per_realization():
@@ -472,20 +493,37 @@ def test_stacked_errors_name_the_realization():
         assert str(err.value).startswith("realization 2: ")
     with pytest.raises(DimensionError):
         min_pa_precoders([good, good], [qos])
+    # The saturating fill reports the first instance that falls short, with
+    # the message its solve alone gives.
+    one, one_qos = draw_cell_instance(4, 1, 1, rng)
+    weak, faint = (
+        ChannelRealization(scale * one.per_subcarrier, one.large_scale) for scale in (1e-3, 1e-4)
+    )
+    with pytest.raises(InfeasibleError) as alone:
+        saturating_precoders([weak], [one_qos], 1.0)
+    with pytest.raises(InfeasibleError) as err:
+        saturating_precoders([one, weak, faint, one], [one_qos] * 4, 1.0)
+    assert str(err.value) == str(alone.value)
+    with pytest.raises(DimensionError):
+        uncapped_saturating([one, one], [one_qos])
 
 
 def test_non_finite_channel_entry_names_the_instance():
     rng = np.random.default_rng(39)
-    instances = [draw_cell_instance(6, 2, 3, rng) for _ in range(3)]
-    qos_list = [qos for _, qos in instances]
-    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
-        h = instances[1][0].per_subcarrier.copy()
-        h[2, 1, 4] = bad
-        channels = [instances[0][0], ChannelRealization(h, instances[1][0].large_scale),
-                    instances[2][0]]
-        for solve in (zf_precoders, min_pa_precoders):
-            with pytest.raises(DomainError, match="instance 1 "):
-                solve(channels, qos_list)
+    for k_users, subcarriers, solvers in (
+        (2, 3, (zf_precoders, min_pa_precoders)),
+        (1, 1, (zf_precoders, min_pa_precoders, uncapped_saturating)),
+    ):
+        instances = [draw_cell_instance(6, k_users, subcarriers, rng) for _ in range(3)]
+        qos_list = [qos for _, qos in instances]
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            h = instances[1][0].per_subcarrier.copy()
+            h[-1, -1, 4] = bad
+            channels = [instances[0][0], ChannelRealization(h, instances[1][0].large_scale),
+                        instances[2][0]]
+            for solve in solvers:
+                with pytest.raises(DomainError, match="instance 1 "):
+                    solve(channels, qos_list)
 
 
 def test_guard_refuses_an_overflowed_gram():
@@ -503,30 +541,43 @@ def test_guard_refuses_an_overflowed_gram():
         with pytest.raises(SingularChannelError) as err:
             _guard_gram(gram, np.array([7, 8, 9]))
         assert err.value.realization == 8
+        assert err.value.reason == (
+            "Gram condition estimate is not finite (NaN or overflowed Gram entries)"
+        )
         for solve in (zf_precoders, min_pa_precoders):
             with pytest.raises(SingularChannelError) as err:
                 solve(channels, [qos] * 3)
             assert err.value.realization == 1
+            assert "estimate is not finite" in str(err.value)
 
 
 def test_stacked_solvers_need_one_channel_shape_and_dtype():
     rng = np.random.default_rng(38)
-    narrow, qos = draw_cell_instance(6, 2, 1, rng)
-    other_m, _ = draw_cell_instance(7, 2, 1, rng)
-    wide, wide_qos = draw_cell_instance(6, 2, 3, rng)
-    single = ChannelRealization(
-        per_subcarrier=narrow.per_subcarrier.astype(np.complex64),
-        large_scale=narrow.large_scale,
-    )
-    for solve in (zf_precoders, min_pa_precoders):
-        for channels, targets in (
-            ([narrow, other_m], [qos, qos]),
-            ([narrow, wide], [qos, wide_qos]),
-            ([narrow, single], [qos, qos]),
-            ([], []),
-        ):
-            with pytest.raises(DimensionError):
-                solve(channels, targets)
+    for k_users, solvers in (
+        (2, (zf_precoders, min_pa_precoders)),
+        (1, (zf_precoders, min_pa_precoders, uncapped_saturating)),
+    ):
+        narrow, qos = draw_cell_instance(6, k_users, 1, rng)
+        other_m, _ = draw_cell_instance(7, k_users, 1, rng)
+        wide, wide_qos = draw_cell_instance(6, k_users, 3, rng)
+        single = ChannelRealization(
+            per_subcarrier=narrow.per_subcarrier.astype(np.complex64),
+            large_scale=narrow.large_scale,
+        )
+        for solve in solvers:
+            for channels, targets in (
+                ([narrow, other_m], [qos, qos]),
+                ([narrow, wide], [qos, wide_qos]),
+                ([narrow, single], [qos, qos]),
+                ([], []),
+            ):
+                with pytest.raises(DimensionError):
+                    solve(channels, targets)
+    # The saturating fill takes K=1, Q=1 instances only.
+    for k_users, subcarriers in ((2, 1), (1, 3)):
+        channel, qos = draw_cell_instance(6, k_users, subcarriers, rng)
+        with pytest.raises(DimensionError, match="K=1 and Q=1"):
+            uncapped_saturating([channel] * 2, [qos] * 2)
 
 
 def test_error_names_the_realization_after_others_converge():
@@ -544,12 +595,12 @@ def test_error_names_the_realization_after_others_converge():
 
 def test_single_user_narrowband_examples():
     # Without a cap the saturating precoder is the narrowband optimum.
-    sol = single_user_saturating_precoder([1.0], 4.0, 1.0, np.inf)
+    sol = saturating([1.0], 4.0, 1.0, np.inf)
     assert sol.matrices.ravel() == pytest.approx([2.0])
-    sol2 = single_user_saturating_precoder([2.0, 1.0], 4.0, 1.0, np.inf)
-    assert sol2.powers == pytest.approx([1.0, 0.0])
-    tie = single_user_saturating_precoder([1.0, 1.0], 4.0, 1.0, np.inf)
-    assert np.flatnonzero(tie.powers).tolist() == [0]
+    sol2 = saturating([2.0, 1.0], 4.0, 1.0, np.inf)
+    assert sol2.powers[0] == pytest.approx([1.0, 0.0])
+    tie = saturating([1.0, 1.0], 4.0, 1.0, np.inf)
+    assert np.flatnonzero(tie.powers[0]).tolist() == [0]
     # selecting the other tied antenna consumes exactly the same power
     manual = np.zeros(2, dtype=complex)
     manual[1] = 2.0
@@ -557,99 +608,170 @@ def test_single_user_narrowband_examples():
         np.sqrt(per_antenna_powers(manual[None, :, None]).sum())
     )
     with pytest.raises(InfeasibleError):
-        single_user_saturating_precoder([0.0, 0.0], 4.0, 1.0, np.inf)
+        saturating([0.0, 0.0], 4.0, 1.0, np.inf)
     with pytest.raises(DimensionError):
-        single_user_saturating_precoder(np.ones((2, 2)), 4.0, 1.0, np.inf)
+        saturating(np.ones((2, 2)), 4.0, 1.0, np.inf)
+    for p_max in (0.0, -1.0, np.nan):
+        with pytest.raises(DomainError, match="p_max must be positive"):
+            saturating([1.0, 1.0], 4.0, 1.0, p_max)
 
 
 def test_saturating_matches_unconstrained_when_slack():
     rng = np.random.default_rng(28)
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    free = single_user_saturating_precoder(h, 2.0, 0.5, np.inf)
-    capped = single_user_saturating_precoder(h, 2.0, 0.5, p_max=1e9)
+    free = saturating(h, 2.0, 0.5, np.inf)
+    capped = saturating(h, 2.0, 0.5, p_max=1e9)
     assert capped.powers == pytest.approx(free.powers)
 
 
 def test_saturating_partial_fill():
     # target 1.5 with unit gains: one saturated antenna plus p = 0.25.
-    sol = single_user_saturating_precoder([1.0, 1.0], gamma=2.25, noise_std=1.0, p_max=1.0)
-    assert np.sort(sol.powers)[::-1] == pytest.approx([1.0, 0.25])
+    sol = saturating([1.0, 1.0], gamma=2.25, noise_std=1.0, p_max=1.0)
+    assert np.sort(sol.powers[0])[::-1] == pytest.approx([1.0, 0.25])
     assert np.max(sol.powers) <= 1.0
 
 
 def test_saturating_boundary_uses_all_antennas():
     # sum |h| sqrt(p_max) equals the target exactly.
-    sol = single_user_saturating_precoder([1.0, 2.0], gamma=9.0, noise_std=1.0, p_max=1.0)
-    assert sol.powers == pytest.approx([1.0, 1.0])
+    sol = saturating([1.0, 2.0], gamma=9.0, noise_std=1.0, p_max=1.0)
+    assert sol.powers[0] == pytest.approx([1.0, 1.0])
 
 
 def test_saturating_infeasible_reports_deficit():
-    with pytest.raises(InfeasibleError) as err:
-        single_user_saturating_precoder([1.0], gamma=9.0, noise_std=1.0, p_max=1.0)
-    assert err.value.deficit == pytest.approx(2.0)
+    with pytest.raises(InfeasibleError, match=r"\(deficit 2\)"):
+        saturating([1.0], gamma=9.0, noise_std=1.0, p_max=1.0)
 
 
 def test_saturating_meets_qos():
     rng = np.random.default_rng(29)
     h = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     gamma, sigma = 4.0, 1.0  # several antennas needed, still feasible
-    sol = single_user_saturating_precoder(h, gamma, sigma, p_max=1.0)
-    achieved = abs(h @ sol.matrices[0, :, 0])
+    sol = saturating(h, gamma, sigma, p_max=1.0)
+    achieved = abs(h @ sol.matrices[0, 0, :, 0])
     assert achieved == pytest.approx(sigma * np.sqrt(gamma), rel=1e-12)
     assert np.max(sol.powers) <= 1.0 + 1e-15
     assert np.count_nonzero(sol.powers) > 1
+    assert sol.converged.tolist() == [True]
+    assert sol.iterations.tolist() == [0] and sol.residual.tolist() == [0.0]
+
+
+def reference_saturating(h, target, p_max):
+    """The saturating fill of one channel row as a loop over antennas by gain.
+
+    Returns the (M,) precoder, or None when the saturated sum falls short.
+    """
+    gains = np.abs(h)
+    powers = np.zeros(len(h))
+    reached = 0.0
+    for m in np.argsort(-gains, kind="stable"):
+        if gains[m] == 0.0:  # so are the remaining ones
+            return None
+        if reached + gains[m] * np.sqrt(p_max) >= target:
+            powers[m] = ((target - reached) / gains[m]) ** 2
+            break
+        powers[m] = p_max
+        reached = reached + gains[m] * np.sqrt(p_max)
+    else:
+        return None
+    w = np.zeros(len(h), dtype=complex)
+    hot = powers > 0.0
+    w[hot] = np.sqrt(powers[hot]) * np.conj(h[hot]) / gains[hot]
+    return w
+
+
+def test_saturating_equals_reference_loop():
+    # Random stacks with zero gains, tied gains and caps from slack to
+    # infeasible: every feasible stack equals the loop bit for bit, and an
+    # infeasible one raises for its first short row.
+    rng = np.random.default_rng(41)
+    outcomes = set()
+    for _ in range(300):
+        r, m = rng.integers(1, 6), rng.integers(1, 20)
+        h = rng.standard_normal((r, m)) + 1j * rng.standard_normal((r, m))
+        h *= 10 ** rng.uniform(-3, 1)
+        h[rng.random((r, m)) < 0.15] = 0.0
+        if rng.random() < 0.3:
+            h[:, 1::2] = h[:, ::2][:, :m // 2]
+        p_max = (np.inf, 5.0, 1.0, 0.3)[rng.integers(4)]
+        noise = 10 ** rng.uniform(-2, 0.5)
+        qos_list = [QosTargets([g], noise) for g in 10 ** rng.uniform(-2, 1.5, r)]
+        channels = [narrowband_channel(row) for row in h]
+        expected = [
+            reference_saturating(row, qos.noise_std * np.sqrt(qos.gamma[0]), p_max)
+            for row, qos in zip(h, qos_list)
+        ]
+        short = [i for i, w in enumerate(expected) if w is None]
+        if short:
+            with pytest.raises(InfeasibleError) as err:
+                saturating_precoders(channels, qos_list, p_max)
+            with pytest.raises(InfeasibleError) as alone:
+                saturating_precoders([channels[short[0]]], [qos_list[short[0]]], p_max)
+            assert str(err.value) == str(alone.value)
+        else:
+            matrices = saturating_precoders(channels, qos_list, p_max).matrices
+            assert np.array_equal(matrices[:, 0, :, 0], np.stack(expected))
+        outcomes.add(bool(short))
+    assert outcomes == {False, True}
 
 
 def test_los_allocation_corner_and_uniform():
     rng = np.random.default_rng(30)
     channel = draw_los_channel(4, 1, 2, rng)
     gamma, sigma = 5.0, 2.0
+    qos = QosTargets(gamma=[gamma], noise_power=sigma**2, subcarriers=2)
     corner = np.zeros(4)
     corner[0] = 1.0
-    sol = los_allocation_precoder(channel, gamma, sigma, corner)
-    assert sol.powers[0] == pytest.approx(sigma**2 * gamma)
-    assert sol.powers[1:] == pytest.approx(np.zeros(3))
-    uniform = los_allocation_precoder(channel, gamma, sigma, np.full(4, 0.25))
-    assert uniform.powers == pytest.approx(np.full(4, sigma**2 * gamma / 16.0))
+    sol = los_allocation_precoders([channel] * 2, [qos] * 2, [corner, np.full(4, 0.25)])
+    assert sol.powers[0, 0] == pytest.approx(sigma**2 * gamma)
+    assert sol.powers[0, 1:] == pytest.approx(np.zeros(3))
+    assert sol.powers[1] == pytest.approx(np.full(4, sigma**2 * gamma / 16.0))
 
 
 def test_los_allocation_invariant_consumption(table_pa):
     rng = np.random.default_rng(31)
     channel = draw_los_channel(6, 1, 4, rng)
     gamma, sigma = 7.0, 1.5
+    qos = QosTargets(gamma=[gamma], noise_power=sigma**2, subcarriers=4)
     rng2 = np.random.default_rng(32)
-    values = []
-    for _ in range(4):
-        w = rng2.random(6)
-        w /= w.sum()
-        sol = los_allocation_precoder(channel, gamma, sigma, w)
-        values.append(pa_consumed_power(sol.powers, table_pa))
+    w = rng2.random((4, 6))
+    w /= w.sum(axis=1, keepdims=True)
+    sol = los_allocation_precoders([channel] * 4, [qos] * 4, w)
+    values = pa_consumed_power(sol.powers, table_pa)
     expected = table_pa.alpha * sigma * np.sqrt(gamma)
     for v in values:
         assert v == pytest.approx(expected, rel=1e-12)
+    for r in range(4):
+        assert_same_row(sol, r, los_allocation_precoders([channel], [qos], w[r:r + 1]))
 
 
 def test_los_allocation_rejects_bad_inputs():
     rng = np.random.default_rng(33)
     channel = draw_los_channel(3, 1, 2, rng)
-    with pytest.raises(DomainError):
-        los_allocation_precoder(channel, 2.0, 1.0, [0.5, 0.2, 0.2])
-    with pytest.raises(DomainError):
-        los_allocation_precoder(channel, 2.0, 1.0, [1.5, -0.25, -0.25])
+    qos = QosTargets(gamma=[2.0], noise_power=1.0, subcarriers=2)
+    for weights in ([0.5, 0.2, 0.2], [1.5, -0.25, -0.25], [np.nan, 0.5, 0.5]):
+        with pytest.raises(DomainError):
+            los_allocation_precoders([channel], [qos], [weights])
     bad = ChannelRealization(
         per_subcarrier=np.full((1, 1, 3), 2.0 + 0j), large_scale=np.ones(1)
     )
     with pytest.raises(DomainError):
-        los_allocation_precoder(bad, 2.0, 1.0, np.full(3, 1 / 3))
+        los_allocation_precoders([bad], [QosTargets([2.0], 1.0)], np.full((1, 3), 1 / 3))
+    with pytest.raises(DimensionError):
+        los_allocation_precoders([channel], [qos], np.full(3, 1 / 3))
+    two_users = draw_los_channel(3, 2, 2, rng)
+    with pytest.raises(DimensionError):
+        los_allocation_precoders(
+            [two_users], [QosTargets([2.0, 2.0], 1.0, 2)], np.full((1, 3), 1 / 3)
+        )
 
 
 def test_los_allocation_meets_per_subcarrier_qos():
     rng = np.random.default_rng(34)
     channel = draw_los_channel(5, 1, 8, rng)
     gamma, sigma = 4.0, 1.0
-    w = np.full(5, 0.2)
-    sol = los_allocation_precoder(channel, gamma, sigma, w)
-    prods = channel.per_subcarrier @ sol.matrices
+    qos = QosTargets(gamma=[gamma], noise_power=sigma**2, subcarriers=8)
+    sol = los_allocation_precoders([channel], [qos], np.full((1, 5), 0.2))
+    prods = channel.per_subcarrier @ sol.matrices[0]
     assert np.allclose(np.abs(prods), sigma * np.sqrt(gamma / 8.0), rtol=1e-12)
 
 

@@ -16,7 +16,7 @@ from energymimo import (
     zf_precoders,
 )
 from energymimo.channel import draw_los_channel, draw_rayleigh_channel
-from energymimo.precoding import los_allocation_precoder
+from energymimo.precoding import los_allocation_precoders
 
 from conftest import draw_cell_instance
 
@@ -103,8 +103,8 @@ def test_los_consumption_invariant_to_weights(table_pa, seed):
     channel = draw_los_channel(5, 1, 3, rng)
     w = rng.random(5) + 1e-3
     w /= w.sum()
-    sol = los_allocation_precoder(channel, 6.0, 1.0, w)
-    assert pa_consumed_power(sol.powers, table_pa) == pytest.approx(
+    sol = los_allocation_precoders([channel], [QosTargets([6.0], 1.0, 3)], w[None])
+    assert pa_consumed_power(sol.powers[0], table_pa) == pytest.approx(
         table_pa.alpha * np.sqrt(6.0), rel=1e-12
     )
 
