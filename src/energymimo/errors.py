@@ -13,8 +13,8 @@ class DomainError(EnergyMimoError, ValueError):
     """A numeric argument is outside its physical domain."""
 
 
-class SingularChannelError(EnergyMimoError):
-    """The user-side Gram matrix is rank deficient or too ill-conditioned.
+class RealizationError(EnergyMimoError):
+    """A failure of one instance of a stacked solve.
 
     ``realization`` is the index of the offending instance when the solve
     covered several (the message then starts with it); ``reason`` is the
@@ -28,7 +28,11 @@ class SingularChannelError(EnergyMimoError):
         self.realization = realization
 
 
-class InfeasibleError(EnergyMimoError):
+class SingularChannelError(RealizationError):
+    """The user-side Gram matrix is rank deficient or too ill-conditioned."""
+
+
+class InfeasibleError(RealizationError):
     """The QoS targets cannot be met under the given power constraints."""
 
 

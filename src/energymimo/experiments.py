@@ -45,7 +45,7 @@ from .channel import (
 )
 from .config import AS1_PRECODERS, ExperimentConfig
 from .errors import (
-    ConfigError, EnergyMimoError, InfeasibleError, OracleSizeError, SingularChannelError,
+    ConfigError, EnergyMimoError, InfeasibleError, OracleSizeError, RealizationError,
 )
 from .model import bs_consumed_power, gain_metrics, pa_consumed_power
 from .precoding import (
@@ -123,11 +123,11 @@ def _draw_block(cfg: ExperimentConfig, block: range, subcarriers: int):
 
 @contextmanager
 def _global_index(block: range):
-    """Re-label a stacked solve's SingularChannelError with the realization index."""
+    """Re-label a stacked solve's failed instance with its realization index."""
     try:
         yield
-    except SingularChannelError as exc:
-        raise SingularChannelError(exc.reason, realization=block[exc.realization]) from exc
+    except RealizationError as exc:
+        raise type(exc)(exc.reason, realization=block[exc.realization]) from exc
 
 
 def _solve_block(name: str, channels, qos_list, cfg: ExperimentConfig) -> PrecoderSolution:

@@ -194,8 +194,11 @@ def estimate_flops(
     """Complex flop count of one precoder computation.
 
     The per-subcarrier base covers the weighted Gram build, its Cholesky
-    solve and the final QoS scaling; the proposed solver additionally pays
-    the power-update bookkeeping on every one of its ``iterations``. The
+    solve and the final QoS scaling, as the paper's complexity table counts
+    them. ``precoding`` inverts the Gram by LAPACK or, on instances with
+    many subcarriers, by a Gauss-Jordan sweep of the same K^3 order; the
+    count does not follow that choice. The proposed solver additionally
+    pays the power-update bookkeeping on every one of its ``iterations``. The
     narrowband count is the wideband one at Q = 1; the asymptotic count is
     the conventional per-subcarrier form evaluated at whatever antenna count
     is passed in (the active subset for the proposed strategy).

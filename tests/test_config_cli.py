@@ -219,8 +219,9 @@ def assert_same_cells(rows, expected):
         (("zf", "min_pa", "saturating"), {"m_antennas": 8, "k_users": 1, "seed": 5}),
         (("min_pa",), {"m_antennas": 8, "k_users": 2, "subcarriers": 2, "seed": 6}),
         (("zf", "min_pa"), {"m_antennas": 16, "k_users": 2, "p_max_watts": 1e-6, "seed": 7}),
+        (("zf", "min_pa"), {"m_antennas": 8, "k_users": 2, "subcarriers": 32, "seed": 8}),
     ],
-    ids=["three_solvers", "min_pa_alone", "all_discarded"],
+    ids=["three_solvers", "min_pa_alone", "all_discarded", "swept_grams"],
 )
 def test_run_equals_reference_loop(monkeypatch, precoders, scenario):
     cfg = with_scenario(ExperimentConfig(realizations=12, precoders=precoders), **scenario)
@@ -260,13 +261,25 @@ def test_convergence_equals_reference_loop(monkeypatch, knobs, scenario, has_ora
     assert ("mean_final_dist_sq" in summary) == has_oracle
 
 
-def test_cli_infeasible_scenario_exit_code(tmp_path):
+def test_cli_infeasible_scenario_exit_code(tmp_path, monkeypatch, capsys):
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text(
         "m_antennas = 4\nk_users = 1\nrealizations = 1\nseed = 0\n"
         "precoders = saturating\np_max_watts = 1e-9\n"
     )
     assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "infeasible scenario: realization 0: QoS unreachable" in capsys.readouterr().err
+    # Realization 17 is the first whose saturated sum falls short. In blocks
+    # of five it is the third member of the fourth block.
+    cfgfile.write_text(
+        "m_antennas = 8\nk_users = 1\nsubcarriers = 1\nrealizations = 20\nseed = 11\n"
+        "precoders = zf, min_pa, saturating\np_max_watts = 0.05\n"
+    )
+    for block_elements in (experiments.BLOCK_ELEMENTS, 5 * 8):
+        monkeypatch.setattr(experiments, "BLOCK_ELEMENTS", block_elements)
+        assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible scenario: realization 17: QoS unreachable"), err
 
 
 def test_cli_run_writes_deterministic_csv(tmp_path):

@@ -24,6 +24,7 @@ from energymimo.precoding import (
     _packed_products,
     _power_map,
     _stack,
+    _sweep_inverse,
     _weighted_zf,
 )
 
@@ -221,20 +222,25 @@ def groups_by_shape(instances):
 def test_stacked_min_pa_equals_one_at_a_time():
     # Narrowband instances that prune (seeds 40, 43, 48) and one that needs
     # ~1500 iterations (seed 42) share a stack; the Q=4 ones form another.
+    # The Q=32 ones invert their Grams by the sweep, and leave its working
+    # set one at a time, the last at the iteration budget.
     cfg = FixedPointConfig(tolerance=1e-10, max_iterations=300, record_history=True)
     instances = [
         unit_instance(40, 1), unit_instance(44, 4), unit_instance(42, 1),
         unit_instance(43, 1), unit_instance(45, 4), unit_instance(48, 1),
+        unit_instance(46, 32), unit_instance(47, 32), unit_instance(48, 32),
     ]
-    narrowband, wideband = groups_by_shape(instances)  # seeds 40, 42, 43, 48 | 44, 45
-    stacks = [min_pa_precoders(*zip(*group), cfg) for group in (narrowband, wideband)]
-    for group, stacked in zip((narrowband, wideband), stacks):
+    groups = groups_by_shape(instances)  # seeds 40, 42, 43, 48 | 44, 45 | 46, 47, 48
+    stacks = [min_pa_precoders(*zip(*group), cfg) for group in groups]
+    for group, stacked in zip(groups, stacks):
         assert stacked.matrices.shape[0] == len(group)
         for r, (channel, qos) in enumerate(group):
             alone = min_pa_precoders([channel], [qos], cfg)
             assert_same_row(stacked, r, alone)
             assert zf_residual(channel, qos, alone.matrices[0]) <= ZF_TOLERANCE
-    narrow, wide = stacks
+    narrow, wide, swept = stacks
+    assert swept.converged.tolist() == [True, True, False]
+    assert swept.iterations[0] < swept.iterations[1] < cfg.max_iterations
     assert not narrow.converged[1]
     assert narrow.iterations[1] == cfg.max_iterations
     fast = [0, 2, 3]
@@ -408,30 +414,38 @@ def test_power_map_just_inside_the_condition_limit():
         diag = np.abs(np.diagonal(chol, axis1=1, axis2=2))
         return (diag.max() / diag.min()) ** 2
 
-    channels = [near_limit_channel(seed) for seed in range(61, 69)]
-    for channel in channels:
+    narrowband = [near_limit_channel(seed) for seed in range(61, 69)]
+    for channel in narrowband:
         estimate = condition_estimate(channel.per_subcarrier)
         assert 0.5 * GRAM_CONDITION_LIMIT < estimate < GRAM_CONDITION_LIMIT
-    targets = [QosTargets(gamma=[4.0, 4.0], noise_power=1.0)] * len(channels)
-    h, rhs = _stack(channels, targets)
-    p = np.ones((len(channels), 8))
-    mapped = _power_map(_packed_products(h), squared_targets(rhs), p, np.arange(len(channels)))
-    assert np.all(np.isfinite(mapped)) and np.all(mapped >= 0.0)
-    assert np.all(mapped[:, 1:] > 0.0)
-
-    # The kernel inverts the same Grams: its ZF residual |HW - D| / |D| stays
-    # within rounding of the condition estimate.
     eps = np.finfo(float).eps
-    zf = zf_precoders(channels, targets)
-    for channel, w, d in zip(channels, zf.matrices, rhs):
-        residual = np.linalg.norm(channel.per_subcarrier @ w - d) / np.linalg.norm(d)
-        assert np.isfinite(residual)
-        assert residual <= 16 * eps * condition_estimate(channel.per_subcarrier)
+    # Tiled over 32 subcarriers, the same Grams take the sweep.
+    for subcarriers in (1, 32):
+        channels = [
+            ChannelRealization(np.repeat(c.per_subcarrier, subcarriers, axis=0), c.large_scale)
+            for c in narrowband
+        ]
+        targets = [QosTargets([4.0, 4.0], 1.0, subcarriers)] * len(channels)
+        h, rhs = _stack(channels, targets)
+        p = np.ones((len(channels), 8))
+        mapped = _power_map(_packed_products(h), squared_targets(rhs), p, np.arange(len(channels)))
+        assert np.all(np.isfinite(mapped)) and np.all(mapped >= 0.0)
+        assert np.all(mapped[:, 1:] > 0.0)
+
+        # The kernel inverts the same Grams: its ZF residual |HW - D| / |D| on
+        # each subcarrier stays within rounding of the condition estimate.
+        zf = zf_precoders(channels, targets)
+        for channel, w, d in zip(channels, zf.matrices, rhs):
+            error = np.linalg.norm(channel.per_subcarrier @ w - d, axis=(1, 2))
+            residual = error.max() / np.linalg.norm(d)
+            assert np.isfinite(residual)
+            assert residual <= 16 * eps * condition_estimate(channel.per_subcarrier)
 
 
 def test_stacked_zf_equals_one_at_a_time():
     rng = np.random.default_rng(37)
-    instances = [draw_cell_instance(8, 2, q, rng) for q in (1, 3, 1, 3, 1)]
+    # The Q=32 instances invert by the sweep.
+    instances = [draw_cell_instance(8, 2, q, rng) for q in (1, 3, 32, 1, 3, 32, 1, 32)]
     for group in groups_by_shape(instances):
         stacked = zf_precoders(*zip(*group))
         for r, (channel, qos) in enumerate(group):
@@ -451,35 +465,38 @@ def test_stacked_zf_equals_one_at_a_time():
 def test_condition_guard_is_per_realization():
     # A weak, nearly collinear pair of users next to a strong, well-spread
     # pair: each passes the guard alone, a guard pooled over both would not.
+    # At Q=32 the guard reads the sweep's pivots.
     rng = np.random.default_rng(36)
 
     def gaussian(shape):
         return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
-    g = gaussian((1, 2, 8))
-    g[0, 1] = g[0, 0] + 1e-4 * gaussian(8)
-    weak = ChannelRealization(
-        per_subcarrier=np.sqrt(1e-13) * g, large_scale=np.full(2, 1e-13)
-    )
-    strong = ChannelRealization(
-        per_subcarrier=np.sqrt(1e-7) * gaussian((1, 2, 8)),
-        large_scale=np.full(2, 1e-7),
-    )
-    pooled = np.concatenate([
-        np.abs(np.diagonal(np.linalg.cholesky(h @ h.conj().transpose(0, 2, 1)), axis1=1, axis2=2))
-        for h in (weak.per_subcarrier, strong.per_subcarrier)
-    ], axis=None)
-    assert (pooled.max() / pooled.min()) ** 2 > GRAM_CONDITION_LIMIT
+    for subcarriers in (1, 32):
+        g = gaussian((subcarriers, 2, 8))
+        g[:, 1] = g[:, 0] + 1e-4 * gaussian((subcarriers, 8))
+        weak = ChannelRealization(
+            per_subcarrier=np.sqrt(1e-13) * g, large_scale=np.full(2, 1e-13)
+        )
+        strong = ChannelRealization(
+            per_subcarrier=np.sqrt(1e-7) * gaussian((subcarriers, 2, 8)),
+            large_scale=np.full(2, 1e-7),
+        )
+        pooled = np.concatenate([
+            np.abs(np.diagonal(np.linalg.cholesky(h @ h.conj().transpose(0, 2, 1)), axis1=1,
+                               axis2=2))
+            for h in (weak.per_subcarrier, strong.per_subcarrier)
+        ], axis=None)
+        assert (pooled.max() / pooled.min()) ** 2 > GRAM_CONDITION_LIMIT
 
-    qos = QosTargets(gamma=[4.0, 6.0], noise_power=10.0 ** (-12.6))
-    cfg = FixedPointConfig(max_iterations=50)
-    channels = [weak, strong, weak]
-    stacked = min_pa_precoders(channels, [qos] * 3, cfg)
-    for r, channel in enumerate(channels):
-        assert_same_row(stacked, r, min_pa_precoders([channel], [qos], cfg))
-    stacked = zf_precoders(channels, [qos] * 3)
-    for r, channel in enumerate(channels):
-        assert_same_row(stacked, r, zf_precoders([channel], [qos]))
+        qos = QosTargets(gamma=[4.0, 6.0], noise_power=10.0 ** (-12.6), subcarriers=subcarriers)
+        cfg = FixedPointConfig(max_iterations=50)
+        channels = [weak, strong, weak]
+        stacked = min_pa_precoders(channels, [qos] * 3, cfg)
+        for r, channel in enumerate(channels):
+            assert_same_row(stacked, r, min_pa_precoders([channel], [qos], cfg))
+        stacked = zf_precoders(channels, [qos] * 3)
+        for r, channel in enumerate(channels):
+            assert_same_row(stacked, r, zf_precoders([channel], [qos]))
 
 
 def test_stacked_errors_name_the_realization():
@@ -503,9 +520,21 @@ def test_stacked_errors_name_the_realization():
         saturating_precoders([weak], [one_qos], 1.0)
     with pytest.raises(InfeasibleError) as err:
         saturating_precoders([one, weak, faint, one], [one_qos] * 4, 1.0)
-    assert str(err.value) == str(alone.value)
+    assert err.value.reason == alone.value.reason
+    assert err.value.realization == 1
+    assert str(err.value).startswith("realization 1: ")
     with pytest.raises(DimensionError):
         uncapped_saturating([one, one], [one_qos])
+    # At Q=32 the sweep finds the rank-deficient subcarrier of instance 2.
+    wide, wide_qos = draw_cell_instance(4, 2, 32, rng)
+    h = wide.per_subcarrier.copy()
+    h[17, 1] = h[17, 0]
+    deficient = ChannelRealization(h, wide.large_scale)
+    for solve in (zf_precoders, min_pa_precoders):
+        with pytest.raises(SingularChannelError) as err:
+            solve([wide, wide, deficient, wide], [wide_qos] * 4)
+        assert err.value.realization == 2
+        assert str(err.value).startswith("realization 2: ")
 
 
 def test_non_finite_channel_entry_names_the_instance():
@@ -529,26 +558,54 @@ def test_non_finite_channel_entry_names_the_instance():
 def test_guard_refuses_an_overflowed_gram():
     # Finite channel entries near 1e160 overflow the Gram's products, which
     # come out NaN; the guard must refuse that realization, not pass it on.
+    # At Q=32 the sweep's pivots must say the same.
     rng = np.random.default_rng(40)
-    good, qos = draw_cell_instance(4, 2, 1, rng)
-    huge = ChannelRealization(1e160 * good.per_subcarrier / good.per_subcarrier[0, 0, 0],
-                              good.large_scale)
-    channels = [good, huge, good]
-    h = np.stack([channel.per_subcarrier for channel in channels])
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = h @ h.conj().swapaxes(-1, -2)
-        assert not np.all(np.isfinite(gram[1]))
-        with pytest.raises(SingularChannelError) as err:
-            _guard_gram(gram, np.array([7, 8, 9]))
-        assert err.value.realization == 8
-        assert err.value.reason == (
-            "Gram condition estimate is not finite (NaN or overflowed Gram entries)"
-        )
-        for solve in (zf_precoders, min_pa_precoders):
+    for subcarriers in (1, 32):
+        good, qos = draw_cell_instance(4, 2, subcarriers, rng)
+        huge = ChannelRealization(1e160 * good.per_subcarrier / good.per_subcarrier[0, 0, 0],
+                                  good.large_scale)
+        channels = [good, huge, good]
+        h = np.stack([channel.per_subcarrier for channel in channels])
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = h @ h.conj().swapaxes(-1, -2)
+            assert not np.all(np.isfinite(gram[1]))
             with pytest.raises(SingularChannelError) as err:
-                solve(channels, [qos] * 3)
-            assert err.value.realization == 1
-            assert "estimate is not finite" in str(err.value)
+                _guard_gram(gram, np.array([7, 8, 9]))
+            assert err.value.realization == 8
+            assert err.value.reason == (
+                "Gram condition estimate is not finite (NaN or overflowed Gram entries)"
+            )
+            for solve in (zf_precoders, min_pa_precoders):
+                with pytest.raises(SingularChannelError) as err:
+                    solve(channels, [qos] * 3)
+                assert err.value.realization == 1
+                assert "estimate is not finite" in str(err.value)
+    # A K=1 stack whose every Gram entry overflowed has only infinite pivots.
+    with pytest.raises(SingularChannelError, match="estimate is not finite"):
+        _guard_gram(np.full((1, 32, 1, 1), complex(np.inf, 0.0)), np.array([0]))
+
+
+def test_sweep_inverse_matches_lapack():
+    # Random Hermitian positive definite stacks with eigenvalues spread over
+    # up to eight decades. The sweep and LAPACK both round by about eps
+    # times the condition number, so the inverse, and the pivots' condition
+    # estimate against the Cholesky one, must agree to 16 K eps times the
+    # Cholesky estimate, relative to the largest entry and to the estimate.
+    rng = np.random.default_rng(70)
+    eps = np.finfo(float).eps
+    for r, q, k in ((1, 32, 1), (3, 32, 2), (2, 40, 4), (2, 33, 7), (1, 64, 12), (2, 1, 3)):
+        z = rng.standard_normal((r, q, k, k)) + 1j * rng.standard_normal((r, q, k, k))
+        u = np.linalg.qr(z)[0]
+        gram = (u * 10.0 ** rng.uniform(0, 8, (r, q, 1, k))) @ u.conj().swapaxes(-1, -2)
+        inverse, pivots = _sweep_inverse(gram)
+        reference = np.linalg.inv(gram)
+        chol = np.abs(np.linalg.cholesky(gram).diagonal(axis1=-2, axis2=-1))
+        estimate = (chol.max(axis=(1, 2)) / chol.min(axis=(1, 2))) ** 2
+        bound = 16 * k * eps * estimate
+        error = np.abs(inverse - reference).max(axis=(1, 2, 3))
+        assert np.all(error <= bound * np.abs(reference).max(axis=(1, 2, 3)))
+        swept = pivots.max(axis=(0, 2)) / pivots.min(axis=(0, 2))
+        assert np.all(np.abs(swept - estimate) <= bound * estimate)
 
 
 def test_stacked_solvers_need_one_channel_shape_and_dtype():
@@ -706,7 +763,8 @@ def test_saturating_equals_reference_loop():
                 saturating_precoders(channels, qos_list, p_max)
             with pytest.raises(InfeasibleError) as alone:
                 saturating_precoders([channels[short[0]]], [qos_list[short[0]]], p_max)
-            assert str(err.value) == str(alone.value)
+            assert err.value.reason == alone.value.reason
+            assert err.value.realization == short[0]
         else:
             matrices = saturating_precoders(channels, qos_list, p_max).matrices
             assert np.array_equal(matrices[:, 0, :, 0], np.stack(expected))
