@@ -28,28 +28,45 @@ DEFAULT_OUT = {
 }
 
 
+def _cell_template(kind: type) -> str:
+    """The ``%`` conversion of a cell of type ``kind``: ``%.0s`` prints ``None`` as nothing."""
+    if kind is type(None):
+        return "%.0s"
+    if issubclass(kind, float):
+        return "%.9g"
+    return "%s"
+
+
 def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
+    return _cell_template(type(value)) % (value,)
 
 
 def write_csv(path: str, result: ExperimentResult):
-    """Comma-separated, CRLF-terminated, unquoted: no cell holds a comma or a newline."""
+    """Comma-separated, CRLF-terminated, unquoted: no cell holds a comma or a newline.
+
+    Each row is formatted by one ``%`` template, built once per row type
+    signature and cached for the call; the lines are streamed to the file.
+    """
+    templates = {}
+
+    def line(row: tuple) -> str:
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(map(_cell_template, kinds)) + "\r\n"
+        return template % row
+
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(result.fieldnames) + "\r\n")
-            for row in result.rows:
-                fh.write(",".join(map(_format_cell, row)) + "\r\n")
+            fh.writelines(map(line, result.rows))
     except OSError as exc:
         raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
 
 
 def _print_summary(summary: dict):
     for key, value in summary.items():
-        print(f"{key} = {_format_cell(value) if not isinstance(value, tuple) else value}")
+        print(f"{key} = {_format_cell(value)}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -62,6 +62,7 @@ from .precoding import (
 BLOCK_ELEMENTS = 32768
 # (realization, K) pairs that ``asymptotic`` k_sweep plans and turns into rows
 # at once; it bounds the arrays and column lists held beside the rows.
+# ``ma_curve`` draws its users in stacks of as many (realization, user) cells.
 PLAN_BLOCK = 2048
 
 RUN_FIELDS = (
@@ -279,6 +280,21 @@ def asymptotic_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return _asymptotic_ma_curve(cfg)
 
 
+def _draw_user_stack(cfg: ExperimentConfig, block: range, k_users: int):
+    """(R, ``k_users``) large-scale fading and SINR targets of the realizations in ``block``.
+
+    Each realization drops its users on its own stream; the distances are
+    stacked and transformed at once.
+    """
+    sc = cfg.scenario
+    geometry = sc.geometry()
+    distances = np.array([
+        draw_user_distances(k_users, geometry, _realization_rng(cfg, index)) for index in block
+    ])
+    beta = large_scale_fading(distances)
+    return beta, target_sinr(beta, sc.sinr_ref)
+
+
 def _asymptotic_k_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     sc = cfg.scenario
     pa = sc.pa_model()
@@ -287,17 +303,14 @@ def _asymptotic_k_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     loads = list(range(cfg.k_min, cfg.k_max + 1))
 
     def plan_block(block: range):
-        traces = []
-        for index in block:
-            # One nested user drop per realization: user k's position is shared
-            # by every K >= k, which keeps the sweep coupled across loads.
-            beta, gamma = _draw_users(cfg, _realization_rng(cfg, index), cfg.k_max)
-            terms = gamma * sc.noise_power / beta
-            # Each prefix is summed on its own: np.sum adds pairwise, so a
-            # running cumsum would change the last bits of the trace.
-            traces.append([terms[:k].sum() for k in loads])
+        # One nested user drop per realization: user k's position is shared
+        # by every K >= k, which keeps the sweep coupled across loads.
+        beta, gamma = _draw_user_stack(cfg, block, cfg.k_max)
+        terms = gamma * sc.noise_power / beta
+        # Each prefix is summed on its own: np.sum adds pairwise, so a
+        # running cumsum would change the last bits of the trace.
+        trace = np.stack([terms[:, :k].sum(axis=1) for k in loads], axis=1).ravel()
         k = np.tile(loads, len(block))
-        trace = np.array(traces).ravel()
         plan = optimal_ma_plans(m, k, trace, pa, bs, sc.p_max_watts)
         feasible = plan.feasible
         p_bs_full = np.full(trace.shape, np.nan)
@@ -306,32 +319,32 @@ def _asymptotic_k_sweep(cfg: ExperimentConfig) -> ExperimentResult:
         p_bs_minimal[feasible] = asymptotic_bs_power(
             k[feasible] + 1, k[feasible], trace[feasible], pa, bs
         )
+        gain_vs_full = p_bs_full / plan.p_bs_bar
         columns = (
             plan.m_tilde, plan.m_hat, plan.m_dagger, plan.p_bar, plan.p_pas_bar,
-            plan.p_bs_bar, p_bs_full, p_bs_minimal,
-            p_bs_full / plan.p_bs_bar, p_bs_minimal / plan.p_bs_bar,
+            plan.p_bs_bar, p_bs_full, p_bs_minimal, gain_vs_full, p_bs_minimal / plan.p_bs_bar,
         )
         empty = (None,) * len(columns)
         realization = np.repeat(np.arange(block.start, block.stop), len(loads))
-        return [
+        rows = [
             (k_users, index, trace_k, *(cells if ok else empty), int(ok))
             for k_users, index, trace_k, ok, *cells in zip(
                 k.tolist(), realization.tolist(), trace.tolist(), feasible.tolist(),
                 *(column.tolist() for column in columns),
             )
         ]
+        # The gains at the lightest and the heaviest load, (R, 2) each.
+        ends = [0, -1]
+        shape = (len(block), len(loads))
+        return [(rows, gain_vs_full.reshape(shape)[:, ends], feasible.reshape(shape)[:, ends])]
 
-    rows = _map(cfg, plan_block, _blocks(cfg.realizations, PLAN_BLOCK // len(loads)))
+    parts = _map(cfg, plan_block, _blocks(cfg.realizations, PLAN_BLOCK // len(loads)))
+    rows = [row for block_rows, _, _ in parts for row in block_rows]
+    gains, feasible = (np.concatenate(columns) for columns in list(zip(*parts))[1:])
     summary = {"realizations": cfg.realizations, "k_range": (cfg.k_min, cfg.k_max)}
-    column = dict(zip(K_SWEEP_FIELDS, zip(*rows)))
-    for k in (cfg.k_min, cfg.k_max):
-        gains = [
-            gain
-            for load, gain, ok in zip(column["k_users"], column["gain_vs_full"], column["feasible"])
-            if ok and load == k
-        ]
-        if gains:
-            summary[f"mean_gain_vs_full[K={k}]"] = float(np.mean(gains))
+    for end, k in enumerate((cfg.k_min, cfg.k_max)):
+        if feasible[:, end].any():
+            summary[f"mean_gain_vs_full[K={k}]"] = float(np.mean(gains[feasible[:, end], end]))
     return ExperimentResult(K_SWEEP_FIELDS, rows, summary)
 
 
@@ -385,10 +398,11 @@ def _asymptotic_ma_curve(cfg: ExperimentConfig) -> ExperimentResult:
     bs = sc.bs_model()
     k = sc.k_users
 
-    trace = float(np.mean([
-        trace_term(*_draw_users(cfg, _realization_rng(cfg, index), k), sc.noise_power)
-        for index in range(cfg.realizations)
-    ]))
+    traces = []
+    for block in _blocks(cfg.realizations, PLAN_BLOCK // k):
+        beta, gamma = _draw_user_stack(cfg, block, k)
+        traces.append((gamma * sc.noise_power / beta).sum(axis=1))
+    trace = float(np.mean(np.concatenate(traces)))
     counts = np.arange(k + 1, sc.m_antennas + 1)
     p_bs = asymptotic_bs_power(counts, k, trace, pa, bs)
     star = int(counts[np.argmin(p_bs)])  # the first minimum: ties go to fewer antennas

@@ -18,6 +18,7 @@ from energymimo.config import ExperimentConfig, with_scenario
 from energymimo.errors import DomainError
 from energymimo.experiments import (
     K_SWEEP_FIELDS,
+    MA_CURVE_FIELDS,
     _draw_scenario,
     _draw_users,
     _realization_rng,
@@ -383,17 +384,41 @@ def reference_k_sweep(cfg):
     return rows
 
 
-@pytest.mark.parametrize(
-    "sweep, scenario",
-    [
-        ({"realizations": 100, "k_min": 1, "k_max": 40}, {"m_antennas": 64, "seed": 5101}),
-        ({"realizations": 20, "k_min": 1, "k_max": 6}, {"m_antennas": 16, "p_max_watts": 1e-12}),
-        ({"realizations": 30, "k_min": 1, "k_max": 10}, {"m_antennas": 8, "seed": 9}),
-    ],
-    ids=["bench_shape", "all_infeasible", "k_max_above_m"],
+def reference_k_sweep_summary(cfg, rows):
+    """The k_sweep's mean gains at its lightest and heaviest load, from its rows."""
+    summary = {"realizations": cfg.realizations, "k_range": (cfg.k_min, cfg.k_max)}
+    for k in (cfg.k_min, cfg.k_max):
+        gains = [row["gain_vs_full"] for row in rows if row["feasible"] and row["k_users"] == k]
+        if gains:
+            summary[f"mean_gain_vs_full[K={k}]"] = float(np.mean(gains))
+    return summary
+
+
+BENCH_SWEEP = (
+    {"realizations": 100, "k_min": 1, "k_max": 40}, {"m_antennas": 64, "seed": 5101}
 )
-def test_k_sweep_equals_reference_loop(sweep, scenario):
-    cfg = with_scenario(ExperimentConfig(asym_mode="k_sweep", **sweep), **scenario)
+
+
+@pytest.mark.parametrize(
+    "sweep, scenario, variant",
+    [
+        (*BENCH_SWEEP, {}),
+        # Blocks of 7 realizations, the last one short.
+        (*BENCH_SWEEP, {"plan_block": 280}),
+        (*BENCH_SWEEP, {"threads": 2}),
+        ({"realizations": 20, "k_min": 1, "k_max": 6}, {"m_antennas": 16, "p_max_watts": 1e-12}, {}),
+        ({"realizations": 30, "k_min": 1, "k_max": 10}, {"m_antennas": 8, "seed": 9}, {}),
+    ],
+    ids=["bench_shape", "bench_shape_blocks_of_7", "bench_shape_threads_2", "all_infeasible",
+         "k_max_above_m"],
+)
+def test_k_sweep_equals_reference_loop(monkeypatch, sweep, scenario, variant):
+    if "plan_block" in variant:
+        monkeypatch.setattr(experiments, "PLAN_BLOCK", variant["plan_block"])
+    threads = variant.get("threads", 1)
+    cfg = with_scenario(
+        ExperimentConfig(asym_mode="k_sweep", threads=threads, **sweep), **scenario
+    )
     result = asymptotic_experiment(cfg)
     expected = reference_k_sweep(cfg)
     assert result.fieldnames == K_SWEEP_FIELDS
@@ -407,6 +432,42 @@ def test_k_sweep_equals_reference_loop(sweep, scenario):
                 assert math.isclose(row[name], ref[name], rel_tol=1e-14), (row, ref)
             else:
                 assert row[name] == ref[name], (name, row, ref)
+    assert result.summary == reference_k_sweep_summary(cfg, expected)
+
+
+def reference_ma_curve(cfg):
+    """The ma_curve rows and summary: one trace term per realization, one row per count."""
+    sc = cfg.scenario
+    pa, bs, k = sc.pa_model(), sc.bs_model(), sc.k_users
+    trace = float(np.mean([
+        trace_term(*_draw_users(cfg, _realization_rng(cfg, index), k), sc.noise_power)
+        for index in range(cfg.realizations)
+    ]))
+    curve = [
+        (n, float(pa.alpha * math.sqrt(n / (n - k) * trace)), scalar_bs_power(n, k, trace, pa, bs))
+        for n in range(k + 1, sc.m_antennas + 1)
+    ]
+    star = min(curve, key=lambda point: point[2])[0]
+    rows = [(n, p_pas, p_bs, int(n == star)) for n, p_pas, p_bs in curve]
+    return rows, {"trace": trace, "m_star": star, "realizations": cfg.realizations}
+
+
+@pytest.mark.parametrize("realizations, plan_block", [(1, None), (50, 21), (500, None)])
+def test_ma_curve_equals_reference_loop(monkeypatch, realizations, plan_block):
+    if plan_block is not None:
+        # Blocks of 7 realizations at K = 3, the last one short.
+        monkeypatch.setattr(experiments, "PLAN_BLOCK", plan_block)
+    cfg = with_scenario(
+        ExperimentConfig(asym_mode="ma_curve", realizations=realizations),
+        m_antennas=40, k_users=3, seed=17,
+    )
+    result = asymptotic_experiment(cfg)
+    rows, summary = reference_ma_curve(cfg)
+    assert result.fieldnames == MA_CURVE_FIELDS
+    assert result.rows == rows
+    assert [tuple(map(type, row)) for row in result.rows] == [tuple(map(type, row)) for row in rows]
+    assert result.summary == summary
+    assert type(result.summary["trace"]) is float and type(result.summary["m_star"]) is int
 
 
 def reference_q_error(cfg):

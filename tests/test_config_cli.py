@@ -720,9 +720,15 @@ def reference_csv(result) -> bytes:
 def _synthetic_result():
     floats = (
         math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 123456789.0, 0.1, 2.0 / 3.0,
-        np.float64(-1.5e-12), np.float64(math.nan),
+        np.float64(-1.5e-12), np.float64(math.nan), np.float64(2.0 / 3.0),
+        np.float64(123456789.5),
     )
-    rows = [(None, 7, "zf", value, np.int64(-3)) for value in floats]
+    # A float subclass prints as a float and an int never does: np.float64(2/3)
+    # and 1234567890 read differently under str and %.9g.
+    integers = (np.int64(-3), 1234567890, np.int64(2**40))
+    rows = [
+        (None, 7, "zf", value, integers[i % len(integers)]) for i, value in enumerate(floats)
+    ]
     rows.append(("min_pa", None, "", None, 0))
     return ExperimentResult(("a", "b", "c", "d", "e"), rows, {})
 
