@@ -12,7 +12,6 @@ from .asymptotic import (
     asymptotic_bs_power,
     asymptotic_pa_power,
     asymptotic_per_antenna_power,
-    min_ma_power_constraint,
     optimal_ma_plans,
     solve_quartic_ma,
     trace_term,
@@ -45,9 +44,7 @@ from .model import (
     bs_consumed_power,
     estimate_flops,
     gain_metrics,
-    ideal_pa_consumed_power,
     pa_consumed_power,
-    pa_efficiency,
     per_antenna_powers,
 )
 from .oracle import (
@@ -96,16 +93,13 @@ __all__ = [
     "estimate_flops",
     "gain_metrics",
     "grid_min_bs",
-    "ideal_pa_consumed_power",
     "large_scale_fading",
     "load_config",
     "los_allocation_precoders",
     "mc_inverse_wishart_trace",
-    "min_ma_power_constraint",
     "min_pa_precoders",
     "optimal_ma_plans",
     "pa_consumed_power",
-    "pa_efficiency",
     "per_antenna_powers",
     "saturating_precoders",
     "solve_min_pa_bruteforce",

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 config or I/O error, 2 infeasible scenario,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .config import load_config
@@ -90,25 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_threads(args) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("ENERGYMIMO_THREADS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"bad ENERGYMIMO_THREADS value {env!r}") from exc
-    return None
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         overrides = {
             "seed": args.seed,
             "realizations": args.realizations,
-            "threads": _resolve_threads(args),
+            "threads": args.threads,
             "out": args.out,
         }
         cfg = load_config(args.config, overrides)

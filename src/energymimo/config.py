@@ -37,7 +37,6 @@ class ScenarioConfig:
     freq_decay: float = 1.0
     p_max_watts: float = 1.0
     eta_max: float = 0.22
-    backoff: float = 10.0
     noise_dbm: float = -96.0
     p_fix_watts: float = 15.0
     circuit_watts: float = 0.7
@@ -51,7 +50,7 @@ class ScenarioConfig:
         return dbm_to_watts(self.noise_dbm)
 
     def pa_model(self) -> PaModel:
-        return PaModel.from_p_max(self.p_max_watts, self.eta_max, self.backoff)
+        return PaModel(p_max=self.p_max_watts, eta_max=self.eta_max)
 
     def bs_model(self) -> BsModel:
         return BsModel(p_fix=self.p_fix_watts, circuit_per_antenna=self.circuit_watts)
@@ -196,7 +195,7 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(f"sinr_ref must be positive, got {sc.sinr_ref}")
     # Each model checks its own fields; the message names the keys that feed it.
     for keys, build in (
-        ("p_max_watts, eta_max, backoff", sc.pa_model),
+        ("p_max_watts, eta_max", sc.pa_model),
         ("p_fix_watts, circuit_watts", sc.bs_model),
         ("u_min_m, u_max_m", sc.geometry),
         ("epsilon, max_iterations, dead_antenna_floor", cfg.fixed_point),

@@ -27,43 +27,26 @@ FLOP_SOLVERS = ("proposed", "conventional")
 class PaModel:
     """Square-root efficiency power amplifier.
 
+    An amplifier radiating p <= p_max Watts runs at efficiency
+    eta_max (p / p_max)^(1/2), so it consumes p / eta = alpha p^(1/2) with
+    alpha = p_max^(1/2) / eta_max.
+
     Parameters
     ----------
-    p_sat : float
-        Saturation power in Watts.
-    backoff : float
-        Linear back-off ratio >= 1 keeping the operating point below
-        saturation (10 corresponds to the usual 10 dB).
+    p_max : float
+        Maximal operating power in Watts.
     eta_max : float
-        Efficiency at the maximal operating power ``p_max = p_sat / backoff``.
+        Efficiency at ``p_max``.
     """
 
-    p_sat: float
-    backoff: float = 10.0
+    p_max: float
     eta_max: float = 0.22
 
     def __post_init__(self):
-        if self.p_sat <= 0.0:
-            raise DomainError(f"p_sat must be positive, got {self.p_sat}")
-        if self.backoff < 1.0:
-            raise DomainError(f"backoff must be >= 1, got {self.backoff}")
+        if self.p_max <= 0.0:
+            raise DomainError(f"p_max must be positive, got {self.p_max}")
         if not 0.0 < self.eta_max <= 1.0:
             raise DomainError(f"eta_max must be in (0, 1], got {self.eta_max}")
-
-    @classmethod
-    def from_p_max(cls, p_max: float, eta_max: float = 0.22, backoff: float = 10.0) -> "PaModel":
-        """Build the model from the maximal operating power instead of p_sat."""
-        return cls(p_sat=p_max * backoff, backoff=backoff, eta_max=eta_max)
-
-    @property
-    def p_max(self) -> float:
-        """Maximal operating power in Watts."""
-        return self.p_sat / self.backoff
-
-    @property
-    def eta_sat(self) -> float:
-        """Efficiency at saturation, derived from eta_max and the back-off."""
-        return self.eta_max * np.sqrt(self.backoff)
 
     @property
     def alpha(self) -> float:
@@ -130,21 +113,6 @@ def pa_consumed_power(powers, pa: PaModel):
     """Total amplifier consumption alpha * sum_m p_m^(1/2), per power vector."""
     p = _as_power_array(powers)
     return _scalar_or_array(pa.alpha * np.sum(np.sqrt(p), axis=-1))
-
-
-def ideal_pa_consumed_power(powers, eta: float):
-    """Consumption under a fixed-efficiency amplifier: p_tx / eta, per power vector."""
-    if not 0.0 < eta <= 1.0:
-        raise DomainError(f"eta must be in (0, 1], got {eta}")
-    p = _as_power_array(powers)
-    return _scalar_or_array(np.sum(p, axis=-1) / eta)
-
-
-def pa_efficiency(p: float, pa: PaModel) -> float:
-    """Instantaneous amplifier efficiency eta_sat * (p / p_sat)^(1/2)."""
-    if not 0.0 < p <= pa.p_sat:
-        raise DomainError(f"power must be in (0, p_sat={pa.p_sat}], got {p}")
-    return float(pa.eta_sat * np.sqrt(p / pa.p_sat))
 
 
 def bs_consumed_power(powers, pa: PaModel, bs: BsModel) -> PowerReport:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import ChannelRealization, QosTargets
 from .errors import DomainError, InfeasibleError, OracleSizeError
-from .model import PaModel
+from .model import BsModel, PaModel
 
 # Default desk-scale guard of the brute-force consumption minimizer.
 ORACLE_MAX_M = 8

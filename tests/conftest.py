@@ -11,7 +11,7 @@ NOISE_POWER = 10.0 ** (-12.6)
 
 @pytest.fixture(scope="session")
 def table_pa() -> PaModel:
-    return PaModel.from_p_max(1.0, eta_max=0.22, backoff=10.0)
+    return PaModel(p_max=1.0, eta_max=0.22)
 
 
 @pytest.fixture(scope="session")

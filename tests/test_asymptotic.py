@@ -9,11 +9,11 @@ from energymimo import (
     asymptotic_pa_power,
     asymptotic_per_antenna_power,
     experiments,
-    min_ma_power_constraint,
     optimal_ma_plans,
     solve_quartic_ma,
     trace_term,
 )
+from energymimo.asymptotic import min_ma_power_constraint
 from energymimo.config import ExperimentConfig, with_scenario
 from energymimo.errors import DomainError
 from energymimo.experiments import (

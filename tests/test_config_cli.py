@@ -72,7 +72,9 @@ def test_parse_config_reports_line_numbers():
         parse_config_text("k_users = four\n")
     assert err3.value.line == 1
     # Removed knobs are unknown keys now.
-    for removed in ("regularization = 0", "initial_power = 1", "active_threshold_watts = 1e-9"):
+    for removed in (
+        "regularization = 0", "initial_power = 1", "active_threshold_watts = 1e-9", "backoff = 10",
+    ):
         with pytest.raises(ConfigError, match="unknown key") as err4:
             parse_config_text(f"m_antennas = 32\n{removed}\n")
         assert err4.value.line == 2
@@ -306,18 +308,17 @@ def test_cli_seed_override_changes_output(tmp_path):
     assert out1.read_bytes() != out2.read_bytes()
 
 
-def test_cli_threads_do_not_change_bytes(tmp_path, monkeypatch):
+def test_cli_threads_do_not_change_bytes(tmp_path):
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text("m_antennas = 8\nk_users = 2\nrealizations = 6\nseed = 4\n")
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     assert main(["run", "--config", str(cfgfile), "--out", str(out1), "--threads", "1"]) == 0
-    monkeypatch.setenv("ENERGYMIMO_THREADS", "4")
-    assert main(["run", "--config", str(cfgfile), "--out", str(out2)]) == 0
+    assert main(["run", "--config", str(cfgfile), "--out", str(out2), "--threads", "4"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_cli_blocks_and_threads_do_not_change_bytes(tmp_path, monkeypatch):
+def test_cli_blocks_and_threads_do_not_change_bytes(tmp_path):
     cfgfile = tmp_path / "wide.cfg"
     cfgfile.write_text(WIDEBAND_CFG)
     blocks = _realization_blocks(load_config(str(cfgfile)), 256)
@@ -325,8 +326,7 @@ def test_cli_blocks_and_threads_do_not_change_bytes(tmp_path, monkeypatch):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     assert main(["run", "--config", str(cfgfile), "--out", str(out1), "--threads", "1"]) == 0
-    monkeypatch.setenv("ENERGYMIMO_THREADS", "3")
-    assert main(["run", "--config", str(cfgfile), "--out", str(out2)]) == 0
+    assert main(["run", "--config", str(cfgfile), "--out", str(out2), "--threads", "3"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 

@@ -7,40 +7,28 @@ from energymimo import (
     bs_consumed_power,
     estimate_flops,
     gain_metrics,
-    ideal_pa_consumed_power,
     pa_consumed_power,
-    pa_efficiency,
     per_antenna_powers,
 )
 from energymimo.errors import DimensionError, DomainError
 
 
-def test_pa_model_derived_quantities():
-    pa = PaModel(p_sat=10.0, backoff=10.0, eta_max=0.22)
-    assert pa.p_max == pytest.approx(1.0)
-    assert pa.p_max * pa.backoff == pa.p_sat  # exact for the table values
-    assert pa.alpha == pytest.approx(1.0 / 0.22)
-    assert pa.eta_sat == pytest.approx(0.22 * np.sqrt(10.0))
-
-
-def test_pa_model_from_p_max_round_trip():
-    pa = PaModel.from_p_max(1.0, eta_max=0.22, backoff=10.0)
-    assert pa.p_sat == pytest.approx(10.0)
-    assert pa.p_max == pytest.approx(1.0)
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"p_sat": -1.0},
-        {"p_sat": 1.0, "backoff": 0.5},
-        {"p_sat": 1.0, "eta_max": 0.0},
-        {"p_sat": 1.0, "eta_max": 1.5},
+        {"p_max": 0.0},
+        {"p_max": -1.0},
+        {"p_max": 1.0, "eta_max": 0.0},
+        {"p_max": 1.0, "eta_max": -0.2},
+        {"p_max": 1.0, "eta_max": 1.5},
     ],
 )
 def test_pa_model_validation(kwargs):
     with pytest.raises(DomainError):
         PaModel(**kwargs)
+    # The edges of the valid domain build, and alpha = p_max^(1/2) / eta_max.
+    assert PaModel(p_max=1.0, eta_max=0.22).alpha == pytest.approx(1.0 / 0.22)
+    assert PaModel(p_max=4.0, eta_max=1.0).alpha == 2.0
 
 
 def test_per_antenna_powers_scalar_case():
@@ -75,42 +63,21 @@ def test_per_antenna_powers_of_a_stack_equal_slice_calls(shape):
 
 
 def test_pa_consumed_power_table_values():
-    pa = PaModel.from_p_max(1.0, eta_max=0.22)
+    pa = PaModel(p_max=1.0, eta_max=0.22)
     assert pa_consumed_power([1.0], pa) == pytest.approx(4.5455, abs=1e-4)
     assert pa_consumed_power([0.0, 0.0, 0.0], pa) == 0.0
-    pa2 = PaModel.from_p_max(4.0, eta_max=1.0)  # alpha = 2
+    pa2 = PaModel(p_max=4.0, eta_max=1.0)  # alpha = 2
     assert pa_consumed_power([0.25, 0.25], pa2) == pytest.approx(2.0)
 
 
 def test_pa_consumed_power_rejects_negative():
-    pa = PaModel.from_p_max(1.0)
+    pa = PaModel(p_max=1.0)
     with pytest.raises(DomainError):
         pa_consumed_power([-0.1], pa)
 
 
-def test_ideal_pa_consumed_power():
-    assert ideal_pa_consumed_power([1.0, 1.0], 0.5) == pytest.approx(4.0)
-    assert ideal_pa_consumed_power([0.0], 0.22) == 0.0
-    assert ideal_pa_consumed_power([2.0], 1.0) == pytest.approx(2.0)
-    with pytest.raises(DomainError):
-        ideal_pa_consumed_power([1.0], 0.0)
-    with pytest.raises(DomainError):
-        ideal_pa_consumed_power([1.0], 1.2)
-
-
-def test_pa_efficiency_reference_points():
-    pa = PaModel.from_p_max(1.0, eta_max=0.22, backoff=10.0)
-    assert pa_efficiency(pa.p_sat, pa) == pytest.approx(pa.eta_sat)
-    assert pa_efficiency(pa.p_max, pa) == pytest.approx(0.22)
-    assert pa_efficiency(pa.p_max / 4.0, pa) == pytest.approx(0.11)
-    with pytest.raises(DomainError):
-        pa_efficiency(0.0, pa)
-    with pytest.raises(DomainError):
-        pa_efficiency(pa.p_sat * 1.01, pa)
-
-
 def test_bs_consumed_power_all_idle():
-    pa = PaModel.from_p_max(1.0)
+    pa = PaModel(p_max=1.0)
     bs = BsModel(p_fix=15.0, circuit_per_antenna=0.7)
     report = bs_consumed_power(np.zeros(8), pa, bs)
     assert report.p_bs == pytest.approx(15.0)
@@ -119,7 +86,7 @@ def test_bs_consumed_power_all_idle():
 
 
 def test_bs_consumed_power_hand_case():
-    pa = PaModel.from_p_max(1.0, eta_max=1.0)  # alpha = 1
+    pa = PaModel(p_max=1.0, eta_max=1.0)  # alpha = 1
     bs = BsModel(p_fix=0.0, circuit_per_antenna=2.0)
     report = bs_consumed_power([1.0], pa, bs)
     assert report.p_bs == pytest.approx(3.0)
@@ -129,7 +96,7 @@ def test_bs_consumed_power_hand_case():
 
 
 def test_gain_metrics():
-    pa = PaModel.from_p_max(1.0)
+    pa = PaModel(p_max=1.0)
     bs = BsModel()
     report = bs_consumed_power([0.5, 0.5], pa, bs)
     assert gain_metrics(report, report) == pytest.approx((1.0, 1.0))
@@ -150,7 +117,7 @@ def test_gain_metrics():
 def test_stacked_power_accounting_equals_one_row_calls(m):
     """An (R, M) stack gives length-R arrays that equal R one-row calls bit for bit."""
     rng = np.random.default_rng(m)
-    pa = PaModel.from_p_max(1.0)
+    pa = PaModel(p_max=1.0)
     bs = BsModel()
     powers = rng.uniform(0.0, 1e-3, size=(25, m)) ** 2
     powers[:, 1::3] = 0.0  # switched-off antennas
@@ -214,7 +181,7 @@ def test_estimate_flops_validation():
 
 def test_pa_consumption_concavity_bound():
     # alpha * sqrt(p_tx) lower-bounds the consumption, tight for one antenna.
-    pa = PaModel.from_p_max(1.0)
+    pa = PaModel(p_max=1.0)
     rng = np.random.default_rng(3)
     for _ in range(20):
         p = rng.uniform(0.0, 2.0, size=6)
@@ -226,7 +193,7 @@ def test_pa_consumption_concavity_bound():
 
 
 def test_pa_consumption_monotone_and_uniform():
-    pa = PaModel.from_p_max(1.0)
+    pa = PaModel(p_max=1.0)
     p = np.array([0.1, 0.2, 0.3])
     bumped = p.copy()
     bumped[1] += 0.05
