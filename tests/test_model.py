@@ -26,8 +26,14 @@ from energymimo.errors import DimensionError, DomainError
 def test_pa_model_validation(kwargs):
     with pytest.raises(DomainError):
         PaModel(**kwargs)
-    # The edges of the valid domain build, and alpha = p_max^(1/2) / eta_max.
-    assert PaModel(p_max=1.0, eta_max=0.22).alpha == pytest.approx(1.0 / 0.22)
+
+
+def test_pa_model_derived_quantities():
+    # alpha = p_max^(1/2) / eta_max, and at p_max the amplifier runs at eta_max.
+    pa = PaModel(p_max=1.0, eta_max=0.22)
+    assert pa.alpha == pytest.approx(1.0 / 0.22)
+    assert pa_consumed_power([pa.p_max], pa) == pytest.approx(pa.p_max / pa.eta_max)
+    # The edge eta_max = 1 of the valid domain builds.
     assert PaModel(p_max=4.0, eta_max=1.0).alpha == 2.0
 
 
