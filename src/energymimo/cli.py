@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 config or I/O error, 2 infeasible scenario,
 from __future__ import annotations
 
 import argparse
+import operator
 import sys
 
 from .config import load_config
@@ -27,38 +28,39 @@ DEFAULT_OUT = {
 }
 
 
-def _cell_template(kind: type) -> str:
-    """The ``%`` conversion of a cell of type ``kind``: ``%.0s`` prints ``None`` as nothing."""
-    if kind is type(None):
-        return "%.0s"
-    if issubclass(kind, float):
-        return "%.9g"
-    return "%s"
-
-
 def _format_cell(value) -> str:
-    return _cell_template(type(value)) % (value,)
+    return "%.9g" % value if isinstance(value, float) else str(value)
+
+
+def _row_template(kinds: list[str], shape: int) -> str:
+    """The ``%`` template of a row whose empty fields are the set bits of ``shape``.
+
+    ``%.0s`` prints an empty cell as nothing.
+    """
+    return ",".join("%.0s" if shape >> j & 1 else kind for j, kind in enumerate(kinds)) + "\r\n"
 
 
 def write_csv(path: str, result: ExperimentResult):
     """Comma-separated, CRLF-terminated, unquoted: no cell holds a comma or a newline.
 
-    Each row is formatted by one ``%`` template, built once per row type
-    signature and cached for the call; the lines are streamed to the file.
+    The rows come from ``result.row_slices()``, at most
+    ``experiments.ROW_SLICE`` at a time. Each is formatted by one ``%``
+    template, in which a float column prints as ``%.9g`` and any other as
+    ``%s``; a template is built once per row shape (which cells are empty)
+    and cached for the call.
     """
+    kinds = [
+        "%.9g" if not isinstance(column, list) and column.dtype.kind == "f" else "%s"
+        for column in result.columns
+    ]
     templates = {}
-
-    def line(row: tuple) -> str:
-        kinds = tuple(map(type, row))
-        template = templates.get(kinds)
-        if template is None:
-            template = templates[kinds] = ",".join(map(_cell_template, kinds)) + "\r\n"
-        return template % row
-
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(result.fieldnames) + "\r\n")
-            fh.writelines(map(line, result.rows))
+            for shapes, rows in result.row_slices():
+                for shape in set(shapes).difference(templates):
+                    templates[shape] = _row_template(kinds, shape)
+                fh.writelines(map(operator.mod, map(templates.__getitem__, shapes), rows))
     except OSError as exc:
         raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
 

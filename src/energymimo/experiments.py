@@ -2,27 +2,26 @@
 
 Each realization draws its randomness from an independent stream seeded by
 master seed + realization index, so results are identical regardless of how
-the realizations are scheduled; rows are buffered and emitted in
+the realizations are scheduled; the blocks' results are joined in
 realization order. Every Monte-Carlo command works on fixed-size blocks of
 realizations: ``run``, ``convergence`` and ``asymptotic`` q_error draw a
 block and solve it with one call to the stacked solvers, and ``asymptotic``
 k_sweep plans a block through the array antenna-count planner. The thread
 pool maps over those blocks, whose boundaries depend only on the scenario.
 
-A command returns an :class:`ExperimentResult` whose rows are tuples of cells
-in ``fieldnames`` order, ``None`` for an empty cell. Each block is accounted
-as arrays (one entry per realization, or per iteration for ``convergence``)
-and its rows are zipped from their ``.tolist()`` columns; summaries come from
-``zip(*rows)`` columns or from arrays the command holds.
+A command returns an :class:`ExperimentResult`: one column per field, a
+numpy array or a list of strings, and a mask of its empty cells. Each block
+is accounted as arrays, one entry per row, and the blocks' columns are
+joined in block order; no command builds a tuple per row. Summaries come
+from the joined columns or from arrays the command holds.
 """
 
 from __future__ import annotations
 
 import sys
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -60,10 +59,13 @@ from .precoding import (
 # Block boundaries depend only on the scenario, never on the thread count, so
 # the output does not either.
 BLOCK_ELEMENTS = 32768
-# (realization, K) pairs that ``asymptotic`` k_sweep plans and turns into rows
-# at once; it bounds the arrays and column lists held beside the rows.
+# (realization, K) pairs that ``asymptotic`` k_sweep plans at once; it bounds
+# the working arrays of a block.
 # ``ma_curve`` draws its users in stacks of as many (realization, user) cells.
 PLAN_BLOCK = 2048
+# Rows that a result turns into Python objects at once, for the CSV writer
+# and the ``rows`` view.
+ROW_SLICE = 2048
 
 RUN_FIELDS = (
     "seed", "realization", "solver", "p_tx", "p_pas", "p_bs",
@@ -82,13 +84,126 @@ Q_ERROR_FIELDS = (
 MA_CURVE_FIELDS = ("m_active", "p_pas_bar", "p_bs_bar", "is_m_star")
 
 
-@dataclass
 class ExperimentResult:
-    """Rows are tuples of cells in ``fieldnames`` order; ``None`` is an empty cell."""
+    """A command's output, one column per field in ``fieldnames`` order.
 
-    fieldnames: tuple[str, ...]
-    rows: list[tuple]
-    summary: dict
+    A column is a numpy array of ints or floats, or a list of cells that
+    print as they are: strings, and the seed, which may not fit an int64.
+    ``empty`` maps a field to a bool mask of the rows where it holds no
+    value; the constructor also takes one bool for the whole column. What a
+    column stores under its mask is never read.
+
+    ``rows`` is a read-only view of the cells as tuples, ``None`` for an
+    empty cell. It and :meth:`row_slices`, which the CSV writer reads, hold
+    at most ``ROW_SLICE`` rows as Python objects at a time.
+    """
+
+    def __init__(self, fieldnames, columns, summary: dict, empty=None):
+        self.fieldnames = tuple(fieldnames)
+        self.columns = tuple(
+            column if isinstance(column, list) else np.asarray(column) for column in columns
+        )
+        self.summary = summary
+        self._length = len(self.columns[0])
+        if len(self.columns) != len(self.fieldnames) or any(
+            len(column) != self._length
+            or not isinstance(column, list) and column.dtype.kind not in "iuf"
+            for column in self.columns
+        ):
+            raise EnergyMimoError("need one int, float or list column per field, all one length")
+        self.empty = {
+            name: np.broadcast_to(np.asarray(mask, dtype=bool), (self._length,))
+            for name, mask in (empty or {}).items()
+        }
+        unknown = self.empty.keys() - set(self.fieldnames)
+        if unknown:
+            raise EnergyMimoError(f"empty cells in unknown fields {sorted(unknown)}")
+
+    @classmethod
+    def joined(cls, parts, summary: dict) -> ExperimentResult:
+        """The rows of ``parts``, one result after another, under ``summary``."""
+        if len(parts) == 1:
+            (result,) = parts
+        else:
+            columns = [
+                [cell for piece in pieces for cell in piece] if isinstance(pieces[0], list)
+                else np.concatenate(pieces)
+                for pieces in zip(*(part.columns for part in parts))
+            ]
+            masked = {name for part in parts for name in part.empty}
+            empty = {
+                name: np.concatenate([
+                    part.empty.get(name, np.zeros(len(part), dtype=bool)) for part in parts
+                ])
+                for name in masked
+            }
+            result = cls(parts[0].fieldnames, columns, {}, empty)
+        result.summary = summary
+        return result
+
+    def __len__(self) -> int:
+        return self._length
+
+    def column(self, name: str):
+        return self.columns[self.fieldnames.index(name)]
+
+    def row_slices(self):
+        """(shapes, rows) of each run of at most ``ROW_SLICE`` rows, in order."""
+        for start in range(0, self._length, ROW_SLICE):
+            yield self._slice(start, min(start + ROW_SLICE, self._length))
+
+    def _slice(self, start: int, stop: int):
+        """(shapes, rows) of rows ``start`` to ``stop``.
+
+        ``rows`` are tuples, ``None`` for an empty cell; bit j of a row's
+        shape is set when its field j is empty.
+        """
+        cells = [
+            column[start:stop] if isinstance(column, list) else column[start:stop].tolist()
+            for column in self.columns
+        ]
+        shapes = np.zeros(stop - start, dtype=np.int64)
+        for name, mask in self.empty.items():
+            j, part = self.fieldnames.index(name), mask[start:stop]
+            shapes |= part.astype(np.int64) << j
+            for i in np.flatnonzero(part).tolist():
+                cells[j][i] = None
+        return shapes.tolist(), list(zip(*cells))
+
+    @property
+    def rows(self) -> Rows:
+        return Rows(self)
+
+
+class Rows(Sequence):
+    """The rows of an :class:`ExperimentResult` as tuples, built when read.
+
+    ``len`` is O(1), and the view equals a list of the same tuples.
+    """
+
+    __slots__ = ("_result",)
+    __hash__ = None
+
+    def __init__(self, result: ExperimentResult):
+        self._result = result
+
+    def __len__(self) -> int:
+        return len(self._result)
+
+    def __iter__(self):
+        for _, rows in self._result.row_slices():
+            yield from rows
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        return self._result._slice(i, i + 1)[1][0]
+
+    def __eq__(self, other):
+        if isinstance(other, (list, Rows)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 def _realization_rng(cfg: ExperimentConfig, index: int) -> np.random.Generator:
@@ -162,6 +277,15 @@ def _realization_blocks(cfg: ExperimentConfig, subcarriers: int) -> list[range]:
     return _blocks(cfg.realizations, BLOCK_ELEMENTS // (subcarriers * sc.k_users * sc.m_antennas))
 
 
+def _interleaved(columns) -> np.ndarray:
+    """Equal-length columns merged entry by entry: a[0], b[0], ..., a[1], b[1], ...
+
+    ``run`` writes one row per precoder for each realization, in
+    ``cfg.precoders`` order.
+    """
+    return np.stack(columns, axis=1).ravel()
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Per-realization power reports and gains for the selected precoders."""
     pa = cfg.scenario.pa_model()
@@ -173,41 +297,50 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         with _global_index(block):
             solved = {name: _solve_block(name, channels, qos_list, cfg) for name in cfg.precoders}
         powers = {name: solution.powers for name, solution in solved.items()}
-        discarded = np.zeros(len(block), dtype=int)
+        discarded = np.zeros(len(block), dtype=np.int64)
         for name in AS1_PRECODERS:
             if cfg.discard_over_pmax and name in powers:
                 discarded |= np.any(powers[name] > p_max, axis=1)
-        discarded = discarded.tolist()
-        reports = {name: bs_consumed_power(stack, pa, bs) for name, stack in powers.items()}
-        reference = reports.get("zf")
-        no_gain = [None] * len(block)
-        by_solver = []
-        for name in cfg.precoders:
-            report = reports[name]
-            gains = (
-                [gain.tolist() for gain in gain_metrics(reference, report)]
-                if reference is not None else (no_gain, no_gain)
+        reports = [bs_consumed_power(powers[name], pa, bs) for name in cfg.precoders]
+        solvers = len(cfg.precoders)
+        if "zf" in cfg.precoders:
+            reference = reports[cfg.precoders.index("zf")]
+            gain_pas, gain_bs = map(
+                _interleaved, zip(*(gain_metrics(reference, report) for report in reports))
             )
-            by_solver.append(zip(
-                repeat(cfg.scenario.seed), block, repeat(name),
-                report.p_tx.tolist(), report.p_pas.tolist(), report.p_bs.tolist(),
-                report.m_active.tolist(), *gains, discarded,
-            ))
-        # One row per precoder for each realization, in ``cfg.precoders`` order.
-        return [row for rows in zip(*by_solver) for row in rows]
+        else:
+            gain_pas = gain_bs = np.zeros(len(block) * solvers)  # empty cells
+        return [ExperimentResult(
+            RUN_FIELDS,
+            (
+                [cfg.scenario.seed] * (len(block) * solvers),
+                np.repeat(np.arange(block.start, block.stop), solvers),
+                list(cfg.precoders) * len(block),
+                _interleaved([report.p_tx for report in reports]),
+                _interleaved([report.p_pas for report in reports]),
+                _interleaved([report.p_bs for report in reports]),
+                _interleaved([report.m_active for report in reports]),
+                gain_pas,
+                gain_bs,
+                np.repeat(discarded, solvers),
+            ),
+            {},
+            empty=dict.fromkeys(("gain_pas", "gain_bs"), "zf" not in cfg.precoders),
+        )]
 
-    rows = _map(cfg, solve_block, _realization_blocks(cfg, cfg.scenario.subcarriers))
-    column = dict(zip(RUN_FIELDS, zip(*rows)))
+    parts = _map(cfg, solve_block, _realization_blocks(cfg, cfg.scenario.subcarriers))
+    result = ExperimentResult.joined(parts, {"realizations": cfg.realizations})
     solvers = len(cfg.precoders)
-    discarded = column["discarded"][::solvers]
-    summary = {"realizations": cfg.realizations, "discarded": sum(discarded)}
+    discarded = result.column("discarded")[::solvers]
+    result.summary["discarded"] = int(np.count_nonzero(discarded))
+    kept = discarded == 0
     if "zf" in cfg.precoders:
         for j, name in enumerate(cfg.precoders):
             for field in ("gain_pas", "gain_bs"):
-                kept = [g for g, d in zip(column[field][j::solvers], discarded) if not d]
-                if kept:
-                    summary[f"mean_{field}[{name}]"] = float(np.mean(kept))
-    return ExperimentResult(RUN_FIELDS, rows, summary)
+                gains = result.column(field)[j::solvers][kept]
+                if gains.size:
+                    result.summary[f"mean_{field}[{name}]"] = float(np.mean(gains))
+    return result
 
 
 def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -245,19 +378,19 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 if not warned[0]:
                     warned[0] = True
                     print(f"warning: oracle skipped ({exc})", file=sys.stderr)
-        dist, final_dist = repeat(None), np.zeros(0)
+        dist, final_dist = np.zeros(len(residual)), np.zeros(0)  # empty cells without an oracle
         if optimum is not None:
             dist_all = np.sum((history - np.repeat(optimum, iterations + 1, axis=0)) ** 2, axis=1)
-            dist, final_dist = dist_all[step].tolist(), dist_all[first + iterations][iterations > 0]
+            dist, final_dist = dist_all[step], dist_all[first + iterations][iterations > 0]
         realization = np.repeat(np.arange(block.start, block.stop), iterations)
-        rows = list(zip(realization.tolist(), iteration[step].tolist(), residual.tolist(), dist))
-        return [(rows, iterations, solution.converged, final_dist)]
+        part = ExperimentResult(
+            CONVERGENCE_FIELDS, (realization, iteration[step], residual, dist), {},
+            empty={"dist_sq_oracle": optimum is None},
+        )
+        return [(part, iterations, solution.converged, final_dist)]
 
-    parts = _map(cfg, solve_block, _realization_blocks(cfg, sc.subcarriers))
-    rows = [row for block_rows, _, _, _ in parts for row in block_rows]
-    iterations, converged, final_dists = (
-        np.concatenate(columns) for columns in list(zip(*parts))[1:]
-    )
+    parts, *arrays = zip(*_map(cfg, solve_block, _realization_blocks(cfg, sc.subcarriers)))
+    iterations, converged, final_dists = map(np.concatenate, arrays)
     summary = {
         "mean_iterations": float(np.mean(iterations)),
         "converged": int(np.count_nonzero(converged)),
@@ -265,7 +398,7 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     }
     if final_dists.size:
         summary["mean_final_dist_sq"] = float(np.mean(final_dists))
-    return ExperimentResult(CONVERGENCE_FIELDS, rows, summary)
+    return ExperimentResult.joined(parts, summary)
 
 
 def asymptotic_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -319,33 +452,32 @@ def _asymptotic_k_sweep(cfg: ExperimentConfig) -> ExperimentResult:
         p_bs_minimal[feasible] = asymptotic_bs_power(
             k[feasible] + 1, k[feasible], trace[feasible], pa, bs
         )
-        gain_vs_full = p_bs_full / plan.p_bs_bar
-        columns = (
-            plan.m_tilde, plan.m_hat, plan.m_dagger, plan.p_bar, plan.p_pas_bar,
-            plan.p_bs_bar, p_bs_full, p_bs_minimal, gain_vs_full, p_bs_minimal / plan.p_bs_bar,
-        )
-        empty = (None,) * len(columns)
-        realization = np.repeat(np.arange(block.start, block.stop), len(loads))
-        rows = [
-            (k_users, index, trace_k, *(cells if ok else empty), int(ok))
-            for k_users, index, trace_k, ok, *cells in zip(
-                k.tolist(), realization.tolist(), trace.tolist(), feasible.tolist(),
-                *(column.tolist() for column in columns),
-            )
-        ]
-        # The gains at the lightest and the heaviest load, (R, 2) each.
-        ends = [0, -1]
-        shape = (len(block), len(loads))
-        return [(rows, gain_vs_full.reshape(shape)[:, ends], feasible.reshape(shape)[:, ends])]
+        # An infeasible pair leaves every cell from m_tilde to gain_vs_minimal empty.
+        return [ExperimentResult(
+            K_SWEEP_FIELDS,
+            (
+                k, np.repeat(np.arange(block.start, block.stop), len(loads)), trace,
+                plan.m_tilde, plan.m_hat, plan.m_dagger, plan.p_bar, plan.p_pas_bar,
+                plan.p_bs_bar, p_bs_full, p_bs_minimal, p_bs_full / plan.p_bs_bar,
+                p_bs_minimal / plan.p_bs_bar, feasible.astype(np.int64),
+            ),
+            {},
+            empty=dict.fromkeys(K_SWEEP_FIELDS[3:-1], ~feasible),
+        )]
 
     parts = _map(cfg, plan_block, _blocks(cfg.realizations, PLAN_BLOCK // len(loads)))
-    rows = [row for block_rows, _, _ in parts for row in block_rows]
-    gains, feasible = (np.concatenate(columns) for columns in list(zip(*parts))[1:])
-    summary = {"realizations": cfg.realizations, "k_range": (cfg.k_min, cfg.k_max)}
+    result = ExperimentResult.joined(
+        parts, {"realizations": cfg.realizations, "k_range": (cfg.k_min, cfg.k_max)}
+    )
+    # The gains at the lightest and the heaviest load, (R, 2) each.
+    shape, ends = (cfg.realizations, len(loads)), [0, -1]
+    gains = result.column("gain_vs_full").reshape(shape)[:, ends]
+    feasible = result.column("feasible").reshape(shape)[:, ends] == 1
     for end, k in enumerate((cfg.k_min, cfg.k_max)):
         if feasible[:, end].any():
-            summary[f"mean_gain_vs_full[K={k}]"] = float(np.mean(gains[feasible[:, end], end]))
-    return ExperimentResult(K_SWEEP_FIELDS, rows, summary)
+            mean = float(np.mean(gains[feasible[:, end], end]))
+            result.summary[f"mean_gain_vs_full[K={k}]"] = mean
+    return result
 
 
 def _asymptotic_q_error(cfg: ExperimentConfig) -> ExperimentResult:
@@ -358,9 +490,12 @@ def _asymptotic_q_error(cfg: ExperimentConfig) -> ExperimentResult:
     if sc.channel != "rayleigh" or sc.freq_taps > 0:
         raise ConfigError("q_error needs channel = rayleigh and freq_taps = 0")
     pa = sc.pa_model()
-    rows = []
+    counts = np.zeros((len(cfg.q_list), 2), dtype=np.int64)  # kept, discarded
+    # Mean and variance of the absolute error, mean simulated and asymptotic
+    # consumption; empty where every realization was discarded.
+    stats = np.zeros((len(cfg.q_list), 4))
     summary = {"realizations": cfg.realizations, "q_list": cfg.q_list}
-    for q in cfg.q_list:
+    for row, q in enumerate(cfg.q_list):
         def solve_block(block: range, q=q):
             channels, qos_list = _draw_block(cfg, block, q)
             with _global_index(block):
@@ -381,15 +516,15 @@ def _asymptotic_q_error(cfg: ExperimentConfig) -> ExperimentResult:
         )
         kept = ~(over_cap & cfg.discard_over_pmax)
         p_sim, p_asym = p_sim[kept], p_asym[kept]
-        stats = (None,) * 4
+        counts[row] = len(p_sim), len(kept) - len(p_sim)
         if kept.any():
             errors = np.abs(p_sim - p_asym)
-            stats = (
-                float(errors.mean()), float(errors.var()), float(p_sim.mean()), float(p_asym.mean())
-            )
-            summary[f"mean_abs_error[Q={q}]"] = stats[0]
-        rows.append((q, len(p_sim), len(kept) - len(p_sim), *stats))
-    return ExperimentResult(Q_ERROR_FIELDS, rows, summary)
+            stats[row] = errors.mean(), errors.var(), p_sim.mean(), p_asym.mean()
+            summary[f"mean_abs_error[Q={q}]"] = float(stats[row, 0])
+    return ExperimentResult(
+        Q_ERROR_FIELDS, (cfg.q_list, *counts.T, *stats.T), summary,
+        empty=dict.fromkeys(Q_ERROR_FIELDS[3:], counts[:, 0] == 0),
+    )
 
 
 def _asymptotic_ma_curve(cfg: ExperimentConfig) -> ExperimentResult:
@@ -406,14 +541,11 @@ def _asymptotic_ma_curve(cfg: ExperimentConfig) -> ExperimentResult:
     counts = np.arange(k + 1, sc.m_antennas + 1)
     p_bs = asymptotic_bs_power(counts, k, trace, pa, bs)
     star = int(counts[np.argmin(p_bs)])  # the first minimum: ties go to fewer antennas
-    rows = [
-        (n, p_pas, value, int(n == star))
-        for n, p_pas, value in zip(
-            counts.tolist(), asymptotic_pa_power(counts, k, trace, pa).tolist(), p_bs.tolist()
-        )
-    ]
-    summary = {"trace": trace, "m_star": star, "realizations": cfg.realizations}
-    return ExperimentResult(MA_CURVE_FIELDS, rows, summary)
+    is_star = (counts == star).astype(np.int64)
+    return ExperimentResult(
+        MA_CURVE_FIELDS, (counts, asymptotic_pa_power(counts, k, trace, pa), p_bs, is_star),
+        {"trace": trace, "m_star": star, "realizations": cfg.realizations},
+    )
 
 
 VALIDATION_FIELDS = ("check", "passed", "detail")
@@ -428,7 +560,12 @@ def validate_suite(cfg: ExperimentConfig) -> ExperimentResult:
     bruteforce_rng, wishart_rng, grid_rng, quartic_rng = (
         np.random.default_rng(child) for child in np.random.SeedSequence(cfg.scenario.seed).spawn(4)
     )
-    rows = []
+    checks, passed, details = [], [], []
+
+    def record(check: str, ok: bool, detail: str):
+        checks.append(check)
+        passed.append(int(ok))
+        details.append(detail)
 
     # Fixed point vs the cone-program oracle on small random instances of
     # mixed shapes, one solve each.
@@ -446,10 +583,10 @@ def validate_suite(cfg: ExperimentConfig) -> ExperimentResult:
         ref = oracle.solve_min_pa_bruteforce(channel, qos, pa).objective
         powers = min_pa_precoders([channel], [qos], fixed_point).powers[0]
         worst_rel = max(worst_rel, abs(pa_consumed_power(powers, pa) - ref) / ref)
-    rows.append((
-        "bruteforce_equivalence", int(worst_rel <= 1e-3),
+    record(
+        "bruteforce_equivalence", worst_rel <= 1e-3,
         f"worst relative objective gap {worst_rel:.3e} over {instances} instances",
-    ))
+    )
 
     # Inverse-Wishart trace expectation.
     m, k = 16, 4
@@ -458,10 +595,10 @@ def validate_suite(cfg: ExperimentConfig) -> ExperimentResult:
     estimate = oracle.mc_inverse_wishart_trace(m, k, beta, gamma, 1.0, 10_000, wishart_rng)
     expected = trace_term(beta, gamma, 1.0) / (m - k)
     wishart_rel = abs(estimate - expected) / expected
-    rows.append((
-        "wishart_identity", int(wishart_rel <= 0.02),
+    record(
+        "wishart_identity", wishart_rel <= 0.02,
         f"relative error {wishart_rel:.4f} at 1e4 draws",
-    ))
+    )
 
     # Antenna-count optimum vs exhaustive grid. An infeasible plan has
     # m_dagger 0, so it matches only a grid that finds no admissible count.
@@ -477,10 +614,10 @@ def validate_suite(cfg: ExperimentConfig) -> ExperimentResult:
         except InfeasibleError:
             grid = 0
         mismatches += int(plan.m_dagger[0] != grid)
-    rows.append((
-        "grid_equivalence", int(mismatches == 0),
+    record(
+        "grid_equivalence", mismatches == 0,
         f"{mismatches} mismatches over 100 random scenarios",
-    ))
+    )
 
     # Newton quartic vs closed form.
     worst_quartic = 0.0
@@ -491,10 +628,9 @@ def validate_suite(cfg: ExperimentConfig) -> ExperimentResult:
         newton = solve_quartic_ma(k, t, c)
         closed = oracle.solve_quartic_closed_form(k, t, c)
         worst_quartic = max(worst_quartic, abs(newton - closed) / closed)
-    rows.append((
-        "quartic_closed_form", int(worst_quartic <= 1e-6),
+    record(
+        "quartic_closed_form", worst_quartic <= 1e-6,
         f"worst relative root gap {worst_quartic:.3e} over 100 draws",
-    ))
+    )
 
-    summary = {"passed": all(passed for _, passed, _ in rows)}
-    return ExperimentResult(VALIDATION_FIELDS, rows, summary)
+    return ExperimentResult(VALIDATION_FIELDS, (checks, passed, details), {"passed": all(passed)})

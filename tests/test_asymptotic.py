@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -434,6 +436,22 @@ def test_k_sweep_equals_reference_loop(monkeypatch, sweep, scenario, variant):
                 assert row[name] == ref[name], (name, row, ref)
     assert result.summary == reference_k_sweep_summary(cfg, expected)
 
+
+def test_k_sweep_result_holds_at_most_200_bytes_per_row():
+    # The bench-shaped sweep keeps one array per field: 14 cells of 8 bytes
+    # and its empty-cell masks per row, not a tuple of boxed cells.
+    cfg = with_scenario(ExperimentConfig(asym_mode="k_sweep", **BENCH_SWEEP[0]), **BENCH_SWEEP[1])
+    asymptotic_experiment(cfg)  # imports and first-call caches are not the result's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = asymptotic_experiment(cfg)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(result.rows) == 4000
+    assert held / len(result.rows) <= 200
 
 def reference_ma_curve(cfg):
     """The ma_curve rows and summary: one trace term per realization, one row per count."""

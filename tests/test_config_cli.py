@@ -637,8 +637,9 @@ def test_cli_validate_exit_codes(monkeypatch, capsys):
     from energymimo.experiments import ExperimentResult, VALIDATION_FIELDS
 
     def fake_suite(cfg, passed):
-        row = ("stub", int(passed), "stub")
-        return ExperimentResult(VALIDATION_FIELDS, [row], {"passed": passed})
+        return ExperimentResult(
+            VALIDATION_FIELDS, (["stub"], [int(passed)], ["stub"]), {"passed": passed}
+        )
 
     monkeypatch.setattr(cli, "validate_suite", lambda cfg: fake_suite(cfg, True))
     assert main(["validate"]) == 0
@@ -696,7 +697,7 @@ def test_validate_grid_check_covers_infeasible_scenarios(monkeypatch):
     assert rows["grid_equivalence"] == (0, "1 mismatches over 100 random scenarios")
 
 
-def reference_csv(result) -> bytes:
+def reference_csv(fieldnames, rows) -> bytes:
     """The CSV as ``csv.writer`` wrote it from dict rows, cell by cell."""
 
     def format_cell(value) -> str:
@@ -710,36 +711,57 @@ def reference_csv(result) -> bytes:
 
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer)
-    writer.writerow(result.fieldnames)
-    for cells in result.rows:
-        row = dict(zip(result.fieldnames, cells))
-        writer.writerow([format_cell(row.get(name)) for name in result.fieldnames])
+    writer.writerow(fieldnames)
+    for cells in rows:
+        row = dict(zip(fieldnames, cells))
+        writer.writerow([format_cell(row.get(name)) for name in fieldnames])
     return buffer.getvalue().encode("utf-8")
 
 
+_FLOATS = (
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 123456789.0, 0.1, 2.0 / 3.0,
+    np.float64(-1.5e-12), np.float64(math.nan), np.float64(2.0 / 3.0),
+    np.float64(123456789.5),
+)
+# A float subclass prints as a float and an int never does: np.float64(2/3)
+# and 1234567890 read differently under str and %.9g.
+_INTEGERS = tuple(
+    (np.int64(-3), 1234567890, np.int64(2**40))[i % 3] for i in range(len(_FLOATS))
+)
+# The synthetic table as rows, None for an empty cell.
+SYNTHETIC_ROWS = [(None, 7, "zf", value, integer) for value, integer in zip(_FLOATS, _INTEGERS)]
+SYNTHETIC_ROWS.append(("min_pa", None, "", None, 0))
+
+
 def _synthetic_result():
-    floats = (
-        math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 123456789.0, 0.1, 2.0 / 3.0,
-        np.float64(-1.5e-12), np.float64(math.nan), np.float64(2.0 / 3.0),
-        np.float64(123456789.5),
+    """``SYNTHETIC_ROWS`` as columns: strings in lists, numbers in arrays."""
+    n = len(_FLOATS)
+    return ExperimentResult(
+        ("a", "b", "c", "d", "e"),
+        (
+            [""] * n + ["min_pa"],
+            np.array([7] * n + [0]),
+            ["zf"] * n + [""],
+            np.array([*_FLOATS, 0.0]),
+            np.array([*_INTEGERS, 0]),
+        ),
+        {},
+        empty={"a": np.arange(n + 1) < n, "b": np.arange(n + 1) == n, "d": np.arange(n + 1) == n},
     )
-    # A float subclass prints as a float and an int never does: np.float64(2/3)
-    # and 1234567890 read differently under str and %.9g.
-    integers = (np.int64(-3), 1234567890, np.int64(2**40))
-    rows = [
-        (None, 7, "zf", value, integers[i % len(integers)]) for i, value in enumerate(floats)
-    ]
-    rows.append(("min_pa", None, "", None, 0))
-    return ExperimentResult(("a", "b", "c", "d", "e"), rows, {})
 
 
 def _tiny(scenario, **changes):
     return with_scenario(ExperimentConfig(realizations=3, **changes), seed=4, **scenario)
 
 
-@pytest.mark.parametrize("build, has_empty_cells", [
+# The results the CSV writer is checked on: every command, cells of every
+# kind and empty ones.
+RESULT_CASES = pytest.mark.parametrize("build, has_empty_cells", [
     (_synthetic_result, True),
     (lambda: run_experiment(_tiny({"m_antennas": 8, "k_users": 2}, precoders=("min_pa",))), True),
+    (lambda: run_experiment(
+        _tiny({"m_antennas": 8, "k_users": 1}, precoders=("zf", "min_pa", "saturating"))
+    ), False),
     (lambda: convergence_experiment(_tiny({"m_antennas": 16, "k_users": 2})), True),
     (lambda: asymptotic_experiment(_tiny({"m_antennas": 8}, k_max=10)), True),
     (lambda: asymptotic_experiment(
@@ -750,12 +772,69 @@ def _tiny(scenario, **changes):
     ), False),
     (lambda: validate_suite(ExperimentConfig()), False),
 ], ids=[
-    "synthetic", "run_min_pa", "convergence_no_oracle", "k_sweep_infeasible", "q_error",
-    "ma_curve", "validate",
+    "synthetic", "run_min_pa", "run_three_solvers", "convergence_no_oracle",
+    "k_sweep_infeasible", "q_error", "ma_curve", "validate",
 ])
-def test_write_csv_equals_csv_module_reference(tmp_path, build, has_empty_cells):
+# Slices of one and of seven rows split k_sweep's runs of infeasible rows
+# (K = 8..10 at M = 8, ten rows per realization) and the three rows of each
+# realization of a three-solver run.
+ROW_SLICES = (experiments.ROW_SLICE, 1, 7)
+
+
+@RESULT_CASES
+def test_write_csv_equals_csv_module_reference(tmp_path, monkeypatch, build, has_empty_cells):
     result = build()
     assert any(None in row for row in result.rows) == has_empty_cells
+    expected = reference_csv(result.fieldnames, result.rows)
+    if build is _synthetic_result:
+        assert reference_csv(result.fieldnames, SYNTHETIC_ROWS) == expected
     out = tmp_path / "out.csv"
-    write_csv(str(out), result)
-    assert out.read_bytes() == reference_csv(result)
+    for size in ROW_SLICES:
+        monkeypatch.setattr(experiments, "ROW_SLICE", size)
+        write_csv(str(out), result)
+        assert out.read_bytes() == expected, size
+
+
+# The type of each field's cells, None aside, as the commands have always
+# given them; the synthetic table's numpy scalars read back as Python ones.
+CELL_TYPES = {
+    "a": str, "b": int, "c": str, "d": float, "e": int,
+    "seed": int, "realization": int, "solver": str, "p_tx": float, "p_pas": float,
+    "p_bs": float, "m_active": int, "gain_pas": float, "gain_bs": float, "discarded": int,
+    "iteration": int, "residual": float, "dist_sq_oracle": float,
+    "k_users": int, "trace": float, "m_tilde": float, "m_hat": int, "m_dagger": int,
+    "p_bar": float, "p_pas_bar": float, "p_bs_dagger": float, "p_bs_full": float,
+    "p_bs_minimal": float, "gain_vs_full": float, "gain_vs_minimal": float, "feasible": int,
+    "subcarriers": int, "realizations": int, "mean_abs_error": float, "var_abs_error": float,
+    "mean_p_pas_sim": float, "mean_p_pas_asym": float, "p_bs_bar": float, "is_m_star": int,
+    "check": str, "passed": int, "detail": str,
+}
+
+
+@RESULT_CASES
+def test_rows_view_matches_csv_and_cell_types(
+    tmp_path, monkeypatch, capsys, build, has_empty_cells
+):
+    result = build()
+    out = tmp_path / "out.csv"
+    monkeypatch.setattr(experiments, "ROW_SLICE", 7)
+    monkeypatch.setattr("energymimo.cli.run_experiment", lambda cfg: result)
+    assert main(["run", "--out", str(out)]) == 0
+    lines = out.read_bytes().count(b"\r\n") - 1
+    assert len(result.rows) == lines
+    assert capsys.readouterr().out.splitlines()[0] == f"wrote {lines} rows to {out}"
+    rows = list(result.rows)
+    assert len(rows) == lines
+    # repr tells equal cells apart from different ones, NaN included.
+    assert repr([result.rows[i] for i in range(-lines, lines)]) == repr(rows + rows)
+    assert repr(result.rows[2:-1:3]) == repr(rows[2:-1:3])
+    for row in rows:
+        for name, cell in zip(result.fieldnames, row):
+            assert cell is None or type(cell) is CELL_TYPES[name], (name, row)
+    if build is _synthetic_result:
+        for row, ref in zip(rows, SYNTHETIC_ROWS):
+            for cell, cell_ref in zip(row, ref):
+                if isinstance(cell_ref, np.generic):
+                    cell_ref = cell_ref.item()
+                assert type(cell) is type(cell_ref)
+                assert cell == cell_ref or cell != cell and cell_ref != cell_ref
