@@ -112,9 +112,9 @@ def main(argv=None) -> int:
         out = cfg.out or DEFAULT_OUT[args.command]
         if out:
             write_csv(out, result)
-            print(f"wrote {len(result.rows)} rows to {out}")
+            print(f"wrote {len(result)} rows to {out}")
         if args.command == "validate":
-            for check, passed, detail in result.rows:
+            for check, passed, detail in zip(*result.columns):
                 print(f"[{'PASS' if passed else 'FAIL'}] {check}: {detail}")
             if not result.summary["passed"]:
                 return 3

@@ -1,13 +1,16 @@
 """Monte-Carlo experiment engine behind the CLI commands.
 
 Each realization draws its randomness from an independent stream seeded by
-master seed + realization index, so results are identical regardless of how
-the realizations are scheduled; the blocks' results are joined in
-realization order. Every Monte-Carlo command works on fixed-size blocks of
-realizations: ``run``, ``convergence`` and ``asymptotic`` q_error draw a
-block and solve it with one call to the stacked solvers, and ``asymptotic``
-k_sweep plans a block through the array antenna-count planner. The thread
-pool maps over those blocks, whose boundaries depend only on the scenario.
+master seed + realization index: first its users, then, where the command
+needs one, its channel. So results are identical regardless of how the
+realizations are scheduled; the blocks' results are joined in realization
+order. Every Monte-Carlo command works on fixed-size blocks of realizations
+and draws each block once, with :func:`_draw_block`: ``run``,
+``convergence`` and ``asymptotic`` q_error solve the block with one call to
+the stacked solvers, and ``asymptotic`` k_sweep and ma_curve take the
+block's traces sum_k gamma_k sigma^2 / beta_k from its stacked users. The
+thread pool maps over those blocks, whose boundaries depend only on the
+scenario.
 
 A command returns an :class:`ExperimentResult`: one column per field, a
 numpy array or a list of strings, and a mask of its empty cells. Each block
@@ -19,7 +22,6 @@ from the joined columns or from arrays the command holds.
 from __future__ import annotations
 
 import sys
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
@@ -64,7 +66,7 @@ BLOCK_ELEMENTS = 32768
 # ``ma_curve`` draws its users in stacks of as many (realization, user) cells.
 PLAN_BLOCK = 2048
 # Rows that a result turns into Python objects at once, for the CSV writer
-# and the ``rows`` view.
+# and ``rows``.
 ROW_SLICE = 2048
 
 RUN_FIELDS = (
@@ -93,9 +95,8 @@ class ExperimentResult:
     value; the constructor also takes one bool for the whole column. What a
     column stores under its mask is never read.
 
-    ``rows`` is a read-only view of the cells as tuples, ``None`` for an
-    empty cell. It and :meth:`row_slices`, which the CSV writer reads, hold
-    at most ``ROW_SLICE`` rows as Python objects at a time.
+    :meth:`row_slices`, which the CSV writer reads, holds at most
+    ``ROW_SLICE`` rows as Python objects at a time.
     """
 
     def __init__(self, fieldnames, columns, summary: dict, empty=None):
@@ -148,93 +149,66 @@ class ExperimentResult:
         return self.columns[self.fieldnames.index(name)]
 
     def row_slices(self):
-        """(shapes, rows) of each run of at most ``ROW_SLICE`` rows, in order."""
-        for start in range(0, self._length, ROW_SLICE):
-            yield self._slice(start, min(start + ROW_SLICE, self._length))
-
-    def _slice(self, start: int, stop: int):
-        """(shapes, rows) of rows ``start`` to ``stop``.
+        """(shapes, rows) of each run of at most ``ROW_SLICE`` rows, in order.
 
         ``rows`` are tuples, ``None`` for an empty cell; bit j of a row's
         shape is set when its field j is empty.
         """
-        cells = [
-            column[start:stop] if isinstance(column, list) else column[start:stop].tolist()
-            for column in self.columns
-        ]
-        shapes = np.zeros(stop - start, dtype=np.int64)
-        for name, mask in self.empty.items():
-            j, part = self.fieldnames.index(name), mask[start:stop]
-            shapes |= part.astype(np.int64) << j
-            for i in np.flatnonzero(part).tolist():
-                cells[j][i] = None
-        return shapes.tolist(), list(zip(*cells))
+        for start in range(0, self._length, ROW_SLICE):
+            stop = min(start + ROW_SLICE, self._length)
+            cells = [
+                column[start:stop] if isinstance(column, list) else column[start:stop].tolist()
+                for column in self.columns
+            ]
+            shapes = np.zeros(stop - start, dtype=np.int64)
+            for name, mask in self.empty.items():
+                j, part = self.fieldnames.index(name), mask[start:stop]
+                shapes |= part.astype(np.int64) << j
+                for i in np.flatnonzero(part).tolist():
+                    cells[j][i] = None
+            yield shapes.tolist(), list(zip(*cells))
 
     @property
-    def rows(self) -> Rows:
-        return Rows(self)
-
-
-class Rows(Sequence):
-    """The rows of an :class:`ExperimentResult` as tuples, built when read.
-
-    ``len`` is O(1), and the view equals a list of the same tuples.
-    """
-
-    __slots__ = ("_result",)
-    __hash__ = None
-
-    def __init__(self, result: ExperimentResult):
-        self._result = result
-
-    def __len__(self) -> int:
-        return len(self._result)
-
-    def __iter__(self):
-        for _, rows in self._result.row_slices():
-            yield from rows
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        i = range(len(self))[index]
-        return self._result._slice(i, i + 1)[1][0]
-
-    def __eq__(self, other):
-        if isinstance(other, (list, Rows)):
-            return list(self) == list(other)
-        return NotImplemented
+    def rows(self) -> list[tuple]:
+        """The cells as tuples, ``None`` for an empty cell, built when read."""
+        return [row for _, rows in self.row_slices() for row in rows]
 
 
 def _realization_rng(cfg: ExperimentConfig, index: int) -> np.random.Generator:
     return np.random.default_rng(cfg.scenario.seed + index)
 
 
-def _draw_users(cfg: ExperimentConfig, rng: np.random.Generator, k_users: int):
-    """Large-scale fading and SINR targets of ``k_users`` users dropped in the cell."""
-    sc = cfg.scenario
-    beta = large_scale_fading(draw_user_distances(k_users, sc.geometry(), rng))
-    return beta, target_sinr(beta, sc.sinr_ref)
+def _draw_block(cfg: ExperimentConfig, block: range, k_users: int, subcarriers: int = 0):
+    """(beta, gamma, channels, qos_list) of the realizations in ``block``.
 
-
-def _draw_scenario(cfg: ExperimentConfig, rng: np.random.Generator, subcarriers: int):
-    """One realization over ``subcarriers``: its channel and its QoS targets."""
+    Each realization drops its ``k_users`` users on its own stream; their
+    distances are stacked to (R, ``k_users``) and turned into large-scale
+    fading ``beta`` and SINR targets ``gamma`` at once. With ``subcarriers``,
+    each realization then draws its channel over that many subcarriers on
+    the same stream; otherwise ``channels`` and ``qos_list`` are empty.
+    """
     sc = cfg.scenario
-    beta, gamma = _draw_users(cfg, rng, sc.k_users)
-    qos = QosTargets(gamma=gamma, noise_power=sc.noise_power, subcarriers=subcarriers)
+    geometry = sc.geometry()
+    rngs = [_realization_rng(cfg, index) for index in block]
+    beta = large_scale_fading(np.array([
+        draw_user_distances(k_users, geometry, rng) for rng in rngs
+    ]))
+    gamma = target_sinr(beta, sc.sinr_ref)
+    if not subcarriers:
+        return beta, gamma, [], []
+    qos_list = [
+        QosTargets(gamma=targets, noise_power=sc.noise_power, subcarriers=subcarriers)
+        for targets in gamma
+    ]
     if sc.channel == "los":
-        channel = draw_los_channel(sc.m_antennas, sc.k_users, subcarriers, rng)
+        channels = [draw_los_channel(sc.m_antennas, k_users, subcarriers, rng) for rng in rngs]
     else:
         correlation = FreqCorrelation(sc.freq_taps, sc.freq_decay) if sc.freq_taps > 0 else None
-        channel = draw_rayleigh_channel(
-            sc.m_antennas, sc.k_users, subcarriers, beta, rng, correlation
-        )
-    return channel, qos
-
-
-def _draw_block(cfg: ExperimentConfig, block: range, subcarriers: int):
-    """Channels and QoS targets of the realizations in ``block``, each on its own stream."""
-    return zip(*(_draw_scenario(cfg, _realization_rng(cfg, index), subcarriers) for index in block))
+        channels = [
+            draw_rayleigh_channel(sc.m_antennas, k_users, subcarriers, gains, rng, correlation)
+            for gains, rng in zip(beta, rngs)
+        ]
+    return beta, gamma, channels, qos_list
 
 
 @contextmanager
@@ -258,13 +232,11 @@ def _solve_block(name: str, channels, qos_list, cfg: ExperimentConfig) -> Precod
 
 
 def _map(cfg: ExperimentConfig, worker, blocks: list[range]) -> list:
-    """The lists ``worker(block)`` returns, joined in block order."""
+    """What ``worker(block)`` returns for each block, in block order."""
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            parts = list(pool.map(worker, blocks))
-    else:
-        parts = map(worker, blocks)
-    return [item for part in parts for item in part]
+            return list(pool.map(worker, blocks))
+    return list(map(worker, blocks))
 
 
 def _blocks(count: int, size: int) -> list[range]:
@@ -293,7 +265,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     p_max = cfg.scenario.p_max_watts
 
     def solve_block(block: range):
-        channels, qos_list = _draw_block(cfg, block, cfg.scenario.subcarriers)
+        _, _, channels, qos_list = _draw_block(
+            cfg, block, cfg.scenario.k_users, cfg.scenario.subcarriers
+        )
         with _global_index(block):
             solved = {name: _solve_block(name, channels, qos_list, cfg) for name in cfg.precoders}
         powers = {name: solution.powers for name, solution in solved.items()}
@@ -310,7 +284,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             )
         else:
             gain_pas = gain_bs = np.zeros(len(block) * solvers)  # empty cells
-        return [ExperimentResult(
+        return ExperimentResult(
             RUN_FIELDS,
             (
                 [cfg.scenario.seed] * (len(block) * solvers),
@@ -326,7 +300,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             ),
             {},
             empty=dict.fromkeys(("gain_pas", "gain_bs"), "zf" not in cfg.precoders),
-        )]
+        )
 
     parts = _map(cfg, solve_block, _realization_blocks(cfg, cfg.scenario.subcarriers))
     result = ExperimentResult.joined(parts, {"realizations": cfg.realizations})
@@ -347,7 +321,6 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Per-iteration residuals and squared distance to the oracle optimum."""
     sc = cfg.scenario
     pa = sc.pa_model()
-    warned = [False]
 
     def oracle_powers(channel, qos):
         if sc.k_users == 1 and sc.subcarriers == 1:
@@ -360,7 +333,7 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         ).powers
 
     def solve_block(block: range):
-        channels, qos_list = _draw_block(cfg, block, sc.subcarriers)
+        _, _, channels, qos_list = _draw_block(cfg, block, sc.k_users, sc.subcarriers)
         with _global_index(block):
             solution = min_pa_precoders(channels, qos_list, cfg.fixed_point(record_history=True))
         # The histories, realization after realization, as one (sum of lengths, M)
@@ -370,14 +343,12 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         iteration = np.arange(len(history)) - np.repeat(first, iterations + 1)
         step = iteration > 0
         residual = np.abs(np.diff(history, axis=0)).max(axis=1)[step[1:]]
-        optimum = None
+        optimum = skipped = None
         if cfg.oracle:
             try:
                 optimum = np.array(list(map(oracle_powers, channels, qos_list)))
             except OracleSizeError as exc:
-                if not warned[0]:
-                    warned[0] = True
-                    print(f"warning: oracle skipped ({exc})", file=sys.stderr)
+                skipped = str(exc)
         dist, final_dist = np.zeros(len(residual)), np.zeros(0)  # empty cells without an oracle
         if optimum is not None:
             dist_all = np.sum((history - np.repeat(optimum, iterations + 1, axis=0)) ** 2, axis=1)
@@ -387,9 +358,12 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             CONVERGENCE_FIELDS, (realization, iteration[step], residual, dist), {},
             empty={"dist_sq_oracle": optimum is None},
         )
-        return [(part, iterations, solution.converged, final_dist)]
+        return part, iterations, solution.converged, final_dist, skipped
 
-    parts, *arrays = zip(*_map(cfg, solve_block, _realization_blocks(cfg, sc.subcarriers)))
+    parts, *arrays, skipped = zip(*_map(cfg, solve_block, _realization_blocks(cfg, sc.subcarriers)))
+    reason = next(filter(None, skipped), None)
+    if reason is not None:
+        print(f"warning: oracle skipped ({reason})", file=sys.stderr)
     iterations, converged, final_dists = map(np.concatenate, arrays)
     summary = {
         "mean_iterations": float(np.mean(iterations)),
@@ -413,21 +387,6 @@ def asymptotic_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return _asymptotic_ma_curve(cfg)
 
 
-def _draw_user_stack(cfg: ExperimentConfig, block: range, k_users: int):
-    """(R, ``k_users``) large-scale fading and SINR targets of the realizations in ``block``.
-
-    Each realization drops its users on its own stream; the distances are
-    stacked and transformed at once.
-    """
-    sc = cfg.scenario
-    geometry = sc.geometry()
-    distances = np.array([
-        draw_user_distances(k_users, geometry, _realization_rng(cfg, index)) for index in block
-    ])
-    beta = large_scale_fading(distances)
-    return beta, target_sinr(beta, sc.sinr_ref)
-
-
 def _asymptotic_k_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     sc = cfg.scenario
     pa = sc.pa_model()
@@ -438,7 +397,7 @@ def _asymptotic_k_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     def plan_block(block: range):
         # One nested user drop per realization: user k's position is shared
         # by every K >= k, which keeps the sweep coupled across loads.
-        beta, gamma = _draw_user_stack(cfg, block, cfg.k_max)
+        beta, gamma, _, _ = _draw_block(cfg, block, cfg.k_max)
         terms = gamma * sc.noise_power / beta
         # Each prefix is summed on its own: np.sum adds pairwise, so a
         # running cumsum would change the last bits of the trace.
@@ -453,7 +412,7 @@ def _asymptotic_k_sweep(cfg: ExperimentConfig) -> ExperimentResult:
             k[feasible] + 1, k[feasible], trace[feasible], pa, bs
         )
         # An infeasible pair leaves every cell from m_tilde to gain_vs_minimal empty.
-        return [ExperimentResult(
+        return ExperimentResult(
             K_SWEEP_FIELDS,
             (
                 k, np.repeat(np.arange(block.start, block.stop), len(loads)), trace,
@@ -463,7 +422,7 @@ def _asymptotic_k_sweep(cfg: ExperimentConfig) -> ExperimentResult:
             ),
             {},
             empty=dict.fromkeys(K_SWEEP_FIELDS[3:-1], ~feasible),
-        )]
+        )
 
     parts = _map(cfg, plan_block, _blocks(cfg.realizations, PLAN_BLOCK // len(loads)))
     result = ExperimentResult.joined(
@@ -497,22 +456,18 @@ def _asymptotic_q_error(cfg: ExperimentConfig) -> ExperimentResult:
     summary = {"realizations": cfg.realizations, "q_list": cfg.q_list}
     for row, q in enumerate(cfg.q_list):
         def solve_block(block: range, q=q):
-            channels, qos_list = _draw_block(cfg, block, q)
+            beta, gamma, channels, qos_list = _draw_block(cfg, block, sc.k_users, q)
             with _global_index(block):
                 powers = zf_precoders(channels, qos_list).powers
-            trace = np.array([
-                trace_term(channel.large_scale, qos.gamma, sc.noise_power)
-                for channel, qos in zip(channels, qos_list)
-            ])
-            return [(
+            trace = (gamma * sc.noise_power / beta).sum(axis=1)
+            return (
                 pa_consumed_power(powers, pa),
                 asymptotic_pa_power(sc.m_antennas, sc.k_users, trace, pa),
                 np.any(powers > sc.p_max_watts, axis=1),
-            )]
+            )
 
-        p_sim, p_asym, over_cap = (
-            np.concatenate(columns)
-            for columns in zip(*_map(cfg, solve_block, _realization_blocks(cfg, q)))
+        p_sim, p_asym, over_cap = map(
+            np.concatenate, zip(*_map(cfg, solve_block, _realization_blocks(cfg, q)))
         )
         kept = ~(over_cap & cfg.discard_over_pmax)
         p_sim, p_asym = p_sim[kept], p_asym[kept]
@@ -535,7 +490,7 @@ def _asymptotic_ma_curve(cfg: ExperimentConfig) -> ExperimentResult:
 
     traces = []
     for block in _blocks(cfg.realizations, PLAN_BLOCK // k):
-        beta, gamma = _draw_user_stack(cfg, block, k)
+        beta, gamma, _, _ = _draw_block(cfg, block, k)
         traces.append((gamma * sc.noise_power / beta).sum(axis=1))
     trace = float(np.mean(np.concatenate(traces)))
     counts = np.arange(k + 1, sc.m_antennas + 1)

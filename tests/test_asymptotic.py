@@ -21,14 +21,13 @@ from energymimo.errors import DomainError
 from energymimo.experiments import (
     K_SWEEP_FIELDS,
     MA_CURVE_FIELDS,
-    _draw_scenario,
-    _draw_users,
-    _realization_rng,
     asymptotic_experiment,
 )
 from energymimo.model import BsModel, pa_consumed_power
 from energymimo.oracle import grid_min_bs, solve_quartic_closed_form
 from energymimo.precoding import zf_precoders
+
+from conftest import draw_realization
 
 
 def test_trace_term_hand_value():
@@ -365,7 +364,7 @@ def reference_k_sweep(cfg):
     pa, bs, m = sc.pa_model(), sc.bs_model(), sc.m_antennas
     rows = []
     for index in range(cfg.realizations):
-        beta, gamma = _draw_users(cfg, _realization_rng(cfg, index), cfg.k_max)
+        beta, gamma, _, _ = draw_realization(cfg, index, k_users=cfg.k_max)
         for k in range(cfg.k_min, cfg.k_max + 1):
             trace = trace_term(beta[:k], gamma[:k], sc.noise_power)
             row = dict.fromkeys(K_SWEEP_FIELDS)
@@ -458,7 +457,7 @@ def reference_ma_curve(cfg):
     sc = cfg.scenario
     pa, bs, k = sc.pa_model(), sc.bs_model(), sc.k_users
     trace = float(np.mean([
-        trace_term(*_draw_users(cfg, _realization_rng(cfg, index), k), sc.noise_power)
+        trace_term(*draw_realization(cfg, index)[:2], sc.noise_power)
         for index in range(cfg.realizations)
     ]))
     curve = [
@@ -496,7 +495,7 @@ def reference_q_error(cfg):
     for q in cfg.q_list:
         results = []
         for index in range(cfg.realizations):
-            channel, qos = _draw_scenario(cfg, _realization_rng(cfg, index), q)
+            _, _, channel, qos = draw_realization(cfg, index, subcarriers=q)
             powers = zf_precoders([channel], [qos]).powers[0]
             trace = trace_term(channel.large_scale, qos.gamma, sc.noise_power)
             results.append((

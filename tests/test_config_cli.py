@@ -21,9 +21,7 @@ from energymimo.experiments import (
     PLAN_BLOCK,
     ExperimentResult,
     _blocks,
-    _draw_scenario,
     _realization_blocks,
-    _realization_rng,
     _solve_block,
     asymptotic_experiment,
     convergence_experiment,
@@ -32,6 +30,8 @@ from energymimo.experiments import (
 )
 from energymimo.model import bs_consumed_power, gain_metrics
 from energymimo.precoding import min_pa_precoders
+
+from conftest import draw_realization
 
 # Q * K * M = 32768 channel entries: one realization per solver block.
 WIDEBAND_CFG = "m_antennas = 32\nk_users = 4\nsubcarriers = 256\nrealizations = 3\nseed = 8\n"
@@ -148,7 +148,7 @@ def reference_run(cfg):
     pa, bs = sc.pa_model(), sc.bs_model()
     rows = []
     for index in range(cfg.realizations):
-        channel, qos = _draw_scenario(cfg, _realization_rng(cfg, index), sc.subcarriers)
+        _, _, channel, qos = draw_realization(cfg, index, subcarriers=sc.subcarriers)
         powers = {
             name: _solve_block(name, [channel], [qos], cfg).powers[0] for name in cfg.precoders
         }
@@ -175,7 +175,7 @@ def reference_convergence(cfg):
     rows, iterations, final_dists = [], [], []
     converged = 0
     for index in range(cfg.realizations):
-        channel, qos = _draw_scenario(cfg, _realization_rng(cfg, index), sc.subcarriers)
+        _, _, channel, qos = draw_realization(cfg, index, subcarriers=sc.subcarriers)
         solution = min_pa_precoders([channel], [qos], cfg.fixed_point(record_history=True))
         optimum = None
         if cfg.oracle and sc.k_users == 1 and sc.subcarriers == 1:
@@ -222,8 +222,11 @@ def assert_same_cells(rows, expected):
         (("min_pa",), {"m_antennas": 8, "k_users": 2, "subcarriers": 2, "seed": 6}),
         (("zf", "min_pa"), {"m_antennas": 16, "k_users": 2, "p_max_watts": 1e-6, "seed": 7}),
         (("zf", "min_pa"), {"m_antennas": 8, "k_users": 2, "subcarriers": 32, "seed": 8}),
+        (("zf",), {"m_antennas": 16, "k_users": 3, "subcarriers": 4, "channel": "los", "seed": 9}),
+        (("zf", "min_pa"), {"m_antennas": 16, "k_users": 3, "subcarriers": 8, "freq_taps": 3,
+                            "seed": 10}),
     ],
-    ids=["three_solvers", "min_pa_alone", "all_discarded", "swept_grams"],
+    ids=["three_solvers", "min_pa_alone", "all_discarded", "swept_grams", "los", "freq_taps_3"],
 )
 def test_run_equals_reference_loop(monkeypatch, precoders, scenario):
     cfg = with_scenario(ExperimentConfig(realizations=12, precoders=precoders), **scenario)
@@ -618,16 +621,22 @@ def test_cli_q_error_needs_iid_rayleigh(tmp_path, capsys, scenario):
     assert not out.exists()
 
 
-def test_convergence_warns_when_oracle_guard_exceeded(tmp_path, capsys):
+def test_convergence_warns_when_oracle_guard_exceeded(tmp_path, monkeypatch, capsys):
     # K=2 at M=16 exceeds the default oracle guard: the command still runs,
-    # warns once, and leaves the distance column empty
+    # warns once over four blocks of two realizations solved two at a time,
+    # and leaves the distance column empty
+    monkeypatch.setattr(experiments, "BLOCK_ELEMENTS", 2 * 2 * 16)
     cfgfile = tmp_path / "conv.cfg"
     cfgfile.write_text(
-        "m_antennas = 16\nk_users = 2\nsubcarriers = 1\nrealizations = 2\nseed = 2\n"
+        "m_antennas = 16\nk_users = 2\nsubcarriers = 1\nrealizations = 8\nseed = 2\n"
     )
     out = tmp_path / "conv.csv"
-    assert main(["convergence", "--config", str(cfgfile), "--out", str(out)]) == 0
-    assert "oracle skipped" in capsys.readouterr().err
+    argv = ["convergence", "--config", str(cfgfile), "--out", str(out), "--threads", "2"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == (
+        "warning: oracle skipped (instance (M=16, K=2, Q=1) exceeds oracle guard"
+        " (M<=8, K<=4, Q<=8))\n"
+    )
     lines = out.read_text().splitlines()
     assert all(line.endswith(",") for line in lines[1:])
 
@@ -821,13 +830,9 @@ def test_rows_view_matches_csv_and_cell_types(
     monkeypatch.setattr("energymimo.cli.run_experiment", lambda cfg: result)
     assert main(["run", "--out", str(out)]) == 0
     lines = out.read_bytes().count(b"\r\n") - 1
-    assert len(result.rows) == lines
-    assert capsys.readouterr().out.splitlines()[0] == f"wrote {lines} rows to {out}"
-    rows = list(result.rows)
+    rows = result.rows
     assert len(rows) == lines
-    # repr tells equal cells apart from different ones, NaN included.
-    assert repr([result.rows[i] for i in range(-lines, lines)]) == repr(rows + rows)
-    assert repr(result.rows[2:-1:3]) == repr(rows[2:-1:3])
+    assert capsys.readouterr().out.splitlines()[0] == f"wrote {lines} rows to {out}"
     for row in rows:
         for name, cell in zip(result.fieldnames, row):
             assert cell is None or type(cell) is CELL_TYPES[name], (name, row)
