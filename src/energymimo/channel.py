@@ -1,5 +1,9 @@
 """Scenario generation: user placement, fading, SINR targets, channel draws.
 
+The subcarrier count Q is the channel stack's own: a solver splits user k's
+target gamma_k evenly over the Q subcarriers of its channel. The large-scale
+fading beta scales the Rayleigh draw and is not kept with the channel.
+
 Randomness is always drawn from an explicit ``numpy.random.Generator`` so
 experiments are bit-reproducible; there is no module-level RNG state.
 """
@@ -39,25 +43,24 @@ class CellGeometry:
 class QosTargets:
     """Per-user linear SINR targets plus the shared noise power.
 
-    ``subcarriers`` is the Q over which each target is split: the effective
-    per-subcarrier target of user k is gamma_k / Q.
+    A solver splits each target over the Q subcarriers of the channel it is
+    solved on: the per-subcarrier target of user k is gamma_k / Q.
     """
 
     gamma: np.ndarray
     noise_power: float
-    subcarriers: int = 1
 
     def __post_init__(self):
         gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
         object.__setattr__(self, "gamma", gamma)
+        if not gamma.size:
+            raise DomainError("need at least one SINR target")
         if not np.all(gamma > 0.0):
             raise DomainError("all SINR targets must be positive")
         if not np.all(np.isfinite(gamma)):
             raise DomainError("all SINR targets must be finite")
         if not 0.0 < self.noise_power < np.inf:
             raise DomainError(f"noise power must be positive and finite, got {self.noise_power}")
-        if self.subcarriers < 1:
-            raise DomainError(f"subcarriers must be >= 1, got {self.subcarriers}")
 
     @property
     def k_users(self) -> int:
@@ -66,10 +69,6 @@ class QosTargets:
     @property
     def noise_std(self) -> float:
         return float(np.sqrt(self.noise_power))
-
-    @property
-    def per_subcarrier_gamma(self) -> np.ndarray:
-        return self.gamma / self.subcarriers
 
 
 @dataclass(frozen=True)
@@ -93,20 +92,17 @@ class FreqCorrelation:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Q stacked K x M channel matrices plus the per-user large-scale gains."""
+    """Q stacked K x M channel matrices, with Q >= 1 and K >= 1."""
 
     per_subcarrier: np.ndarray
-    large_scale: np.ndarray
 
     def __post_init__(self):
         h = np.asarray(self.per_subcarrier)
         if h.ndim != 3:
             raise DimensionError(f"expected (Q, K, M) channel stack, got shape {h.shape}")
-        beta = np.atleast_1d(np.asarray(self.large_scale, dtype=float))
-        if beta.shape[0] != h.shape[1]:
-            raise DimensionError("large_scale length must match the user count")
+        if not h.shape[0] or not h.shape[1]:
+            raise DimensionError(f"need at least one subcarrier and one user, got shape {h.shape}")
         object.__setattr__(self, "per_subcarrier", h)
-        object.__setattr__(self, "large_scale", beta)
 
     @property
     def subcarriers(self) -> int:
@@ -194,7 +190,7 @@ def draw_rayleigh_channel(
         )
         g = np.tensordot(phase, c, axes=(1, 0))
     h = np.sqrt(beta)[None, :, None] * g
-    return ChannelRealization(per_subcarrier=h, large_scale=beta)
+    return ChannelRealization(h)
 
 
 def draw_los_channel(
@@ -205,4 +201,4 @@ def draw_los_channel(
 ) -> ChannelRealization:
     """Pure line-of-sight channel with unit-modulus entries, phases uniform on [0, 2pi)."""
     h = np.exp(2j * np.pi * rng.random((subcarriers, k_users, m_antennas)))
-    return ChannelRealization(per_subcarrier=h, large_scale=np.ones(k_users))
+    return ChannelRealization(h)

@@ -196,10 +196,7 @@ def _draw_block(cfg: ExperimentConfig, block: range, k_users: int, subcarriers: 
     gamma = target_sinr(beta, sc.sinr_ref)
     if not subcarriers:
         return beta, gamma, [], []
-    qos_list = [
-        QosTargets(gamma=targets, noise_power=sc.noise_power, subcarriers=subcarriers)
-        for targets in gamma
-    ]
+    qos_list = [QosTargets(gamma=targets, noise_power=sc.noise_power) for targets in gamma]
     if sc.channel == "los":
         channels = [draw_los_channel(sc.m_antennas, k_users, subcarriers, rng) for rng in rngs]
     else:
@@ -533,7 +530,7 @@ def validate_suite(cfg: ExperimentConfig) -> ExperimentResult:
         q = int(bruteforce_rng.integers(1, 5))
         beta = np.full(k, 1e-11)
         gamma = bruteforce_rng.uniform(2.0, 40.0, size=k)
-        qos = QosTargets(gamma=gamma, noise_power=cfg.scenario.noise_power, subcarriers=q)
+        qos = QosTargets(gamma=gamma, noise_power=cfg.scenario.noise_power)
         channel = draw_rayleigh_channel(m, k, q, beta, bruteforce_rng)
         ref = oracle.solve_min_pa_bruteforce(channel, qos, pa).objective
         powers = min_pa_precoders([channel], [qos], fixed_point).powers[0]

@@ -150,12 +150,12 @@ def solve_min_pa_bruteforce(
             f"instance (M={m}, K={k}, Q={q}) exceeds oracle guard "
             f"(M<={max_m}, K<={max_k}, Q<={max_q})"
         )
-    if qos.k_users != k or qos.subcarriers != q:
+    if qos.k_users != k:
         raise DomainError("QoS targets do not match the channel dimensions")
-    rhs_diag = np.sqrt(qos.per_subcarrier_gamma) * qos.noise_std
+    d = np.sqrt(qos.gamma / q) * qos.noise_std
     # Rows normalized by D, so that the constraint reads H_q W_q = I; in
     # these units W is `scale` times the precoder.
-    h = channel.per_subcarrier / rhs_diag[:, None]
+    h = channel.per_subcarrier / d[:, None]
     scale = float(np.sqrt(np.mean(np.abs(h) ** 2)))
     h = h / scale
     h_adj = h.conj().transpose(0, 2, 1)
@@ -195,7 +195,7 @@ def solve_min_pa_bruteforce(
     w = w / scale
     powers = np.sum(np.abs(w) ** 2, axis=(0, 2))
     residual = float(
-        np.max(np.abs(channel.per_subcarrier @ w - np.diag(rhs_diag)[None, :, :]))
+        np.max(np.abs(channel.per_subcarrier @ w - np.diag(d)[None, :, :]))
     )
     return OracleResult(
         powers=powers,
@@ -207,7 +207,7 @@ def solve_min_pa_bruteforce(
 def analytic_single_user(h, qos: QosTargets, pa: PaModel) -> OracleResult:
     """Closed-form narrowband single-user optimum (strongest antenna)."""
     h = np.atleast_1d(np.asarray(h, dtype=complex))
-    if qos.k_users != 1 or qos.subcarriers != 1:
+    if qos.k_users != 1:
         raise DomainError("analytic oracle covers the K=1, Q=1 case only")
     gains = np.abs(h)
     if not np.any(gains > 0.0):

@@ -11,14 +11,16 @@ capped narrowband fill) and ``los_allocation_precoders`` (a chosen LOS
 power split), take and return the same.
 
 Both iterative solvers and the LOS split return precoders from one
-weighted zero-forcing kernel, W_q = D_p^(1/2) H_q^H G_q^(-1) D_q with
+weighted zero-forcing kernel, W_q = D_p^(1/2) H_q^H G_q^(-1) D with
 G_q = H_q D_p^(1/2) H_q^H, over all M antennas of a stack of shape
-(R, Q, K, M) holding R realizations. Zero forcing is the kernel at uniform
+(R, Q, K, M) holding R realizations. The ZF targets D = diag(d) are
+d_k = (gamma_k / Q)^(1/2) sigma, with Q the channel's own subcarrier count,
+and the same on every subcarrier. Zero forcing is the kernel at uniform
 power; an antenna the fixed point switches off is a zero power and gets a
 zero row.
 
 The fixed point itself needs only the powers, p_m <- p_m sum_q h_qm^H A_q
-h_qm with A_q = G_q^(-1) D_q^2 G_q^(-1). It iterates that lifted map on
+h_qm with A_q = G_q^(-1) D^2 G_q^(-1). It iterates that lifted map on
 the K^2 distinct reals of each h_qm h_qm^H, packed once per solve, so an
 iteration is two stacked real products and a K x K inverse per subcarrier;
 its first iterate is zero forcing up to rounding. The kernel and the map
@@ -84,10 +86,10 @@ class FixedPointConfig:
     record_history: bool = False
 
     def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise DomainError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be >= 1")
+        if not 0.0 < self.tolerance < np.inf:
+            raise DomainError("tolerance must be positive and finite")
+        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
+            raise DomainError("max_iterations must be an integer >= 1")
         if not self.dead_antenna_floor >= 0.0:
             raise DomainError("dead_antenna_floor must be >= 0")
 
@@ -123,10 +125,6 @@ def _check_instance(channel: ChannelRealization, qos: QosTargets, realization: i
         raise DimensionError(
             f"QoS targets cover {qos.k_users} users, channel has {channel.k_users}"
         )
-    if qos.subcarriers != channel.subcarriers:
-        raise DimensionError(
-            f"QoS normalization assumes Q={qos.subcarriers}, channel has Q={channel.subcarriers}"
-        )
     if channel.m_antennas < channel.k_users:
         raise SingularChannelError(
             f"zero forcing needs M >= K, got M={channel.m_antennas}, K={channel.k_users}",
@@ -137,10 +135,10 @@ def _check_instance(channel: ChannelRealization, qos: QosTargets, realization: i
 
 
 def _stack(channels, qos_list):
-    """The (R, Q, K, M) channel stack of a list of instances and its right-hand sides.
+    """The (R, Q, K, M) channel stack of a list of instances and its ZF targets.
 
-    The instances must share one channel shape and dtype. The (R, 1, K, K)
-    right-hand sides diag((gamma_k / Q)^(1/2) sigma) are shared by all Q
+    The instances must share one channel shape and dtype. The (R, K) targets
+    d[r, k] = (gamma_k / Q)^(1/2) sigma of instance r are shared by all Q
     subcarriers.
     """
     channels, qos_list = list(channels), list(qos_list)
@@ -158,12 +156,8 @@ def _stack(channels, qos_list):
                 f"{first.dtype} one of shape {first.shape}; a stacked solve needs one of each"
             )
     h = np.stack([channel.per_subcarrier for channel in channels])
-    k = h.shape[2]
-    rhs = np.zeros((len(channels), 1, k, k), dtype=complex)
-    rhs[:, 0, np.arange(k), np.arange(k)] = [
-        np.sqrt(qos.per_subcarrier_gamma) * qos.noise_std for qos in qos_list
-    ]
-    return h, rhs
+    q = h.shape[1]
+    return h, np.array([np.sqrt(qos.gamma / q) * qos.noise_std for qos in qos_list])
 
 
 def _guard_gram(gram, index):
@@ -261,19 +255,19 @@ def _positive_definite(matrices) -> bool:
     return True
 
 
-def _weighted_zf(h, rhs, index, p):
-    """W = D_p^(1/2) H^H (H D_p^(1/2) H^H)^(-1) diag(rhs) on a (R, Q, K, M) stack.
+def _weighted_zf(h, d, index, p):
+    """W = D_p^(1/2) H^H (H D_p^(1/2) H^H)^(-1) diag(d) on a (R, Q, K, M) stack.
 
     ``p`` holds the (R, M) per-antenna powers. The Gram G = (H sqrt(p)) H^H
     runs over all M antennas: one with p_m = 0 adds nothing to G and gets a
     zero row in W, so a switched-off antenna needs no mask. The inverse
-    comes from :func:`_guard_gram`; scaling its columns by diag(rhs) gives
-    G^(-1) D. Returns the (R, Q, M, K) precoders.
+    comes from :func:`_guard_gram`; scaling its columns by the (R, K) ZF
+    targets ``d`` gives G^(-1) D. Returns the (R, Q, M, K) precoders.
     """
     root = np.sqrt(p)[:, None, None, :]
     h_adj = np.ascontiguousarray(h.conj().swapaxes(-1, -2))
     inverse = _guard_gram((h * root) @ h_adj, index)
-    solved = inverse * rhs.diagonal(axis1=-2, axis2=-1)[..., None, :]
+    solved = inverse * d[:, None, None, :]
     return (h_adj @ solved) * root.swapaxes(-1, -2)
 
 
@@ -339,7 +333,7 @@ def _power_map(packed, targets, p, index):
     (R, M) powers. Forms G_q = H_q D_p^(1/2) H_q^H as one product with
     sqrt(p), inverts it through :func:`_guard_gram` (which names
     ``index[r]`` when it refuses a realization), and returns the (R, M)
-    powers p_m sum_q h_qm^H G_q^(-1) D_q^2 G_q^(-1) h_qm, clipped at zero:
+    powers p_m sum_q h_qm^H G_q^(-1) D^2 G_q^(-1) h_qm, clipped at zero:
     the per-antenna powers of the weighted-ZF kernel at ``p``, up to
     rounding. A zero power maps to zero.
     """
@@ -364,7 +358,7 @@ def _compact(array, rows):
     return array[:len(rows)]
 
 
-def _fixed_point(h, rhs, cfg: FixedPointConfig) -> PrecoderSolution:
+def _fixed_point(h, d, cfg: FixedPointConfig) -> PrecoderSolution:
     """Fixed-point power iteration on a (R, Q, K, M) stack.
 
     The loop iterates the lifted power map (:func:`_power_map`) on powers
@@ -383,9 +377,9 @@ def _fixed_point(h, rhs, cfg: FixedPointConfig) -> PrecoderSolution:
     """
     n, _, k, m = h.shape
     index = np.arange(n)
-    stack = h, rhs, index
+    stack = h, d, index
     packed = _packed_products(h)
-    targets = np.square(rhs.diagonal(axis1=-2, axis2=-1).real)[..., None]
+    targets = np.square(d)[:, None, :, None]
     p = np.full((n, m), INITIAL_POWER)
     p_final = p.copy()
     iterations = np.full(n, cfg.max_iterations)
@@ -447,9 +441,9 @@ def zf_precoders(channels, qos_list) -> PrecoderSolution:
     powers are the fixed point's first iterate up to rounding. Returns one
     stacked solution; row r equals the solve of ``[channels[r]]`` alone.
     """
-    h, rhs = _stack(channels, qos_list)
+    h, d = _stack(channels, qos_list)
     n, m = h.shape[0], h.shape[3]
-    return _closed_form(_weighted_zf(h, rhs, np.arange(n), np.full((n, m), INITIAL_POWER)))
+    return _closed_form(_weighted_zf(h, d, np.arange(n), np.full((n, m), INITIAL_POWER)))
 
 
 def min_pa_precoders(
@@ -491,11 +485,11 @@ def saturating_precoders(channels, qos_list, p_max: float) -> PrecoderSolution:
     """
     if not p_max > 0.0:
         raise DomainError(f"p_max must be positive, got {p_max}")
-    h, rhs = _stack(channels, qos_list)
+    h, d = _stack(channels, qos_list)
     n, q, k, m = h.shape
     if (q, k) != (1, 1):
         raise DimensionError(f"the saturating precoder needs K=1 and Q=1, got K={k}, Q={q}")
-    h, target = h[:, 0, 0], rhs[:, 0, 0, 0].real
+    h, target = h[:, 0, 0], d[:, 0]
     gains = np.abs(h)
     order = np.argsort(-gains, axis=1, kind="stable")
     ranked = np.take_along_axis(gains, order, axis=1)
@@ -535,7 +529,7 @@ def los_allocation_precoders(channels, qos_list, weights) -> PrecoderSolution:
     at powers ``weights**2``: at K=1 on a LOS channel that kernel is this
     split, conjugate-phased on each subcarrier.
     """
-    h, rhs = _stack(channels, qos_list)
+    h, d = _stack(channels, qos_list)
     n, _, k, m = h.shape
     if k != 1:
         raise DimensionError("LOS allocation precoder is single-user only")
@@ -549,4 +543,4 @@ def los_allocation_precoders(channels, qos_list, weights) -> PrecoderSolution:
     sums = weights.sum(axis=1)
     if not np.all(abs(sums - 1.0) <= 1e-9):
         raise DomainError(f"each row of weights must sum to 1, got {sums!r}")
-    return _closed_form(_weighted_zf(h, rhs, np.arange(n), np.square(weights)))
+    return _closed_form(_weighted_zf(h, d, np.arange(n), np.square(weights)))

@@ -32,12 +32,20 @@ def geometry() -> CellGeometry:
     return CellGeometry(u_min=35.0, u_max=250.0)
 
 
+def draw_cell_beta(k_users, rng, geometry=CellGeometry()):
+    """Large-scale fading of ``k_users`` users dropped in the cell: a draw's first step."""
+    return np.atleast_1d(large_scale_fading(draw_user_distances(k_users, geometry, rng)))
+
+
 def draw_cell_instance(m_antennas, k_users, subcarriers, rng, geometry=CellGeometry()):
-    """One experiment-scenario draw: targets plus a Rayleigh channel."""
-    u = draw_user_distances(k_users, geometry, rng)
-    beta = np.atleast_1d(large_scale_fading(u))
+    """One experiment-scenario draw: targets plus a Rayleigh channel.
+
+    The users come from :func:`draw_cell_beta` on ``rng``, so a fresh
+    generator of the same seed gives the instance's beta again.
+    """
+    beta = draw_cell_beta(k_users, rng, geometry)
     gamma = np.atleast_1d(target_sinr(beta))
-    qos = QosTargets(gamma=gamma, noise_power=NOISE_POWER, subcarriers=subcarriers)
+    qos = QosTargets(gamma=gamma, noise_power=NOISE_POWER)
     channel = draw_rayleigh_channel(m_antennas, k_users, subcarriers, beta, rng)
     return channel, qos
 
@@ -58,7 +66,7 @@ def draw_realization(cfg, index, k_users=None, subcarriers=0):
     gamma = target_sinr(beta, sc.sinr_ref)
     if not subcarriers:
         return beta, gamma, None, None
-    qos = QosTargets(gamma=gamma, noise_power=sc.noise_power, subcarriers=subcarriers)
+    qos = QosTargets(gamma=gamma, noise_power=sc.noise_power)
     if sc.channel == "los":
         channel = draw_los_channel(sc.m_antennas, k_users, subcarriers, rng)
     else:

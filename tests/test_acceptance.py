@@ -36,7 +36,7 @@ from energymimo.oracle import (
 )
 from energymimo.precoding import los_allocation_precoders
 
-from conftest import NOISE_POWER, draw_cell_instance
+from conftest import NOISE_POWER, draw_cell_beta, draw_cell_instance
 
 
 def _report(criterion, detail):
@@ -55,7 +55,7 @@ def test_criterion_01_zf_correctness(table_pa):
         channel, qos = draw_cell_instance(m, k, q, rng)
         matrices = zf_precoders([channel], [qos]).matrices[0]
         target = np.zeros((k, k), dtype=complex)
-        np.fill_diagonal(target, np.sqrt(qos.per_subcarrier_gamma) * qos.noise_std)
+        np.fill_diagonal(target, np.sqrt(qos.gamma / q) * qos.noise_std)
         res = float(np.max(np.abs(channel.per_subcarrier @ matrices - target)))
         worst = max(worst, res)
     elapsed = time.time() - start
@@ -115,7 +115,7 @@ def test_criterion_04_los_invariance(table_pa):
     gamma, sigma = 6.5, np.sqrt(NOISE_POWER)
     expected = table_pa.alpha * sigma * np.sqrt(gamma)
     qos_scale = sigma * np.sqrt(gamma / 4.0)
-    qos = QosTargets(gamma=[gamma], noise_power=NOISE_POWER, subcarriers=4)
+    qos = QosTargets(gamma=[gamma], noise_power=NOISE_POWER)
     w = rng.random((20, 8))
     w /= w.sum(axis=1, keepdims=True)
     sol = los_allocation_precoders([channel] * 20, [qos] * 20, w)
@@ -220,9 +220,10 @@ def test_criterion_08_finite_q_accuracy(table_pa):
         ]
         sol = zf_precoders(*zip(*instances))  # the asymptotic-regime precoder
         errs = []
-        for (channel, qos), powers in zip(instances, sol.powers):
+        for r, ((_, qos), powers) in enumerate(zip(instances, sol.powers)):
             p_sim = pa_consumed_power(powers, table_pa)
-            trace = trace_term(channel.large_scale, qos.gamma, qos.noise_power)
+            beta = draw_cell_beta(k_users, np.random.default_rng(808 + r))
+            trace = trace_term(beta, qos.gamma, qos.noise_power)
             p_asym = asymptotic_pa_power(32, k_users, trace, table_pa)
             errs.append(abs(p_sim - p_asym))
         errors[k_users] = float(np.mean(errs))
@@ -317,17 +318,17 @@ def test_criterion_13_property_suite(table_pa):
     h = (rng.standard_normal((2, 2, 6)) + 1j * rng.standard_normal((2, 2, 6))) / np.sqrt(2)
     from energymimo import ChannelRealization
 
-    channel = ChannelRealization(per_subcarrier=h, large_scale=np.ones(2))
+    channel = ChannelRealization(per_subcarrier=h)
     gamma = np.array([3.0, 7.0])
     a = min_pa_precoders(
         [channel],
-        [QosTargets(gamma=gamma, noise_power=1.0, subcarriers=2)],
+        [QosTargets(gamma=gamma, noise_power=1.0)],
         FixedPointConfig(tolerance=1e-9, max_iterations=20_000),
     )
     c = 5.0
     b = min_pa_precoders(
         [channel],
-        [QosTargets(gamma=gamma, noise_power=c**2, subcarriers=2)],
+        [QosTargets(gamma=gamma, noise_power=c**2)],
         FixedPointConfig(
             tolerance=1e-9 * c**2,
             max_iterations=20_000,
@@ -338,10 +339,8 @@ def test_criterion_13_property_suite(table_pa):
 
     # phase covariance
     phases = np.exp(2j * np.pi * rng.random(2))
-    rotated = ChannelRealization(
-        per_subcarrier=phases[None, :, None] * h, large_scale=np.ones(2)
-    )
-    qos = QosTargets(gamma=gamma, noise_power=1.0, subcarriers=2)
+    rotated = ChannelRealization(per_subcarrier=phases[None, :, None] * h)
+    qos = QosTargets(gamma=gamma, noise_power=1.0)
     turned, plain = min_pa_precoders([rotated, channel], [qos, qos]).powers
     np.testing.assert_allclose(turned, plain, rtol=1e-9, atol=1e-14)
 

@@ -495,9 +495,9 @@ def reference_q_error(cfg):
     for q in cfg.q_list:
         results = []
         for index in range(cfg.realizations):
-            _, _, channel, qos = draw_realization(cfg, index, subcarriers=q)
+            beta, _, channel, qos = draw_realization(cfg, index, subcarriers=q)
             powers = zf_precoders([channel], [qos]).powers[0]
-            trace = trace_term(channel.large_scale, qos.gamma, sc.noise_power)
+            trace = trace_term(beta, qos.gamma, sc.noise_power)
             results.append((
                 pa_consumed_power(powers, pa),
                 asymptotic_pa_power(sc.m_antennas, sc.k_users, trace, pa),

@@ -4,6 +4,7 @@ import pytest
 from energymimo import QosTargets
 from energymimo.channel import (
     CellGeometry,
+    ChannelRealization,
     FreqCorrelation,
     draw_los_channel,
     draw_rayleigh_channel,
@@ -128,17 +129,15 @@ def test_los_channel_unit_modulus():
 
 
 def test_qos_targets_validation():
-    qos = QosTargets(gamma=[2.0, 4.0], noise_power=1e-12, subcarriers=4)
+    qos = QosTargets(gamma=[2.0, 4.0], noise_power=1e-12)
     assert qos.k_users == 2
-    assert qos.per_subcarrier_gamma == pytest.approx([0.5, 1.0])
     assert qos.noise_std == pytest.approx(1e-6)
     with pytest.raises(DomainError):
         QosTargets(gamma=[0.0], noise_power=1.0)
     with pytest.raises(DomainError):
         QosTargets(gamma=[1.0], noise_power=0.0)
-    with pytest.raises(DomainError):
-        QosTargets(gamma=[1.0], noise_power=1.0, subcarriers=0)
     for gamma, noise_power in (
+        ([], 1.0),
         ([float("nan")], 1.0),
         ([2.0, float("nan")], 1.0),
         ([float("inf")], 1.0),
@@ -158,3 +157,11 @@ def test_rayleigh_beta_length_mismatch():
     rng = np.random.default_rng(19)
     with pytest.raises(DimensionError):
         draw_rayleigh_channel(4, 3, 2, np.ones(2), rng)
+    # A channel needs at least one subcarrier and one user.
+    for shape in ((0, 2, 4), (2, 0, 4)):
+        with pytest.raises(DimensionError):
+            ChannelRealization(np.ones(shape, dtype=complex))
+    with pytest.raises(DimensionError):
+        draw_rayleigh_channel(4, 2, 0, np.ones(2), rng)
+    with pytest.raises(DimensionError):
+        draw_los_channel(4, 0, 2, rng)

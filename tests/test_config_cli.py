@@ -385,7 +385,7 @@ def test_cli_q_error_singular_channel_names_the_realization(tmp_path, monkeypatc
             return channel
         h = channel.per_subcarrier.copy()
         h[:, 1, :] = h[:, 0, :]
-        return ChannelRealization(per_subcarrier=h, large_scale=channel.large_scale)
+        return ChannelRealization(per_subcarrier=h)
 
     monkeypatch.setattr(exps, "BLOCK_ELEMENTS", 2 * 2 * 2 * 8)
     monkeypatch.setattr(exps, "draw_rayleigh_channel", repeated_user_in_fourth_draw)

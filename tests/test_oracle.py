@@ -39,7 +39,7 @@ def test_bruteforce_matches_single_user_closed_form(table_pa):
 def test_bruteforce_los_objective(table_pa):
     rng = np.random.default_rng(51)
     channel = draw_los_channel(4, 1, 2, rng)
-    qos = QosTargets(gamma=[5.0], noise_power=2.0, subcarriers=2)
+    qos = QosTargets(gamma=[5.0], noise_power=2.0)
     result = solve_min_pa_bruteforce(channel, qos, table_pa)
     expected = table_pa.alpha * np.sqrt(2.0) * np.sqrt(5.0)
     assert result.objective == pytest.approx(expected, rel=1e-6)
@@ -83,7 +83,7 @@ def test_bruteforce_certifies_its_optimum(table_pa, subcarriers):
         result = solve_min_pa_bruteforce(channel, qos, table_pa)
         residual, gap = result.certificate
         assert 0.0 <= gap <= 1e-8
-        assert residual <= 1e-9 * qos.noise_std * np.sqrt(qos.per_subcarrier_gamma.max())
+        assert residual <= 1e-9 * qos.noise_std * np.sqrt(qos.gamma.max() / subcarriers)
         # weak duality: the dual bound lies below every feasible consumption
         bound = result.objective / (1.0 + gap)
         zf = zf_precoders([channel], [qos]).powers[0]
@@ -97,7 +97,7 @@ def test_bruteforce_certifies_its_optimum(table_pa, subcarriers):
 def test_bruteforce_scales_with_the_channel(table_pa):
     rng = np.random.default_rng(65)
     channel, qos = draw_cell_instance(6, 3, 2, rng)
-    scaled = ChannelRealization(3.7 * channel.per_subcarrier, channel.large_scale)
+    scaled = ChannelRealization(3.7 * channel.per_subcarrier)
     base = solve_min_pa_bruteforce(channel, qos, table_pa).powers
     powers = solve_min_pa_bruteforce(scaled, qos, table_pa).powers
     np.testing.assert_allclose(powers, base / 3.7**2, rtol=1e-9, atol=1e-9 * base.max())
@@ -106,8 +106,8 @@ def test_bruteforce_scales_with_the_channel(table_pa):
 def test_bruteforce_square_channel_is_the_inverse(table_pa):
     rng = np.random.default_rng(66)
     channel, qos = draw_cell_instance(3, 3, 2, rng)
-    rhs = np.diag(np.sqrt(qos.per_subcarrier_gamma) * qos.noise_std)
-    inverse = np.linalg.pinv(channel.per_subcarrier) @ rhs
+    targets = np.diag(np.sqrt(qos.gamma / channel.subcarriers) * qos.noise_std)
+    inverse = np.linalg.pinv(channel.per_subcarrier) @ targets
     result = solve_min_pa_bruteforce(channel, qos, table_pa)
     np.testing.assert_allclose(
         result.powers, np.sum(np.abs(inverse) ** 2, axis=(0, 2)), rtol=1e-10
@@ -139,7 +139,7 @@ def test_bruteforce_rejects_rank_deficient_channel(table_pa):
     h = channel.per_subcarrier.copy()
     h[:, 1] = h[:, 0]
     with pytest.raises(InfeasibleError):
-        solve_min_pa_bruteforce(ChannelRealization(h, channel.large_scale), qos, table_pa)
+        solve_min_pa_bruteforce(ChannelRealization(h), qos, table_pa)
 
 
 def test_import_does_not_load_scipy():

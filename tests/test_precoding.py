@@ -14,9 +14,10 @@ from energymimo import (
     saturating_precoders,
     zf_precoders,
 )
-from energymimo.channel import draw_los_channel
+from energymimo.channel import draw_los_channel, draw_rayleigh_channel
 from energymimo.errors import DimensionError, DomainError, InfeasibleError, SingularChannelError
 from energymimo.model import ACTIVE_POWER_THRESHOLD
+from energymimo.oracle import solve_min_pa_bruteforce
 from energymimo.precoding import (
     GRAM_CONDITION_LIMIT,
     ZF_TOLERANCE,
@@ -33,9 +34,7 @@ from conftest import draw_cell_instance
 
 def narrowband_channel(h_rows):
     h = np.atleast_2d(np.asarray(h_rows, dtype=complex))
-    return ChannelRealization(
-        per_subcarrier=h[None, :, :], large_scale=np.ones(h.shape[0])
-    )
+    return ChannelRealization(per_subcarrier=h[None, :, :])
 
 
 uncapped_saturating = partial(saturating_precoders, p_max=np.inf)
@@ -49,7 +48,7 @@ def saturating(h, gamma, noise_std, p_max):
 
 def zf_residual(channel, qos, matrices):
     target = np.zeros((qos.k_users, qos.k_users), dtype=complex)
-    np.fill_diagonal(target, np.sqrt(qos.per_subcarrier_gamma) * qos.noise_std)
+    np.fill_diagonal(target, np.sqrt(qos.gamma / channel.subcarriers) * qos.noise_std)
     prods = channel.per_subcarrier @ matrices
     return float(np.max(np.abs(prods - target[None, :, :])))
 
@@ -85,7 +84,12 @@ def test_zf_rejects_rank_deficient_channel():
 
 
 def test_fixed_point_config_rejects_nan():
-    for kwargs in ({"tolerance": float("nan")}, {"dead_antenna_floor": float("nan")}):
+    for kwargs in (
+        {"tolerance": float("nan")},
+        {"tolerance": float("inf")},
+        {"max_iterations": 10.0},
+        {"dead_antenna_floor": float("nan")},
+    ):
         with pytest.raises(DomainError):
             FixedPointConfig(**kwargs)
 
@@ -112,7 +116,7 @@ def test_min_pa_wideband_los_manifold():
     # For K=1 LOS the optimum satisfies sum_m sqrt(p_m) = sigma sqrt(gamma).
     rng = np.random.default_rng(22)
     channel = draw_los_channel(6, 1, 8, rng)
-    qos = QosTargets(gamma=[9.0], noise_power=4.0, subcarriers=8)
+    qos = QosTargets(gamma=[9.0], noise_power=4.0)
     sol = min_pa_precoders([channel], [qos])
     assert sol.converged[0]
     assert np.sum(np.sqrt(sol.powers[0])) == pytest.approx(2.0 * 3.0, rel=1e-4)
@@ -171,10 +175,6 @@ def test_min_pa_narrowband_matches_stacked_core():
     direct = min_pa_precoders([narrowband_channel(h)], [qos])
     stacked = min_pa_precoders([narrowband_channel(h.conj()), narrowband_channel(h)], [qos] * 2)
     assert np.array_equal(direct.powers[0], stacked.powers[1])
-    with pytest.raises(DimensionError):
-        min_pa_precoders(
-            [narrowband_channel(h)], [QosTargets(gamma=[2.0, 3.0], noise_power=1.0, subcarriers=4)]
-        )
 
 
 def test_min_pa_narrowband_single_user_closed_form():
@@ -191,8 +191,8 @@ def unit_instance(seed, subcarriers, m_antennas=6):
     rng = np.random.default_rng(seed)
     shape = (subcarriers, 2, m_antennas)
     h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-    channel = ChannelRealization(per_subcarrier=h, large_scale=np.ones(2))
-    return channel, QosTargets(gamma=[2.0, 3.0], noise_power=1.0, subcarriers=subcarriers)
+    channel = ChannelRealization(per_subcarrier=h)
+    return channel, QosTargets(gamma=[2.0, 3.0], noise_power=1.0)
 
 
 def history_rows(stacked, r):
@@ -258,7 +258,7 @@ def reference_min_pa(channel, qos, cfg):
     h = channel.per_subcarrier
     q, k, m = h.shape
     rhs = np.zeros((q, k, k), dtype=complex)
-    rhs[:, np.arange(k), np.arange(k)] = np.sqrt(qos.per_subcarrier_gamma) * qos.noise_std
+    rhs[:, np.arange(k), np.arange(k)] = np.sqrt(qos.gamma / q) * qos.noise_std
 
     def weighted_zf(active, p):
         quarter = np.sqrt(np.sqrt(p[active]))
@@ -333,9 +333,9 @@ def test_zf_is_the_fixed_points_first_iterate():
         assert np.all(np.abs(zf - first.history[1::2]) <= 16 * eps * scale)
 
 
-def squared_targets(rhs):
-    """The (R, 1, K, 1) squared ZF targets d_k^2 of a stack's right-hand sides."""
-    return np.square(rhs.diagonal(axis1=-2, axis2=-1).real)[..., None]
+def squared_targets(d):
+    """The (R, 1, K, 1) squared ZF targets d_k^2 of a stack's (R, K) targets."""
+    return np.square(d)[:, None, :, None]
 
 
 def dead_antenna_powers(rng, realizations, m_antennas):
@@ -366,20 +366,18 @@ def test_power_map_is_the_kernels_power_readback(k_users, subcarriers):
     shape = (subcarriers, k_users, 32)
     unit = [
         ChannelRealization(
-            per_subcarrier=(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-            / np.sqrt(2),
-            large_scale=np.ones(k_users),
+            (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
         )
         for _ in range(3)
     ]
-    targets = [QosTargets(rng.uniform(1.0, 8.0, k_users), 1.0, subcarriers) for _ in range(3)]
+    targets = [QosTargets(rng.uniform(1.0, 8.0, k_users), 1.0) for _ in range(3)]
     cell = [draw_cell_instance(32, k_users, subcarriers, rng) for _ in range(3)]
     index = np.arange(3)
-    for (h, rhs), scaled in ((_stack(unit, targets), False), (_stack(*zip(*cell)), True)):
+    for (h, d), scaled in ((_stack(unit, targets), False), (_stack(*zip(*cell)), True)):
         p = dead_antenna_powers(rng, 3, 32)
-        packed, d2 = _packed_products(h), squared_targets(rhs)
+        packed, d2 = _packed_products(h), squared_targets(d)
         mapped = _power_map(packed, d2, p, index)
-        readback = per_antenna_powers(_weighted_zf(h, rhs, index, p))
+        readback = per_antenna_powers(_weighted_zf(h, d, index, p))
         bound = 16 * eps * (gram_condition(h, p) if scaled else 1.0)
         assert np.all(np.abs(mapped - readback) <= bound * readback.max(axis=1, keepdims=True))
         assert np.all(mapped[p == 0.0] == 0.0)
@@ -407,7 +405,7 @@ def test_power_map_just_inside_the_condition_limit():
         delta = 1e-3
         for _ in range(3):
             delta *= np.sqrt(condition_estimate(channel_with(delta)) / (0.8 * GRAM_CONDITION_LIMIT))
-        return ChannelRealization(per_subcarrier=channel_with(delta), large_scale=np.ones(2))
+        return ChannelRealization(per_subcarrier=channel_with(delta))
 
     def condition_estimate(h):
         chol = np.linalg.cholesky(h @ h.conj().transpose(0, 2, 1))
@@ -422,22 +420,22 @@ def test_power_map_just_inside_the_condition_limit():
     # Tiled over 32 subcarriers, the same Grams take the sweep.
     for subcarriers in (1, 32):
         channels = [
-            ChannelRealization(np.repeat(c.per_subcarrier, subcarriers, axis=0), c.large_scale)
+            ChannelRealization(np.repeat(c.per_subcarrier, subcarriers, axis=0))
             for c in narrowband
         ]
-        targets = [QosTargets([4.0, 4.0], 1.0, subcarriers)] * len(channels)
-        h, rhs = _stack(channels, targets)
+        targets = [QosTargets([4.0, 4.0], 1.0)] * len(channels)
+        h, d = _stack(channels, targets)
         p = np.ones((len(channels), 8))
-        mapped = _power_map(_packed_products(h), squared_targets(rhs), p, np.arange(len(channels)))
+        mapped = _power_map(_packed_products(h), squared_targets(d), p, np.arange(len(channels)))
         assert np.all(np.isfinite(mapped)) and np.all(mapped >= 0.0)
         assert np.all(mapped[:, 1:] > 0.0)
 
         # The kernel inverts the same Grams: its ZF residual |HW - D| / |D| on
         # each subcarrier stays within rounding of the condition estimate.
         zf = zf_precoders(channels, targets)
-        for channel, w, d in zip(channels, zf.matrices, rhs):
-            error = np.linalg.norm(channel.per_subcarrier @ w - d, axis=(1, 2))
-            residual = error.max() / np.linalg.norm(d)
+        for channel, w, targets in zip(channels, zf.matrices, d):
+            error = np.linalg.norm(channel.per_subcarrier @ w - np.diag(targets), axis=(1, 2))
+            residual = error.max() / np.linalg.norm(targets)
             assert np.isfinite(residual)
             assert residual <= 16 * eps * condition_estimate(channel.per_subcarrier)
 
@@ -474,13 +472,8 @@ def test_condition_guard_is_per_realization():
     for subcarriers in (1, 32):
         g = gaussian((subcarriers, 2, 8))
         g[:, 1] = g[:, 0] + 1e-4 * gaussian((subcarriers, 8))
-        weak = ChannelRealization(
-            per_subcarrier=np.sqrt(1e-13) * g, large_scale=np.full(2, 1e-13)
-        )
-        strong = ChannelRealization(
-            per_subcarrier=np.sqrt(1e-7) * gaussian((subcarriers, 2, 8)),
-            large_scale=np.full(2, 1e-7),
-        )
+        weak = ChannelRealization(per_subcarrier=np.sqrt(1e-13) * g)
+        strong = ChannelRealization(per_subcarrier=np.sqrt(1e-7) * gaussian((subcarriers, 2, 8)))
         pooled = np.concatenate([
             np.abs(np.diagonal(np.linalg.cholesky(h @ h.conj().transpose(0, 2, 1)), axis1=1,
                                axis2=2))
@@ -488,7 +481,7 @@ def test_condition_guard_is_per_realization():
         ], axis=None)
         assert (pooled.max() / pooled.min()) ** 2 > GRAM_CONDITION_LIMIT
 
-        qos = QosTargets(gamma=[4.0, 6.0], noise_power=10.0 ** (-12.6), subcarriers=subcarriers)
+        qos = QosTargets(gamma=[4.0, 6.0], noise_power=10.0 ** (-12.6))
         cfg = FixedPointConfig(max_iterations=50)
         channels = [weak, strong, weak]
         stacked = min_pa_precoders(channels, [qos] * 3, cfg)
@@ -514,7 +507,7 @@ def test_stacked_errors_name_the_realization():
     # the message its solve alone gives.
     one, one_qos = draw_cell_instance(4, 1, 1, rng)
     weak, faint = (
-        ChannelRealization(scale * one.per_subcarrier, one.large_scale) for scale in (1e-3, 1e-4)
+        ChannelRealization(scale * one.per_subcarrier) for scale in (1e-3, 1e-4)
     )
     with pytest.raises(InfeasibleError) as alone:
         saturating_precoders([weak], [one_qos], 1.0)
@@ -529,7 +522,7 @@ def test_stacked_errors_name_the_realization():
     wide, wide_qos = draw_cell_instance(4, 2, 32, rng)
     h = wide.per_subcarrier.copy()
     h[17, 1] = h[17, 0]
-    deficient = ChannelRealization(h, wide.large_scale)
+    deficient = ChannelRealization(h)
     for solve in (zf_precoders, min_pa_precoders):
         with pytest.raises(SingularChannelError) as err:
             solve([wide, wide, deficient, wide], [wide_qos] * 4)
@@ -548,8 +541,7 @@ def test_non_finite_channel_entry_names_the_instance():
         for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
             h = instances[1][0].per_subcarrier.copy()
             h[-1, -1, 4] = bad
-            channels = [instances[0][0], ChannelRealization(h, instances[1][0].large_scale),
-                        instances[2][0]]
+            channels = [instances[0][0], ChannelRealization(h), instances[2][0]]
             for solve in solvers:
                 with pytest.raises(DomainError, match="instance 1 "):
                     solve(channels, qos_list)
@@ -562,8 +554,7 @@ def test_guard_refuses_an_overflowed_gram():
     rng = np.random.default_rng(40)
     for subcarriers in (1, 32):
         good, qos = draw_cell_instance(4, 2, subcarriers, rng)
-        huge = ChannelRealization(1e160 * good.per_subcarrier / good.per_subcarrier[0, 0, 0],
-                                  good.large_scale)
+        huge = ChannelRealization(1e160 * good.per_subcarrier / good.per_subcarrier[0, 0, 0])
         channels = [good, huge, good]
         h = np.stack([channel.per_subcarrier for channel in channels])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -617,10 +608,7 @@ def test_stacked_solvers_need_one_channel_shape_and_dtype():
         narrow, qos = draw_cell_instance(6, k_users, 1, rng)
         other_m, _ = draw_cell_instance(7, k_users, 1, rng)
         wide, wide_qos = draw_cell_instance(6, k_users, 3, rng)
-        single = ChannelRealization(
-            per_subcarrier=narrow.per_subcarrier.astype(np.complex64),
-            large_scale=narrow.large_scale,
-        )
+        single = ChannelRealization(narrow.per_subcarrier.astype(np.complex64))
         for solve in solvers:
             for channels, targets in (
                 ([narrow, other_m], [qos, qos]),
@@ -776,7 +764,7 @@ def test_los_allocation_corner_and_uniform():
     rng = np.random.default_rng(30)
     channel = draw_los_channel(4, 1, 2, rng)
     gamma, sigma = 5.0, 2.0
-    qos = QosTargets(gamma=[gamma], noise_power=sigma**2, subcarriers=2)
+    qos = QosTargets(gamma=[gamma], noise_power=sigma**2)
     corner = np.zeros(4)
     corner[0] = 1.0
     sol = los_allocation_precoders([channel] * 2, [qos] * 2, [corner, np.full(4, 0.25)])
@@ -789,7 +777,7 @@ def test_los_allocation_invariant_consumption(table_pa):
     rng = np.random.default_rng(31)
     channel = draw_los_channel(6, 1, 4, rng)
     gamma, sigma = 7.0, 1.5
-    qos = QosTargets(gamma=[gamma], noise_power=sigma**2, subcarriers=4)
+    qos = QosTargets(gamma=[gamma], noise_power=sigma**2)
     rng2 = np.random.default_rng(32)
     w = rng2.random((4, 6))
     w /= w.sum(axis=1, keepdims=True)
@@ -805,13 +793,11 @@ def test_los_allocation_invariant_consumption(table_pa):
 def test_los_allocation_rejects_bad_inputs():
     rng = np.random.default_rng(33)
     channel = draw_los_channel(3, 1, 2, rng)
-    qos = QosTargets(gamma=[2.0], noise_power=1.0, subcarriers=2)
+    qos = QosTargets(gamma=[2.0], noise_power=1.0)
     for weights in ([0.5, 0.2, 0.2], [1.5, -0.25, -0.25], [np.nan, 0.5, 0.5]):
         with pytest.raises(DomainError):
             los_allocation_precoders([channel], [qos], [weights])
-    bad = ChannelRealization(
-        per_subcarrier=np.full((1, 1, 3), 2.0 + 0j), large_scale=np.ones(1)
-    )
+    bad = ChannelRealization(per_subcarrier=np.full((1, 1, 3), 2.0 + 0j))
     with pytest.raises(DomainError):
         los_allocation_precoders([bad], [QosTargets([2.0], 1.0)], np.full((1, 3), 1 / 3))
     with pytest.raises(DimensionError):
@@ -819,7 +805,7 @@ def test_los_allocation_rejects_bad_inputs():
     two_users = draw_los_channel(3, 2, 2, rng)
     with pytest.raises(DimensionError):
         los_allocation_precoders(
-            [two_users], [QosTargets([2.0, 2.0], 1.0, 2)], np.full((1, 3), 1 / 3)
+            [two_users], [QosTargets([2.0, 2.0], 1.0)], np.full((1, 3), 1 / 3)
         )
 
 
@@ -827,7 +813,7 @@ def test_los_allocation_meets_per_subcarrier_qos():
     rng = np.random.default_rng(34)
     channel = draw_los_channel(5, 1, 8, rng)
     gamma, sigma = 4.0, 1.0
-    qos = QosTargets(gamma=[gamma], noise_power=sigma**2, subcarriers=8)
+    qos = QosTargets(gamma=[gamma], noise_power=sigma**2)
     sol = los_allocation_precoders([channel], [qos], np.full((1, 5), 0.2))
     prods = channel.per_subcarrier @ sol.matrices[0]
     assert np.allclose(np.abs(prods), sigma * np.sqrt(gamma / 8.0), rtol=1e-12)
@@ -837,6 +823,24 @@ def test_qos_channel_mismatch_raises():
     rng = np.random.default_rng(35)
     channel, _ = draw_cell_instance(4, 2, 2, rng)
     with pytest.raises(DimensionError):
-        zf_precoders([channel], [QosTargets(gamma=[1.0], noise_power=1.0, subcarriers=2)])
-    with pytest.raises(DimensionError):
-        zf_precoders([channel], [QosTargets(gamma=[1.0, 2.0], noise_power=1.0, subcarriers=8)])
+        zf_precoders([channel], [QosTargets(gamma=[1.0], noise_power=1.0)])
+
+
+def test_one_qos_splits_over_each_channels_subcarriers(table_pa):
+    # QosTargets carries no Q: every solver splits gamma_k over the Q
+    # subcarriers of the channel it solves, so one set of targets serves a
+    # Q=1 and a Q=4 channel, each held to (gamma_k / Q)^(1/2) sigma.
+    rng = np.random.default_rng(39)
+    qos = QosTargets(gamma=[2.0, 5.0], noise_power=0.5)
+    cfg = FixedPointConfig(tolerance=1e-11, max_iterations=50_000)
+    for subcarriers in (1, 4):
+        channel = draw_rayleigh_channel(6, 2, subcarriers, np.ones(2), rng)
+        min_pa = min_pa_precoders([channel], [qos], cfg)
+        for solution in (zf_precoders([channel], [qos]), min_pa):
+            assert zf_residual(channel, qos, solution.matrices[0]) <= ZF_TOLERANCE
+        # The oracle's residual is against its own targets; its optimum
+        # matching the fixed point's shows that they are the same targets.
+        oracle = solve_min_pa_bruteforce(channel, qos, table_pa)
+        assert oracle.certificate[0] <= 1e-9 * qos.noise_std * np.sqrt(5.0 / subcarriers)
+        expected = pa_consumed_power(min_pa.powers[0], table_pa)
+        assert oracle.objective == pytest.approx(expected, rel=1e-6)

@@ -24,7 +24,7 @@ from conftest import draw_cell_instance
 def _instance(seed, m=6, k=2, q=2):
     rng = np.random.default_rng(seed)
     h = (rng.standard_normal((q, k, m)) + 1j * rng.standard_normal((q, k, m))) / np.sqrt(2)
-    channel = ChannelRealization(per_subcarrier=h, large_scale=np.ones(k))
+    channel = ChannelRealization(per_subcarrier=h)
     gamma = rng.uniform(1.0, 10.0, size=k)
     return channel, gamma
 
@@ -34,8 +34,8 @@ def _instance(seed, m=6, k=2, q=2):
 def test_scale_covariance_of_fixed_point(seed, scale):
     """Scaling sigma_nu by c scales every precoding entry by c."""
     channel, gamma = _instance(seed)
-    base = QosTargets(gamma=gamma, noise_power=1.0, subcarriers=2)
-    scaled = QosTargets(gamma=gamma, noise_power=scale**2, subcarriers=2)
+    base = QosTargets(gamma=gamma, noise_power=1.0)
+    scaled = QosTargets(gamma=gamma, noise_power=scale**2)
     # tolerance and dead floor are absolute powers: scale them along
     cfg = FixedPointConfig(tolerance=1e-8, max_iterations=20_000)
     cfg_scaled = FixedPointConfig(
@@ -54,13 +54,10 @@ def test_scale_covariance_of_fixed_point(seed, scale):
 def test_phase_covariance_of_powers(seed):
     """Unit-modulus row rotations of the channel leave all powers unchanged."""
     channel, gamma = _instance(seed)
-    qos = QosTargets(gamma=gamma, noise_power=1.0, subcarriers=2)
+    qos = QosTargets(gamma=gamma, noise_power=1.0)
     rng = np.random.default_rng(seed + 1)
     phases = np.exp(2j * np.pi * rng.random(channel.k_users))
-    rotated = ChannelRealization(
-        per_subcarrier=phases[None, :, None] * channel.per_subcarrier,
-        large_scale=channel.large_scale,
-    )
+    rotated = ChannelRealization(per_subcarrier=phases[None, :, None] * channel.per_subcarrier)
     for solver in (zf_precoders, min_pa_precoders):
         a, b = solver([channel, rotated], [qos, qos]).powers
         np.testing.assert_allclose(b, a, rtol=1e-9, atol=1e-14)
@@ -103,7 +100,7 @@ def test_los_consumption_invariant_to_weights(table_pa, seed):
     channel = draw_los_channel(5, 1, 3, rng)
     w = rng.random(5) + 1e-3
     w /= w.sum()
-    sol = los_allocation_precoders([channel], [QosTargets([6.0], 1.0, 3)], w[None])
+    sol = los_allocation_precoders([channel], [QosTargets([6.0], 1.0)], w[None])
     assert pa_consumed_power(sol.powers[0], table_pa) == pytest.approx(
         table_pa.alpha * np.sqrt(6.0), rel=1e-12
     )
