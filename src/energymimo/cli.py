@@ -7,7 +7,9 @@ Exit codes: 0 success, 1 config or I/O error, 2 infeasible scenario,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import operator
+import os
 import sys
 
 from .config import load_config
@@ -32,35 +34,61 @@ def _format_cell(value) -> str:
     return "%.9g" % value if isinstance(value, float) else str(value)
 
 
-def _row_template(kinds: list[str], shape: int) -> str:
+def _row_template(floats: tuple[bool, ...], shape: int) -> str:
     """The ``%`` template of a row whose empty fields are the set bits of ``shape``.
 
-    ``%.0s`` prints an empty cell as nothing.
+    A float field prints as ``%.9g``, any other as ``%s``; ``%.0s`` prints an
+    empty cell as nothing.
     """
+    kinds = ["%.9g" if floating else "%s" for floating in floats]
     return ",".join("%.0s" if shape >> j & 1 else kind for j, kind in enumerate(kinds)) + "\r\n"
+
+
+def _new_file_beside(path: str) -> tuple[str, int]:
+    """(name, descriptor) of a new file in the directory of ``path``.
+
+    It is created with the permission bits that ``open(path, "w")`` gives a
+    new file: 0o666 less the umask.
+    """
+    head, tail = os.path.split(path)
+    while True:
+        name = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+        try:
+            return name, os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
 
 
 def write_csv(path: str, result: ExperimentResult):
     """Comma-separated, CRLF-terminated, unquoted: no cell holds a comma or a newline.
 
     The rows come from ``result.row_slices()``, at most
-    ``experiments.ROW_SLICE`` at a time. Each is formatted by one ``%``
-    template, in which a float column prints as ``%.9g`` and any other as
-    ``%s``; a template is built once per row shape (which cells are empty)
-    and cached for the call.
+    ``experiments.ROW_SLICE`` at a time; a streamed result computes its
+    blocks as they are written, so a failing block raises here. Each row is
+    formatted by one ``%`` template, in which a float column prints as
+    ``%.9g`` and any other as ``%s``; a template is built once per row shape
+    (which cells are empty) and cached for the call.
+
+    The rows go to a new file beside ``path``, which is renamed onto
+    ``path`` once every row is written. On any failure the new file is
+    removed, so ``path`` keeps what it held, or stays absent.
     """
-    kinds = [
-        "%.9g" if not isinstance(column, list) and column.dtype.kind == "f" else "%s"
-        for column in result.columns
-    ]
     templates = {}
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(",".join(result.fieldnames) + "\r\n")
-            for shapes, rows in result.row_slices():
-                for shape in set(shapes).difference(templates):
-                    templates[shape] = _row_template(kinds, shape)
-                fh.writelines(map(operator.mod, map(templates.__getitem__, shapes), rows))
+        temporary, fd = _new_file_beside(path)
+        try:
+            with open(fd, "w", newline="", encoding="utf-8") as fh:
+                fh.write(",".join(result.fieldnames) + "\r\n")
+                for floats, shapes, rows in result.row_slices():
+                    known = templates.setdefault(floats, {})
+                    for shape in set(shapes).difference(known):
+                        known[shape] = _row_template(floats, shape)
+                    fh.writelines(map(operator.mod, map(known.__getitem__, shapes), rows))
+            os.replace(temporary, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(temporary)
+            raise
     except OSError as exc:
         raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
 

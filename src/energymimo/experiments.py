@@ -3,25 +3,30 @@
 Each realization draws its randomness from an independent stream seeded by
 master seed + realization index: first its users, then, where the command
 needs one, its channel. So results are identical regardless of how the
-realizations are scheduled; the blocks' results are joined in realization
+realizations are scheduled; the blocks' results are taken in realization
 order. Every Monte-Carlo command works on fixed-size blocks of realizations
 and draws each block once, with :func:`_draw_block`: ``run``,
 ``convergence`` and ``asymptotic`` q_error solve the block with one call to
 the stacked solvers, and ``asymptotic`` k_sweep and ma_curve take the
 block's traces sum_k gamma_k sigma^2 / beta_k from its stacked users. The
 thread pool maps over those blocks, whose boundaries depend only on the
-scenario.
+scenario, and works at most ``threads`` blocks ahead of the reader.
 
 A command returns an :class:`ExperimentResult`: one column per field, a
 numpy array or a list of strings, and a mask of its empty cells. Each block
-is accounted as arrays, one entry per row, and the blocks' columns are
-joined in block order; no command builds a tuple per row. Summaries come
-from the joined columns or from arrays the command holds.
+is accounted as arrays, one entry per row; no command builds a tuple per
+row. ``run``, ``convergence`` and ``asymptotic`` k_sweep return a streamed
+result: nothing is solved until it is read, and the CSV writer then takes
+each block's rows as soon as every earlier block is done, and drops them.
+Their summaries come from small per-realization arrays that the command
+copies out of each block as it passes, so the summary is complete once the
+last block is read. The other modes hold their few rows as columns.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
@@ -95,83 +100,139 @@ class ExperimentResult:
     value; the constructor also takes one bool for the whole column. What a
     column stores under its mask is never read.
 
-    :meth:`row_slices`, which the CSV writer reads, holds at most
-    ``ROW_SLICE`` rows as Python objects at a time.
+    A result from :meth:`streamed` is computed as it is read, one part at a
+    time, and is read once. :meth:`row_slices` computes each part, yields its
+    rows and drops it; after that ``len()`` is the number of rows yielded,
+    ``rows`` is empty and ``summary`` is complete. Reading ``columns``,
+    ``empty``, ``rows``, ``summary`` or ``len()`` before streaming joins every
+    part into columns instead, which can then be read any number of times.
     """
 
     def __init__(self, fieldnames, columns, summary: dict, empty=None):
         self.fieldnames = tuple(fieldnames)
-        self.columns = tuple(
+        self._summary = summary
+        self._parts = None
+        self._hold(columns, empty)
+
+    @classmethod
+    def streamed(cls, fieldnames, parts) -> ExperimentResult:
+        """The rows of the results that the generator ``parts`` yields, one
+        after another; the summary is the dict that ``parts`` returns."""
+        result = cls(fieldnames, [[] for _ in fieldnames], {})
+        result._parts = parts
+        return result
+
+    def _hold(self, columns, empty):
+        self._columns = tuple(
             column if isinstance(column, list) else np.asarray(column) for column in columns
         )
-        self.summary = summary
-        self._length = len(self.columns[0])
-        if len(self.columns) != len(self.fieldnames) or any(
+        self._length = len(self._columns[0])
+        if len(self._columns) != len(self.fieldnames) or any(
             len(column) != self._length
             or not isinstance(column, list) and column.dtype.kind not in "iuf"
-            for column in self.columns
+            for column in self._columns
         ):
             raise EnergyMimoError("need one int, float or list column per field, all one length")
-        self.empty = {
+        self._empty = {
             name: np.broadcast_to(np.asarray(mask, dtype=bool), (self._length,))
             for name, mask in (empty or {}).items()
         }
-        unknown = self.empty.keys() - set(self.fieldnames)
+        unknown = self._empty.keys() - set(self.fieldnames)
         if unknown:
             raise EnergyMimoError(f"empty cells in unknown fields {sorted(unknown)}")
 
-    @classmethod
-    def joined(cls, parts, summary: dict) -> ExperimentResult:
-        """The rows of ``parts``, one result after another, under ``summary``."""
+    def _pending(self):
+        """Each part not read yet, once; then keep the summary that they return."""
+        parts, self._parts = self._parts, None
+        self._summary = yield from parts
+
+    def _join(self):
+        """Hold the parts not read yet as this result's columns, one after another."""
+        if self._parts is None:
+            return
+        parts = list(self._pending())
         if len(parts) == 1:
-            (result,) = parts
-        else:
-            columns = [
-                [cell for piece in pieces for cell in piece] if isinstance(pieces[0], list)
-                else np.concatenate(pieces)
-                for pieces in zip(*(part.columns for part in parts))
-            ]
-            masked = {name for part in parts for name in part.empty}
-            empty = {
-                name: np.concatenate([
-                    part.empty.get(name, np.zeros(len(part), dtype=bool)) for part in parts
-                ])
-                for name in masked
-            }
-            result = cls(parts[0].fieldnames, columns, {}, empty)
-        result.summary = summary
-        return result
+            (part,) = parts
+            self._hold(part._columns, part._empty)
+            return
+        columns = [
+            [cell for piece in pieces for cell in piece] if isinstance(pieces[0], list)
+            else np.concatenate(pieces)
+            for pieces in zip(*(part._columns for part in parts))
+        ]
+        masked = {name for part in parts for name in part._empty}
+        empty = {
+            name: np.concatenate([
+                part._empty.get(name, np.zeros(len(part), dtype=bool)) for part in parts
+            ])
+            for name in masked
+        }
+        self._hold(columns, empty)
 
     def __len__(self) -> int:
+        self._join()
         return self._length
+
+    @property
+    def columns(self) -> tuple:
+        self._join()
+        return self._columns
+
+    @property
+    def empty(self) -> dict:
+        self._join()
+        return self._empty
+
+    @property
+    def summary(self) -> dict:
+        self._join()
+        return self._summary
 
     def column(self, name: str):
         return self.columns[self.fieldnames.index(name)]
 
     def row_slices(self):
-        """(shapes, rows) of each run of at most ``ROW_SLICE`` rows, in order.
+        """(floats, shapes, rows) of each run of at most ``ROW_SLICE`` rows, in order.
 
-        ``rows`` are tuples, ``None`` for an empty cell; bit j of a row's
-        shape is set when its field j is empty.
+        ``floats[j]`` is True when field j is a float column. ``rows`` are
+        tuples, ``None`` for an empty cell; bit j of a row's shape is set when
+        its field j is empty. A streamed result computes each part when its
+        rows are reached and counts the rows as they are taken.
         """
-        for start in range(0, self._length, ROW_SLICE):
-            stop = min(start + ROW_SLICE, self._length)
+        if self._parts is None:
+            yield from self._slices()
+            return
+        self._length = 0
+        for part in self._pending():
+            for floats, shapes, rows in part._slices():
+                yield floats, shapes, rows
+                self._length += len(rows)
+
+    def _slices(self):
+        """``row_slices`` of the columns held."""
+        floats = tuple(
+            not isinstance(column, list) and column.dtype.kind == "f" for column in self._columns
+        )
+        length = len(self._columns[0])
+        for start in range(0, length, ROW_SLICE):
+            stop = min(start + ROW_SLICE, length)
             cells = [
                 column[start:stop] if isinstance(column, list) else column[start:stop].tolist()
-                for column in self.columns
+                for column in self._columns
             ]
             shapes = np.zeros(stop - start, dtype=np.int64)
-            for name, mask in self.empty.items():
+            for name, mask in self._empty.items():
                 j, part = self.fieldnames.index(name), mask[start:stop]
                 shapes |= part.astype(np.int64) << j
                 for i in np.flatnonzero(part).tolist():
                     cells[j][i] = None
-            yield shapes.tolist(), list(zip(*cells))
+            yield floats, shapes.tolist(), list(zip(*cells))
 
     @property
     def rows(self) -> list[tuple]:
         """The cells as tuples, ``None`` for an empty cell, built when read."""
-        return [row for _, rows in self.row_slices() for row in rows]
+        self._join()
+        return [row for _, _, rows in self._slices() for row in rows]
 
 
 def _realization_rng(cfg: ExperimentConfig, index: int) -> np.random.Generator:
@@ -228,12 +289,29 @@ def _solve_block(name: str, channels, qos_list, cfg: ExperimentConfig) -> Precod
     raise EnergyMimoError(f"unknown solver {name!r}")
 
 
-def _map(cfg: ExperimentConfig, worker, blocks: list[range]) -> list:
-    """What ``worker(block)`` returns for each block, in block order."""
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(worker, blocks))
-    return list(map(worker, blocks))
+def _map(cfg: ExperimentConfig, worker, blocks: list[range]):
+    """What ``worker(block)`` returns for each block, in block order, as it is taken.
+
+    With ``cfg.threads`` > 1 a pool computes ahead, but at most
+    ``cfg.threads`` blocks are running or done and not yet taken, so what is
+    held does not grow with the block count. A failing block raises when its
+    turn comes; the blocks after it are cancelled, or finished and dropped
+    if already running.
+    """
+    if cfg.threads <= 1:
+        yield from map(worker, blocks)
+        return
+    pool = ThreadPoolExecutor(max_workers=cfg.threads)
+    ahead = deque()
+    try:
+        for block in blocks:
+            if len(ahead) == cfg.threads:
+                yield ahead.popleft().result()
+            ahead.append(pool.submit(worker, block))
+        while ahead:
+            yield ahead.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _blocks(count: int, size: int) -> list[range]:
@@ -299,19 +377,29 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             empty=dict.fromkeys(("gain_pas", "gain_bs"), "zf" not in cfg.precoders),
         )
 
-    parts = _map(cfg, solve_block, _realization_blocks(cfg, cfg.scenario.subcarriers))
-    result = ExperimentResult.joined(parts, {"realizations": cfg.realizations})
-    solvers = len(cfg.precoders)
-    discarded = result.column("discarded")[::solvers]
-    result.summary["discarded"] = int(np.count_nonzero(discarded))
-    kept = discarded == 0
-    if "zf" in cfg.precoders:
+    def parts():
+        # What the summary reads, one entry per realization: the discard
+        # flags and, with ZF as the reference, each solver's gains.
+        solvers = len(cfg.precoders)
+        fields = ("gain_pas", "gain_bs") if "zf" in cfg.precoders else ()
+        discarded = np.zeros(cfg.realizations, dtype=bool)
+        gains = np.empty((len(fields), solvers, cfg.realizations))
+        blocks = _realization_blocks(cfg, cfg.scenario.subcarriers)
+        for part, block in zip(_map(cfg, solve_block, blocks), blocks):
+            discarded[block.start:block.stop] = part.column("discarded")[::solvers]
+            for i, field in enumerate(fields):
+                gains[i, :, block.start:block.stop] = part.column(field).reshape(-1, solvers).T
+            yield part
+        summary = {"realizations": cfg.realizations, "discarded": int(np.count_nonzero(discarded))}
+        kept = ~discarded
         for j, name in enumerate(cfg.precoders):
-            for field in ("gain_pas", "gain_bs"):
-                gains = result.column(field)[j::solvers][kept]
-                if gains.size:
-                    result.summary[f"mean_{field}[{name}]"] = float(np.mean(gains))
-    return result
+            for i, field in enumerate(fields):
+                values = gains[i, j][kept]
+                if values.size:
+                    summary[f"mean_{field}[{name}]"] = float(np.mean(values))
+        return summary
+
+    return ExperimentResult.streamed(RUN_FIELDS, parts())
 
 
 def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -357,19 +445,27 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         )
         return part, iterations, solution.converged, final_dist, skipped
 
-    parts, *arrays, skipped = zip(*_map(cfg, solve_block, _realization_blocks(cfg, sc.subcarriers)))
-    reason = next(filter(None, skipped), None)
-    if reason is not None:
-        print(f"warning: oracle skipped ({reason})", file=sys.stderr)
-    iterations, converged, final_dists = map(np.concatenate, arrays)
-    summary = {
-        "mean_iterations": float(np.mean(iterations)),
-        "converged": int(np.count_nonzero(converged)),
-        "realizations": cfg.realizations,
-    }
-    if final_dists.size:
-        summary["mean_final_dist_sq"] = float(np.mean(final_dists))
-    return ExperimentResult.joined(parts, summary)
+    def parts():
+        arrays, reason = [], None
+        for part, *block_arrays, skipped in _map(
+            cfg, solve_block, _realization_blocks(cfg, sc.subcarriers)
+        ):
+            arrays.append(block_arrays)
+            reason = reason or skipped
+            yield part
+        if reason is not None:
+            print(f"warning: oracle skipped ({reason})", file=sys.stderr)
+        iterations, converged, final_dists = map(np.concatenate, zip(*arrays))
+        summary = {
+            "mean_iterations": float(np.mean(iterations)),
+            "converged": int(np.count_nonzero(converged)),
+            "realizations": cfg.realizations,
+        }
+        if final_dists.size:
+            summary["mean_final_dist_sq"] = float(np.mean(final_dists))
+        return summary
+
+    return ExperimentResult.streamed(CONVERGENCE_FIELDS, parts())
 
 
 def asymptotic_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -421,19 +517,25 @@ def _asymptotic_k_sweep(cfg: ExperimentConfig) -> ExperimentResult:
             empty=dict.fromkeys(K_SWEEP_FIELDS[3:-1], ~feasible),
         )
 
-    parts = _map(cfg, plan_block, _blocks(cfg.realizations, PLAN_BLOCK // len(loads)))
-    result = ExperimentResult.joined(
-        parts, {"realizations": cfg.realizations, "k_range": (cfg.k_min, cfg.k_max)}
-    )
-    # The gains at the lightest and the heaviest load, (R, 2) each.
-    shape, ends = (cfg.realizations, len(loads)), [0, -1]
-    gains = result.column("gain_vs_full").reshape(shape)[:, ends]
-    feasible = result.column("feasible").reshape(shape)[:, ends] == 1
-    for end, k in enumerate((cfg.k_min, cfg.k_max)):
-        if feasible[:, end].any():
-            mean = float(np.mean(gains[feasible[:, end], end]))
-            result.summary[f"mean_gain_vs_full[K={k}]"] = mean
-    return result
+    def parts():
+        # The gains at the lightest and the heaviest load and where they are
+        # feasible, (R, 2) each: what the summary reads.
+        ends = [0, -1]
+        gains = np.empty((cfg.realizations, 2))
+        feasible = np.empty((cfg.realizations, 2), dtype=bool)
+        blocks = _blocks(cfg.realizations, PLAN_BLOCK // len(loads))
+        for part, block in zip(_map(cfg, plan_block, blocks), blocks):
+            rows = slice(block.start, block.stop)
+            gains[rows] = part.column("gain_vs_full").reshape(-1, len(loads))[:, ends]
+            feasible[rows] = part.column("feasible").reshape(-1, len(loads))[:, ends] == 1
+            yield part
+        summary = {"realizations": cfg.realizations, "k_range": (cfg.k_min, cfg.k_max)}
+        for end, k in enumerate((cfg.k_min, cfg.k_max)):
+            if feasible[:, end].any():
+                summary[f"mean_gain_vs_full[K={k}]"] = float(np.mean(gains[feasible[:, end], end]))
+        return summary
+
+    return ExperimentResult.streamed(K_SWEEP_FIELDS, parts())
 
 
 def _asymptotic_q_error(cfg: ExperimentConfig) -> ExperimentResult:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, QosTargets
-from .errors import DomainError, InfeasibleError, OracleSizeError
+from .errors import DimensionError, DomainError, InfeasibleError, OracleSizeError
 from .model import BsModel, PaModel
 
 # Default desk-scale guard of the brute-force consumption minimizer.
@@ -151,7 +151,7 @@ def solve_min_pa_bruteforce(
             f"(M<={max_m}, K<={max_k}, Q<={max_q})"
         )
     if qos.k_users != k:
-        raise DomainError("QoS targets do not match the channel dimensions")
+        raise DimensionError(f"QoS targets cover {qos.k_users} users, channel has {k}")
     d = np.sqrt(qos.gamma / q) * qos.noise_std
     # Rows normalized by D, so that the constraint reads H_q W_q = I; in
     # these units W is `scale` times the precoder.

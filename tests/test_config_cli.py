@@ -802,6 +802,9 @@ def test_write_csv_equals_csv_module_reference(tmp_path, monkeypatch, build, has
         monkeypatch.setattr(experiments, "ROW_SLICE", size)
         write_csv(str(out), result)
         assert out.read_bytes() == expected, size
+        # A fresh result, streamed block by block if its command streams.
+        write_csv(str(out), build())
+        assert out.read_bytes() == expected, size
 
 
 # The type of each field's cells, None aside, as the commands have always
@@ -824,14 +827,16 @@ CELL_TYPES = {
 def test_rows_view_matches_csv_and_cell_types(
     tmp_path, monkeypatch, capsys, build, has_empty_cells
 ):
+    # Rows read before any write join a result's blocks; the CLI streams a
+    # second result of the same build, after which it counts what it wrote.
+    rows = build().rows
     result = build()
     out = tmp_path / "out.csv"
     monkeypatch.setattr(experiments, "ROW_SLICE", 7)
     monkeypatch.setattr("energymimo.cli.run_experiment", lambda cfg: result)
     assert main(["run", "--out", str(out)]) == 0
     lines = out.read_bytes().count(b"\r\n") - 1
-    rows = result.rows
-    assert len(rows) == lines
+    assert len(rows) == lines == len(result)
     assert capsys.readouterr().out.splitlines()[0] == f"wrote {lines} rows to {out}"
     for row in rows:
         for name, cell in zip(result.fieldnames, row):

@@ -819,11 +819,19 @@ def test_los_allocation_meets_per_subcarrier_qos():
     assert np.allclose(np.abs(prods), sigma * np.sqrt(gamma / 8.0), rtol=1e-12)
 
 
-def test_qos_channel_mismatch_raises():
+def test_qos_channel_mismatch_raises(table_pa):
+    # The solvers and the oracle refuse the same instance with the same error.
     rng = np.random.default_rng(35)
     channel, _ = draw_cell_instance(4, 2, 2, rng)
-    with pytest.raises(DimensionError):
-        zf_precoders([channel], [QosTargets(gamma=[1.0], noise_power=1.0)])
+    qos = QosTargets(gamma=[1.0], noise_power=1.0)
+    for solve in (
+        lambda: zf_precoders([channel], [qos]),
+        lambda: min_pa_precoders([channel], [qos]),
+        lambda: solve_min_pa_bruteforce(channel, qos, table_pa),
+    ):
+        with pytest.raises(DimensionError) as raised:
+            solve()
+        assert str(raised.value) == "QoS targets cover 1 users, channel has 2"
 
 
 def test_one_qos_splits_over_each_channels_subcarriers(table_pa):
