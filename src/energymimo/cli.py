@@ -142,7 +142,7 @@ def main(argv=None) -> int:
             write_csv(out, result)
             print(f"wrote {len(result)} rows to {out}")
         if args.command == "validate":
-            for check, passed, detail in zip(*result.columns):
+            for check, passed, detail in result.rows:
                 print(f"[{'PASS' if passed else 'FAIL'}] {check}: {detail}")
             if not result.summary["passed"]:
                 return 3

@@ -11,7 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .channel import SINR_REF_COEFF, CellGeometry, FreqCorrelation, large_scale_fading
+import numpy as np
+
+from .channel import (
+    SINR_REF_COEFF, CellGeometry, FreqCorrelation, large_scale_fading, target_sinr,
+)
 from .errors import ConfigError, DomainError
 from .model import BsModel, PaModel
 from .precoding import FixedPointConfig
@@ -208,13 +212,19 @@ def _validate(cfg: ExperimentConfig):
             build()
         except DomainError as exc:
             raise ConfigError(f"{keys}: {exc}") from exc
-    # The draws need a positive, finite noise power and far-edge fading.
+    # The draws need a positive, finite noise power, far-edge fading and
+    # near-edge SINR target, the largest target a user can draw.
     for key, quantity, compute in (
         ("noise_dbm", "noise power", lambda: sc.noise_power),
         ("u_max_m", "far-edge large-scale fading", lambda: large_scale_fading(sc.u_max_m)),
+        (
+            "sinr_ref", "near-edge SINR target",
+            lambda: target_sinr(large_scale_fading(sc.u_min_m), sc.sinr_ref),
+        ),
     ):
         try:
-            value = compute()
+            with np.errstate(over="ignore", divide="ignore"):
+                value = compute()
         except OverflowError:
             value = math.inf
         if not 0.0 < value < math.inf:

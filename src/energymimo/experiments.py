@@ -16,11 +16,11 @@ A command returns an :class:`ExperimentResult`: one column per field, a
 numpy array or a list of strings, and a mask of its empty cells. Each block
 is accounted as arrays, one entry per row; no command builds a tuple per
 row. ``run``, ``convergence`` and ``asymptotic`` k_sweep return a streamed
-result: nothing is solved until it is read, and the CSV writer then takes
-each block's rows as soon as every earlier block is done, and drops them.
-Their summaries come from small per-realization arrays that the command
-copies out of each block as it passes, so the summary is complete once the
-last block is read. The other modes hold their few rows as columns.
+result, which is read once: nothing is solved until it is read, and then
+each block's rows are taken as soon as every earlier block is done, and
+dropped. Each block's worker returns its rows and the small per-realization
+arrays that the summary reads, so the summary is complete once the last
+block is read. The other modes hold their few rows as columns.
 """
 
 from __future__ import annotations
@@ -101,28 +101,17 @@ class ExperimentResult:
     column stores under its mask is never read.
 
     A result from :meth:`streamed` is computed as it is read, one part at a
-    time, and is read once. :meth:`row_slices` computes each part, yields its
-    rows and drops it; after that ``len()`` is the number of rows yielded,
-    ``rows`` is empty and ``summary`` is complete. Reading ``columns``,
-    ``empty``, ``rows``, ``summary`` or ``len()`` before streaming joins every
-    part into columns instead, which can then be read any number of times.
+    time, and is read once: :meth:`row_slices`, ``rows``, ``len()`` and
+    ``summary`` each compute the parts not read yet and drop them; ``rows``
+    collects their rows, ``len()`` and ``summary`` only count them. After
+    that ``rows`` is empty, ``len()`` counts every row read and ``summary``
+    is complete. A result built from columns can be read any number of times.
     """
 
     def __init__(self, fieldnames, columns, summary: dict, empty=None):
         self.fieldnames = tuple(fieldnames)
         self._summary = summary
         self._parts = None
-        self._hold(columns, empty)
-
-    @classmethod
-    def streamed(cls, fieldnames, parts) -> ExperimentResult:
-        """The rows of the results that the generator ``parts`` yields, one
-        after another; the summary is the dict that ``parts`` returns."""
-        result = cls(fieldnames, [[] for _ in fieldnames], {})
-        result._parts = parts
-        return result
-
-    def _hold(self, columns, empty):
         self._columns = tuple(
             column if isinstance(column, list) else np.asarray(column) for column in columns
         )
@@ -141,55 +130,29 @@ class ExperimentResult:
         if unknown:
             raise EnergyMimoError(f"empty cells in unknown fields {sorted(unknown)}")
 
+    @classmethod
+    def streamed(cls, fieldnames, parts) -> ExperimentResult:
+        """The rows of the results that the generator ``parts`` yields, one
+        after another; the summary is the dict that ``parts`` returns."""
+        result = cls(fieldnames, [[] for _ in fieldnames], {})
+        result._parts = parts
+        return result
+
     def _pending(self):
         """Each part not read yet, once; then keep the summary that they return."""
-        parts, self._parts = self._parts, None
-        self._summary = yield from parts
-
-    def _join(self):
-        """Hold the parts not read yet as this result's columns, one after another."""
-        if self._parts is None:
-            return
-        parts = list(self._pending())
-        if len(parts) == 1:
-            (part,) = parts
-            self._hold(part._columns, part._empty)
-            return
-        columns = [
-            [cell for piece in pieces for cell in piece] if isinstance(pieces[0], list)
-            else np.concatenate(pieces)
-            for pieces in zip(*(part._columns for part in parts))
-        ]
-        masked = {name for part in parts for name in part._empty}
-        empty = {
-            name: np.concatenate([
-                part._empty.get(name, np.zeros(len(part), dtype=bool)) for part in parts
-            ])
-            for name in masked
-        }
-        self._hold(columns, empty)
+        if self._parts is not None:
+            parts, self._parts = self._parts, None
+            self._summary = yield from parts
 
     def __len__(self) -> int:
-        self._join()
+        for part in self._pending():
+            self._length += len(part)
         return self._length
 
     @property
-    def columns(self) -> tuple:
-        self._join()
-        return self._columns
-
-    @property
-    def empty(self) -> dict:
-        self._join()
-        return self._empty
-
-    @property
     def summary(self) -> dict:
-        self._join()
+        len(self)  # reads the parts not read yet
         return self._summary
-
-    def column(self, name: str):
-        return self.columns[self.fieldnames.index(name)]
 
     def row_slices(self):
         """(floats, shapes, rows) of each run of at most ``ROW_SLICE`` rows, in order.
@@ -199,10 +162,7 @@ class ExperimentResult:
         its field j is empty. A streamed result computes each part when its
         rows are reached and counts the rows as they are taken.
         """
-        if self._parts is None:
-            yield from self._slices()
-            return
-        self._length = 0
+        yield from self._slices()
         for part in self._pending():
             for floats, shapes, rows in part._slices():
                 yield floats, shapes, rows
@@ -231,8 +191,7 @@ class ExperimentResult:
     @property
     def rows(self) -> list[tuple]:
         """The cells as tuples, ``None`` for an empty cell, built when read."""
-        self._join()
-        return [row for _, _, rows in self._slices() for row in rows]
+        return [row for _, _, rows in self.row_slices() for row in rows]
 
 
 def _realization_rng(cfg: ExperimentConfig, index: int) -> np.random.Generator:
@@ -314,6 +273,22 @@ def _map(cfg: ExperimentConfig, worker, blocks: list[range]):
         pool.shutdown(cancel_futures=True)
 
 
+def _stream(cfg: ExperimentConfig, worker, blocks: list[range], summarize):
+    """The parts of a streamed result, and then its summary.
+
+    ``worker(block)`` returns ``(part, *inputs)``: the block's rows as an
+    :class:`ExperimentResult` and what the summary reads of the block. Each
+    part is yielded in block order and then dropped; the generator returns
+    ``summarize(*inputs)``, where each input is the tuple of that input of
+    every block, in block order.
+    """
+    inputs = []
+    for part, *block_inputs in _map(cfg, worker, blocks):
+        inputs.append(block_inputs)
+        yield part
+    return summarize(*zip(*inputs))
+
+
 def _blocks(count: int, size: int) -> list[range]:
     size = max(1, size)
     return [range(start, min(start + size, count)) for start in range(0, count, size)]
@@ -346,20 +321,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         with _global_index(block):
             solved = {name: _solve_block(name, channels, qos_list, cfg) for name in cfg.precoders}
         powers = {name: solution.powers for name, solution in solved.items()}
-        discarded = np.zeros(len(block), dtype=np.int64)
+        discarded = np.zeros(len(block), dtype=bool)
         for name in AS1_PRECODERS:
             if cfg.discard_over_pmax and name in powers:
                 discarded |= np.any(powers[name] > p_max, axis=1)
         reports = [bs_consumed_power(powers[name], pa, bs) for name in cfg.precoders]
         solvers = len(cfg.precoders)
+        # Each solver's (gain_pas, gain_bs) against ZF, one entry per realization.
+        gains = []
+        gain_pas = gain_bs = np.zeros(len(block) * solvers)  # empty cells without ZF
         if "zf" in cfg.precoders:
             reference = reports[cfg.precoders.index("zf")]
-            gain_pas, gain_bs = map(
-                _interleaved, zip(*(gain_metrics(reference, report) for report in reports))
-            )
-        else:
-            gain_pas = gain_bs = np.zeros(len(block) * solvers)  # empty cells
-        return ExperimentResult(
+            gains = [gain_metrics(reference, report) for report in reports]
+            gain_pas, gain_bs = map(_interleaved, zip(*gains))
+        part = ExperimentResult(
             RUN_FIELDS,
             (
                 [cfg.scenario.seed] * (len(block) * solvers),
@@ -371,35 +346,30 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 _interleaved([report.m_active for report in reports]),
                 gain_pas,
                 gain_bs,
-                np.repeat(discarded, solvers),
+                np.repeat(discarded.astype(np.int64), solvers),
             ),
             {},
             empty=dict.fromkeys(("gain_pas", "gain_bs"), "zf" not in cfg.precoders),
         )
+        return part, discarded, gains
 
-    def parts():
-        # What the summary reads, one entry per realization: the discard
-        # flags and, with ZF as the reference, each solver's gains.
-        solvers = len(cfg.precoders)
+    def summarize(discarded, gains):
+        summary = {
+            "realizations": cfg.realizations,
+            "discarded": sum(int(np.count_nonzero(flags)) for flags in discarded),
+        }
         fields = ("gain_pas", "gain_bs") if "zf" in cfg.precoders else ()
-        discarded = np.zeros(cfg.realizations, dtype=bool)
-        gains = np.empty((len(fields), solvers, cfg.realizations))
-        blocks = _realization_blocks(cfg, cfg.scenario.subcarriers)
-        for part, block in zip(_map(cfg, solve_block, blocks), blocks):
-            discarded[block.start:block.stop] = part.column("discarded")[::solvers]
-            for i, field in enumerate(fields):
-                gains[i, :, block.start:block.stop] = part.column(field).reshape(-1, solvers).T
-            yield part
-        summary = {"realizations": cfg.realizations, "discarded": int(np.count_nonzero(discarded))}
-        kept = ~discarded
         for j, name in enumerate(cfg.precoders):
             for i, field in enumerate(fields):
-                values = gains[i, j][kept]
+                values = np.concatenate([
+                    block_gains[j][i][~flags] for flags, block_gains in zip(discarded, gains)
+                ])
                 if values.size:
                     summary[f"mean_{field}[{name}]"] = float(np.mean(values))
         return summary
 
-    return ExperimentResult.streamed(RUN_FIELDS, parts())
+    blocks = _realization_blocks(cfg, cfg.scenario.subcarriers)
+    return ExperimentResult.streamed(RUN_FIELDS, _stream(cfg, solve_block, blocks, summarize))
 
 
 def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -445,17 +415,13 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         )
         return part, iterations, solution.converged, final_dist, skipped
 
-    def parts():
-        arrays, reason = [], None
-        for part, *block_arrays, skipped in _map(
-            cfg, solve_block, _realization_blocks(cfg, sc.subcarriers)
-        ):
-            arrays.append(block_arrays)
-            reason = reason or skipped
-            yield part
+    def summarize(iterations, converged, final_dists, skipped):
+        reason = next(filter(None, skipped), None)
         if reason is not None:
             print(f"warning: oracle skipped ({reason})", file=sys.stderr)
-        iterations, converged, final_dists = map(np.concatenate, zip(*arrays))
+        iterations, converged, final_dists = map(
+            np.concatenate, (iterations, converged, final_dists)
+        )
         summary = {
             "mean_iterations": float(np.mean(iterations)),
             "converged": int(np.count_nonzero(converged)),
@@ -465,7 +431,10 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             summary["mean_final_dist_sq"] = float(np.mean(final_dists))
         return summary
 
-    return ExperimentResult.streamed(CONVERGENCE_FIELDS, parts())
+    blocks = _realization_blocks(cfg, sc.subcarriers)
+    return ExperimentResult.streamed(
+        CONVERGENCE_FIELDS, _stream(cfg, solve_block, blocks, summarize)
+    )
 
 
 def asymptotic_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -504,38 +473,41 @@ def _asymptotic_k_sweep(cfg: ExperimentConfig) -> ExperimentResult:
         p_bs_minimal[feasible] = asymptotic_bs_power(
             k[feasible] + 1, k[feasible], trace[feasible], pa, bs
         )
+        gain_vs_full = p_bs_full / plan.p_bs_bar
         # An infeasible pair leaves every cell from m_tilde to gain_vs_minimal empty.
-        return ExperimentResult(
+        part = ExperimentResult(
             K_SWEEP_FIELDS,
             (
                 k, np.repeat(np.arange(block.start, block.stop), len(loads)), trace,
                 plan.m_tilde, plan.m_hat, plan.m_dagger, plan.p_bar, plan.p_pas_bar,
-                plan.p_bs_bar, p_bs_full, p_bs_minimal, p_bs_full / plan.p_bs_bar,
+                plan.p_bs_bar, p_bs_full, p_bs_minimal, gain_vs_full,
                 p_bs_minimal / plan.p_bs_bar, feasible.astype(np.int64),
             ),
             {},
             empty=dict.fromkeys(K_SWEEP_FIELDS[3:-1], ~feasible),
         )
-
-    def parts():
-        # The gains at the lightest and the heaviest load and where they are
-        # feasible, (R, 2) each: what the summary reads.
+        # The gains at the lightest and the heaviest load, and where they
+        # are feasible: (R, 2) each.
         ends = [0, -1]
-        gains = np.empty((cfg.realizations, 2))
-        feasible = np.empty((cfg.realizations, 2), dtype=bool)
-        blocks = _blocks(cfg.realizations, PLAN_BLOCK // len(loads))
-        for part, block in zip(_map(cfg, plan_block, blocks), blocks):
-            rows = slice(block.start, block.stop)
-            gains[rows] = part.column("gain_vs_full").reshape(-1, len(loads))[:, ends]
-            feasible[rows] = part.column("feasible").reshape(-1, len(loads))[:, ends] == 1
-            yield part
+        return (
+            part,
+            gain_vs_full.reshape(len(block), len(loads))[:, ends],
+            feasible.reshape(len(block), len(loads))[:, ends],
+        )
+
+    def summarize(gains, feasible):
         summary = {"realizations": cfg.realizations, "k_range": (cfg.k_min, cfg.k_max)}
         for end, k in enumerate((cfg.k_min, cfg.k_max)):
-            if feasible[:, end].any():
-                summary[f"mean_gain_vs_full[K={k}]"] = float(np.mean(gains[feasible[:, end], end]))
+            values = np.concatenate([
+                block_gains[block_feasible[:, end], end]
+                for block_gains, block_feasible in zip(gains, feasible)
+            ])
+            if values.size:
+                summary[f"mean_gain_vs_full[K={k}]"] = float(np.mean(values))
         return summary
 
-    return ExperimentResult.streamed(K_SWEEP_FIELDS, parts())
+    blocks = _blocks(cfg.realizations, PLAN_BLOCK // len(loads))
+    return ExperimentResult.streamed(K_SWEEP_FIELDS, _stream(cfg, plan_block, blocks, summarize))
 
 
 def _asymptotic_q_error(cfg: ExperimentConfig) -> ExperimentResult:
@@ -587,10 +559,11 @@ def _asymptotic_ma_curve(cfg: ExperimentConfig) -> ExperimentResult:
     bs = sc.bs_model()
     k = sc.k_users
 
-    traces = []
-    for block in _blocks(cfg.realizations, PLAN_BLOCK // k):
+    def trace_block(block: range):
         beta, gamma, _, _ = _draw_block(cfg, block, k)
-        traces.append((gamma * sc.noise_power / beta).sum(axis=1))
+        return (gamma * sc.noise_power / beta).sum(axis=1)
+
+    traces = list(_map(cfg, trace_block, _blocks(cfg.realizations, PLAN_BLOCK // k)))
     trace = float(np.mean(np.concatenate(traces)))
     counts = np.arange(k + 1, sc.m_antennas + 1)
     p_bs = asymptotic_bs_power(counts, k, trace, pa, bs)

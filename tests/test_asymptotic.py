@@ -423,8 +423,9 @@ def test_k_sweep_equals_reference_loop(monkeypatch, sweep, scenario, variant):
     result = asymptotic_experiment(cfg)
     expected = reference_k_sweep(cfg)
     assert result.fieldnames == K_SWEEP_FIELDS
-    assert len(result.rows) == len(expected)
-    for cells, ref in zip(result.rows, expected):
+    rows = result.rows
+    assert len(rows) == len(expected)
+    for cells, ref in zip(rows, expected):
         assert len(cells) == len(K_SWEEP_FIELDS)
         row = dict(zip(result.fieldnames, cells))
         for name in K_SWEEP_FIELDS:
@@ -436,21 +437,24 @@ def test_k_sweep_equals_reference_loop(monkeypatch, sweep, scenario, variant):
     assert result.summary == reference_k_sweep_summary(cfg, expected)
 
 
-def test_k_sweep_result_holds_at_most_200_bytes_per_row():
-    # The bench-shaped sweep keeps one array per field: 14 cells of 8 bytes
-    # and its empty-cell masks per row, not a tuple of boxed cells.
+def test_k_sweep_result_holds_at_most_200_bytes_per_row(monkeypatch):
+    # A block's part keeps one array per field: 14 cells of 8 bytes and its
+    # empty-cell masks per row, not a tuple of boxed cells. The bench-shaped
+    # sweep's 100 realizations make one block of 4,000 rows here.
+    monkeypatch.setattr(experiments, "PLAN_BLOCK", 4000)
     cfg = with_scenario(ExperimentConfig(asym_mode="k_sweep", **BENCH_SWEEP[0]), **BENCH_SWEEP[1])
-    asymptotic_experiment(cfg)  # imports and first-call caches are not the result's
+    len(asymptotic_experiment(cfg))  # imports and first-call caches are not the part's
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         result = asymptotic_experiment(cfg)
+        part = next(result._parts)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(result.rows) == 4000
-    assert held / len(result.rows) <= 200
+    assert len(part) == 4000
+    assert held / len(part) <= 200, held / len(part)
 
 def reference_ma_curve(cfg):
     """The ma_curve rows and summary: one trace term per realization, one row per count."""

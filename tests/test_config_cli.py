@@ -107,9 +107,9 @@ def test_run_experiment_rows_and_discard_column():
         m_antennas=8, k_users=2, seed=3,
     )
     result = run_experiment(cfg)
-    assert len(result.rows) == 10  # one row per realization per solver
-    assert set(result.fieldnames) >= {"solver", "p_pas", "gain_bs", "discarded"}
     rows = [dict(zip(result.fieldnames, row)) for row in result.rows]
+    assert len(rows) == 10  # one row per realization per solver
+    assert set(result.fieldnames) >= {"solver", "p_pas", "gain_bs", "discarded"}
     zf_rows = [r for r in rows if r["solver"] == "zf"]
     assert all(r["gain_pas"] == pytest.approx(1.0) for r in zf_rows)
 
@@ -488,6 +488,23 @@ def test_cli_out_of_domain_value_is_config_error(tmp_path, capsys, line):
     assert not out.exists()
 
 
+def test_cli_sinr_ref_with_an_infinite_near_edge_target_is_config_error(tmp_path, capsys):
+    # At sinr_ref = 5e-324 the target of a user at u_min_m overflows to inf,
+    # at 1e-300 it is finite. Warnings are errors here, so neither may warn.
+    cfgfile = tmp_path / "exp.cfg"
+    out = tmp_path / "o.csv"
+    for sinr_ref, code in (("5e-324", 1), ("1e-300", 0)):
+        cfgfile.write_text(
+            f"m_antennas = 8\nk_users = 2\nrealizations = 3\nsinr_ref = {sinr_ref}\n"
+        )
+        assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("config error: sinr_ref: ") and "Traceback" not in err
+            assert not out.exists()
+    assert out.exists()
+
+
 def test_cli_negative_seed_flag_is_config_error(tmp_path, capsys):
     out = tmp_path / "o.csv"
     assert main(["run", "--realizations", "2", "--seed", "-1", "--out", str(out)]) == 1
@@ -793,16 +810,15 @@ ROW_SLICES = (experiments.ROW_SLICE, 1, 7)
 @RESULT_CASES
 def test_write_csv_equals_csv_module_reference(tmp_path, monkeypatch, build, has_empty_cells):
     result = build()
-    assert any(None in row for row in result.rows) == has_empty_cells
-    expected = reference_csv(result.fieldnames, result.rows)
+    rows = result.rows
+    assert any(None in row for row in rows) == has_empty_cells
+    expected = reference_csv(result.fieldnames, rows)
     if build is _synthetic_result:
         assert reference_csv(result.fieldnames, SYNTHETIC_ROWS) == expected
     out = tmp_path / "out.csv"
     for size in ROW_SLICES:
         monkeypatch.setattr(experiments, "ROW_SLICE", size)
-        write_csv(str(out), result)
-        assert out.read_bytes() == expected, size
-        # A fresh result, streamed block by block if its command streams.
+        # A fresh result each time: a streamed one is read once.
         write_csv(str(out), build())
         assert out.read_bytes() == expected, size
 
@@ -827,8 +843,8 @@ CELL_TYPES = {
 def test_rows_view_matches_csv_and_cell_types(
     tmp_path, monkeypatch, capsys, build, has_empty_cells
 ):
-    # Rows read before any write join a result's blocks; the CLI streams a
-    # second result of the same build, after which it counts what it wrote.
+    # The rows of one result of the build; the CLI writes a second one and
+    # then counts what it wrote.
     rows = build().rows
     result = build()
     out = tmp_path / "out.csv"

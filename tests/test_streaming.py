@@ -82,9 +82,23 @@ def test_streamed_result_counts_what_was_written(tmp_path):
     assert len(result) == 30 * 10
     assert result.rows == []
     assert result.summary["realizations"] == 30
-    joined = asymptotic_experiment(_k_sweep(30))
-    assert len(joined.rows) == 30 * 10
-    assert joined.summary == result.summary
+    collected = asymptotic_experiment(_k_sweep(30))
+    assert len(collected.rows) == 30 * 10
+    assert collected.summary == result.summary
+    assert collected.rows == []
+    # Read first, the summary computes every block and drops its rows.
+    written = run_experiment(_zf_run(30))
+    write_csv(str(tmp_path / "run.csv"), written)
+    summary_first = run_experiment(_zf_run(30))
+    assert summary_first.summary == written.summary
+    assert len(summary_first) == len(written) == 30
+    assert summary_first.rows == []
+    # A result built from columns reads the same each time.
+    eager = ExperimentResult(
+        VALIDATION_FIELDS, (["a", "b"], [1, 0], ["x", "y"]), {"passed": False}
+    )
+    assert eager.rows == eager.rows == [("a", 1, "x"), ("b", 0, "y")]
+    assert len(eager) == 2
 
 
 def _failing_third_block(monkeypatch):
