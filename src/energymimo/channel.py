@@ -152,7 +152,21 @@ def target_sinr(beta, ref_coeff: float = SINR_REF_COEFF):
 
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """Unit-variance circular complex Gaussians: the real parts drawn first, then the imaginary.
+
+    Each part is drawn into one float buffer and scaled into the complex
+    array, with no complex temporary. The bits equal those of
+    ``(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) /
+    np.sqrt(2.0)``, where numpy divides a complex by a real as a multiply by
+    its reciprocal.
+    """
+    g = np.empty(shape, dtype=complex)
+    part = np.empty(shape)
+    scale = 1.0 / np.sqrt(2.0)
+    for out in (g.real, g.imag):
+        rng.standard_normal(out=part)
+        np.multiply(part, scale, out=out)
+    return g
 
 
 def draw_rayleigh_channel(
@@ -189,8 +203,8 @@ def draw_rayleigh_channel(
             -2j * np.pi * np.outer(np.arange(subcarriers), np.arange(taps)) / subcarriers
         )
         g = np.tensordot(phase, c, axes=(1, 0))
-    h = np.sqrt(beta)[None, :, None] * g
-    return ChannelRealization(h)
+    g *= np.sqrt(beta)[None, :, None]
+    return ChannelRealization(g)
 
 
 def draw_los_channel(

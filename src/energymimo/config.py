@@ -18,9 +18,8 @@ from .channel import (
 )
 from .errors import ConfigError, DomainError
 from .model import BsModel, PaModel
-from .precoding import FixedPointConfig
+from .precoding import SOLVERS, FixedPointConfig
 
-KNOWN_PRECODERS = ("zf", "min_pa", "saturating")
 AS1_PRECODERS = ("zf", "min_pa")  # solved without per-antenna caps
 ASYM_MODES = ("k_sweep", "q_error", "ma_curve")
 
@@ -230,8 +229,8 @@ def _validate(cfg: ExperimentConfig):
         if not 0.0 < value < math.inf:
             raise ConfigError(f"{key}: the {quantity} {value} is not positive and finite")
     for name in cfg.precoders:
-        if name not in KNOWN_PRECODERS:
-            raise ConfigError(f"unknown precoder {name!r}, expected one of {KNOWN_PRECODERS}")
+        if name not in SOLVERS:
+            raise ConfigError(f"unknown precoder {name!r}, expected one of {SOLVERS}")
     if "saturating" in cfg.precoders and (sc.k_users != 1 or sc.subcarriers != 1):
         raise ConfigError("the saturating precoder requires k_users=1 and subcarriers=1")
     if sc.m_antennas < sc.k_users:

@@ -54,13 +54,7 @@ from .errors import (
     ConfigError, EnergyMimoError, InfeasibleError, OracleSizeError, RealizationError,
 )
 from .model import bs_consumed_power, gain_metrics, pa_consumed_power
-from .precoding import (
-    FixedPointConfig,
-    PrecoderSolution,
-    min_pa_precoders,
-    saturating_precoders,
-    zf_precoders,
-)
+from .precoding import FixedPointConfig, min_pa_precoders, solve_block, zf_precoders
 
 # Channel entries (Q * K * M per realization) stacked into one solver block.
 # Block boundaries depend only on the scenario, never on the thread count, so
@@ -237,17 +231,6 @@ def _global_index(block: range):
         raise type(exc)(exc.reason, realization=block[exc.realization]) from exc
 
 
-def _solve_block(name: str, channels, qos_list, cfg: ExperimentConfig) -> PrecoderSolution:
-    """One solver's stacked solution of a block; its ``powers`` are (R, M)."""
-    if name == "zf":
-        return zf_precoders(channels, qos_list)
-    if name == "min_pa":
-        return min_pa_precoders(channels, qos_list, cfg.fixed_point())
-    if name == "saturating":
-        return saturating_precoders(channels, qos_list, cfg.scenario.p_max_watts)
-    raise EnergyMimoError(f"unknown solver {name!r}")
-
-
 def _map(cfg: ExperimentConfig, worker, blocks: list[range]):
     """What ``worker(block)`` returns for each block, in block order, as it is taken.
 
@@ -314,12 +297,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     bs = cfg.scenario.bs_model()
     p_max = cfg.scenario.p_max_watts
 
-    def solve_block(block: range):
+    def report_block(block: range):
         _, _, channels, qos_list = _draw_block(
             cfg, block, cfg.scenario.k_users, cfg.scenario.subcarriers
         )
         with _global_index(block):
-            solved = {name: _solve_block(name, channels, qos_list, cfg) for name in cfg.precoders}
+            solved = solve_block(
+                cfg.precoders, channels, qos_list, cfg.fixed_point(), cfg.scenario.p_max_watts
+            )
         powers = {name: solution.powers for name, solution in solved.items()}
         discarded = np.zeros(len(block), dtype=bool)
         for name in AS1_PRECODERS:
@@ -369,7 +354,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         return summary
 
     blocks = _realization_blocks(cfg, cfg.scenario.subcarriers)
-    return ExperimentResult.streamed(RUN_FIELDS, _stream(cfg, solve_block, blocks, summarize))
+    return ExperimentResult.streamed(RUN_FIELDS, _stream(cfg, report_block, blocks, summarize))
 
 
 def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:

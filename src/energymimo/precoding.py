@@ -8,24 +8,30 @@ shape at once and return one :class:`PrecoderSolution` whose fields carry
 the block axis; row r equals the solve of instance r alone, bit for bit.
 The closed-form single-user special cases, ``saturating_precoders`` (the
 capped narrowband fill) and ``los_allocation_precoders`` (a chosen LOS
-power split), take and return the same.
+power split), take and return the same. :func:`solve_block` solves one
+block with several of these at once; the per-solver functions are it with
+one name.
 
-Both iterative solvers and the LOS split return precoders from one
+Both iterative solvers and the LOS split take their precoders from one
 weighted zero-forcing kernel, W_q = D_p^(1/2) H_q^H G_q^(-1) D with
 G_q = H_q D_p^(1/2) H_q^H, over all M antennas of a stack of shape
 (R, Q, K, M) holding R realizations. The ZF targets D = diag(d) are
 d_k = (gamma_k / Q)^(1/2) sigma, with Q the channel's own subcarrier count,
 and the same on every subcarrier. Zero forcing is the kernel at uniform
 power; an antenna the fixed point switches off is a zero power and gets a
-zero row.
+zero row. Zero forcing and ``min_pa`` report powers read from the lifted
+map below, and assemble the kernel's precoders only when a solution's
+``matrices`` is read.
 
 The fixed point itself needs only the powers, p_m <- p_m sum_q h_qm^H A_q
 h_qm with A_q = G_q^(-1) D^2 G_q^(-1). It iterates that lifted map on
 the K^2 distinct reals of each h_qm h_qm^H, packed once per solve, so an
-iteration is two stacked real products and a K x K inverse per subcarrier;
-its first iterate is zero forcing up to rounding. The kernel and the map
-invert the Gram stack in one place, :func:`_guard_gram`, by one of two
-paths chosen from the instance's own (Q, K). With at least
+iteration is two stacked real products and a K x K inverse per subcarrier.
+Its first iterate is zero forcing's powers, which a block solving both
+solvers computes once; ``min_pa``'s reported powers are one more sweep at
+its final powers. The kernel and the map invert the Gram stack in one
+place, :func:`_guard_gram`, by one of two paths chosen from the
+instance's own (Q, K). With at least
 ``SWEEP_MIN_SUBCARRIERS`` subcarriers and at most ``SWEEP_MAX_USERS``
 users, one Gauss-Jordan sweep runs over the whole stack at once, with the
 stack axis last; its pivots, the squared Cholesky diagonals, give the
@@ -38,8 +44,8 @@ matrices, LAPACK on few or large ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -63,6 +69,9 @@ SWEEP_MAX_USERS = 12
 # does not depend on the scale of a uniform start; at 1 W the kernel's
 # weights are exactly one, so zero forcing runs on the unweighted channel.
 INITIAL_POWER = 1.0
+
+# The solvers that :func:`solve_block` runs by name.
+SOLVERS = ("zf", "min_pa", "saturating")
 
 # Tolerance on max |[H_q W_q]_{k',k} - delta * (gamma_k/Q)^(1/2) sigma| that
 # every returned solution is expected to satisfy.
@@ -96,28 +105,34 @@ class FixedPointConfig:
 
 @dataclass
 class PrecoderSolution:
-    """Per-subcarrier precoding matrices plus convergence diagnostics.
+    """Per-antenna powers plus convergence diagnostics, and the precoders on request.
 
-    Every solver returns a block of R: (R, Q, M, K) ``matrices`` and
-    length-R ``iterations``, ``converged`` and ``residual``; ``powers`` is
-    the (R, M) array derived from ``matrices``. ``residual`` is the last max
-    absolute inter-iteration power change (zero for closed-form solutions,
-    which take no iteration and count as converged).
+    Every solver returns a block of R: (R, M) ``powers`` and length-R
+    ``iterations``, ``converged`` and ``residual``. ``residual`` is the last
+    max absolute inter-iteration power change (zero for closed-form
+    solutions, which take no iteration and count as converged).
     ``history``, when requested via :class:`FixedPointConfig`, holds the
     power iterates as one (sum_r (iterations_r + 1), M) array, realization
     after realization: the uniform start, then one row per iteration.
+
+    The (R, Q, M, K) precoders ``matrices`` are assembled when first read:
+    the weighted-ZF kernel on the solve's channel stack, ZF targets and
+    kernel powers, which the solver keeps in ``_kernel``. The closed forms
+    hold their matrices from the start and derive ``powers`` from them.
     """
 
-    matrices: np.ndarray
+    powers: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
     residual: np.ndarray
     history: np.ndarray | None = None
+    _kernel: tuple | None = field(default=None, repr=False)
 
-    @property
-    def powers(self) -> np.ndarray:
-        """Per-antenna transmit powers sum_{q,k} |w_qmk|^2 of ``matrices``."""
-        return per_antenna_powers(self.matrices)
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        """The (R, Q, M, K) precoders, assembled once, on first read."""
+        h, d, p = self._kernel
+        return _weighted_zf(h, d, np.arange(len(p)), p)
 
 
 def _check_instance(channel: ChannelRealization, qos: QosTargets, realization: int):
@@ -358,13 +373,16 @@ def _compact(array, rows):
     return array[:len(rows)]
 
 
-def _fixed_point(h, d, cfg: FixedPointConfig) -> PrecoderSolution:
-    """Fixed-point power iteration on a (R, Q, K, M) stack.
+def _fixed_point(h, d, packed, targets, cfg: FixedPointConfig, first=None) -> PrecoderSolution:
+    """Fixed-point power iteration on a (R, Q, K, M) stack ``h`` with (R, K) ZF targets ``d``.
 
-    The loop iterates the lifted power map (:func:`_power_map`) on powers
-    alone: it packs the channel products once, and never builds a (Q, K, M)
-    array or a precoder. Only the final substitution assembles precoders,
-    through the weighted-ZF kernel.
+    ``packed`` and ``targets`` are the stack's packed products and (R, 1, K,
+    1) squared targets, which the caller may share with zero forcing: the
+    loop never writes them, and its first compaction takes a private copy.
+    ``first``, when given, is the lifted map at the uniform start (zero
+    forcing's powers) and serves as the first iterate. The loop iterates the
+    lifted power map (:func:`_power_map`) on powers alone and never builds a
+    (Q, K, M) array or a precoder.
 
     Each realization keeps its own powers, residual, iteration count and
     stopping test, and leaves the working set once it converges: its row
@@ -374,14 +392,18 @@ def _fixed_point(h, d, cfg: FixedPointConfig) -> PrecoderSolution:
     powers move to ``p_final`` as it leaves. A dead antenna is a zero power
     and maps to zero. The history records each iterate with the stack rows
     it covers and is sorted into realization order once, at the end.
+
+    The reported powers are one more map sweep over the whole block at
+    ``p_final``: up to rounding, the powers of the precoders that the
+    weighted-ZF kernel assembles at ``p_final``, which ``matrices`` does
+    when read. That sweep's guard refuses a bad final Gram, naming the
+    lowest refused realization.
     """
     n, _, k, m = h.shape
     index = np.arange(n)
-    stack = h, d, index
-    packed = _packed_products(h)
-    targets = np.square(d)[:, None, :, None]
+    shared, block_targets = packed, targets
     p = np.full((n, m), INITIAL_POWER)
-    p_final = p.copy()
+    p_final = np.empty((n, m))
     iterations = np.full(n, cfg.max_iterations)
     converged = np.zeros(n, dtype=bool)
     residual = np.full(n, np.inf)
@@ -395,7 +417,10 @@ def _fixed_point(h, d, cfg: FixedPointConfig) -> PrecoderSolution:
                 "fewer active antennas than users; cannot hold the ZF constraint",
                 realization=int(index[np.argmax(short)]),
             )
-        p_new = _power_map(packed, targets, p, index)
+        if iteration == 1 and first is not None:
+            p_new = first.copy()  # the next clamp writes into p
+        else:
+            p_new = _power_map(packed, targets, p, index)
         step = abs(p_new - p).max(axis=1)
         p = p_new
         if trail is not None:
@@ -415,22 +440,69 @@ def _fixed_point(h, d, cfg: FixedPointConfig) -> PrecoderSolution:
         targets, index, p = targets[keep], index[keep], p[keep]
         if not index.size:
             break
-        packed = _compact(packed, np.flatnonzero(keep))
+        rows = np.flatnonzero(keep)
+        packed = packed[rows] if packed is shared else _compact(packed, rows)
     del packed
 
     history = None
     if trail is not None:
         # A stable sort by realization keeps each realization's iterates in order.
         history = np.concatenate(trail)[np.argsort(np.concatenate(trail_rows), kind="stable")]
-    # Substitute the final power diagonal back to obtain the precoders.
-    matrices = _weighted_zf(*stack, p_final)
-    return PrecoderSolution(matrices, iterations, converged, residual, history)
+    powers = _power_map(shared, block_targets, p_final, np.arange(n))
+    return PrecoderSolution(powers, iterations, converged, residual, history, (h, d, p_final))
+
+
+def _no_iteration(powers, kernel=None) -> PrecoderSolution:
+    """The solution of a block of (R, M) ``powers`` that took no iteration."""
+    n = len(powers)
+    return PrecoderSolution(
+        powers, np.zeros(n, dtype=int), np.ones(n, dtype=bool), np.zeros(n), None, kernel
+    )
 
 
 def _closed_form(matrices) -> PrecoderSolution:
     """The solution of a block of (R, Q, M, K) ``matrices`` that took no iteration."""
-    n = matrices.shape[0]
-    return PrecoderSolution(matrices, np.zeros(n, dtype=int), np.ones(n, dtype=bool), np.zeros(n))
+    solution = _no_iteration(per_antenna_powers(matrices))
+    solution.matrices = matrices
+    return solution
+
+
+def solve_block(
+    names, channels, qos_list, fixed_point: FixedPointConfig | None = None,
+    p_max: float = np.inf,
+) -> dict[str, PrecoderSolution]:
+    """Each named solver's stacked solution of one block of instances, by name.
+
+    ``names`` are among ``SOLVERS``; ``fixed_point`` configures ``min_pa``
+    (the defaults when None) and ``p_max`` caps ``saturating``. The
+    instances are stacked and checked once, and ``zf`` and ``min_pa`` share
+    one packing of the channel products: zero forcing's powers are the
+    lifted map at the uniform start, computed once, and ``min_pa`` takes
+    them as its first iterate. No precoder is assembled until a solution's
+    ``matrices`` is read. Each solution equals that solver's solve alone,
+    bit for bit, whatever the order of ``names``; where several solvers
+    would fail, ``zf`` raises first, then ``min_pa``, then ``saturating``.
+    """
+    if "saturating" in names and not p_max > 0.0:
+        raise DomainError(f"p_max must be positive, got {p_max}")
+    h, d = _stack(channels, qos_list)
+    n, m = h.shape[0], h.shape[3]
+    solved = {}
+    if "zf" in names or "min_pa" in names:
+        packed = _packed_products(h)
+        targets = np.square(d)[:, None, :, None]
+        first = None
+        if "zf" in names:
+            uniform = np.full((n, m), INITIAL_POWER)
+            first = _power_map(packed, targets, uniform, np.arange(n))
+            solved["zf"] = _no_iteration(first, (h, d, uniform))
+        if "min_pa" in names:
+            solved["min_pa"] = _fixed_point(
+                h, d, packed, targets, fixed_point or FixedPointConfig(), first
+            )
+    if "saturating" in names:
+        solved["saturating"] = _saturating(h, d, p_max)
+    return {name: solved[name] for name in names}
 
 
 def zf_precoders(channels, qos_list) -> PrecoderSolution:
@@ -438,12 +510,11 @@ def zf_precoders(channels, qos_list) -> PrecoderSolution:
 
     ``channels`` and ``qos_list`` are instances of one channel shape and
     dtype. Zero forcing is the weighted-ZF kernel at uniform power; its
-    powers are the fixed point's first iterate up to rounding. Returns one
-    stacked solution; row r equals the solve of ``[channels[r]]`` alone.
+    powers are the fixed point's first iterate, one lifted-map sweep, and
+    ``matrices`` is that kernel, assembled when read. Returns one stacked
+    solution; row r equals the solve of ``[channels[r]]`` alone.
     """
-    h, d = _stack(channels, qos_list)
-    n, m = h.shape[0], h.shape[3]
-    return _closed_form(_weighted_zf(h, d, np.arange(n), np.full((n, m), INITIAL_POWER)))
+    return solve_block(("zf",), channels, qos_list)["zf"]
 
 
 def min_pa_precoders(
@@ -459,7 +530,8 @@ def min_pa_precoders(
     realization is returned with ``converged`` False rather than damped).
     Antennas driven below the dead floor are clamped to zero
     power, which keeps them at zero: a dead antenna is a zero power in the
-    weighted Gram, not a column that leaves it.
+    weighted Gram, not a column that leaves it. ``matrices`` is the kernel
+    at the final powers, assembled when read.
 
     ``channels`` and ``qos_list`` are instances of one channel shape and
     dtype; they iterate together and the result is one stacked solution.
@@ -467,7 +539,7 @@ def min_pa_precoders(
     ``[channels[r]]`` alone. A :class:`SingularChannelError` names the list
     position of the offending instance in ``realization``.
     """
-    return _fixed_point(*_stack(channels, qos_list), cfg or FixedPointConfig())
+    return solve_block(("min_pa",), channels, qos_list, cfg)["min_pa"]
 
 
 def saturating_precoders(channels, qos_list, p_max: float) -> PrecoderSolution:
@@ -483,9 +555,11 @@ def saturating_precoders(channels, qos_list, p_max: float) -> PrecoderSolution:
     for the first instance whose saturated sum falls short of its target;
     its ``realization`` is that instance's list position.
     """
-    if not p_max > 0.0:
-        raise DomainError(f"p_max must be positive, got {p_max}")
-    h, d = _stack(channels, qos_list)
+    return solve_block(("saturating",), channels, qos_list, p_max=p_max)["saturating"]
+
+
+def _saturating(h, d, p_max: float) -> PrecoderSolution:
+    """The saturating fill of a (R, 1, 1, M) stack ``h`` with (R, 1) ZF targets ``d``."""
     n, q, k, m = h.shape
     if (q, k) != (1, 1):
         raise DimensionError(f"the saturating precoder needs K=1 and Q=1, got K={k}, Q={q}")

@@ -165,3 +165,43 @@ def test_rayleigh_beta_length_mismatch():
         draw_rayleigh_channel(4, 2, 0, np.ones(2), rng)
     with pytest.raises(DimensionError):
         draw_los_channel(4, 0, 2, rng)
+
+
+def reference_rayleigh(m_antennas, k_users, subcarriers, beta, rng, correlation=None):
+    """The Rayleigh draw written with complex temporaries, as one expression per step."""
+
+    def gaussian(shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+    if correlation is None:
+        g = gaussian((subcarriers, k_users, m_antennas))
+    else:
+        tap_power = np.exp(-correlation.decay * np.arange(correlation.taps))
+        tap_power /= tap_power.sum()
+        c = gaussian((correlation.taps, k_users, m_antennas))
+        c *= np.sqrt(tap_power)[:, None, None]
+        phase = np.exp(
+            -2j * np.pi * np.outer(np.arange(subcarriers), np.arange(correlation.taps))
+            / subcarriers
+        )
+        g = np.tensordot(phase, c, axes=(1, 0))
+    return np.sqrt(beta)[None, :, None] * g
+
+
+@pytest.mark.parametrize("correlation", [None, FreqCorrelation(3, 0.5), FreqCorrelation(8, 1.0)])
+def test_rayleigh_draw_equals_the_complex_expression_bit_for_bit(correlation):
+    # The draw scales float buffers into one complex array; its bits, and
+    # what it leaves of the stream, are those of the complex expression.
+    for seed in range(12):
+        for m_antennas, k_users, subcarriers in ((32, 4, 256), (64, 4, 1), (5, 3, 7)):
+            beta = np.random.default_rng(1000 + seed).uniform(1e-13, 1e-8, k_users)
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            h = draw_rayleigh_channel(
+                m_antennas, k_users, subcarriers, beta, rng, correlation
+            ).per_subcarrier
+            expected = reference_rayleigh(
+                m_antennas, k_users, subcarriers, beta, ref_rng, correlation
+            )
+            assert h.dtype == expected.dtype and h.shape == expected.shape
+            assert np.array_equal(h.view(np.uint64), expected.view(np.uint64))
+            assert rng.random() == ref_rng.random()

@@ -22,14 +22,13 @@ from energymimo.experiments import (
     ExperimentResult,
     _blocks,
     _realization_blocks,
-    _solve_block,
     asymptotic_experiment,
     convergence_experiment,
     run_experiment,
     validate_suite,
 )
 from energymimo.model import bs_consumed_power, gain_metrics
-from energymimo.precoding import min_pa_precoders
+from energymimo.precoding import min_pa_precoders, saturating_precoders, zf_precoders
 
 from conftest import draw_realization
 
@@ -149,9 +148,12 @@ def reference_run(cfg):
     rows = []
     for index in range(cfg.realizations):
         _, _, channel, qos = draw_realization(cfg, index, subcarriers=sc.subcarriers)
-        powers = {
-            name: _solve_block(name, [channel], [qos], cfg).powers[0] for name in cfg.precoders
+        solvers = {
+            "zf": lambda: zf_precoders([channel], [qos]),
+            "min_pa": lambda: min_pa_precoders([channel], [qos], cfg.fixed_point()),
+            "saturating": lambda: saturating_precoders([channel], [qos], sc.p_max_watts),
         }
+        powers = {name: solvers[name]().powers[0] for name in cfg.precoders}
         reports = {name: bs_consumed_power(p, pa, bs) for name, p in powers.items()}
         discarded = int(cfg.discard_over_pmax and any(
             np.any(powers[name] > sc.p_max_watts) for name in cfg.precoders
@@ -333,25 +335,62 @@ def test_cli_blocks_and_threads_do_not_change_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+# Q * K * M = 1024 channel entries: 32 realizations per solver block, which
+# leave the fixed point's working set at different iterations.
+Q32_CFG = "m_antennas = 16\nk_users = 2\nsubcarriers = 32\nrealizations = 40\nseed = 5\n"
+
+
+def test_run_assembles_no_precoder(tmp_path, monkeypatch):
+    import energymimo.precoding as precoding
+
+    def no_precoders(*args):
+        raise AssertionError("run assembled a precoder")
+
+    monkeypatch.setattr(precoding, "_weighted_zf", no_precoders)
+    cfgfile = tmp_path / "q32.cfg"
+    cfgfile.write_text(Q32_CFG + "precoders = zf, min_pa\n")
+    assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "o.csv")]) == 0
+
+
+def test_run_rows_do_not_depend_on_the_precoder_order():
+    def reports(*precoders):
+        cfg = with_scenario(
+            ExperimentConfig(realizations=40, precoders=precoders),
+            m_antennas=16, k_users=2, subcarriers=32, seed=5,
+        )
+        result = run_experiment(cfg)
+        return {(row[1], row[2]): row[3:] for row in result.rows}, result.summary
+
+    zf_first, zf_first_summary = reports("zf", "min_pa")
+    min_pa_first, min_pa_first_summary = reports("min_pa", "zf")
+    zf_only, _ = reports("zf")
+    assert len(zf_first) == 80
+    assert min_pa_first == zf_first
+    assert min_pa_first_summary == zf_first_summary
+    assert zf_only == {key: row for key, row in zf_first.items() if key[1] == "zf"}
+
+
 def test_cli_singular_channel_exit_code(tmp_path, monkeypatch, capsys):
     import energymimo.experiments as exps
 
-    real = exps.min_pa_precoders
+    real_block = exps.solve_block
     calls = []
 
-    def failing_third_block(channels, qos_list, cfg):
+    # ``run`` solves each block's precoders with one ``solve_block`` call.
+    def failing_third_block(names, channels, *args):
         calls.append(len(channels))
         if len(calls) == 3:
             raise SingularChannelError("stub Gram failure", realization=0)
-        return real(channels, qos_list, cfg)
+        return real_block(names, channels, *args)
 
-    monkeypatch.setattr(exps, "min_pa_precoders", failing_third_block)
+    monkeypatch.setattr(exps, "solve_block", failing_third_block)
     cfgfile = tmp_path / "wide.cfg"
     cfgfile.write_text(WIDEBAND_CFG)
     assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "o.csv")]) == 2
     assert calls == [1, 1, 1]
     assert "infeasible scenario: realization 2: stub Gram failure" in capsys.readouterr().err
 
+    real = exps.min_pa_precoders
     solves = []
 
     def failing_second_block(channels, qos_list, cfg):

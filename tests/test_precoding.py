@@ -21,12 +21,14 @@ from energymimo.oracle import solve_min_pa_bruteforce
 from energymimo.precoding import (
     GRAM_CONDITION_LIMIT,
     ZF_TOLERANCE,
+    _fixed_point,
     _guard_gram,
     _packed_products,
     _power_map,
     _stack,
     _sweep_inverse,
     _weighted_zf,
+    solve_block,
 )
 
 from conftest import draw_cell_instance
@@ -312,9 +314,9 @@ def test_stacked_min_pa_equals_reference_loop():
 
 
 def test_zf_is_the_fixed_points_first_iterate():
-    # Zero forcing is the weighted-ZF kernel at the fixed point's uniform
-    # start; the first iterate is the lifted power map there, which reads
-    # the same powers up to rounding, K=1 included.
+    # Zero forcing's powers are the lifted power map at the fixed point's
+    # uniform start, which is the fixed point's first iterate, bit for bit,
+    # K=1 included.
     instances = [
         draw_cell_instance(12, 1, 8, np.random.default_rng(3)),
         draw_cell_instance(64, 1, 1, np.random.default_rng(4)),
@@ -322,15 +324,68 @@ def test_zf_is_the_fixed_points_first_iterate():
         draw_cell_instance(10, 2, 4, np.random.default_rng(6)),
         draw_cell_instance(12, 1, 8, np.random.default_rng(7)),
     ]
-    eps = np.finfo(float).eps
     cfg = FixedPointConfig(max_iterations=1, record_history=True)
     for group in groups_by_shape(instances):
         channels, targets = zip(*group)
         first = min_pa_precoders(channels, targets, cfg)
         # Each realization's history is its start and then its first iterate.
         zf = zf_precoders(channels, targets).powers
-        scale = zf.max(axis=1, keepdims=True)
-        assert np.all(np.abs(zf - first.history[1::2]) <= 16 * eps * scale)
+        assert np.array_equal(zf, first.history[1::2])
+
+
+def test_matrices_are_assembled_when_read():
+    # Zero forcing and min_pa store their powers and assemble precoders
+    # from the kernel on first read; those hold the ZF constraint and give
+    # back the stored powers. The Q=32 stack takes the sweep.
+    rng = np.random.default_rng(72)
+    instances = [draw_cell_instance(16, 2, 32, rng) for _ in range(3)]
+    instances += [draw_cell_instance(12, 3, 1, rng) for _ in range(3)]
+    instances += [draw_cell_instance(8, 1, 4, rng) for _ in range(2)]
+    cfg = FixedPointConfig(max_iterations=200)
+    for group in groups_by_shape(instances):
+        channels, qos_list = zip(*group)
+        for solution in (
+            zf_precoders(channels, qos_list), min_pa_precoders(channels, qos_list, cfg)
+        ):
+            assert "matrices" not in vars(solution)
+            matrices = solution.matrices
+            assert solution.matrices is matrices
+            for (channel, qos), w in zip(group, matrices):
+                assert zf_residual(channel, qos, w) <= ZF_TOLERANCE
+            assert solution.powers == pytest.approx(per_antenna_powers(matrices), rel=1e-10)
+
+
+def test_block_solve_shares_one_packing_in_any_order():
+    # At M=16, K=2, Q=32 the realizations leave the fixed point's working
+    # set at different iterations, so it compacts its copy of the packed
+    # products that zero forcing shares; neither solver sees the other,
+    # whatever the order of the names.
+    rng = np.random.default_rng(73)
+    channels, qos_list = zip(*(draw_cell_instance(16, 2, 32, rng) for _ in range(8)))
+    cfg = FixedPointConfig(record_history=True)
+    zf = zf_precoders(channels, qos_list)
+    # A floor just above the smallest ZF power clamps an antenna of the
+    # first iterate to zero; zero forcing's powers must not see it.
+    floor = np.sort(zf.powers, axis=1)[:, 1].min()
+    pruning = FixedPointConfig(dead_antenna_floor=floor, max_iterations=5, record_history=True)
+    for fixed_point in (cfg, pruning):
+        min_pa = min_pa_precoders(channels, qos_list, fixed_point)
+        for names in (("zf", "min_pa"), ("min_pa", "zf")):
+            solved = solve_block(names, channels, qos_list, fixed_point)
+            assert list(solved) == list(names)
+            assert np.array_equal(solved["zf"].powers, zf.powers)
+            for name in ("powers", "iterations", "converged", "residual", "history"):
+                assert np.array_equal(getattr(solved["min_pa"], name), getattr(min_pa, name))
+    assert np.any(zf.powers < floor)
+    assert len(set(min_pa_precoders(channels, qos_list, cfg).iterations.tolist())) > 2
+    # The fixed point writes into neither shared array.
+    h, d = _stack(channels, qos_list)
+    packed, targets = _packed_products(h), squared_targets(d)
+    before = packed.copy(), targets.copy()
+    first = zf.powers.copy()
+    _fixed_point(h, d, packed, targets, cfg, first)
+    assert np.array_equal(packed, before[0]) and np.array_equal(targets, before[1])
+    assert np.array_equal(first, zf.powers)
 
 
 def squared_targets(d):
