@@ -302,9 +302,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             cfg, block, cfg.scenario.k_users, cfg.scenario.subcarriers
         )
         with _global_index(block):
-            solved = solve_block(
-                cfg.precoders, channels, qos_list, cfg.fixed_point(), cfg.scenario.p_max_watts
-            )
+            solved = solve_block(cfg.precoders, channels, qos_list, cfg.fixed_point(), p_max)
         powers = {name: solution.powers for name, solution in solved.items()}
         discarded = np.zeros(len(block), dtype=bool)
         for name in AS1_PRECODERS:
@@ -372,7 +370,7 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             max_q=cfg.oracle_max_q,
         ).powers
 
-    def solve_block(block: range):
+    def report_block(block: range):
         _, _, channels, qos_list = _draw_block(cfg, block, sc.k_users, sc.subcarriers)
         with _global_index(block):
             solution = min_pa_precoders(channels, qos_list, cfg.fixed_point(record_history=True))
@@ -418,7 +416,7 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     blocks = _realization_blocks(cfg, sc.subcarriers)
     return ExperimentResult.streamed(
-        CONVERGENCE_FIELDS, _stream(cfg, solve_block, blocks, summarize)
+        CONVERGENCE_FIELDS, _stream(cfg, report_block, blocks, summarize)
     )
 
 
@@ -511,7 +509,7 @@ def _asymptotic_q_error(cfg: ExperimentConfig) -> ExperimentResult:
     stats = np.zeros((len(cfg.q_list), 4))
     summary = {"realizations": cfg.realizations, "q_list": cfg.q_list}
     for row, q in enumerate(cfg.q_list):
-        def solve_block(block: range, q=q):
+        def report_block(block: range, q=q):
             beta, gamma, channels, qos_list = _draw_block(cfg, block, sc.k_users, q)
             with _global_index(block):
                 powers = zf_precoders(channels, qos_list).powers
@@ -523,7 +521,7 @@ def _asymptotic_q_error(cfg: ExperimentConfig) -> ExperimentResult:
             )
 
         p_sim, p_asym, over_cap = map(
-            np.concatenate, zip(*_map(cfg, solve_block, _realization_blocks(cfg, q)))
+            np.concatenate, zip(*_map(cfg, report_block, _realization_blocks(cfg, q)))
         )
         kept = ~(over_cap & cfg.discard_over_pmax)
         p_sim, p_asym = p_sim[kept], p_asym[kept]

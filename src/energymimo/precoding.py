@@ -19,17 +19,20 @@ G_q = H_q D_p^(1/2) H_q^H, over all M antennas of a stack of shape
 d_k = (gamma_k / Q)^(1/2) sigma, with Q the channel's own subcarrier count,
 and the same on every subcarrier. Zero forcing is the kernel at uniform
 power; an antenna the fixed point switches off is a zero power and gets a
-zero row. Zero forcing and ``min_pa`` report powers read from the lifted
-map below, and assemble the kernel's precoders only when a solution's
-``matrices`` is read.
+zero row. Zero forcing and ``min_pa`` store their powers and assemble the
+kernel's precoders only when a solution's ``matrices`` is read.
 
 The fixed point itself needs only the powers, p_m <- p_m sum_q h_qm^H A_q
 h_qm with A_q = G_q^(-1) D^2 G_q^(-1). It iterates that lifted map on
 the K^2 distinct reals of each h_qm h_qm^H, packed once per solve, so an
 iteration is two stacked real products and a K x K inverse per subcarrier.
-Its first iterate is zero forcing's powers, which a block solving both
-solvers computes once; ``min_pa``'s reported powers are one more sweep at
-its final powers. The kernel and the map invert the Gram stack in one
+Its first iterate is the map at the uniform start, and ``min_pa``'s
+reported powers are one more sweep at its final powers. Zero forcing's
+powers are that first iterate for at most ``ZF_MAP_MAX_USERS`` users,
+computed once for a block that solves both, and the kernel's precoders
+read back above: the packing holds K / 2 times the channel stack's bytes,
+which a zero-forcing solve alone pays only where the map is the faster
+path. The kernel and the map invert the Gram stack in one
 place, :func:`_guard_gram`, by one of two paths chosen from the
 instance's own (Q, K). With at least
 ``SWEEP_MIN_SUBCARRIERS`` subcarriers and at most ``SWEEP_MAX_USERS``
@@ -69,6 +72,18 @@ SWEEP_MAX_USERS = 12
 # does not depend on the scale of a uniform start; at 1 W the kernel's
 # weights are exactly one, so zero forcing runs on the unweighted channel.
 INITIAL_POWER = 1.0
+
+# Zero forcing reads its powers from the lifted map at uniform power for
+# instances with at most this many users, from the kernel's precoders above.
+# The choice reads only the instance's K, so a row of a stack still equals
+# its instance solved alone, and ``zf`` equals ``min_pa``'s first iterate
+# wherever it takes the map. On 2 vCPUs with one BLAS thread, a zero-forcing
+# solve alone by the map, packing included, took 0.3-1.0x the kernel's time
+# at K <= 4 and Q >= 8, and 0.8-1.4x at Q = 1 (under 0.5 ms for 32
+# realizations, where ``run``'s shared first iterate saves a kernel call);
+# it took 1.0-1.4x at K = 5-6, 1.7-2.1x at K = 8, 2.9x at K = 16 and 5x at
+# M = 256, K = 32, Q = 64.
+ZF_MAP_MAX_USERS = 4
 
 # The solvers that :func:`solve_block` runs by name.
 SOLVERS = ("zf", "min_pa", "saturating")
@@ -373,14 +388,15 @@ def _compact(array, rows):
     return array[:len(rows)]
 
 
-def _fixed_point(h, d, packed, targets, cfg: FixedPointConfig, first=None) -> PrecoderSolution:
+def _fixed_point(h, d, packed, targets, cfg: FixedPointConfig, first) -> PrecoderSolution:
     """Fixed-point power iteration on a (R, Q, K, M) stack ``h`` with (R, K) ZF targets ``d``.
 
     ``packed`` and ``targets`` are the stack's packed products and (R, 1, K,
     1) squared targets, which the caller may share with zero forcing: the
     loop never writes them, and its first compaction takes a private copy.
-    ``first``, when given, is the lifted map at the uniform start (zero
-    forcing's powers) and serves as the first iterate. The loop iterates the
+    ``first`` is the lifted map at the uniform start, which the caller
+    computes once and may share with zero forcing; the loop takes a copy of
+    it as the first iterate and never writes it. The loop iterates the
     lifted power map (:func:`_power_map`) on powers alone and never builds a
     (Q, K, M) array or a precoder.
 
@@ -417,7 +433,7 @@ def _fixed_point(h, d, packed, targets, cfg: FixedPointConfig, first=None) -> Pr
                 "fewer active antennas than users; cannot hold the ZF constraint",
                 realization=int(index[np.argmax(short)]),
             )
-        if iteration == 1 and first is not None:
+        if iteration == 1:
             p_new = first.copy()  # the next clamp writes into p
         else:
             p_new = _power_map(packed, targets, p, index)
@@ -475,26 +491,31 @@ def solve_block(
 
     ``names`` are among ``SOLVERS``; ``fixed_point`` configures ``min_pa``
     (the defaults when None) and ``p_max`` caps ``saturating``. The
-    instances are stacked and checked once, and ``zf`` and ``min_pa`` share
-    one packing of the channel products: zero forcing's powers are the
-    lifted map at the uniform start, computed once, and ``min_pa`` takes
-    them as its first iterate. No precoder is assembled until a solution's
-    ``matrices`` is read. Each solution equals that solver's solve alone,
-    bit for bit, whatever the order of ``names``; where several solvers
-    would fail, ``zf`` raises first, then ``min_pa``, then ``saturating``.
+    instances are stacked and checked once. The channel products are packed
+    once, for ``min_pa`` and for ``zf`` at most ``ZF_MAP_MAX_USERS`` users,
+    and the lifted map at the uniform start is computed once: it is
+    ``min_pa``'s first iterate and there zero forcing's powers. Above that
+    user count zero forcing reads its powers back from the kernel's
+    precoders. No precoder is kept until a solution's ``matrices`` is read.
+    Each solution equals that solver's solve alone, bit for bit, whatever
+    the order of ``names``; where several solvers would fail, ``zf`` raises
+    first, then ``min_pa``, then ``saturating``.
     """
     if "saturating" in names and not p_max > 0.0:
         raise DomainError(f"p_max must be positive, got {p_max}")
     h, d = _stack(channels, qos_list)
-    n, m = h.shape[0], h.shape[3]
+    n, _, k, m = h.shape
+    index, uniform = np.arange(n), np.full((n, m), INITIAL_POWER)
+    zf_by_map = "zf" in names and k <= ZF_MAP_MAX_USERS
     solved = {}
-    if "zf" in names or "min_pa" in names:
+    if "zf" in names and not zf_by_map:
+        zf_powers = per_antenna_powers(_weighted_zf(h, d, index, uniform))
+        solved["zf"] = _no_iteration(zf_powers, (h, d, uniform))
+    if zf_by_map or "min_pa" in names:
         packed = _packed_products(h)
         targets = np.square(d)[:, None, :, None]
-        first = None
-        if "zf" in names:
-            uniform = np.full((n, m), INITIAL_POWER)
-            first = _power_map(packed, targets, uniform, np.arange(n))
+        first = _power_map(packed, targets, uniform, index)
+        if zf_by_map:
             solved["zf"] = _no_iteration(first, (h, d, uniform))
         if "min_pa" in names:
             solved["min_pa"] = _fixed_point(
@@ -509,10 +530,12 @@ def zf_precoders(channels, qos_list) -> PrecoderSolution:
     """Per-subcarrier zero-forcing precoders minimizing total transmit power.
 
     ``channels`` and ``qos_list`` are instances of one channel shape and
-    dtype. Zero forcing is the weighted-ZF kernel at uniform power; its
-    powers are the fixed point's first iterate, one lifted-map sweep, and
-    ``matrices`` is that kernel, assembled when read. Returns one stacked
-    solution; row r equals the solve of ``[channels[r]]`` alone.
+    dtype. Zero forcing is the weighted-ZF kernel at uniform power, and
+    ``matrices`` is that kernel, assembled when read. Its powers are the
+    fixed point's first iterate, one lifted-map sweep, for at most
+    ``ZF_MAP_MAX_USERS`` users, and the kernel's powers read back above,
+    the same up to rounding. Returns one stacked solution; row r equals the
+    solve of ``[channels[r]]`` alone.
     """
     return solve_block(("zf",), channels, qos_list)["zf"]
 

@@ -20,6 +20,7 @@ from energymimo.model import ACTIVE_POWER_THRESHOLD
 from energymimo.oracle import solve_min_pa_bruteforce
 from energymimo.precoding import (
     GRAM_CONDITION_LIMIT,
+    ZF_MAP_MAX_USERS,
     ZF_TOLERANCE,
     _fixed_point,
     _guard_gram,
@@ -314,23 +315,39 @@ def test_stacked_min_pa_equals_reference_loop():
 
 
 def test_zf_is_the_fixed_points_first_iterate():
-    # Zero forcing's powers are the lifted power map at the fixed point's
-    # uniform start, which is the fixed point's first iterate, bit for bit,
-    # K=1 included.
+    # Up to ZF_MAP_MAX_USERS users, zero forcing's powers are the lifted
+    # power map at the fixed point's uniform start, which is the fixed
+    # point's first iterate, bit for bit, K=1 included. Above it they are
+    # the kernel's powers read back, bit for bit, and the first iterate
+    # reads the same up to rounding.
     instances = [
         draw_cell_instance(12, 1, 8, np.random.default_rng(3)),
         draw_cell_instance(64, 1, 1, np.random.default_rng(4)),
         draw_cell_instance(16, 3, 1, np.random.default_rng(5)),
         draw_cell_instance(10, 2, 4, np.random.default_rng(6)),
         draw_cell_instance(12, 1, 8, np.random.default_rng(7)),
+        draw_cell_instance(24, 4, 32, np.random.default_rng(8)),
+        draw_cell_instance(16, 5, 2, np.random.default_rng(9)),
+        draw_cell_instance(16, 5, 2, np.random.default_rng(10)),
+        draw_cell_instance(24, 8, 32, np.random.default_rng(11)),
     ]
+    assert {channel.k_users for channel, _ in instances} >= {ZF_MAP_MAX_USERS, 5, 8}
+    eps = np.finfo(float).eps
     cfg = FixedPointConfig(max_iterations=1, record_history=True)
     for group in groups_by_shape(instances):
         channels, targets = zip(*group)
         first = min_pa_precoders(channels, targets, cfg)
         # Each realization's history is its start and then its first iterate.
         zf = zf_precoders(channels, targets).powers
-        assert np.array_equal(zf, first.history[1::2])
+        if channels[0].k_users <= ZF_MAP_MAX_USERS:
+            assert np.array_equal(zf, first.history[1::2])
+            continue
+        h, d = _stack(channels, targets)
+        index = np.arange(len(h))
+        readback = per_antenna_powers(_weighted_zf(h, d, index, np.ones((len(h), h.shape[3]))))
+        assert np.array_equal(zf, readback)
+        scale = zf.max(axis=1, keepdims=True)
+        assert np.all(np.abs(zf - first.history[1::2]) <= 16 * eps * scale)
 
 
 def test_matrices_are_assembled_when_read():
@@ -386,6 +403,35 @@ def test_block_solve_shares_one_packing_in_any_order():
     _fixed_point(h, d, packed, targets, cfg, first)
     assert np.array_equal(packed, before[0]) and np.array_equal(targets, before[1])
     assert np.array_equal(first, zf.powers)
+
+
+def test_zf_alone_packs_only_up_to_the_map_users(monkeypatch):
+    # Above ZF_MAP_MAX_USERS a zero-forcing solve alone reads the kernel
+    # and packs no channel products; min_pa still packs, and on either side
+    # each solver equals its solve alone in either order of the names.
+    rng = np.random.default_rng(74)
+    cfg = FixedPointConfig(record_history=True)
+    blocks = {}
+    for k in (ZF_MAP_MAX_USERS, ZF_MAP_MAX_USERS + 1):
+        channels, qos_list = zip(*(draw_cell_instance(16, k, 32, rng) for _ in range(4)))
+        zf, min_pa = zf_precoders(channels, qos_list), min_pa_precoders(channels, qos_list, cfg)
+        for names in (("zf", "min_pa"), ("min_pa", "zf")):
+            solved = solve_block(names, channels, qos_list, cfg)
+            assert np.array_equal(solved["zf"].powers, zf.powers)
+            for name in ("powers", "iterations", "converged", "residual", "history"):
+                assert np.array_equal(getattr(solved["min_pa"], name), getattr(min_pa, name))
+        blocks[k] = channels, qos_list, zf.powers
+
+    def refuse(h):
+        raise AssertionError("packed the channel products")
+
+    monkeypatch.setattr("energymimo.precoding._packed_products", refuse)
+    channels, qos_list, zf_powers = blocks[ZF_MAP_MAX_USERS + 1]
+    assert np.array_equal(zf_precoders(channels, qos_list).powers, zf_powers)
+    with pytest.raises(AssertionError, match="packed"):
+        min_pa_precoders(channels, qos_list)
+    with pytest.raises(AssertionError, match="packed"):
+        zf_precoders(*blocks[ZF_MAP_MAX_USERS][:2])
 
 
 def squared_targets(d):
