@@ -53,6 +53,8 @@ class QosTargets:
     def __post_init__(self):
         gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
         object.__setattr__(self, "gamma", gamma)
+        if gamma.ndim != 1:
+            raise DimensionError(f"expected a length-K gamma, got shape {gamma.shape}")
         if not gamma.size:
             raise DomainError("need at least one SINR target")
         if not np.all(gamma > 0.0):
@@ -84,10 +86,12 @@ class FreqCorrelation:
     decay: float = 1.0
 
     def __post_init__(self):
-        if self.taps < 1:
-            raise DomainError(f"taps must be >= 1, got {self.taps}")
+        if not isinstance(self.taps, (int, np.integer)) or self.taps < 1:
+            raise DomainError(f"taps must be an integer >= 1, got {self.taps!r}")
         if self.decay < 0.0:
             raise DomainError(f"decay must be >= 0, got {self.decay}")
+        if not np.isfinite(self.decay):
+            raise DomainError(f"decay must be finite, got {self.decay}")
 
 
 @dataclass(frozen=True)

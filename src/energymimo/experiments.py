@@ -7,8 +7,8 @@ realizations are scheduled; the blocks' results are taken in realization
 order. Every Monte-Carlo command works on fixed-size blocks of realizations
 and draws each block once, with :func:`_draw_block`: ``run``,
 ``convergence`` and ``asymptotic`` q_error solve the block with one call to
-the stacked solvers, and ``asymptotic`` k_sweep and ma_curve take the
-block's traces sum_k gamma_k sigma^2 / beta_k from its stacked users. The
+the stacked solvers, and ``asymptotic`` k_sweep and ma_curve sum the
+block's trace terms gamma_k sigma^2 / beta_k, one per (realization, user). The
 thread pool maps over those blocks, whose boundaries depend only on the
 scenario, and works at most ``threads`` blocks ahead of the reader.
 
@@ -193,13 +193,14 @@ def _realization_rng(cfg: ExperimentConfig, index: int) -> np.random.Generator:
 
 
 def _draw_block(cfg: ExperimentConfig, block: range, k_users: int, subcarriers: int = 0):
-    """(beta, gamma, channels, qos_list) of the realizations in ``block``.
+    """(terms, channels, qos_list) of the realizations in ``block``.
 
     Each realization drops its ``k_users`` users on its own stream; their
     distances are stacked to (R, ``k_users``) and turned into large-scale
-    fading ``beta`` and SINR targets ``gamma`` at once. With ``subcarriers``,
-    each realization then draws its channel over that many subcarriers on
-    the same stream; otherwise ``channels`` and ``qos_list`` are empty.
+    fading beta, SINR targets gamma and trace ``terms`` gamma sigma^2 / beta
+    at once. With ``subcarriers``, each realization then draws its channel
+    over that many subcarriers on the same stream; otherwise ``channels``
+    and ``qos_list`` are empty.
     """
     sc = cfg.scenario
     geometry = sc.geometry()
@@ -208,8 +209,9 @@ def _draw_block(cfg: ExperimentConfig, block: range, k_users: int, subcarriers: 
         draw_user_distances(k_users, geometry, rng) for rng in rngs
     ]))
     gamma = target_sinr(beta, sc.sinr_ref)
+    terms = gamma * sc.noise_power / beta
     if not subcarriers:
-        return beta, gamma, [], []
+        return terms, [], []
     qos_list = [QosTargets(gamma=targets, noise_power=sc.noise_power) for targets in gamma]
     if sc.channel == "los":
         channels = [draw_los_channel(sc.m_antennas, k_users, subcarriers, rng) for rng in rngs]
@@ -219,7 +221,7 @@ def _draw_block(cfg: ExperimentConfig, block: range, k_users: int, subcarriers: 
             draw_rayleigh_channel(sc.m_antennas, k_users, subcarriers, gains, rng, correlation)
             for gains, rng in zip(beta, rngs)
         ]
-    return beta, gamma, channels, qos_list
+    return terms, channels, qos_list
 
 
 @contextmanager
@@ -282,57 +284,44 @@ def _realization_blocks(cfg: ExperimentConfig, subcarriers: int) -> list[range]:
     return _blocks(cfg.realizations, BLOCK_ELEMENTS // (subcarriers * sc.k_users * sc.m_antennas))
 
 
-def _interleaved(columns) -> np.ndarray:
-    """Equal-length columns merged entry by entry: a[0], b[0], ..., a[1], b[1], ...
-
-    ``run`` writes one row per precoder for each realization, in
-    ``cfg.precoders`` order.
-    """
-    return np.stack(columns, axis=1).ravel()
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Per-realization power reports and gains for the selected precoders."""
-    pa = cfg.scenario.pa_model()
-    bs = cfg.scenario.bs_model()
-    p_max = cfg.scenario.p_max_watts
+    """Per-realization power reports and gains for the selected precoders.
+
+    Rows and summary come from each block's (R, S, M) power stack, S solvers
+    in ``cfg.precoders`` order: each row field is an (R, S) field, raveled.
+    """
+    sc = cfg.scenario
+    pa = sc.pa_model()
+    bs = sc.bs_model()
+    p_max = sc.p_max_watts
+    solvers = len(cfg.precoders)
+    capped = [j for j, name in enumerate(cfg.precoders) if name in AS1_PRECODERS]
+    zf_column = cfg.precoders.index("zf") if "zf" in cfg.precoders else None
 
     def report_block(block: range):
-        _, _, channels, qos_list = _draw_block(
-            cfg, block, cfg.scenario.k_users, cfg.scenario.subcarriers
-        )
+        _, channels, qos_list = _draw_block(cfg, block, sc.k_users, sc.subcarriers)
         with _global_index(block):
             solved = solve_block(cfg.precoders, channels, qos_list, cfg.fixed_point(), p_max)
-        powers = {name: solution.powers for name, solution in solved.items()}
-        discarded = np.zeros(len(block), dtype=bool)
-        for name in AS1_PRECODERS:
-            if cfg.discard_over_pmax and name in powers:
-                discarded |= np.any(powers[name] > p_max, axis=1)
-        reports = [bs_consumed_power(powers[name], pa, bs) for name in cfg.precoders]
-        solvers = len(cfg.precoders)
-        # Each solver's (gain_pas, gain_bs) against ZF, one entry per realization.
-        gains = []
+        powers = np.stack([solved[name].powers for name in cfg.precoders], axis=1)
+        report = bs_consumed_power(powers, pa, bs)
+        discarded = cfg.discard_over_pmax & np.any(powers[:, capped] > p_max, axis=(1, 2))
+        gains = ()  # (gain_pas, gain_bs) against ZF's (R, 1) report, each (R, S)
         gain_pas = gain_bs = np.zeros(len(block) * solvers)  # empty cells without ZF
-        if "zf" in cfg.precoders:
-            reference = reports[cfg.precoders.index("zf")]
-            gains = [gain_metrics(reference, report) for report in reports]
-            gain_pas, gain_bs = map(_interleaved, zip(*gains))
+        if zf_column is not None:
+            gains = gain_metrics(bs_consumed_power(powers[:, [zf_column]], pa, bs), report)
+            gain_pas, gain_bs = gains
         part = ExperimentResult(
             RUN_FIELDS,
             (
-                [cfg.scenario.seed] * (len(block) * solvers),
+                [sc.seed] * (len(block) * solvers),
                 np.repeat(np.arange(block.start, block.stop), solvers),
                 list(cfg.precoders) * len(block),
-                _interleaved([report.p_tx for report in reports]),
-                _interleaved([report.p_pas for report in reports]),
-                _interleaved([report.p_bs for report in reports]),
-                _interleaved([report.m_active for report in reports]),
-                gain_pas,
-                gain_bs,
+                *map(np.ravel, (report.p_tx, report.p_pas, report.p_bs, report.m_active)),
+                np.ravel(gain_pas), np.ravel(gain_bs),
                 np.repeat(discarded.astype(np.int64), solvers),
             ),
             {},
-            empty=dict.fromkeys(("gain_pas", "gain_bs"), "zf" not in cfg.precoders),
+            empty=dict.fromkeys(("gain_pas", "gain_bs"), zf_column is None),
         )
         return part, discarded, gains
 
@@ -341,11 +330,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             "realizations": cfg.realizations,
             "discarded": sum(int(np.count_nonzero(flags)) for flags in discarded),
         }
-        fields = ("gain_pas", "gain_bs") if "zf" in cfg.precoders else ()
+        fields = ("gain_pas", "gain_bs") if zf_column is not None else ()
         for j, name in enumerate(cfg.precoders):
             for i, field in enumerate(fields):
                 values = np.concatenate([
-                    block_gains[j][i][~flags] for flags, block_gains in zip(discarded, gains)
+                    block_gains[i][~flags, j] for flags, block_gains in zip(discarded, gains)
                 ])
                 if values.size:
                     summary[f"mean_{field}[{name}]"] = float(np.mean(values))
@@ -371,7 +360,7 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         ).powers
 
     def report_block(block: range):
-        _, _, channels, qos_list = _draw_block(cfg, block, sc.k_users, sc.subcarriers)
+        _, channels, qos_list = _draw_block(cfg, block, sc.k_users, sc.subcarriers)
         with _global_index(block):
             solution = min_pa_precoders(channels, qos_list, cfg.fixed_point(record_history=True))
         # The histories, realization after realization, as one (sum of lengths, M)
@@ -442,8 +431,7 @@ def _asymptotic_k_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     def plan_block(block: range):
         # One nested user drop per realization: user k's position is shared
         # by every K >= k, which keeps the sweep coupled across loads.
-        beta, gamma, _, _ = _draw_block(cfg, block, cfg.k_max)
-        terms = gamma * sc.noise_power / beta
+        terms, _, _ = _draw_block(cfg, block, cfg.k_max)
         # Each prefix is summed on its own: np.sum adds pairwise, so a
         # running cumsum would change the last bits of the trace.
         trace = np.stack([terms[:, :k].sum(axis=1) for k in loads], axis=1).ravel()
@@ -510,13 +498,12 @@ def _asymptotic_q_error(cfg: ExperimentConfig) -> ExperimentResult:
     summary = {"realizations": cfg.realizations, "q_list": cfg.q_list}
     for row, q in enumerate(cfg.q_list):
         def report_block(block: range, q=q):
-            beta, gamma, channels, qos_list = _draw_block(cfg, block, sc.k_users, q)
+            terms, channels, qos_list = _draw_block(cfg, block, sc.k_users, q)
             with _global_index(block):
                 powers = zf_precoders(channels, qos_list).powers
-            trace = (gamma * sc.noise_power / beta).sum(axis=1)
             return (
                 pa_consumed_power(powers, pa),
-                asymptotic_pa_power(sc.m_antennas, sc.k_users, trace, pa),
+                asymptotic_pa_power(sc.m_antennas, sc.k_users, terms.sum(axis=1), pa),
                 np.any(powers > sc.p_max_watts, axis=1),
             )
 
@@ -543,8 +530,7 @@ def _asymptotic_ma_curve(cfg: ExperimentConfig) -> ExperimentResult:
     k = sc.k_users
 
     def trace_block(block: range):
-        beta, gamma, _, _ = _draw_block(cfg, block, k)
-        return (gamma * sc.noise_power / beta).sum(axis=1)
+        return _draw_block(cfg, block, k)[0].sum(axis=1)
 
     traces = list(_map(cfg, trace_block, _blocks(cfg.realizations, PLAN_BLOCK // k)))
     trace = float(np.mean(np.concatenate(traces)))

@@ -45,6 +45,8 @@ class PaModel:
     def __post_init__(self):
         if self.p_max <= 0.0:
             raise DomainError(f"p_max must be positive, got {self.p_max}")
+        if not np.isfinite(self.p_max):
+            raise DomainError(f"p_max must be finite, got {self.p_max}")
         if not 0.0 < self.eta_max <= 1.0:
             raise DomainError(f"eta_max must be in (0, 1], got {self.eta_max}")
 
@@ -62,20 +64,22 @@ class BsModel:
     circuit_per_antenna: float = 0.7
 
     def __post_init__(self):
-        if self.p_fix < 0.0:
-            raise DomainError(f"p_fix must be >= 0, got {self.p_fix}")
-        if self.circuit_per_antenna < 0.0:
-            raise DomainError(f"circuit_per_antenna must be >= 0, got {self.circuit_per_antenna}")
+        for name in ("p_fix", "circuit_per_antenna"):
+            value = getattr(self, name)
+            if value < 0.0:
+                raise DomainError(f"{name} must be >= 0, got {value}")
+            if not np.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
 class PowerReport:
     """Full power accounting of one precoder solution, or of a stack of them.
 
-    Every field is a scalar for one length-M power vector and a length-R
-    array for an (R, M) stack. ``shares`` is the (amplifier, circuit, fixed)
-    split of the total BS consumption; the entries sum to 1 whenever the
-    total is positive.
+    Every field is a scalar for one length-M power vector, and for a stack an
+    array of its leading shape: (R,) for (R, M), (R, S) for (R, S, M).
+    ``shares`` is the (amplifier, circuit, fixed) split of the total BS
+    consumption; the entries sum to 1 whenever the total is positive.
     """
 
     p_tx: float
@@ -116,7 +120,7 @@ def pa_consumed_power(powers, pa: PaModel):
 
 
 def bs_consumed_power(powers, pa: PaModel, bs: BsModel) -> PowerReport:
-    """Whole-BS power report of a length-M power vector or an (R, M) stack.
+    """Whole-BS power report of a length-M power vector or a (..., M) stack.
 
     Each stack row gets exactly the arithmetic its vector gets alone.
     """
@@ -144,7 +148,8 @@ def bs_consumed_power(powers, pa: PaModel, bs: BsModel) -> PowerReport:
 def gain_metrics(reference: PowerReport, candidate: PowerReport):
     """Consumption ratios (reference / candidate) for the PAs and the BS.
 
-    Scalars for one-vector reports, arrays for stacked ones.
+    Scalars for one-vector reports, arrays for stacked ones, which broadcast:
+    an (R, 1) reference divides each column of an (R, S) candidate.
     """
     if np.any(candidate.p_pas <= 0.0) or np.any(candidate.p_bs <= 0.0):
         raise ZeroDivisionError("candidate report has zero consumption")

@@ -112,10 +112,13 @@ class FixedPointConfig:
     def __post_init__(self):
         if not 0.0 < self.tolerance < np.inf:
             raise DomainError("tolerance must be positive and finite")
-        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise DomainError("max_iterations must be an integer >= 1")
         if not self.dead_antenna_floor >= 0.0:
             raise DomainError("dead_antenna_floor must be >= 0")
+        if not self.dead_antenna_floor < np.inf:
+            raise DomainError("dead_antenna_floor must be finite")
 
 
 @dataclass

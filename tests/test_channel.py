@@ -146,6 +146,24 @@ def test_qos_targets_validation():
     ):
         with pytest.raises(DomainError):
             QosTargets(gamma=gamma, noise_power=noise_power)
+    with pytest.raises(DimensionError):
+        QosTargets(gamma=np.ones((2, 2)), noise_power=1.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"taps": 0},
+        {"taps": 2.5},
+        {"taps": 3, "decay": -1.0},
+        {"taps": 3, "decay": float("nan")},
+        {"taps": 3, "decay": float("inf")},
+    ],
+)
+def test_freq_correlation_validation(kwargs):
+    with pytest.raises(DomainError):
+        FreqCorrelation(**kwargs)
+    assert FreqCorrelation(taps=np.int64(3), decay=0.0).taps == 3
 
 
 def test_geometry_validation():

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,10 +143,12 @@ def test_saturating_solver_respects_cap():
 
 
 def reference_run(cfg):
-    """``run`` as one report and one gain pair per row, one realization at a time."""
+    """``run`` rows and summary, one report and one gain pair per row at a time."""
     sc = cfg.scenario
     pa, bs = sc.pa_model(), sc.bs_model()
     rows = []
+    discards = 0
+    kept_gains = {name: ([], []) for name in cfg.precoders}  # gain_pas, gain_bs
     for index in range(cfg.realizations):
         _, _, channel, qos = draw_realization(cfg, index, subcarriers=sc.subcarriers)
         solvers = {
@@ -159,6 +162,7 @@ def reference_run(cfg):
             np.any(powers[name] > sc.p_max_watts) for name in cfg.precoders
             if name in AS1_PRECODERS
         ))
+        discards += discarded
         reference = reports.get("zf")
         for name in cfg.precoders:
             report = reports[name]
@@ -167,7 +171,15 @@ def reference_run(cfg):
                 sc.seed, index, name, report.p_tx, report.p_pas, report.p_bs,
                 report.m_active, *gains, discarded,
             ))
-    return rows
+            if reference is not None and not discarded:
+                for kept, gain in zip(kept_gains[name], gains):
+                    kept.append(gain)
+    summary = {"realizations": cfg.realizations, "discarded": discards}
+    for name, gains in kept_gains.items():
+        for field, kept in zip(("gain_pas", "gain_bs"), gains):
+            if kept:
+                summary[f"mean_{field}[{name}]"] = float(np.mean(kept))
+    return rows, summary
 
 
 def reference_convergence(cfg):
@@ -218,31 +230,49 @@ def assert_same_cells(rows, expected):
 
 
 @pytest.mark.parametrize(
-    "precoders, scenario",
+    "precoders, scenario, discard_over_pmax",
     [
-        (("zf", "min_pa", "saturating"), {"m_antennas": 8, "k_users": 1, "seed": 5}),
-        (("min_pa",), {"m_antennas": 8, "k_users": 2, "subcarriers": 2, "seed": 6}),
-        (("zf", "min_pa"), {"m_antennas": 16, "k_users": 2, "p_max_watts": 1e-6, "seed": 7}),
-        (("zf", "min_pa"), {"m_antennas": 8, "k_users": 2, "subcarriers": 32, "seed": 8}),
-        (("zf",), {"m_antennas": 16, "k_users": 3, "subcarriers": 4, "channel": "los", "seed": 9}),
+        (("zf", "min_pa", "saturating"), {"m_antennas": 8, "k_users": 1, "seed": 5}, True),
+        (("min_pa",), {"m_antennas": 8, "k_users": 2, "subcarriers": 2, "seed": 6}, True),
+        (("zf", "min_pa"), {"m_antennas": 16, "k_users": 2, "p_max_watts": 1e-6, "seed": 7}, True),
+        (("zf", "min_pa"), {"m_antennas": 8, "k_users": 2, "subcarriers": 32, "seed": 8}, True),
+        (("zf",), {"m_antennas": 16, "k_users": 3, "subcarriers": 4, "channel": "los",
+                   "seed": 9}, True),
         (("zf", "min_pa"), {"m_antennas": 16, "k_users": 3, "subcarriers": 8, "freq_taps": 3,
-                            "seed": 10}),
+                            "seed": 10}, True),
+        (("min_pa", "saturating", "zf"), {"m_antennas": 8, "k_users": 1, "p_max_watts": 0.05,
+                                          "seed": 11}, False),
     ],
-    ids=["three_solvers", "min_pa_alone", "all_discarded", "swept_grams", "los", "freq_taps_3"],
+    ids=[
+        "three_solvers", "min_pa_alone", "all_discarded", "swept_grams", "los", "freq_taps_3",
+        "over_cap_kept_zf_last",
+    ],
 )
-def test_run_equals_reference_loop(monkeypatch, precoders, scenario):
-    cfg = with_scenario(ExperimentConfig(realizations=12, precoders=precoders), **scenario)
+def test_run_equals_reference_loop(monkeypatch, precoders, scenario, discard_over_pmax):
+    cfg = with_scenario(
+        ExperimentConfig(
+            realizations=12, precoders=precoders, discard_over_pmax=discard_over_pmax
+        ),
+        **scenario,
+    )
     sc = cfg.scenario
     # Blocks of five realizations, so the rows cross block boundaries.
     monkeypatch.setattr(
         experiments, "BLOCK_ELEMENTS", 5 * sc.subcarriers * sc.k_users * sc.m_antennas
     )
     result = run_experiment(cfg)
-    assert_same_cells(result.rows, reference_run(cfg))
-    if "saturating" in precoders:
+    rows, summary = reference_run(cfg)
+    assert_same_cells(result.rows, rows)
+    assert result.summary == summary
+    assert list(map(type, result.summary.values())) == list(map(type, summary.values()))
+    if "saturating" in precoders and discard_over_pmax:
         assert 0 < result.summary["discarded"] < cfg.realizations
     if sc.p_max_watts < 1e-3:
         assert result.summary["discarded"] == cfg.realizations
+    if not discard_over_pmax:
+        # Some realizations are over the cap, and every one of them is kept.
+        assert result.summary["discarded"] == 0
+        assert 0 < run_experiment(replace(cfg, discard_over_pmax=True)).summary["discarded"]
 
 
 @pytest.mark.parametrize(

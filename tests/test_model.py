@@ -21,11 +21,30 @@ from energymimo.errors import DimensionError, DomainError
         {"p_max": 1.0, "eta_max": 0.0},
         {"p_max": 1.0, "eta_max": -0.2},
         {"p_max": 1.0, "eta_max": 1.5},
+        {"p_max": float("nan")},
+        {"p_max": float("inf")},
     ],
 )
 def test_pa_model_validation(kwargs):
     with pytest.raises(DomainError):
         PaModel(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"p_fix": -1.0},
+        {"p_fix": float("nan")},
+        {"p_fix": float("inf")},
+        {"circuit_per_antenna": -0.1},
+        {"circuit_per_antenna": float("nan")},
+        {"circuit_per_antenna": float("inf")},
+    ],
+)
+def test_bs_model_validation(kwargs):
+    with pytest.raises(DomainError):
+        BsModel(**kwargs)
+    assert BsModel(p_fix=0.0, circuit_per_antenna=0.0).p_fix == 0.0
 
 
 def test_pa_model_derived_quantities():
@@ -143,6 +162,19 @@ def test_stacked_power_accounting_equals_one_row_calls(m):
     assert [g.tolist() for g in gains] == [
         list(pair) for pair in zip(*(gain_metrics(a, b) for a, b in zip(rows, rows[::-1])))
     ]
+    # An (R, S, M) stack gives (R, S) fields equal to its rows' bit for bit, and
+    # an (R, 1) reference gives each column's gains against it.
+    cube = powers[:24].reshape(6, 4, m)
+    blocked = bs_consumed_power(cube, pa, bs)
+    for name in ("p_tx", "p_pas", "p_bs", "m_active"):
+        assert getattr(blocked, name).shape == (6, 4)
+        assert getattr(blocked, name).ravel().tolist() == getattr(stacked, name)[:24].tolist()
+    block_gains = gain_metrics(bs_consumed_power(cube[:, 1:2], pa, bs), blocked)
+    for j in range(4):
+        column = gain_metrics(
+            bs_consumed_power(cube[:, 1], pa, bs), bs_consumed_power(cube[:, j], pa, bs)
+        )
+        assert [g[:, j].tolist() for g in block_gains] == [g.tolist() for g in column]
 
 
 def test_estimate_flops_conventional_hand_value():

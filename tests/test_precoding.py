@@ -92,6 +92,8 @@ def test_fixed_point_config_rejects_nan():
         {"tolerance": float("inf")},
         {"max_iterations": 10.0},
         {"dead_antenna_floor": float("nan")},
+        {"dead_antenna_floor": float("inf")},
+        {"max_iterations": True},
     ):
         with pytest.raises(DomainError):
             FixedPointConfig(**kwargs)
