@@ -52,6 +52,7 @@ from .oracle import (
     grid_min_bs,
     mc_inverse_wishart_trace,
     solve_min_pa_bruteforce,
+    solve_min_pa_bruteforce_block,
 )
 from .precoding import (
     FixedPointConfig,
@@ -103,6 +104,7 @@ __all__ = [
     "per_antenna_powers",
     "saturating_precoders",
     "solve_min_pa_bruteforce",
+    "solve_min_pa_bruteforce_block",
     "solve_quartic_ma",
     "target_sinr",
     "trace_term",

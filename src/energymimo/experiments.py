@@ -349,15 +349,18 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     sc = cfg.scenario
     pa = sc.pa_model()
 
-    def oracle_powers(channel, qos):
+    def oracle_block(channels, qos_list):
         if sc.k_users == 1 and sc.subcarriers == 1:
-            return oracle.analytic_single_user(channel.per_subcarrier[0, 0, :], qos, pa).powers
-        return oracle.solve_min_pa_bruteforce(
-            channel, qos, pa,
+            return [
+                oracle.analytic_single_user(channel.per_subcarrier[0, 0, :], qos, pa)
+                for channel, qos in zip(channels, qos_list)
+            ]
+        return oracle.solve_min_pa_bruteforce_block(
+            channels, qos_list, pa,
             max_m=cfg.oracle_max_m,
             max_k=cfg.oracle_max_k,
             max_q=cfg.oracle_max_q,
-        ).powers
+        )
 
     def report_block(block: range):
         _, channels, qos_list = _draw_block(cfg, block, sc.k_users, sc.subcarriers)
@@ -371,11 +374,15 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         step = iteration > 0
         residual = np.abs(np.diff(history, axis=0)).max(axis=1)[step[1:]]
         optimum = skipped = None
+        gaps = np.zeros(0)
         if cfg.oracle:
             try:
-                optimum = np.array(list(map(oracle_powers, channels, qos_list)))
+                results = oracle_block(channels, qos_list)
             except OracleSizeError as exc:
                 skipped = str(exc)
+            else:
+                optimum = np.array([result.powers for result in results])
+                gaps = np.array([result.certificate[1] for result in results])
         dist, final_dist = np.zeros(len(residual)), np.zeros(0)  # empty cells without an oracle
         if optimum is not None:
             dist_all = np.sum((history - np.repeat(optimum, iterations + 1, axis=0)) ** 2, axis=1)
@@ -385,12 +392,22 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             CONVERGENCE_FIELDS, (realization, iteration[step], residual, dist), {},
             empty={"dist_sq_oracle": optimum is None},
         )
-        return part, iterations, solution.converged, final_dist, skipped
+        return part, iterations, solution.converged, final_dist, skipped, gaps
 
-    def summarize(iterations, converged, final_dists, skipped):
+    def summarize(iterations, converged, final_dists, skipped, gaps):
         reason = next(filter(None, skipped), None)
         if reason is not None:
             print(f"warning: oracle skipped ({reason})", file=sys.stderr)
+        # A gap that is not within GAP_TOL (NaN included) means the step limit
+        # ended that solve: its powers are not a certified optimum.
+        gaps = np.concatenate(gaps)
+        uncertified = gaps[~(gaps <= oracle.GAP_TOL)]
+        if uncertified.size:
+            print(
+                f"warning: oracle uncertified on {uncertified.size} of {gaps.size} realizations "
+                f"(worst relative gap {np.max(uncertified):.3g} > {oracle.GAP_TOL:g})",
+                file=sys.stderr,
+            )
         iterations, converged, final_dists = map(
             np.concatenate, (iterations, converged, final_dists)
         )

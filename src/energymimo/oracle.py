@@ -6,6 +6,13 @@ interior-point method on the dual second-order cone program, the Wishart
 expectation a Monte-Carlo estimate, the antenna-count optimum an exhaustive
 grid scan and the quartic a closed-form resolvent-cubic solve. They may be
 orders of magnitude slower than the main paths; that is the point.
+
+The consumption minimizer follows the central paths of a block of
+equal-shape instances at once (:func:`solve_min_pa_bruteforce_block`): one
+Newton step of every unfinished instance per round, on stacked arrays, with
+each instance's gap test, primal recovery and exit its own. So an instance
+comes out bit for bit as its solve alone (:func:`solve_min_pa_bruteforce`,
+the one-instance block) does.
 """
 
 from __future__ import annotations
@@ -54,50 +61,69 @@ class OracleResult:
 
 
 def _row_norms(w):
-    """||w_m|| of a (Q, M, K) stack, over subcarriers and users."""
-    return np.sqrt((w.real**2 + w.imag**2).sum(axis=(0, 2)))
+    """||w_m|| of a (..., Q, M, K) stack, over subcarriers and users."""
+    return np.sqrt((w.real**2 + w.imag**2).sum(axis=(-3, -1)))
 
 
-def _newton_step(h, h_adj, eye, g, slack, t):
-    """Newton direction of the dual barrier -t Re tr(Lambda) - sum_m log s_m.
+def _newton_steps(h, h_adj, eye, g, slack, t):
+    """Newton directions of the dual barriers -t Re tr(Lambda) - sum_m log s_m.
 
-    Its Hessian acts on Lambda_q as S_q Lambda_q with S_q = H_q diag(2/s) H_q^H,
-    plus one real rank-one term (4/s_m^2) Re<U_m, .> U_m per antenna, where
-    U_m stacks h_qm g_qm^T over q. The M rank-one terms are folded in by the
-    Woodbury identity, an M x M solve next to Q solves of size K. Returns the
-    direction and the squared Newton decrement.
+    Each instance's Hessian acts on Lambda_q as S_q Lambda_q with
+    S_q = H_q diag(2/s) H_q^H, plus one real rank-one term
+    (4/s_m^2) Re<U_m, .> U_m per antenna, where U_m stacks h_qm g_qm^T over
+    q. The M rank-one terms are folded in by the Woodbury identity, an
+    M x M solve next to Q solves of size K. The instances are stacked on
+    the first axis; returns their directions and squared Newton decrements.
     """
-    m = h.shape[2]
+    m = h.shape[-1]
     weights = 2.0 / slack
-    residual = t * eye - h @ (weights[:, None] * g)  # minus the gradient
-    solved = np.linalg.solve((h * weights) @ h_adj, np.concatenate([h, residual], axis=2))
+    # minus the gradient
+    residual = t[:, None, None, None] * eye - h @ (weights[:, None, :, None] * g)
+    solved = np.linalg.solve(
+        (h * weights[:, None, None, :]) @ h_adj, np.concatenate([h, residual], axis=-1)
+    )
     projected = h_adj @ solved
-    capacitance = (projected[..., :m] * (g.conj() @ g.transpose(0, 2, 1))).real.sum(axis=0)
-    capacitance.flat[:: m + 1] += 0.25 * slack * slack
-    coupling = (projected[..., m:] * g.conj()).real.sum(axis=(0, 2))
-    z = np.linalg.solve(capacitance, coupling)
-    step = solved[..., m:] - solved[..., :m] @ (z[:, None] * g)
-    return step, float(np.vdot(residual, step).real)
+    coupling = (projected[..., m:] * g.conj()).real.sum(axis=(1, 3))
+    # In place: an (R, Q, M, M) product is the largest array of the step.
+    capacitance = g.conj() @ g.swapaxes(-1, -2)
+    capacitance *= projected[..., :m]
+    capacitance = capacitance.real.sum(axis=1)
+    capacitance.reshape(len(slack), -1)[:, :: m + 1] += 0.25 * slack * slack
+    z = np.linalg.solve(capacitance, coupling[..., None])[..., 0]
+    step = solved[..., m:] - solved[..., :m] @ (z[:, None, :, None] * g)
+    decrement = np.array([np.vdot(r, s).real for r, s in zip(residual, step)])
+    return step, decrement
 
 
-def _step_length(g, g_step, slack, t, trace_step, decrement):
-    """Backtracking step that keeps every ||g_m|| < 1 and decreases the barrier."""
-    quad = (g_step.real**2 + g_step.imag**2).sum(axis=(0, 2))
-    lin = (g.real * g_step.real + g.imag * g_step.imag).sum(axis=(0, 2))
+def _step_lengths(g, g_step, slack, t, trace_step, decrement):
+    """Backtracking steps that keep every ||g_m|| < 1 and decrease each barrier.
+
+    One step length per stacked instance; each halves its own until its
+    Armijo test holds, and is 0 once it falls to 1e-12 without passing.
+    """
+    quad = (g_step.real**2 + g_step.imag**2).sum(axis=(1, 3))
+    lin = (g.real * g_step.real + g.imag * g_step.imag).sum(axis=(1, 3))
     # Largest step with ||g_m + a d_m||^2 < 1: the positive root, in the form
     # that does not cancel.
     denom = lin + np.sqrt(lin * lin + quad * slack)
     roots = np.divide(slack, denom, out=np.full_like(slack, np.inf), where=denom > 0.0)
-    alpha = min(1.0, _BOUNDARY_SHARE * float(roots.min()))
-    while alpha > 1e-12:
-        new_slack = slack - alpha * (2.0 * lin + alpha * quad)
-        if np.all(new_slack > 0.0) and (
-            t * alpha * trace_step + np.log(new_slack / slack).sum()
-            >= _ARMIJO * alpha * decrement
-        ):
-            return alpha
-        alpha *= 0.5
-    return 0.0
+    largest = _BOUNDARY_SHARE * roots.min(axis=1)
+    # min(1, largest) that starts from 1 where largest is NaN, as min() does.
+    alpha = np.where(largest < 1.0, largest, 1.0)
+    passed = np.zeros(alpha.shape, dtype=bool)
+    searching = alpha > 1e-12
+    while searching.any():
+        new_slack = slack - alpha[:, None] * (2.0 * lin + alpha[:, None] * quad)
+        inside = (new_slack > 0.0).all(axis=1)
+        # A row that leaves the cone fails on that alone and takes no logarithm.
+        ratio = np.where(inside[:, None], new_slack / slack, 1.0)
+        descent = t * alpha * trace_step + np.log(ratio).sum(axis=1)
+        now = searching & inside & (descent >= _ARMIJO * alpha * decrement)
+        passed |= now
+        searching &= ~now
+        alpha[searching] *= 0.5
+        searching &= alpha > 1e-12
+    return np.where(passed, alpha, 0.0)
 
 
 def _recover_primal(h, pinv, eye, g, slack, t):
@@ -143,60 +169,115 @@ def solve_min_pa_bruteforce(
     objective and the dual value are within ``GAP_TOL`` of each other. The
     method is deterministic; the certified gap makes it ground truth. A gap
     above ``GAP_TOL`` in the certificate means the step limit ended the solve.
+
+    This is the one-instance block of :func:`solve_min_pa_bruteforce_block`.
     """
-    m, k, q = channel.m_antennas, channel.k_users, channel.subcarriers
+    return solve_min_pa_bruteforce_block([channel], [qos], pa, max_m, max_k, max_q)[0]
+
+
+def solve_min_pa_bruteforce_block(
+    channels: list[ChannelRealization],
+    qos_list: list[QosTargets],
+    pa: PaModel,
+    max_m: int = ORACLE_MAX_M,
+    max_k: int = ORACLE_MAX_K,
+    max_q: int = ORACLE_MAX_Q,
+) -> list[OracleResult]:
+    """:func:`solve_min_pa_bruteforce` of each instance, in one stacked run.
+
+    The channels share one (Q, K, M) and are normalized and stacked to
+    (R, Q, K, M). Each round takes one Newton step of every instance still
+    running, with its own barrier weight t, dual point, slack and step
+    count; an instance that has centered runs its own gap test and primal
+    recovery, then grows its t or leaves the stack. Every instance's result
+    equals the one its solve alone returns, bit for bit. The size guard and
+    the input checks refuse the block before anything is solved; a
+    rank-deficient instance raises the message its solve alone raises.
+    """
+    if not channels or len(channels) != len(qos_list):
+        raise DimensionError(
+            f"need one QoS target set per channel, at least one: got {len(channels)} "
+            f"channels and {len(qos_list)} target sets"
+        )
+    shapes = {channel.per_subcarrier.shape for channel in channels}
+    if len(shapes) != 1:
+        raise DimensionError(
+            f"the channels of one block must share (Q, K, M), got {sorted(shapes)}"
+        )
+    q, k, m = shapes.pop()
     if m > max_m or k > max_k or q > max_q:
         raise OracleSizeError(
             f"instance (M={m}, K={k}, Q={q}) exceeds oracle guard "
             f"(M<={max_m}, K<={max_k}, Q<={max_q})"
         )
-    if qos.k_users != k:
-        raise DimensionError(f"QoS targets cover {qos.k_users} users, channel has {k}")
-    d = np.sqrt(qos.gamma / q) * qos.noise_std
+    for qos in qos_list:
+        if qos.k_users != k:
+            raise DimensionError(f"QoS targets cover {qos.k_users} users, channel has {k}")
     # Rows normalized by D, so that the constraint reads H_q W_q = I; in
     # these units W is `scale` times the precoder.
-    h = channel.per_subcarrier / d[:, None]
-    scale = float(np.sqrt(np.mean(np.abs(h) ** 2)))
-    h = h / scale
-    h_adj = h.conj().transpose(0, 2, 1)
+    targets = [np.sqrt(qos.gamma / q) * qos.noise_std for qos in qos_list]
+    rows = [channel.per_subcarrier / d[:, None] for channel, d in zip(channels, targets)]
+    scales = [float(np.sqrt(np.mean(np.abs(h) ** 2))) for h in rows]
+    h = np.stack([h / scale for h, scale in zip(rows, scales)])
     eye = np.eye(k)
     pinv = np.linalg.pinv(h)
-    if np.max(np.abs(h @ pinv - eye)) > 1e-6:
+    if np.any(np.abs(h @ pinv - eye).max(axis=(1, 2, 3)) > 1e-6):
         raise InfeasibleError("the channel has rank below K: no zero-forcing precoder exists")
 
     # The first barrier weight puts the central path's gap bound M / t at
     # the pseudo-inverse precoder's objective.
-    t = m / float(np.sum(_row_norms(pinv)))
-    lam = np.zeros((q, k, k), dtype=complex)
-    g = np.zeros((q, m, k), dtype=complex)
-    slack = np.ones(m)
-    steps = 0
-    while True:
-        decrement = np.inf
-        while decrement > _CENTERING_TOL and steps < _MAX_NEWTON_STEPS:
-            step, decrement = _newton_step(h, h_adj, eye, g, slack, t)
-            trace_step = float(np.trace(step, axis1=1, axis2=2).real.sum())
-            lam = lam + _step_length(g, h_adj @ step, slack, t, trace_step, decrement) * step
-            g = h_adj @ lam
-            norms = _row_norms(g)
-            slack = 1.0 - norms * norms
-            steps += 1
-        dual = float(np.trace(lam, axis1=1, axis2=2).real.sum())
-        out_of_steps = steps >= _MAX_NEWTON_STEPS
-        # On the central path the gap is (2/t) sum_m ||g_m|| / (1 + ||g_m||);
-        # the primal is recovered and certified once that reaches the target.
-        if out_of_steps or 2.0 / t * float((norms / (1.0 + norms)).sum()) <= GAP_TOL * dual:
-            w = _recover_primal(h, pinv, eye, g, slack, t)
-            primal = float(_row_norms(w).sum())
-            if out_of_steps or primal - dual <= GAP_TOL * dual:
-                break
-        t *= _BARRIER_GROWTH
+    t = np.array([m / float(np.sum(_row_norms(p))) for p in pinv])
+    lam = np.zeros((len(channels), q, k, k), dtype=complex)
+    g = np.zeros((len(channels), q, m, k), dtype=complex)
+    slack = np.ones((len(channels), m))
+    steps = np.zeros(len(channels), dtype=int)
+    # The list position of each instance still in the stack; an instance
+    # leaves once it is certified or out of steps.
+    index = np.arange(len(channels))
+    results: list[OracleResult] = [None] * len(channels)
+    h_adj = h.conj().swapaxes(-1, -2)
+    while index.size:
+        step, decrement = _newton_steps(h, h_adj, eye, g, slack, t)
+        trace_step = np.trace(step, axis1=2, axis2=3).real.sum(axis=1)
+        alpha = _step_lengths(g, h_adj @ step, slack, t, trace_step, decrement)
+        lam = lam + alpha[:, None, None, None] * step
+        g = h_adj @ lam
+        norms = _row_norms(g)
+        slack = 1.0 - norms * norms
+        steps += 1
+        centered = np.flatnonzero(~(decrement > _CENTERING_TOL) | (steps >= _MAX_NEWTON_STEPS))
+        if not centered.size:
+            continue
+        done = np.zeros(index.size, dtype=bool)
+        for i in centered:
+            dual = float(np.trace(lam[i], axis1=1, axis2=2).real.sum())
+            out_of_steps = steps[i] >= _MAX_NEWTON_STEPS
+            # On the central path the gap is (2/t) sum_m ||g_m|| / (1 + ||g_m||);
+            # the primal is recovered and certified once that reaches the target.
+            if out_of_steps or 2.0 / t[i] * float((norms[i] / (1.0 + norms[i])).sum()) <= (
+                GAP_TOL * dual
+            ):
+                w = _recover_primal(h[i], pinv[i], eye, g[i], slack[i], t[i])
+                primal = float(_row_norms(w).sum())
+                if out_of_steps or primal - dual <= GAP_TOL * dual:
+                    j = index[i]
+                    results[j] = _result(channels[j], targets[j], w / scales[j], primal, dual, pa)
+                    done[i] = True
+                    continue
+            t[i] *= _BARRIER_GROWTH
+        if done.any():
+            keep = ~done
+            index, h, pinv, t, lam, g, slack, steps = (
+                a[keep] for a in (index, h, pinv, t, lam, g, slack, steps)
+            )
+            h_adj = h.conj().swapaxes(-1, -2)
+    return results
 
-    w = w / scale
+
+def _result(channel, d, w, primal, dual, pa: PaModel) -> OracleResult:
+    """The certified result of precoder ``w`` in the channel's own units."""
     powers = np.sum(np.abs(w) ** 2, axis=(0, 2))
-    residual = float(
-        np.max(np.abs(channel.per_subcarrier @ w - np.diag(d)[None, :, :]))
-    )
+    residual = float(np.max(np.abs(channel.per_subcarrier @ w - np.diag(d)[None, :, :])))
     return OracleResult(
         powers=powers,
         objective=float(pa.alpha * np.sum(np.sqrt(powers))),

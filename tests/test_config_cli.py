@@ -727,6 +727,41 @@ def test_convergence_warns_when_oracle_guard_exceeded(tmp_path, monkeypatch, cap
     assert all(line.endswith(",") for line in lines[1:])
 
 
+def test_convergence_warns_once_about_uncertified_oracle_solves(tmp_path, monkeypatch, capsys):
+    # Four realizations in two blocks of two, solved two at a time; alone
+    # they need 35, 36, 43 and 29 Newton steps, so a cap of 37 leaves only
+    # realization 2 uncertified. The warning counts it and names its gap.
+    monkeypatch.setattr(experiments, "BLOCK_ELEMENTS", 2 * 2 * 2 * 6)
+    cfgfile = tmp_path / "conv.cfg"
+    cfgfile.write_text(
+        "m_antennas = 6\nk_users = 2\nsubcarriers = 2\nrealizations = 4\nseed = 4\n"
+    )
+    out = tmp_path / "conv.csv"
+    argv = ["convergence", "--config", str(cfgfile), "--out", str(out), "--threads", "2"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    certified = out.read_bytes()
+
+    monkeypatch.setattr(oracle, "_MAX_NEWTON_STEPS", 37)
+    cfg = load_config(str(cfgfile))
+    sc = cfg.scenario
+    gaps = []
+    for index in range(cfg.realizations):
+        _, _, channel, qos = draw_realization(cfg, index, subcarriers=sc.subcarriers)
+        gaps.append(oracle.solve_min_pa_bruteforce(channel, qos, sc.pa_model()).certificate[1])
+    assert [gap > oracle.GAP_TOL for gap in gaps] == [False, False, True, False]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == (
+        f"warning: oracle uncertified on 1 of 4 realizations "
+        f"(worst relative gap {gaps[2]:.3g} > 1e-10)\n"
+    )
+    # Only realization 2's distances move.
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    before = [line.split(",") for line in certified.decode().splitlines()[1:]]
+    assert [row[:3] for row in rows] == [row[:3] for row in before]
+    assert {row[0] for row, old in zip(rows, before) if row[3] != old[3]} == {"2"}
+
+
 def test_cli_validate_exit_codes(monkeypatch, capsys):
     import energymimo.cli as cli
     from energymimo.experiments import ExperimentResult, VALIDATION_FIELDS

@@ -15,11 +15,13 @@ from energymimo import (
     zf_precoders,
 )
 from energymimo.channel import ChannelRealization, draw_los_channel
-from energymimo.errors import DomainError, InfeasibleError, OracleSizeError
+from energymimo import oracle
+from energymimo.errors import DimensionError, DomainError, InfeasibleError, OracleSizeError
 from energymimo.oracle import (
     analytic_single_user,
     mc_inverse_wishart_trace,
     solve_min_pa_bruteforce,
+    solve_min_pa_bruteforce_block,
 )
 
 from conftest import draw_cell_instance
@@ -140,6 +142,105 @@ def test_bruteforce_rejects_rank_deficient_channel(table_pa):
     h[:, 1] = h[:, 0]
     with pytest.raises(InfeasibleError):
         solve_min_pa_bruteforce(ChannelRealization(h), qos, table_pa)
+
+
+def _assert_same_results(block, solos):
+    assert len(block) == len(solos)
+    for got, alone in zip(block, solos):
+        assert np.array_equal(got.powers, alone.powers)
+        assert got.objective == alone.objective
+        assert got.certificate == alone.certificate
+
+
+@pytest.mark.parametrize("subcarriers", [1, 2, 8])
+@pytest.mark.parametrize("k_users", [1, 2, 3, 4])
+def test_block_equals_its_solo_solves(table_pa, k_users, subcarriers):
+    # Rayleigh and LOS instances alternate in one block of five, M = 2K.
+    rng = np.random.default_rng(100 + 10 * k_users + subcarriers)
+    m = 2 * k_users
+    channels, qos_list = [], []
+    for i in range(5):
+        channel, qos = draw_cell_instance(m, k_users, subcarriers, rng)
+        channels.append(draw_los_channel(m, k_users, subcarriers, rng) if i % 2 else channel)
+        qos_list.append(qos)
+    solos = [solve_min_pa_bruteforce(c, q, table_pa) for c, q in zip(channels, qos_list)]
+    block = solve_min_pa_bruteforce_block(channels, qos_list, table_pa)
+    _assert_same_results(block, solos)
+
+
+def test_block_instances_leave_at_different_steps(table_pa, monkeypatch):
+    rng = np.random.default_rng(81)
+    channels, qos_list = zip(*(draw_cell_instance(6, 2, 2, rng) for _ in range(4)))
+    solos = [solve_min_pa_bruteforce(c, q, table_pa) for c, q in zip(channels, qos_list)]
+    heights = []  # the stack height of every Newton round
+    newton_steps = oracle._newton_steps
+
+    def spy(h, *args):
+        heights.append(h.shape[0])
+        return newton_steps(h, *args)
+
+    monkeypatch.setattr(oracle, "_newton_steps", spy)
+    block = solve_min_pa_bruteforce_block(list(channels), list(qos_list), table_pa)
+    _assert_same_results(block, solos)
+    # The stack shrinks at more than one round before the last instance ends.
+    assert len(set(heights)) >= 3
+
+
+def test_block_step_cap_stops_only_some_instances(table_pa, monkeypatch):
+    # Alone these four need 35, 31, 41 and 35 Newton steps; a cap of 36
+    # ends the third uncertified while the others certify first.
+    monkeypatch.setattr(oracle, "_MAX_NEWTON_STEPS", 36)
+    rng = np.random.default_rng(81)
+    channels, qos_list = zip(*(draw_cell_instance(6, 2, 2, rng) for _ in range(4)))
+    solos = [solve_min_pa_bruteforce(c, q, table_pa) for c, q in zip(channels, qos_list)]
+    block = solve_min_pa_bruteforce_block(list(channels), list(qos_list), table_pa)
+    _assert_same_results(block, solos)
+    certified = [result.certificate[1] <= oracle.GAP_TOL for result in block]
+    assert certified == [True, True, False, True]
+
+
+def test_block_refuses_oversize_before_any_solve(table_pa, monkeypatch):
+    rng = np.random.default_rng(90)
+    channels, qos_list = zip(*(draw_cell_instance(12, 2, 1, rng) for _ in range(3)))
+
+    def no_solve(*args):
+        raise AssertionError("the guard must refuse the block before any Newton step")
+
+    monkeypatch.setattr(oracle, "_newton_steps", no_solve)
+    monkeypatch.setattr(np.linalg, "pinv", no_solve)
+    with pytest.raises(OracleSizeError, match=r"\(M=12, K=2, Q=1\) exceeds oracle guard"):
+        solve_min_pa_bruteforce_block(list(channels), list(qos_list), table_pa)
+
+
+def test_block_rank_deficient_instance_raises_its_solo_error(table_pa):
+    rng = np.random.default_rng(91)
+    channels, qos_list = map(list, zip(*(draw_cell_instance(5, 2, 1, rng) for _ in range(4))))
+    h = channels[2].per_subcarrier.copy()
+    h[:, 1] = h[:, 0]
+    channels[2] = ChannelRealization(h)
+    with pytest.raises(InfeasibleError) as alone:
+        solve_min_pa_bruteforce(channels[2], qos_list[2], table_pa)
+    with pytest.raises(InfeasibleError) as in_block:
+        solve_min_pa_bruteforce_block(channels, qos_list, table_pa)
+    assert str(in_block.value) == str(alone.value)
+    assert in_block.value.realization is None
+
+
+def test_block_rejects_inconsistent_inputs(table_pa):
+    rng = np.random.default_rng(92)
+    channels, qos_list = map(list, zip(*(draw_cell_instance(5, 2, 1, rng) for _ in range(3))))
+    with pytest.raises(DimensionError, match="QoS targets cover 3 users"):
+        solve_min_pa_bruteforce_block(
+            channels, qos_list[:2] + [QosTargets(gamma=[1.0, 2.0, 3.0], noise_power=1.0)],
+            table_pa,
+        )
+    with pytest.raises(DimensionError):
+        solve_min_pa_bruteforce_block([], [], table_pa)
+    with pytest.raises(DimensionError):
+        solve_min_pa_bruteforce_block(channels, qos_list[:2], table_pa)
+    other, _ = draw_cell_instance(6, 2, 1, rng)
+    with pytest.raises(DimensionError, match="share"):
+        solve_min_pa_bruteforce_block(channels[:2] + [other], qos_list, table_pa)
 
 
 def test_import_does_not_load_scipy():
