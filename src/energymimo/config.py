@@ -89,12 +89,11 @@ class ExperimentConfig:
     k_max: int = 40
     q_list: tuple[int, ...] = (4, 8, 16, 32, 64, 128)
 
-    def fixed_point(self, record_history: bool = False) -> FixedPointConfig:
+    def fixed_point(self) -> FixedPointConfig:
         return FixedPointConfig(
             tolerance=self.epsilon,
             max_iterations=self.max_iterations,
             dead_antenna_floor=self.dead_antenna_floor,
-            record_history=record_history,
         )
 
 

@@ -364,32 +364,29 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     def report_block(block: range):
         _, channels, qos_list = _draw_block(cfg, block, sc.k_users, sc.subcarriers)
-        with _global_index(block):
-            solution = min_pa_precoders(channels, qos_list, cfg.fixed_point(record_history=True))
-        # The histories, realization after realization, as one (sum of lengths, M)
-        # array; each holds the start and then one iterate per iteration.
-        iterations, history = solution.iterations, solution.history
-        first = np.cumsum(iterations + 1) - (iterations + 1)
-        iteration = np.arange(len(history)) - np.repeat(first, iterations + 1)
-        step = iteration > 0
-        residual = np.abs(np.diff(history, axis=0)).max(axis=1)[step[1:]]
-        optimum = skipped = None
+        optimum = skipped = failure = None
         gaps = np.zeros(0)
         if cfg.oracle:
             try:
                 results = oracle_block(channels, qos_list)
             except OracleSizeError as exc:
                 skipped = str(exc)
+            except Exception as exc:  # held: the fixed point's own error is raised first
+                failure = exc
             else:
                 optimum = np.array([result.powers for result in results])
                 gaps = np.array([result.certificate[1] for result in results])
-        dist, final_dist = np.zeros(len(residual)), np.zeros(0)  # empty cells without an oracle
-        if optimum is not None:
-            dist_all = np.sum((history - np.repeat(optimum, iterations + 1, axis=0)) ** 2, axis=1)
-            dist, final_dist = dist_all[step], dist_all[first + iterations][iterations > 0]
+        with _global_index(block):
+            solution = min_pa_precoders(channels, qos_list, cfg.fixed_point(), optimum)
+        if failure is not None:
+            raise failure
+        iterations, trace = solution.iterations, solution.trace
+        ends = np.cumsum(iterations)
+        iteration = np.arange(1, len(trace) + 1) - np.repeat(ends - iterations, iterations)
+        final_dist = trace[ends - 1, 1] if optimum is not None else np.zeros(0)
         realization = np.repeat(np.arange(block.start, block.stop), iterations)
         part = ExperimentResult(
-            CONVERGENCE_FIELDS, (realization, iteration[step], residual, dist), {},
+            CONVERGENCE_FIELDS, (realization, iteration, trace[:, 0], trace[:, 1]), {},
             empty={"dist_sq_oracle": optimum is None},
         )
         return part, iterations, solution.converged, final_dist, skipped, gaps

@@ -107,7 +107,6 @@ class FixedPointConfig:
     tolerance: float = 1e-4
     max_iterations: int = 2000
     dead_antenna_floor: float = 1e-12
-    record_history: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.tolerance < np.inf:
@@ -128,10 +127,10 @@ class PrecoderSolution:
     Every solver returns a block of R: (R, M) ``powers`` and length-R
     ``iterations``, ``converged`` and ``residual``. ``residual`` is the last
     max absolute inter-iteration power change (zero for closed-form
-    solutions, which take no iteration and count as converged).
-    ``history``, when requested via :class:`FixedPointConfig`, holds the
-    power iterates as one (sum_r (iterations_r + 1), M) array, realization
-    after realization: the uniform start, then one row per iteration.
+    solutions, which take no iteration and count as converged). ``trace`` is
+    one (sum_r iterations_r, 2) array, realization after realization: per
+    iteration the residual and the iterate's squared distance to a
+    reference (NaN without one). The closed forms have a (0, 2) trace.
 
     The (R, Q, M, K) precoders ``matrices`` are assembled when first read:
     the weighted-ZF kernel on the solve's channel stack, ZF targets and
@@ -143,7 +142,7 @@ class PrecoderSolution:
     iterations: np.ndarray
     converged: np.ndarray
     residual: np.ndarray
-    history: np.ndarray | None = None
+    trace: np.ndarray
     _kernel: tuple | None = field(default=None, repr=False)
 
     @cached_property
@@ -391,7 +390,7 @@ def _compact(array, rows):
     return array[:len(rows)]
 
 
-def _fixed_point(h, d, packed, targets, cfg: FixedPointConfig, first) -> PrecoderSolution:
+def _fixed_point(h, d, packed, targets, cfg, first, reference) -> PrecoderSolution:
     """Fixed-point power iteration on a (R, Q, K, M) stack ``h`` with (R, K) ZF targets ``d``.
 
     ``packed`` and ``targets`` are the stack's packed products and (R, 1, K,
@@ -409,8 +408,8 @@ def _fixed_point(h, d, packed, targets, cfg: FixedPointConfig, first) -> Precode
     together, so ``index`` holds the stack rows of the working set and
     names each remaining realization in errors. A realization's final
     powers move to ``p_final`` as it leaves. A dead antenna is a zero power
-    and maps to zero. The history records each iterate with the stack rows
-    it covers and is sorted into realization order once, at the end.
+    and maps to zero. The trace takes each iteration's step and distance to
+    ``reference``, if given, and is sorted by realization once, at the end.
 
     The reported powers are one more map sweep over the whole block at
     ``p_final``: up to rounding, the powers of the precoders that the
@@ -426,7 +425,7 @@ def _fixed_point(h, d, packed, targets, cfg: FixedPointConfig, first) -> Precode
     iterations = np.full(n, cfg.max_iterations)
     converged = np.zeros(n, dtype=bool)
     residual = np.full(n, np.inf)
-    trail, trail_rows = ([p.copy()], [index]) if cfg.record_history else (None, None)
+    trail = []  # each iteration's stack rows, steps and squared distances
 
     for iteration in range(1, cfg.max_iterations + 1):
         p[p < cfg.dead_antenna_floor] = 0.0
@@ -441,10 +440,9 @@ def _fixed_point(h, d, packed, targets, cfg: FixedPointConfig, first) -> Precode
         else:
             p_new = _power_map(packed, targets, p, index)
         step = abs(p_new - p).max(axis=1)
+        dist = None if reference is None else np.sum((p_new - reference[index]) ** 2, axis=1)
+        trail.append((index, step, dist))
         p = p_new
-        if trail is not None:
-            trail.append(p_new.copy())
-            trail_rows.append(index)
         done = step <= cfg.tolerance
         if iteration == cfg.max_iterations:
             done[:] = True
@@ -463,20 +461,22 @@ def _fixed_point(h, d, packed, targets, cfg: FixedPointConfig, first) -> Precode
         packed = packed[rows] if packed is shared else _compact(packed, rows)
     del packed
 
-    history = None
-    if trail is not None:
-        # A stable sort by realization keeps each realization's iterates in order.
-        history = np.concatenate(trail)[np.argsort(np.concatenate(trail_rows), kind="stable")]
+    # A stable sort by realization keeps each realization's iterations in order.
+    covered, steps, dists = zip(*trail)
+    order = np.argsort(np.concatenate(covered), kind="stable")
+    trace = np.full((len(order), 2), np.nan)
+    trace[:, 0] = np.concatenate(steps)[order]
+    if reference is not None:
+        trace[:, 1] = np.concatenate(dists)[order]
     powers = _power_map(shared, block_targets, p_final, np.arange(n))
-    return PrecoderSolution(powers, iterations, converged, residual, history, (h, d, p_final))
+    return PrecoderSolution(powers, iterations, converged, residual, trace, (h, d, p_final))
 
 
 def _no_iteration(powers, kernel=None) -> PrecoderSolution:
     """The solution of a block of (R, M) ``powers`` that took no iteration."""
     n = len(powers)
-    return PrecoderSolution(
-        powers, np.zeros(n, dtype=int), np.ones(n, dtype=bool), np.zeros(n), None, kernel
-    )
+    diagnostics = np.zeros(n, dtype=int), np.ones(n, dtype=bool), np.zeros(n), np.zeros((0, 2))
+    return PrecoderSolution(powers, *diagnostics, kernel)
 
 
 def _closed_form(matrices) -> PrecoderSolution:
@@ -488,14 +488,15 @@ def _closed_form(matrices) -> PrecoderSolution:
 
 def solve_block(
     names, channels, qos_list, fixed_point: FixedPointConfig | None = None,
-    p_max: float = np.inf,
+    p_max: float = np.inf, reference=None,
 ) -> dict[str, PrecoderSolution]:
     """Each named solver's stacked solution of one block of instances, by name.
 
     ``names`` are among ``SOLVERS``; ``fixed_point`` configures ``min_pa``
-    (the defaults when None) and ``p_max`` caps ``saturating``. The
-    instances are stacked and checked once. The channel products are packed
-    once, for ``min_pa`` and for ``zf`` at most ``ZF_MAP_MAX_USERS`` users,
+    (the defaults when None), whose trace measures its iterates against the
+    (R, M) ``reference``, and ``p_max`` caps ``saturating``. The instances
+    are stacked and checked once. The channel products are packed once,
+    for ``min_pa`` and for ``zf`` at most ``ZF_MAP_MAX_USERS`` users,
     and the lifted map at the uniform start is computed once: it is
     ``min_pa``'s first iterate and there zero forcing's powers. Above that
     user count zero forcing reads its powers back from the kernel's
@@ -508,6 +509,8 @@ def solve_block(
         raise DomainError(f"p_max must be positive, got {p_max}")
     h, d = _stack(channels, qos_list)
     n, _, k, m = h.shape
+    if reference is not None and np.shape(reference) != (n, m):
+        raise DimensionError(f"reference must have shape ({n}, {m}), got {np.shape(reference)}")
     index, uniform = np.arange(n), np.full((n, m), INITIAL_POWER)
     zf_by_map = "zf" in names and k <= ZF_MAP_MAX_USERS
     solved = {}
@@ -522,7 +525,7 @@ def solve_block(
             solved["zf"] = _no_iteration(first, (h, d, uniform))
         if "min_pa" in names:
             solved["min_pa"] = _fixed_point(
-                h, d, packed, targets, fixed_point or FixedPointConfig(), first
+                h, d, packed, targets, fixed_point or FixedPointConfig(), first, reference
             )
     if "saturating" in names:
         solved["saturating"] = _saturating(h, d, p_max)
@@ -544,7 +547,7 @@ def zf_precoders(channels, qos_list) -> PrecoderSolution:
 
 
 def min_pa_precoders(
-    channels, qos_list, cfg: FixedPointConfig | None = None
+    channels, qos_list, cfg: FixedPointConfig | None = None, reference=None
 ) -> PrecoderSolution:
     """Precoders minimizing the square-root PA consumption under ZF QoS.
 
@@ -561,11 +564,11 @@ def min_pa_precoders(
 
     ``channels`` and ``qos_list`` are instances of one channel shape and
     dtype; they iterate together and the result is one stacked solution.
-    Row r, and realization r's history rows, equal the solve of
-    ``[channels[r]]`` alone. A :class:`SingularChannelError` names the list
-    position of the offending instance in ``realization``.
+    Row r, and realization r's ``trace`` rows against row r of ``reference``,
+    equal the solve of ``[channels[r]]`` alone. A :class:`SingularChannelError`
+    names the list position of the offending instance in ``realization``.
     """
-    return solve_block(("min_pa",), channels, qos_list, cfg)["min_pa"]
+    return solve_block(("min_pa",), channels, qos_list, cfg, reference=reference)["min_pa"]
 
 
 def saturating_precoders(channels, qos_list, p_max: float) -> PrecoderSolution:

@@ -190,7 +190,6 @@ def reference_convergence(cfg):
     converged = 0
     for index in range(cfg.realizations):
         _, _, channel, qos = draw_realization(cfg, index, subcarriers=sc.subcarriers)
-        solution = min_pa_precoders([channel], [qos], cfg.fixed_point(record_history=True))
         optimum = None
         if cfg.oracle and sc.k_users == 1 and sc.subcarriers == 1:
             optimum = oracle.analytic_single_user(channel.per_subcarrier[0, 0, :], qos, pa).powers
@@ -202,12 +201,15 @@ def reference_convergence(cfg):
                 ).powers
             except OracleSizeError:
                 pass
-        history = solution.history
+        reference = None if optimum is None else optimum[None, :]
+        solution = min_pa_precoders([channel], [qos], cfg.fixed_point(), reference)
+        trace = solution.trace
+        assert len(trace) == solution.iterations[0]
+        assert trace[-1, 0] == solution.residual[0]
         dist = None
-        for i in range(1, len(history)):
+        for i, (residual, dist_sq) in enumerate(trace.tolist(), 1):
             if optimum is not None:
-                dist = float(np.sum((history[i] - optimum) ** 2))
-            residual = float(np.max(np.abs(history[i] - history[i - 1])))
+                dist = dist_sq
             rows.append((index, i, residual, dist))
         if dist is not None:
             final_dists.append(dist)
@@ -423,11 +425,11 @@ def test_cli_singular_channel_exit_code(tmp_path, monkeypatch, capsys):
     real = exps.min_pa_precoders
     solves = []
 
-    def failing_second_block(channels, qos_list, cfg):
+    def failing_second_block(channels, qos_list, cfg, reference):
         solves.append(len(channels))
         if len(solves) == 2:
             raise SingularChannelError("stub Gram failure", realization=0)
-        return real(channels, qos_list, cfg)
+        return real(channels, qos_list, cfg, reference)
 
     # Q * K * M = 16 entries per realization: one realization per block.
     monkeypatch.setattr(exps, "BLOCK_ELEMENTS", 16)
@@ -437,6 +439,38 @@ def test_cli_singular_channel_exit_code(tmp_path, monkeypatch, capsys):
     assert main(["convergence", "--config", str(conv), "--out", str(tmp_path / "c.csv")]) == 2
     assert solves == [1, 1]
     assert "infeasible scenario: realization 1: stub Gram failure" in capsys.readouterr().err
+
+
+def test_cli_convergence_raises_the_fixed_points_error_before_the_oracles(
+    tmp_path, monkeypatch, capsys
+):
+    # Each block's oracle runs first and hands its optimum to the fixed point;
+    # an oracle failure is raised only once the fixed point has run.
+    real = experiments.min_pa_precoders
+    solves = []
+
+    def counted(*args):
+        solves.append(len(args[0]))
+        return real(*args)
+
+    def failing_oracle(*args, **kwargs):
+        raise InfeasibleError("stub oracle failure")
+
+    def failing_fixed_point(*args):
+        raise SingularChannelError("stub Gram failure", realization=0)
+
+    conv = tmp_path / "conv.cfg"
+    conv.write_text("m_antennas = 6\nk_users = 2\nrealizations = 3\nseed = 2\n")
+    argv = ["convergence", "--config", str(conv), "--out", str(tmp_path / "c.csv")]
+    monkeypatch.setattr(oracle, "solve_min_pa_bruteforce_block", failing_oracle)
+    monkeypatch.setattr(experiments, "min_pa_precoders", counted)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "infeasible scenario: stub oracle failure\n"
+    assert solves == [3]
+    monkeypatch.setattr(experiments, "min_pa_precoders", failing_fixed_point)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "infeasible scenario: realization 0: stub Gram failure\n"
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_cli_q_error_singular_channel_names_the_realization(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -212,7 +214,7 @@ def test_block_refuses_oversize_before_any_solve(table_pa, monkeypatch):
         solve_min_pa_bruteforce_block(list(channels), list(qos_list), table_pa)
 
 
-def test_block_rank_deficient_instance_raises_its_solo_error(table_pa):
+def test_block_rank_deficient_instance_raises_its_solo_error(table_pa, monkeypatch):
     rng = np.random.default_rng(91)
     channels, qos_list = map(list, zip(*(draw_cell_instance(5, 2, 1, rng) for _ in range(4))))
     h = channels[2].per_subcarrier.copy()
@@ -224,6 +226,42 @@ def test_block_rank_deficient_instance_raises_its_solo_error(table_pa):
         solve_min_pa_bruteforce_block(channels, qos_list, table_pa)
     assert str(in_block.value) == str(alone.value)
     assert in_block.value.realization is None
+
+    # In slices of one, the third instance is refused before the first is solved.
+    def no_solve(*args):
+        raise AssertionError("the rank check must refuse the block before any Newton step")
+
+    monkeypatch.setattr(oracle, "ORACLE_SLICE_BYTES", 1)
+    monkeypatch.setattr(oracle, "_newton_steps", no_solve)
+    with pytest.raises(InfeasibleError):
+        solve_min_pa_bruteforce_block(channels, qos_list, table_pa)
+
+
+def test_block_memory_grows_with_the_block_by_its_channel_copies_alone(table_pa, monkeypatch):
+    # The stack is solved in slices that fit in ORACLE_SLICE_BYTES, 28
+    # instances at M=32, K=8, Q=1, so one call on 128 instances peaks above
+    # a call on 32 by the block's few copies of its channels; one run over
+    # all 128 at once peaked 7.9 MB above, 20 channels' bytes per extra
+    # instance.
+    rng = np.random.default_rng(93)
+    channels, qos_list = zip(*(draw_cell_instance(32, 8, 1, rng) for _ in range(128)))
+
+    def traced(n):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            results = solve_min_pa_bruteforce_block(channels[:n], qos_list[:n], table_pa, 32, 8, 1)
+            return tracemalloc.get_traced_memory()[1], results
+        finally:
+            tracemalloc.stop()
+
+    small, _ = traced(32)
+    large, sliced = traced(128)
+    assert large - small <= 6 * 96 * channels[0].per_subcarrier.nbytes, (small, large)
+    # Every slice height gives the same bits.
+    monkeypatch.setattr(oracle, "ORACLE_SLICE_BYTES", 1 << 30)
+    whole = solve_min_pa_bruteforce_block(channels, qos_list, table_pa, 32, 8, 1)
+    _assert_same_results(sliced, whole)
 
 
 def test_block_rejects_inconsistent_inputs(table_pa):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -154,14 +155,61 @@ def test_min_pa_honors_iteration_budget():
     assert sol.residual[0] > 1e-15
 
 
-def test_min_pa_history_recording():
-    qos = QosTargets(gamma=[4.0], noise_power=1.0)
-    cfg = FixedPointConfig(record_history=True)
-    sol = min_pa_precoders([narrowband_channel([[2.0, 1.0]])], [qos], cfg)
-    assert sol.history.shape == (sol.iterations[0] + 1, 2)
-    assert np.all(sol.history[0] == 1.0)  # uniform 1 W start
-    deltas = np.max(np.abs(sol.history[-1] - sol.history[-2]))
-    assert deltas == pytest.approx(sol.residual[0])
+def unit_instance(seed, subcarriers, m_antennas=6):
+    rng = np.random.default_rng(seed)
+    shape = (subcarriers, 2, m_antennas)
+    h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    channel = ChannelRealization(per_subcarrier=h)
+    return channel, QosTargets(gamma=[2.0, 3.0], noise_power=1.0)
+
+
+def trace_rows(stacked, r):
+    """Realization r's rows of a stacked trace."""
+    assert len(stacked.trace) == stacked.iterations.sum()
+    start = stacked.iterations[:r].sum()
+    return stacked.trace[start:start + stacked.iterations[r]]
+
+
+def iterate(channels, qos_list, cfg, i):
+    """The fixed point's i-th (R, M) iterate: the powers its kernel holds after i iterations."""
+    return min_pa_precoders(channels, qos_list, replace(cfg, max_iterations=i))._kernel[2]
+
+
+def test_min_pa_trace_recording():
+    # Row i of a realization's trace is iteration i's step from the clamped
+    # iterate i - 1 (the uniform 1 W start for i = 1) and the squared
+    # distance of iterate i to the reference, bit for bit; its last step is
+    # the residual. Seeds 40 and 43 prune antennas; 44 and 45 share a stack.
+    cfg = FixedPointConfig(tolerance=1e-10, max_iterations=300)
+    blocks = [
+        ([(narrowband_channel([[2.0, 1.0]]), QosTargets(gamma=[4.0], noise_power=1.0))],
+         FixedPointConfig()),
+        ([unit_instance(40, 1)], cfg),
+        ([unit_instance(43, 1)], cfg),
+        ([unit_instance(44, 4), unit_instance(45, 4)], cfg),
+    ]
+    rng = np.random.default_rng(5)
+    clamps = 0
+    for block, fixed_point in blocks:
+        channels, qos_list = zip(*block)
+        reference = rng.uniform(0.0, 1.0, (len(block), channels[0].m_antennas))
+        sol = min_pa_precoders(channels, qos_list, fixed_point, reference)
+        assert np.isnan(min_pa_precoders(channels, qos_list, fixed_point).trace[:, 1]).all()
+        for r in range(len(block)):
+            rows = trace_rows(sol, r)
+            assert rows[-1, 0] == sol.residual[r]
+            previous = np.ones(channels[0].m_antennas)
+            for i, (step, dist) in enumerate(rows, 1):
+                current = iterate(channels, qos_list, fixed_point, i)[r]
+                clamped = np.where(previous < fixed_point.dead_antenna_floor, 0.0, previous)
+                clamps += np.any(clamped != previous)
+                assert step == np.abs(current - clamped).max()
+                assert dist == np.sum((current - reference[r]) ** 2)
+                previous = current
+    assert clamps > 0
+    assert saturating([[2.0, 1.0]], 4.0, 1.0, np.inf).trace.shape == (0, 2)
+    with pytest.raises(DimensionError, match=r"reference must have shape \(2, 6\), got \(6,\)"):
+        min_pa_precoders(channels, qos_list, fixed_point, reference[0])
 
 
 def test_min_pa_zf_residual_holds(table_pa):
@@ -192,28 +240,13 @@ def test_min_pa_narrowband_single_user_closed_form():
     assert iterated.powers[0] == pytest.approx(closed.powers[0], rel=1e-5, abs=1e-9)
 
 
-def unit_instance(seed, subcarriers, m_antennas=6):
-    rng = np.random.default_rng(seed)
-    shape = (subcarriers, 2, m_antennas)
-    h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-    channel = ChannelRealization(per_subcarrier=h)
-    return channel, QosTargets(gamma=[2.0, 3.0], noise_power=1.0)
-
-
-def history_rows(stacked, r):
-    """Realization r's rows of a stacked history."""
-    lengths = stacked.iterations + 1
-    assert len(stacked.history) == lengths.sum()
-    start = lengths[:r].sum()
-    return stacked.history[start:start + lengths[r]]
-
-
 def assert_same_row(stacked, r, alone):
-    """Row r of a stacked solution equals the R=1 solve ``alone``, history included."""
+    """Row r of a stacked solution equals the R=1 solve ``alone``, trace included."""
     for name in ("matrices", "powers", "iterations", "converged", "residual"):
         assert np.array_equal(getattr(stacked, name)[r], getattr(alone, name)[0]), name
-    if alone.history is not None:
-        assert np.array_equal(history_rows(stacked, r), alone.history)
+    assert np.array_equal(trace_rows(stacked, r), alone.trace, equal_nan=True)
+    if alone.iterations[0]:
+        assert alone.trace[-1, 0] == alone.residual[0]
 
 
 def groups_by_shape(instances):
@@ -229,18 +262,23 @@ def test_stacked_min_pa_equals_one_at_a_time():
     # ~1500 iterations (seed 42) share a stack; the Q=4 ones form another.
     # The Q=32 ones invert their Grams by the sweep, and leave its working
     # set one at a time, the last at the iteration budget.
-    cfg = FixedPointConfig(tolerance=1e-10, max_iterations=300, record_history=True)
+    cfg = FixedPointConfig(tolerance=1e-10, max_iterations=300)
     instances = [
         unit_instance(40, 1), unit_instance(44, 4), unit_instance(42, 1),
         unit_instance(43, 1), unit_instance(45, 4), unit_instance(48, 1),
         unit_instance(46, 32), unit_instance(47, 32), unit_instance(48, 32),
     ]
     groups = groups_by_shape(instances)  # seeds 40, 42, 43, 48 | 44, 45 | 46, 47, 48
-    stacks = [min_pa_precoders(*zip(*group), cfg) for group in groups]
-    for group, stacked in zip(groups, stacks):
+    rng = np.random.default_rng(49)
+    references = [rng.uniform(0.0, 1.0, (len(group), 6)) for group in groups]
+    stacks = [
+        min_pa_precoders(*zip(*group), cfg, reference)
+        for group, reference in zip(groups, references)
+    ]
+    for group, stacked, reference in zip(groups, stacks, references):
         assert stacked.matrices.shape[0] == len(group)
         for r, (channel, qos) in enumerate(group):
-            alone = min_pa_precoders([channel], [qos], cfg)
+            alone = min_pa_precoders([channel], [qos], cfg, reference[r:r + 1])
             assert_same_row(stacked, r, alone)
             assert zf_residual(channel, qos, alone.matrices[0]) <= ZF_TOLERANCE
     narrow, wide, swept = stacks
@@ -335,21 +373,36 @@ def test_zf_is_the_fixed_points_first_iterate():
     ]
     assert {channel.k_users for channel, _ in instances} >= {ZF_MAP_MAX_USERS, 5, 8}
     eps = np.finfo(float).eps
-    cfg = FixedPointConfig(max_iterations=1, record_history=True)
     for group in groups_by_shape(instances):
         channels, targets = zip(*group)
-        first = min_pa_precoders(channels, targets, cfg)
-        # Each realization's history is its start and then its first iterate.
+        first = iterate(channels, targets, FixedPointConfig(), 1)
         zf = zf_precoders(channels, targets).powers
         if channels[0].k_users <= ZF_MAP_MAX_USERS:
-            assert np.array_equal(zf, first.history[1::2])
+            assert np.array_equal(zf, first)
             continue
         h, d = _stack(channels, targets)
         index = np.arange(len(h))
         readback = per_antenna_powers(_weighted_zf(h, d, index, np.ones((len(h), h.shape[3]))))
         assert np.array_equal(zf, readback)
         scale = zf.max(axis=1, keepdims=True)
-        assert np.all(np.abs(zf - first.history[1::2]) <= 16 * eps * scale)
+        assert np.all(np.abs(zf - first) <= 16 * eps * scale)
+
+
+def test_first_trace_row_measures_zero_forcing():
+    # Up to ZF_MAP_MAX_USERS users the first iterate is zero forcing's
+    # powers, so iteration 1's trace row is their step from the uniform 1 W
+    # start and their squared distance to the reference, bit for bit.
+    rng = np.random.default_rng(12)
+    cfg = FixedPointConfig(max_iterations=1)
+    for m, k, q in ((12, 1, 8), (64, 1, 1), (16, 3, 1), (10, 2, 4), (24, ZF_MAP_MAX_USERS, 32)):
+        channels, qos_list = zip(*(draw_cell_instance(m, k, q, rng) for _ in range(3)))
+        zf = zf_precoders(channels, qos_list).powers
+        reference = rng.uniform(0.0, zf.max(), (3, m))
+        trace = min_pa_precoders(channels, qos_list, cfg, reference).trace
+        assert trace.shape == (3, 2)
+        for r in range(3):
+            assert trace[r, 0] == np.abs(zf[r] - 1.0).max()
+            assert trace[r, 1] == np.sum((zf[r] - reference[r]) ** 2)
 
 
 def test_matrices_are_assembled_when_read():
@@ -381,19 +434,20 @@ def test_block_solve_shares_one_packing_in_any_order():
     # whatever the order of the names.
     rng = np.random.default_rng(73)
     channels, qos_list = zip(*(draw_cell_instance(16, 2, 32, rng) for _ in range(8)))
-    cfg = FixedPointConfig(record_history=True)
+    cfg = FixedPointConfig()
     zf = zf_precoders(channels, qos_list)
+    reference = rng.uniform(0.0, zf.powers.max(), zf.powers.shape)
     # A floor just above the smallest ZF power clamps an antenna of the
     # first iterate to zero; zero forcing's powers must not see it.
     floor = np.sort(zf.powers, axis=1)[:, 1].min()
-    pruning = FixedPointConfig(dead_antenna_floor=floor, max_iterations=5, record_history=True)
+    pruning = FixedPointConfig(dead_antenna_floor=floor, max_iterations=5)
     for fixed_point in (cfg, pruning):
-        min_pa = min_pa_precoders(channels, qos_list, fixed_point)
+        min_pa = min_pa_precoders(channels, qos_list, fixed_point, reference)
         for names in (("zf", "min_pa"), ("min_pa", "zf")):
-            solved = solve_block(names, channels, qos_list, fixed_point)
+            solved = solve_block(names, channels, qos_list, fixed_point, reference=reference)
             assert list(solved) == list(names)
             assert np.array_equal(solved["zf"].powers, zf.powers)
-            for name in ("powers", "iterations", "converged", "residual", "history"):
+            for name in ("powers", "iterations", "converged", "residual", "trace"):
                 assert np.array_equal(getattr(solved["min_pa"], name), getattr(min_pa, name))
     assert np.any(zf.powers < floor)
     assert len(set(min_pa_precoders(channels, qos_list, cfg).iterations.tolist())) > 2
@@ -402,7 +456,7 @@ def test_block_solve_shares_one_packing_in_any_order():
     packed, targets = _packed_products(h), squared_targets(d)
     before = packed.copy(), targets.copy()
     first = zf.powers.copy()
-    _fixed_point(h, d, packed, targets, cfg, first)
+    _fixed_point(h, d, packed, targets, cfg, first, reference)
     assert np.array_equal(packed, before[0]) and np.array_equal(targets, before[1])
     assert np.array_equal(first, zf.powers)
 
@@ -412,15 +466,17 @@ def test_zf_alone_packs_only_up_to_the_map_users(monkeypatch):
     # and packs no channel products; min_pa still packs, and on either side
     # each solver equals its solve alone in either order of the names.
     rng = np.random.default_rng(74)
-    cfg = FixedPointConfig(record_history=True)
+    cfg = FixedPointConfig()
     blocks = {}
     for k in (ZF_MAP_MAX_USERS, ZF_MAP_MAX_USERS + 1):
         channels, qos_list = zip(*(draw_cell_instance(16, k, 32, rng) for _ in range(4)))
-        zf, min_pa = zf_precoders(channels, qos_list), min_pa_precoders(channels, qos_list, cfg)
+        zf = zf_precoders(channels, qos_list)
+        reference = rng.uniform(0.0, zf.powers.max(), zf.powers.shape)
+        min_pa = min_pa_precoders(channels, qos_list, cfg, reference)
         for names in (("zf", "min_pa"), ("min_pa", "zf")):
-            solved = solve_block(names, channels, qos_list, cfg)
+            solved = solve_block(names, channels, qos_list, cfg, reference=reference)
             assert np.array_equal(solved["zf"].powers, zf.powers)
-            for name in ("powers", "iterations", "converged", "residual", "history"):
+            for name in ("powers", "iterations", "converged", "residual", "trace"):
                 assert np.array_equal(getattr(solved["min_pa"], name), getattr(min_pa, name))
         blocks[k] = channels, qos_list, zf.powers
 

@@ -19,6 +19,7 @@ from energymimo.experiments import (
     VALIDATION_FIELDS,
     ExperimentResult,
     asymptotic_experiment,
+    convergence_experiment,
     run_experiment,
 )
 
@@ -74,6 +75,28 @@ def test_run_write_peak_grows_by_the_summary_columns_alone(tmp_path):
     large = _write_peak(tmp_path / "large.csv", result)
     assert len(result) == 20_000
     assert large - small <= 40 * (20_000 - 2000), (small, large)
+
+
+def _convergence(realizations):
+    return with_scenario(
+        ExperimentConfig(realizations=realizations, oracle=False),
+        m_antennas=32, k_users=1, subcarriers=1, seed=3,
+    )
+
+
+def test_convergence_write_peak_grows_by_a_few_numbers_per_row(tmp_path):
+    # At M=32, K=1, Q=1 one block holds all 1,024 realizations, about 117
+    # iterations, and so CSV rows, each. The fixed point records two numbers
+    # per iteration, and the block's rows are a few arrays of one number per
+    # row: about 75 bytes per row. Keeping every iterate, an M-vector, took
+    # about 800.
+    write_csv(str(tmp_path / "warm.csv"), convergence_experiment(_convergence(8)))
+    few = convergence_experiment(_convergence(64))
+    small = _write_peak(tmp_path / "small.csv", few)
+    result = convergence_experiment(_convergence(1024))
+    large = _write_peak(tmp_path / "large.csv", result)
+    assert len(result) > 100 * 1024
+    assert large - small <= 160 * (len(result) - len(few)), (small, large)
 
 
 def test_streamed_result_counts_what_was_written(tmp_path):
