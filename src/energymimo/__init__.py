@@ -51,7 +51,6 @@ from .oracle import (
     OracleResult,
     grid_min_bs,
     mc_inverse_wishart_trace,
-    solve_min_pa_bruteforce,
     solve_min_pa_bruteforce_block,
 )
 from .precoding import (
@@ -103,7 +102,6 @@ __all__ = [
     "pa_consumed_power",
     "per_antenna_powers",
     "saturating_precoders",
-    "solve_min_pa_bruteforce",
     "solve_min_pa_bruteforce_block",
     "solve_quartic_ma",
     "target_sinr",

@@ -18,6 +18,7 @@ from .channel import (
 )
 from .errors import ConfigError, DomainError
 from .model import BsModel, PaModel
+from .oracle import ORACLE_MAX_K, ORACLE_MAX_M, ORACLE_MAX_Q
 from .precoding import SOLVERS, FixedPointConfig
 
 AS1_PRECODERS = ("zf", "min_pa")  # solved without per-antenna caps
@@ -73,14 +74,14 @@ class ExperimentConfig:
     threads: int = 1
     out: str | None = None
     # Fixed-point iteration.
-    epsilon: float = 1e-4
-    max_iterations: int = 2000
-    dead_antenna_floor: float = 1e-12
+    epsilon: float = FixedPointConfig.tolerance
+    max_iterations: int = FixedPointConfig.max_iterations
+    dead_antenna_floor: float = FixedPointConfig.dead_antenna_floor
     # Convergence-command oracle.
     oracle: bool = True
-    oracle_max_m: int = 8
-    oracle_max_k: int = 4
-    oracle_max_q: int = 8
+    oracle_max_m: int = ORACLE_MAX_M
+    oracle_max_k: int = ORACLE_MAX_K
+    oracle_max_q: int = ORACLE_MAX_Q
     # Parsed and validated, but read by nothing: the oracle takes no random starts.
     oracle_starts: int = 8
     # Asymptotic-command sweep.

@@ -351,10 +351,7 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     def oracle_block(channels, qos_list):
         if sc.k_users == 1 and sc.subcarriers == 1:
-            return [
-                oracle.analytic_single_user(channel.per_subcarrier[0, 0, :], qos, pa)
-                for channel, qos in zip(channels, qos_list)
-            ]
+            return oracle.analytic_single_user(channels, qos_list, pa)
         return oracle.solve_min_pa_bruteforce_block(
             channels, qos_list, pa,
             max_m=cfg.oracle_max_m,
@@ -368,14 +365,13 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         gaps = np.zeros(0)
         if cfg.oracle:
             try:
-                results = oracle_block(channels, qos_list)
+                found = oracle_block(channels, qos_list)
             except OracleSizeError as exc:
                 skipped = str(exc)
             except Exception as exc:  # held: the fixed point's own error is raised first
                 failure = exc
             else:
-                optimum = np.array([result.powers for result in results])
-                gaps = np.array([result.certificate[1] for result in results])
+                optimum, gaps = found.powers, found.gap
         with _global_index(block):
             solution = min_pa_precoders(channels, qos_list, cfg.fixed_point(), optimum)
         if failure is not None:
@@ -590,7 +586,7 @@ def validate_suite(cfg: ExperimentConfig) -> ExperimentResult:
         gamma = bruteforce_rng.uniform(2.0, 40.0, size=k)
         qos = QosTargets(gamma=gamma, noise_power=cfg.scenario.noise_power)
         channel = draw_rayleigh_channel(m, k, q, beta, bruteforce_rng)
-        ref = oracle.solve_min_pa_bruteforce(channel, qos, pa).objective
+        ref = oracle.solve_min_pa_bruteforce_block([channel], [qos], pa).objective[0]
         powers = min_pa_precoders([channel], [qos], fixed_point).powers[0]
         worst_rel = max(worst_rel, abs(pa_consumed_power(powers, pa) - ref) / ref)
     record(

@@ -7,12 +7,14 @@ expectation a Monte-Carlo estimate, the antenna-count optimum an exhaustive
 grid scan and the quartic a closed-form resolvent-cubic solve. They may be
 orders of magnitude slower than the main paths; that is the point.
 
-The consumption minimizer follows the central paths of a block of
-equal-shape instances at once (:func:`solve_min_pa_bruteforce_block`), in
-slices of bounded memory: one Newton step of every unfinished instance per
-round, on stacked arrays, with each instance's gap test, primal recovery
-and exit its own. So an instance comes out bit for bit as its solve alone
-(:func:`solve_min_pa_bruteforce`, the one-instance block) does.
+The two consumption oracles, the cone program and the single-user closed
+form, take a block of equal-shape instances and return one
+:class:`OracleResult` whose fields carry the block axis; row r equals the
+solve of instance r alone. The cone program follows the central paths of
+the block at once (:func:`solve_min_pa_bruteforce_block`), in slices of
+bounded memory: one Newton step of every unfinished instance per round, on
+stacked arrays, with each instance's gap test, primal recovery and exit
+its own.
 """
 
 from __future__ import annotations
@@ -57,17 +59,20 @@ _BOUNDARY_SHARE = 0.99
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Powers and objective found by an oracle, plus its certificate.
+    """Powers and objectives an oracle found for a block of R instances, certified.
 
-    ``certificate`` is (max ZF residual, relative duality gap); the gap bounds
+    ``powers`` is (R, M); ``objective``, ``residual`` and ``gap`` have length
+    R, row r for instance r. ``residual`` is the largest ZF residual
+    max |H_q W_q - D_q| and ``gap`` the relative duality gap, which bounds
     how far ``objective`` can lie above the optimum,
-    ``objective / (1 + gap) <= optimum <= objective``. It is zero for the
-    analytic and grid methods.
+    ``objective / (1 + gap) <= optimum <= objective``. Both are zero for the
+    closed form.
     """
 
     powers: np.ndarray
-    objective: float
-    certificate: tuple[float, float]
+    objective: np.ndarray
+    residual: np.ndarray
+    gap: np.ndarray
 
 
 def _row_norms(w):
@@ -159,15 +164,15 @@ def _recover_primal(h, pinv, eye, g, slack, t):
     return w + pinv @ (eye - h @ w)
 
 
-def solve_min_pa_bruteforce(
-    channel: ChannelRealization,
-    qos: QosTargets,
+def solve_min_pa_bruteforce_block(
+    channels: list[ChannelRealization],
+    qos_list: list[QosTargets],
     pa: PaModel,
     max_m: int = ORACLE_MAX_M,
     max_k: int = ORACLE_MAX_K,
     max_q: int = ORACLE_MAX_Q,
 ) -> OracleResult:
-    """Globally minimize the PA consumption over all ZF-feasible precoders.
+    """Globally minimize the PA consumption of each instance over all ZF-feasible precoders.
 
     The problem min sum_m ||w_m|| subject to H_q W_q = D_q is a second-order
     cone program. Its dual is max sum_q Re tr(Lambda_q^H D_q) subject to
@@ -177,34 +182,55 @@ def solve_min_pa_bruteforce(
     unit RMS. Each centered point yields a primal precoder
     (:func:`_recover_primal`), and the solve stops once that precoder's
     objective and the dual value are within ``GAP_TOL`` of each other. The
-    method is deterministic; the certified gap makes it ground truth. A gap
-    above ``GAP_TOL`` in the certificate means the step limit ended the solve.
+    method is deterministic; the certified gap makes it ground truth. A
+    ``gap`` above ``GAP_TOL`` means the step limit ended that solve.
 
-    This is the one-instance block of :func:`solve_min_pa_bruteforce_block`.
+    The channels share one (Q, K, M) and are stacked to (R, Q, K, M). Each
+    round takes one Newton step of every instance still running, with its
+    own barrier weight t, dual point, slack and step count; an instance
+    that has centered runs its own gap test and primal recovery, then grows
+    its t or leaves the stack. The runs take the stack in slices that fit
+    in ``ORACLE_SLICE_BYTES``. Row r equals the block of instance r alone,
+    bit for bit. The input checks refuse the block before anything is
+    solved; a rank-deficient instance raises the message it raises alone.
     """
-    return solve_min_pa_bruteforce_block([channel], [qos], pa, max_m, max_k, max_q)[0]
+    q, k, m = _block_shape(channels, qos_list)
+    if m > max_m or k > max_k or q > max_q:
+        raise OracleSizeError(
+            f"instance (M={m}, K={k}, Q={q}) exceeds oracle guard "
+            f"(M<={max_m}, K<={max_k}, Q<={max_q})"
+        )
+    # One stack, divided in place by D, so that the constraint reads
+    # H_q W_q = I, then by each instance's RMS: W is `scale` times the precoder.
+    targets = np.array([np.sqrt(qos.gamma / q) * qos.noise_std for qos in qos_list])
+    h = np.stack([channel.per_subcarrier for channel in channels])
+    h = h.astype(np.result_type(h, targets), copy=False)
+    h /= targets[:, None, :, None]
+    scales = np.array([np.sqrt(np.mean(np.abs(row) ** 2)) for row in h])
+    h /= scales[:, None, None, None]
+    eye = np.eye(k)
+    pinv = np.linalg.pinv(h)
+    if np.any(np.abs(h @ pinv - eye).max(axis=(1, 2, 3)) > 1e-6):
+        raise InfeasibleError("the channel has rank below K: no zero-forcing precoder exists")
+
+    n = len(h)
+    powers, objective, residual, gap = np.empty((n, m)), np.empty(n), np.empty(n), np.empty(n)
+    height = max(1, ORACLE_SLICE_BYTES // (16 * q * m * (2 * m + k)))
+    for start in range(0, n, height):
+        part = slice(start, start + height)
+        for j, (w, primal, dual) in enumerate(_central_paths(h[part], pinv[part]), start):
+            w = w / scales[j]
+            powers[j] = np.sum(np.abs(w) ** 2, axis=(0, 2))
+            objective[j] = pa.alpha * np.sum(np.sqrt(powers[j]))
+            residual[j] = np.max(
+                np.abs(channels[j].per_subcarrier @ w - np.diag(targets[j])[None, :, :])
+            )
+            gap[j] = (primal - dual) / dual
+    return OracleResult(powers, objective, residual, gap)
 
 
-def solve_min_pa_bruteforce_block(
-    channels: list[ChannelRealization],
-    qos_list: list[QosTargets],
-    pa: PaModel,
-    max_m: int = ORACLE_MAX_M,
-    max_k: int = ORACLE_MAX_K,
-    max_q: int = ORACLE_MAX_Q,
-) -> list[OracleResult]:
-    """:func:`solve_min_pa_bruteforce` of each instance, in one stacked run.
-
-    The channels share one (Q, K, M) and are normalized and stacked to
-    (R, Q, K, M). Each round takes one Newton step of every instance still
-    running, with its own barrier weight t, dual point, slack and step
-    count; an instance that has centered runs its own gap test and primal
-    recovery, then grows its t or leaves the stack. The runs take the stack
-    in slices that fit in ``ORACLE_SLICE_BYTES``. Every instance's result
-    equals the one its solve alone returns, bit for bit. The size guard and
-    the input checks refuse the block before anything is solved; a
-    rank-deficient instance raises the message its solve alone raises.
-    """
+def _block_shape(channels, qos_list) -> tuple[int, int, int]:
+    """The (Q, K, M) that every channel of a non-empty block and its targets share."""
     if not channels or len(channels) != len(qos_list):
         raise DimensionError(
             f"need one QoS target set per channel, at least one: got {len(channels)} "
@@ -216,32 +242,10 @@ def solve_min_pa_bruteforce_block(
             f"the channels of one block must share (Q, K, M), got {sorted(shapes)}"
         )
     q, k, m = shapes.pop()
-    if m > max_m or k > max_k or q > max_q:
-        raise OracleSizeError(
-            f"instance (M={m}, K={k}, Q={q}) exceeds oracle guard "
-            f"(M<={max_m}, K<={max_k}, Q<={max_q})"
-        )
     for qos in qos_list:
         if qos.k_users != k:
             raise DimensionError(f"QoS targets cover {qos.k_users} users, channel has {k}")
-    # Rows normalized by D, so that the constraint reads H_q W_q = I; in
-    # these units W is `scale` times the precoder.
-    targets = [np.sqrt(qos.gamma / q) * qos.noise_std for qos in qos_list]
-    rows = [channel.per_subcarrier / d[:, None] for channel, d in zip(channels, targets)]
-    scales = [float(np.sqrt(np.mean(np.abs(h) ** 2))) for h in rows]
-    h = np.stack([h / scale for h, scale in zip(rows, scales)])
-    eye = np.eye(k)
-    pinv = np.linalg.pinv(h)
-    if np.any(np.abs(h @ pinv - eye).max(axis=(1, 2, 3)) > 1e-6):
-        raise InfeasibleError("the channel has rank below K: no zero-forcing precoder exists")
-
-    height = max(1, ORACLE_SLICE_BYTES // (16 * q * m * (2 * m + k)))
-    results = []
-    for start in range(0, len(h), height):
-        part = slice(start, start + height)
-        for j, (w, primal, dual) in enumerate(_central_paths(h[part], pinv[part]), start):
-            results.append(_result(channels[j], targets[j], w / scales[j], primal, dual, pa))
-    return results
+    return q, k, m
 
 
 def _central_paths(h, pinv):
@@ -302,33 +306,22 @@ def _central_paths(h, pinv):
     return found
 
 
-def _result(channel, d, w, primal, dual, pa: PaModel) -> OracleResult:
-    """The certified result of precoder ``w`` in the channel's own units."""
-    powers = np.sum(np.abs(w) ** 2, axis=(0, 2))
-    residual = float(np.max(np.abs(channel.per_subcarrier @ w - np.diag(d)[None, :, :])))
-    return OracleResult(
-        powers=powers,
-        objective=float(pa.alpha * np.sum(np.sqrt(powers))),
-        certificate=(residual, (primal - dual) / dual),
-    )
-
-
-def analytic_single_user(h, qos: QosTargets, pa: PaModel) -> OracleResult:
-    """Closed-form narrowband single-user optimum (strongest antenna)."""
-    h = np.atleast_1d(np.asarray(h, dtype=complex))
-    if qos.k_users != 1:
+def analytic_single_user(channels, qos_list, pa: PaModel) -> OracleResult:
+    """Closed-form optimum of each K=1, Q=1 instance: all power on the strongest antenna."""
+    if _block_shape(channels, qos_list)[:2] != (1, 1):
         raise DomainError("analytic oracle covers the K=1, Q=1 case only")
-    gains = np.abs(h)
-    if not np.any(gains > 0.0):
+    gains = np.abs(np.array([channel.per_subcarrier[0, 0] for channel in channels], dtype=complex))
+    rows = np.arange(len(gains))
+    strongest = np.argmax(gains, axis=1)
+    peak = gains[rows, strongest]
+    if not np.all(peak > 0.0):
         raise InfeasibleError("all-zero channel")
-    m_hat = int(np.argmax(gains))
-    powers = np.zeros(h.shape[0])
-    powers[m_hat] = qos.noise_power * float(qos.gamma[0]) / gains[m_hat] ** 2
-    return OracleResult(
-        powers=powers,
-        objective=float(pa.alpha * np.sqrt(powers[m_hat])),
-        certificate=(0.0, 0.0),
+    powers = np.zeros(gains.shape)
+    powers[rows, strongest] = (
+        np.array([qos.noise_power * float(qos.gamma[0]) for qos in qos_list]) / peak**2
     )
+    objective = pa.alpha * np.sqrt(powers[rows, strongest])
+    return OracleResult(powers, objective, np.zeros(len(rows)), np.zeros(len(rows)))
 
 
 def mc_inverse_wishart_trace(

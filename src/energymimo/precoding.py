@@ -132,18 +132,32 @@ class PrecoderSolution:
     iteration the residual and the iterate's squared distance to a
     reference (NaN without one). The closed forms have a (0, 2) trace.
 
-    The (R, Q, M, K) precoders ``matrices`` are assembled when first read:
-    the weighted-ZF kernel on the solve's channel stack, ZF targets and
-    kernel powers, which the solver keeps in ``_kernel``. The closed forms
-    hold their matrices from the start and derive ``powers`` from them.
+    ``trace`` is sorted from the fixed point's per-iteration ``_trail``, and
+    the (R, Q, M, K) precoders ``matrices`` are assembled from ``_kernel``
+    (channel stack, ZF targets, kernel powers), each when first read. The
+    closed forms hold their matrices from the start and derive ``powers``.
     """
 
     powers: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
     residual: np.ndarray
-    trace: np.ndarray
+    _trail: list = field(default_factory=list, repr=False)
     _kernel: tuple | None = field(default=None, repr=False)
+
+    @cached_property
+    def trace(self) -> np.ndarray:
+        """The (sum_r iterations_r, 2) trace, sorted once, on first read."""
+        if not self._trail:
+            return np.zeros((0, 2))
+        # A stable sort by realization keeps each realization's iterations in order.
+        covered, steps, dists = zip(*self._trail)
+        order = np.argsort(np.concatenate(covered), kind="stable")
+        trace = np.full((len(order), 2), np.nan)
+        trace[:, 0] = np.concatenate(steps)[order]
+        if dists[0] is not None:
+            trace[:, 1] = np.concatenate(dists)[order]
+        return trace
 
     @cached_property
     def matrices(self) -> np.ndarray:
@@ -408,8 +422,9 @@ def _fixed_point(h, d, packed, targets, cfg, first, reference) -> PrecoderSoluti
     together, so ``index`` holds the stack rows of the working set and
     names each remaining realization in errors. A realization's final
     powers move to ``p_final`` as it leaves. A dead antenna is a zero power
-    and maps to zero. The trace takes each iteration's step and distance to
-    ``reference``, if given, and is sorted by realization once, at the end.
+    and maps to zero. The trail keeps each iteration's stack rows, step and
+    distance to ``reference``, if given; the solution's ``trace`` sorts it
+    by realization when first read.
 
     The reported powers are one more map sweep over the whole block at
     ``p_final``: up to rounding, the powers of the precoders that the
@@ -461,22 +476,15 @@ def _fixed_point(h, d, packed, targets, cfg, first, reference) -> PrecoderSoluti
         packed = packed[rows] if packed is shared else _compact(packed, rows)
     del packed
 
-    # A stable sort by realization keeps each realization's iterations in order.
-    covered, steps, dists = zip(*trail)
-    order = np.argsort(np.concatenate(covered), kind="stable")
-    trace = np.full((len(order), 2), np.nan)
-    trace[:, 0] = np.concatenate(steps)[order]
-    if reference is not None:
-        trace[:, 1] = np.concatenate(dists)[order]
     powers = _power_map(shared, block_targets, p_final, np.arange(n))
-    return PrecoderSolution(powers, iterations, converged, residual, trace, (h, d, p_final))
+    return PrecoderSolution(powers, iterations, converged, residual, trail, (h, d, p_final))
 
 
 def _no_iteration(powers, kernel=None) -> PrecoderSolution:
     """The solution of a block of (R, M) ``powers`` that took no iteration."""
     n = len(powers)
-    diagnostics = np.zeros(n, dtype=int), np.ones(n, dtype=bool), np.zeros(n), np.zeros((0, 2))
-    return PrecoderSolution(powers, *diagnostics, kernel)
+    diagnostics = np.zeros(n, dtype=int), np.ones(n, dtype=bool), np.zeros(n)
+    return PrecoderSolution(powers, *diagnostics, _kernel=kernel)
 
 
 def _closed_form(matrices) -> PrecoderSolution:

@@ -32,7 +32,7 @@ from energymimo.oracle import (
     analytic_single_user,
     grid_min_bs,
     mc_inverse_wishart_trace,
-    solve_min_pa_bruteforce,
+    solve_min_pa_bruteforce_block,
 )
 from energymimo.precoding import los_allocation_precoders
 
@@ -91,7 +91,7 @@ def test_criterion_02_single_user_exactness(table_pa):
 
 
 def test_criterion_03_oracle_equivalence(table_pa):
-    """Fixed point matches the null-space descent on 50 small instances."""
+    """Fixed point matches the cone-program oracle on 50 small instances."""
     cfg = FixedPointConfig(tolerance=1e-11, max_iterations=60_000)
     worst = 0.0
     rng = np.random.default_rng(303)
@@ -102,8 +102,8 @@ def test_criterion_03_oracle_equivalence(table_pa):
         channel, qos = draw_cell_instance(m, k, q, rng)
         powers = min_pa_precoders([channel], [qos], cfg).powers[0]
         objective = pa_consumed_power(powers, table_pa)
-        reference = solve_min_pa_bruteforce(channel, qos, table_pa)
-        worst = max(worst, abs(objective - reference.objective) / reference.objective)
+        reference = solve_min_pa_bruteforce_block([channel], [qos], table_pa).objective[0]
+        worst = max(worst, abs(objective - reference) / reference)
     assert worst <= 1e-3
     _report(3, f"worst relative objective gap {worst:.2e} over 50 instances")
 
@@ -133,16 +133,15 @@ def test_criterion_05_convergence_profile(table_pa):
         instances = [
             draw_cell_instance(32, k_users, 1, np.random.default_rng(42 + r)) for r in range(100)
         ]
-        sol = min_pa_precoders(*zip(*instances))  # defaults: eps=1e-4, I_max=2000
-        dists = []
-        for r, (channel, qos) in enumerate(instances):
-            if k_users == 1:
-                gt = analytic_single_user(channel.per_subcarrier[0, 0, :], qos, table_pa)
-            else:
-                gt = solve_min_pa_bruteforce(
-                    channel, qos, table_pa, max_m=32, max_k=8, max_q=1
-                )
-            dists.append(float(np.sum((sol.powers[r] - gt.powers) ** 2)))
+        channels, qos_list = zip(*instances)
+        sol = min_pa_precoders(channels, qos_list)  # defaults: eps=1e-4, I_max=2000
+        if k_users == 1:
+            gt = analytic_single_user(channels, qos_list, table_pa)
+        else:
+            gt = solve_min_pa_bruteforce_block(
+                channels, qos_list, table_pa, max_m=32, max_k=8, max_q=1
+            )
+        dists = [float(np.sum((sol.powers[r] - gt.powers[r]) ** 2)) for r in range(100)]
         mean_iters = float(np.mean(sol.iterations))
         mean_dist = float(np.mean(dists))
         assert lo <= mean_iters <= hi, f"K={k_users}: mean {mean_iters}"

@@ -192,13 +192,13 @@ def reference_convergence(cfg):
         _, _, channel, qos = draw_realization(cfg, index, subcarriers=sc.subcarriers)
         optimum = None
         if cfg.oracle and sc.k_users == 1 and sc.subcarriers == 1:
-            optimum = oracle.analytic_single_user(channel.per_subcarrier[0, 0, :], qos, pa).powers
+            optimum = oracle.analytic_single_user([channel], [qos], pa).powers[0]
         elif cfg.oracle:
             try:
-                optimum = oracle.solve_min_pa_bruteforce(
-                    channel, qos, pa,
+                optimum = oracle.solve_min_pa_bruteforce_block(
+                    [channel], [qos], pa,
                     max_m=cfg.oracle_max_m, max_k=cfg.oracle_max_k, max_q=cfg.oracle_max_q,
-                ).powers
+                ).powers[0]
             except OracleSizeError:
                 pass
         reference = None if optimum is None else optimum[None, :]
@@ -782,7 +782,7 @@ def test_convergence_warns_once_about_uncertified_oracle_solves(tmp_path, monkey
     gaps = []
     for index in range(cfg.realizations):
         _, _, channel, qos = draw_realization(cfg, index, subcarriers=sc.subcarriers)
-        gaps.append(oracle.solve_min_pa_bruteforce(channel, qos, sc.pa_model()).certificate[1])
+        gaps.append(oracle.solve_min_pa_bruteforce_block([channel], [qos], sc.pa_model()).gap[0])
     assert [gap > oracle.GAP_TOL for gap in gaps] == [False, False, True, False]
     assert main(argv) == 0
     assert capsys.readouterr().err == (

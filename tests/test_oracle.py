@@ -22,31 +22,35 @@ from energymimo.errors import DimensionError, DomainError, InfeasibleError, Orac
 from energymimo.oracle import (
     analytic_single_user,
     mc_inverse_wishart_trace,
-    solve_min_pa_bruteforce,
     solve_min_pa_bruteforce_block,
 )
 
 from conftest import draw_cell_instance
 
 
+def alone(channel, qos, pa, *limits):
+    """The block of one instance."""
+    return solve_min_pa_bruteforce_block([channel], [qos], pa, *limits)
+
+
 def test_bruteforce_matches_single_user_closed_form(table_pa):
     rng = np.random.default_rng(50)
     channel, qos = draw_cell_instance(5, 1, 1, rng)
-    result = solve_min_pa_bruteforce(channel, qos, table_pa)
+    result = alone(channel, qos, table_pa)
     closed = saturating_precoders([channel], [qos], np.inf)
-    assert result.objective == pytest.approx(
+    assert result.objective[0] == pytest.approx(
         pa_consumed_power(closed.powers[0], table_pa), rel=1e-5
     )
-    assert result.certificate[0] <= 1e-8
+    assert result.residual[0] <= 1e-8
 
 
 def test_bruteforce_los_objective(table_pa):
     rng = np.random.default_rng(51)
     channel = draw_los_channel(4, 1, 2, rng)
     qos = QosTargets(gamma=[5.0], noise_power=2.0)
-    result = solve_min_pa_bruteforce(channel, qos, table_pa)
+    result = alone(channel, qos, table_pa)
     expected = table_pa.alpha * np.sqrt(2.0) * np.sqrt(5.0)
-    assert result.objective == pytest.approx(expected, rel=1e-6)
+    assert result.objective[0] == pytest.approx(expected, rel=1e-6)
 
 
 def test_bruteforce_matches_fixed_point(table_pa):
@@ -55,28 +59,28 @@ def test_bruteforce_matches_fixed_point(table_pa):
     solution = min_pa_precoders(
         [channel], [qos], FixedPointConfig(tolerance=1e-11, max_iterations=50_000)
     )
-    result = solve_min_pa_bruteforce(channel, qos, table_pa)
+    result = alone(channel, qos, table_pa)
     assert pa_consumed_power(solution.powers[0], table_pa) == pytest.approx(
-        result.objective, rel=1e-3
+        result.objective[0], rel=1e-3
     )
 
 
 def test_bruteforce_never_beats_feasibility(table_pa):
     rng = np.random.default_rng(53)
     channel, qos = draw_cell_instance(6, 2, 2, rng)
-    result = solve_min_pa_bruteforce(channel, qos, table_pa)
+    result = alone(channel, qos, table_pa)
     zf = zf_precoders([channel], [qos])
-    assert result.objective <= pa_consumed_power(zf.powers[0], table_pa) + 1e-9
+    assert result.objective[0] <= pa_consumed_power(zf.powers[0], table_pa) + 1e-9
 
 
 def test_bruteforce_size_guard(table_pa):
     rng = np.random.default_rng(54)
     channel, qos = draw_cell_instance(12, 2, 1, rng)
     with pytest.raises(OracleSizeError):
-        solve_min_pa_bruteforce(channel, qos, table_pa)
+        alone(channel, qos, table_pa)
     # explicit override admits the instance
-    result = solve_min_pa_bruteforce(channel, qos, table_pa, max_m=12)
-    assert result.objective > 0.0
+    result = solve_min_pa_bruteforce_block([channel], [qos], table_pa, max_m=12)
+    assert result.objective[0] > 0.0
 
 
 @pytest.mark.parametrize("subcarriers", [1, 2, 4, 8])
@@ -84,12 +88,12 @@ def test_bruteforce_certifies_its_optimum(table_pa, subcarriers):
     rng = np.random.default_rng(60 + subcarriers)
     for _ in range(3):
         channel, qos = draw_cell_instance(8, 4, subcarriers, rng)
-        result = solve_min_pa_bruteforce(channel, qos, table_pa)
-        residual, gap = result.certificate
+        result = alone(channel, qos, table_pa)
+        residual, gap = result.residual[0], result.gap[0]
         assert 0.0 <= gap <= 1e-8
         assert residual <= 1e-9 * qos.noise_std * np.sqrt(qos.gamma.max() / subcarriers)
         # weak duality: the dual bound lies below every feasible consumption
-        bound = result.objective / (1.0 + gap)
+        bound = result.objective[0] / (1.0 + gap)
         zf = zf_precoders([channel], [qos]).powers[0]
         min_pa = min_pa_precoders(
             [channel], [qos], FixedPointConfig(tolerance=1e-11, max_iterations=50_000)
@@ -102,8 +106,8 @@ def test_bruteforce_scales_with_the_channel(table_pa):
     rng = np.random.default_rng(65)
     channel, qos = draw_cell_instance(6, 3, 2, rng)
     scaled = ChannelRealization(3.7 * channel.per_subcarrier)
-    base = solve_min_pa_bruteforce(channel, qos, table_pa).powers
-    powers = solve_min_pa_bruteforce(scaled, qos, table_pa).powers
+    base = alone(channel, qos, table_pa).powers[0]
+    powers = alone(scaled, qos, table_pa).powers[0]
     np.testing.assert_allclose(powers, base / 3.7**2, rtol=1e-9, atol=1e-9 * base.max())
 
 
@@ -112,9 +116,9 @@ def test_bruteforce_square_channel_is_the_inverse(table_pa):
     channel, qos = draw_cell_instance(3, 3, 2, rng)
     targets = np.diag(np.sqrt(qos.gamma / channel.subcarriers) * qos.noise_std)
     inverse = np.linalg.pinv(channel.per_subcarrier) @ targets
-    result = solve_min_pa_bruteforce(channel, qos, table_pa)
+    result = alone(channel, qos, table_pa)
     np.testing.assert_allclose(
-        result.powers, np.sum(np.abs(inverse) ** 2, axis=(0, 2)), rtol=1e-10
+        result.powers[0], np.sum(np.abs(inverse) ** 2, axis=(0, 2)), rtol=1e-10
     )
 
 
@@ -122,7 +126,7 @@ def test_bruteforce_single_user_uses_one_antenna(table_pa):
     rng = np.random.default_rng(67)
     for _ in range(5):
         channel, qos = draw_cell_instance(8, 1, 1, rng)
-        powers = solve_min_pa_bruteforce(channel, qos, table_pa).powers
+        powers = alone(channel, qos, table_pa).powers[0]
         strongest = int(np.argmax(np.abs(channel.per_subcarrier[0, 0])))
         assert np.all(np.delete(powers, strongest) <= 1e-12 * powers.sum())
 
@@ -130,11 +134,9 @@ def test_bruteforce_single_user_uses_one_antenna(table_pa):
 def test_bruteforce_repeated_calls_bit_identical(table_pa):
     rng = np.random.default_rng(55)
     channel, qos = draw_cell_instance(4, 2, 2, rng)
-    a = solve_min_pa_bruteforce(channel, qos, table_pa)
-    b = solve_min_pa_bruteforce(channel, qos, table_pa)
-    assert np.array_equal(a.powers, b.powers)
-    assert a.objective == b.objective
-    assert a.certificate == b.certificate
+    a = alone(channel, qos, table_pa)
+    b = alone(channel, qos, table_pa)
+    _assert_same_results(a, [b])
 
 
 def test_bruteforce_rejects_rank_deficient_channel(table_pa):
@@ -143,15 +145,17 @@ def test_bruteforce_rejects_rank_deficient_channel(table_pa):
     h = channel.per_subcarrier.copy()
     h[:, 1] = h[:, 0]
     with pytest.raises(InfeasibleError):
-        solve_min_pa_bruteforce(ChannelRealization(h), qos, table_pa)
+        alone(ChannelRealization(h), qos, table_pa)
 
 
 def _assert_same_results(block, solos):
-    assert len(block) == len(solos)
-    for got, alone in zip(block, solos):
-        assert np.array_equal(got.powers, alone.powers)
-        assert got.objective == alone.objective
-        assert got.certificate == alone.certificate
+    """Row r of ``block`` equals the block of one ``solos[r]``, bit for bit."""
+    fields = ("powers", "objective", "residual", "gap")
+    assert [len(getattr(block, name)) for name in fields] == [len(solos)] * 4
+    for r, solo in enumerate(solos):
+        for name in fields:
+            assert getattr(solo, name).shape[0] == 1
+            assert np.array_equal(getattr(block, name)[r], getattr(solo, name)[0]), (r, name)
 
 
 @pytest.mark.parametrize("subcarriers", [1, 2, 8])
@@ -165,7 +169,7 @@ def test_block_equals_its_solo_solves(table_pa, k_users, subcarriers):
         channel, qos = draw_cell_instance(m, k_users, subcarriers, rng)
         channels.append(draw_los_channel(m, k_users, subcarriers, rng) if i % 2 else channel)
         qos_list.append(qos)
-    solos = [solve_min_pa_bruteforce(c, q, table_pa) for c, q in zip(channels, qos_list)]
+    solos = [alone(c, q, table_pa) for c, q in zip(channels, qos_list)]
     block = solve_min_pa_bruteforce_block(channels, qos_list, table_pa)
     _assert_same_results(block, solos)
 
@@ -173,7 +177,7 @@ def test_block_equals_its_solo_solves(table_pa, k_users, subcarriers):
 def test_block_instances_leave_at_different_steps(table_pa, monkeypatch):
     rng = np.random.default_rng(81)
     channels, qos_list = zip(*(draw_cell_instance(6, 2, 2, rng) for _ in range(4)))
-    solos = [solve_min_pa_bruteforce(c, q, table_pa) for c, q in zip(channels, qos_list)]
+    solos = [alone(c, q, table_pa) for c, q in zip(channels, qos_list)]
     heights = []  # the stack height of every Newton round
     newton_steps = oracle._newton_steps
 
@@ -194,10 +198,10 @@ def test_block_step_cap_stops_only_some_instances(table_pa, monkeypatch):
     monkeypatch.setattr(oracle, "_MAX_NEWTON_STEPS", 36)
     rng = np.random.default_rng(81)
     channels, qos_list = zip(*(draw_cell_instance(6, 2, 2, rng) for _ in range(4)))
-    solos = [solve_min_pa_bruteforce(c, q, table_pa) for c, q in zip(channels, qos_list)]
+    solos = [alone(c, q, table_pa) for c, q in zip(channels, qos_list)]
     block = solve_min_pa_bruteforce_block(list(channels), list(qos_list), table_pa)
     _assert_same_results(block, solos)
-    certified = [result.certificate[1] <= oracle.GAP_TOL for result in block]
+    certified = [bool(gap <= oracle.GAP_TOL) for gap in block.gap]
     assert certified == [True, True, False, True]
 
 
@@ -220,11 +224,11 @@ def test_block_rank_deficient_instance_raises_its_solo_error(table_pa, monkeypat
     h = channels[2].per_subcarrier.copy()
     h[:, 1] = h[:, 0]
     channels[2] = ChannelRealization(h)
-    with pytest.raises(InfeasibleError) as alone:
-        solve_min_pa_bruteforce(channels[2], qos_list[2], table_pa)
+    with pytest.raises(InfeasibleError) as solo:
+        alone(channels[2], qos_list[2], table_pa)
     with pytest.raises(InfeasibleError) as in_block:
         solve_min_pa_bruteforce_block(channels, qos_list, table_pa)
-    assert str(in_block.value) == str(alone.value)
+    assert str(in_block.value) == str(solo.value)
     assert in_block.value.realization is None
 
     # In slices of one, the third instance is refused before the first is solved.
@@ -240,9 +244,11 @@ def test_block_rank_deficient_instance_raises_its_solo_error(table_pa, monkeypat
 def test_block_memory_grows_with_the_block_by_its_channel_copies_alone(table_pa, monkeypatch):
     # The stack is solved in slices that fit in ORACLE_SLICE_BYTES, 28
     # instances at M=32, K=8, Q=1, so one call on 128 instances peaks above
-    # a call on 32 by the block's few copies of its channels; one run over
-    # all 128 at once peaked 7.9 MB above, 20 channels' bytes per extra
-    # instance.
+    # a call on 32 by the block's copies of its channels: the stack and the
+    # pseudo-inverses, which the rank check needs before any Newton step.
+    # One run over all 128 at once peaked 7.9 MB above, 20 channels' bytes
+    # per extra instance; a list of rows and a rescaled list beside the
+    # stack read about 3.6.
     rng = np.random.default_rng(93)
     channels, qos_list = zip(*(draw_cell_instance(32, 8, 1, rng) for _ in range(128)))
 
@@ -257,11 +263,12 @@ def test_block_memory_grows_with_the_block_by_its_channel_copies_alone(table_pa,
 
     small, _ = traced(32)
     large, sliced = traced(128)
-    assert large - small <= 6 * 96 * channels[0].per_subcarrier.nbytes, (small, large)
+    assert large - small <= 3 * 96 * channels[0].per_subcarrier.nbytes, (small, large)
     # Every slice height gives the same bits.
     monkeypatch.setattr(oracle, "ORACLE_SLICE_BYTES", 1 << 30)
     whole = solve_min_pa_bruteforce_block(channels, qos_list, table_pa, 32, 8, 1)
-    _assert_same_results(sliced, whole)
+    for name in ("powers", "objective", "residual", "gap"):
+        assert np.array_equal(getattr(sliced, name), getattr(whole, name)), name
 
 
 def test_block_rejects_inconsistent_inputs(table_pa):
@@ -292,10 +299,55 @@ def test_import_does_not_load_scipy():
 
 
 def test_analytic_single_user_guard(table_pa):
-    with pytest.raises(DomainError):
+    qos = QosTargets(gamma=[4.0], noise_power=1.0)
+    narrowband = ChannelRealization(np.ones((1, 1, 3), dtype=complex))
+    with pytest.raises(DomainError, match="K=1, Q=1"):
         analytic_single_user(
-            np.ones(3), QosTargets(gamma=[1.0, 1.0], noise_power=1.0), table_pa
+            [ChannelRealization(np.ones((1, 2, 3)))],
+            [QosTargets(gamma=[1.0, 1.0], noise_power=1.0)],
+            table_pa,
         )
+    with pytest.raises(DomainError, match="K=1, Q=1"):
+        analytic_single_user([ChannelRealization(np.ones((2, 1, 3)))], [qos], table_pa)
+    with pytest.raises(DimensionError, match="share"):
+        analytic_single_user(
+            [narrowband, ChannelRealization(np.ones((1, 1, 4)))], [qos, qos], table_pa
+        )
+    with pytest.raises(DimensionError):
+        analytic_single_user([narrowband, narrowband], [qos], table_pa)
+    with pytest.raises(DimensionError):
+        analytic_single_user([], [], table_pa)
+    with pytest.raises(InfeasibleError, match="^all-zero channel$"):
+        analytic_single_user(
+            [narrowband, ChannelRealization(np.zeros((1, 1, 3)))], [qos, qos], table_pa
+        )
+
+
+def test_analytic_block_rows_equal_the_closed_form(table_pa):
+    rng = np.random.default_rng(94)
+    channels, qos_list = map(list, zip(*(draw_cell_instance(6, 1, 1, rng) for _ in range(7))))
+    # A tie between antennas 1 and 4 goes to the lower index.
+    h = channels[3].per_subcarrier.copy()
+    h[0, 0, 4] = h[0, 0, 1] = 1j * np.abs(h).max() * 2.0
+    channels[3] = ChannelRealization(h)
+    result = analytic_single_user(channels, qos_list, table_pa)
+    assert result.powers.shape == (7, 6)
+    for r, (channel, qos) in enumerate(zip(channels, qos_list)):
+        gains = np.abs(channel.per_subcarrier[0, 0])
+        strongest = int(np.argmax(gains))
+        expected = np.zeros(6)
+        expected[strongest] = qos.noise_power * qos.gamma[0] / gains[strongest] ** 2
+        assert np.array_equal(result.powers[r], expected)
+        assert result.objective[r] == table_pa.alpha * np.sqrt(expected[strongest])
+        assert result.objective[r] == pytest.approx(
+            pa_consumed_power(saturating_precoders([channel], [qos], np.inf).powers[0], table_pa),
+            rel=1e-12,
+        )
+        solo = analytic_single_user([channel], [qos], table_pa)
+        assert np.array_equal(solo.powers[0], result.powers[r])
+    assert np.argmax(result.powers[3]) == 1
+    assert np.array_equal(result.residual, np.zeros(7))
+    assert np.array_equal(result.gap, np.zeros(7))
 
 
 def test_wishart_trace_scalar_gamma_expectation():

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -18,7 +20,7 @@ from energymimo import (
 from energymimo.channel import draw_los_channel, draw_rayleigh_channel
 from energymimo.errors import DimensionError, DomainError, InfeasibleError, SingularChannelError
 from energymimo.model import ACTIVE_POWER_THRESHOLD
-from energymimo.oracle import solve_min_pa_bruteforce
+from energymimo.oracle import solve_min_pa_bruteforce_block
 from energymimo.precoding import (
     GRAM_CONDITION_LIMIT,
     ZF_MAP_MAX_USERS,
@@ -210,6 +212,26 @@ def test_min_pa_trace_recording():
     assert saturating([[2.0, 1.0]], 4.0, 1.0, np.inf).trace.shape == (0, 2)
     with pytest.raises(DimensionError, match=r"reference must have shape \(2, 6\), got \(6,\)"):
         min_pa_precoders(channels, qos_list, fixed_point, reference[0])
+
+
+def test_solve_sorts_the_trace_only_when_read():
+    # One block of the CI saturating run (M=16, K=1, Q=1, p_max 0.05 W,
+    # 2,048 realizations). Sorting the trail into the trace takes about 48
+    # bytes per entry beside it; the block's solve peaked at 64 bytes per
+    # entry while it sorted, and at 42 without.
+    rng = np.random.default_rng(95)
+    channels, qos_list = zip(*(draw_cell_instance(16, 1, 1, rng) for _ in range(2048)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        solution = solve_block(("zf", "min_pa", "saturating"), channels, qos_list, p_max=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "trace" not in vars(solution["min_pa"])
+    min_pa = solution["min_pa"]
+    assert peak <= 3 * min_pa.trace.nbytes, (peak, min_pa.trace.nbytes)
+    assert len(min_pa.trace) == min_pa.iterations.sum()
 
 
 def test_min_pa_zf_residual_holds(table_pa):
@@ -986,7 +1008,7 @@ def test_qos_channel_mismatch_raises(table_pa):
     for solve in (
         lambda: zf_precoders([channel], [qos]),
         lambda: min_pa_precoders([channel], [qos]),
-        lambda: solve_min_pa_bruteforce(channel, qos, table_pa),
+        lambda: solve_min_pa_bruteforce_block([channel], [qos], table_pa),
     ):
         with pytest.raises(DimensionError) as raised:
             solve()
@@ -1007,7 +1029,7 @@ def test_one_qos_splits_over_each_channels_subcarriers(table_pa):
             assert zf_residual(channel, qos, solution.matrices[0]) <= ZF_TOLERANCE
         # The oracle's residual is against its own targets; its optimum
         # matching the fixed point's shows that they are the same targets.
-        oracle = solve_min_pa_bruteforce(channel, qos, table_pa)
-        assert oracle.certificate[0] <= 1e-9 * qos.noise_std * np.sqrt(5.0 / subcarriers)
+        oracle = solve_min_pa_bruteforce_block([channel], [qos], table_pa)
+        assert oracle.residual[0] <= 1e-9 * qos.noise_std * np.sqrt(5.0 / subcarriers)
         expected = pa_consumed_power(min_pa.powers[0], table_pa)
-        assert oracle.objective == pytest.approx(expected, rel=1e-6)
+        assert oracle.objective[0] == pytest.approx(expected, rel=1e-6)
