@@ -57,9 +57,7 @@ from .precoding import (
     FixedPointConfig,
     PrecoderSolution,
     los_allocation_precoders,
-    min_pa_precoders,
-    saturating_precoders,
-    zf_precoders,
+    solve_block,
 )
 
 __all__ = [
@@ -97,16 +95,14 @@ __all__ = [
     "load_config",
     "los_allocation_precoders",
     "mc_inverse_wishart_trace",
-    "min_pa_precoders",
     "optimal_ma_plans",
     "pa_consumed_power",
     "per_antenna_powers",
-    "saturating_precoders",
+    "solve_block",
     "solve_min_pa_bruteforce_block",
     "solve_quartic_ma",
     "target_sinr",
     "trace_term",
-    "zf_precoders",
 ]
 
 __version__ = "0.1.0"

@@ -21,7 +21,6 @@ from .model import BsModel, PaModel
 from .oracle import ORACLE_MAX_K, ORACLE_MAX_M, ORACLE_MAX_Q
 from .precoding import SOLVERS, FixedPointConfig
 
-AS1_PRECODERS = ("zf", "min_pa")  # solved without per-antenna caps
 ASYM_MODES = ("k_sweep", "q_error", "ma_curve")
 
 

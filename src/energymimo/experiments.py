@@ -6,11 +6,11 @@ needs one, its channel. So results are identical regardless of how the
 realizations are scheduled; the blocks' results are taken in realization
 order. Every Monte-Carlo command works on fixed-size blocks of realizations
 and draws each block once, with :func:`_draw_block`: ``run``,
-``convergence`` and ``asymptotic`` q_error solve the block with one call to
-the stacked solvers, and ``asymptotic`` k_sweep and ma_curve sum the
-block's trace terms gamma_k sigma^2 / beta_k, one per (realization, user). The
-thread pool maps over those blocks, whose boundaries depend only on the
-scenario, and works at most ``threads`` blocks ahead of the reader.
+``convergence`` and ``asymptotic`` q_error solve the block with one
+``precoding.solve_block`` call, and ``asymptotic`` k_sweep and ma_curve
+sum the block's trace terms gamma_k sigma^2 / beta_k, one per (realization,
+user). The thread pool maps over those blocks, whose boundaries depend only
+on the scenario, and works at most ``threads`` blocks ahead of the reader.
 
 A command returns an :class:`ExperimentResult`: one column per field, a
 numpy array or a list of strings, and a mask of its empty cells. Each block
@@ -49,12 +49,12 @@ from .channel import (
     large_scale_fading,
     target_sinr,
 )
-from .config import AS1_PRECODERS, ExperimentConfig
+from .config import ExperimentConfig
 from .errors import (
     ConfigError, EnergyMimoError, InfeasibleError, OracleSizeError, RealizationError,
 )
 from .model import bs_consumed_power, gain_metrics, pa_consumed_power
-from .precoding import FixedPointConfig, min_pa_precoders, solve_block, zf_precoders
+from .precoding import AS1_PRECODERS, FixedPointConfig, solve_block
 
 # Channel entries (Q * K * M per realization) stacked into one solver block.
 # Block boundaries depend only on the scenario, never on the thread count, so
@@ -295,7 +295,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     bs = sc.bs_model()
     p_max = sc.p_max_watts
     solvers = len(cfg.precoders)
-    capped = [j for j, name in enumerate(cfg.precoders) if name in AS1_PRECODERS]
+    uncapped_columns = [j for j, name in enumerate(cfg.precoders) if name in AS1_PRECODERS]
     zf_column = cfg.precoders.index("zf") if "zf" in cfg.precoders else None
 
     def report_block(block: range):
@@ -304,7 +304,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             solved = solve_block(cfg.precoders, channels, qos_list, cfg.fixed_point(), p_max)
         powers = np.stack([solved[name].powers for name in cfg.precoders], axis=1)
         report = bs_consumed_power(powers, pa, bs)
-        discarded = cfg.discard_over_pmax & np.any(powers[:, capped] > p_max, axis=(1, 2))
+        discarded = cfg.discard_over_pmax & np.any(powers[:, uncapped_columns] > p_max, axis=(1, 2))
         gains = ()  # (gain_pas, gain_bs) against ZF's (R, 1) report, each (R, S)
         gain_pas = gain_bs = np.zeros(len(block) * solvers)  # empty cells without ZF
         if zf_column is not None:
@@ -373,7 +373,9 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             else:
                 optimum, gaps = found.powers, found.gap
         with _global_index(block):
-            solution = min_pa_precoders(channels, qos_list, cfg.fixed_point(), optimum)
+            solution = solve_block(
+                ("min_pa",), channels, qos_list, cfg.fixed_point(), reference=optimum
+            )["min_pa"]
         if failure is not None:
             raise failure
         iterations, trace = solution.iterations, solution.trace
@@ -510,7 +512,7 @@ def _asymptotic_q_error(cfg: ExperimentConfig) -> ExperimentResult:
         def report_block(block: range, q=q):
             terms, channels, qos_list = _draw_block(cfg, block, sc.k_users, q)
             with _global_index(block):
-                powers = zf_precoders(channels, qos_list).powers
+                powers = solve_block(("zf",), channels, qos_list)["zf"].powers
             return (
                 pa_consumed_power(powers, pa),
                 asymptotic_pa_power(sc.m_antennas, sc.k_users, terms.sum(axis=1), pa),
@@ -587,7 +589,7 @@ def validate_suite(cfg: ExperimentConfig) -> ExperimentResult:
         qos = QosTargets(gamma=gamma, noise_power=cfg.scenario.noise_power)
         channel = draw_rayleigh_channel(m, k, q, beta, bruteforce_rng)
         ref = oracle.solve_min_pa_bruteforce_block([channel], [qos], pa).objective[0]
-        powers = min_pa_precoders([channel], [qos], fixed_point).powers[0]
+        powers = solve_block(("min_pa",), [channel], [qos], fixed_point)["min_pa"].powers[0]
         worst_rel = max(worst_rel, abs(pa_consumed_power(powers, pa) - ref) / ref)
     record(
         "bruteforce_equivalence", worst_rel <= 1e-3,

@@ -1,16 +1,15 @@
 """Downlink precoder solvers.
 
-``zf_precoders`` computes the conventional per-subcarrier zero-forcing
-solution minimizing transmit power. ``min_pa_precoders`` minimizes the
-square-root PA consumption under the same QoS constraints by iterating the
-fixed-point power equations. Both solve a list of instances of one channel
-shape at once and return one :class:`PrecoderSolution` whose fields carry
-the block axis; row r equals the solve of instance r alone, bit for bit.
-The closed-form single-user special cases, ``saturating_precoders`` (the
-capped narrowband fill) and ``los_allocation_precoders`` (a chosen LOS
-power split), take and return the same. :func:`solve_block` solves one
-block with several of these at once; the per-solver functions are it with
-one name.
+:func:`solve_block` runs the solvers named in ``SOLVERS``: ``zf``, the
+conventional per-subcarrier zero-forcing solution minimizing transmit
+power; ``min_pa``, which minimizes the square-root PA consumption under
+the same QoS constraints by iterating the fixed-point power equations; and
+``saturating``, the capped single-user narrowband fill in closed form. It
+solves a list of instances of one channel shape at once and returns, by
+name, one :class:`PrecoderSolution` whose fields carry the block axis; row
+r equals the solve of instance r alone, bit for bit.
+``los_allocation_precoders``, the closed-form single-user LOS power split,
+takes and returns the same.
 
 Both iterative solvers and the LOS split take their precoders from one
 weighted zero-forcing kernel, W_q = D_p^(1/2) H_q^H G_q^(-1) D with
@@ -85,8 +84,10 @@ INITIAL_POWER = 1.0
 # M = 256, K = 32, Q = 64.
 ZF_MAP_MAX_USERS = 4
 
-# The solvers that :func:`solve_block` runs by name.
+# The solvers that :func:`solve_block` runs by name, and those of them that
+# ignore ``p_max``.
 SOLVERS = ("zf", "min_pa", "saturating")
+AS1_PRECODERS = ("zf", "min_pa")
 
 # Tolerance on max |[H_q W_q]_{k',k} - delta * (gamma_k/Q)^(1/2) sigma| that
 # every returned solution is expected to satisfy.
@@ -500,19 +501,46 @@ def solve_block(
 ) -> dict[str, PrecoderSolution]:
     """Each named solver's stacked solution of one block of instances, by name.
 
-    ``names`` are among ``SOLVERS``; ``fixed_point`` configures ``min_pa``
-    (the defaults when None), whose trace measures its iterates against the
-    (R, M) ``reference``, and ``p_max`` caps ``saturating``. The instances
-    are stacked and checked once. The channel products are packed once,
-    for ``min_pa`` and for ``zf`` at most ``ZF_MAP_MAX_USERS`` users,
-    and the lifted map at the uniform start is computed once: it is
+    ``names`` is a non-empty sequence of names among ``SOLVERS``; anything
+    else raises :class:`DomainError` before an instance is read.
+    ``channels`` and ``qos_list`` are instances of one channel shape and
+    dtype. Each solution equals that solver's solve alone, bit for bit,
+    whatever the order of ``names``, and its row r equals the solve of
+    ``[channels[r]]`` alone. An error names the list position of the
+    offending instance in ``realization``; where several solvers would fail,
+    ``zf`` raises first, then ``min_pa``, then ``saturating``.
+
+    ``zf`` is the weighted-ZF kernel at uniform power, and its ``matrices``
+    is that kernel, assembled when read. ``min_pa`` runs the fixed-point
+    power iteration, configured by ``fixed_point`` (the defaults when
+    None), from a uniform initial allocation: each sweep maps the current
+    power diagonal to the per-antenna powers of its weighted ZF solution,
+    through a lifted power map that never assembles that solution, until
+    the largest power change drops below the tolerance or the iteration
+    budget is exhausted (then the realization is returned with
+    ``converged`` False rather than damped). Antennas driven below the dead
+    floor are clamped to zero power, which keeps them at zero. Its trace
+    measures each iterate against the (R, M) ``reference``, and its
+    ``matrices`` is the kernel at the final powers, assembled when read.
+    ``saturating`` takes K=1, Q=1 instances. In each, antennas saturate at
+    ``p_max`` in order of decreasing channel gain until the QoS sum
+    sum_m |h_m| p_m^(1/2) reaches noise_std * gamma^(1/2); the last
+    recruited antenna gets the partial power closing the gap exactly. With
+    ``p_max = inf`` this is the uncapped optimum: all power on the strongest
+    antenna (the lowest index on ties), conjugate-phased to meet the target.
+    It raises :class:`InfeasibleError` for the first instance whose
+    saturated sum falls short of its target.
+
+    The instances are stacked and checked once. The channel products are
+    packed once, for ``min_pa`` and for ``zf`` at most ``ZF_MAP_MAX_USERS``
+    users, and the lifted map at the uniform start is computed once: it is
     ``min_pa``'s first iterate and there zero forcing's powers. Above that
     user count zero forcing reads its powers back from the kernel's
-    precoders. No precoder is kept until a solution's ``matrices`` is read.
-    Each solution equals that solver's solve alone, bit for bit, whatever
-    the order of ``names``; where several solvers would fail, ``zf`` raises
-    first, then ``min_pa``, then ``saturating``.
+    precoders, the same up to rounding. No precoder is kept until a
+    solution's ``matrices`` is read.
     """
+    if isinstance(names, str) or not names or not set(names) <= set(SOLVERS):
+        raise DomainError(f"names must be a non-empty sequence of {SOLVERS}, got {names!r}")
     if "saturating" in names and not p_max > 0.0:
         raise DomainError(f"p_max must be positive, got {p_max}")
     h, d = _stack(channels, qos_list)
@@ -538,61 +566,6 @@ def solve_block(
     if "saturating" in names:
         solved["saturating"] = _saturating(h, d, p_max)
     return {name: solved[name] for name in names}
-
-
-def zf_precoders(channels, qos_list) -> PrecoderSolution:
-    """Per-subcarrier zero-forcing precoders minimizing total transmit power.
-
-    ``channels`` and ``qos_list`` are instances of one channel shape and
-    dtype. Zero forcing is the weighted-ZF kernel at uniform power, and
-    ``matrices`` is that kernel, assembled when read. Its powers are the
-    fixed point's first iterate, one lifted-map sweep, for at most
-    ``ZF_MAP_MAX_USERS`` users, and the kernel's powers read back above,
-    the same up to rounding. Returns one stacked solution; row r equals the
-    solve of ``[channels[r]]`` alone.
-    """
-    return solve_block(("zf",), channels, qos_list)["zf"]
-
-
-def min_pa_precoders(
-    channels, qos_list, cfg: FixedPointConfig | None = None, reference=None
-) -> PrecoderSolution:
-    """Precoders minimizing the square-root PA consumption under ZF QoS.
-
-    Runs the fixed-point power iteration from a uniform initial allocation:
-    each sweep maps the current power diagonal to the per-antenna powers of
-    its weighted ZF solution, through a lifted power map that never
-    assembles that solution, until the largest power change drops below
-    the tolerance or the iteration budget is exhausted (then the
-    realization is returned with ``converged`` False rather than damped).
-    Antennas driven below the dead floor are clamped to zero
-    power, which keeps them at zero: a dead antenna is a zero power in the
-    weighted Gram, not a column that leaves it. ``matrices`` is the kernel
-    at the final powers, assembled when read.
-
-    ``channels`` and ``qos_list`` are instances of one channel shape and
-    dtype; they iterate together and the result is one stacked solution.
-    Row r, and realization r's ``trace`` rows against row r of ``reference``,
-    equal the solve of ``[channels[r]]`` alone. A :class:`SingularChannelError`
-    names the list position of the offending instance in ``realization``.
-    """
-    return solve_block(("min_pa",), channels, qos_list, cfg, reference=reference)["min_pa"]
-
-
-def saturating_precoders(channels, qos_list, p_max: float) -> PrecoderSolution:
-    """Single-user narrowband precoders under a per-antenna cap, in closed form.
-
-    ``channels`` and ``qos_list`` are K=1, Q=1 instances of one channel shape
-    and dtype. In each, antennas saturate at ``p_max`` in order of decreasing
-    channel gain until the QoS sum sum_m |h_m| p_m^(1/2) reaches
-    noise_std * gamma^(1/2); the last recruited antenna gets the partial
-    power closing the gap exactly. With ``p_max = inf`` this is the uncapped
-    optimum: all power on the strongest antenna (the lowest index on ties),
-    conjugate-phased to meet the target. Raises :class:`InfeasibleError`
-    for the first instance whose saturated sum falls short of its target;
-    its ``realization`` is that instance's list position.
-    """
-    return solve_block(("saturating",), channels, qos_list, p_max=p_max)["saturating"]
 
 
 def _saturating(h, d, p_max: float) -> PrecoderSolution:

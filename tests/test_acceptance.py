@@ -18,12 +18,11 @@ from energymimo import (
     asymptotic_per_antenna_power,
     bs_consumed_power,
     gain_metrics,
-    min_pa_precoders,
     optimal_ma_plans,
     pa_consumed_power,
+    solve_block,
     solve_quartic_ma,
     trace_term,
-    zf_precoders,
 )
 from energymimo.channel import draw_los_channel
 from energymimo.config import ExperimentConfig, with_scenario
@@ -53,7 +52,7 @@ def test_criterion_01_zf_correctness(table_pa):
         k = int(rng.integers(1, min(m, 8) + 1))
         q = int(rng.integers(1, 129))
         channel, qos = draw_cell_instance(m, k, q, rng)
-        matrices = zf_precoders([channel], [qos]).matrices[0]
+        matrices = solve_block(("zf",), [channel], [qos])["zf"].matrices[0]
         target = np.zeros((k, k), dtype=complex)
         np.fill_diagonal(target, np.sqrt(qos.gamma / q) * qos.noise_std)
         res = float(np.max(np.abs(channel.per_subcarrier @ matrices - target)))
@@ -73,7 +72,7 @@ def test_criterion_02_single_user_exactness(table_pa):
         rng = np.random.default_rng(11_000 + r)
         m = int(rng.integers(2, 33))
         channel, qos = draw_cell_instance(m, 1, 1, rng)
-        sol = min_pa_precoders([channel], [qos], cfg)
+        sol = solve_block(("min_pa",), [channel], [qos], cfg)["min_pa"]
         assert sol.converged[0]
         powers = sol.powers[0]
         h = channel.per_subcarrier[0, 0, :]
@@ -100,7 +99,7 @@ def test_criterion_03_oracle_equivalence(table_pa):
         k = int(rng.integers(1, min(m, 3) + 1))
         q = int(rng.integers(1, 5))
         channel, qos = draw_cell_instance(m, k, q, rng)
-        powers = min_pa_precoders([channel], [qos], cfg).powers[0]
+        powers = solve_block(("min_pa",), [channel], [qos], cfg)["min_pa"].powers[0]
         objective = pa_consumed_power(powers, table_pa)
         reference = solve_min_pa_bruteforce_block([channel], [qos], table_pa).objective[0]
         worst = max(worst, abs(objective - reference) / reference)
@@ -134,7 +133,8 @@ def test_criterion_05_convergence_profile(table_pa):
             draw_cell_instance(32, k_users, 1, np.random.default_rng(42 + r)) for r in range(100)
         ]
         channels, qos_list = zip(*instances)
-        sol = min_pa_precoders(channels, qos_list)  # defaults: eps=1e-4, I_max=2000
+        # defaults: eps=1e-4, I_max=2000
+        sol = solve_block(("min_pa",), channels, qos_list)["min_pa"]
         if k_users == 1:
             gt = analytic_single_user(channels, qos_list, table_pa)
         else:
@@ -162,10 +162,10 @@ def test_criterion_06_wideband_uniformity(table_pa, table_bs):
         )))
         for q in (4, 256)
     }
-    powers = {q: min_pa_precoders(*instances[q]).powers for q in instances}
+    powers = {q: solve_block(("min_pa",), *instances[q])["min_pa"].powers for q in instances}
     report = bs_consumed_power(powers[256], table_pa, table_bs)
     assert np.all(report.m_active == 32)
-    zf = zf_precoders(*instances[256])
+    zf = solve_block(("zf",), *instances[256])["zf"]
     for gains in gain_metrics(bs_consumed_power(zf.powers, table_pa, table_bs), report):
         assert np.all((0.99 <= gains) & (gains <= 1.01))
     cv = lambda p: float(np.std(p) / np.mean(p))
@@ -217,7 +217,7 @@ def test_criterion_08_finite_q_accuracy(table_pa):
             draw_cell_instance(32, k_users, 128, np.random.default_rng(808 + r))
             for r in range(100)
         ]
-        sol = zf_precoders(*zip(*instances))  # the asymptotic-regime precoder
+        sol = solve_block(("zf",), *zip(*instances))["zf"]  # the asymptotic-regime precoder
         errs = []
         for r, ((_, qos), powers) in enumerate(zip(instances, sol.powers)):
             p_sim = pa_consumed_power(powers, table_pa)
@@ -319,13 +319,15 @@ def test_criterion_13_property_suite(table_pa):
 
     channel = ChannelRealization(per_subcarrier=h)
     gamma = np.array([3.0, 7.0])
-    a = min_pa_precoders(
+    a = solve_block(
+        ("min_pa",),
         [channel],
         [QosTargets(gamma=gamma, noise_power=1.0)],
         FixedPointConfig(tolerance=1e-9, max_iterations=20_000),
-    )
+    )["min_pa"]
     c = 5.0
-    b = min_pa_precoders(
+    b = solve_block(
+        ("min_pa",),
         [channel],
         [QosTargets(gamma=gamma, noise_power=c**2)],
         FixedPointConfig(
@@ -333,14 +335,14 @@ def test_criterion_13_property_suite(table_pa):
             max_iterations=20_000,
             dead_antenna_floor=1e-12 * c**2,
         ),
-    )
+    )["min_pa"]
     np.testing.assert_allclose(b.matrices, c * a.matrices, rtol=1e-7, atol=1e-12)
 
     # phase covariance
     phases = np.exp(2j * np.pi * rng.random(2))
     rotated = ChannelRealization(per_subcarrier=phases[None, :, None] * h)
     qos = QosTargets(gamma=gamma, noise_power=1.0)
-    turned, plain = min_pa_precoders([rotated, channel], [qos, qos]).powers
+    turned, plain = solve_block(("min_pa",), [rotated, channel], [qos, qos])["min_pa"].powers
     np.testing.assert_allclose(turned, plain, rtol=1e-9, atol=1e-14)
 
     # quartic residual
@@ -361,7 +363,7 @@ def test_criterion_13_property_suite(table_pa):
     r2 = np.random.default_rng(99)
     ch1, qos1 = draw_cell_instance(16, 4, 4, r1)
     ch2, qos2 = draw_cell_instance(16, 4, 4, r2)
-    s1 = min_pa_precoders([ch1], [qos1])
-    s2 = min_pa_precoders([ch2], [qos2])
+    s1 = solve_block(("min_pa",), [ch1], [qos1])["min_pa"]
+    s2 = solve_block(("min_pa",), [ch2], [qos2])["min_pa"]
     assert np.array_equal(s1.matrices, s2.matrices)
     _report(13, "covariances, quartic residuals, monotonicity and determinism hold")

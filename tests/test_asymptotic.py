@@ -25,7 +25,7 @@ from energymimo.experiments import (
 )
 from energymimo.model import BsModel, pa_consumed_power
 from energymimo.oracle import grid_min_bs, solve_quartic_closed_form
-from energymimo.precoding import zf_precoders
+from energymimo.precoding import solve_block
 
 from conftest import draw_realization
 
@@ -500,7 +500,7 @@ def reference_q_error(cfg):
         results = []
         for index in range(cfg.realizations):
             beta, _, channel, qos = draw_realization(cfg, index, subcarriers=q)
-            powers = zf_precoders([channel], [qos]).powers[0]
+            powers = solve_block(("zf",), [channel], [qos])["zf"].powers[0]
             trace = trace_term(beta, qos.gamma, sc.noise_power)
             results.append((
                 pa_consumed_power(powers, pa),

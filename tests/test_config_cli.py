@@ -10,7 +10,6 @@ from energymimo import experiments, oracle
 from energymimo.channel import ChannelRealization
 from energymimo.cli import main, write_csv
 from energymimo.config import (
-    AS1_PRECODERS,
     ExperimentConfig,
     dbm_to_watts,
     load_config,
@@ -29,7 +28,7 @@ from energymimo.experiments import (
     validate_suite,
 )
 from energymimo.model import bs_consumed_power, gain_metrics
-from energymimo.precoding import min_pa_precoders, saturating_precoders, zf_precoders
+from energymimo.precoding import AS1_PRECODERS, solve_block
 
 from conftest import draw_realization
 
@@ -151,12 +150,12 @@ def reference_run(cfg):
     kept_gains = {name: ([], []) for name in cfg.precoders}  # gain_pas, gain_bs
     for index in range(cfg.realizations):
         _, _, channel, qos = draw_realization(cfg, index, subcarriers=sc.subcarriers)
-        solvers = {
-            "zf": lambda: zf_precoders([channel], [qos]),
-            "min_pa": lambda: min_pa_precoders([channel], [qos], cfg.fixed_point()),
-            "saturating": lambda: saturating_precoders([channel], [qos], sc.p_max_watts),
+        powers = {
+            name: solve_block(
+                (name,), [channel], [qos], cfg.fixed_point(), sc.p_max_watts
+            )[name].powers[0]
+            for name in cfg.precoders
         }
-        powers = {name: solvers[name]().powers[0] for name in cfg.precoders}
         reports = {name: bs_consumed_power(p, pa, bs) for name, p in powers.items()}
         discarded = int(cfg.discard_over_pmax and any(
             np.any(powers[name] > sc.p_max_watts) for name in cfg.precoders
@@ -202,7 +201,9 @@ def reference_convergence(cfg):
             except OracleSizeError:
                 pass
         reference = None if optimum is None else optimum[None, :]
-        solution = min_pa_precoders([channel], [qos], cfg.fixed_point(), reference)
+        solution = solve_block(
+            ("min_pa",), [channel], [qos], cfg.fixed_point(), reference=reference
+        )["min_pa"]
         trace = solution.trace
         assert len(trace) == solution.iterations[0]
         assert trace[-1, 0] == solution.residual[0]
@@ -244,10 +245,12 @@ def assert_same_cells(rows, expected):
                             "seed": 10}, True),
         (("min_pa", "saturating", "zf"), {"m_antennas": 8, "k_users": 1, "p_max_watts": 0.05,
                                           "seed": 11}, False),
+        # Above ZF_MAP_MAX_USERS users zero forcing reads the kernel back.
+        (("zf", "min_pa"), {"m_antennas": 12, "k_users": 6, "subcarriers": 2, "seed": 12}, True),
     ],
     ids=[
         "three_solvers", "min_pa_alone", "all_discarded", "swept_grams", "los", "freq_taps_3",
-        "over_cap_kept_zf_last",
+        "over_cap_kept_zf_last", "zf_kernel_readback",
     ],
 )
 def test_run_equals_reference_loop(monkeypatch, precoders, scenario, discard_over_pmax):
@@ -422,22 +425,22 @@ def test_cli_singular_channel_exit_code(tmp_path, monkeypatch, capsys):
     assert calls == [1, 1, 1]
     assert "infeasible scenario: realization 2: stub Gram failure" in capsys.readouterr().err
 
-    real = exps.min_pa_precoders
     solves = []
 
-    def failing_second_block(channels, qos_list, cfg, reference):
-        solves.append(len(channels))
+    # ``convergence`` solves each block's fixed point with one ``solve_block`` call.
+    def failing_second_block(names, channels, *args, **kwargs):
+        solves.append((names, len(channels)))
         if len(solves) == 2:
             raise SingularChannelError("stub Gram failure", realization=0)
-        return real(channels, qos_list, cfg, reference)
+        return real_block(names, channels, *args, **kwargs)
 
     # Q * K * M = 16 entries per realization: one realization per block.
     monkeypatch.setattr(exps, "BLOCK_ELEMENTS", 16)
-    monkeypatch.setattr(exps, "min_pa_precoders", failing_second_block)
+    monkeypatch.setattr(exps, "solve_block", failing_second_block)
     conv = tmp_path / "conv.cfg"
     conv.write_text("m_antennas = 8\nk_users = 2\nrealizations = 3\nseed = 2\noracle = false\n")
     assert main(["convergence", "--config", str(conv), "--out", str(tmp_path / "c.csv")]) == 2
-    assert solves == [1, 1]
+    assert solves == [(("min_pa",), 1)] * 2
     assert "infeasible scenario: realization 1: stub Gram failure" in capsys.readouterr().err
 
 
@@ -446,28 +449,28 @@ def test_cli_convergence_raises_the_fixed_points_error_before_the_oracles(
 ):
     # Each block's oracle runs first and hands its optimum to the fixed point;
     # an oracle failure is raised only once the fixed point has run.
-    real = experiments.min_pa_precoders
+    real = experiments.solve_block
     solves = []
 
-    def counted(*args):
-        solves.append(len(args[0]))
-        return real(*args)
+    def counted(names, channels, *args, **kwargs):
+        solves.append(len(channels))
+        return real(names, channels, *args, **kwargs)
 
     def failing_oracle(*args, **kwargs):
         raise InfeasibleError("stub oracle failure")
 
-    def failing_fixed_point(*args):
+    def failing_fixed_point(*args, **kwargs):
         raise SingularChannelError("stub Gram failure", realization=0)
 
     conv = tmp_path / "conv.cfg"
     conv.write_text("m_antennas = 6\nk_users = 2\nrealizations = 3\nseed = 2\n")
     argv = ["convergence", "--config", str(conv), "--out", str(tmp_path / "c.csv")]
     monkeypatch.setattr(oracle, "solve_min_pa_bruteforce_block", failing_oracle)
-    monkeypatch.setattr(experiments, "min_pa_precoders", counted)
+    monkeypatch.setattr(experiments, "solve_block", counted)
     assert main(argv) == 2
     assert capsys.readouterr().err == "infeasible scenario: stub oracle failure\n"
     assert solves == [3]
-    monkeypatch.setattr(experiments, "min_pa_precoders", failing_fixed_point)
+    monkeypatch.setattr(experiments, "solve_block", failing_fixed_point)
     assert main(argv) == 2
     assert capsys.readouterr().err == "infeasible scenario: realization 0: stub Gram failure\n"
     assert not (tmp_path / "c.csv").exists()

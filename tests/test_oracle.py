@@ -11,10 +11,8 @@ import pytest
 from energymimo import (
     FixedPointConfig,
     QosTargets,
-    min_pa_precoders,
     pa_consumed_power,
-    saturating_precoders,
-    zf_precoders,
+    solve_block,
 )
 from energymimo.channel import ChannelRealization, draw_los_channel
 from energymimo import oracle
@@ -37,7 +35,7 @@ def test_bruteforce_matches_single_user_closed_form(table_pa):
     rng = np.random.default_rng(50)
     channel, qos = draw_cell_instance(5, 1, 1, rng)
     result = alone(channel, qos, table_pa)
-    closed = saturating_precoders([channel], [qos], np.inf)
+    closed = solve_block(("saturating",), [channel], [qos], p_max=np.inf)["saturating"]
     assert result.objective[0] == pytest.approx(
         pa_consumed_power(closed.powers[0], table_pa), rel=1e-5
     )
@@ -56,9 +54,9 @@ def test_bruteforce_los_objective(table_pa):
 def test_bruteforce_matches_fixed_point(table_pa):
     rng = np.random.default_rng(52)
     channel, qos = draw_cell_instance(4, 2, 2, rng)
-    solution = min_pa_precoders(
-        [channel], [qos], FixedPointConfig(tolerance=1e-11, max_iterations=50_000)
-    )
+    solution = solve_block(
+        ("min_pa",), [channel], [qos], FixedPointConfig(tolerance=1e-11, max_iterations=50_000)
+    )["min_pa"]
     result = alone(channel, qos, table_pa)
     assert pa_consumed_power(solution.powers[0], table_pa) == pytest.approx(
         result.objective[0], rel=1e-3
@@ -69,7 +67,7 @@ def test_bruteforce_never_beats_feasibility(table_pa):
     rng = np.random.default_rng(53)
     channel, qos = draw_cell_instance(6, 2, 2, rng)
     result = alone(channel, qos, table_pa)
-    zf = zf_precoders([channel], [qos])
+    zf = solve_block(("zf",), [channel], [qos])["zf"]
     assert result.objective[0] <= pa_consumed_power(zf.powers[0], table_pa) + 1e-9
 
 
@@ -94,10 +92,10 @@ def test_bruteforce_certifies_its_optimum(table_pa, subcarriers):
         assert residual <= 1e-9 * qos.noise_std * np.sqrt(qos.gamma.max() / subcarriers)
         # weak duality: the dual bound lies below every feasible consumption
         bound = result.objective[0] / (1.0 + gap)
-        zf = zf_precoders([channel], [qos]).powers[0]
-        min_pa = min_pa_precoders(
-            [channel], [qos], FixedPointConfig(tolerance=1e-11, max_iterations=50_000)
-        ).powers[0]
+        zf = solve_block(("zf",), [channel], [qos])["zf"].powers[0]
+        min_pa = solve_block(
+            ("min_pa",), [channel], [qos], FixedPointConfig(tolerance=1e-11, max_iterations=50_000)
+        )["min_pa"].powers[0]
         assert bound <= pa_consumed_power(zf, table_pa)
         assert bound <= pa_consumed_power(min_pa, table_pa)
 
@@ -339,9 +337,9 @@ def test_analytic_block_rows_equal_the_closed_form(table_pa):
         expected[strongest] = qos.noise_power * qos.gamma[0] / gains[strongest] ** 2
         assert np.array_equal(result.powers[r], expected)
         assert result.objective[r] == table_pa.alpha * np.sqrt(expected[strongest])
+        closed = solve_block(("saturating",), [channel], [qos])["saturating"]
         assert result.objective[r] == pytest.approx(
-            pa_consumed_power(saturating_precoders([channel], [qos], np.inf).powers[0], table_pa),
-            rel=1e-12,
+            pa_consumed_power(closed.powers[0], table_pa), rel=1e-12
         )
         solo = analytic_single_user([channel], [qos], table_pa)
         assert np.array_equal(solo.powers[0], result.powers[r])

@@ -1,7 +1,7 @@
 import gc
+import re
 import tracemalloc
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -11,11 +11,9 @@ from energymimo import (
     FixedPointConfig,
     QosTargets,
     los_allocation_precoders,
-    min_pa_precoders,
     pa_consumed_power,
     per_antenna_powers,
-    saturating_precoders,
-    zf_precoders,
+    solve_block,
 )
 from energymimo.channel import draw_los_channel, draw_rayleigh_channel
 from energymimo.errors import DimensionError, DomainError, InfeasibleError, SingularChannelError
@@ -23,6 +21,7 @@ from energymimo.model import ACTIVE_POWER_THRESHOLD
 from energymimo.oracle import solve_min_pa_bruteforce_block
 from energymimo.precoding import (
     GRAM_CONDITION_LIMIT,
+    SOLVERS,
     ZF_MAP_MAX_USERS,
     ZF_TOLERANCE,
     _fixed_point,
@@ -32,7 +31,6 @@ from energymimo.precoding import (
     _stack,
     _sweep_inverse,
     _weighted_zf,
-    solve_block,
 )
 
 from conftest import draw_cell_instance
@@ -43,13 +41,10 @@ def narrowband_channel(h_rows):
     return ChannelRealization(per_subcarrier=h[None, :, :])
 
 
-uncapped_saturating = partial(saturating_precoders, p_max=np.inf)
-
-
 def saturating(h, gamma, noise_std, p_max):
     """The saturating fill of one narrowband K=1 channel ``h``, as an R=1 stack."""
     qos = QosTargets(gamma=[gamma], noise_power=noise_std**2)
-    return saturating_precoders([narrowband_channel(h)], [qos], p_max)
+    return solve_block(("saturating",), [narrowband_channel(h)], [qos], p_max=p_max)["saturating"]
 
 
 def zf_residual(channel, qos, matrices):
@@ -61,14 +56,14 @@ def zf_residual(channel, qos, matrices):
 
 def test_zf_scalar_case():
     qos = QosTargets(gamma=[4.0], noise_power=1.0)
-    sol = zf_precoders([narrowband_channel([[1.0]])], [qos])
+    sol = solve_block(("zf",), [narrowband_channel([[1.0]])], [qos])["zf"]
     assert sol.matrices.ravel() == pytest.approx([2.0 + 0.0j])
     assert sol.powers.sum() == pytest.approx(4.0)
 
 
 def test_zf_two_antenna_pseudo_inverse():
     qos = QosTargets(gamma=[4.0], noise_power=1.0)
-    sol = zf_precoders([narrowband_channel([[1.0, 1.0]])], [qos])
+    sol = solve_block(("zf",), [narrowband_channel([[1.0, 1.0]])], [qos])["zf"]
     assert sol.matrices.ravel() == pytest.approx([1.0, 1.0])
     assert sol.powers.sum() == pytest.approx(2.0)
 
@@ -76,7 +71,7 @@ def test_zf_two_antenna_pseudo_inverse():
 def test_zf_residual_on_random_instances():
     rng = np.random.default_rng(21)
     instances = [draw_cell_instance(16, 4, 8, rng) for _ in range(5)]
-    sol = zf_precoders(*zip(*instances))
+    sol = solve_block(("zf",), *zip(*instances))["zf"]
     for r, (channel, qos) in enumerate(instances):
         assert zf_residual(channel, qos, sol.matrices[r]) <= 1e-9
     assert sol.powers == pytest.approx(per_antenna_powers(sol.matrices), rel=1e-10)
@@ -86,7 +81,7 @@ def test_zf_rejects_rank_deficient_channel():
     h = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
     qos = QosTargets(gamma=[2.0, 2.0], noise_power=1.0)
     with pytest.raises(SingularChannelError):
-        zf_precoders([narrowband_channel(h)], [qos])
+        solve_block(("zf",), [narrowband_channel(h)], [qos])
 
 
 def test_fixed_point_config_rejects_nan():
@@ -102,17 +97,32 @@ def test_fixed_point_config_rejects_nan():
             FixedPointConfig(**kwargs)
 
 
+def test_solve_block_refuses_bad_names_before_stacking(monkeypatch):
+    # A bare string, no name or an unknown one is refused, with the solver
+    # list, before any instance is stacked or checked; a bare "saturating"
+    # with an invalid cap still gets the names error.
+    channel, qos = draw_cell_instance(8, 2, 1, np.random.default_rng(41))
+
+    def refuse(*args):
+        raise AssertionError("stacked the block")
+
+    monkeypatch.setattr("energymimo.precoding._stack", refuse)
+    for names in ("zf", "saturating", (), [], ("foo",), ("zf", "foo")):
+        with pytest.raises(DomainError, match=re.escape(str(SOLVERS))):
+            solve_block(names, [channel], [qos], p_max=0.0)
+
+
 def test_zf_rejects_underdetermined():
     qos = QosTargets(gamma=[1.0, 1.0], noise_power=1.0)
     with pytest.raises(SingularChannelError):
-        zf_precoders([narrowband_channel(np.ones((2, 1)))], [qos])
+        solve_block(("zf",), [narrowband_channel(np.ones((2, 1)))], [qos])
 
 
 def test_min_pa_single_user_strongest_antenna():
     # h = [2, 1]: everything lands on the first antenna, p0 = gamma sigma^2 / 4.
     qos = QosTargets(gamma=[4.0], noise_power=1.0)
     cfg = FixedPointConfig(tolerance=1e-12, max_iterations=50_000)
-    sol = min_pa_precoders([narrowband_channel([[2.0, 1.0]])], [qos], cfg)
+    sol = solve_block(("min_pa",), [narrowband_channel([[2.0, 1.0]])], [qos], cfg)["min_pa"]
     assert sol.converged[0]
     powers = sol.powers[0]
     assert powers[0] == pytest.approx(1.0, rel=1e-6)
@@ -125,7 +135,7 @@ def test_min_pa_wideband_los_manifold():
     rng = np.random.default_rng(22)
     channel = draw_los_channel(6, 1, 8, rng)
     qos = QosTargets(gamma=[9.0], noise_power=4.0)
-    sol = min_pa_precoders([channel], [qos])
+    sol = solve_block(("min_pa",), [channel], [qos])["min_pa"]
     assert sol.converged[0]
     assert np.sum(np.sqrt(sol.powers[0])) == pytest.approx(2.0 * 3.0, rel=1e-4)
     assert zf_residual(channel, qos, sol.matrices[0]) <= 1e-9
@@ -135,23 +145,23 @@ def test_min_pa_square_channel_matches_zf():
     # K = M: the ZF point is the only feasible one.
     rng = np.random.default_rng(23)
     channel, qos = draw_cell_instance(3, 3, 1, rng)
-    zf = zf_precoders([channel], [qos])
-    mp = min_pa_precoders([channel], [qos])
+    zf = solve_block(("zf",), [channel], [qos])["zf"]
+    mp = solve_block(("min_pa",), [channel], [qos])["min_pa"]
     assert mp.powers == pytest.approx(zf.powers, rel=1e-8)
 
 
 def test_min_pa_never_worse_than_zf(table_pa):
     rng = np.random.default_rng(24)
     channels, targets = zip(*(draw_cell_instance(12, 3, 2, rng) for _ in range(5)))
-    lhs = pa_consumed_power(min_pa_precoders(channels, targets).powers, table_pa)
-    rhs = pa_consumed_power(zf_precoders(channels, targets).powers, table_pa)
+    lhs = pa_consumed_power(solve_block(("min_pa",), channels, targets)["min_pa"].powers, table_pa)
+    rhs = pa_consumed_power(solve_block(("zf",), channels, targets)["zf"].powers, table_pa)
     assert np.all(lhs <= rhs + 1e-4)
 
 
 def test_min_pa_honors_iteration_budget():
     qos = QosTargets(gamma=[4.0], noise_power=1.0)
     cfg = FixedPointConfig(tolerance=1e-15, max_iterations=3)
-    sol = min_pa_precoders([narrowband_channel([[2.0, 1.9]])], [qos], cfg)
+    sol = solve_block(("min_pa",), [narrowband_channel([[2.0, 1.9]])], [qos], cfg)["min_pa"]
     assert not sol.converged[0]
     assert sol.iterations[0] == 3
     assert sol.residual[0] > 1e-15
@@ -174,7 +184,8 @@ def trace_rows(stacked, r):
 
 def iterate(channels, qos_list, cfg, i):
     """The fixed point's i-th (R, M) iterate: the powers its kernel holds after i iterations."""
-    return min_pa_precoders(channels, qos_list, replace(cfg, max_iterations=i))._kernel[2]
+    budget = replace(cfg, max_iterations=i)
+    return solve_block(("min_pa",), channels, qos_list, budget)["min_pa"]._kernel[2]
 
 
 def test_min_pa_trace_recording():
@@ -195,8 +206,11 @@ def test_min_pa_trace_recording():
     for block, fixed_point in blocks:
         channels, qos_list = zip(*block)
         reference = rng.uniform(0.0, 1.0, (len(block), channels[0].m_antennas))
-        sol = min_pa_precoders(channels, qos_list, fixed_point, reference)
-        assert np.isnan(min_pa_precoders(channels, qos_list, fixed_point).trace[:, 1]).all()
+        sol = solve_block(
+            ("min_pa",), channels, qos_list, fixed_point, reference=reference
+        )["min_pa"]
+        plain = solve_block(("min_pa",), channels, qos_list, fixed_point)["min_pa"]
+        assert np.isnan(plain.trace[:, 1]).all()
         for r in range(len(block)):
             rows = trace_rows(sol, r)
             assert rows[-1, 0] == sol.residual[r]
@@ -211,7 +225,7 @@ def test_min_pa_trace_recording():
     assert clamps > 0
     assert saturating([[2.0, 1.0]], 4.0, 1.0, np.inf).trace.shape == (0, 2)
     with pytest.raises(DimensionError, match=r"reference must have shape \(2, 6\), got \(6,\)"):
-        min_pa_precoders(channels, qos_list, fixed_point, reference[0])
+        solve_block(("min_pa",), channels, qos_list, fixed_point, reference=reference[0])
 
 
 def test_solve_sorts_the_trace_only_when_read():
@@ -237,7 +251,7 @@ def test_solve_sorts_the_trace_only_when_read():
 def test_min_pa_zf_residual_holds(table_pa):
     rng = np.random.default_rng(25)
     channel, qos = draw_cell_instance(8, 2, 4, rng)
-    sol = min_pa_precoders([channel], [qos])
+    sol = solve_block(("min_pa",), [channel], [qos])["min_pa"]
     assert zf_residual(channel, qos, sol.matrices[0]) <= 1e-9
 
 
@@ -247,8 +261,9 @@ def test_min_pa_narrowband_matches_stacked_core():
     rng = np.random.default_rng(26)
     h = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
     qos = QosTargets(gamma=[2.0, 3.0], noise_power=1.0)
-    direct = min_pa_precoders([narrowband_channel(h)], [qos])
-    stacked = min_pa_precoders([narrowband_channel(h.conj()), narrowband_channel(h)], [qos] * 2)
+    direct = solve_block(("min_pa",), [narrowband_channel(h)], [qos])["min_pa"]
+    pair = [narrowband_channel(h.conj()), narrowband_channel(h)]
+    stacked = solve_block(("min_pa",), pair, [qos] * 2)["min_pa"]
     assert np.array_equal(direct.powers[0], stacked.powers[1])
 
 
@@ -257,8 +272,8 @@ def test_min_pa_narrowband_single_user_closed_form():
     h = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     qos = QosTargets(gamma=[6.0], noise_power=1.0)
     cfg = FixedPointConfig(tolerance=1e-12, max_iterations=50_000)
-    iterated = min_pa_precoders([narrowband_channel(h[None, :])], [qos], cfg)
-    closed = uncapped_saturating([narrowband_channel(h[None, :])], [qos])
+    iterated = solve_block(("min_pa",), [narrowband_channel(h[None, :])], [qos], cfg)["min_pa"]
+    closed = solve_block(("saturating",), [narrowband_channel(h[None, :])], [qos])["saturating"]
     assert iterated.powers[0] == pytest.approx(closed.powers[0], rel=1e-5, abs=1e-9)
 
 
@@ -294,13 +309,15 @@ def test_stacked_min_pa_equals_one_at_a_time():
     rng = np.random.default_rng(49)
     references = [rng.uniform(0.0, 1.0, (len(group), 6)) for group in groups]
     stacks = [
-        min_pa_precoders(*zip(*group), cfg, reference)
+        solve_block(("min_pa",), *zip(*group), cfg, reference=reference)["min_pa"]
         for group, reference in zip(groups, references)
     ]
     for group, stacked, reference in zip(groups, stacks, references):
         assert stacked.matrices.shape[0] == len(group)
         for r, (channel, qos) in enumerate(group):
-            alone = min_pa_precoders([channel], [qos], cfg, reference[r:r + 1])
+            alone = solve_block(
+                ("min_pa",), [channel], [qos], cfg, reference=reference[r:r + 1]
+            )["min_pa"]
             assert_same_row(stacked, r, alone)
             assert zf_residual(channel, qos, alone.matrices[0]) <= ZF_TOLERANCE
     narrow, wide, swept = stacks
@@ -363,7 +380,7 @@ def test_stacked_min_pa_equals_reference_loop():
     eps = np.finfo(float).eps
     for cfg in (FixedPointConfig(), FixedPointConfig(max_iterations=40)):
         for group in groups_by_shape(instances):
-            stacked = min_pa_precoders(*zip(*group), cfg)
+            stacked = solve_block(("min_pa",), *zip(*group), cfg)["min_pa"]
             for r, (channel, qos) in enumerate(group):
                 w, iterations, residual = reference_min_pa(channel, qos, cfg)
                 powers = per_antenna_powers(w)
@@ -398,7 +415,7 @@ def test_zf_is_the_fixed_points_first_iterate():
     for group in groups_by_shape(instances):
         channels, targets = zip(*group)
         first = iterate(channels, targets, FixedPointConfig(), 1)
-        zf = zf_precoders(channels, targets).powers
+        zf = solve_block(("zf",), channels, targets)["zf"].powers
         if channels[0].k_users <= ZF_MAP_MAX_USERS:
             assert np.array_equal(zf, first)
             continue
@@ -418,9 +435,11 @@ def test_first_trace_row_measures_zero_forcing():
     cfg = FixedPointConfig(max_iterations=1)
     for m, k, q in ((12, 1, 8), (64, 1, 1), (16, 3, 1), (10, 2, 4), (24, ZF_MAP_MAX_USERS, 32)):
         channels, qos_list = zip(*(draw_cell_instance(m, k, q, rng) for _ in range(3)))
-        zf = zf_precoders(channels, qos_list).powers
+        zf = solve_block(("zf",), channels, qos_list)["zf"].powers
         reference = rng.uniform(0.0, zf.max(), (3, m))
-        trace = min_pa_precoders(channels, qos_list, cfg, reference).trace
+        trace = solve_block(
+            ("min_pa",), channels, qos_list, cfg, reference=reference
+        )["min_pa"].trace
         assert trace.shape == (3, 2)
         for r in range(3):
             assert trace[r, 0] == np.abs(zf[r] - 1.0).max()
@@ -439,7 +458,8 @@ def test_matrices_are_assembled_when_read():
     for group in groups_by_shape(instances):
         channels, qos_list = zip(*group)
         for solution in (
-            zf_precoders(channels, qos_list), min_pa_precoders(channels, qos_list, cfg)
+            solve_block(("zf",), channels, qos_list)["zf"],
+            solve_block(("min_pa",), channels, qos_list, cfg)["min_pa"],
         ):
             assert "matrices" not in vars(solution)
             matrices = solution.matrices
@@ -457,14 +477,16 @@ def test_block_solve_shares_one_packing_in_any_order():
     rng = np.random.default_rng(73)
     channels, qos_list = zip(*(draw_cell_instance(16, 2, 32, rng) for _ in range(8)))
     cfg = FixedPointConfig()
-    zf = zf_precoders(channels, qos_list)
+    zf = solve_block(("zf",), channels, qos_list)["zf"]
     reference = rng.uniform(0.0, zf.powers.max(), zf.powers.shape)
     # A floor just above the smallest ZF power clamps an antenna of the
     # first iterate to zero; zero forcing's powers must not see it.
     floor = np.sort(zf.powers, axis=1)[:, 1].min()
     pruning = FixedPointConfig(dead_antenna_floor=floor, max_iterations=5)
     for fixed_point in (cfg, pruning):
-        min_pa = min_pa_precoders(channels, qos_list, fixed_point, reference)
+        min_pa = solve_block(
+            ("min_pa",), channels, qos_list, fixed_point, reference=reference
+        )["min_pa"]
         for names in (("zf", "min_pa"), ("min_pa", "zf")):
             solved = solve_block(names, channels, qos_list, fixed_point, reference=reference)
             assert list(solved) == list(names)
@@ -472,7 +494,8 @@ def test_block_solve_shares_one_packing_in_any_order():
             for name in ("powers", "iterations", "converged", "residual", "trace"):
                 assert np.array_equal(getattr(solved["min_pa"], name), getattr(min_pa, name))
     assert np.any(zf.powers < floor)
-    assert len(set(min_pa_precoders(channels, qos_list, cfg).iterations.tolist())) > 2
+    iterations = solve_block(("min_pa",), channels, qos_list, cfg)["min_pa"].iterations
+    assert len(set(iterations.tolist())) > 2
     # The fixed point writes into neither shared array.
     h, d = _stack(channels, qos_list)
     packed, targets = _packed_products(h), squared_targets(d)
@@ -492,9 +515,9 @@ def test_zf_alone_packs_only_up_to_the_map_users(monkeypatch):
     blocks = {}
     for k in (ZF_MAP_MAX_USERS, ZF_MAP_MAX_USERS + 1):
         channels, qos_list = zip(*(draw_cell_instance(16, k, 32, rng) for _ in range(4)))
-        zf = zf_precoders(channels, qos_list)
+        zf = solve_block(("zf",), channels, qos_list)["zf"]
         reference = rng.uniform(0.0, zf.powers.max(), zf.powers.shape)
-        min_pa = min_pa_precoders(channels, qos_list, cfg, reference)
+        min_pa = solve_block(("min_pa",), channels, qos_list, cfg, reference=reference)["min_pa"]
         for names in (("zf", "min_pa"), ("min_pa", "zf")):
             solved = solve_block(names, channels, qos_list, cfg, reference=reference)
             assert np.array_equal(solved["zf"].powers, zf.powers)
@@ -507,11 +530,11 @@ def test_zf_alone_packs_only_up_to_the_map_users(monkeypatch):
 
     monkeypatch.setattr("energymimo.precoding._packed_products", refuse)
     channels, qos_list, zf_powers = blocks[ZF_MAP_MAX_USERS + 1]
-    assert np.array_equal(zf_precoders(channels, qos_list).powers, zf_powers)
+    assert np.array_equal(solve_block(("zf",), channels, qos_list)["zf"].powers, zf_powers)
     with pytest.raises(AssertionError, match="packed"):
-        min_pa_precoders(channels, qos_list)
+        solve_block(("min_pa",), channels, qos_list)
     with pytest.raises(AssertionError, match="packed"):
-        zf_precoders(*blocks[ZF_MAP_MAX_USERS][:2])
+        solve_block(("zf",), *blocks[ZF_MAP_MAX_USERS][:2])
 
 
 def squared_targets(d):
@@ -613,7 +636,7 @@ def test_power_map_just_inside_the_condition_limit():
 
         # The kernel inverts the same Grams: its ZF residual |HW - D| / |D| on
         # each subcarrier stays within rounding of the condition estimate.
-        zf = zf_precoders(channels, targets)
+        zf = solve_block(("zf",), channels, targets)["zf"]
         for channel, w, targets in zip(channels, zf.matrices, d):
             error = np.linalg.norm(channel.per_subcarrier @ w - np.diag(targets), axis=(1, 2))
             residual = error.max() / np.linalg.norm(targets)
@@ -626,19 +649,20 @@ def test_stacked_zf_equals_one_at_a_time():
     # The Q=32 instances invert by the sweep.
     instances = [draw_cell_instance(8, 2, q, rng) for q in (1, 3, 32, 1, 3, 32, 1, 32)]
     for group in groups_by_shape(instances):
-        stacked = zf_precoders(*zip(*group))
+        stacked = solve_block(("zf",), *zip(*group))["zf"]
         for r, (channel, qos) in enumerate(group):
-            assert_same_row(stacked, r, zf_precoders([channel], [qos]))
+            assert_same_row(stacked, r, solve_block(("zf",), [channel], [qos])["zf"])
     # The saturating closed form too, with the cap slack and with it binding
     # in every row (a third of the smallest uncapped peak power).
     channels, targets = zip(*(draw_cell_instance(8, 1, 1, rng) for _ in range(5)))
-    cap = uncapped_saturating(channels, targets).powers.max(axis=1).min() / 3
+    cap = solve_block(("saturating",), channels, targets)["saturating"].powers.max(axis=1).min() / 3
     for p_max in (np.inf, cap):
-        stacked = saturating_precoders(channels, targets, p_max)
+        stacked = solve_block(("saturating",), channels, targets, p_max=p_max)["saturating"]
         active = np.count_nonzero(stacked.powers, axis=1)
         assert np.all(active == 1) if p_max == np.inf else np.all(active > 1)
         for r, (channel, qos) in enumerate(zip(channels, targets)):
-            assert_same_row(stacked, r, saturating_precoders([channel], [qos], p_max))
+            alone = solve_block(("saturating",), [channel], [qos], p_max=p_max)["saturating"]
+            assert_same_row(stacked, r, alone)
 
 
 def test_condition_guard_is_per_realization():
@@ -665,25 +689,25 @@ def test_condition_guard_is_per_realization():
         qos = QosTargets(gamma=[4.0, 6.0], noise_power=10.0 ** (-12.6))
         cfg = FixedPointConfig(max_iterations=50)
         channels = [weak, strong, weak]
-        stacked = min_pa_precoders(channels, [qos] * 3, cfg)
+        stacked = solve_block(("min_pa",), channels, [qos] * 3, cfg)["min_pa"]
         for r, channel in enumerate(channels):
-            assert_same_row(stacked, r, min_pa_precoders([channel], [qos], cfg))
-        stacked = zf_precoders(channels, [qos] * 3)
+            assert_same_row(stacked, r, solve_block(("min_pa",), [channel], [qos], cfg)["min_pa"])
+        stacked = solve_block(("zf",), channels, [qos] * 3)["zf"]
         for r, channel in enumerate(channels):
-            assert_same_row(stacked, r, zf_precoders([channel], [qos]))
+            assert_same_row(stacked, r, solve_block(("zf",), [channel], [qos])["zf"])
 
 
 def test_stacked_errors_name_the_realization():
     rng = np.random.default_rng(38)
     good, qos = draw_cell_instance(4, 2, 1, rng)
     deficient = narrowband_channel(np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]]))
-    for solve in (zf_precoders, min_pa_precoders):
+    for name in ("zf", "min_pa"):
         with pytest.raises(SingularChannelError) as err:
-            solve([good, good, deficient, good], [qos] * 4)
+            solve_block((name,), [good, good, deficient, good], [qos] * 4)
         assert err.value.realization == 2
         assert str(err.value).startswith("realization 2: ")
     with pytest.raises(DimensionError):
-        min_pa_precoders([good, good], [qos])
+        solve_block(("min_pa",), [good, good], [qos])
     # The saturating fill reports the first instance that falls short, with
     # the message its solve alone gives.
     one, one_qos = draw_cell_instance(4, 1, 1, rng)
@@ -691,31 +715,31 @@ def test_stacked_errors_name_the_realization():
         ChannelRealization(scale * one.per_subcarrier) for scale in (1e-3, 1e-4)
     )
     with pytest.raises(InfeasibleError) as alone:
-        saturating_precoders([weak], [one_qos], 1.0)
+        solve_block(("saturating",), [weak], [one_qos], p_max=1.0)
     with pytest.raises(InfeasibleError) as err:
-        saturating_precoders([one, weak, faint, one], [one_qos] * 4, 1.0)
+        solve_block(("saturating",), [one, weak, faint, one], [one_qos] * 4, p_max=1.0)
     assert err.value.reason == alone.value.reason
     assert err.value.realization == 1
     assert str(err.value).startswith("realization 1: ")
     with pytest.raises(DimensionError):
-        uncapped_saturating([one, one], [one_qos])
+        solve_block(("saturating",), [one, one], [one_qos])
     # At Q=32 the sweep finds the rank-deficient subcarrier of instance 2.
     wide, wide_qos = draw_cell_instance(4, 2, 32, rng)
     h = wide.per_subcarrier.copy()
     h[17, 1] = h[17, 0]
     deficient = ChannelRealization(h)
-    for solve in (zf_precoders, min_pa_precoders):
+    for name in ("zf", "min_pa"):
         with pytest.raises(SingularChannelError) as err:
-            solve([wide, wide, deficient, wide], [wide_qos] * 4)
+            solve_block((name,), [wide, wide, deficient, wide], [wide_qos] * 4)
         assert err.value.realization == 2
         assert str(err.value).startswith("realization 2: ")
 
 
 def test_non_finite_channel_entry_names_the_instance():
     rng = np.random.default_rng(39)
-    for k_users, subcarriers, solvers in (
-        (2, 3, (zf_precoders, min_pa_precoders)),
-        (1, 1, (zf_precoders, min_pa_precoders, uncapped_saturating)),
+    for k_users, subcarriers, names in (
+        (2, 3, ("zf", "min_pa")),
+        (1, 1, ("zf", "min_pa", "saturating")),
     ):
         instances = [draw_cell_instance(6, k_users, subcarriers, rng) for _ in range(3)]
         qos_list = [qos for _, qos in instances]
@@ -723,9 +747,9 @@ def test_non_finite_channel_entry_names_the_instance():
             h = instances[1][0].per_subcarrier.copy()
             h[-1, -1, 4] = bad
             channels = [instances[0][0], ChannelRealization(h), instances[2][0]]
-            for solve in solvers:
+            for name in names:
                 with pytest.raises(DomainError, match="instance 1 "):
-                    solve(channels, qos_list)
+                    solve_block((name,), channels, qos_list)
 
 
 def test_guard_refuses_an_overflowed_gram():
@@ -747,9 +771,9 @@ def test_guard_refuses_an_overflowed_gram():
             assert err.value.reason == (
                 "Gram condition estimate is not finite (NaN or overflowed Gram entries)"
             )
-            for solve in (zf_precoders, min_pa_precoders):
+            for name in ("zf", "min_pa"):
                 with pytest.raises(SingularChannelError) as err:
-                    solve(channels, [qos] * 3)
+                    solve_block((name,), channels, [qos] * 3)
                 assert err.value.realization == 1
                 assert "estimate is not finite" in str(err.value)
     # A K=1 stack whose every Gram entry overflowed has only infinite pivots.
@@ -782,15 +806,15 @@ def test_sweep_inverse_matches_lapack():
 
 def test_stacked_solvers_need_one_channel_shape_and_dtype():
     rng = np.random.default_rng(38)
-    for k_users, solvers in (
-        (2, (zf_precoders, min_pa_precoders)),
-        (1, (zf_precoders, min_pa_precoders, uncapped_saturating)),
+    for k_users, names in (
+        (2, ("zf", "min_pa")),
+        (1, ("zf", "min_pa", "saturating")),
     ):
         narrow, qos = draw_cell_instance(6, k_users, 1, rng)
         other_m, _ = draw_cell_instance(7, k_users, 1, rng)
         wide, wide_qos = draw_cell_instance(6, k_users, 3, rng)
         single = ChannelRealization(narrow.per_subcarrier.astype(np.complex64))
-        for solve in solvers:
+        for name in names:
             for channels, targets in (
                 ([narrow, other_m], [qos, qos]),
                 ([narrow, wide], [qos, wide_qos]),
@@ -798,12 +822,12 @@ def test_stacked_solvers_need_one_channel_shape_and_dtype():
                 ([], []),
             ):
                 with pytest.raises(DimensionError):
-                    solve(channels, targets)
+                    solve_block((name,), channels, targets)
     # The saturating fill takes K=1, Q=1 instances only.
     for k_users, subcarriers in ((2, 1), (1, 3)):
         channel, qos = draw_cell_instance(6, k_users, subcarriers, rng)
         with pytest.raises(DimensionError, match="K=1 and Q=1"):
-            uncapped_saturating([channel] * 2, [qos] * 2)
+            solve_block(("saturating",), [channel] * 2, [qos] * 2)
 
 
 def test_error_names_the_realization_after_others_converge():
@@ -815,7 +839,7 @@ def test_error_names_the_realization_after_others_converge():
     faint = QosTargets(gamma=[1.0, 1.0], noise_power=1e-6)
     cfg = FixedPointConfig(dead_antenna_floor=1e-3)
     with pytest.raises(SingularChannelError) as err:
-        min_pa_precoders([eye, eye, eye], [unit, unit, faint], cfg)
+        solve_block(("min_pa",), [eye, eye, eye], [unit, unit, faint], cfg)
     assert err.value.realization == 2
 
 
@@ -929,13 +953,16 @@ def test_saturating_equals_reference_loop():
         short = [i for i, w in enumerate(expected) if w is None]
         if short:
             with pytest.raises(InfeasibleError) as err:
-                saturating_precoders(channels, qos_list, p_max)
+                solve_block(("saturating",), channels, qos_list, p_max=p_max)
             with pytest.raises(InfeasibleError) as alone:
-                saturating_precoders([channels[short[0]]], [qos_list[short[0]]], p_max)
+                solve_block(
+                    ("saturating",), [channels[short[0]]], [qos_list[short[0]]], p_max=p_max
+                )
             assert err.value.reason == alone.value.reason
             assert err.value.realization == short[0]
         else:
-            matrices = saturating_precoders(channels, qos_list, p_max).matrices
+            solved = solve_block(("saturating",), channels, qos_list, p_max=p_max)
+            matrices = solved["saturating"].matrices
             assert np.array_equal(matrices[:, 0, :, 0], np.stack(expected))
         outcomes.add(bool(short))
     assert outcomes == {False, True}
@@ -1006,8 +1033,8 @@ def test_qos_channel_mismatch_raises(table_pa):
     channel, _ = draw_cell_instance(4, 2, 2, rng)
     qos = QosTargets(gamma=[1.0], noise_power=1.0)
     for solve in (
-        lambda: zf_precoders([channel], [qos]),
-        lambda: min_pa_precoders([channel], [qos]),
+        lambda: solve_block(("zf",), [channel], [qos])["zf"],
+        lambda: solve_block(("min_pa",), [channel], [qos])["min_pa"],
         lambda: solve_min_pa_bruteforce_block([channel], [qos], table_pa),
     ):
         with pytest.raises(DimensionError) as raised:
@@ -1024,8 +1051,8 @@ def test_one_qos_splits_over_each_channels_subcarriers(table_pa):
     cfg = FixedPointConfig(tolerance=1e-11, max_iterations=50_000)
     for subcarriers in (1, 4):
         channel = draw_rayleigh_channel(6, 2, subcarriers, np.ones(2), rng)
-        min_pa = min_pa_precoders([channel], [qos], cfg)
-        for solution in (zf_precoders([channel], [qos]), min_pa):
+        min_pa = solve_block(("min_pa",), [channel], [qos], cfg)["min_pa"]
+        for solution in (solve_block(("zf",), [channel], [qos])["zf"], min_pa):
             assert zf_residual(channel, qos, solution.matrices[0]) <= ZF_TOLERANCE
         # The oracle's residual is against its own targets; its optimum
         # matching the fixed point's shows that they are the same targets.

@@ -10,10 +10,9 @@ from energymimo import (
     FixedPointConfig,
     QosTargets,
     estimate_flops,
-    min_pa_precoders,
     pa_consumed_power,
+    solve_block,
     solve_quartic_ma,
-    zf_precoders,
 )
 from energymimo.channel import draw_los_channel, draw_rayleigh_channel
 from energymimo.precoding import los_allocation_precoders
@@ -43,8 +42,8 @@ def test_scale_covariance_of_fixed_point(seed, scale):
         max_iterations=20_000,
         dead_antenna_floor=1e-12 * scale**2,
     )
-    a = min_pa_precoders([channel], [base], cfg)
-    b = min_pa_precoders([channel], [scaled], cfg_scaled)
+    a = solve_block(("min_pa",), [channel], [base], cfg)["min_pa"]
+    b = solve_block(("min_pa",), [channel], [scaled], cfg_scaled)["min_pa"]
     np.testing.assert_allclose(b.matrices, scale * a.matrices, rtol=1e-7, atol=1e-12)
     np.testing.assert_allclose(b.powers, scale**2 * a.powers, rtol=1e-7, atol=1e-14)
 
@@ -58,8 +57,8 @@ def test_phase_covariance_of_powers(seed):
     rng = np.random.default_rng(seed + 1)
     phases = np.exp(2j * np.pi * rng.random(channel.k_users))
     rotated = ChannelRealization(per_subcarrier=phases[None, :, None] * channel.per_subcarrier)
-    for solver in (zf_precoders, min_pa_precoders):
-        a, b = solver([channel, rotated], [qos, qos]).powers
+    for name in ("zf", "min_pa"):
+        a, b = solve_block((name,), [channel, rotated], [qos, qos])[name].powers
         np.testing.assert_allclose(b, a, rtol=1e-9, atol=1e-14)
 
 
@@ -117,8 +116,8 @@ def test_solver_determinism_by_seed():
     rng2 = np.random.default_rng(77)
     ch1, qos1 = draw_cell_instance(8, 2, 2, rng1)
     ch2, qos2 = draw_cell_instance(8, 2, 2, rng2)
-    s1 = min_pa_precoders([ch1], [qos1])
-    s2 = min_pa_precoders([ch2], [qos2])
+    s1 = solve_block(("min_pa",), [ch1], [qos1])["min_pa"]
+    s2 = solve_block(("min_pa",), [ch2], [qos2])["min_pa"]
     assert np.array_equal(s1.powers, s2.powers)
     assert np.array_equal(s1.matrices, s2.matrices)
     assert np.array_equal(s1.iterations, s2.iterations)
@@ -130,6 +129,6 @@ def test_wideband_power_spread_shrinks_with_q():
     for q in (4, 256):
         rng = np.random.default_rng(4242)
         channel, qos = draw_cell_instance(32, 4, q, rng)
-        powers = min_pa_precoders([channel], [qos]).powers[0]
+        powers = solve_block(("min_pa",), [channel], [qos])["min_pa"].powers[0]
         cvs[q] = float(np.std(powers) / np.mean(powers))
     assert cvs[256] < cvs[4]
