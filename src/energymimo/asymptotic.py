@@ -117,7 +117,10 @@ def solve_quartic_ma(k_users, t, circuit: float):
     if not np.all(np.isfinite(target)):
         raise DomainError("the quartic target t K / (2 C) must be finite")
 
-    # Products, not **: numpy's array power does not round like Python's.
+    # Products, not **: numpy's array power does not round like Python's. Near
+    # the largest double a residual may overflow to inf, which the bracket
+    # reads as above the root.
+    @np.errstate(over="ignore")
     def f(x, k, target):
         d = x - k
         return x * (d * d * d) - target
@@ -158,13 +161,18 @@ def solve_quartic_ma(k_users, t, circuit: float):
 
 
 def min_ma_power_constraint(k_users, trace, p_max: float):
-    """Minimal integer antenna count keeping the per-antenna power <= p_max."""
+    """Minimal integer antenna count keeping the per-antenna power <= p_max.
+
+    A cap so far below the trace that the count passes 2**62 gives 2**62,
+    which the int64 cast keeps exact and no array reaches.
+    """
     if p_max <= 0.0:
         raise DomainError(f"p_max must be positive, got {p_max}")
-    if np.any(np.less(trace, 0.0)):
-        raise DomainError("trace term must be non-negative")
-    bound = 0.5 * (k_users + np.sqrt(k_users * k_users + 4.0 * trace / p_max))
-    return np.ceil(bound).astype(np.int64)
+    if not np.all(np.greater_equal(trace, 0.0)):
+        raise DomainError("trace term must be non-negative, not NaN")
+    with np.errstate(over="ignore"):
+        bound = 0.5 * (k_users + np.sqrt(k_users * k_users + 4.0 * trace / p_max))
+    return np.ceil(np.minimum(bound, 2.0**62)).astype(np.int64)
 
 
 def _stationarity_t(k_users, trace, pa: PaModel, bs: BsModel):
@@ -176,6 +184,24 @@ def _stationarity_t(k_users, trace, pa: PaModel, bs: BsModel):
     the solver's t K / (2 C) normal form yields this argument.
     """
     return pa.alpha**2 * trace * k_users / (2.0 * bs.circuit_per_antenna)
+
+
+def _out_of_range_roots(k_users, trace, pa: PaModel, circuit: float):
+    """Quartic roots whose target t K / (2 C) over- or underflowed on the way.
+
+    The target (alpha K / (2 C))^2 trace comes again from logs. Past the
+    largest double it takes the free-circuit limit, inf; below the smallest,
+    the trace = 0 limit, K; in between it is solved as t K / (2 C) with
+    C = 1/2 and t = target / K.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        log_target = 2.0 * (np.log(pa.alpha) + np.log(k_users) - np.log(2.0 * circuit))
+        t = np.exp(log_target + np.log(trace)) / k_users
+    roots = np.where(t == np.inf, np.inf, k_users.astype(float))
+    solve = (0.0 < t) & (t < np.inf)
+    if solve.any():
+        roots[solve] = solve_quartic_ma(k_users[solve], t[solve], 0.5)
+    return roots
 
 
 def optimal_ma_plans(
@@ -194,9 +220,11 @@ def optimal_ma_plans(
     clamps it to [K+1, M] and otherwise rounds it to whichever neighboring
     integer gives the lower BS power (exact ties go to the smaller count,
     fewer circuits). With ``circuit_per_antenna = 0`` there is no quartic:
-    ``m_tilde`` is inf and ``m_dagger`` is M wherever trace > 0. Pairs with
-    K >= M, or whose cap is violated even with all M antennas active, come
-    back with ``feasible`` False, NaN in the float fields and 0 in
+    ``m_tilde`` is inf and ``m_dagger`` is M wherever trace > 0. So is
+    ``m_tilde`` wherever the quartic's target is past the largest double;
+    where it is below the smallest, ``m_tilde`` is K, as at trace = 0. Pairs
+    with K >= M, or whose cap is violated even with all M antennas active,
+    come back with ``feasible`` False, NaN in the float fields and 0 in
     ``m_dagger``; ``m_hat`` is always filled. With ``p_max = math.inf`` the
     bound is K and ``m_dagger`` is the uncapped optimum.
     """
@@ -210,14 +238,20 @@ def optimal_ma_plans(
     k, trace = k_all[feasible], trace_all[feasible]
 
     m_tilde = k.astype(float)  # trace = 0: degenerate limit of the quartic root
-    solve = trace > 0.0
     if bs.circuit_per_antenna == 0.0:
         # Free circuits: the BS power falls strictly with M_a, so the whole array wins.
-        m_tilde[solve] = np.inf
-    elif solve.any():
-        m_tilde[solve] = solve_quartic_ma(
-            k[solve], _stationarity_t(k[solve], trace[solve], pa, bs), bs.circuit_per_antenna
-        )
+        m_tilde[trace > 0.0] = np.inf
+    else:
+        circuit = bs.circuit_per_antenna
+        with np.errstate(over="ignore", under="ignore"):
+            t = _stationarity_t(k, trace, pa, bs)
+            target = t * k / (2.0 * circuit)
+        solve = (0.0 < target) & (target < np.inf)
+        if solve.any():
+            m_tilde[solve] = solve_quartic_ma(k[solve], t[solve], circuit)
+        redo = (trace > 0.0) & ~solve
+        if redo.any():
+            m_tilde[redo] = _out_of_range_roots(k[redo], trace[redo], pa, circuit)
     y = np.maximum(m_tilde, m_hat[feasible])
     m_dagger = np.where(y <= k + 1, k + 1, m_antennas)
     inner = (y > k + 1) & (y < m_antennas)

@@ -180,7 +180,8 @@ def _validate(cfg: ExperimentConfig):
     for name, count in (
         ("m_antennas", sc.m_antennas), ("k_users", sc.k_users), ("subcarriers", sc.subcarriers),
         ("realizations", cfg.realizations), ("threads", cfg.threads),
-        ("oracle_starts", cfg.oracle_starts),
+        ("oracle_max_m", cfg.oracle_max_m), ("oracle_max_k", cfg.oracle_max_k),
+        ("oracle_max_q", cfg.oracle_max_q), ("oracle_starts", cfg.oracle_starts),
     ):
         if count < 1:
             raise ConfigError(f"{name} must be >= 1")
@@ -210,6 +211,12 @@ def _validate(cfg: ExperimentConfig):
             build()
         except DomainError as exc:
             raise ConfigError(f"{keys}: {exc}") from exc
+    full_array = sc.p_fix_watts + sc.m_antennas * sc.circuit_watts
+    if not math.isfinite(full_array):
+        raise ConfigError(
+            f"circuit_watts: the full-array power p_fix_watts + m_antennas * circuit_watts "
+            f"{full_array} is not finite"
+        )
     # The draws need a positive, finite noise power, far-edge fading and
     # near-edge SINR target, the largest target a user can draw.
     for key, quantity, compute in (

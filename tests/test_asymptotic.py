@@ -23,7 +23,7 @@ from energymimo.experiments import (
     MA_CURVE_FIELDS,
     asymptotic_experiment,
 )
-from energymimo.model import BsModel, pa_consumed_power
+from energymimo.model import BsModel, PaModel, pa_consumed_power
 from energymimo.oracle import grid_min_bs, solve_quartic_closed_form
 from energymimo.precoding import solve_block
 
@@ -274,6 +274,52 @@ def test_quartic_rejects_non_finite_targets():
         solve_quartic_ma(2, math.inf, 1.0)
     with pytest.raises(DomainError):
         solve_quartic_ma([2, 3], [1.0, math.nan], 1.0)
+
+
+def test_quartic_target_near_the_largest_double():
+    # The bracket's residuals overflow to inf there; warnings are errors here.
+    for target in (3e307, 5e307, 1.7e308):
+        x = solve_quartic_ma(1, target, 0.5)
+        scale = 1e77
+        assert math.isclose(x / scale * ((x - 1.0) / scale) ** 3, target / scale**4, rel_tol=1e-11)
+
+
+@pytest.mark.parametrize("p_max", [1e-300, 5e-324])
+def test_tiny_caps_leave_m_hat_above_the_array(table_pa, table_bs, p_max):
+    # The count bound passes every int64: it is clipped, not wrapped, and
+    # the cast may not warn (warnings are errors here).
+    plans = optimal_ma_plans(8, [1, 2], [1.0, 2.0], table_pa, table_bs, p_max)
+    assert not plans.feasible.any()
+    assert (plans.m_hat > 8).all()
+
+
+def test_nan_trace_is_refused(table_pa, table_bs):
+    with pytest.raises(DomainError, match="NaN"):
+        min_ma_power_constraint(2, math.nan, 1.0)
+    with pytest.raises(DomainError, match="NaN"):
+        optimal_ma_plans(8, [1, 2], [1.0, math.nan], table_pa, table_bs, 1.0)
+
+
+def test_planner_takes_the_limits_of_an_out_of_range_quartic_target(table_pa):
+    # An overflowed target is the free-circuit limit: the whole array.
+    tiny = BsModel(p_fix=15.0, circuit_per_antenna=1e-300)
+    plans = optimal_ma_plans(8, [1, 2, 3], [1.4, 2.1, 2.2], table_pa, tiny, 1.0)
+    assert np.isinf(plans.m_tilde).all() and plans.m_dagger.tolist() == [8, 8, 8]
+    # An underflowed target is the trace = 0 limit: K, then K + 1 antennas.
+    huge = BsModel(p_fix=0.0, circuit_per_antenna=1e300)
+    plans = optimal_ma_plans(8, [1, 2, 3], [1e-300] * 3, table_pa, huge, 1.0)
+    assert plans.m_tilde.tolist() == [1.0, 2.0, 3.0] and plans.m_dagger.tolist() == [2, 3, 4]
+
+
+def test_planner_recomputes_a_target_that_overflows_on_the_way():
+    # alpha^2 overflows at eta_max = 1e-160, yet with circuits this costly the
+    # target is small: the plan is the grid's few antennas, not the whole array.
+    pa = PaModel(p_max=1.0, eta_max=1e-160)
+    bs = BsModel(p_fix=0.0, circuit_per_antenna=1e200)
+    k, trace = [1, 2, 3], [1.4, 2.1, 2.2]
+    plans = optimal_ma_plans(8, k, trace, pa, bs, 1.0)
+    assert plans.m_dagger.tolist() == [grid_min_bs(8, a, b, pa, bs, 1.0) for a, b in zip(k, trace)]
+    assert plans.m_dagger.tolist() == [2, 3, 4]
 
 
 def test_array_planner_flags_infeasible_pairs_without_raising(table_pa, table_bs):

@@ -559,6 +559,9 @@ def test_cli_config_error_exit_code(tmp_path):
     "sinr_ref = -1",
     "freq_taps = -1",
     "oracle_starts = 0",
+    "oracle_max_m = 0",
+    "oracle_max_k = 0",
+    "oracle_max_q = 0",
     "circuit_watts = -1",
     "freq_taps = 2\nfreq_decay = -1",
     "freq_decay = -1",
@@ -676,6 +679,38 @@ def test_cli_asymptotic_k_sweep_free_circuits(tmp_path):
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert len(rows) == 3 * 4
     assert all(row[3] == "inf" and row[5] == "16" for row in rows)  # m_tilde, m_dagger
+
+
+@pytest.mark.parametrize("extreme", ["circuit_watts = 1e-300", "eta_max = 1e-160"])
+def test_cli_k_sweep_takes_the_free_circuit_limit_of_an_overflowed_target(
+    tmp_path, capsys, extreme
+):
+    # The quartic target t K / (2 C) overflows: each feasible row plans the
+    # whole array, as at circuit_watts = 0, with no warning or traceback.
+    base = "m_antennas = 8\nrealizations = 2\nasym_mode = k_sweep\nk_min = 1\nk_max = 3\n"
+    plans = []
+    for line in (extreme, "circuit_watts = 0"):
+        cfgfile = tmp_path / "asym.cfg"
+        cfgfile.write_text(f"{base}{line}\n")
+        out = tmp_path / "asym.csv"
+        assert main(["asymptotic", "--config", str(cfgfile), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        plans.append([(row[3], row[5], row[-1]) for row in rows])  # m_tilde, m_dagger, feasible
+    assert plans[0] == plans[1]
+    assert all(plan == ("inf", "8", "1") for plan in plans[0])
+
+
+@pytest.mark.parametrize("command", ["run", "asymptotic"])
+def test_cli_circuit_power_with_an_infinite_full_array_total_is_config_error(
+    tmp_path, capsys, command
+):
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text("m_antennas = 8\nrealizations = 2\ncircuit_watts = 1e308\n")
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: circuit_watts: ")
+    assert not out.exists()
 
 
 def test_cli_asymptotic_infeasible_rows_flagged(tmp_path):
