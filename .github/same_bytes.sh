@@ -25,7 +25,8 @@ same() {
 }
 cfg saturating m_antennas=16 k_users=1 subcarriers=1 precoders=zf,min_pa,saturating p_max_watts=0.05 realizations=4100
 same saturating 1 3 -- run --config "$d/saturating.cfg"  # the cap binds: closed-form fill, 3 blocks of <= 2,048
-same wideband 1 2 -- run --config bench/workloads/wideband.cfg --realizations 4  # two Gauss-Jordan sweeps at once
+same wideband 1 2 3 -- run --config bench/workloads/wideband.cfg --realizations 4  # one workspace per worker
+same wideband.mmap 1 MALLOC_MMAP_THRESHOLD_=131072 -- run --config bench/workloads/wideband.cfg --realizations 4
 cfg los_zf m_antennas=16 k_users=3 subcarriers=4 channel=los precoders=zf realizations=400
 same los_zf 1 2 -- run --config "$d/los_zf.cfg"  # the LOS channel branch, 3 blocks of <= 170
 cfg freq_taps m_antennas=16 k_users=3 subcarriers=8 freq_taps=3 realizations=200
@@ -46,7 +47,7 @@ same q_error 1 2 OPENBLAS_NUM_THREADS=1 OPENBLAS_NUM_THREADS=2 -- asymptotic --c
 cfg ma_curve m_antennas=40 k_users=3 asym_mode=ma_curve realizations=2000
 same ma_curve 1 2 -- asymptotic --config "$d/ma_curve.cfg"  # averages the traces of 3 blocks of <= 682
 cfg convergence m_antennas=16 k_users=2 subcarriers=8 oracle=false realizations=300
-same convergence 1 2 -- convergence --config "$d/convergence.cfg"  # the fixed point's trace, 3 blocks of <= 128
+same convergence 1 2 MALLOC_MMAP_THRESHOLD_=131072 -- convergence --config "$d/convergence.cfg"  # 3 blocks of <= 128
 cfg analytic m_antennas=32 k_users=1 subcarriers=1 oracle=true realizations=3000
 same analytic 1 2 -- convergence --config "$d/analytic.cfg"  # closed-form reference, 3 blocks of <= 1,024
 cfg oracle_q3 m_antennas=6 k_users=2 subcarriers=3 oracle=true realizations=2000

@@ -24,6 +24,12 @@ PATHLOSS_SLOPE_DB = 37.6
 # gamma_dB = 5 log10(beta / SINR_REF_COEFF). Overridable per call.
 SINR_REF_COEFF = 4.86e-14
 
+# A draw fills its complex array through one float scratch of at most this
+# many entries: 64 KiB, which the allocator reuses from its heap. The stream's
+# numbers are taken in order, chunk after chunk, so the bits do not depend on
+# the chunk size.
+DRAW_CHUNK = 8192
+
 
 @dataclass(frozen=True)
 class CellGeometry:
@@ -155,22 +161,33 @@ def target_sinr(beta, ref_coeff: float = SINR_REF_COEFF):
     return float(gamma) if np.isscalar(beta) or beta_arr.ndim == 0 else gamma
 
 
-def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """Unit-variance circular complex Gaussians: the real parts drawn first, then the imaginary.
+def _chunks(out):
+    """The flat view of the C-contiguous ``out`` and slices covering it, ``DRAW_CHUNK`` each."""
+    if not out.flags.c_contiguous:
+        raise DimensionError("a channel is drawn into a C-contiguous array")
+    flat = out.reshape(-1)
+    return flat, [slice(start, start + DRAW_CHUNK) for start in range(0, flat.size, DRAW_CHUNK)]
 
-    Each part is drawn into one float buffer and scaled into the complex
-    array, with no complex temporary. The bits equal those of
-    ``(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) /
-    np.sqrt(2.0)``, where numpy divides a complex by a real as a multiply by
-    its reciprocal.
+
+def _complex_gaussian(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the complex ``out`` with unit-variance circular complex Gaussians.
+
+    The real parts are drawn first, then the imaginary, each chunk into one
+    float scratch that is scaled into ``out``, with no complex temporary.
+    The bits equal those of ``(rng.standard_normal(shape) + 1j *
+    rng.standard_normal(shape)) / np.sqrt(2.0)``, where numpy divides a
+    complex by a real as a multiply by its reciprocal.
     """
-    g = np.empty(shape, dtype=complex)
-    part = np.empty(shape)
+    flat, chunks = _chunks(out)
+    part = np.empty(min(flat.size, DRAW_CHUNK))
     scale = 1.0 / np.sqrt(2.0)
-    for out in (g.real, g.imag):
-        rng.standard_normal(out=part)
-        np.multiply(part, scale, out=out)
-    return g
+    for dest in (flat.real, flat.imag):
+        for chunk in chunks:
+            target = dest[chunk]
+            drawn = part[:target.size]
+            rng.standard_normal(out=drawn)
+            np.multiply(drawn, scale, out=target)
+    return out
 
 
 def draw_rayleigh_channel(
@@ -188,27 +205,37 @@ def draw_rayleigh_channel(
     profile whose DFT produces correlated subcarriers with per-entry unit
     variance preserved.
     """
+    h = np.empty((subcarriers, k_users, m_antennas), dtype=complex)
+    return ChannelRealization(draw_rayleigh_into(h, beta, rng, correlation))
+
+
+def draw_rayleigh_into(out, beta, rng, correlation=None):
+    """:func:`draw_rayleigh_channel` written into the C-contiguous complex (Q, K, M) ``out``.
+
+    Returns ``out``, with the bits of the channel that
+    :func:`draw_rayleigh_channel` returns from the same stream.
+    """
+    subcarriers, k_users, m_antennas = out.shape
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     if beta.shape[0] != k_users:
         raise DimensionError(f"beta has length {beta.shape[0]}, expected {k_users}")
     if np.any(beta <= 0.0):
         raise DomainError("large-scale coefficients must be positive")
-    shape = (subcarriers, k_users, m_antennas)
     if correlation is None:
-        g = _complex_gaussian(rng, shape)
+        _complex_gaussian(rng, out)
     else:
         taps = correlation.taps
         tap_power = np.exp(-correlation.decay * np.arange(taps))
         tap_power /= tap_power.sum()
-        c = _complex_gaussian(rng, (taps, k_users, m_antennas))
+        c = _complex_gaussian(rng, np.empty((taps, k_users, m_antennas), dtype=complex))
         c *= np.sqrt(tap_power)[:, None, None]
         # DFT of the delay taps onto the Q subcarriers.
         phase = np.exp(
             -2j * np.pi * np.outer(np.arange(subcarriers), np.arange(taps)) / subcarriers
         )
-        g = np.tensordot(phase, c, axes=(1, 0))
-    g *= np.sqrt(beta)[None, :, None]
-    return ChannelRealization(g)
+        out[...] = np.tensordot(phase, c, axes=(1, 0))
+    out *= np.sqrt(beta)[None, :, None]
+    return out
 
 
 def draw_los_channel(
@@ -218,5 +245,21 @@ def draw_los_channel(
     rng: np.random.Generator,
 ) -> ChannelRealization:
     """Pure line-of-sight channel with unit-modulus entries, phases uniform on [0, 2pi)."""
-    h = np.exp(2j * np.pi * rng.random((subcarriers, k_users, m_antennas)))
-    return ChannelRealization(h)
+    h = np.empty((subcarriers, k_users, m_antennas), dtype=complex)
+    return ChannelRealization(draw_los_into(h, rng))
+
+
+def draw_los_into(out, rng):
+    """:func:`draw_los_channel` written into the C-contiguous complex (Q, K, M) ``out``.
+
+    The uniforms are drawn chunk by chunk into one float scratch. Returns
+    ``out``, with the bits of ``np.exp(2j * np.pi * rng.random(shape))``.
+    """
+    flat, chunks = _chunks(out)
+    part = np.empty(min(flat.size, DRAW_CHUNK))
+    for chunk in chunks:
+        target = flat[chunk]
+        drawn = part[:target.size]
+        rng.random(out=drawn)
+        np.multiply(2j * np.pi, drawn, out=target)
+    return np.exp(out, out=out)

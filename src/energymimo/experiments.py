@@ -6,11 +6,14 @@ needs one, its channel. So results are identical regardless of how the
 realizations are scheduled; the blocks' results are taken in realization
 order. Every Monte-Carlo command works on fixed-size blocks of realizations
 and draws each block once, with :func:`_draw_block`: ``run``,
-``convergence`` and ``asymptotic`` q_error solve the block with one
-``precoding.solve_block`` call, and ``asymptotic`` k_sweep and ma_curve
-sum the block's trace terms gamma_k sigma^2 / beta_k, one per (realization,
-user). The thread pool maps over those blocks, whose boundaries depend only
-on the scenario, and works at most ``threads`` blocks ahead of the reader.
+``convergence`` and ``asymptotic`` q_error draw the block's channels into
+one stack and solve it with one ``precoding.solve_stack`` call, and
+``asymptotic`` k_sweep and ma_curve sum the block's trace terms
+gamma_k sigma^2 / beta_k, one per (realization, user). The thread pool maps
+over those blocks, whose boundaries depend only on the scenario, and works
+at most ``threads`` blocks ahead of the reader. Each thread keeps the
+block's channel stack and the solver's large arrays in a workspace of its
+own, reused from block to block and dropped when the command ends.
 
 A command returns an :class:`ExperimentResult`: one column per field, a
 numpy array or a list of strings, and a mask of its empty cells. Each block
@@ -26,6 +29,7 @@ block is read. The other modes hold their few rows as columns.
 from __future__ import annotations
 
 import sys
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -41,10 +45,12 @@ from .asymptotic import (
     trace_term,
 )
 from .channel import (
+    ChannelRealization,
     FreqCorrelation,
     QosTargets,
-    draw_los_channel,
+    draw_los_into,
     draw_rayleigh_channel,
+    draw_rayleigh_into,
     draw_user_distances,
     large_scale_fading,
     target_sinr,
@@ -54,7 +60,9 @@ from .errors import (
     ConfigError, EnergyMimoError, InfeasibleError, OracleSizeError, RealizationError,
 )
 from .model import bs_consumed_power, gain_metrics, pa_consumed_power
-from .precoding import AS1_PRECODERS, FixedPointConfig, solve_block
+from .precoding import (
+    AS1_PRECODERS, FixedPointConfig, Workspace, solve_block, solve_stack, zf_targets,
+)
 
 # Channel entries (Q * K * M per realization) stacked into one solver block.
 # Block boundaries depend only on the scenario, never on the thread count, so
@@ -192,15 +200,19 @@ def _realization_rng(cfg: ExperimentConfig, index: int) -> np.random.Generator:
     return np.random.default_rng(cfg.scenario.seed + index)
 
 
-def _draw_block(cfg: ExperimentConfig, block: range, k_users: int, subcarriers: int = 0):
-    """(terms, channels, qos_list) of the realizations in ``block``.
+def _draw_block(
+    cfg: ExperimentConfig, block: range, k_users: int, subcarriers: int = 0,
+    workspace: Workspace | None = None,
+):
+    """(terms, gamma, h, d) of the realizations in ``block``.
 
     Each realization drops its ``k_users`` users on its own stream; their
     distances are stacked to (R, ``k_users``) and turned into large-scale
-    fading beta, SINR targets gamma and trace ``terms`` gamma sigma^2 / beta
-    at once. With ``subcarriers``, each realization then draws its channel
-    over that many subcarriers on the same stream; otherwise ``channels``
-    and ``qos_list`` are empty.
+    fading beta, SINR targets ``gamma`` and trace ``terms`` gamma sigma^2 /
+    beta at once. With ``subcarriers``, each realization then draws its
+    channel over that many subcarriers on the same stream, into its row of
+    the (R, Q, K, M) stack ``h`` taken from ``workspace``, and ``d`` holds
+    the (R, K) ZF targets. Otherwise ``h`` and ``d`` are None.
     """
     sc = cfg.scenario
     geometry = sc.geometry()
@@ -211,17 +223,16 @@ def _draw_block(cfg: ExperimentConfig, block: range, k_users: int, subcarriers: 
     gamma = target_sinr(beta, sc.sinr_ref)
     terms = gamma * sc.noise_power / beta
     if not subcarriers:
-        return terms, [], []
-    qos_list = [QosTargets(gamma=targets, noise_power=sc.noise_power) for targets in gamma]
+        return terms, gamma, None, None
+    h = workspace.take("channels", (len(block), subcarriers, k_users, sc.m_antennas), complex)
     if sc.channel == "los":
-        channels = [draw_los_channel(sc.m_antennas, k_users, subcarriers, rng) for rng in rngs]
+        for out, rng in zip(h, rngs):
+            draw_los_into(out, rng)
     else:
         correlation = FreqCorrelation(sc.freq_taps, sc.freq_decay) if sc.freq_taps > 0 else None
-        channels = [
-            draw_rayleigh_channel(sc.m_antennas, k_users, subcarriers, gains, rng, correlation)
-            for gains, rng in zip(beta, rngs)
-        ]
-    return terms, channels, qos_list
+        for out, gains, rng in zip(h, beta, rngs):
+            draw_rayleigh_into(out, gains, rng, correlation)
+    return terms, gamma, h, zf_targets(gamma, sc.noise_power, subcarriers)
 
 
 @contextmanager
@@ -234,7 +245,12 @@ def _global_index(block: range):
 
 
 def _map(cfg: ExperimentConfig, worker, blocks: list[range]):
-    """What ``worker(block)`` returns for each block, in block order, as it is taken.
+    """What ``worker(block, workspace)`` returns for each block, in block order, as it is taken.
+
+    Each thread that runs blocks has one :class:`Workspace`, which it hands
+    to ``worker`` for every block it runs. The workspaces are dropped when
+    the generator ends, so they last one command, and what ``worker``
+    returns must hold nothing it took from its workspace.
 
     With ``cfg.threads`` > 1 a pool computes ahead, but at most
     ``cfg.threads`` blocks are running or done and not yet taken, so what is
@@ -243,15 +259,24 @@ def _map(cfg: ExperimentConfig, worker, blocks: list[range]):
     if already running.
     """
     if cfg.threads <= 1:
-        yield from map(worker, blocks)
+        workspace = Workspace()
+        for block in blocks:
+            yield worker(block, workspace)
         return
+    local = threading.local()
+
+    def run(block):
+        if not hasattr(local, "workspace"):
+            local.workspace = Workspace()
+        return worker(block, local.workspace)
+
     pool = ThreadPoolExecutor(max_workers=cfg.threads)
     ahead = deque()
     try:
         for block in blocks:
             if len(ahead) == cfg.threads:
                 yield ahead.popleft().result()
-            ahead.append(pool.submit(worker, block))
+            ahead.append(pool.submit(run, block))
         while ahead:
             yield ahead.popleft().result()
     finally:
@@ -261,8 +286,8 @@ def _map(cfg: ExperimentConfig, worker, blocks: list[range]):
 def _stream(cfg: ExperimentConfig, worker, blocks: list[range], summarize):
     """The parts of a streamed result, and then its summary.
 
-    ``worker(block)`` returns ``(part, *inputs)``: the block's rows as an
-    :class:`ExperimentResult` and what the summary reads of the block. Each
+    ``worker(block, workspace)`` returns ``(part, *inputs)``: the block's rows
+    as an :class:`ExperimentResult` and what the summary reads of the block. Each
     part is yielded in block order and then dropped; the generator returns
     ``summarize(*inputs)``, where each input is the tuple of that input of
     every block, in block order.
@@ -298,10 +323,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     uncapped_columns = [j for j, name in enumerate(cfg.precoders) if name in AS1_PRECODERS]
     zf_column = cfg.precoders.index("zf") if "zf" in cfg.precoders else None
 
-    def report_block(block: range):
-        _, channels, qos_list = _draw_block(cfg, block, sc.k_users, sc.subcarriers)
+    def report_block(block: range, workspace: Workspace):
+        _, _, h, d = _draw_block(cfg, block, sc.k_users, sc.subcarriers, workspace)
         with _global_index(block):
-            solved = solve_block(cfg.precoders, channels, qos_list, cfg.fixed_point(), p_max)
+            solved = solve_stack(
+                cfg.precoders, h, d, cfg.fixed_point(), p_max, workspace=workspace
+            )
         powers = np.stack([solved[name].powers for name in cfg.precoders], axis=1)
         report = bs_consumed_power(powers, pa, bs)
         discarded = cfg.discard_over_pmax & np.any(powers[:, uncapped_columns] > p_max, axis=(1, 2))
@@ -359,11 +386,13 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             max_q=cfg.oracle_max_q,
         )
 
-    def report_block(block: range):
-        _, channels, qos_list = _draw_block(cfg, block, sc.k_users, sc.subcarriers)
+    def report_block(block: range, workspace: Workspace):
+        _, gamma, h, d = _draw_block(cfg, block, sc.k_users, sc.subcarriers, workspace)
         optimum = skipped = failure = None
         gaps = np.zeros(0)
         if cfg.oracle:
+            channels = [ChannelRealization(row) for row in h]
+            qos_list = [QosTargets(gamma=targets, noise_power=sc.noise_power) for targets in gamma]
             try:
                 found = oracle_block(channels, qos_list)
             except OracleSizeError as exc:
@@ -373,8 +402,8 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             else:
                 optimum, gaps = found.powers, found.gap
         with _global_index(block):
-            solution = solve_block(
-                ("min_pa",), channels, qos_list, cfg.fixed_point(), reference=optimum
+            solution = solve_stack(
+                ("min_pa",), h, d, cfg.fixed_point(), reference=optimum, workspace=workspace
             )["min_pa"]
         if failure is not None:
             raise failure
@@ -440,10 +469,10 @@ def _asymptotic_k_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     m = sc.m_antennas
     loads = list(range(cfg.k_min, cfg.k_max + 1))
 
-    def plan_block(block: range):
+    def plan_block(block: range, _workspace):
         # One nested user drop per realization: user k's position is shared
         # by every K >= k, which keeps the sweep coupled across loads.
-        terms, _, _ = _draw_block(cfg, block, cfg.k_max)
+        terms = _draw_block(cfg, block, cfg.k_max)[0]
         # Each prefix is summed on its own: np.sum adds pairwise, so a
         # running cumsum would change the last bits of the trace.
         trace = np.stack([terms[:, :k].sum(axis=1) for k in loads], axis=1).ravel()
@@ -509,10 +538,10 @@ def _asymptotic_q_error(cfg: ExperimentConfig) -> ExperimentResult:
     stats = np.zeros((len(cfg.q_list), 4))
     summary = {"realizations": cfg.realizations, "q_list": cfg.q_list}
     for row, q in enumerate(cfg.q_list):
-        def report_block(block: range, q=q):
-            terms, channels, qos_list = _draw_block(cfg, block, sc.k_users, q)
+        def report_block(block: range, workspace: Workspace, q=q):
+            terms, _, h, d = _draw_block(cfg, block, sc.k_users, q, workspace)
             with _global_index(block):
-                powers = solve_block(("zf",), channels, qos_list)["zf"].powers
+                powers = solve_stack(("zf",), h, d, workspace=workspace)["zf"].powers
             return (
                 pa_consumed_power(powers, pa),
                 asymptotic_pa_power(sc.m_antennas, sc.k_users, terms.sum(axis=1), pa),
@@ -541,7 +570,7 @@ def _asymptotic_ma_curve(cfg: ExperimentConfig) -> ExperimentResult:
     bs = sc.bs_model()
     k = sc.k_users
 
-    def trace_block(block: range):
+    def trace_block(block: range, _workspace):
         return _draw_block(cfg, block, k)[0].sum(axis=1)
 
     traces = list(_map(cfg, trace_block, _blocks(cfg.realizations, PLAN_BLOCK // k)))

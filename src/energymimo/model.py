@@ -49,6 +49,12 @@ class PaModel:
             raise DomainError(f"p_max must be finite, got {self.p_max}")
         if not 0.0 < self.eta_max <= 1.0:
             raise DomainError(f"eta_max must be in (0, 1], got {self.eta_max}")
+        with np.errstate(over="ignore"):
+            alpha = self.alpha
+        if not np.isfinite(alpha):
+            raise DomainError(
+                f"the consumption coefficient p_max^(1/2) / eta_max = {alpha} is not finite"
+            )
 
     @property
     def alpha(self) -> float:

@@ -7,7 +7,9 @@ the same QoS constraints by iterating the fixed-point power equations; and
 ``saturating``, the capped single-user narrowband fill in closed form. It
 solves a list of instances of one channel shape at once and returns, by
 name, one :class:`PrecoderSolution` whose fields carry the block axis; row
-r equals the solve of instance r alone, bit for bit.
+r equals the solve of instance r alone, bit for bit. :func:`solve_stack`
+does the same on a channel stack, and can keep its large arrays in a
+:class:`Workspace` that a thread reuses from block to block.
 ``los_allocation_precoders``, the closed-form single-user LOS power split,
 takes and returns the same.
 
@@ -52,7 +54,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .channel import ChannelRealization, QosTargets
-from .errors import DimensionError, DomainError, InfeasibleError, SingularChannelError
+from .errors import (
+    DimensionError, DomainError, EnergyMimoError, InfeasibleError, SingularChannelError,
+)
 from .model import per_antenna_powers
 
 # Condition-number estimate beyond which the Gram solve is refused.
@@ -137,6 +141,9 @@ class PrecoderSolution:
     the (R, Q, M, K) precoders ``matrices`` are assembled from ``_kernel``
     (channel stack, ZF targets, kernel powers), each when first read. The
     closed forms hold their matrices from the start and derive ``powers``.
+    A solution that :func:`solve_stack` solved in a :class:`Workspace` holds
+    no kernel, because its channel stack is reused for the next block, and
+    refuses to assemble ``matrices``.
     """
 
     powers: np.ndarray
@@ -163,8 +170,46 @@ class PrecoderSolution:
     @cached_property
     def matrices(self) -> np.ndarray:
         """The (R, Q, M, K) precoders, assembled once, on first read."""
+        if self._kernel is None:
+            raise EnergyMimoError(
+                "this solution was solved in a reused workspace and keeps no channel; "
+                "solve it with solve_block to read its precoders"
+            )
         h, d, p = self._kernel
         return _weighted_zf(h, d, np.arange(len(p)), p)
+
+
+class Workspace:
+    """Arrays that one thread reuses for block after block of one command.
+
+    ``take(name, shape, dtype)`` returns an array of that shape whose
+    contents are undefined: the leading rows of the array held under
+    ``name`` when that one has the same dtype and trailing shape and at
+    least as many rows, and otherwise a new array, which is held under
+    ``name`` from then on. What a caller takes stays its own only until the
+    next ``take`` of that name, so a workspace serves one thread, and
+    nothing that outlives a block may hold what the block took.
+    """
+
+    def __init__(self):
+        self._held = {}
+
+    def take(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        held = self._held.get(name)
+        fits = held is not None and held.dtype == dtype and held.shape[1:] == shape[1:]
+        if not fits or len(held) < shape[0]:
+            held = self._held[name] = np.empty(shape, dtype)
+        return held[:shape[0]]
+
+
+def _take(workspace: Workspace | None, name: str, shape: tuple, dtype=float) -> np.ndarray:
+    """``workspace.take(name, shape, dtype)``, or a new array without a workspace."""
+    return np.empty(shape, dtype) if workspace is None else workspace.take(name, shape, dtype)
+
+
+def zf_targets(gamma, noise_power: float, subcarriers: int) -> np.ndarray:
+    """The ZF targets (gamma_k / Q)^(1/2) sigma of SINR targets ``gamma``, in its shape."""
+    return np.sqrt(gamma / subcarriers) * np.sqrt(noise_power)
 
 
 def _check_instance(channel: ChannelRealization, qos: QosTargets, realization: int):
@@ -204,7 +249,7 @@ def _stack(channels, qos_list):
             )
     h = np.stack([channel.per_subcarrier for channel in channels])
     q = h.shape[1]
-    return h, np.array([np.sqrt(qos.gamma / q) * qos.noise_std for qos in qos_list])
+    return h, np.array([zf_targets(qos.gamma, qos.noise_power, q) for qos in qos_list])
 
 
 def _guard_gram(gram, index):
@@ -346,18 +391,19 @@ def _packing(k):
     return gather, spread, sign
 
 
-def _packed_products(h):
+def _packed_products(h, workspace: Workspace | None = None):
     """The real (R, Q * K^2, M) packed products of each antenna's channel column.
 
     For subcarrier q and antenna m the K^2 reals of h_qm h_qm^H in the
     :func:`_packing` order, with the off-diagonal entries doubled, so that
     the Gram stack is this array times sqrt(p) and the power map is a
-    packed K x K matrix times it. One (R, Q, M) complex buffer serves every
-    pair of users.
+    packed K x K matrix times it. One (R, Q, M) complex scratch serves every
+    pair of users. The products and the scratch are taken from
+    ``workspace``, or are new arrays without one.
     """
     n, q, k, m = h.shape
-    packed = np.empty((n, q, k * k, m))
-    z = np.empty((n, q, m), dtype=complex)
+    packed = _take(workspace, "packed", (n, q * k * k, m)).reshape(n, q, k * k, m)
+    z = _take(workspace, "pair", (n, q, m), complex)
     rows, cols = np.triu_indices(k, 1)
     pairs = rows.size
     for a in range(k):
@@ -405,12 +451,16 @@ def _compact(array, rows):
     return array[:len(rows)]
 
 
-def _fixed_point(h, d, packed, targets, cfg, first, reference) -> PrecoderSolution:
+def _fixed_point(
+    h, d, packed, targets, cfg, first, reference, workspace: Workspace | None = None
+) -> PrecoderSolution:
     """Fixed-point power iteration on a (R, Q, K, M) stack ``h`` with (R, K) ZF targets ``d``.
 
     ``packed`` and ``targets`` are the stack's packed products and (R, 1, K,
     1) squared targets, which the caller may share with zero forcing: the
-    loop never writes them, and its first compaction takes a private copy.
+    loop never writes them, and its first compaction takes a private copy,
+    into ``workspace`` if given. Later compactions move that copy's rows down
+    in place.
     ``first`` is the lifted map at the uniform start, which the caller
     computes once and may share with zero forcing; the loop takes a copy of
     it as the first iterate and never writes it. The loop iterates the
@@ -431,7 +481,8 @@ def _fixed_point(h, d, packed, targets, cfg, first, reference) -> PrecoderSoluti
     ``p_final``: up to rounding, the powers of the precoders that the
     weighted-ZF kernel assembles at ``p_final``, which ``matrices`` does
     when read. That sweep's guard refuses a bad final Gram, naming the
-    lowest refused realization.
+    lowest refused realization. With a ``workspace`` the solution keeps no
+    kernel, since ``h`` is the workspace's to reuse.
     """
     n, _, k, m = h.shape
     index = np.arange(n)
@@ -474,11 +525,17 @@ def _fixed_point(h, d, packed, targets, cfg, first, reference) -> PrecoderSoluti
         if not index.size:
             break
         rows = np.flatnonzero(keep)
-        packed = packed[rows] if packed is shared else _compact(packed, rows)
+        if packed is shared:
+            # mode="clip" takes straight into the copy; "raise" would buffer.
+            copy = _take(workspace, "compacted", packed.shape)[:len(rows)]
+            packed = np.take(shared, rows, axis=0, out=copy, mode="clip")
+        else:
+            packed = _compact(packed, rows)
     del packed
 
     powers = _power_map(shared, block_targets, p_final, np.arange(n))
-    return PrecoderSolution(powers, iterations, converged, residual, trail, (h, d, p_final))
+    kernel = None if workspace is not None else (h, d, p_final)
+    return PrecoderSolution(powers, iterations, converged, residual, trail, kernel)
 
 
 def _no_iteration(powers, kernel=None) -> PrecoderSolution:
@@ -539,29 +596,54 @@ def solve_block(
     precoders, the same up to rounding. No precoder is kept until a
     solution's ``matrices`` is read.
     """
+    _check_names(names, p_max)
+    h, d = _stack(channels, qos_list)
+    return solve_stack(names, h, d, fixed_point, p_max, reference)
+
+
+def _check_names(names, p_max: float):
     if isinstance(names, str) or not names or not set(names) <= set(SOLVERS):
         raise DomainError(f"names must be a non-empty sequence of {SOLVERS}, got {names!r}")
     if "saturating" in names and not p_max > 0.0:
         raise DomainError(f"p_max must be positive, got {p_max}")
-    h, d = _stack(channels, qos_list)
+
+
+def solve_stack(
+    names, h, d, fixed_point: FixedPointConfig | None = None, p_max: float = np.inf,
+    reference=None, workspace: Workspace | None = None,
+) -> dict[str, PrecoderSolution]:
+    """:func:`solve_block` of a (R, Q, K, M) channel stack ``h`` with (R, K) ZF targets ``d``.
+
+    ``h`` must hold finite entries with M >= K, as :func:`_stack` checks and
+    the scenario draws give; ``d`` is :func:`zf_targets` of each instance.
+    With a ``workspace``, the packed products, their scratch and the fixed
+    point's compacted copy are taken from it, and no solution keeps a kernel:
+    ``h`` and those buffers are the workspace's, and the next block on its
+    thread overwrites them, so reading ``matrices`` raises. Without one
+    every array is new and the solutions are those of :func:`solve_block`.
+    Either way the fields are new arrays and their bits are the same.
+    """
+    _check_names(names, p_max)
     n, _, k, m = h.shape
     if reference is not None and np.shape(reference) != (n, m):
         raise DimensionError(f"reference must have shape ({n}, {m}), got {np.shape(reference)}")
     index, uniform = np.arange(n), np.full((n, m), INITIAL_POWER)
+    kernel = None if workspace is not None else (h, d, uniform)
     zf_by_map = "zf" in names and k <= ZF_MAP_MAX_USERS
     solved = {}
     if "zf" in names and not zf_by_map:
         zf_powers = per_antenna_powers(_weighted_zf(h, d, index, uniform))
-        solved["zf"] = _no_iteration(zf_powers, (h, d, uniform))
+        solved["zf"] = _no_iteration(zf_powers, kernel)
     if zf_by_map or "min_pa" in names:
-        packed = _packed_products(h)
+        packed = _packed_products(h, workspace)
         targets = np.square(d)[:, None, :, None]
         first = _power_map(packed, targets, uniform, index)
         if zf_by_map:
-            solved["zf"] = _no_iteration(first, (h, d, uniform))
+            solved["zf"] = _no_iteration(first, kernel)
         if "min_pa" in names:
             solved["min_pa"] = _fixed_point(
-                h, d, packed, targets, fixed_point or FixedPointConfig(), first, reference
+                h, d, packed, targets, fixed_point or FixedPointConfig(), first, reference,
+                workspace,
             )
     if "saturating" in names:
         solved["saturating"] = _saturating(h, d, p_max)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from energymimo import QosTargets
+from energymimo import QosTargets, channel
 from energymimo.channel import (
     CellGeometry,
     ChannelRealization,
     FreqCorrelation,
     draw_los_channel,
+    draw_los_into,
     draw_rayleigh_channel,
+    draw_rayleigh_into,
     draw_user_distances,
     large_scale_fading,
     target_sinr,
@@ -223,3 +225,38 @@ def test_rayleigh_draw_equals_the_complex_expression_bit_for_bit(correlation):
             assert h.dtype == expected.dtype and h.shape == expected.shape
             assert np.array_equal(h.view(np.uint64), expected.view(np.uint64))
             assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize(
+    "correlation", [None, FreqCorrelation(3, 0.5)], ids=["independent", "freq_taps"]
+)
+@pytest.mark.parametrize("chunk", [7, channel.DRAW_CHUNK])
+def test_draws_into_a_stack_equal_the_drawn_channels_bit_for_bit(monkeypatch, correlation, chunk):
+    # Each row of a (R, Q, K, M) stack is drawn in place, in chunks of 7
+    # entries or of the default; its bits, and what it leaves of the stream,
+    # are those of the channel drawn on its own.
+    m_antennas, k_users, subcarriers = 6, 3, 16
+    beta = np.array([1e-9, 4e-10, 2e-11])
+    stack = np.full((4, subcarriers, k_users, m_antennas), np.nan, dtype=complex)
+    for r, row in enumerate(stack):
+        rng, ref_rng = np.random.default_rng(r), np.random.default_rng(r)
+        with monkeypatch.context() as patch:
+            patch.setattr(channel, "DRAW_CHUNK", chunk)
+            if r % 2:
+                drawn = draw_los_into(row, rng)
+            else:
+                drawn = draw_rayleigh_into(row, beta, rng, correlation)
+        if r % 2:
+            expected = draw_los_channel(m_antennas, k_users, subcarriers, ref_rng)
+        else:
+            expected = draw_rayleigh_channel(
+                m_antennas, k_users, subcarriers, beta, ref_rng, correlation
+            )
+        assert drawn is row
+        assert np.array_equal(
+            stack[r].view(np.uint64), expected.per_subcarrier.view(np.uint64)
+        )
+        assert rng.random() == ref_rng.random()
+    # A strided target would be drawn into a copy, so it is refused.
+    with pytest.raises(DimensionError, match="C-contiguous"):
+        draw_rayleigh_into(stack[0, :, :, ::2], beta, np.random.default_rng(0))

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from energymimo import experiments, oracle
-from energymimo.channel import ChannelRealization
 from energymimo.cli import main, write_csv
 from energymimo.config import (
     ExperimentConfig,
@@ -408,17 +407,17 @@ def test_run_rows_do_not_depend_on_the_precoder_order():
 def test_cli_singular_channel_exit_code(tmp_path, monkeypatch, capsys):
     import energymimo.experiments as exps
 
-    real_block = exps.solve_block
+    real_block = exps.solve_stack
     calls = []
 
-    # ``run`` solves each block's precoders with one ``solve_block`` call.
-    def failing_third_block(names, channels, *args):
-        calls.append(len(channels))
+    # ``run`` solves each block's precoders with one ``solve_stack`` call.
+    def failing_third_block(names, h, *args, **kwargs):
+        calls.append(len(h))
         if len(calls) == 3:
             raise SingularChannelError("stub Gram failure", realization=0)
-        return real_block(names, channels, *args)
+        return real_block(names, h, *args, **kwargs)
 
-    monkeypatch.setattr(exps, "solve_block", failing_third_block)
+    monkeypatch.setattr(exps, "solve_stack", failing_third_block)
     cfgfile = tmp_path / "wide.cfg"
     cfgfile.write_text(WIDEBAND_CFG)
     assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "o.csv")]) == 2
@@ -427,16 +426,16 @@ def test_cli_singular_channel_exit_code(tmp_path, monkeypatch, capsys):
 
     solves = []
 
-    # ``convergence`` solves each block's fixed point with one ``solve_block`` call.
-    def failing_second_block(names, channels, *args, **kwargs):
-        solves.append((names, len(channels)))
+    # ``convergence`` solves each block's fixed point with one ``solve_stack`` call.
+    def failing_second_block(names, h, *args, **kwargs):
+        solves.append((names, len(h)))
         if len(solves) == 2:
             raise SingularChannelError("stub Gram failure", realization=0)
-        return real_block(names, channels, *args, **kwargs)
+        return real_block(names, h, *args, **kwargs)
 
     # Q * K * M = 16 entries per realization: one realization per block.
     monkeypatch.setattr(exps, "BLOCK_ELEMENTS", 16)
-    monkeypatch.setattr(exps, "solve_block", failing_second_block)
+    monkeypatch.setattr(exps, "solve_stack", failing_second_block)
     conv = tmp_path / "conv.cfg"
     conv.write_text("m_antennas = 8\nk_users = 2\nrealizations = 3\nseed = 2\noracle = false\n")
     assert main(["convergence", "--config", str(conv), "--out", str(tmp_path / "c.csv")]) == 2
@@ -449,12 +448,12 @@ def test_cli_convergence_raises_the_fixed_points_error_before_the_oracles(
 ):
     # Each block's oracle runs first and hands its optimum to the fixed point;
     # an oracle failure is raised only once the fixed point has run.
-    real = experiments.solve_block
+    real = experiments.solve_stack
     solves = []
 
-    def counted(names, channels, *args, **kwargs):
-        solves.append(len(channels))
-        return real(names, channels, *args, **kwargs)
+    def counted(names, h, *args, **kwargs):
+        solves.append(len(h))
+        return real(names, h, *args, **kwargs)
 
     def failing_oracle(*args, **kwargs):
         raise InfeasibleError("stub oracle failure")
@@ -466,11 +465,11 @@ def test_cli_convergence_raises_the_fixed_points_error_before_the_oracles(
     conv.write_text("m_antennas = 6\nk_users = 2\nrealizations = 3\nseed = 2\n")
     argv = ["convergence", "--config", str(conv), "--out", str(tmp_path / "c.csv")]
     monkeypatch.setattr(oracle, "solve_min_pa_bruteforce_block", failing_oracle)
-    monkeypatch.setattr(experiments, "solve_block", counted)
+    monkeypatch.setattr(experiments, "solve_stack", counted)
     assert main(argv) == 2
     assert capsys.readouterr().err == "infeasible scenario: stub oracle failure\n"
     assert solves == [3]
-    monkeypatch.setattr(experiments, "solve_block", failing_fixed_point)
+    monkeypatch.setattr(experiments, "solve_stack", failing_fixed_point)
     assert main(argv) == 2
     assert capsys.readouterr().err == "infeasible scenario: realization 0: stub Gram failure\n"
     assert not (tmp_path / "c.csv").exists()
@@ -481,20 +480,18 @@ def test_cli_q_error_singular_channel_names_the_realization(tmp_path, monkeypatc
     # It is the second member of the second block of two.
     import energymimo.experiments as exps
 
-    real = exps.draw_rayleigh_channel
+    real = exps.draw_rayleigh_into
     draws = []
 
-    def repeated_user_in_fourth_draw(m, k, q, beta, rng, correlation=None):
-        channel = real(m, k, q, beta, rng, correlation)
+    def repeated_user_in_fourth_draw(out, *args):
+        real(out, *args)
         draws.append(1)
-        if len(draws) != 4:
-            return channel
-        h = channel.per_subcarrier.copy()
-        h[:, 1, :] = h[:, 0, :]
-        return ChannelRealization(per_subcarrier=h)
+        if len(draws) == 4:
+            out[:, 1, :] = out[:, 0, :]
+        return out
 
     monkeypatch.setattr(exps, "BLOCK_ELEMENTS", 2 * 2 * 2 * 8)
-    monkeypatch.setattr(exps, "draw_rayleigh_channel", repeated_user_in_fourth_draw)
+    monkeypatch.setattr(exps, "draw_rayleigh_into", repeated_user_in_fourth_draw)
     cfgfile = tmp_path / "qerr.cfg"
     cfgfile.write_text(
         "m_antennas = 8\nk_users = 2\nrealizations = 4\nseed = 6\n"
@@ -711,6 +708,28 @@ def test_cli_circuit_power_with_an_infinite_full_array_total_is_config_error(
     assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("config error: circuit_watts: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "asymptotic"])
+def test_cli_pa_model_with_an_infinite_consumption_coefficient_is_config_error(
+    tmp_path, capsys, command
+):
+    # alpha = p_max^(1/2) / eta_max overflows to inf at eta_max = 5e-324 and
+    # at p_max_watts = 1e308 with eta_max = 1e-160; at eta_max = 1e-300 it
+    # is finite. Warnings are errors here, so no case may warn.
+    cfgfile = tmp_path / "exp.cfg"
+    out = tmp_path / "o.csv"
+    for pair, code in (
+        ("eta_max = 5e-324", 1), ("p_max_watts = 1e308\neta_max = 1e-160", 1),
+        ("eta_max = 1e-300", 0),
+    ):
+        cfgfile.write_text(f"m_antennas = 8\nk_users = 2\nrealizations = 2\nk_max = 3\n{pair}\n")
+        assert main([command, "--config", str(cfgfile), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("config error: p_max_watts, eta_max: ") and "not finite" in err
+            assert not out.exists()
+    assert out.exists()
 
 
 def test_cli_asymptotic_infeasible_rows_flagged(tmp_path):

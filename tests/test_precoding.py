@@ -16,7 +16,9 @@ from energymimo import (
     solve_block,
 )
 from energymimo.channel import draw_los_channel, draw_rayleigh_channel
-from energymimo.errors import DimensionError, DomainError, InfeasibleError, SingularChannelError
+from energymimo.errors import (
+    DimensionError, DomainError, EnergyMimoError, InfeasibleError, SingularChannelError,
+)
 from energymimo.model import ACTIVE_POWER_THRESHOLD
 from energymimo.oracle import solve_min_pa_bruteforce_block
 from energymimo.precoding import (
@@ -24,6 +26,7 @@ from energymimo.precoding import (
     SOLVERS,
     ZF_MAP_MAX_USERS,
     ZF_TOLERANCE,
+    Workspace,
     _fixed_point,
     _guard_gram,
     _packed_products,
@@ -31,6 +34,7 @@ from energymimo.precoding import (
     _stack,
     _sweep_inverse,
     _weighted_zf,
+    solve_stack,
 )
 
 from conftest import draw_cell_instance
@@ -469,6 +473,60 @@ def test_matrices_are_assembled_when_read():
             assert solution.powers == pytest.approx(per_antenna_powers(matrices), rel=1e-10)
 
 
+def test_matrices_read_after_later_solves_equal_a_fresh_solve():
+    # solve_block stacks into a new array on every call, so a solution
+    # assembles its precoders from its own channels even after later solves
+    # on the same thread, through solve_block or through a workspace.
+    rng = np.random.default_rng(83)
+    first, second = ([draw_cell_instance(8, 2, 32, rng) for _ in range(3)] for _ in range(2))
+    names = ("zf", "min_pa")
+    solved = solve_block(names, *zip(*first))
+    solve_block(names, *zip(*second))
+    solve_stack(names, *_stack(*zip(*second)), workspace=Workspace())
+    fresh = solve_block(names, *zip(*first))
+    for name in names:
+        assert np.array_equal(solved[name].matrices, fresh[name].matrices)
+
+
+def test_workspace_solves_equal_solve_block_and_keep_no_kernel():
+    # Blocks of one shape reuse the workspace's buffers, a shorter block
+    # their leading rows; the Q=1 blocks leave the fixed point's working set
+    # at different iterations, so they compact its copy of the packing. Each
+    # field equals solve_block's, and no solution can read the reused stack.
+    rng = np.random.default_rng(84)
+    cfg = FixedPointConfig(max_iterations=300)
+    workspace = Workspace()
+    groups = [[draw_cell_instance(12, 3, 1, rng) for _ in range(n)] for n in (5, 5, 2)]
+    groups += [[draw_cell_instance(8, 2, 32, rng) for _ in range(n)] for n in (3, 1)]
+    for group in groups:
+        channels, qos_list = zip(*group)
+        solved = solve_stack(SOLVERS[:2], *_stack(channels, qos_list), cfg, workspace=workspace)
+        alone = solve_block(SOLVERS[:2], channels, qos_list, cfg)
+        for name in SOLVERS[:2]:
+            for field in ("powers", "iterations", "converged", "residual", "trace"):
+                ours, theirs = getattr(solved[name], field), getattr(alone[name], field)
+                assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+            with pytest.raises(EnergyMimoError, match="workspace"):
+                solved[name].matrices
+    assert solved["min_pa"].iterations.size == 1
+
+
+def test_workspace_hands_out_the_leading_rows_of_what_it_holds():
+    workspace = Workspace()
+    held = workspace.take("a", (4, 3, 2))
+    assert held.shape == (4, 3, 2) and held.dtype == float
+    pointer = held.__array_interface__["data"][0]
+    for shape in ((4, 3, 2), (1, 3, 2)):
+        again = workspace.take("a", shape)
+        assert again.shape == shape and again.__array_interface__["data"][0] == pointer
+    # Another name, dtype, trailing shape or a longer block takes a new array.
+    assert not np.shares_memory(workspace.take("b", (4, 3, 2)), held)
+    for shape, dtype in (((4, 3, 2), complex), ((4, 2, 3), float), ((5, 3, 2), float)):
+        taken = workspace.take("a", shape, dtype)
+        assert taken.shape == shape and taken.dtype == dtype
+        assert not np.shares_memory(taken, held)
+
+
 def test_block_solve_shares_one_packing_in_any_order():
     # At M=16, K=2, Q=32 the realizations leave the fixed point's working
     # set at different iterations, so it compacts its copy of the packed
@@ -525,7 +583,7 @@ def test_zf_alone_packs_only_up_to_the_map_users(monkeypatch):
                 assert np.array_equal(getattr(solved["min_pa"], name), getattr(min_pa, name))
         blocks[k] = channels, qos_list, zf.powers
 
-    def refuse(h):
+    def refuse(*args):
         raise AssertionError("packed the channel products")
 
     monkeypatch.setattr("energymimo.precoding._packed_products", refuse)

@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from energymimo import experiments
+from energymimo import experiments, precoding
 from energymimo.cli import main, write_csv
 from energymimo.config import ExperimentConfig, with_scenario
 from energymimo.errors import SingularChannelError
@@ -193,8 +193,8 @@ def test_pool_holds_at_most_threads_blocks_not_yet_written(tmp_path, monkeypatch
     counts = {"finished": 0, "written": 0, "most_waiting": 0}
 
     def counting_map(cfg, worker, blocks):
-        def counted(block):
-            part = worker(block)
+        def counted(block, workspace):
+            part = worker(block, workspace)
             with lock:
                 counts["finished"] += 1
                 waiting = counts["finished"] - counts["written"]
@@ -221,3 +221,86 @@ def test_pool_holds_at_most_threads_blocks_not_yet_written(tmp_path, monkeypatch
     assert counts["finished"] == counts["written"] == 40
     assert counts["most_waiting"] == 3
     assert (tmp_path / "threads3.csv").read_bytes() == (tmp_path / "threads1.csv").read_bytes()
+
+
+def _record_block_buffers(monkeypatch, on_solve=None):
+    """Record (thread, stack pointer) of each block solve and (thread, packing pointer)."""
+    seen = {"stack": [], "packed": []}
+    real_solve, real_pack = experiments.solve_stack, precoding._packed_products
+
+    def pointer(array):
+        return threading.get_ident(), array.__array_interface__["data"][0]
+
+    def solve(names, h, *args, **kwargs):
+        seen["stack"].append(pointer(h))
+        if on_solve is not None:
+            on_solve()
+        return real_solve(names, h, *args, **kwargs)
+
+    def pack(h, workspace=None):
+        packed = real_pack(h, workspace)
+        seen["packed"].append(pointer(packed))
+        return packed
+
+    monkeypatch.setattr(experiments, "solve_stack", solve)
+    monkeypatch.setattr(precoding, "_packed_products", pack)
+    return seen
+
+
+def test_run_keeps_one_stack_and_one_packing_for_all_its_blocks(tmp_path, monkeypatch):
+    seen = _record_block_buffers(monkeypatch)
+    cfgfile = tmp_path / "wide.cfg"
+    cfgfile.write_text(WIDEBAND_CFG)  # three blocks of one realization
+    assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "o.csv")]) == 0
+    for name in ("stack", "packed"):
+        assert len(seen[name]) == 3
+        assert len(set(seen[name])) == 1, name
+
+
+def test_two_workers_never_share_a_block_buffer(tmp_path, monkeypatch):
+    # The first two solves wait for each other, so two pool threads run
+    # blocks. Each keeps one stack and one packing, and no two share one.
+    barrier = threading.Barrier(2, timeout=30)
+    lock = threading.Lock()
+    solves = []
+
+    def first_two_meet():
+        with lock:
+            solves.append(1)
+            meet = len(solves) <= 2
+        if meet:
+            barrier.wait()
+
+    seen = _record_block_buffers(monkeypatch, first_two_meet)
+    cfgfile = tmp_path / "wide.cfg"
+    cfgfile.write_text(WIDEBAND_CFG.replace("realizations = 3", "realizations = 6"))
+    argv = ["run", "--config", str(cfgfile), "--out", str(tmp_path / "o.csv"), "--threads", "2"]
+    assert main(argv) == 0
+    for name in ("stack", "packed"):
+        assert len(seen[name]) == 6
+        by_thread = {}
+        for thread, address in seen[name]:
+            by_thread.setdefault(thread, set()).add(address)
+        assert len(by_thread) == 2, name
+        assert all(len(addresses) == 1 for addresses in by_thread.values()), name
+        assert len(set.union(*by_thread.values())) == 2, name
+
+
+def test_more_workers_than_cores_write_the_bytes_of_one(tmp_path, monkeypatch):
+    # Four workers on two realizations per block, switching every 10 us: a
+    # buffer that two of them shared would mix their blocks' channels.
+    cfgfile = tmp_path / "q32.cfg"
+    cfgfile.write_text(
+        "m_antennas = 16\nk_users = 2\nsubcarriers = 32\nrealizations = 24\nseed = 3\n"
+    )
+    monkeypatch.setattr(experiments, "BLOCK_ELEMENTS", 2 * 32 * 2 * 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in ("1", "4"):
+            out = tmp_path / f"threads{threads}.csv"
+            argv = ["run", "--config", str(cfgfile), "--out", str(out), "--threads", threads]
+            assert main(argv) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert (tmp_path / "threads4.csv").read_bytes() == (tmp_path / "threads1.csv").read_bytes()
