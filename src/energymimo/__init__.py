@@ -18,14 +18,13 @@ from .asymptotic import (
 )
 from .channel import (
     CellGeometry,
-    ChannelRealization,
     FreqCorrelation,
-    QosTargets,
-    draw_los_channel,
-    draw_rayleigh_channel,
+    draw_los_into,
+    draw_rayleigh_into,
     draw_user_distances,
     large_scale_fading,
     target_sinr,
+    zf_targets,
 )
 from .config import ExperimentConfig, ScenarioConfig, load_config
 from .errors import (
@@ -57,14 +56,13 @@ from .precoding import (
     FixedPointConfig,
     PrecoderSolution,
     los_allocation_precoders,
-    solve_block,
+    solve_stack,
 )
 
 __all__ = [
     "AsymptoticPlan",
     "BsModel",
     "CellGeometry",
-    "ChannelRealization",
     "ConfigError",
     "DimensionError",
     "DomainError",
@@ -78,15 +76,14 @@ __all__ = [
     "PaModel",
     "PowerReport",
     "PrecoderSolution",
-    "QosTargets",
     "ScenarioConfig",
     "SingularChannelError",
     "asymptotic_bs_power",
     "asymptotic_pa_power",
     "asymptotic_per_antenna_power",
     "bs_consumed_power",
-    "draw_los_channel",
-    "draw_rayleigh_channel",
+    "draw_los_into",
+    "draw_rayleigh_into",
     "draw_user_distances",
     "estimate_flops",
     "gain_metrics",
@@ -98,11 +95,12 @@ __all__ = [
     "optimal_ma_plans",
     "pa_consumed_power",
     "per_antenna_powers",
-    "solve_block",
     "solve_min_pa_bruteforce_block",
+    "solve_stack",
     "solve_quartic_ma",
     "target_sinr",
     "trace_term",
+    "zf_targets",
 ]
 
 __version__ = "0.1.0"

@@ -1,8 +1,14 @@
 """Scenario generation: user placement, fading, SINR targets, channel draws.
 
-The subcarrier count Q is the channel stack's own: a solver splits user k's
-target gamma_k evenly over the Q subcarriers of its channel. The large-scale
-fading beta scales the Rayleigh draw and is not kept with the channel.
+An instance is a row of two arrays, the one format that the solvers and the
+oracles take: a channel stack ``h`` of shape (R, Q, K, M), R realizations of
+Q subcarriers of K x M matrices, and the (R, K) ZF targets ``d`` that
+:func:`zf_targets` makes from SINR targets gamma and the noise power,
+d_k = (gamma_k / Q)^(1/2) sigma, user k's target split evenly over the Q
+subcarriers. :func:`check_stack` refuses a pair that is not such an
+instance block. :func:`draw_rayleigh_into` and :func:`draw_los_into` write
+one realization's channel into its (Q, K, M) row. The large-scale fading
+beta scales the Rayleigh draw and is not kept with the channel.
 
 Randomness is always drawn from an explicit ``numpy.random.Generator`` so
 experiments are bit-reproducible; there is no module-level RNG state.
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, SingularChannelError
 
 # 3GPP-style urban path loss, beta_dB = -35.3 - 37.6 log10(u).
 PATHLOSS_INTERCEPT_DB = -35.3
@@ -46,40 +52,6 @@ class CellGeometry:
 
 
 @dataclass(frozen=True)
-class QosTargets:
-    """Per-user linear SINR targets plus the shared noise power.
-
-    A solver splits each target over the Q subcarriers of the channel it is
-    solved on: the per-subcarrier target of user k is gamma_k / Q.
-    """
-
-    gamma: np.ndarray
-    noise_power: float
-
-    def __post_init__(self):
-        gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
-        object.__setattr__(self, "gamma", gamma)
-        if gamma.ndim != 1:
-            raise DimensionError(f"expected a length-K gamma, got shape {gamma.shape}")
-        if not gamma.size:
-            raise DomainError("need at least one SINR target")
-        if not np.all(gamma > 0.0):
-            raise DomainError("all SINR targets must be positive")
-        if not np.all(np.isfinite(gamma)):
-            raise DomainError("all SINR targets must be finite")
-        if not 0.0 < self.noise_power < np.inf:
-            raise DomainError(f"noise power must be positive and finite, got {self.noise_power}")
-
-    @property
-    def k_users(self) -> int:
-        return self.gamma.shape[0]
-
-    @property
-    def noise_std(self) -> float:
-        return float(np.sqrt(self.noise_power))
-
-
-@dataclass(frozen=True)
 class FreqCorrelation:
     """Exponential power-delay profile with ``taps`` taps.
 
@@ -98,33 +70,6 @@ class FreqCorrelation:
             raise DomainError(f"decay must be >= 0, got {self.decay}")
         if not np.isfinite(self.decay):
             raise DomainError(f"decay must be finite, got {self.decay}")
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Q stacked K x M channel matrices, with Q >= 1 and K >= 1."""
-
-    per_subcarrier: np.ndarray
-
-    def __post_init__(self):
-        h = np.asarray(self.per_subcarrier)
-        if h.ndim != 3:
-            raise DimensionError(f"expected (Q, K, M) channel stack, got shape {h.shape}")
-        if not h.shape[0] or not h.shape[1]:
-            raise DimensionError(f"need at least one subcarrier and one user, got shape {h.shape}")
-        object.__setattr__(self, "per_subcarrier", h)
-
-    @property
-    def subcarriers(self) -> int:
-        return self.per_subcarrier.shape[0]
-
-    @property
-    def k_users(self) -> int:
-        return self.per_subcarrier.shape[1]
-
-    @property
-    def m_antennas(self) -> int:
-        return self.per_subcarrier.shape[2]
 
 
 def draw_user_distances(k_users: int, geometry: CellGeometry, rng: np.random.Generator) -> np.ndarray:
@@ -161,6 +106,50 @@ def target_sinr(beta, ref_coeff: float = SINR_REF_COEFF):
     return float(gamma) if np.isscalar(beta) or beta_arr.ndim == 0 else gamma
 
 
+def zf_targets(gamma, noise_power: float, subcarriers: int) -> np.ndarray:
+    """The ZF targets (gamma_k / Q)^(1/2) sigma of SINR targets ``gamma``, in its shape.
+
+    ``gamma`` holds linear SINR targets, for one realization (K,) or a block
+    (R, K); ``noise_power`` is sigma^2 and ``subcarriers`` is Q. Every
+    target and the noise power must be positive and finite, and Q at least 1.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    if not ((gamma > 0.0) & (gamma < np.inf)).all():
+        raise DomainError("all SINR targets must be positive and finite")
+    if not 0.0 < noise_power < np.inf:
+        raise DomainError(f"noise power must be positive and finite, got {noise_power}")
+    if not subcarriers >= 1:
+        raise DomainError(f"need at least one subcarrier, got {subcarriers}")
+    return np.sqrt(gamma / subcarriers) * np.sqrt(noise_power)
+
+
+def check_stack(h, d) -> tuple[np.ndarray, np.ndarray]:
+    """``h`` and ``d`` as arrays, once they are a block of instances; raises otherwise.
+
+    ``h`` must be a (R, Q, K, M) channel stack with no empty axis, M >= K
+    and finite entries, and ``d`` its (R, K) ZF targets, each positive and
+    finite. One vectorized pass; a non-finite channel entry is named by its
+    stack row.
+    """
+    h, d = np.asarray(h), np.asarray(d)
+    if h.ndim != 4 or not all(h.shape):
+        raise DimensionError(
+            f"expected a non-empty (R, Q, K, M) channel stack, got shape {h.shape}"
+        )
+    n, _, k, m = h.shape
+    if d.shape != (n, k):
+        raise DimensionError(f"ZF targets must have shape (R, K) = ({n}, {k}), got {d.shape}")
+    if m < k:
+        raise SingularChannelError(f"zero forcing needs M >= K, got M={m}, K={k}", realization=0)
+    finite = np.isfinite(h)
+    if not finite.all():
+        row = int(np.argmin(finite.reshape(n, -1).all(axis=1)))
+        raise DomainError(f"instance {row} has a non-finite channel entry")
+    if not ((d > 0.0) & (d < np.inf)).all():
+        raise DomainError("all ZF targets must be positive and finite")
+    return h, d
+
+
 def _chunks(out):
     """The flat view of the C-contiguous ``out`` and slices covering it, ``DRAW_CHUNK`` each."""
     if not out.flags.c_contiguous:
@@ -190,30 +179,17 @@ def _complex_gaussian(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def draw_rayleigh_channel(
-    m_antennas: int,
-    k_users: int,
-    subcarriers: int,
-    beta,
-    rng: np.random.Generator,
-    correlation: FreqCorrelation | None = None,
-) -> ChannelRealization:
-    """Uncorrelated-in-space Rayleigh channel H_q = D_beta^(1/2) G_q.
+def draw_rayleigh_into(
+    out: np.ndarray, beta, rng: np.random.Generator, correlation: FreqCorrelation | None = None
+) -> np.ndarray:
+    """Uncorrelated-in-space Rayleigh channel H_q = D_beta^(1/2) G_q, written into ``out``.
 
+    ``out`` is a C-contiguous complex (Q, K, M) array, such as one row of a
+    channel stack; ``beta`` holds the K large-scale fading coefficients.
     With ``correlation=None`` the Q subcarriers are drawn independently.
     Otherwise each (user, antenna) pair gets an L-tap exponential delay
     profile whose DFT produces correlated subcarriers with per-entry unit
-    variance preserved.
-    """
-    h = np.empty((subcarriers, k_users, m_antennas), dtype=complex)
-    return ChannelRealization(draw_rayleigh_into(h, beta, rng, correlation))
-
-
-def draw_rayleigh_into(out, beta, rng, correlation=None):
-    """:func:`draw_rayleigh_channel` written into the C-contiguous complex (Q, K, M) ``out``.
-
-    Returns ``out``, with the bits of the channel that
-    :func:`draw_rayleigh_channel` returns from the same stream.
+    variance preserved. Returns ``out``.
     """
     subcarriers, k_users, m_antennas = out.shape
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
@@ -238,22 +214,12 @@ def draw_rayleigh_into(out, beta, rng, correlation=None):
     return out
 
 
-def draw_los_channel(
-    m_antennas: int,
-    k_users: int,
-    subcarriers: int,
-    rng: np.random.Generator,
-) -> ChannelRealization:
-    """Pure line-of-sight channel with unit-modulus entries, phases uniform on [0, 2pi)."""
-    h = np.empty((subcarriers, k_users, m_antennas), dtype=complex)
-    return ChannelRealization(draw_los_into(h, rng))
+def draw_los_into(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Pure line-of-sight channel written into the C-contiguous complex (Q, K, M) ``out``.
 
-
-def draw_los_into(out, rng):
-    """:func:`draw_los_channel` written into the C-contiguous complex (Q, K, M) ``out``.
-
-    The uniforms are drawn chunk by chunk into one float scratch. Returns
-    ``out``, with the bits of ``np.exp(2j * np.pi * rng.random(shape))``.
+    Unit-modulus entries with phases uniform on [0, 2pi). The uniforms are
+    drawn chunk by chunk into one float scratch. Returns ``out``, with the
+    bits of ``np.exp(2j * np.pi * rng.random(shape))``.
     """
     flat, chunks = _chunks(out)
     part = np.empty(min(flat.size, DRAW_CHUNK))

@@ -7,9 +7,12 @@ realizations are scheduled; the blocks' results are taken in realization
 order. Every Monte-Carlo command works on fixed-size blocks of realizations
 and draws each block once, with :func:`_draw_block`: ``run``,
 ``convergence`` and ``asymptotic`` q_error draw the block's channels into
-one stack and solve it with one ``precoding.solve_stack`` call, and
-``asymptotic`` k_sweep and ma_curve sum the block's trace terms
-gamma_k sigma^2 / beta_k, one per (realization, user). The thread pool maps
+one (R, Q, K, M) stack ``h`` beside its (R, K) ZF targets ``d`` and solve
+it with one ``precoding.solve_stack`` call, ``convergence`` after handing
+the same ``h, d`` to its oracle, and ``asymptotic`` k_sweep and ma_curve
+sum the block's trace terms gamma_k sigma^2 / beta_k, one per
+(realization, user). ``validate`` draws and solves on the same two arrays.
+The thread pool maps
 over those blocks, whose boundaries depend only on the scenario, and works
 at most ``threads`` blocks ahead of the reader. Each thread keeps the
 block's channel stack and the solver's large arrays in a workspace of its
@@ -45,24 +48,20 @@ from .asymptotic import (
     trace_term,
 )
 from .channel import (
-    ChannelRealization,
     FreqCorrelation,
-    QosTargets,
     draw_los_into,
-    draw_rayleigh_channel,
     draw_rayleigh_into,
     draw_user_distances,
     large_scale_fading,
     target_sinr,
+    zf_targets,
 )
 from .config import ExperimentConfig
 from .errors import (
     ConfigError, EnergyMimoError, InfeasibleError, OracleSizeError, RealizationError,
 )
 from .model import bs_consumed_power, gain_metrics, pa_consumed_power
-from .precoding import (
-    AS1_PRECODERS, FixedPointConfig, Workspace, solve_block, solve_stack, zf_targets,
-)
+from .precoding import AS1_PRECODERS, FixedPointConfig, Workspace, solve_stack
 
 # Channel entries (Q * K * M per realization) stacked into one solver block.
 # Block boundaries depend only on the scenario, never on the thread count, so
@@ -204,11 +203,11 @@ def _draw_block(
     cfg: ExperimentConfig, block: range, k_users: int, subcarriers: int = 0,
     workspace: Workspace | None = None,
 ):
-    """(terms, gamma, h, d) of the realizations in ``block``.
+    """(terms, h, d) of the realizations in ``block``.
 
     Each realization drops its ``k_users`` users on its own stream; their
     distances are stacked to (R, ``k_users``) and turned into large-scale
-    fading beta, SINR targets ``gamma`` and trace ``terms`` gamma sigma^2 /
+    fading beta, SINR targets gamma and trace ``terms`` gamma sigma^2 /
     beta at once. With ``subcarriers``, each realization then draws its
     channel over that many subcarriers on the same stream, into its row of
     the (R, Q, K, M) stack ``h`` taken from ``workspace``, and ``d`` holds
@@ -223,7 +222,7 @@ def _draw_block(
     gamma = target_sinr(beta, sc.sinr_ref)
     terms = gamma * sc.noise_power / beta
     if not subcarriers:
-        return terms, gamma, None, None
+        return terms, None, None
     h = workspace.take("channels", (len(block), subcarriers, k_users, sc.m_antennas), complex)
     if sc.channel == "los":
         for out, rng in zip(h, rngs):
@@ -232,7 +231,7 @@ def _draw_block(
         correlation = FreqCorrelation(sc.freq_taps, sc.freq_decay) if sc.freq_taps > 0 else None
         for out, gains, rng in zip(h, beta, rngs):
             draw_rayleigh_into(out, gains, rng, correlation)
-    return terms, gamma, h, zf_targets(gamma, sc.noise_power, subcarriers)
+    return terms, h, zf_targets(gamma, sc.noise_power, subcarriers)
 
 
 @contextmanager
@@ -324,7 +323,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     zf_column = cfg.precoders.index("zf") if "zf" in cfg.precoders else None
 
     def report_block(block: range, workspace: Workspace):
-        _, _, h, d = _draw_block(cfg, block, sc.k_users, sc.subcarriers, workspace)
+        _, h, d = _draw_block(cfg, block, sc.k_users, sc.subcarriers, workspace)
         with _global_index(block):
             solved = solve_stack(
                 cfg.precoders, h, d, cfg.fixed_point(), p_max, workspace=workspace
@@ -376,25 +375,23 @@ def convergence_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     sc = cfg.scenario
     pa = sc.pa_model()
 
-    def oracle_block(channels, qos_list):
+    def oracle_block(h, d):
         if sc.k_users == 1 and sc.subcarriers == 1:
-            return oracle.analytic_single_user(channels, qos_list, pa)
+            return oracle.analytic_single_user(h, d, pa)
         return oracle.solve_min_pa_bruteforce_block(
-            channels, qos_list, pa,
+            h, d, pa,
             max_m=cfg.oracle_max_m,
             max_k=cfg.oracle_max_k,
             max_q=cfg.oracle_max_q,
         )
 
     def report_block(block: range, workspace: Workspace):
-        _, gamma, h, d = _draw_block(cfg, block, sc.k_users, sc.subcarriers, workspace)
+        _, h, d = _draw_block(cfg, block, sc.k_users, sc.subcarriers, workspace)
         optimum = skipped = failure = None
         gaps = np.zeros(0)
         if cfg.oracle:
-            channels = [ChannelRealization(row) for row in h]
-            qos_list = [QosTargets(gamma=targets, noise_power=sc.noise_power) for targets in gamma]
             try:
-                found = oracle_block(channels, qos_list)
+                found = oracle_block(h, d)
             except OracleSizeError as exc:
                 skipped = str(exc)
             except Exception as exc:  # held: the fixed point's own error is raised first
@@ -539,7 +536,7 @@ def _asymptotic_q_error(cfg: ExperimentConfig) -> ExperimentResult:
     summary = {"realizations": cfg.realizations, "q_list": cfg.q_list}
     for row, q in enumerate(cfg.q_list):
         def report_block(block: range, workspace: Workspace, q=q):
-            terms, _, h, d = _draw_block(cfg, block, sc.k_users, q, workspace)
+            terms, h, d = _draw_block(cfg, block, sc.k_users, q, workspace)
             with _global_index(block):
                 powers = solve_stack(("zf",), h, d, workspace=workspace)["zf"].powers
             return (
@@ -613,12 +610,12 @@ def validate_suite(cfg: ExperimentConfig) -> ExperimentResult:
         m = int(bruteforce_rng.integers(4, 7))
         k = int(bruteforce_rng.integers(1, 4))
         q = int(bruteforce_rng.integers(1, 5))
-        beta = np.full(k, 1e-11)
-        gamma = bruteforce_rng.uniform(2.0, 40.0, size=k)
-        qos = QosTargets(gamma=gamma, noise_power=cfg.scenario.noise_power)
-        channel = draw_rayleigh_channel(m, k, q, beta, bruteforce_rng)
-        ref = oracle.solve_min_pa_bruteforce_block([channel], [qos], pa).objective[0]
-        powers = solve_block(("min_pa",), [channel], [qos], fixed_point)["min_pa"].powers[0]
+        gamma = bruteforce_rng.uniform(2.0, 40.0, size=(1, k))
+        d = zf_targets(gamma, cfg.scenario.noise_power, q)
+        h = np.empty((1, q, k, m), dtype=complex)
+        draw_rayleigh_into(h[0], np.full(k, 1e-11), bruteforce_rng)
+        ref = oracle.solve_min_pa_bruteforce_block(h, d, pa).objective[0]
+        powers = solve_stack(("min_pa",), h, d, fixed_point)["min_pa"].powers[0]
         worst_rel = max(worst_rel, abs(pa_consumed_power(powers, pa) - ref) / ref)
     record(
         "bruteforce_equivalence", worst_rel <= 1e-3,

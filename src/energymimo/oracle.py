@@ -8,13 +8,16 @@ grid scan and the quartic a closed-form resolvent-cubic solve. They may be
 orders of magnitude slower than the main paths; that is the point.
 
 The two consumption oracles, the cone program and the single-user closed
-form, take a block of equal-shape instances and return one
+form, take a block of instances in the solvers' format, a (R, Q, K, M)
+channel stack ``h`` and its (R, K) ZF targets ``d``, refused unless
+:func:`channel.check_stack` passes them, and return one
 :class:`OracleResult` whose fields carry the block axis; row r equals the
-solve of instance r alone. The cone program follows the central paths of
-the block at once (:func:`solve_min_pa_bruteforce_block`), in slices of
-bounded memory: one Newton step of every unfinished instance per round, on
-stacked arrays, with each instance's gap test, primal recovery and exit
-its own.
+solve of instance r alone. Only that input check and format are shared; the
+arithmetic is their own. Neither writes ``h`` or ``d``: the cone program
+normalizes a copy. It follows the central paths of the block at once
+(:func:`solve_min_pa_bruteforce_block`), in slices of bounded memory: one
+Newton step of every unfinished instance per round, on stacked arrays, with
+each instance's gap test, primal recovery and exit its own.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, QosTargets
-from .errors import DimensionError, DomainError, InfeasibleError, OracleSizeError
+from .channel import check_stack
+from .errors import DomainError, InfeasibleError, OracleSizeError
 from .model import BsModel, PaModel
 
 # Default desk-scale guard of the brute-force consumption minimizer.
@@ -165,8 +168,8 @@ def _recover_primal(h, pinv, eye, g, slack, t):
 
 
 def solve_min_pa_bruteforce_block(
-    channels: list[ChannelRealization],
-    qos_list: list[QosTargets],
+    h,
+    d,
     pa: PaModel,
     max_m: int = ORACLE_MAX_M,
     max_k: int = ORACLE_MAX_K,
@@ -185,27 +188,28 @@ def solve_min_pa_bruteforce_block(
     method is deterministic; the certified gap makes it ground truth. A
     ``gap`` above ``GAP_TOL`` means the step limit ended that solve.
 
-    The channels share one (Q, K, M) and are stacked to (R, Q, K, M). Each
-    round takes one Newton step of every instance still running, with its
-    own barrier weight t, dual point, slack and step count; an instance
-    that has centered runs its own gap test and primal recovery, then grows
-    its t or leaves the stack. The runs take the stack in slices that fit
-    in ``ORACLE_SLICE_BYTES``. Row r equals the block of instance r alone,
-    bit for bit. The input checks refuse the block before anything is
-    solved; a rank-deficient instance raises the message it raises alone.
+    ``h`` is the (R, Q, K, M) channel stack and ``d`` its (R, K) ZF
+    targets; neither is written. Each round takes one Newton step of every
+    instance still running, with its own barrier weight t, dual point,
+    slack and step count; an instance that has centered runs its own gap
+    test and primal recovery, then grows its t or leaves the stack. The
+    runs take the stack in slices that fit in ``ORACLE_SLICE_BYTES``. Row
+    r equals the block of instance r alone, bit for bit. The input checks
+    refuse the block before anything is solved; a rank-deficient instance
+    raises the message it raises alone.
     """
-    q, k, m = _block_shape(channels, qos_list)
+    h, d = check_stack(h, d)
+    _, q, k, m = h.shape
     if m > max_m or k > max_k or q > max_q:
         raise OracleSizeError(
             f"instance (M={m}, K={k}, Q={q}) exceeds oracle guard "
             f"(M<={max_m}, K<={max_k}, Q<={max_q})"
         )
-    # One stack, divided in place by D, so that the constraint reads
+    # One copy of the stack, divided in place by D, so that the constraint reads
     # H_q W_q = I, then by each instance's RMS: W is `scale` times the precoder.
-    targets = np.array([np.sqrt(qos.gamma / q) * qos.noise_std for qos in qos_list])
-    h = np.stack([channel.per_subcarrier for channel in channels])
-    h = h.astype(np.result_type(h, targets), copy=False)
-    h /= targets[:, None, :, None]
+    channels = h
+    h = np.array(h, dtype=np.result_type(h, d))
+    h /= d[:, None, :, None]
     scales = np.array([np.sqrt(np.mean(np.abs(row) ** 2)) for row in h])
     h /= scales[:, None, None, None]
     eye = np.eye(k)
@@ -222,30 +226,9 @@ def solve_min_pa_bruteforce_block(
             w = w / scales[j]
             powers[j] = np.sum(np.abs(w) ** 2, axis=(0, 2))
             objective[j] = pa.alpha * np.sum(np.sqrt(powers[j]))
-            residual[j] = np.max(
-                np.abs(channels[j].per_subcarrier @ w - np.diag(targets[j])[None, :, :])
-            )
+            residual[j] = np.max(np.abs(channels[j] @ w - np.diag(d[j])[None, :, :]))
             gap[j] = (primal - dual) / dual
     return OracleResult(powers, objective, residual, gap)
-
-
-def _block_shape(channels, qos_list) -> tuple[int, int, int]:
-    """The (Q, K, M) that every channel of a non-empty block and its targets share."""
-    if not channels or len(channels) != len(qos_list):
-        raise DimensionError(
-            f"need one QoS target set per channel, at least one: got {len(channels)} "
-            f"channels and {len(qos_list)} target sets"
-        )
-    shapes = {channel.per_subcarrier.shape for channel in channels}
-    if len(shapes) != 1:
-        raise DimensionError(
-            f"the channels of one block must share (Q, K, M), got {sorted(shapes)}"
-        )
-    q, k, m = shapes.pop()
-    for qos in qos_list:
-        if qos.k_users != k:
-            raise DimensionError(f"QoS targets cover {qos.k_users} users, channel has {k}")
-    return q, k, m
 
 
 def _central_paths(h, pinv):
@@ -306,20 +289,23 @@ def _central_paths(h, pinv):
     return found
 
 
-def analytic_single_user(channels, qos_list, pa: PaModel) -> OracleResult:
-    """Closed-form optimum of each K=1, Q=1 instance: all power on the strongest antenna."""
-    if _block_shape(channels, qos_list)[:2] != (1, 1):
+def analytic_single_user(h, d, pa: PaModel) -> OracleResult:
+    """Closed-form optimum of each K=1, Q=1 instance: all power on the strongest antenna.
+
+    ``h`` is the (R, 1, 1, M) channel stack and ``d`` its (R, 1) ZF targets;
+    the power on the strongest antenna is (d / |h_m|)^2.
+    """
+    h, d = check_stack(h, d)
+    if h.shape[1:3] != (1, 1):
         raise DomainError("analytic oracle covers the K=1, Q=1 case only")
-    gains = np.abs(np.array([channel.per_subcarrier[0, 0] for channel in channels], dtype=complex))
+    gains = np.abs(h[:, 0, 0])
     rows = np.arange(len(gains))
     strongest = np.argmax(gains, axis=1)
     peak = gains[rows, strongest]
     if not np.all(peak > 0.0):
         raise InfeasibleError("all-zero channel")
     powers = np.zeros(gains.shape)
-    powers[rows, strongest] = (
-        np.array([qos.noise_power * float(qos.gamma[0]) for qos in qos_list]) / peak**2
-    )
+    powers[rows, strongest] = d[:, 0] ** 2 / peak**2
     objective = pa.alpha * np.sqrt(powers[rows, strongest])
     return OracleResult(powers, objective, np.zeros(len(rows)), np.zeros(len(rows)))
 

@@ -1,17 +1,20 @@
 """Downlink precoder solvers.
 
-:func:`solve_block` runs the solvers named in ``SOLVERS``: ``zf``, the
+:func:`solve_stack` runs the solvers named in ``SOLVERS``: ``zf``, the
 conventional per-subcarrier zero-forcing solution minimizing transmit
 power; ``min_pa``, which minimizes the square-root PA consumption under
 the same QoS constraints by iterating the fixed-point power equations; and
 ``saturating``, the capped single-user narrowband fill in closed form. It
-solves a list of instances of one channel shape at once and returns, by
-name, one :class:`PrecoderSolution` whose fields carry the block axis; row
-r equals the solve of instance r alone, bit for bit. :func:`solve_stack`
-does the same on a channel stack, and can keep its large arrays in a
-:class:`Workspace` that a thread reuses from block to block.
+takes the package's one instance format, a (R, Q, K, M) channel stack ``h``
+and its (R, K) ZF targets ``d`` (:func:`channel.zf_targets`), checked once
+by :func:`channel.check_stack`, and returns, by name, one
+:class:`PrecoderSolution` whose fields carry the block axis; row r equals
+the solve of instance r alone, bit for bit. It can keep its large arrays
+in a :class:`Workspace` that a thread reuses from block to block.
 ``los_allocation_precoders``, the closed-form single-user LOS power split,
-takes and returns the same.
+takes and returns the same. It stays public because it is the only entry
+point that gives the kernel's precoders at chosen powers, which the
+paper's LOS split invariance (acceptance criterion 4) needs.
 
 Both iterative solvers and the LOS split take their precoders from one
 weighted zero-forcing kernel, W_q = D_p^(1/2) H_q^H G_q^(-1) D with
@@ -53,7 +56,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .channel import ChannelRealization, QosTargets
+from .channel import check_stack
 from .errors import (
     DimensionError, DomainError, EnergyMimoError, InfeasibleError, SingularChannelError,
 )
@@ -88,7 +91,7 @@ INITIAL_POWER = 1.0
 # M = 256, K = 32, Q = 64.
 ZF_MAP_MAX_USERS = 4
 
-# The solvers that :func:`solve_block` runs by name, and those of them that
+# The solvers that :func:`solve_stack` runs by name, and those of them that
 # ignore ``p_max``.
 SOLVERS = ("zf", "min_pa", "saturating")
 AS1_PRECODERS = ("zf", "min_pa")
@@ -173,7 +176,7 @@ class PrecoderSolution:
         if self._kernel is None:
             raise EnergyMimoError(
                 "this solution was solved in a reused workspace and keeps no channel; "
-                "solve it with solve_block to read its precoders"
+                "solve it with solve_stack without a workspace to read its precoders"
             )
         h, d, p = self._kernel
         return _weighted_zf(h, d, np.arange(len(p)), p)
@@ -205,51 +208,6 @@ class Workspace:
 def _take(workspace: Workspace | None, name: str, shape: tuple, dtype=float) -> np.ndarray:
     """``workspace.take(name, shape, dtype)``, or a new array without a workspace."""
     return np.empty(shape, dtype) if workspace is None else workspace.take(name, shape, dtype)
-
-
-def zf_targets(gamma, noise_power: float, subcarriers: int) -> np.ndarray:
-    """The ZF targets (gamma_k / Q)^(1/2) sigma of SINR targets ``gamma``, in its shape."""
-    return np.sqrt(gamma / subcarriers) * np.sqrt(noise_power)
-
-
-def _check_instance(channel: ChannelRealization, qos: QosTargets, realization: int):
-    if qos.k_users != channel.k_users:
-        raise DimensionError(
-            f"QoS targets cover {qos.k_users} users, channel has {channel.k_users}"
-        )
-    if channel.m_antennas < channel.k_users:
-        raise SingularChannelError(
-            f"zero forcing needs M >= K, got M={channel.m_antennas}, K={channel.k_users}",
-            realization=realization,
-        )
-    if not np.isfinite(channel.per_subcarrier).all():
-        raise DomainError(f"instance {realization} has a non-finite channel entry")
-
-
-def _stack(channels, qos_list):
-    """The (R, Q, K, M) channel stack of a list of instances and its ZF targets.
-
-    The instances must share one channel shape and dtype. The (R, K) targets
-    d[r, k] = (gamma_k / Q)^(1/2) sigma of instance r are shared by all Q
-    subcarriers.
-    """
-    channels, qos_list = list(channels), list(qos_list)
-    if len(channels) != len(qos_list):
-        raise DimensionError(f"{len(channels)} channels but {len(qos_list)} QoS targets")
-    if not channels:
-        raise DimensionError("no instances to solve")
-    first = channels[0].per_subcarrier
-    for i, (channel, qos) in enumerate(zip(channels, qos_list)):
-        _check_instance(channel, qos, i)
-        h = channel.per_subcarrier
-        if (h.shape, h.dtype) != (first.shape, first.dtype):
-            raise DimensionError(
-                f"instance {i} has a {h.dtype} channel of shape {h.shape}, instance 0 a "
-                f"{first.dtype} one of shape {first.shape}; a stacked solve needs one of each"
-            )
-    h = np.stack([channel.per_subcarrier for channel in channels])
-    q = h.shape[1]
-    return h, np.array([zf_targets(qos.gamma, qos.noise_power, q) for qos in qos_list])
 
 
 def _guard_gram(gram, index):
@@ -552,20 +510,21 @@ def _closed_form(matrices) -> PrecoderSolution:
     return solution
 
 
-def solve_block(
-    names, channels, qos_list, fixed_point: FixedPointConfig | None = None,
-    p_max: float = np.inf, reference=None,
+def solve_stack(
+    names, h, d, fixed_point: FixedPointConfig | None = None, p_max: float = np.inf,
+    reference=None, workspace: Workspace | None = None,
 ) -> dict[str, PrecoderSolution]:
     """Each named solver's stacked solution of one block of instances, by name.
 
     ``names`` is a non-empty sequence of names among ``SOLVERS``; anything
-    else raises :class:`DomainError` before an instance is read.
-    ``channels`` and ``qos_list`` are instances of one channel shape and
-    dtype. Each solution equals that solver's solve alone, bit for bit,
-    whatever the order of ``names``, and its row r equals the solve of
-    ``[channels[r]]`` alone. An error names the list position of the
-    offending instance in ``realization``; where several solvers would fail,
-    ``zf`` raises first, then ``min_pa``, then ``saturating``.
+    else raises :class:`DomainError` before an instance is read. ``h`` is
+    the (R, Q, K, M) channel stack and ``d`` its (R, K) ZF targets, which
+    :func:`channel.check_stack` refuses unless they form a block. Each
+    solution equals that solver's solve alone, bit for bit, whatever the
+    order of ``names``, and its row r equals the solve of ``h[r:r + 1],
+    d[r:r + 1]``. An error names the stack row of the offending instance in
+    ``realization``; where several solvers would fail, ``zf`` raises first,
+    then ``min_pa``, then ``saturating``. Neither ``h`` nor ``d`` is written.
 
     ``zf`` is the weighted-ZF kernel at uniform power, and its ``matrices``
     is that kernel, assembled when read. ``min_pa`` runs the fixed-point
@@ -581,49 +540,33 @@ def solve_block(
     ``matrices`` is the kernel at the final powers, assembled when read.
     ``saturating`` takes K=1, Q=1 instances. In each, antennas saturate at
     ``p_max`` in order of decreasing channel gain until the QoS sum
-    sum_m |h_m| p_m^(1/2) reaches noise_std * gamma^(1/2); the last
-    recruited antenna gets the partial power closing the gap exactly. With
-    ``p_max = inf`` this is the uncapped optimum: all power on the strongest
-    antenna (the lowest index on ties), conjugate-phased to meet the target.
-    It raises :class:`InfeasibleError` for the first instance whose
-    saturated sum falls short of its target.
+    sum_m |h_m| p_m^(1/2) reaches the target d; the last recruited antenna
+    gets the partial power closing the gap exactly. With ``p_max = inf``
+    this is the uncapped optimum: all power on the strongest antenna (the
+    lowest index on ties), conjugate-phased to meet the target. It raises
+    :class:`InfeasibleError` for the first instance whose saturated sum
+    falls short of its target.
 
-    The instances are stacked and checked once. The channel products are
-    packed once, for ``min_pa`` and for ``zf`` at most ``ZF_MAP_MAX_USERS``
-    users, and the lifted map at the uniform start is computed once: it is
-    ``min_pa``'s first iterate and there zero forcing's powers. Above that
-    user count zero forcing reads its powers back from the kernel's
-    precoders, the same up to rounding. No precoder is kept until a
-    solution's ``matrices`` is read.
+    The channel products are packed once, for ``min_pa`` and for ``zf`` at
+    most ``ZF_MAP_MAX_USERS`` users, and the lifted map at the uniform start
+    is computed once: it is ``min_pa``'s first iterate and there zero
+    forcing's powers. Above that user count zero forcing reads its powers
+    back from the kernel's precoders, the same up to rounding. No precoder
+    is kept until a solution's ``matrices`` is read.
+
+    With a ``workspace``, the packed products, their scratch and the fixed
+    point's compacted copy are taken from it, and no solution keeps a kernel:
+    the next block on its thread overwrites those buffers, and the
+    experiments' stack ``h`` with them, so reading ``matrices`` raises.
+    Without one those arrays are new, and each solution keeps ``h`` and
+    ``d`` to assemble its precoders when read. Either way the fields are new
+    arrays and their bits are the same.
     """
-    _check_names(names, p_max)
-    h, d = _stack(channels, qos_list)
-    return solve_stack(names, h, d, fixed_point, p_max, reference)
-
-
-def _check_names(names, p_max: float):
     if isinstance(names, str) or not names or not set(names) <= set(SOLVERS):
         raise DomainError(f"names must be a non-empty sequence of {SOLVERS}, got {names!r}")
     if "saturating" in names and not p_max > 0.0:
         raise DomainError(f"p_max must be positive, got {p_max}")
-
-
-def solve_stack(
-    names, h, d, fixed_point: FixedPointConfig | None = None, p_max: float = np.inf,
-    reference=None, workspace: Workspace | None = None,
-) -> dict[str, PrecoderSolution]:
-    """:func:`solve_block` of a (R, Q, K, M) channel stack ``h`` with (R, K) ZF targets ``d``.
-
-    ``h`` must hold finite entries with M >= K, as :func:`_stack` checks and
-    the scenario draws give; ``d`` is :func:`zf_targets` of each instance.
-    With a ``workspace``, the packed products, their scratch and the fixed
-    point's compacted copy are taken from it, and no solution keeps a kernel:
-    ``h`` and those buffers are the workspace's, and the next block on its
-    thread overwrites them, so reading ``matrices`` raises. Without one
-    every array is new and the solutions are those of :func:`solve_block`.
-    Either way the fields are new arrays and their bits are the same.
-    """
-    _check_names(names, p_max)
+    h, d = check_stack(h, d)
     n, _, k, m = h.shape
     if reference is not None and np.shape(reference) != (n, m):
         raise DimensionError(f"reference must have shape ({n}, {m}), got {np.shape(reference)}")
@@ -684,18 +627,18 @@ def _saturating(h, d, p_max: float) -> PrecoderSolution:
     return _closed_form(w[:, None, :, None])
 
 
-def los_allocation_precoders(channels, qos_list, weights) -> PrecoderSolution:
+def los_allocation_precoders(h, d, weights) -> PrecoderSolution:
     """Single-user LOS precoders realizing chosen power splits.
 
-    ``channels`` and ``qos_list`` are K=1 instances of one channel shape and
-    dtype with unit-modulus channel entries. Row r of the (R, M) ``weights``
-    is nonnegative, sums to one and sets p_m^(1/2) = weights_m * noise_std *
-    gamma^(1/2) in instance r. Every such split is optimal, so the PA
-    consumption is invariant to it. The precoders are the weighted-ZF kernel
-    at powers ``weights**2``: at K=1 on a LOS channel that kernel is this
-    split, conjugate-phased on each subcarrier.
+    ``h`` is a (R, Q, 1, M) stack of unit-modulus LOS channels and ``d`` its
+    (R, 1) ZF targets. Row r of the (R, M) ``weights`` is nonnegative, sums
+    to one and sets p_m^(1/2) = weights_m * sigma * gamma^(1/2) in instance
+    r. Every such split is optimal, so the PA consumption is invariant to
+    it. The precoders are the weighted-ZF kernel at powers ``weights**2``:
+    at K=1 on a LOS channel that kernel is this split, conjugate-phased on
+    each subcarrier.
     """
-    h, d = _stack(channels, qos_list)
+    h, d = check_stack(h, d)
     n, _, k, m = h.shape
     if k != 1:
         raise DimensionError("LOS allocation precoder is single-user only")

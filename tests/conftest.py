@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from energymimo import BsModel, PaModel, QosTargets
+from energymimo import BsModel, PaModel
 from energymimo.channel import (
     CellGeometry,
     FreqCorrelation,
-    draw_los_channel,
-    draw_rayleigh_channel,
+    draw_los_into,
+    draw_rayleigh_into,
     draw_user_distances,
     large_scale_fading,
     target_sinr,
+    zf_targets,
 )
 
 # Experiment-table defaults: p_max = 1 W, eta_max = 0.22, noise -96 dBm,
@@ -37,27 +38,46 @@ def draw_cell_beta(k_users, rng, geometry=CellGeometry()):
     return np.atleast_1d(large_scale_fading(draw_user_distances(k_users, geometry, rng)))
 
 
-def draw_cell_instance(m_antennas, k_users, subcarriers, rng, geometry=CellGeometry()):
-    """One experiment-scenario draw: targets plus a Rayleigh channel.
+def rayleigh(m_antennas, k_users, subcarriers, beta, rng, correlation=None):
+    """A (Q, K, M) Rayleigh channel drawn on its own."""
+    out = np.empty((subcarriers, k_users, m_antennas), dtype=complex)
+    return draw_rayleigh_into(out, beta, rng, correlation)
 
-    The users come from :func:`draw_cell_beta` on ``rng``, so a fresh
-    generator of the same seed gives the instance's beta again.
+
+def los(m_antennas, k_users, subcarriers, rng):
+    """A (Q, K, M) unit-modulus LOS channel drawn on its own."""
+    return draw_los_into(np.empty((subcarriers, k_users, m_antennas), dtype=complex), rng)
+
+
+def stack(instances):
+    """The (R, Q, K, M) stack and (R, K) targets of a list of one-instance ``(h, d)`` pairs."""
+    hs, ds = zip(*instances)
+    return np.concatenate(hs), np.concatenate(ds)
+
+
+def draw_cell_instance(m_antennas, k_users, subcarriers, rng, geometry=CellGeometry()):
+    """One experiment-scenario draw as a one-instance block ``(h, d)``.
+
+    ``h`` is the (1, Q, K, M) Rayleigh channel stack and ``d`` its (1, K) ZF
+    targets. The users come from :func:`draw_cell_beta` on ``rng``, so a
+    fresh generator of the same seed gives the instance's beta again.
     """
     beta = draw_cell_beta(k_users, rng, geometry)
     gamma = np.atleast_1d(target_sinr(beta))
-    qos = QosTargets(gamma=gamma, noise_power=NOISE_POWER)
-    channel = draw_rayleigh_channel(m_antennas, k_users, subcarriers, beta, rng)
-    return channel, qos
+    d = zf_targets(gamma, NOISE_POWER, subcarriers)[None]
+    return rayleigh(m_antennas, k_users, subcarriers, beta, rng)[None], d
 
 
 def draw_realization(cfg, index, k_users=None, subcarriers=0):
-    """(beta, gamma, channel, qos) of realization ``index`` of ``cfg``, drawn alone.
+    """(beta, gamma, h, d) of realization ``index`` of ``cfg``, drawn alone.
 
     The reference loops build their scenarios here, from the public
     ``channel`` functions, apart from the experiments' block draw. The
     realization draws on the stream seeded by seed + index: its users
     (``k_users``, the scenario's by default), then, with ``subcarriers``,
-    its channel; ``channel`` and ``qos`` are None without subcarriers.
+    its channel, as the one-instance block of a (1, Q, K, M) stack ``h``
+    and its (1, K) ZF targets ``d``; ``h`` and ``d`` are None without
+    subcarriers.
     """
     sc = cfg.scenario
     rng = np.random.default_rng(sc.seed + index)
@@ -66,12 +86,10 @@ def draw_realization(cfg, index, k_users=None, subcarriers=0):
     gamma = target_sinr(beta, sc.sinr_ref)
     if not subcarriers:
         return beta, gamma, None, None
-    qos = QosTargets(gamma=gamma, noise_power=sc.noise_power)
+    d = zf_targets(gamma, sc.noise_power, subcarriers)[None]
     if sc.channel == "los":
-        channel = draw_los_channel(sc.m_antennas, k_users, subcarriers, rng)
+        h = los(sc.m_antennas, k_users, subcarriers, rng)
     else:
         correlation = FreqCorrelation(sc.freq_taps, sc.freq_decay) if sc.freq_taps else None
-        channel = draw_rayleigh_channel(
-            sc.m_antennas, k_users, subcarriers, beta, rng, correlation
-        )
-    return beta, gamma, channel, qos
+        h = rayleigh(sc.m_antennas, k_users, subcarriers, beta, rng, correlation)
+    return beta, gamma, h[None], d

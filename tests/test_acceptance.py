@@ -13,18 +13,18 @@ import pytest
 
 from energymimo import (
     FixedPointConfig,
-    QosTargets,
     asymptotic_pa_power,
     asymptotic_per_antenna_power,
     bs_consumed_power,
     gain_metrics,
     optimal_ma_plans,
     pa_consumed_power,
-    solve_block,
     solve_quartic_ma,
+    solve_stack,
+    target_sinr,
     trace_term,
+    zf_targets,
 )
-from energymimo.channel import draw_los_channel
 from energymimo.config import ExperimentConfig, with_scenario
 from energymimo.experiments import asymptotic_experiment, run_experiment
 from energymimo.oracle import (
@@ -35,7 +35,7 @@ from energymimo.oracle import (
 )
 from energymimo.precoding import los_allocation_precoders
 
-from conftest import NOISE_POWER, draw_cell_beta, draw_cell_instance
+from conftest import NOISE_POWER, draw_cell_beta, draw_cell_instance, los, stack
 
 
 def _report(criterion, detail):
@@ -51,11 +51,11 @@ def test_criterion_01_zf_correctness(table_pa):
         m = int(rng.integers(2, 65))
         k = int(rng.integers(1, min(m, 8) + 1))
         q = int(rng.integers(1, 129))
-        channel, qos = draw_cell_instance(m, k, q, rng)
-        matrices = solve_block(("zf",), [channel], [qos])["zf"].matrices[0]
+        h, d = draw_cell_instance(m, k, q, rng)
+        matrices = solve_stack(("zf",), h, d)["zf"].matrices[0]
         target = np.zeros((k, k), dtype=complex)
-        np.fill_diagonal(target, np.sqrt(qos.gamma / q) * qos.noise_std)
-        res = float(np.max(np.abs(channel.per_subcarrier @ matrices - target)))
+        np.fill_diagonal(target, d[0])
+        res = float(np.max(np.abs(h[0] @ matrices - target)))
         worst = max(worst, res)
     elapsed = time.time() - start
     assert worst <= 1e-9
@@ -71,14 +71,14 @@ def test_criterion_02_single_user_exactness(table_pa):
     for r in range(100):
         rng = np.random.default_rng(11_000 + r)
         m = int(rng.integers(2, 33))
-        channel, qos = draw_cell_instance(m, 1, 1, rng)
-        sol = solve_block(("min_pa",), [channel], [qos], cfg)["min_pa"]
+        channel, d = draw_cell_instance(m, 1, 1, rng)
+        sol = solve_stack(("min_pa",), channel, d, cfg)["min_pa"]
         assert sol.converged[0]
         powers = sol.powers[0]
-        h = channel.per_subcarrier[0, 0, :]
+        h = channel[0, 0, 0, :]
         m_hat = int(np.argmax(np.abs(h)))
         assert int(np.argmax(powers)) == m_hat
-        expected = table_pa.alpha * qos.noise_std * np.sqrt(qos.gamma[0]) / np.abs(h[m_hat])
+        expected = table_pa.alpha * d[0, 0] / np.abs(h[m_hat])
         got = pa_consumed_power(powers, table_pa)
         worst_rel = max(worst_rel, abs(got - expected) / expected)
         others = np.delete(powers, m_hat)
@@ -98,10 +98,10 @@ def test_criterion_03_oracle_equivalence(table_pa):
         m = int(rng.integers(2, 7))
         k = int(rng.integers(1, min(m, 3) + 1))
         q = int(rng.integers(1, 5))
-        channel, qos = draw_cell_instance(m, k, q, rng)
-        powers = solve_block(("min_pa",), [channel], [qos], cfg)["min_pa"].powers[0]
+        h, d = draw_cell_instance(m, k, q, rng)
+        powers = solve_stack(("min_pa",), h, d, cfg)["min_pa"].powers[0]
         objective = pa_consumed_power(powers, table_pa)
-        reference = solve_min_pa_bruteforce_block([channel], [qos], table_pa).objective[0]
+        reference = solve_min_pa_bruteforce_block(h, d, table_pa).objective[0]
         worst = max(worst, abs(objective - reference) / reference)
     assert worst <= 1e-3
     _report(3, f"worst relative objective gap {worst:.2e} over 50 instances")
@@ -110,17 +110,17 @@ def test_criterion_03_oracle_equivalence(table_pa):
 def test_criterion_04_los_invariance(table_pa):
     """20 LOS weight splits give identical consumption and meet the QoS."""
     rng = np.random.default_rng(404)
-    channel = draw_los_channel(8, 1, 4, rng)
+    channel = los(8, 1, 4, rng)
     gamma, sigma = 6.5, np.sqrt(NOISE_POWER)
     expected = table_pa.alpha * sigma * np.sqrt(gamma)
     qos_scale = sigma * np.sqrt(gamma / 4.0)
-    qos = QosTargets(gamma=[gamma], noise_power=NOISE_POWER)
+    d = zf_targets([gamma], NOISE_POWER, 4)
     w = rng.random((20, 8))
     w /= w.sum(axis=1, keepdims=True)
-    sol = los_allocation_precoders([channel] * 20, [qos] * 20, w)
+    sol = los_allocation_precoders(np.tile(channel, (20, 1, 1, 1)), np.tile(d, (20, 1)), w)
     for value in pa_consumed_power(sol.powers, table_pa):
         assert value == pytest.approx(expected, rel=1e-12)
-    prods = channel.per_subcarrier @ sol.matrices
+    prods = channel @ sol.matrices
     assert np.allclose(np.abs(prods), qos_scale, rtol=1e-9)
     _report(4, f"p_PAs invariant at {expected:.6g} W across 20 random splits")
 
@@ -132,15 +132,13 @@ def test_criterion_05_convergence_profile(table_pa):
         instances = [
             draw_cell_instance(32, k_users, 1, np.random.default_rng(42 + r)) for r in range(100)
         ]
-        channels, qos_list = zip(*instances)
+        h, d = stack(instances)
         # defaults: eps=1e-4, I_max=2000
-        sol = solve_block(("min_pa",), channels, qos_list)["min_pa"]
+        sol = solve_stack(("min_pa",), h, d)["min_pa"]
         if k_users == 1:
-            gt = analytic_single_user(channels, qos_list, table_pa)
+            gt = analytic_single_user(h, d, table_pa)
         else:
-            gt = solve_min_pa_bruteforce_block(
-                channels, qos_list, table_pa, max_m=32, max_k=8, max_q=1
-            )
+            gt = solve_min_pa_bruteforce_block(h, d, table_pa, max_m=32, max_k=8, max_q=1)
         dists = [float(np.sum((sol.powers[r] - gt.powers[r]) ** 2)) for r in range(100)]
         mean_iters = float(np.mean(sol.iterations))
         mean_dist = float(np.mean(dists))
@@ -157,15 +155,13 @@ def test_criterion_05_convergence_profile(table_pa):
 def test_criterion_06_wideband_uniformity(table_pa, table_bs):
     """At Q=256 every antenna is active and the gains collapse to 1.00."""
     instances = {
-        q: list(zip(*(
-            draw_cell_instance(32, 4, q, np.random.default_rng(606 + r)) for r in range(5)
-        )))
+        q: stack([draw_cell_instance(32, 4, q, np.random.default_rng(606 + r)) for r in range(5)])
         for q in (4, 256)
     }
-    powers = {q: solve_block(("min_pa",), *instances[q])["min_pa"].powers for q in instances}
+    powers = {q: solve_stack(("min_pa",), *instances[q])["min_pa"].powers for q in instances}
     report = bs_consumed_power(powers[256], table_pa, table_bs)
     assert np.all(report.m_active == 32)
-    zf = solve_block(("zf",), *instances[256])["zf"]
+    zf = solve_stack(("zf",), *instances[256])["zf"]
     for gains in gain_metrics(bs_consumed_power(zf.powers, table_pa, table_bs), report):
         assert np.all((0.99 <= gains) & (gains <= 1.01))
     cv = lambda p: float(np.std(p) / np.mean(p))
@@ -217,12 +213,12 @@ def test_criterion_08_finite_q_accuracy(table_pa):
             draw_cell_instance(32, k_users, 128, np.random.default_rng(808 + r))
             for r in range(100)
         ]
-        sol = solve_block(("zf",), *zip(*instances))["zf"]  # the asymptotic-regime precoder
+        sol = solve_stack(("zf",), *stack(instances))["zf"]  # the asymptotic-regime precoder
         errs = []
-        for r, ((_, qos), powers) in enumerate(zip(instances, sol.powers)):
+        for r, powers in enumerate(sol.powers):
             p_sim = pa_consumed_power(powers, table_pa)
             beta = draw_cell_beta(k_users, np.random.default_rng(808 + r))
-            trace = trace_term(beta, qos.gamma, qos.noise_power)
+            trace = trace_term(beta, np.atleast_1d(target_sinr(beta)), NOISE_POWER)
             p_asym = asymptotic_pa_power(32, k_users, trace, table_pa)
             errs.append(abs(p_sim - p_asym))
         errors[k_users] = float(np.mean(errs))
@@ -315,21 +311,19 @@ def test_criterion_13_property_suite(table_pa):
     # scale covariance
     rng = np.random.default_rng(1313)
     h = (rng.standard_normal((2, 2, 6)) + 1j * rng.standard_normal((2, 2, 6))) / np.sqrt(2)
-    from energymimo import ChannelRealization
-
-    channel = ChannelRealization(per_subcarrier=h)
-    gamma = np.array([3.0, 7.0])
-    a = solve_block(
+    channel = h[None]
+    gamma = np.array([[3.0, 7.0]])
+    a = solve_stack(
         ("min_pa",),
-        [channel],
-        [QosTargets(gamma=gamma, noise_power=1.0)],
+        channel,
+        zf_targets(gamma, 1.0, 2),
         FixedPointConfig(tolerance=1e-9, max_iterations=20_000),
     )["min_pa"]
     c = 5.0
-    b = solve_block(
+    b = solve_stack(
         ("min_pa",),
-        [channel],
-        [QosTargets(gamma=gamma, noise_power=c**2)],
+        channel,
+        zf_targets(gamma, c**2, 2),
         FixedPointConfig(
             tolerance=1e-9 * c**2,
             max_iterations=20_000,
@@ -340,9 +334,9 @@ def test_criterion_13_property_suite(table_pa):
 
     # phase covariance
     phases = np.exp(2j * np.pi * rng.random(2))
-    rotated = ChannelRealization(per_subcarrier=phases[None, :, None] * h)
-    qos = QosTargets(gamma=gamma, noise_power=1.0)
-    turned, plain = solve_block(("min_pa",), [rotated, channel], [qos, qos])["min_pa"].powers
+    rotated = phases[None, :, None] * h
+    d = zf_targets(np.tile(gamma, (2, 1)), 1.0, 2)
+    turned, plain = solve_stack(("min_pa",), np.stack([rotated, h]), d)["min_pa"].powers
     np.testing.assert_allclose(turned, plain, rtol=1e-9, atol=1e-14)
 
     # quartic residual
@@ -361,9 +355,7 @@ def test_criterion_13_property_suite(table_pa):
     # determinism by seed
     r1 = np.random.default_rng(99)
     r2 = np.random.default_rng(99)
-    ch1, qos1 = draw_cell_instance(16, 4, 4, r1)
-    ch2, qos2 = draw_cell_instance(16, 4, 4, r2)
-    s1 = solve_block(("min_pa",), [ch1], [qos1])["min_pa"]
-    s2 = solve_block(("min_pa",), [ch2], [qos2])["min_pa"]
+    s1 = solve_stack(("min_pa",), *draw_cell_instance(16, 4, 4, r1))["min_pa"]
+    s2 = solve_stack(("min_pa",), *draw_cell_instance(16, 4, 4, r2))["min_pa"]
     assert np.array_equal(s1.matrices, s2.matrices)
     _report(13, "covariances, quartic residuals, monotonicity and determinism hold")

@@ -25,7 +25,7 @@ from energymimo.experiments import (
 )
 from energymimo.model import BsModel, PaModel, pa_consumed_power
 from energymimo.oracle import grid_min_bs, solve_quartic_closed_form
-from energymimo.precoding import solve_block
+from energymimo.precoding import solve_stack
 
 from conftest import draw_realization
 
@@ -545,9 +545,9 @@ def reference_q_error(cfg):
     for q in cfg.q_list:
         results = []
         for index in range(cfg.realizations):
-            beta, _, channel, qos = draw_realization(cfg, index, subcarriers=q)
-            powers = solve_block(("zf",), [channel], [qos])["zf"].powers[0]
-            trace = trace_term(beta, qos.gamma, sc.noise_power)
+            beta, gamma, h, d = draw_realization(cfg, index, subcarriers=q)
+            powers = solve_stack(("zf",), h, d)["zf"].powers[0]
+            trace = trace_term(beta, gamma, sc.noise_power)
             results.append((
                 pa_consumed_power(powers, pa),
                 asymptotic_pa_power(sc.m_antennas, sc.k_users, trace, pa),

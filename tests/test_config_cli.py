@@ -27,7 +27,7 @@ from energymimo.experiments import (
     validate_suite,
 )
 from energymimo.model import bs_consumed_power, gain_metrics
-from energymimo.precoding import AS1_PRECODERS, solve_block
+from energymimo.precoding import AS1_PRECODERS, solve_stack
 
 from conftest import draw_realization
 
@@ -148,11 +148,9 @@ def reference_run(cfg):
     discards = 0
     kept_gains = {name: ([], []) for name in cfg.precoders}  # gain_pas, gain_bs
     for index in range(cfg.realizations):
-        _, _, channel, qos = draw_realization(cfg, index, subcarriers=sc.subcarriers)
+        _, _, h, d = draw_realization(cfg, index, subcarriers=sc.subcarriers)
         powers = {
-            name: solve_block(
-                (name,), [channel], [qos], cfg.fixed_point(), sc.p_max_watts
-            )[name].powers[0]
+            name: solve_stack((name,), h, d, cfg.fixed_point(), sc.p_max_watts)[name].powers[0]
             for name in cfg.precoders
         }
         reports = {name: bs_consumed_power(p, pa, bs) for name, p in powers.items()}
@@ -187,22 +185,20 @@ def reference_convergence(cfg):
     rows, iterations, final_dists = [], [], []
     converged = 0
     for index in range(cfg.realizations):
-        _, _, channel, qos = draw_realization(cfg, index, subcarriers=sc.subcarriers)
+        _, _, h, d = draw_realization(cfg, index, subcarriers=sc.subcarriers)
         optimum = None
         if cfg.oracle and sc.k_users == 1 and sc.subcarriers == 1:
-            optimum = oracle.analytic_single_user([channel], [qos], pa).powers[0]
+            optimum = oracle.analytic_single_user(h, d, pa).powers[0]
         elif cfg.oracle:
             try:
                 optimum = oracle.solve_min_pa_bruteforce_block(
-                    [channel], [qos], pa,
+                    h, d, pa,
                     max_m=cfg.oracle_max_m, max_k=cfg.oracle_max_k, max_q=cfg.oracle_max_q,
                 ).powers[0]
             except OracleSizeError:
                 pass
         reference = None if optimum is None else optimum[None, :]
-        solution = solve_block(
-            ("min_pa",), [channel], [qos], cfg.fixed_point(), reference=reference
-        )["min_pa"]
+        solution = solve_stack(("min_pa",), h, d, cfg.fixed_point(), reference=reference)["min_pa"]
         trace = solution.trace
         assert len(trace) == solution.iterations[0]
         assert trace[-1, 0] == solution.residual[0]
@@ -838,8 +834,8 @@ def test_convergence_warns_once_about_uncertified_oracle_solves(tmp_path, monkey
     sc = cfg.scenario
     gaps = []
     for index in range(cfg.realizations):
-        _, _, channel, qos = draw_realization(cfg, index, subcarriers=sc.subcarriers)
-        gaps.append(oracle.solve_min_pa_bruteforce_block([channel], [qos], sc.pa_model()).gap[0])
+        _, _, h, d = draw_realization(cfg, index, subcarriers=sc.subcarriers)
+        gaps.append(oracle.solve_min_pa_bruteforce_block(h, d, sc.pa_model()).gap[0])
     assert [gap > oracle.GAP_TOL for gap in gaps] == [False, False, True, False]
     assert main(argv) == 0
     assert capsys.readouterr().err == (

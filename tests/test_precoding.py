@@ -7,15 +7,12 @@ import numpy as np
 import pytest
 
 from energymimo import (
-    ChannelRealization,
     FixedPointConfig,
-    QosTargets,
     los_allocation_precoders,
     pa_consumed_power,
     per_antenna_powers,
-    solve_block,
+    zf_targets,
 )
-from energymimo.channel import draw_los_channel, draw_rayleigh_channel
 from energymimo.errors import (
     DimensionError, DomainError, EnergyMimoError, InfeasibleError, SingularChannelError,
 )
@@ -31,61 +28,59 @@ from energymimo.precoding import (
     _guard_gram,
     _packed_products,
     _power_map,
-    _stack,
     _sweep_inverse,
     _weighted_zf,
     solve_stack,
 )
 
-from conftest import draw_cell_instance
+from conftest import draw_cell_instance, los, rayleigh, stack
 
 
-def narrowband_channel(h_rows):
+def narrowband(h_rows, gamma, noise_power):
+    """The one-instance block of a K x M narrowband channel and its K SINR targets."""
     h = np.atleast_2d(np.asarray(h_rows, dtype=complex))
-    return ChannelRealization(per_subcarrier=h[None, :, :])
+    return h[None, None], zf_targets(np.atleast_1d(gamma), noise_power, 1)[None]
 
 
 def saturating(h, gamma, noise_std, p_max):
     """The saturating fill of one narrowband K=1 channel ``h``, as an R=1 stack."""
-    qos = QosTargets(gamma=[gamma], noise_power=noise_std**2)
-    return solve_block(("saturating",), [narrowband_channel(h)], [qos], p_max=p_max)["saturating"]
+    block = narrowband(h, [gamma], noise_std**2)
+    return solve_stack(("saturating",), *block, p_max=p_max)["saturating"]
 
 
-def zf_residual(channel, qos, matrices):
-    target = np.zeros((qos.k_users, qos.k_users), dtype=complex)
-    np.fill_diagonal(target, np.sqrt(qos.gamma / channel.subcarriers) * qos.noise_std)
-    prods = channel.per_subcarrier @ matrices
+def zf_residual(h, d, matrices):
+    """max |H_q W_q - diag(d)| of one instance's (Q, K, M) channel and (K,) targets."""
+    target = np.zeros((len(d), len(d)), dtype=complex)
+    np.fill_diagonal(target, d)
+    prods = h @ matrices
     return float(np.max(np.abs(prods - target[None, :, :])))
 
 
 def test_zf_scalar_case():
-    qos = QosTargets(gamma=[4.0], noise_power=1.0)
-    sol = solve_block(("zf",), [narrowband_channel([[1.0]])], [qos])["zf"]
+    sol = solve_stack(("zf",), *narrowband([[1.0]], [4.0], 1.0))["zf"]
     assert sol.matrices.ravel() == pytest.approx([2.0 + 0.0j])
     assert sol.powers.sum() == pytest.approx(4.0)
 
 
 def test_zf_two_antenna_pseudo_inverse():
-    qos = QosTargets(gamma=[4.0], noise_power=1.0)
-    sol = solve_block(("zf",), [narrowband_channel([[1.0, 1.0]])], [qos])["zf"]
+    sol = solve_stack(("zf",), *narrowband([[1.0, 1.0]], [4.0], 1.0))["zf"]
     assert sol.matrices.ravel() == pytest.approx([1.0, 1.0])
     assert sol.powers.sum() == pytest.approx(2.0)
 
 
 def test_zf_residual_on_random_instances():
     rng = np.random.default_rng(21)
-    instances = [draw_cell_instance(16, 4, 8, rng) for _ in range(5)]
-    sol = solve_block(("zf",), *zip(*instances))["zf"]
-    for r, (channel, qos) in enumerate(instances):
-        assert zf_residual(channel, qos, sol.matrices[r]) <= 1e-9
+    h, d = stack([draw_cell_instance(16, 4, 8, rng) for _ in range(5)])
+    sol = solve_stack(("zf",), h, d)["zf"]
+    for r in range(5):
+        assert zf_residual(h[r], d[r], sol.matrices[r]) <= 1e-9
     assert sol.powers == pytest.approx(per_antenna_powers(sol.matrices), rel=1e-10)
 
 
 def test_zf_rejects_rank_deficient_channel():
     h = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
-    qos = QosTargets(gamma=[2.0, 2.0], noise_power=1.0)
     with pytest.raises(SingularChannelError):
-        solve_block(("zf",), [narrowband_channel(h)], [qos])
+        solve_stack(("zf",), *narrowband(h, [2.0, 2.0], 1.0))
 
 
 def test_fixed_point_config_rejects_nan():
@@ -101,32 +96,30 @@ def test_fixed_point_config_rejects_nan():
             FixedPointConfig(**kwargs)
 
 
-def test_solve_block_refuses_bad_names_before_stacking(monkeypatch):
+def test_solve_stack_refuses_bad_names_before_checking(monkeypatch):
     # A bare string, no name or an unknown one is refused, with the solver
-    # list, before any instance is stacked or checked; a bare "saturating"
-    # with an invalid cap still gets the names error.
-    channel, qos = draw_cell_instance(8, 2, 1, np.random.default_rng(41))
+    # list, before any instance is checked; a bare "saturating" with an
+    # invalid cap still gets the names error.
+    h, d = draw_cell_instance(8, 2, 1, np.random.default_rng(41))
 
     def refuse(*args):
-        raise AssertionError("stacked the block")
+        raise AssertionError("checked the block")
 
-    monkeypatch.setattr("energymimo.precoding._stack", refuse)
+    monkeypatch.setattr("energymimo.precoding.check_stack", refuse)
     for names in ("zf", "saturating", (), [], ("foo",), ("zf", "foo")):
         with pytest.raises(DomainError, match=re.escape(str(SOLVERS))):
-            solve_block(names, [channel], [qos], p_max=0.0)
+            solve_stack(names, h, d, p_max=0.0)
 
 
 def test_zf_rejects_underdetermined():
-    qos = QosTargets(gamma=[1.0, 1.0], noise_power=1.0)
     with pytest.raises(SingularChannelError):
-        solve_block(("zf",), [narrowband_channel(np.ones((2, 1)))], [qos])
+        solve_stack(("zf",), *narrowband(np.ones((2, 1)), [1.0, 1.0], 1.0))
 
 
 def test_min_pa_single_user_strongest_antenna():
     # h = [2, 1]: everything lands on the first antenna, p0 = gamma sigma^2 / 4.
-    qos = QosTargets(gamma=[4.0], noise_power=1.0)
     cfg = FixedPointConfig(tolerance=1e-12, max_iterations=50_000)
-    sol = solve_block(("min_pa",), [narrowband_channel([[2.0, 1.0]])], [qos], cfg)["min_pa"]
+    sol = solve_stack(("min_pa",), *narrowband([[2.0, 1.0]], [4.0], 1.0), cfg)["min_pa"]
     assert sol.converged[0]
     powers = sol.powers[0]
     assert powers[0] == pytest.approx(1.0, rel=1e-6)
@@ -137,35 +130,34 @@ def test_min_pa_single_user_strongest_antenna():
 def test_min_pa_wideband_los_manifold():
     # For K=1 LOS the optimum satisfies sum_m sqrt(p_m) = sigma sqrt(gamma).
     rng = np.random.default_rng(22)
-    channel = draw_los_channel(6, 1, 8, rng)
-    qos = QosTargets(gamma=[9.0], noise_power=4.0)
-    sol = solve_block(("min_pa",), [channel], [qos])["min_pa"]
+    h = los(6, 1, 8, rng)[None]
+    d = zf_targets([[9.0]], 4.0, 8)
+    sol = solve_stack(("min_pa",), h, d)["min_pa"]
     assert sol.converged[0]
     assert np.sum(np.sqrt(sol.powers[0])) == pytest.approx(2.0 * 3.0, rel=1e-4)
-    assert zf_residual(channel, qos, sol.matrices[0]) <= 1e-9
+    assert zf_residual(h[0], d[0], sol.matrices[0]) <= 1e-9
 
 
 def test_min_pa_square_channel_matches_zf():
     # K = M: the ZF point is the only feasible one.
     rng = np.random.default_rng(23)
-    channel, qos = draw_cell_instance(3, 3, 1, rng)
-    zf = solve_block(("zf",), [channel], [qos])["zf"]
-    mp = solve_block(("min_pa",), [channel], [qos])["min_pa"]
+    h, d = draw_cell_instance(3, 3, 1, rng)
+    zf = solve_stack(("zf",), h, d)["zf"]
+    mp = solve_stack(("min_pa",), h, d)["min_pa"]
     assert mp.powers == pytest.approx(zf.powers, rel=1e-8)
 
 
 def test_min_pa_never_worse_than_zf(table_pa):
     rng = np.random.default_rng(24)
-    channels, targets = zip(*(draw_cell_instance(12, 3, 2, rng) for _ in range(5)))
-    lhs = pa_consumed_power(solve_block(("min_pa",), channels, targets)["min_pa"].powers, table_pa)
-    rhs = pa_consumed_power(solve_block(("zf",), channels, targets)["zf"].powers, table_pa)
+    h, d = stack([draw_cell_instance(12, 3, 2, rng) for _ in range(5)])
+    lhs = pa_consumed_power(solve_stack(("min_pa",), h, d)["min_pa"].powers, table_pa)
+    rhs = pa_consumed_power(solve_stack(("zf",), h, d)["zf"].powers, table_pa)
     assert np.all(lhs <= rhs + 1e-4)
 
 
 def test_min_pa_honors_iteration_budget():
-    qos = QosTargets(gamma=[4.0], noise_power=1.0)
     cfg = FixedPointConfig(tolerance=1e-15, max_iterations=3)
-    sol = solve_block(("min_pa",), [narrowband_channel([[2.0, 1.9]])], [qos], cfg)["min_pa"]
+    sol = solve_stack(("min_pa",), *narrowband([[2.0, 1.9]], [4.0], 1.0), cfg)["min_pa"]
     assert not sol.converged[0]
     assert sol.iterations[0] == 3
     assert sol.residual[0] > 1e-15
@@ -175,8 +167,7 @@ def unit_instance(seed, subcarriers, m_antennas=6):
     rng = np.random.default_rng(seed)
     shape = (subcarriers, 2, m_antennas)
     h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-    channel = ChannelRealization(per_subcarrier=h)
-    return channel, QosTargets(gamma=[2.0, 3.0], noise_power=1.0)
+    return h[None], zf_targets([2.0, 3.0], 1.0, subcarriers)[None]
 
 
 def trace_rows(stacked, r):
@@ -186,10 +177,10 @@ def trace_rows(stacked, r):
     return stacked.trace[start:start + stacked.iterations[r]]
 
 
-def iterate(channels, qos_list, cfg, i):
+def iterate(h, d, cfg, i):
     """The fixed point's i-th (R, M) iterate: the powers its kernel holds after i iterations."""
     budget = replace(cfg, max_iterations=i)
-    return solve_block(("min_pa",), channels, qos_list, budget)["min_pa"]._kernel[2]
+    return solve_stack(("min_pa",), h, d, budget)["min_pa"]._kernel[2]
 
 
 def test_min_pa_trace_recording():
@@ -199,8 +190,7 @@ def test_min_pa_trace_recording():
     # the residual. Seeds 40 and 43 prune antennas; 44 and 45 share a stack.
     cfg = FixedPointConfig(tolerance=1e-10, max_iterations=300)
     blocks = [
-        ([(narrowband_channel([[2.0, 1.0]]), QosTargets(gamma=[4.0], noise_power=1.0))],
-         FixedPointConfig()),
+        ([narrowband([[2.0, 1.0]], [4.0], 1.0)], FixedPointConfig()),
         ([unit_instance(40, 1)], cfg),
         ([unit_instance(43, 1)], cfg),
         ([unit_instance(44, 4), unit_instance(45, 4)], cfg),
@@ -208,19 +198,17 @@ def test_min_pa_trace_recording():
     rng = np.random.default_rng(5)
     clamps = 0
     for block, fixed_point in blocks:
-        channels, qos_list = zip(*block)
-        reference = rng.uniform(0.0, 1.0, (len(block), channels[0].m_antennas))
-        sol = solve_block(
-            ("min_pa",), channels, qos_list, fixed_point, reference=reference
-        )["min_pa"]
-        plain = solve_block(("min_pa",), channels, qos_list, fixed_point)["min_pa"]
+        h, d = stack(block)
+        reference = rng.uniform(0.0, 1.0, (len(block), h.shape[3]))
+        sol = solve_stack(("min_pa",), h, d, fixed_point, reference=reference)["min_pa"]
+        plain = solve_stack(("min_pa",), h, d, fixed_point)["min_pa"]
         assert np.isnan(plain.trace[:, 1]).all()
         for r in range(len(block)):
             rows = trace_rows(sol, r)
             assert rows[-1, 0] == sol.residual[r]
-            previous = np.ones(channels[0].m_antennas)
+            previous = np.ones(h.shape[3])
             for i, (step, dist) in enumerate(rows, 1):
-                current = iterate(channels, qos_list, fixed_point, i)[r]
+                current = iterate(h, d, fixed_point, i)[r]
                 clamped = np.where(previous < fixed_point.dead_antenna_floor, 0.0, previous)
                 clamps += np.any(clamped != previous)
                 assert step == np.abs(current - clamped).max()
@@ -229,7 +217,7 @@ def test_min_pa_trace_recording():
     assert clamps > 0
     assert saturating([[2.0, 1.0]], 4.0, 1.0, np.inf).trace.shape == (0, 2)
     with pytest.raises(DimensionError, match=r"reference must have shape \(2, 6\), got \(6,\)"):
-        solve_block(("min_pa",), channels, qos_list, fixed_point, reference=reference[0])
+        solve_stack(("min_pa",), h, d, fixed_point, reference=reference[0])
 
 
 def test_solve_sorts_the_trace_only_when_read():
@@ -238,11 +226,11 @@ def test_solve_sorts_the_trace_only_when_read():
     # bytes per entry beside it; the block's solve peaked at 64 bytes per
     # entry while it sorted, and at 42 without.
     rng = np.random.default_rng(95)
-    channels, qos_list = zip(*(draw_cell_instance(16, 1, 1, rng) for _ in range(2048)))
+    h, d = stack([draw_cell_instance(16, 1, 1, rng) for _ in range(2048)])
     gc.collect()
     tracemalloc.start()
     try:
-        solution = solve_block(("zf", "min_pa", "saturating"), channels, qos_list, p_max=0.05)
+        solution = solve_stack(("zf", "min_pa", "saturating"), h, d, p_max=0.05)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -254,9 +242,9 @@ def test_solve_sorts_the_trace_only_when_read():
 
 def test_min_pa_zf_residual_holds(table_pa):
     rng = np.random.default_rng(25)
-    channel, qos = draw_cell_instance(8, 2, 4, rng)
-    sol = solve_block(("min_pa",), [channel], [qos])["min_pa"]
-    assert zf_residual(channel, qos, sol.matrices[0]) <= 1e-9
+    h, d = draw_cell_instance(8, 2, 4, rng)
+    sol = solve_stack(("min_pa",), h, d)["min_pa"]
+    assert zf_residual(h[0], d[0], sol.matrices[0]) <= 1e-9
 
 
 def test_min_pa_narrowband_matches_stacked_core():
@@ -264,20 +252,19 @@ def test_min_pa_narrowband_matches_stacked_core():
     # in a larger stack.
     rng = np.random.default_rng(26)
     h = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
-    qos = QosTargets(gamma=[2.0, 3.0], noise_power=1.0)
-    direct = solve_block(("min_pa",), [narrowband_channel(h)], [qos])["min_pa"]
-    pair = [narrowband_channel(h.conj()), narrowband_channel(h)]
-    stacked = solve_block(("min_pa",), pair, [qos] * 2)["min_pa"]
+    direct = solve_stack(("min_pa",), *narrowband(h, [2.0, 3.0], 1.0))["min_pa"]
+    pair = [narrowband(h.conj(), [2.0, 3.0], 1.0), narrowband(h, [2.0, 3.0], 1.0)]
+    stacked = solve_stack(("min_pa",), *stack(pair))["min_pa"]
     assert np.array_equal(direct.powers[0], stacked.powers[1])
 
 
 def test_min_pa_narrowband_single_user_closed_form():
     rng = np.random.default_rng(27)
     h = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    qos = QosTargets(gamma=[6.0], noise_power=1.0)
+    block = narrowband(h[None, :], [6.0], 1.0)
     cfg = FixedPointConfig(tolerance=1e-12, max_iterations=50_000)
-    iterated = solve_block(("min_pa",), [narrowband_channel(h[None, :])], [qos], cfg)["min_pa"]
-    closed = solve_block(("saturating",), [narrowband_channel(h[None, :])], [qos])["saturating"]
+    iterated = solve_stack(("min_pa",), *block, cfg)["min_pa"]
+    closed = solve_stack(("saturating",), *block)["saturating"]
     assert iterated.powers[0] == pytest.approx(closed.powers[0], rel=1e-5, abs=1e-9)
 
 
@@ -293,8 +280,8 @@ def assert_same_row(stacked, r, alone):
 def groups_by_shape(instances):
     """The instances split into lists of equal channel shape, in first-seen order."""
     groups = {}
-    for channel, qos in instances:
-        groups.setdefault(channel.per_subcarrier.shape, []).append((channel, qos))
+    for h, d in instances:
+        groups.setdefault(h.shape, []).append((h, d))
     return list(groups.values())
 
 
@@ -313,17 +300,15 @@ def test_stacked_min_pa_equals_one_at_a_time():
     rng = np.random.default_rng(49)
     references = [rng.uniform(0.0, 1.0, (len(group), 6)) for group in groups]
     stacks = [
-        solve_block(("min_pa",), *zip(*group), cfg, reference=reference)["min_pa"]
+        solve_stack(("min_pa",), *stack(group), cfg, reference=reference)["min_pa"]
         for group, reference in zip(groups, references)
     ]
     for group, stacked, reference in zip(groups, stacks, references):
         assert stacked.matrices.shape[0] == len(group)
-        for r, (channel, qos) in enumerate(group):
-            alone = solve_block(
-                ("min_pa",), [channel], [qos], cfg, reference=reference[r:r + 1]
-            )["min_pa"]
+        for r, (h, d) in enumerate(group):
+            alone = solve_stack(("min_pa",), h, d, cfg, reference=reference[r:r + 1])["min_pa"]
             assert_same_row(stacked, r, alone)
-            assert zf_residual(channel, qos, alone.matrices[0]) <= ZF_TOLERANCE
+            assert zf_residual(h[0], d[0], alone.matrices[0]) <= ZF_TOLERANCE
     narrow, wide, swept = stacks
     assert swept.converged.tolist() == [True, True, False]
     assert swept.iterations[0] < swept.iterations[1] < cfg.max_iterations
@@ -339,12 +324,11 @@ def test_stacked_min_pa_equals_one_at_a_time():
     assert len(set(np.count_nonzero(pruned > ACTIVE_POWER_THRESHOLD, axis=1).tolist())) > 1
 
 
-def reference_min_pa(channel, qos, cfg):
+def reference_min_pa(h, d, cfg):
     """The fixed point as a plain one-realization loop on the active columns."""
-    h = channel.per_subcarrier
     q, k, m = h.shape
     rhs = np.zeros((q, k, k), dtype=complex)
-    rhs[:, np.arange(k), np.arange(k)] = np.sqrt(qos.gamma / q) * qos.noise_std
+    rhs[:, np.arange(k), np.arange(k)] = d
 
     def weighted_zf(active, p):
         quarter = np.sqrt(np.sqrt(p[active]))
@@ -384,9 +368,10 @@ def test_stacked_min_pa_equals_reference_loop():
     eps = np.finfo(float).eps
     for cfg in (FixedPointConfig(), FixedPointConfig(max_iterations=40)):
         for group in groups_by_shape(instances):
-            stacked = solve_block(("min_pa",), *zip(*group), cfg)["min_pa"]
-            for r, (channel, qos) in enumerate(group):
-                w, iterations, residual = reference_min_pa(channel, qos, cfg)
+            h, d = stack(group)
+            stacked = solve_stack(("min_pa",), h, d, cfg)["min_pa"]
+            for r in range(len(group)):
+                w, iterations, residual = reference_min_pa(h[r], d[r], cfg)
                 powers = per_antenna_powers(w)
                 assert stacked.iterations[r] == iterations
                 assert stacked.converged[r] == (residual <= cfg.tolerance)
@@ -414,16 +399,15 @@ def test_zf_is_the_fixed_points_first_iterate():
         draw_cell_instance(16, 5, 2, np.random.default_rng(10)),
         draw_cell_instance(24, 8, 32, np.random.default_rng(11)),
     ]
-    assert {channel.k_users for channel, _ in instances} >= {ZF_MAP_MAX_USERS, 5, 8}
+    assert {h.shape[2] for h, _ in instances} >= {ZF_MAP_MAX_USERS, 5, 8}
     eps = np.finfo(float).eps
     for group in groups_by_shape(instances):
-        channels, targets = zip(*group)
-        first = iterate(channels, targets, FixedPointConfig(), 1)
-        zf = solve_block(("zf",), channels, targets)["zf"].powers
-        if channels[0].k_users <= ZF_MAP_MAX_USERS:
+        h, d = stack(group)
+        first = iterate(h, d, FixedPointConfig(), 1)
+        zf = solve_stack(("zf",), h, d)["zf"].powers
+        if h.shape[2] <= ZF_MAP_MAX_USERS:
             assert np.array_equal(zf, first)
             continue
-        h, d = _stack(channels, targets)
         index = np.arange(len(h))
         readback = per_antenna_powers(_weighted_zf(h, d, index, np.ones((len(h), h.shape[3]))))
         assert np.array_equal(zf, readback)
@@ -438,12 +422,10 @@ def test_first_trace_row_measures_zero_forcing():
     rng = np.random.default_rng(12)
     cfg = FixedPointConfig(max_iterations=1)
     for m, k, q in ((12, 1, 8), (64, 1, 1), (16, 3, 1), (10, 2, 4), (24, ZF_MAP_MAX_USERS, 32)):
-        channels, qos_list = zip(*(draw_cell_instance(m, k, q, rng) for _ in range(3)))
-        zf = solve_block(("zf",), channels, qos_list)["zf"].powers
+        h, d = stack([draw_cell_instance(m, k, q, rng) for _ in range(3)])
+        zf = solve_stack(("zf",), h, d)["zf"].powers
         reference = rng.uniform(0.0, zf.max(), (3, m))
-        trace = solve_block(
-            ("min_pa",), channels, qos_list, cfg, reference=reference
-        )["min_pa"].trace
+        trace = solve_stack(("min_pa",), h, d, cfg, reference=reference)["min_pa"].trace
         assert trace.shape == (3, 2)
         for r in range(3):
             assert trace[r, 0] == np.abs(zf[r] - 1.0).max()
@@ -460,48 +442,49 @@ def test_matrices_are_assembled_when_read():
     instances += [draw_cell_instance(8, 1, 4, rng) for _ in range(2)]
     cfg = FixedPointConfig(max_iterations=200)
     for group in groups_by_shape(instances):
-        channels, qos_list = zip(*group)
+        h, d = stack(group)
         for solution in (
-            solve_block(("zf",), channels, qos_list)["zf"],
-            solve_block(("min_pa",), channels, qos_list, cfg)["min_pa"],
+            solve_stack(("zf",), h, d)["zf"],
+            solve_stack(("min_pa",), h, d, cfg)["min_pa"],
         ):
             assert "matrices" not in vars(solution)
             matrices = solution.matrices
             assert solution.matrices is matrices
-            for (channel, qos), w in zip(group, matrices):
-                assert zf_residual(channel, qos, w) <= ZF_TOLERANCE
+            for h_r, d_r, w in zip(h, d, matrices):
+                assert zf_residual(h_r, d_r, w) <= ZF_TOLERANCE
             assert solution.powers == pytest.approx(per_antenna_powers(matrices), rel=1e-10)
 
 
 def test_matrices_read_after_later_solves_equal_a_fresh_solve():
-    # solve_block stacks into a new array on every call, so a solution
+    # A solve without a workspace keeps the caller's stack, so a solution
     # assembles its precoders from its own channels even after later solves
-    # on the same thread, through solve_block or through a workspace.
+    # on the same thread, with or without a workspace.
     rng = np.random.default_rng(83)
-    first, second = ([draw_cell_instance(8, 2, 32, rng) for _ in range(3)] for _ in range(2))
+    first, second = (stack([draw_cell_instance(8, 2, 32, rng) for _ in range(3)]) for _ in range(2))
     names = ("zf", "min_pa")
-    solved = solve_block(names, *zip(*first))
-    solve_block(names, *zip(*second))
-    solve_stack(names, *_stack(*zip(*second)), workspace=Workspace())
-    fresh = solve_block(names, *zip(*first))
+    solved = solve_stack(names, *first)
+    solve_stack(names, *second)
+    solve_stack(names, *second, workspace=Workspace())
+    fresh = solve_stack(names, *first)
     for name in names:
         assert np.array_equal(solved[name].matrices, fresh[name].matrices)
 
 
-def test_workspace_solves_equal_solve_block_and_keep_no_kernel():
+def test_workspace_solves_equal_fresh_solves_and_keep_no_kernel():
     # Blocks of one shape reuse the workspace's buffers, a shorter block
     # their leading rows; the Q=1 blocks leave the fixed point's working set
     # at different iterations, so they compact its copy of the packing. Each
-    # field equals solve_block's, and no solution can read the reused stack.
+    # field equals that of a solve without a workspace, and no solution can
+    # read the reused stack.
     rng = np.random.default_rng(84)
     cfg = FixedPointConfig(max_iterations=300)
     workspace = Workspace()
     groups = [[draw_cell_instance(12, 3, 1, rng) for _ in range(n)] for n in (5, 5, 2)]
     groups += [[draw_cell_instance(8, 2, 32, rng) for _ in range(n)] for n in (3, 1)]
     for group in groups:
-        channels, qos_list = zip(*group)
-        solved = solve_stack(SOLVERS[:2], *_stack(channels, qos_list), cfg, workspace=workspace)
-        alone = solve_block(SOLVERS[:2], channels, qos_list, cfg)
+        h, d = stack(group)
+        solved = solve_stack(SOLVERS[:2], h, d, cfg, workspace=workspace)
+        alone = solve_stack(SOLVERS[:2], h, d, cfg)
         for name in SOLVERS[:2]:
             for field in ("powers", "iterations", "converged", "residual", "trace"):
                 ours, theirs = getattr(solved[name], field), getattr(alone[name], field)
@@ -533,29 +516,26 @@ def test_block_solve_shares_one_packing_in_any_order():
     # products that zero forcing shares; neither solver sees the other,
     # whatever the order of the names.
     rng = np.random.default_rng(73)
-    channels, qos_list = zip(*(draw_cell_instance(16, 2, 32, rng) for _ in range(8)))
+    h, d = stack([draw_cell_instance(16, 2, 32, rng) for _ in range(8)])
     cfg = FixedPointConfig()
-    zf = solve_block(("zf",), channels, qos_list)["zf"]
+    zf = solve_stack(("zf",), h, d)["zf"]
     reference = rng.uniform(0.0, zf.powers.max(), zf.powers.shape)
     # A floor just above the smallest ZF power clamps an antenna of the
     # first iterate to zero; zero forcing's powers must not see it.
     floor = np.sort(zf.powers, axis=1)[:, 1].min()
     pruning = FixedPointConfig(dead_antenna_floor=floor, max_iterations=5)
     for fixed_point in (cfg, pruning):
-        min_pa = solve_block(
-            ("min_pa",), channels, qos_list, fixed_point, reference=reference
-        )["min_pa"]
+        min_pa = solve_stack(("min_pa",), h, d, fixed_point, reference=reference)["min_pa"]
         for names in (("zf", "min_pa"), ("min_pa", "zf")):
-            solved = solve_block(names, channels, qos_list, fixed_point, reference=reference)
+            solved = solve_stack(names, h, d, fixed_point, reference=reference)
             assert list(solved) == list(names)
             assert np.array_equal(solved["zf"].powers, zf.powers)
             for name in ("powers", "iterations", "converged", "residual", "trace"):
                 assert np.array_equal(getattr(solved["min_pa"], name), getattr(min_pa, name))
     assert np.any(zf.powers < floor)
-    iterations = solve_block(("min_pa",), channels, qos_list, cfg)["min_pa"].iterations
+    iterations = solve_stack(("min_pa",), h, d, cfg)["min_pa"].iterations
     assert len(set(iterations.tolist())) > 2
     # The fixed point writes into neither shared array.
-    h, d = _stack(channels, qos_list)
     packed, targets = _packed_products(h), squared_targets(d)
     before = packed.copy(), targets.copy()
     first = zf.powers.copy()
@@ -572,27 +552,27 @@ def test_zf_alone_packs_only_up_to_the_map_users(monkeypatch):
     cfg = FixedPointConfig()
     blocks = {}
     for k in (ZF_MAP_MAX_USERS, ZF_MAP_MAX_USERS + 1):
-        channels, qos_list = zip(*(draw_cell_instance(16, k, 32, rng) for _ in range(4)))
-        zf = solve_block(("zf",), channels, qos_list)["zf"]
+        h, d = stack([draw_cell_instance(16, k, 32, rng) for _ in range(4)])
+        zf = solve_stack(("zf",), h, d)["zf"]
         reference = rng.uniform(0.0, zf.powers.max(), zf.powers.shape)
-        min_pa = solve_block(("min_pa",), channels, qos_list, cfg, reference=reference)["min_pa"]
+        min_pa = solve_stack(("min_pa",), h, d, cfg, reference=reference)["min_pa"]
         for names in (("zf", "min_pa"), ("min_pa", "zf")):
-            solved = solve_block(names, channels, qos_list, cfg, reference=reference)
+            solved = solve_stack(names, h, d, cfg, reference=reference)
             assert np.array_equal(solved["zf"].powers, zf.powers)
             for name in ("powers", "iterations", "converged", "residual", "trace"):
                 assert np.array_equal(getattr(solved["min_pa"], name), getattr(min_pa, name))
-        blocks[k] = channels, qos_list, zf.powers
+        blocks[k] = h, d, zf.powers
 
     def refuse(*args):
         raise AssertionError("packed the channel products")
 
     monkeypatch.setattr("energymimo.precoding._packed_products", refuse)
-    channels, qos_list, zf_powers = blocks[ZF_MAP_MAX_USERS + 1]
-    assert np.array_equal(solve_block(("zf",), channels, qos_list)["zf"].powers, zf_powers)
+    h, d, zf_powers = blocks[ZF_MAP_MAX_USERS + 1]
+    assert np.array_equal(solve_stack(("zf",), h, d)["zf"].powers, zf_powers)
     with pytest.raises(AssertionError, match="packed"):
-        solve_block(("min_pa",), channels, qos_list)
+        solve_stack(("min_pa",), h, d)
     with pytest.raises(AssertionError, match="packed"):
-        solve_block(("zf",), *blocks[ZF_MAP_MAX_USERS][:2])
+        solve_stack(("zf",), *blocks[ZF_MAP_MAX_USERS][:2])
 
 
 def squared_targets(d):
@@ -626,16 +606,16 @@ def test_power_map_is_the_kernels_power_readback(k_users, subcarriers):
     rng = np.random.default_rng(60 + 10 * k_users + subcarriers)
     eps = np.finfo(float).eps
     shape = (subcarriers, k_users, 32)
-    unit = [
-        ChannelRealization(
-            (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-        )
+    unit = np.stack([
+        (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
         for _ in range(3)
-    ]
-    targets = [QosTargets(rng.uniform(1.0, 8.0, k_users), 1.0) for _ in range(3)]
-    cell = [draw_cell_instance(32, k_users, subcarriers, rng) for _ in range(3)]
+    ])
+    targets = np.stack([
+        zf_targets(rng.uniform(1.0, 8.0, k_users), 1.0, subcarriers) for _ in range(3)
+    ])
+    cell = stack([draw_cell_instance(32, k_users, subcarriers, rng) for _ in range(3)])
     index = np.arange(3)
-    for (h, d), scaled in ((_stack(unit, targets), False), (_stack(*zip(*cell)), True)):
+    for (h, d), scaled in (((unit, targets), False), (cell, True)):
         p = dead_antenna_powers(rng, 3, 32)
         packed, d2 = _packed_products(h), squared_targets(d)
         mapped = _power_map(packed, d2, p, index)
@@ -667,39 +647,35 @@ def test_power_map_just_inside_the_condition_limit():
         delta = 1e-3
         for _ in range(3):
             delta *= np.sqrt(condition_estimate(channel_with(delta)) / (0.8 * GRAM_CONDITION_LIMIT))
-        return ChannelRealization(per_subcarrier=channel_with(delta))
+        return channel_with(delta)
 
     def condition_estimate(h):
         chol = np.linalg.cholesky(h @ h.conj().transpose(0, 2, 1))
         diag = np.abs(np.diagonal(chol, axis1=1, axis2=2))
         return (diag.max() / diag.min()) ** 2
 
-    narrowband = [near_limit_channel(seed) for seed in range(61, 69)]
-    for channel in narrowband:
-        estimate = condition_estimate(channel.per_subcarrier)
+    near_limit = [near_limit_channel(seed) for seed in range(61, 69)]
+    for channel in near_limit:
+        estimate = condition_estimate(channel)
         assert 0.5 * GRAM_CONDITION_LIMIT < estimate < GRAM_CONDITION_LIMIT
     eps = np.finfo(float).eps
     # Tiled over 32 subcarriers, the same Grams take the sweep.
     for subcarriers in (1, 32):
-        channels = [
-            ChannelRealization(np.repeat(c.per_subcarrier, subcarriers, axis=0))
-            for c in narrowband
-        ]
-        targets = [QosTargets([4.0, 4.0], 1.0)] * len(channels)
-        h, d = _stack(channels, targets)
-        p = np.ones((len(channels), 8))
-        mapped = _power_map(_packed_products(h), squared_targets(d), p, np.arange(len(channels)))
+        h = np.stack([np.repeat(c, subcarriers, axis=0) for c in near_limit])
+        d = zf_targets(np.full((len(h), 2), 4.0), 1.0, subcarriers)
+        p = np.ones((len(h), 8))
+        mapped = _power_map(_packed_products(h), squared_targets(d), p, np.arange(len(h)))
         assert np.all(np.isfinite(mapped)) and np.all(mapped >= 0.0)
         assert np.all(mapped[:, 1:] > 0.0)
 
         # The kernel inverts the same Grams: its ZF residual |HW - D| / |D| on
         # each subcarrier stays within rounding of the condition estimate.
-        zf = solve_block(("zf",), channels, targets)["zf"]
-        for channel, w, targets in zip(channels, zf.matrices, d):
-            error = np.linalg.norm(channel.per_subcarrier @ w - np.diag(targets), axis=(1, 2))
+        zf = solve_stack(("zf",), h, d)["zf"]
+        for channel, w, targets in zip(h, zf.matrices, d):
+            error = np.linalg.norm(channel @ w - np.diag(targets), axis=(1, 2))
             residual = error.max() / np.linalg.norm(targets)
             assert np.isfinite(residual)
-            assert residual <= 16 * eps * condition_estimate(channel.per_subcarrier)
+            assert residual <= 16 * eps * condition_estimate(channel)
 
 
 def test_stacked_zf_equals_one_at_a_time():
@@ -707,19 +683,20 @@ def test_stacked_zf_equals_one_at_a_time():
     # The Q=32 instances invert by the sweep.
     instances = [draw_cell_instance(8, 2, q, rng) for q in (1, 3, 32, 1, 3, 32, 1, 32)]
     for group in groups_by_shape(instances):
-        stacked = solve_block(("zf",), *zip(*group))["zf"]
-        for r, (channel, qos) in enumerate(group):
-            assert_same_row(stacked, r, solve_block(("zf",), [channel], [qos])["zf"])
+        stacked = solve_stack(("zf",), *stack(group))["zf"]
+        for r, (h, d) in enumerate(group):
+            assert_same_row(stacked, r, solve_stack(("zf",), h, d)["zf"])
     # The saturating closed form too, with the cap slack and with it binding
     # in every row (a third of the smallest uncapped peak power).
-    channels, targets = zip(*(draw_cell_instance(8, 1, 1, rng) for _ in range(5)))
-    cap = solve_block(("saturating",), channels, targets)["saturating"].powers.max(axis=1).min() / 3
+    instances = [draw_cell_instance(8, 1, 1, rng) for _ in range(5)]
+    h, d = stack(instances)
+    cap = solve_stack(("saturating",), h, d)["saturating"].powers.max(axis=1).min() / 3
     for p_max in (np.inf, cap):
-        stacked = solve_block(("saturating",), channels, targets, p_max=p_max)["saturating"]
+        stacked = solve_stack(("saturating",), h, d, p_max=p_max)["saturating"]
         active = np.count_nonzero(stacked.powers, axis=1)
         assert np.all(active == 1) if p_max == np.inf else np.all(active > 1)
-        for r, (channel, qos) in enumerate(zip(channels, targets)):
-            alone = solve_block(("saturating",), [channel], [qos], p_max=p_max)["saturating"]
+        for r, instance in enumerate(instances):
+            alone = solve_stack(("saturating",), *instance, p_max=p_max)["saturating"]
             assert_same_row(stacked, r, alone)
 
 
@@ -735,60 +712,60 @@ def test_condition_guard_is_per_realization():
     for subcarriers in (1, 32):
         g = gaussian((subcarriers, 2, 8))
         g[:, 1] = g[:, 0] + 1e-4 * gaussian((subcarriers, 8))
-        weak = ChannelRealization(per_subcarrier=np.sqrt(1e-13) * g)
-        strong = ChannelRealization(per_subcarrier=np.sqrt(1e-7) * gaussian((subcarriers, 2, 8)))
+        weak = np.sqrt(1e-13) * g
+        strong = np.sqrt(1e-7) * gaussian((subcarriers, 2, 8))
         pooled = np.concatenate([
             np.abs(np.diagonal(np.linalg.cholesky(h @ h.conj().transpose(0, 2, 1)), axis1=1,
                                axis2=2))
-            for h in (weak.per_subcarrier, strong.per_subcarrier)
+            for h in (weak, strong)
         ], axis=None)
         assert (pooled.max() / pooled.min()) ** 2 > GRAM_CONDITION_LIMIT
 
-        qos = QosTargets(gamma=[4.0, 6.0], noise_power=10.0 ** (-12.6))
+        d = np.tile(zf_targets([4.0, 6.0], 10.0 ** (-12.6), subcarriers), (3, 1))
         cfg = FixedPointConfig(max_iterations=50)
-        channels = [weak, strong, weak]
-        stacked = solve_block(("min_pa",), channels, [qos] * 3, cfg)["min_pa"]
-        for r, channel in enumerate(channels):
-            assert_same_row(stacked, r, solve_block(("min_pa",), [channel], [qos], cfg)["min_pa"])
-        stacked = solve_block(("zf",), channels, [qos] * 3)["zf"]
-        for r, channel in enumerate(channels):
-            assert_same_row(stacked, r, solve_block(("zf",), [channel], [qos])["zf"])
+        h = np.stack([weak, strong, weak])
+        stacked = solve_stack(("min_pa",), h, d, cfg)["min_pa"]
+        for r in range(3):
+            alone = solve_stack(("min_pa",), h[r:r + 1], d[r:r + 1], cfg)["min_pa"]
+            assert_same_row(stacked, r, alone)
+        stacked = solve_stack(("zf",), h, d)["zf"]
+        for r in range(3):
+            assert_same_row(stacked, r, solve_stack(("zf",), h[r:r + 1], d[r:r + 1])["zf"])
 
 
 def test_stacked_errors_name_the_realization():
     rng = np.random.default_rng(38)
-    good, qos = draw_cell_instance(4, 2, 1, rng)
-    deficient = narrowband_channel(np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]]))
+    good, d = draw_cell_instance(4, 2, 1, rng)
+    deficient = np.array([[[[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]]]])
     for name in ("zf", "min_pa"):
         with pytest.raises(SingularChannelError) as err:
-            solve_block((name,), [good, good, deficient, good], [qos] * 4)
+            solve_stack((name,), np.concatenate([good, good, deficient, good]), d.repeat(4, 0))
         assert err.value.realization == 2
         assert str(err.value).startswith("realization 2: ")
     with pytest.raises(DimensionError):
-        solve_block(("min_pa",), [good, good], [qos])
+        solve_stack(("min_pa",), np.concatenate([good, good]), d)
     # The saturating fill reports the first instance that falls short, with
     # the message its solve alone gives.
-    one, one_qos = draw_cell_instance(4, 1, 1, rng)
-    weak, faint = (
-        ChannelRealization(scale * one.per_subcarrier) for scale in (1e-3, 1e-4)
-    )
+    one, one_d = draw_cell_instance(4, 1, 1, rng)
+    weak, faint = (scale * one for scale in (1e-3, 1e-4))
     with pytest.raises(InfeasibleError) as alone:
-        solve_block(("saturating",), [weak], [one_qos], p_max=1.0)
+        solve_stack(("saturating",), weak, one_d, p_max=1.0)
     with pytest.raises(InfeasibleError) as err:
-        solve_block(("saturating",), [one, weak, faint, one], [one_qos] * 4, p_max=1.0)
+        solve_stack(
+            ("saturating",), np.concatenate([one, weak, faint, one]), one_d.repeat(4, 0), p_max=1.0
+        )
     assert err.value.reason == alone.value.reason
     assert err.value.realization == 1
     assert str(err.value).startswith("realization 1: ")
     with pytest.raises(DimensionError):
-        solve_block(("saturating",), [one, one], [one_qos])
+        solve_stack(("saturating",), np.concatenate([one, one]), one_d)
     # At Q=32 the sweep finds the rank-deficient subcarrier of instance 2.
-    wide, wide_qos = draw_cell_instance(4, 2, 32, rng)
-    h = wide.per_subcarrier.copy()
-    h[17, 1] = h[17, 0]
-    deficient = ChannelRealization(h)
+    wide, wide_d = draw_cell_instance(4, 2, 32, rng)
+    deficient = wide.copy()
+    deficient[0, 17, 1] = deficient[0, 17, 0]
     for name in ("zf", "min_pa"):
         with pytest.raises(SingularChannelError) as err:
-            solve_block((name,), [wide, wide, deficient, wide], [wide_qos] * 4)
+            solve_stack((name,), np.concatenate([wide, wide, deficient, wide]), wide_d.repeat(4, 0))
         assert err.value.realization == 2
         assert str(err.value).startswith("realization 2: ")
 
@@ -799,15 +776,13 @@ def test_non_finite_channel_entry_names_the_instance():
         (2, 3, ("zf", "min_pa")),
         (1, 1, ("zf", "min_pa", "saturating")),
     ):
-        instances = [draw_cell_instance(6, k_users, subcarriers, rng) for _ in range(3)]
-        qos_list = [qos for _, qos in instances]
+        good, d = stack([draw_cell_instance(6, k_users, subcarriers, rng) for _ in range(3)])
         for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
-            h = instances[1][0].per_subcarrier.copy()
-            h[-1, -1, 4] = bad
-            channels = [instances[0][0], ChannelRealization(h), instances[2][0]]
+            h = good.copy()
+            h[1, -1, -1, 4] = bad
             for name in names:
                 with pytest.raises(DomainError, match="instance 1 "):
-                    solve_block((name,), channels, qos_list)
+                    solve_stack((name,), h, d)
 
 
 def test_guard_refuses_an_overflowed_gram():
@@ -816,10 +791,9 @@ def test_guard_refuses_an_overflowed_gram():
     # At Q=32 the sweep's pivots must say the same.
     rng = np.random.default_rng(40)
     for subcarriers in (1, 32):
-        good, qos = draw_cell_instance(4, 2, subcarriers, rng)
-        huge = ChannelRealization(1e160 * good.per_subcarrier / good.per_subcarrier[0, 0, 0])
-        channels = [good, huge, good]
-        h = np.stack([channel.per_subcarrier for channel in channels])
+        good, d = draw_cell_instance(4, 2, subcarriers, rng)
+        huge = 1e160 * good / good[0, 0, 0, 0]
+        h = np.concatenate([good, huge, good])
         with np.errstate(over="ignore", invalid="ignore"):
             gram = h @ h.conj().swapaxes(-1, -2)
             assert not np.all(np.isfinite(gram[1]))
@@ -831,7 +805,7 @@ def test_guard_refuses_an_overflowed_gram():
             )
             for name in ("zf", "min_pa"):
                 with pytest.raises(SingularChannelError) as err:
-                    solve_block((name,), channels, [qos] * 3)
+                    solve_stack((name,), h, d.repeat(3, 0))
                 assert err.value.realization == 1
                 assert "estimate is not finite" in str(err.value)
     # A K=1 stack whose every Gram entry overflowed has only infinite pivots.
@@ -863,41 +837,40 @@ def test_sweep_inverse_matches_lapack():
 
 
 def test_stacked_solvers_need_one_channel_shape_and_dtype():
+    # A stack holds one channel shape and dtype; what is left to refuse is
+    # targets of another shape than the stack's (R, K), and an empty stack.
     rng = np.random.default_rng(38)
     for k_users, names in (
         (2, ("zf", "min_pa")),
         (1, ("zf", "min_pa", "saturating")),
     ):
-        narrow, qos = draw_cell_instance(6, k_users, 1, rng)
-        other_m, _ = draw_cell_instance(7, k_users, 1, rng)
-        wide, wide_qos = draw_cell_instance(6, k_users, 3, rng)
-        single = ChannelRealization(narrow.per_subcarrier.astype(np.complex64))
+        narrow, d = draw_cell_instance(6, k_users, 1, rng)
+        wide, wide_d = draw_cell_instance(6, k_users, 3, rng)
         for name in names:
-            for channels, targets in (
-                ([narrow, other_m], [qos, qos]),
-                ([narrow, wide], [qos, wide_qos]),
-                ([narrow, single], [qos, qos]),
-                ([], []),
+            for h, targets in (
+                (np.concatenate([narrow, narrow]), d),
+                (narrow, np.concatenate([d, wide_d])),
+                (wide, wide_d[:, 1:]),
+                (narrow[:0], d[:0]),
             ):
                 with pytest.raises(DimensionError):
-                    solve_block((name,), channels, targets)
+                    solve_stack((name,), h, targets)
     # The saturating fill takes K=1, Q=1 instances only.
     for k_users, subcarriers in ((2, 1), (1, 3)):
-        channel, qos = draw_cell_instance(6, k_users, subcarriers, rng)
+        h, d = draw_cell_instance(6, k_users, subcarriers, rng)
         with pytest.raises(DimensionError, match="K=1 and Q=1"):
-            solve_block(("saturating",), [channel] * 2, [qos] * 2)
+            solve_stack(("saturating",), h.repeat(2, 0), d.repeat(2, 0))
 
 
 def test_error_names_the_realization_after_others_converge():
     # The two unit-noise instances reach their exact 1 W ZF powers at
     # iteration 1 and leave the working set; the faint one then loses every
     # antenna to the floor, and the error still names its list position.
-    eye = narrowband_channel(np.eye(2))
-    unit = QosTargets(gamma=[1.0, 1.0], noise_power=1.0)
-    faint = QosTargets(gamma=[1.0, 1.0], noise_power=1e-6)
+    unit = narrowband(np.eye(2), [1.0, 1.0], 1.0)
+    faint = narrowband(np.eye(2), [1.0, 1.0], 1e-6)
     cfg = FixedPointConfig(dead_antenna_floor=1e-3)
     with pytest.raises(SingularChannelError) as err:
-        solve_block(("min_pa",), [eye, eye, eye], [unit, unit, faint], cfg)
+        solve_stack(("min_pa",), *stack([unit, unit, faint]), cfg)
     assert err.value.realization == 2
 
 
@@ -1002,24 +975,20 @@ def test_saturating_equals_reference_loop():
             h[:, 1::2] = h[:, ::2][:, :m // 2]
         p_max = (np.inf, 5.0, 1.0, 0.3)[rng.integers(4)]
         noise = 10 ** rng.uniform(-2, 0.5)
-        qos_list = [QosTargets([g], noise) for g in 10 ** rng.uniform(-2, 1.5, r)]
-        channels = [narrowband_channel(row) for row in h]
-        expected = [
-            reference_saturating(row, qos.noise_std * np.sqrt(qos.gamma[0]), p_max)
-            for row, qos in zip(h, qos_list)
-        ]
+        d = zf_targets(10 ** rng.uniform(-2, 1.5, r), noise, 1)[:, None]
+        channels = h[:, None, None, :]
+        expected = [reference_saturating(row, target, p_max) for row, target in zip(h, d[:, 0])]
         short = [i for i, w in enumerate(expected) if w is None]
         if short:
             with pytest.raises(InfeasibleError) as err:
-                solve_block(("saturating",), channels, qos_list, p_max=p_max)
+                solve_stack(("saturating",), channels, d, p_max=p_max)
+            first = slice(short[0], short[0] + 1)
             with pytest.raises(InfeasibleError) as alone:
-                solve_block(
-                    ("saturating",), [channels[short[0]]], [qos_list[short[0]]], p_max=p_max
-                )
+                solve_stack(("saturating",), channels[first], d[first], p_max=p_max)
             assert err.value.reason == alone.value.reason
             assert err.value.realization == short[0]
         else:
-            solved = solve_block(("saturating",), channels, qos_list, p_max=p_max)
+            solved = solve_stack(("saturating",), channels, d, p_max=p_max)
             matrices = solved["saturating"].matrices
             assert np.array_equal(matrices[:, 0, :, 0], np.stack(expected))
         outcomes.add(bool(short))
@@ -1028,12 +997,12 @@ def test_saturating_equals_reference_loop():
 
 def test_los_allocation_corner_and_uniform():
     rng = np.random.default_rng(30)
-    channel = draw_los_channel(4, 1, 2, rng)
+    h = los(4, 1, 2, rng)[None]
     gamma, sigma = 5.0, 2.0
-    qos = QosTargets(gamma=[gamma], noise_power=sigma**2)
+    d = zf_targets([[gamma]], sigma**2, 2)
     corner = np.zeros(4)
     corner[0] = 1.0
-    sol = los_allocation_precoders([channel] * 2, [qos] * 2, [corner, np.full(4, 0.25)])
+    sol = los_allocation_precoders(h.repeat(2, 0), d.repeat(2, 0), [corner, np.full(4, 0.25)])
     assert sol.powers[0, 0] == pytest.approx(sigma**2 * gamma)
     assert sol.powers[0, 1:] == pytest.approx(np.zeros(3))
     assert sol.powers[1] == pytest.approx(np.full(4, sigma**2 * gamma / 16.0))
@@ -1041,80 +1010,65 @@ def test_los_allocation_corner_and_uniform():
 
 def test_los_allocation_invariant_consumption(table_pa):
     rng = np.random.default_rng(31)
-    channel = draw_los_channel(6, 1, 4, rng)
+    h = los(6, 1, 4, rng)[None]
     gamma, sigma = 7.0, 1.5
-    qos = QosTargets(gamma=[gamma], noise_power=sigma**2)
+    d = zf_targets([[gamma]], sigma**2, 4)
     rng2 = np.random.default_rng(32)
     w = rng2.random((4, 6))
     w /= w.sum(axis=1, keepdims=True)
-    sol = los_allocation_precoders([channel] * 4, [qos] * 4, w)
+    sol = los_allocation_precoders(h.repeat(4, 0), d.repeat(4, 0), w)
     values = pa_consumed_power(sol.powers, table_pa)
     expected = table_pa.alpha * sigma * np.sqrt(gamma)
     for v in values:
         assert v == pytest.approx(expected, rel=1e-12)
     for r in range(4):
-        assert_same_row(sol, r, los_allocation_precoders([channel], [qos], w[r:r + 1]))
+        assert_same_row(sol, r, los_allocation_precoders(h, d, w[r:r + 1]))
 
 
 def test_los_allocation_rejects_bad_inputs():
     rng = np.random.default_rng(33)
-    channel = draw_los_channel(3, 1, 2, rng)
-    qos = QosTargets(gamma=[2.0], noise_power=1.0)
+    h = los(3, 1, 2, rng)[None]
+    d = zf_targets([[2.0]], 1.0, 2)
     for weights in ([0.5, 0.2, 0.2], [1.5, -0.25, -0.25], [np.nan, 0.5, 0.5]):
         with pytest.raises(DomainError):
-            los_allocation_precoders([channel], [qos], [weights])
-    bad = ChannelRealization(per_subcarrier=np.full((1, 1, 3), 2.0 + 0j))
+            los_allocation_precoders(h, d, [weights])
+    bad = np.full((1, 1, 1, 3), 2.0 + 0j)
     with pytest.raises(DomainError):
-        los_allocation_precoders([bad], [QosTargets([2.0], 1.0)], np.full((1, 3), 1 / 3))
+        los_allocation_precoders(bad, zf_targets([[2.0]], 1.0, 1), np.full((1, 3), 1 / 3))
     with pytest.raises(DimensionError):
-        los_allocation_precoders([channel], [qos], np.full(3, 1 / 3))
-    two_users = draw_los_channel(3, 2, 2, rng)
+        los_allocation_precoders(h, d, np.full(3, 1 / 3))
+    two_users = los(3, 2, 2, rng)[None]
     with pytest.raises(DimensionError):
         los_allocation_precoders(
-            [two_users], [QosTargets([2.0, 2.0], 1.0)], np.full((1, 3), 1 / 3)
+            two_users, zf_targets([[2.0, 2.0]], 1.0, 2), np.full((1, 3), 1 / 3)
         )
 
 
 def test_los_allocation_meets_per_subcarrier_qos():
     rng = np.random.default_rng(34)
-    channel = draw_los_channel(5, 1, 8, rng)
+    h = los(5, 1, 8, rng)[None]
     gamma, sigma = 4.0, 1.0
-    qos = QosTargets(gamma=[gamma], noise_power=sigma**2)
-    sol = los_allocation_precoders([channel], [qos], np.full((1, 5), 0.2))
-    prods = channel.per_subcarrier @ sol.matrices[0]
+    sol = los_allocation_precoders(h, zf_targets([[gamma]], sigma**2, 8), np.full((1, 5), 0.2))
+    prods = h[0] @ sol.matrices[0]
     assert np.allclose(np.abs(prods), sigma * np.sqrt(gamma / 8.0), rtol=1e-12)
 
 
-def test_qos_channel_mismatch_raises(table_pa):
-    # The solvers and the oracle refuse the same instance with the same error.
-    rng = np.random.default_rng(35)
-    channel, _ = draw_cell_instance(4, 2, 2, rng)
-    qos = QosTargets(gamma=[1.0], noise_power=1.0)
-    for solve in (
-        lambda: solve_block(("zf",), [channel], [qos])["zf"],
-        lambda: solve_block(("min_pa",), [channel], [qos])["min_pa"],
-        lambda: solve_min_pa_bruteforce_block([channel], [qos], table_pa),
-    ):
-        with pytest.raises(DimensionError) as raised:
-            solve()
-        assert str(raised.value) == "QoS targets cover 1 users, channel has 2"
-
-
 def test_one_qos_splits_over_each_channels_subcarriers(table_pa):
-    # QosTargets carries no Q: every solver splits gamma_k over the Q
-    # subcarriers of the channel it solves, so one set of targets serves a
-    # Q=1 and a Q=4 channel, each held to (gamma_k / Q)^(1/2) sigma.
+    # zf_targets splits each gamma_k over the Q subcarriers of the channel
+    # it is made for, so one set of SINR targets serves a Q=1 and a Q=4
+    # channel, each held to (gamma_k / Q)^(1/2) sigma.
     rng = np.random.default_rng(39)
-    qos = QosTargets(gamma=[2.0, 5.0], noise_power=0.5)
+    gamma, noise_power = [2.0, 5.0], 0.5
     cfg = FixedPointConfig(tolerance=1e-11, max_iterations=50_000)
     for subcarriers in (1, 4):
-        channel = draw_rayleigh_channel(6, 2, subcarriers, np.ones(2), rng)
-        min_pa = solve_block(("min_pa",), [channel], [qos], cfg)["min_pa"]
-        for solution in (solve_block(("zf",), [channel], [qos])["zf"], min_pa):
-            assert zf_residual(channel, qos, solution.matrices[0]) <= ZF_TOLERANCE
-        # The oracle's residual is against its own targets; its optimum
-        # matching the fixed point's shows that they are the same targets.
-        oracle = solve_min_pa_bruteforce_block([channel], [qos], table_pa)
-        assert oracle.residual[0] <= 1e-9 * qos.noise_std * np.sqrt(5.0 / subcarriers)
+        h = rayleigh(6, 2, subcarriers, np.ones(2), rng)[None]
+        d = zf_targets(gamma, noise_power, subcarriers)[None]
+        min_pa = solve_stack(("min_pa",), h, d, cfg)["min_pa"]
+        for solution in (solve_stack(("zf",), h, d)["zf"], min_pa):
+            assert zf_residual(h[0], d[0], solution.matrices[0]) <= ZF_TOLERANCE
+        # The oracle's residual is against the targets it is given; its
+        # optimum matching the fixed point's shows that both hold them.
+        oracle = solve_min_pa_bruteforce_block(h, d, table_pa)
+        assert oracle.residual[0] <= 1e-9 * np.sqrt(noise_power) * np.sqrt(5.0 / subcarriers)
         expected = pa_consumed_power(min_pa.powers[0], table_pa)
         assert oracle.objective[0] == pytest.approx(expected, rel=1e-6)

@@ -6,26 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from energymimo import (
-    ChannelRealization,
     FixedPointConfig,
-    QosTargets,
     estimate_flops,
     pa_consumed_power,
-    solve_block,
     solve_quartic_ma,
+    solve_stack,
+    zf_targets,
 )
-from energymimo.channel import draw_los_channel, draw_rayleigh_channel
 from energymimo.precoding import los_allocation_precoders
 
-from conftest import draw_cell_instance
+from conftest import draw_cell_instance, los, rayleigh
 
 
 def _instance(seed, m=6, k=2, q=2):
+    """A (1, Q, K, M) unit-variance channel stack and its user's SINR targets."""
     rng = np.random.default_rng(seed)
     h = (rng.standard_normal((q, k, m)) + 1j * rng.standard_normal((q, k, m))) / np.sqrt(2)
-    channel = ChannelRealization(per_subcarrier=h)
     gamma = rng.uniform(1.0, 10.0, size=k)
-    return channel, gamma
+    return h[None], gamma
 
 
 @given(st.integers(0, 10_000), st.floats(0.1, 100.0))
@@ -33,8 +31,8 @@ def _instance(seed, m=6, k=2, q=2):
 def test_scale_covariance_of_fixed_point(seed, scale):
     """Scaling sigma_nu by c scales every precoding entry by c."""
     channel, gamma = _instance(seed)
-    base = QosTargets(gamma=gamma, noise_power=1.0)
-    scaled = QosTargets(gamma=gamma, noise_power=scale**2)
+    base = zf_targets(gamma, 1.0, 2)[None]
+    scaled = zf_targets(gamma, scale**2, 2)[None]
     # tolerance and dead floor are absolute powers: scale them along
     cfg = FixedPointConfig(tolerance=1e-8, max_iterations=20_000)
     cfg_scaled = FixedPointConfig(
@@ -42,8 +40,8 @@ def test_scale_covariance_of_fixed_point(seed, scale):
         max_iterations=20_000,
         dead_antenna_floor=1e-12 * scale**2,
     )
-    a = solve_block(("min_pa",), [channel], [base], cfg)["min_pa"]
-    b = solve_block(("min_pa",), [channel], [scaled], cfg_scaled)["min_pa"]
+    a = solve_stack(("min_pa",), channel, base, cfg)["min_pa"]
+    b = solve_stack(("min_pa",), channel, scaled, cfg_scaled)["min_pa"]
     np.testing.assert_allclose(b.matrices, scale * a.matrices, rtol=1e-7, atol=1e-12)
     np.testing.assert_allclose(b.powers, scale**2 * a.powers, rtol=1e-7, atol=1e-14)
 
@@ -53,12 +51,12 @@ def test_scale_covariance_of_fixed_point(seed, scale):
 def test_phase_covariance_of_powers(seed):
     """Unit-modulus row rotations of the channel leave all powers unchanged."""
     channel, gamma = _instance(seed)
-    qos = QosTargets(gamma=gamma, noise_power=1.0)
+    d = zf_targets(np.tile(gamma, (2, 1)), 1.0, 2)
     rng = np.random.default_rng(seed + 1)
-    phases = np.exp(2j * np.pi * rng.random(channel.k_users))
-    rotated = ChannelRealization(per_subcarrier=phases[None, :, None] * channel.per_subcarrier)
+    phases = np.exp(2j * np.pi * rng.random(channel.shape[2]))
+    rotated = phases[None, None, :, None] * channel
     for name in ("zf", "min_pa"):
-        a, b = solve_block((name,), [channel, rotated], [qos, qos])[name].powers
+        a, b = solve_stack((name,), np.concatenate([channel, rotated]), d)[name].powers
         np.testing.assert_allclose(b, a, rtol=1e-9, atol=1e-14)
 
 
@@ -96,28 +94,26 @@ def test_flops_monotone_in_each_argument(k, m, q, i):
 @settings(max_examples=15, deadline=None)
 def test_los_consumption_invariant_to_weights(table_pa, seed):
     rng = np.random.default_rng(seed)
-    channel = draw_los_channel(5, 1, 3, rng)
+    channel = los(5, 1, 3, rng)[None]
     w = rng.random(5) + 1e-3
     w /= w.sum()
-    sol = los_allocation_precoders([channel], [QosTargets([6.0], 1.0)], w[None])
+    sol = los_allocation_precoders(channel, zf_targets([[6.0]], 1.0, 3), w[None])
     assert pa_consumed_power(sol.powers[0], table_pa) == pytest.approx(
         table_pa.alpha * np.sqrt(6.0), rel=1e-12
     )
 
 
 def test_channel_draw_determinism():
-    a = draw_rayleigh_channel(8, 2, 4, np.ones(2), np.random.default_rng(123))
-    b = draw_rayleigh_channel(8, 2, 4, np.ones(2), np.random.default_rng(123))
-    assert np.array_equal(a.per_subcarrier, b.per_subcarrier)
+    a = rayleigh(8, 2, 4, np.ones(2), np.random.default_rng(123))
+    b = rayleigh(8, 2, 4, np.ones(2), np.random.default_rng(123))
+    assert np.array_equal(a, b)
 
 
 def test_solver_determinism_by_seed():
     rng1 = np.random.default_rng(77)
     rng2 = np.random.default_rng(77)
-    ch1, qos1 = draw_cell_instance(8, 2, 2, rng1)
-    ch2, qos2 = draw_cell_instance(8, 2, 2, rng2)
-    s1 = solve_block(("min_pa",), [ch1], [qos1])["min_pa"]
-    s2 = solve_block(("min_pa",), [ch2], [qos2])["min_pa"]
+    s1 = solve_stack(("min_pa",), *draw_cell_instance(8, 2, 2, rng1))["min_pa"]
+    s2 = solve_stack(("min_pa",), *draw_cell_instance(8, 2, 2, rng2))["min_pa"]
     assert np.array_equal(s1.powers, s2.powers)
     assert np.array_equal(s1.matrices, s2.matrices)
     assert np.array_equal(s1.iterations, s2.iterations)
@@ -128,7 +124,6 @@ def test_wideband_power_spread_shrinks_with_q():
     cvs = {}
     for q in (4, 256):
         rng = np.random.default_rng(4242)
-        channel, qos = draw_cell_instance(32, 4, q, rng)
-        powers = solve_block(("min_pa",), [channel], [qos])["min_pa"].powers[0]
+        powers = solve_stack(("min_pa",), *draw_cell_instance(32, 4, q, rng))["min_pa"].powers[0]
         cvs[q] = float(np.std(powers) / np.mean(powers))
     assert cvs[256] < cvs[4]
