@@ -36,17 +36,21 @@ powers are that first iterate for at most ``ZF_MAP_MAX_USERS`` users,
 computed once for a block that solves both, and the kernel's precoders
 read back above: the packing holds K / 2 times the channel stack's bytes,
 which a zero-forcing solve alone pays only where the map is the faster
-path. The kernel and the map invert the Gram stack in one
-place, :func:`_guard_gram`, by one of two paths chosen from the
-instance's own (Q, K). With at least
+path. The kernel and the map invert the Gram stack by one of two paths
+chosen from the instance's own (Q, K). With at least
 ``SWEEP_MIN_SUBCARRIERS`` subcarriers and at most ``SWEEP_MAX_USERS``
-users, one Gauss-Jordan sweep runs over the whole stack at once, with the
-stack axis last; its pivots, the squared Cholesky diagonals, give the
-conditioning check. Otherwise a LAPACK Cholesky factorization checks the
-conditioning and ``np.linalg.inv`` inverts. Per-matrix LAPACK calls cost a
-fixed overhead that the sweep pays once per stack, while the sweep's
-arithmetic grows as K^3 in numpy temporaries: the sweep wins on many small
-matrices, LAPACK on few or large ones.
+users, one Gauss-Jordan sweep, :func:`_sweep_inverse`, runs over the whole
+stack at once, with the stack axis last; its pivots, the squared Cholesky
+diagonals, give the conditioning check, :func:`_refuse_bad_pivots`.
+Otherwise a LAPACK Cholesky factorization checks the conditioning and
+``np.linalg.inv`` inverts. Per-matrix LAPACK calls cost a fixed overhead
+that the sweep pays once per stack, while the sweep's arithmetic grows as
+K^3 in numpy temporaries: the sweep wins on many small matrices, LAPACK on
+few or large ones. On the sweep path with at most
+``STACK_LAST_MAP_MAX_USERS`` users the map keeps the Gram stack
+stack-last from its build to A_q's packed reals, whole-stack products.
+The kernel, and the map otherwise, invert through :func:`_guard_gram`,
+which returns the inverse stack-first.
 """
 
 from __future__ import annotations
@@ -71,8 +75,21 @@ GRAM_CONDITION_LIMIT = 1e12
 # row of a stack still equals its instance solved alone, bit for bit. On 2
 # vCPUs at one realization the sweep took 0.8-1.0x the LAPACK time at Q = 32
 # for K <= 12, 0.3-0.7x at Q = 256, and 0.8-1.3x at K = 16 for Q = 32-256.
+# Where the lifted map then forms A_q, STACK_LAST_MAP_MAX_USERS decides.
 SWEEP_MIN_SUBCARRIERS = 32
 SWEEP_MAX_USERS = 12
+
+# On the sweep path the lifted map forms the packed reals of
+# A_q = G_q^(-1) D^2 G_q^(-1) as whole-stack products on the swept,
+# stack-last inverse for instances with at most this many users, and above
+# it by one matrix product per subcarrier on the inverse moved stack-first.
+# The choice reads only the instance's K, so a row of a stack still equals
+# its instance solved alone. On 2 vCPUs with one BLAS thread at M = 32, a
+# map sweep with the whole-stack products took 0.54-1.01x the time of one
+# with the matrix products at K <= 4 for Q = 32-256 (0.79x at K = 4,
+# Q = 256), and at 1 and 8 realizations 0.90-1.36x at K = 5, 0.99-1.12x at
+# K = 6, 1.03-1.08x at K = 7 and 1.00-1.18x at K = 8.
+STACK_LAST_MAP_MAX_USERS = 4
 
 # Uniform start of the fixed point, in Watts. The first weighted-ZF iterate
 # does not depend on the scale of a uniform start; at 1 W the kernel's
@@ -220,26 +237,19 @@ def _guard_gram(gram, index):
     overflowed Gram, is refused too, with a message that says so.
 
     The path depends on the instance's (Q, K) alone. With Q at least
-    ``SWEEP_MIN_SUBCARRIERS`` and K at most ``SWEEP_MAX_USERS``,
-    :func:`_sweep_inverse` inverts the whole stack and its pivots are the
-    squared diagonals: a pivot at or below zero means not positive
-    definite. Otherwise a failed ``np.linalg.cholesky`` means not positive
-    definite, its factors serve only the check, and the return value is
+    ``SWEEP_MIN_SUBCARRIERS`` and K at most ``SWEEP_MAX_USERS``, the stack
+    is copied stack-last, :func:`_sweep_inverse` inverts it in place and
+    :func:`_refuse_bad_pivots` checks its pivots, the squared diagonals.
+    Otherwise a failed ``np.linalg.cholesky`` means not positive definite,
+    its factors serve only the check, and the return value is
     ``np.linalg.inv(gram)``.
     """
     n, q, k, _ = gram.shape
     if q >= SWEEP_MIN_SUBCARRIERS and k <= SWEEP_MAX_USERS:
-        inverse, pivots = _sweep_inverse(gram)
-        indefinite = np.any(pivots <= 0.0, axis=(0, 2))
-        if indefinite.any():
-            raise SingularChannelError(
-                "user-side Gram matrix is not positive definite",
-                realization=int(index[np.argmax(indefinite)]),
-            )
-        with np.errstate(invalid="ignore"):  # inf / inf from an overflowed Gram
-            cond_est = pivots.max(axis=(0, 2)) / pivots.min(axis=(0, 2))
-        _refuse_ill_conditioned(cond_est, index)
-        return inverse
+        a = np.empty((k, k, n * q), dtype=complex)
+        a[...] = gram.reshape(n * q, k, k).transpose(1, 2, 0)
+        _refuse_bad_pivots(_sweep_inverse(a), index)
+        return np.ascontiguousarray(a.transpose(2, 0, 1)).reshape(n, q, k, k)
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
@@ -251,6 +261,25 @@ def _guard_gram(gram, index):
     diag = abs(chol.diagonal(axis1=-2, axis2=-1)).reshape(n, q * k)
     _refuse_ill_conditioned((diag.max(axis=1) / diag.min(axis=1)) ** 2, index)
     return np.linalg.inv(gram)
+
+
+def _refuse_bad_pivots(pivots, index):
+    """Raise for the first realization whose (K, R * Q) sweep pivots are refused.
+
+    A pivot at or below zero means not positive definite; else a realization's
+    largest over smallest pivot is its condition estimate, checked by
+    :func:`_refuse_ill_conditioned`.
+    """
+    pivots = pivots.reshape(len(pivots), len(index), -1)
+    indefinite = np.any(pivots <= 0.0, axis=(0, 2))
+    if indefinite.any():
+        raise SingularChannelError(
+            "user-side Gram matrix is not positive definite",
+            realization=int(index[np.argmax(indefinite)]),
+        )
+    with np.errstate(invalid="ignore"):  # inf / inf from an overflowed Gram
+        cond_est = pivots.max(axis=(0, 2)) / pivots.min(axis=(0, 2))
+    _refuse_ill_conditioned(cond_est, index)
 
 
 def _refuse_ill_conditioned(cond_est, index):
@@ -266,23 +295,23 @@ def _refuse_ill_conditioned(cond_est, index):
         raise SingularChannelError(reason, realization=int(index[bad]))
 
 
-def _sweep_inverse(gram):
-    """Gauss-Jordan inverse of a (R, Q, K, K) Hermitian stack and its (K, R, Q) pivots.
+def _sweep_inverse(a):
+    """Gauss-Jordan inverse, in place, of a (K, K, S) Hermitian stack; returns its (K, S) pivots.
 
-    Copies the stack into a (K, K, R * Q) array, stack axis last, and sweeps
-    it in place without pivoting: K steps of whole-array numpy calls, so
-    the per-matrix cost is the arithmetic alone. Each matrix's entries see
-    the same operations whatever the stack height. For a Hermitian positive
-    definite matrix pivot j is the j-th squared Cholesky diagonal, a
-    positive real, and is taken as the real part. Any other matrix may
-    divide by a zero, negative or NaN pivot, and its inverse is garbage:
-    the caller must refuse it from the pivots. Floating-point warnings are
+    The stack axis is last, so each of the K steps is a few whole-array
+    numpy calls and the per-matrix cost is the arithmetic alone; there is
+    no pivoting. Each matrix's entries see the same operations whatever
+    the stack height. For a Hermitian positive definite matrix pivot j is
+    the j-th squared Cholesky diagonal, a positive real, and is taken as
+    the real part. Any other matrix may divide by a zero, negative or NaN
+    pivot, and its inverse is garbage: the caller must refuse it from the
+    pivots (:func:`_refuse_bad_pivots`). Floating-point warnings are
     silenced so that such a matrix reaches the caller only as its pivots.
+    :func:`_guard_gram` moves the inverse back stack-first; the lifted map
+    at most ``STACK_LAST_MAP_MAX_USERS`` users forms A from it where it is.
     """
-    n, q, k, _ = gram.shape
-    a = np.empty((k, k, n * q), dtype=complex)
-    a[...] = gram.reshape(n * q, k, k).transpose(1, 2, 0)
-    pivots = np.empty((k, n * q))
+    k = len(a)
+    pivots = np.empty((k, a.shape[-1]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(k):
             pivot = pivots[j]
@@ -293,8 +322,7 @@ def _sweep_inverse(gram):
             a[j, j] = 1.0
             a[j] /= pivot
             a -= column[:, None] * a[j]
-    inverse = np.ascontiguousarray(a.transpose(2, 0, 1)).reshape(n, q, k, k)
-    return inverse, pivots.reshape(k, n, q)
+    return pivots
 
 
 def _positive_definite(matrices) -> bool:
@@ -331,6 +359,7 @@ def _packing(k):
     ``sign`` rebuild a Hermitian matrix's interleaved floats from a packed
     row whose off-diagonal part is doubled: the diagonal's imaginary part
     is zero, and the lower triangle is the conjugate of the upper one.
+    ``rows`` and ``cols`` index the upper triangle's entries in packed order.
     """
     rows, cols = np.triu_indices(k, 1)
     pairs = rows.size
@@ -344,9 +373,9 @@ def _packing(k):
     spread[2 * upper], spread[2 * lower], sign[2 * upper], sign[2 * lower] = re, re, 0.5, 0.5
     spread[2 * upper + 1], spread[2 * lower + 1] = im, im
     sign[2 * upper + 1], sign[2 * lower + 1] = 0.5, -0.5
-    for shared in (gather, spread, sign):
+    for shared in (gather, spread, sign, rows, cols):
         shared.flags.writeable = False
-    return gather, spread, sign
+    return gather, spread, sign, rows, cols
 
 
 def _packed_products(h, workspace: Workspace | None = None):
@@ -362,7 +391,7 @@ def _packed_products(h, workspace: Workspace | None = None):
     n, q, k, m = h.shape
     packed = _take(workspace, "packed", (n, q * k * k, m)).reshape(n, q, k * k, m)
     z = _take(workspace, "pair", (n, q, m), complex)
-    rows, cols = np.triu_indices(k, 1)
+    rows, cols = _packing(k)[3:]
     pairs = rows.size
     for a in range(k):
         np.conjugate(h[:, :, a], out=z)
@@ -382,21 +411,46 @@ def _power_map(packed, targets, p, index):
     ``packed`` holds the (R, Q * K^2, M) products of :func:`_packed_products`,
     ``targets`` the (R, 1, K, 1) squared ZF targets d_k^2 and ``p`` the
     (R, M) powers. Forms G_q = H_q D_p^(1/2) H_q^H as one product with
-    sqrt(p), inverts it through :func:`_guard_gram` (which names
-    ``index[r]`` when it refuses a realization), and returns the (R, M)
-    powers p_m sum_q h_qm^H G_q^(-1) D^2 G_q^(-1) h_qm, clipped at zero:
-    the per-antenna powers of the weighted-ZF kernel at ``p``, up to
-    rounding. A zero power maps to zero.
+    sqrt(p), inverts it, refusing a realization by naming ``index[r]``,
+    and returns the (R, M) powers p_m sum_q h_qm^H A_q h_qm with
+    A_q = G_q^(-1) D^2 G_q^(-1), clipped at zero: the per-antenna powers of
+    the weighted-ZF kernel at ``p``, up to rounding. A zero power maps to
+    zero.
+
+    With Q at least ``SWEEP_MIN_SUBCARRIERS`` and K at most
+    ``STACK_LAST_MAP_MAX_USERS`` one (K, K, R * Q) array, stack axis last,
+    holds the Gram stack, is inverted in place by :func:`_sweep_inverse`,
+    guarded by :func:`_refuse_bad_pivots`, and gives A's packed reals as
+    whole-stack products and one transpose. Otherwise :func:`_guard_gram`
+    inverts the stack-first Gram stack, and A is one matrix product per
+    subcarrier, gathered into packed order.
     """
     n = p.shape[0]
     k = targets.shape[-2]
     q = packed.shape[1] // (k * k)
-    gather, spread, sign = _packing(k)
-    packed_gram = (packed @ np.sqrt(p)[:, :, None]).reshape(n, q, k * k)
-    gram = (np.take(packed_gram, spread, axis=-1) * sign).view(complex).reshape(n, q, k, k)
-    inverse = _guard_gram(gram, index)
-    lifted = (inverse @ (targets * inverse)).reshape(n, q, k * k).view(float)
-    coefficients = np.take(lifted, gather, axis=-1).reshape(n, 1, q * k * k)
+    gather, spread, sign, rows, cols = _packing(k)
+    packed_gram = (packed @ np.sqrt(p)[:, :, None]).reshape(n * q, k * k)
+    if q >= SWEEP_MIN_SUBCARRIERS and k <= STACK_LAST_MAP_MAX_USERS:
+        # Each float is the same product as in the stack-first spread below.
+        a = np.empty((k, k, n * q), dtype=complex)
+        floats = a.view(float).reshape(k * k, n * q, 2).transpose(0, 2, 1)
+        np.multiply(packed_gram.T[spread.reshape(k * k, 2)], sign.reshape(k * k, 2, 1), out=floats)
+        _refuse_bad_pivots(_sweep_inverse(a), index)
+        # A_kl = sum_j G^(-1)_kj d_j^2 G^(-1)_jl, the diagonal's and then the
+        # upper triangle's (none at K = 1), each one product and one sum.
+        inverse = a.reshape(k, k, n, q)
+        scaled = inverse * targets.reshape(n, k).T[:, :, None]
+        transposed = inverse.swapaxes(0, 1)
+        lifted = [(scaled * transposed).sum(axis=1).real]
+        if k > 1:
+            upper = (scaled[rows] * transposed[cols]).sum(axis=1)
+            lifted += [upper.real, upper.imag]
+        coefficients = np.concatenate(lifted).transpose(1, 2, 0).reshape(n, 1, q * k * k)
+    else:
+        gram = (np.take(packed_gram, spread, axis=-1) * sign).view(complex).reshape(n, q, k, k)
+        inverse = _guard_gram(gram, index)
+        lifted = (inverse @ (targets * inverse)).reshape(n, q, k * k).view(float)
+        coefficients = np.take(lifted, gather, axis=-1).reshape(n, 1, q * k * k)
     p_new = p * (coefficients @ packed)[:, 0]
     return np.maximum(p_new, 0.0, out=p_new)
 

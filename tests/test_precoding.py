@@ -21,12 +21,14 @@ from energymimo.oracle import solve_min_pa_bruteforce_block
 from energymimo.precoding import (
     GRAM_CONDITION_LIMIT,
     SOLVERS,
+    STACK_LAST_MAP_MAX_USERS,
     ZF_MAP_MAX_USERS,
     ZF_TOLERANCE,
     Workspace,
     _fixed_point,
     _guard_gram,
     _packed_products,
+    _packing,
     _power_map,
     _sweep_inverse,
     _weighted_zf,
@@ -594,8 +596,8 @@ def gram_condition(h, p):
     return np.linalg.cond(b @ b.conj().swapaxes(-1, -2)).max()
 
 
-@pytest.mark.parametrize("subcarriers", [1, 4])
-@pytest.mark.parametrize("k_users", [1, 3, 8])
+@pytest.mark.parametrize("subcarriers", [1, 4, 32])
+@pytest.mark.parametrize("k_users", [1, 3, 5, 8])
 def test_power_map_is_the_kernels_power_readback(k_users, subcarriers):
     # One sweep of the lifted map against the powers read back from the
     # weighted-ZF kernel's precoders. Both round by about eps times the
@@ -627,6 +629,46 @@ def test_power_map_is_the_kernels_power_readback(k_users, subcarriers):
         for r in index:
             alone = _power_map(packed[r:r + 1].copy(), d2[r:r + 1], p[r:r + 1], index[r:r + 1])
             assert np.array_equal(alone[0], mapped[r])
+
+
+def stack_first_power_map(packed, targets, p):
+    """The lifted map with A_q = G_q^(-1) D^2 G_q^(-1) formed stack-first.
+
+    The Gram stack is spread from its packed reals, inverted by
+    ``_guard_gram``, multiplied one subcarrier at a time and gathered into
+    packed order, as every (Q, K) did before the sweep path formed A from
+    the stack-last inverse.
+    """
+    n, k = len(p), targets.shape[-2]
+    q = packed.shape[1] // (k * k)
+    gather, spread, sign = _packing(k)[:3]
+    packed_gram = (packed @ np.sqrt(p)[:, :, None]).reshape(n, q, k * k)
+    gram = (np.take(packed_gram, spread, axis=-1) * sign).view(complex).reshape(n, q, k, k)
+    inverse = _guard_gram(gram, np.arange(n))
+    lifted = (inverse @ (targets * inverse)).reshape(n, q, k * k).view(float)
+    coefficients = np.take(lifted, gather, axis=-1).reshape(n, 1, q * k * k)
+    return np.maximum(p * (coefficients @ packed)[:, 0], 0.0)
+
+
+@pytest.mark.parametrize("subcarriers", [32, 33, 256])
+@pytest.mark.parametrize("k_users", [1, 2, 3, 4])
+def test_stack_last_power_map_matches_the_stack_first_form(k_users, subcarriers):
+    # The sweep path forms A from the stack-last inverse as whole-stack
+    # products; the stack-first matrix products are the reference. Both
+    # round by about eps times the Gram condition number in each of K
+    # terms, so they must agree to 16 K eps times the condition estimate,
+    # relative to each row's largest power; dead antennas stay exactly 0.
+    assert k_users <= STACK_LAST_MAP_MAX_USERS
+    rng = np.random.default_rng(80 + 10 * k_users + subcarriers)
+    eps = np.finfo(float).eps
+    h, d = stack([draw_cell_instance(32, k_users, subcarriers, rng) for _ in range(3)])
+    p = dead_antenna_powers(rng, 3, 32)
+    packed, d2 = _packed_products(h), squared_targets(d)
+    mapped = _power_map(packed, d2, p, np.arange(3))
+    reference = stack_first_power_map(packed, d2, p)
+    bound = 16 * k_users * eps * gram_condition(h, p)
+    assert np.all(np.abs(mapped - reference) <= bound * reference.max(axis=1, keepdims=True))
+    assert np.all(mapped[p == 0.0] == 0.0)
 
 
 def test_power_map_just_inside_the_condition_limit():
@@ -825,7 +867,9 @@ def test_sweep_inverse_matches_lapack():
         z = rng.standard_normal((r, q, k, k)) + 1j * rng.standard_normal((r, q, k, k))
         u = np.linalg.qr(z)[0]
         gram = (u * 10.0 ** rng.uniform(0, 8, (r, q, 1, k))) @ u.conj().swapaxes(-1, -2)
-        inverse, pivots = _sweep_inverse(gram)
+        swept = gram.reshape(r * q, k, k).transpose(1, 2, 0).copy()
+        pivots = _sweep_inverse(swept).reshape(k, r, q)
+        inverse = swept.transpose(2, 0, 1).reshape(r, q, k, k)
         reference = np.linalg.inv(gram)
         chol = np.abs(np.linalg.cholesky(gram).diagonal(axis1=-2, axis2=-1))
         estimate = (chol.max(axis=(1, 2)) / chol.min(axis=(1, 2))) ** 2
