@@ -41,6 +41,8 @@ cfg sweep_k6 m_antennas=16 k_users=6 subcarriers=32 precoders=zf,min_pa realizat
 same sweep_k6 1 2 OPENBLAS_NUM_THREADS=1 OPENBLAS_NUM_THREADS=2 -- run --config "$d/sweep_k6.cfg"  # K = 6 > STACK_LAST_MAP_MAX_USERS
 cfg sweep_k1 m_antennas=16 k_users=1 subcarriers=32 precoders=zf,min_pa realizations=60
 same sweep_k1 1 2 OPENBLAS_NUM_THREADS=1 OPENBLAS_NUM_THREADS=2 -- run --config "$d/sweep_k1.cfg"  # K = 1: no pair above the diagonal
+cfg sweep_k3 m_antennas=16 k_users=3 subcarriers=32 precoders=zf,min_pa realizations=60
+same sweep_k3 1 2 OPENBLAS_NUM_THREADS=1 OPENBLAS_NUM_THREADS=2 -- run --config "$d/sweep_k3.cfg"  # K = 3 on the stack-last map
 cfg los_min_pa m_antennas=16 k_users=1 subcarriers=4 channel=los precoders=min_pa seed=11 realizations=1200
 same los_min_pa exit=2 1 2 -- run --config "$d/los_min_pa.cfg"  # realization 0 keeps fewer antennas than K
 same k_sweep 1 2 3 -- asymptotic --config bench/workloads/asymptotic.cfg --realizations 200  # 4 blocks of <= 51

@@ -242,7 +242,10 @@ def _guard_gram(gram, index):
     :func:`_refuse_bad_pivots` checks its pivots, the squared diagonals.
     Otherwise a failed ``np.linalg.cholesky`` means not positive definite,
     its factors serve only the check, and the return value is
-    ``np.linalg.inv(gram)``.
+    ``np.linalg.inv(gram)``. That check first squares the whole block's
+    largest over smallest diagonal: at most the limit, it passes every
+    realization, as :func:`_refuse_bad_pivots` says; else each realization's
+    own estimate decides.
     """
     n, q, k, _ = gram.shape
     if q >= SWEEP_MIN_SUBCARRIERS and k <= SWEEP_MAX_USERS:
@@ -259,7 +262,10 @@ def _guard_gram(gram, index):
         ) from exc
     # A successful Cholesky factorization of a finite Gram has a positive diagonal.
     diag = abs(chol.diagonal(axis1=-2, axis2=-1)).reshape(n, q * k)
-    _refuse_ill_conditioned((diag.max(axis=1) / diag.min(axis=1)) ** 2, index)
+    low, high = float(diag.min()), float(diag.max())
+    ratio = high / low if low > 0.0 else np.inf
+    if not ratio * ratio <= GRAM_CONDITION_LIMIT:
+        _refuse_ill_conditioned((diag.max(axis=1) / diag.min(axis=1)) ** 2, index)
     return np.linalg.inv(gram)
 
 
@@ -269,7 +275,17 @@ def _refuse_bad_pivots(pivots, index):
     A pivot at or below zero means not positive definite; else a realization's
     largest over smallest pivot is its condition estimate, checked by
     :func:`_refuse_ill_conditioned`.
+
+    The whole block is tested first. When its smallest pivot is positive and
+    its largest over its smallest is at most ``GRAM_CONDITION_LIMIT``, every
+    realization passes: its own pivots lie between those two, and correctly
+    rounded division is monotone in each operand, so its estimate is at most
+    the block's. Otherwise, also on a NaN pivot, the check per realization
+    decides, and a refusal names the same realization with the same message.
     """
+    low, high = float(pivots.min()), float(pivots.max())
+    if low > 0.0 and high / low <= GRAM_CONDITION_LIMIT:
+        return
     pivots = pivots.reshape(len(pivots), len(index), -1)
     indefinite = np.any(pivots <= 0.0, axis=(0, 2))
     if indefinite.any():
@@ -309,19 +325,29 @@ def _sweep_inverse(a):
     silenced so that such a matrix reaches the caller only as its pivots.
     :func:`_guard_gram` moves the inverse back stack-first; the lifted map
     at most ``STACK_LAST_MAP_MAX_USERS`` users forms A from it where it is.
+
+    Step j scales the pivot row by 1 / pivot, a complex times a real, which
+    numpy rounds as x (1 / b) and y (1 / b) for an entry x + iy. Dividing by
+    the pivot instead would cast it to b + 0i and round (x + y 0) (1 / b) and
+    (y - x 0) (1 / b): the same floats wherever x and y are finite, up to the
+    sign of an exact zero. The rank-1 update is formed in one (K, K, S)
+    scratch array: the eliminated column, copied across it, times the
+    scaled row, the same complex products, in the same operand order, as
+    the broadcast product of the column and the row.
     """
     k = len(a)
     pivots = np.empty((k, a.shape[-1]))
+    update = np.empty_like(a)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j in range(k):
-            pivot = pivots[j]
-            pivot[...] = a[j, j].real
-            column = a[:, j].copy()
-            column[j] = 0.0
-            a[:, j] = 0.0
-            a[j, j] = 1.0
-            a[j] /= pivot
-            a -= column[:, None] * a[j]
+        for j, (pivot, row, column) in enumerate(zip(pivots, a, a.swapaxes(0, 1))):
+            pivot[...] = row[j].real
+            update[...] = column[:, None]
+            update[j] = 0.0
+            column[...] = 0.0
+            row[j] = 1.0
+            row *= 1.0 / pivot
+            update *= row
+            a -= update
     return pivots
 
 
@@ -360,11 +386,18 @@ def _packing(k):
     row whose off-diagonal part is doubled: the diagonal's imaginary part
     is zero, and the lower triangle is the conjugate of the upper one.
     ``rows`` and ``cols`` index the upper triangle's entries in packed order.
+    ``left`` and ``right`` index the flattened K x K entries: for term j of
+    the diagonal's and then the upper triangle's K (K + 1) / 2 entries
+    (k, l), row j of ``left`` picks entry (k, j) and row j of ``right``
+    entry (j, l), so that A_kl = sum_j of their products.
     """
     rows, cols = np.triu_indices(k, 1)
     pairs = rows.size
     diagonal = np.arange(k) * (k + 1)
     upper, lower = rows * k + cols, cols * k + rows
+    terms = np.arange(k)[:, None]
+    left = np.concatenate([np.arange(k), rows]) * k + terms
+    right = terms * k + np.concatenate([np.arange(k), cols])
     gather = np.concatenate([2 * diagonal, 2 * upper, 2 * upper + 1])
     spread = np.zeros(2 * k * k, dtype=int)
     sign = np.zeros(2 * k * k)
@@ -373,9 +406,27 @@ def _packing(k):
     spread[2 * upper], spread[2 * lower], sign[2 * upper], sign[2 * lower] = re, re, 0.5, 0.5
     spread[2 * upper + 1], spread[2 * lower + 1] = im, im
     sign[2 * upper + 1], sign[2 * lower + 1] = 0.5, -0.5
-    for shared in (gather, spread, sign, rows, cols):
+    for shared in (gather, spread, sign, rows, cols, left, right):
         shared.flags.writeable = False
-    return gather, spread, sign, rows, cols
+    return gather, spread, sign, rows, cols, left, right
+
+
+@lru_cache(maxsize=8)
+def _stack_last_spread(k, stack):
+    """The :func:`_packing` spread of a (S, K^2) packed Gram stack to a (K, K, S) complex one.
+
+    Float f of the (K, K, S) stack's flattened floats is float ``sources[f]``
+    of the flattened packed stack times ``signs[f]``: one gather in the
+    stack-last order, where a ``spread`` along each packed row would leave
+    the stack axis first.
+    """
+    spread, sign = _packing(k)[1:3]
+    sources = spread.reshape(k * k, 1, 2) + (k * k) * np.arange(stack)[:, None]
+    signs = np.broadcast_to(sign.reshape(k * k, 1, 2), sources.shape).ravel()
+    sources = sources.ravel()
+    for shared in (sources, signs):
+        shared.flags.writeable = False
+    return sources, signs
 
 
 def _packed_products(h, workspace: Workspace | None = None):
@@ -391,7 +442,7 @@ def _packed_products(h, workspace: Workspace | None = None):
     n, q, k, m = h.shape
     packed = _take(workspace, "packed", (n, q * k * k, m)).reshape(n, q, k * k, m)
     z = _take(workspace, "pair", (n, q, m), complex)
-    rows, cols = _packing(k)[3:]
+    rows, cols = _packing(k)[3:5]
     pairs = rows.size
     for a in range(k):
         np.conjugate(h[:, :, a], out=z)
@@ -419,33 +470,47 @@ def _power_map(packed, targets, p, index):
 
     With Q at least ``SWEEP_MIN_SUBCARRIERS`` and K at most
     ``STACK_LAST_MAP_MAX_USERS`` one (K, K, R * Q) array, stack axis last,
-    holds the Gram stack, is inverted in place by :func:`_sweep_inverse`,
-    guarded by :func:`_refuse_bad_pivots`, and gives A's packed reals as
-    whole-stack products and one transpose. Otherwise :func:`_guard_gram`
-    inverts the stack-first Gram stack, and A is one matrix product per
+    holds the Gram stack, gathered float by float from the packed Gram and
+    scaled by each float's sign (:func:`_stack_last_spread`), is inverted
+    in place by :func:`_sweep_inverse` and guarded by
+    :func:`_refuse_bad_pivots`. A's packed reals are then whole-stack
+    products: the K terms G^(-1)_kj d_j^2 G^(-1)_jl of each of A's
+    K (K + 1) / 2 distinct entries are gathered into one array, summed in
+    order of j and moved into packed order by one transpose. d_j^2 scales
+    the left factors' float view: numpy multiplies a complex x + iy by a
+    real r as x r and y r, up to the sign of an exact zero, so the floats
+    are those of the complex product. Otherwise :func:`_guard_gram` inverts
+    the stack-first Gram stack, and A is one matrix product per
     subcarrier, gathered into packed order.
     """
     n = p.shape[0]
     k = targets.shape[-2]
     q = packed.shape[1] // (k * k)
-    gather, spread, sign, rows, cols = _packing(k)
+    gather, spread, sign, _, _, left, right = _packing(k)
     packed_gram = (packed @ np.sqrt(p)[:, :, None]).reshape(n * q, k * k)
     if q >= SWEEP_MIN_SUBCARRIERS and k <= STACK_LAST_MAP_MAX_USERS:
         # Each float is the same product as in the stack-first spread below.
         a = np.empty((k, k, n * q), dtype=complex)
-        floats = a.view(float).reshape(k * k, n * q, 2).transpose(0, 2, 1)
-        np.multiply(packed_gram.T[spread.reshape(k * k, 2)], sign.reshape(k * k, 2, 1), out=floats)
+        floats = a.view(float).reshape(-1)
+        sources, signs = _stack_last_spread(k, n * q)
+        np.take(packed_gram.reshape(-1), sources, out=floats, mode="clip")
+        floats *= signs
         _refuse_bad_pivots(_sweep_inverse(a), index)
-        # A_kl = sum_j G^(-1)_kj d_j^2 G^(-1)_jl, the diagonal's and then the
-        # upper triangle's (none at K = 1), each one product and one sum.
-        inverse = a.reshape(k, k, n, q)
-        scaled = inverse * targets.reshape(n, k).T[:, :, None]
-        transposed = inverse.swapaxes(0, 1)
-        lifted = [(scaled * transposed).sum(axis=1).real]
-        if k > 1:
-            upper = (scaled[rows] * transposed[cols]).sum(axis=1)
-            lifted += [upper.real, upper.imag]
-        coefficients = np.concatenate(lifted).transpose(1, 2, 0).reshape(n, 1, q * k * k)
+        # Term j of A_kl = sum_j G^(-1)_kj d_j^2 G^(-1)_jl for the diagonal's
+        # and then the upper triangle's entries (none above it at K = 1).
+        inverse = a.reshape(k * k, n, q)
+        terms = np.take(inverse, left.ravel(), axis=0).reshape(k, -1, n, q)
+        scaled = terms.view(float)
+        np.multiply(scaled, targets.reshape(n, k).T[:, None, :, None], out=scaled)
+        terms *= np.take(inverse, right.ravel(), axis=0).reshape(terms.shape)
+        total = terms[0]
+        for term in terms[1:]:
+            total += term
+        pairs = k * (k - 1) // 2
+        packed_a = np.empty((k * k, n, q))
+        packed_a[:k + pairs] = total.real
+        packed_a[k + pairs:] = total[k:].imag
+        coefficients = packed_a.transpose(1, 2, 0).reshape(n, 1, q * k * k)
     else:
         gram = (np.take(packed_gram, spread, axis=-1) * sign).view(complex).reshape(n, q, k, k)
         inverse = _guard_gram(gram, index)
@@ -485,9 +550,12 @@ def _fixed_point(
     together, so ``index`` holds the stack rows of the working set and
     names each remaining realization in errors. A realization's final
     powers move to ``p_final`` as it leaves. A dead antenna is a zero power
-    and maps to zero. The trail keeps each iteration's stack rows, step and
-    distance to ``reference``, if given; the solution's ``trace`` sorts it
-    by realization when first read.
+    and maps to zero. A realization left with fewer than K active antennas
+    is refused at the next iteration; the rows are counted only when the
+    working set holds more zero or NaN powers than at the last count, and
+    after each compaction. The trail keeps each iteration's stack rows,
+    step and distance to ``reference``, if given; the solution's ``trace``
+    sorts it by realization when first read.
 
     The reported powers are one more map sweep over the whole block at
     ``p_final``: up to rounding, the powers of the precoders that the
@@ -505,15 +573,21 @@ def _fixed_point(
     converged = np.zeros(n, dtype=bool)
     residual = np.full(n, np.inf)
     trail = []  # each iteration's stack rows, steps and squared distances
+    idle = 0  # p's entries that are not positive, when its rows were last counted
 
     for iteration in range(1, cfg.max_iterations + 1):
         p[p < cfg.dead_antenna_floor] = 0.0
-        short = np.count_nonzero(p, axis=1) < k
-        if short.any():
-            raise SingularChannelError(
-                "fewer active antennas than users; cannot hold the ZF constraint",
-                realization=int(index[np.argmax(short)]),
-            )
+        # A zero power maps to zero and NaN to NaN, so a row can only fall
+        # short of K active antennas by gaining such an entry.
+        now_idle = p.size - np.count_nonzero(p > 0.0)
+        if now_idle > idle:
+            short = np.count_nonzero(p, axis=1) < k
+            if short.any():
+                raise SingularChannelError(
+                    "fewer active antennas than users; cannot hold the ZF constraint",
+                    realization=int(index[np.argmax(short)]),
+                )
+            idle = now_idle
         if iteration == 1:
             p_new = first.copy()  # the next clamp writes into p
         else:
@@ -536,6 +610,7 @@ def _fixed_point(
         targets, index, p = targets[keep], index[keep], p[keep]
         if not index.size:
             break
+        idle = 0  # so the kept rows are counted at their next idle entry
         rows = np.flatnonzero(keep)
         if packed is shared:
             # mode="clip" takes straight into the copy; "raise" would buffer.

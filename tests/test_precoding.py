@@ -30,6 +30,7 @@ from energymimo.precoding import (
     _packed_products,
     _packing,
     _power_map,
+    _refuse_bad_pivots,
     _sweep_inverse,
     _weighted_zf,
     solve_stack,
@@ -671,6 +672,133 @@ def test_stack_last_power_map_matches_the_stack_first_form(k_users, subcarriers)
     assert np.all(mapped[p == 0.0] == 0.0)
 
 
+def reference_sweep_inverse(a):
+    """The Gauss-Jordan sweep with a division by the pivot and a broadcast temporary.
+
+    ``_sweep_inverse`` scales the pivot row by the pivot's reciprocal and
+    forms the rank-1 update in a scratch array; it must keep these bits.
+    """
+    k = len(a)
+    pivots = np.empty((k, a.shape[-1]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(k):
+            pivot = pivots[j]
+            pivot[...] = a[j, j].real
+            column = a[:, j].copy()
+            column[j] = 0.0
+            a[:, j] = 0.0
+            a[j, j] = 1.0
+            a[j] /= pivot
+            a -= column[:, None] * a[j]
+    return pivots
+
+
+def reference_stack_last_power_map(packed, targets, p):
+    """The stack-last lifted map as first written: powers, pivots and the swept Gram stack.
+
+    The (K, K, R * Q) Gram stack is spread by fancy indexing, inverted by
+    ``reference_sweep_inverse``, and A's packed reals are whole-stack
+    products summed over an axis, concatenated and transposed.
+    """
+    n, k = len(p), targets.shape[-2]
+    q = packed.shape[1] // (k * k)
+    spread, sign, rows, cols = _packing(k)[1:5]
+    packed_gram = (packed @ np.sqrt(p)[:, :, None]).reshape(n * q, k * k)
+    a = np.empty((k, k, n * q), dtype=complex)
+    floats = a.view(float).reshape(k * k, n * q, 2).transpose(0, 2, 1)
+    np.multiply(packed_gram.T[spread.reshape(k * k, 2)], sign.reshape(k * k, 2, 1), out=floats)
+    gram = a.copy()
+    pivots = reference_sweep_inverse(a)
+    inverse = a.reshape(k, k, n, q)
+    scaled = inverse * targets.reshape(n, k).T[:, :, None]
+    transposed = inverse.swapaxes(0, 1)
+    lifted = [(scaled * transposed).sum(axis=1).real]
+    if k > 1:
+        upper = (scaled[rows] * transposed[cols]).sum(axis=1)
+        lifted += [upper.real, upper.imag]
+    coefficients = np.concatenate(lifted).transpose(1, 2, 0).reshape(n, 1, q * k * k)
+    return np.maximum(p * (coefficients @ packed)[:, 0], 0.0), pivots, gram
+
+
+@pytest.mark.parametrize("realizations", [1, 3])
+@pytest.mark.parametrize("subcarriers", [32, 33, 256])
+@pytest.mark.parametrize("k_users", [1, 2, 3, 4])
+def test_stack_last_power_map_keeps_the_reference_bits(k_users, subcarriers, realizations):
+    # The sweep path's map, its sweep's pivots and its inverse are the
+    # reference's to the bit, dead antennas included.
+    rng = np.random.default_rng(90 + 10 * k_users + subcarriers + realizations)
+    instances = [draw_cell_instance(32, k_users, subcarriers, rng) for _ in range(realizations)]
+    h, d = stack(instances)
+    p = dead_antenna_powers(rng, realizations, 32)
+    packed, d2 = _packed_products(h), squared_targets(d)
+    reference, pivots, gram = reference_stack_last_power_map(packed, d2, p)
+    assert np.array_equal(_power_map(packed, d2, p, np.arange(realizations)), reference)
+    swept = gram.copy()
+    assert np.array_equal(_sweep_inverse(swept), pivots)
+    reference_sweep_inverse(gram)
+    assert np.array_equal(swept, gram)
+
+
+@pytest.mark.parametrize("k_users", [1, 2, 3, 4, 8])
+def test_lapack_path_power_map_keeps_the_reference_bits(k_users):
+    # At Q = 1 the map takes the LAPACK path, whose arithmetic is the
+    # stack-first reference's.
+    rng = np.random.default_rng(100 + k_users)
+    h, d = stack([draw_cell_instance(32, k_users, 1, rng) for _ in range(3)])
+    p = dead_antenna_powers(rng, 3, 32)
+    packed, d2 = _packed_products(h), squared_targets(d)
+    mapped = _power_map(packed, d2, p, np.arange(3))
+    assert np.array_equal(mapped, stack_first_power_map(packed, d2, p))
+
+
+def test_block_condition_check_at_the_exact_limit():
+    # Each realization's largest over smallest is exactly GRAM_CONDITION_LIMIT,
+    # the block's pooled one far above it: the block check must defer to
+    # the per-realization one, which passes. One float above the limit in
+    # realizations 1 and 2 refuses the lower one with the usual message.
+    lows = 2.0 ** -np.arange(3.0)  # powers of two: every ratio below is exact
+    above = np.nextafter(GRAM_CONDITION_LIMIT, np.inf)
+    message = f"Gram condition estimate {above:.3e} exceeds {GRAM_CONDITION_LIMIT:.1e}"
+    index = np.array([7, 8, 9])
+
+    def sweep_pivots(highs):
+        pivots = np.empty((3, 3, 32))  # (K, R, Q)
+        pivots[:] = lows[:, None]
+        pivots[1, :, 5] = highs
+        return pivots.reshape(3, -1)
+
+    at_limit = GRAM_CONDITION_LIMIT * lows
+    assert at_limit.max() / lows.min() > GRAM_CONDITION_LIMIT
+    _refuse_bad_pivots(sweep_pivots(at_limit), index)
+    with pytest.raises(SingularChannelError) as err:
+        _refuse_bad_pivots(sweep_pivots(np.where(lows < 1.0, above * lows, at_limit)), index)
+    assert err.value.realization == 8
+    assert err.value.reason == message
+
+    # The LAPACK branch squares its ratio of Cholesky diagonals: diagonal
+    # Grams whose diagonals are squares of exact ratio 10^6, one float above
+    # that in realizations 1 and 2.
+    def diagonal_grams(highs):
+        gram = np.zeros((3, 1, 2, 2), dtype=complex)
+        gram[:, 0, 0, 0] = lows ** 2
+        gram[:, 0, 1, 1] = highs ** 2
+        return gram
+
+    root = np.sqrt(GRAM_CONDITION_LIMIT)
+    assert root * root == GRAM_CONDITION_LIMIT
+    inverse = _guard_gram(diagonal_grams(root * lows), index)
+    assert np.allclose(inverse[:, 0, 0, 0], lows ** -2.0)
+    highs = np.where(lows < 1.0, np.nextafter(root, np.inf) * lows, root * lows)
+    squared = (highs[1] / lows[1]) ** 2
+    assert squared > GRAM_CONDITION_LIMIT
+    with pytest.raises(SingularChannelError) as err:
+        _guard_gram(diagonal_grams(highs), index)
+    assert err.value.realization == 8
+    assert err.value.reason == (
+        f"Gram condition estimate {squared:.3e} exceeds {GRAM_CONDITION_LIMIT:.1e}"
+    )
+
+
 def test_power_map_just_inside_the_condition_limit():
     # Two nearly collinear users, moved apart until the Gram condition
     # estimate sits just below GRAM_CONDITION_LIMIT, so the guard passes
@@ -916,6 +1044,46 @@ def test_error_names_the_realization_after_others_converge():
     with pytest.raises(SingularChannelError) as err:
         solve_stack(("min_pa",), *stack([unit, unit, faint]), cfg)
     assert err.value.realization == 2
+
+
+@pytest.mark.parametrize("zeroed, short, sweep", [
+    ({1: {1: [0], 2: [1, 2, 3, 4]}, 2: {1: [0]}}, 1, 2),
+    ({1: {1: [0], 2: [1, 2], 3: [3, 4]}, 2: {2: [0, 1, 2, 3], 3: [4]}}, 1, 3),
+    ({1: {1: [0], 4: [1, 2, 3, 4]}, 2: {1: [0], 2: [1, 2], 3: [3, 4]}}, 2, 3),
+])
+def test_short_rows_are_refused_at_the_sweep_that_leaves_them_short(
+    monkeypatch, zeroed, short, sweep
+):
+    # A scripted map on K = 2 users and M = 6 antennas, with the clamp off
+    # (dead_antenna_floor = 0), so every zero comes from the map. Sweep 1
+    # zeroes antennas 2-5 of realization 0, which then stays as it is, so it
+    # converges and leaves after sweep 2, taking its zeros along. Sweep s
+    # zeroes the antennas ``zeroed[r][s]`` of realization r = 1, 2, and
+    # scales every other power by 1.5. The fixed point must refuse the
+    # lowest realization left with fewer than K antennas, right after the
+    # sweep that left it so.
+    k, m = 2, 6
+    zeroed = {0: {1: [2, 3, 4, 5]}, **zeroed}
+    sweeps = []
+
+    def scripted_map(packed, targets, p, index):
+        sweeps.append(len(sweeps) + 1)
+        p_new = p * 1.5
+        for row, r in enumerate(index.tolist()):
+            if r == 0:
+                p_new[row] = p[row]
+            p_new[row, zeroed[r].get(sweeps[-1], [])] = 0.0
+        return p_new
+
+    monkeypatch.setattr("energymimo.precoding._power_map", scripted_map)
+    h = np.ones((3, 1, k, m), dtype=complex)
+    packed, targets = np.zeros((3, k * k, m)), np.ones((3, 1, k, 1))
+    cfg = FixedPointConfig(dead_antenna_floor=0.0, max_iterations=20)
+    with pytest.raises(SingularChannelError) as err:
+        _fixed_point(h, np.ones((3, k)), packed, targets, cfg, np.full((3, m), 2.0), None)
+    assert err.value.realization == short
+    assert err.value.reason == "fewer active antennas than users; cannot hold the ZF constraint"
+    assert len(sweeps) == sweep
 
 
 def test_single_user_narrowband_examples():
