@@ -65,3 +65,4 @@ same wideband.blas OPENBLAS_NUM_THREADS=1 OPENBLAS_NUM_THREADS=2 -- run --config
 same narrowband.blas OPENBLAS_NUM_THREADS=1 OPENBLAS_NUM_THREADS=2 -- run --config bench/workloads/narrowband.cfg --realizations 6
 same oracle.blas OPENBLAS_NUM_THREADS=1 OPENBLAS_NUM_THREADS=2 -- convergence --config bench/workloads/oracle.cfg --realizations 6
 same validate.blas OPENBLAS_NUM_THREADS=1 OPENBLAS_NUM_THREADS=2 -- validate --seed 3
+same validate 1 2 -- validate --seed 3  # string columns (check, detail) through the writer

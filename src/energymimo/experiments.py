@@ -21,12 +21,17 @@ own, reused from block to block and dropped when the command ends.
 A command returns an :class:`ExperimentResult`: one column per field, a
 numpy array or a list of strings, and a mask of its empty cells. Each block
 is accounted as arrays, one entry per row; no command builds a tuple per
-row. ``run``, ``convergence`` and ``asymptotic`` k_sweep return a streamed
-result, which is read once: nothing is solved until it is read, and then
-each block's rows are taken as soon as every earlier block is done, and
-dropped. Each block's worker returns its rows and the small per-realization
-arrays that the summary reads, so the summary is complete once the last
-block is read. The other modes hold their few rows as columns.
+row. The CSV writer (``cli.write_csv``) takes the columns in slices of
+``ROW_SLICE`` rows and formats them column by column in numpy: a float
+there only where its rounding is provably that of ``"%.9g" % v``, and every
+other cell in Python, cell by cell. ``run``, ``convergence`` and
+``asymptotic`` k_sweep return a streamed result, which is read once:
+nothing is solved until it is read, and then each block's rows are taken
+as soon as every earlier block is done, and dropped once written; blocks
+of fewer than ``ROW_SLICE`` rows are joined into one slice first. Each
+block's worker returns its rows and the small per-realization arrays that
+the summary reads, so the summary is complete once the last block is read.
+The other modes hold their few rows as columns.
 """
 
 from __future__ import annotations
@@ -71,9 +76,10 @@ BLOCK_ELEMENTS = 32768
 # the working arrays of a block.
 # ``ma_curve`` draws its users in stacks of as many (realization, user) cells.
 PLAN_BLOCK = 2048
-# Rows that a result turns into Python objects at once, for the CSV writer
-# and ``rows``.
-ROW_SLICE = 2048
+# Rows that ``ExperimentResult.row_slices`` hands out at once: the CSV writer
+# formats one slice in numpy, and ``rows`` turns one into tuples, at a time.
+# It bounds the writer's working arrays, about 0.7 MB for k_sweep's 14 fields.
+ROW_SLICE = 512
 
 RUN_FIELDS = (
     "seed", "realization", "solver", "p_tx", "p_pas", "p_bs",
@@ -156,43 +162,81 @@ class ExperimentResult:
         return self._summary
 
     def row_slices(self):
-        """(floats, shapes, rows) of each run of at most ``ROW_SLICE`` rows, in order.
+        """(columns, empty) of each run of at most ``ROW_SLICE`` rows, in order.
 
-        ``floats[j]`` is True when field j is a float column. ``rows`` are
-        tuples, ``None`` for an empty cell; bit j of a row's shape is set when
-        its field j is empty. A streamed result computes each part when its
-        rows are reached and counts the rows as they are taken.
+        ``columns[j]`` holds field j's cells of the run: a slice of its array,
+        or of its list. ``empty[j]`` is a bool mask of the run's empty cells in
+        field j, or None when the field has none. The CSV writer formats each
+        run column by column in numpy: a float only where its rounding is
+        provably that of ``"%.9g" % v``, and any other cell by Python, cell by
+        cell. A streamed result computes each part when its rows are reached
+        and counts the rows as they are taken. Parts of fewer rows are joined
+        until they hold ``ROW_SLICE`` rows, so that a run of small blocks is
+        not formatted a few rows at a time.
         """
         yield from self._slices()
+        held, rows = [], 0  # parts not handed out yet, and their rows: fewer than ROW_SLICE
         for part in self._pending():
-            for floats, shapes, rows in part._slices():
-                yield floats, shapes, rows
-                self._length += len(rows)
+            held.append(part)
+            rows += len(part)
+            if rows >= ROW_SLICE:
+                yield from self._taken(held)
+                held, rows = [], 0
+        yield from self._taken(held)
+
+    def _taken(self, parts):
+        """``row_slices`` of ``parts`` joined into one, counted as they are taken."""
+        if not parts:
+            return
+        joined = parts[0] if len(parts) == 1 else _joined(self.fieldnames, parts)
+        for columns, empty in joined._slices():
+            yield columns, empty
+            self._length += len(columns[0])
 
     def _slices(self):
         """``row_slices`` of the columns held."""
-        floats = tuple(
-            not isinstance(column, list) and column.dtype.kind == "f" for column in self._columns
-        )
+        masks = [self._empty.get(name) for name in self.fieldnames]
         length = len(self._columns[0])
         for start in range(0, length, ROW_SLICE):
             stop = min(start + ROW_SLICE, length)
-            cells = [
-                column[start:stop] if isinstance(column, list) else column[start:stop].tolist()
-                for column in self._columns
-            ]
-            shapes = np.zeros(stop - start, dtype=np.int64)
-            for name, mask in self._empty.items():
-                j, part = self.fieldnames.index(name), mask[start:stop]
-                shapes |= part.astype(np.int64) << j
-                for i in np.flatnonzero(part).tolist():
-                    cells[j][i] = None
-            yield floats, shapes.tolist(), list(zip(*cells))
+            yield (
+                tuple(column[start:stop] for column in self._columns),
+                tuple(None if mask is None else mask[start:stop] for mask in masks),
+            )
 
     @property
     def rows(self) -> list[tuple]:
-        """The cells as tuples, ``None`` for an empty cell, built when read."""
-        return [row for _, _, rows in self.row_slices() for row in rows]
+        """The cells as tuples of Python objects, ``None`` for an empty cell, built when read."""
+        rows = []
+        for columns, empty in self.row_slices():
+            # A list slice is a copy, so it may take the None cells.
+            cells = [column if isinstance(column, list) else column.tolist() for column in columns]
+            for column, mask in zip(cells, empty):
+                if mask is not None:
+                    for i in np.flatnonzero(mask).tolist():
+                        column[i] = None
+            rows.extend(zip(*cells))
+        return rows
+
+
+def _joined(fieldnames, parts: list[ExperimentResult]) -> ExperimentResult:
+    """The rows of ``parts``, one after another, as one result.
+
+    The parts hold one kind of column per field, as the blocks of one
+    command do, so joining them changes no cell.
+    """
+    columns = []
+    for j, first in enumerate(parts[0]._columns):
+        pieces = [part._columns[j] for part in parts]
+        if isinstance(first, list):
+            columns.append([cell for piece in pieces for cell in piece])
+        else:
+            columns.append(np.concatenate(pieces))
+    empty = {
+        name: np.concatenate([part._empty.get(name, np.zeros(len(part), bool)) for part in parts])
+        for name in {name for part in parts for name in part._empty}
+    }
+    return ExperimentResult(fieldnames, columns, {}, empty)
 
 
 def _realization_rng(cfg: ExperimentConfig, index: int) -> np.random.Generator:

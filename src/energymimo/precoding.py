@@ -512,7 +512,9 @@ def _power_map(packed, targets, p, index):
         packed_a[k + pairs:] = total[k:].imag
         coefficients = packed_a.transpose(1, 2, 0).reshape(n, 1, q * k * k)
     else:
-        gram = (np.take(packed_gram, spread, axis=-1) * sign).view(complex).reshape(n, q, k, k)
+        # In C order: the fancy-indexed floats are laid out stack axis last.
+        gram = np.multiply(packed_gram[:, spread], sign, order="C")
+        gram = gram.view(complex).reshape(n, q, k, k)
         inverse = _guard_gram(gram, index)
         lifted = (inverse @ (targets * inverse)).reshape(n, q, k * k).view(float)
         coefficients = np.take(lifted, gather, axis=-1).reshape(n, 1, q * k * k)
@@ -576,7 +578,7 @@ def _fixed_point(
     idle = 0  # p's entries that are not positive, when its rows were last counted
 
     for iteration in range(1, cfg.max_iterations + 1):
-        p[p < cfg.dead_antenna_floor] = 0.0
+        np.putmask(p, p < cfg.dead_antenna_floor, 0.0)
         # A zero power maps to zero and NaN to NaN, so a row can only fall
         # short of K active antennas by gaining such an entry.
         now_idle = p.size - np.count_nonzero(p > 0.0)

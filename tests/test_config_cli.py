@@ -2,6 +2,7 @@ import csv
 import io
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -967,6 +968,10 @@ def _synthetic_result():
     )
 
 
+# 8,000 rows of real data: 40 loads for each of 200 realizations.
+ASYMPTOTIC_CFG = str(Path(__file__).resolve().parents[1] / "bench" / "workloads" / "asymptotic.cfg")
+
+
 def _tiny(scenario, **changes):
     return with_scenario(ExperimentConfig(realizations=3, **changes), seed=4, **scenario)
 
@@ -988,14 +993,21 @@ RESULT_CASES = pytest.mark.parametrize("build, has_empty_cells", [
         _tiny({"m_antennas": 12, "k_users": 3}, asym_mode="ma_curve")
     ), False),
     (lambda: validate_suite(ExperimentConfig()), False),
+    (lambda: asymptotic_experiment(load_config(ASYMPTOTIC_CFG, {"realizations": 200})), False),
+    (lambda: run_experiment(
+        _tiny({"m_antennas": 32, "k_users": 4, "subcarriers": 256}, precoders=("min_pa",))
+    ), True),
 ], ids=[
     "synthetic", "run_min_pa", "run_three_solvers", "convergence_no_oracle",
-    "k_sweep_infeasible", "q_error", "ma_curve", "validate",
+    "k_sweep_infeasible", "q_error", "ma_curve", "validate", "k_sweep_bench_8000_rows",
+    "run_one_realization_blocks",
 ])
 # Slices of one and of seven rows split k_sweep's runs of infeasible rows
 # (K = 8..10 at M = 8, ten rows per realization) and the three rows of each
-# realization of a three-solver run.
-ROW_SLICES = (experiments.ROW_SLICE, 1, 7)
+# realization of a three-solver run; a slice of 2,048 rows holds a whole
+# 2,040-row block of the bench-shaped k_sweep. At Q = 256 each block is one
+# realization, one row, and the blocks are joined into slices.
+ROW_SLICES = (experiments.ROW_SLICE, 2048, 1, 7)
 
 
 @RESULT_CASES

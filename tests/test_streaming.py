@@ -124,6 +124,33 @@ def test_streamed_result_counts_what_was_written(tmp_path):
     assert len(eager) == 2
 
 
+def test_small_blocks_are_joined_into_row_slices(monkeypatch):
+    # One realization, one row, per block at Q = 256: the writer takes the
+    # three blocks as one slice, and one row at a time when a slice is one row.
+    cfg = with_scenario(
+        ExperimentConfig(realizations=3, precoders=("min_pa",)),
+        m_antennas=32, k_users=4, subcarriers=256, seed=8,
+    )
+    assert [len(columns[0]) for columns, _ in run_experiment(cfg).row_slices()] == [3]
+    monkeypatch.setattr(experiments, "ROW_SLICE", 2)
+    assert [len(columns[0]) for columns, _ in run_experiment(cfg).row_slices()] == [2, 1]
+    # Parts that differ in which fields have empty cells join cell for cell.
+    fields = ("n", "x", "s")
+
+    def parts():
+        yield ExperimentResult(
+            fields, ([1, 2], [0.5, 1.5], ["a", "b"]), {}, empty={"x": [True, False]}
+        )
+        yield ExperimentResult(fields, ([3], [2.5], ["c"]), {})
+        yield ExperimentResult(fields, ([4], [3.5], ["d"]), {}, empty={"s": True})
+        return {"parts": 3}
+
+    monkeypatch.setattr(experiments, "ROW_SLICE", 512)
+    joined = ExperimentResult.streamed(fields, parts())
+    assert joined.rows == [(1, None, "a"), (2, 1.5, "b"), (3, 2.5, "c"), (4, 3.5, None)]
+    assert len(joined) == 4 and joined.summary == {"parts": 3}
+
+
 def _failing_third_block(monkeypatch):
     """Make the draw of the block that starts at realization 2 fail."""
     real = experiments._draw_block
